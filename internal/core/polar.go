@@ -16,8 +16,8 @@ type POLAR struct {
 	g *guide.Guide
 	p sim.Platform
 
-	wCells []polarCell
-	tCells []polarCell
+	wCells cellTable[polarCell]
+	tCells cellTable[polarCell]
 }
 
 // polarCell is the online occupation state of one guide cell.
@@ -36,8 +36,8 @@ func (a *POLAR) Name() string { return "POLAR" }
 // Init implements sim.Algorithm.
 func (a *POLAR) Init(p sim.Platform) {
 	a.p = p
-	a.wCells = make([]polarCell, len(a.g.WorkerCells))
-	a.tCells = make([]polarCell, len(a.g.TaskCells))
+	a.wCells = newCellTable[polarCell](len(a.g.WorkerCells))
+	a.tCells = newCellTable[polarCell](len(a.g.TaskCells))
 }
 
 // OnWorkerArrival implements sim.Algorithm.
@@ -48,7 +48,7 @@ func (a *POLAR) OnWorkerArrival(w int, now float64) {
 		return // no node of this type: ignore (Algorithm 2, line 3 failure)
 	}
 	plan := &a.g.WorkerCells[cid]
-	cell := &a.wCells[cid]
+	cell := a.wCells.touch(cid)
 	if int32(len(cell.occupants)) >= plan.Count {
 		return // all nodes of the type occupied: ignore
 	}
@@ -58,8 +58,7 @@ func (a *POLAR) OnWorkerArrival(w int, now float64) {
 		return // unmatched guide node: the worker simply waits in place
 	}
 	tPlan := &a.g.TaskCells[partnerCell]
-	tCell := &a.tCells[partnerCell]
-	if partnerNode < int32(len(tCell.occupants)) {
+	if tCell := a.tCells.peek(partnerCell); tCell != nil && partnerNode < int32(len(tCell.occupants)) {
 		// Partner node already occupied by an actual task: assign. A
 		// retired occupant (negative after Remap) was matched or dead, so
 		// the TryMatch it stands in for could only ever have been refused.
@@ -83,7 +82,7 @@ func (a *POLAR) OnTaskArrival(t int, now float64) {
 		return
 	}
 	plan := &a.g.TaskCells[cid]
-	cell := &a.tCells[cid]
+	cell := a.tCells.touch(cid)
 	if int32(len(cell.occupants)) >= plan.Count {
 		return
 	}
@@ -92,8 +91,7 @@ func (a *POLAR) OnTaskArrival(t int, now float64) {
 	if !matched {
 		return // unmatched node: the task waits until its deadline
 	}
-	wCell := &a.wCells[partnerCell]
-	if partnerNode < int32(len(wCell.occupants)) {
+	if wCell := a.wCells.peek(partnerCell); wCell != nil && partnerNode < int32(len(wCell.occupants)) {
 		if occ := wCell.occupants[partnerNode]; occ >= 0 {
 			a.p.TryMatch(int(occ), t, now)
 		}
@@ -112,8 +110,8 @@ func (a *POLAR) OnFinish(now float64) {}
 // TryMatch against them. Occupant lists are bounded by the guide's node
 // counts, so the sentinels cost no growth.
 func (a *POLAR) Remap(workers, tasks []int32) {
-	remapOccupants(a.wCells, workers)
-	remapOccupants(a.tCells, tasks)
+	a.wCells.each(func(c *polarCell) { remapOccupants(c.occupants, workers) })
+	a.tCells.each(func(c *polarCell) { remapOccupants(c.occupants, tasks) })
 }
 
 // OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: the withdrawn
@@ -122,21 +120,25 @@ func (a *POLAR) Remap(workers, tasks []int32) {
 // would install, so the partner path skips it without a doomed TryMatch.
 func (a *POLAR) OnWorkerWithdraw(w int, now float64) {
 	if cid := a.g.WorkerCellID(locateWorker(a.g, a.p.Worker(w))); cid >= 0 {
-		withdrawOccupant(&a.wCells[cid], int32(w))
+		withdrawOccupant(a.wCells.peek(cid), int32(w))
 	}
 }
 
 // OnTaskWithdraw is OnWorkerWithdraw for the task side.
 func (a *POLAR) OnTaskWithdraw(t int, now float64) {
 	if cid := a.g.TaskCellID(locateTask(a.g, a.p.Task(t))); cid >= 0 {
-		withdrawOccupant(&a.tCells[cid], int32(t))
+		withdrawOccupant(a.tCells.peek(cid), int32(t))
 	}
 }
 
 // withdrawOccupant sentinels the handle's node slot in one cell. The scan
 // is bounded by the cell's node count; absence is fine (the object never
-// occupied a node — its type was full or unpredicted).
+// occupied a node — its type was full or unpredicted — or the cell was
+// never written at all, which peek reports as nil).
 func withdrawOccupant(cell *polarCell, h int32) {
+	if cell == nil {
+		return
+	}
 	for i, occ := range cell.occupants {
 		if occ == h {
 			cell.occupants[i] = -1
@@ -145,13 +147,10 @@ func withdrawOccupant(cell *polarCell, h int32) {
 	}
 }
 
-func remapOccupants(cells []polarCell, m []int32) {
-	for i := range cells {
-		occ := cells[i].occupants
-		for j, h := range occ {
-			if h >= 0 {
-				occ[j] = m[h]
-			}
+func remapOccupants(occ []int32, m []int32) {
+	for j, h := range occ {
+		if h >= 0 {
+			occ[j] = m[h]
 		}
 	}
 }

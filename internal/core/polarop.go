@@ -23,8 +23,8 @@ type POLAROP struct {
 	g *guide.Guide
 	p sim.Platform
 
-	wCells []opCell
-	tCells []opCell
+	wCells cellTable[opCell]
+	tCells cellTable[opCell]
 }
 
 // opCell is the online association state of one guide cell.
@@ -123,8 +123,8 @@ func (a *POLAROP) Name() string { return "POLAR-OP" }
 // Init implements sim.Algorithm.
 func (a *POLAROP) Init(p sim.Platform) {
 	a.p = p
-	a.wCells = make([]opCell, len(a.g.WorkerCells))
-	a.tCells = make([]opCell, len(a.g.TaskCells))
+	a.wCells = newCellTable[opCell](len(a.g.WorkerCells))
+	a.tCells = newCellTable[opCell](len(a.g.TaskCells))
 }
 
 // OnWorkerArrival implements sim.Algorithm.
@@ -135,11 +135,11 @@ func (a *POLAROP) OnWorkerArrival(w int, now float64) {
 		return // no node of this type at all: ignore
 	}
 	plan := &a.g.WorkerCells[cid]
-	cell := &a.wCells[cid]
+	cell := a.wCells.touch(cid)
 
 	// Try to match with a task waiting under one of this cell's partner
 	// cells, preferring the partner of the node being associated.
-	matched := a.matchFromPartners(plan, cell.cursor.runIdx, a.tCells,
+	matched := a.matchFromPartners(plan, cell.cursor.runIdx, &a.tCells,
 		func(t int32) bool { return !a.p.TaskAvailable(int(t), now) },
 		func(t int32) bool { return a.p.TryMatch(w, int(t), now) },
 	)
@@ -168,9 +168,9 @@ func (a *POLAROP) OnTaskArrival(t int, now float64) {
 		return
 	}
 	plan := &a.g.TaskCells[cid]
-	cell := &a.tCells[cid]
+	cell := a.tCells.touch(cid)
 
-	matched := a.matchFromPartners(plan, cell.cursor.runIdx, a.wCells,
+	matched := a.matchFromPartners(plan, cell.cursor.runIdx, &a.wCells,
 		func(w int32) bool { return !a.p.WorkerAvailable(int(w), now) },
 		func(w int32) bool { return a.p.TryMatch(int(w), t, now) },
 	)
@@ -187,12 +187,8 @@ func (a *POLAROP) OnFinish(now float64) {}
 // rebased into the new handle space. Node indices and cursors are
 // untouched — they track guide positions, not objects.
 func (a *POLAROP) Remap(workers, tasks []int32) {
-	for i := range a.wCells {
-		a.wCells[i].queue.remap(workers)
-	}
-	for i := range a.tCells {
-		a.tCells[i].queue.remap(tasks)
-	}
+	a.wCells.each(func(c *opCell) { c.queue.remap(workers) })
+	a.tCells.each(func(c *opCell) { c.queue.remap(tasks) })
 }
 
 // OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: the withdrawn
@@ -202,14 +198,18 @@ func (a *POLAROP) Remap(workers, tasks []int32) {
 // of splicing keeps scan's order evolution untouched.
 func (a *POLAROP) OnWorkerWithdraw(w int, now float64) {
 	if cid := a.g.WorkerCellID(locateWorker(a.g, a.p.Worker(w))); cid >= 0 {
-		a.wCells[cid].queue.withdraw(int32(w))
+		if cell := a.wCells.peek(cid); cell != nil {
+			cell.queue.withdraw(int32(w))
+		}
 	}
 }
 
 // OnTaskWithdraw is OnWorkerWithdraw for the task side.
 func (a *POLAROP) OnTaskWithdraw(t int, now float64) {
 	if cid := a.g.TaskCellID(locateTask(a.g, a.p.Task(t))); cid >= 0 {
-		a.tCells[cid].queue.withdraw(int32(t))
+		if cell := a.tCells.peek(cid); cell != nil {
+			cell.queue.withdraw(int32(t))
+		}
 	}
 }
 
@@ -241,8 +241,9 @@ func (a *POLAROP) advance(cell *opCell, plan *guide.CellPlan) {
 // matchFromPartners scans the waiting queues of the cell's partner cells,
 // starting at the run the cell's cursor is on and wrapping, attempting
 // try on each live waiting object until one commits. other is the opposite
-// side's cell-state slice.
-func (a *POLAROP) matchFromPartners(plan *guide.CellPlan, startRun int, other []opCell, dead func(int32) bool, try func(int32) bool) bool {
+// side's cell table; a partner cell that was never written has nobody
+// waiting.
+func (a *POLAROP) matchFromPartners(plan *guide.CellPlan, startRun int, other *cellTable[opCell], dead func(int32) bool, try func(int32) bool) bool {
 	n := len(plan.Runs)
 	if n == 0 {
 		return false
@@ -257,7 +258,7 @@ func (a *POLAROP) matchFromPartners(plan *guide.CellPlan, startRun int, other []
 			continue // consecutive runs to the same partner cell
 		}
 		prev = run.Partner
-		if other[run.Partner].queue.scan(dead, try) {
+		if cell := other.peek(run.Partner); cell != nil && cell.queue.scan(dead, try) {
 			return true
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestMaxFlowTextbook(t *testing.T) {
 	// Classic CLRS example, max flow 23.
-	g := NewNetwork(6)
+	g := NewNetwork(6, 10)
 	s, t0 := 0, 5
 	g.AddEdge(0, 1, 16)
 	g.AddEdge(0, 2, 13)
@@ -31,7 +31,7 @@ func TestMaxFlowTextbook(t *testing.T) {
 }
 
 func TestMaxFlowTrivialCases(t *testing.T) {
-	g := NewNetwork(3)
+	g := NewNetwork(3, 0) // grows past its sizing
 	if g.MaxFlowDinic(0, 0) != 0 {
 		t.Error("s==t should be 0")
 	}
@@ -46,7 +46,7 @@ func TestMaxFlowTrivialCases(t *testing.T) {
 }
 
 func TestEdgeFlowAndEndpoints(t *testing.T) {
-	g := NewNetwork(4)
+	g := NewNetwork(4, 4)
 	e0 := g.AddEdge(0, 1, 2)
 	e1 := g.AddEdge(1, 3, 2)
 	e2 := g.AddEdge(0, 2, 1)
@@ -69,7 +69,7 @@ func TestEdgeFlowAndEndpoints(t *testing.T) {
 func buildRandomBipartite(rng *mathx.RNG, nl, nr int, p float64) (*Network, [][]int32, int, int) {
 	n := nl + nr + 2
 	s, t0 := n-2, n-1
-	g := NewNetwork(n)
+	g := NewNetwork(n, nl+nr)
 	adj := make([][]int32, nl)
 	for u := 0; u < nl; u++ {
 		g.AddEdge(s, u, 1)
@@ -109,24 +109,28 @@ func TestFlowConservationAndCapacity(t *testing.T) {
 	rng := mathx.NewRNG(7)
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(10) + 4
-		g := NewNetwork(n)
+		g := NewNetwork(n, 3*n)
 		s, t0 := 0, n-1
-		type edge struct{ id, u, v int }
+		type edge struct {
+			id, u, v int
+			cap      int32
+		}
 		var edges []edge
 		for i := 0; i < 3*n; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
-			id := g.AddEdge(u, v, int64(rng.Intn(10)+1))
-			edges = append(edges, edge{id, u, v})
+			c := int32(rng.Intn(10) + 1)
+			id := g.AddEdge(u, v, c)
+			edges = append(edges, edge{id, u, v, c})
 		}
 		g.MaxFlowDinic(s, t0)
-		net := make([]int64, n)
+		net := make([]int32, n)
 		for _, e := range edges {
 			f := g.EdgeFlow(e.id)
-			if f < 0 || f > g.cap[e.id] {
-				t.Fatalf("trial %d: edge flow %d violates capacity %d", trial, f, g.cap[e.id])
+			if f < 0 || f > e.cap {
+				t.Fatalf("trial %d: edge flow %d violates capacity %d", trial, f, e.cap)
 			}
 			net[e.u] -= f
 			net[e.v] += f
@@ -149,17 +153,21 @@ func TestMaxFlowEqualsMinCut(t *testing.T) {
 	rng := mathx.NewRNG(99)
 	for trial := 0; trial < 40; trial++ {
 		n := rng.Intn(9) + 3
-		g := NewNetwork(n)
+		g := NewNetwork(n, 4*n)
 		s, t0 := 0, n-1
-		type edge struct{ id, u, v int }
+		type edge struct {
+			u, v int
+			cap  int32
+		}
 		var edges []edge
 		for i := 0; i < 4*n; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
-			id := g.AddEdge(u, v, int64(rng.Intn(8)))
-			edges = append(edges, edge{id, u, v})
+			c := int32(rng.Intn(8))
+			g.AddEdge(u, v, c)
+			edges = append(edges, edge{u, v, c})
 		}
 		val := g.MaxFlowDinic(s, t0)
 		reach := g.MinCutFromSource(s)
@@ -172,7 +180,7 @@ func TestMaxFlowEqualsMinCut(t *testing.T) {
 		var cut int64
 		for _, e := range edges {
 			if reach[e.u] && !reach[e.v] {
-				cut += g.cap[e.id]
+				cut += int64(e.cap)
 			}
 		}
 		if cut != val {
@@ -183,7 +191,7 @@ func TestMaxFlowEqualsMinCut(t *testing.T) {
 
 func TestMinCostMaxFlow(t *testing.T) {
 	// Two paths of equal capacity, different cost: flow must prefer cheap.
-	g := NewNetwork(4)
+	g := NewNetwork(4, 4)
 	g.AddEdgeCost(0, 1, 1, 1)
 	g.AddEdgeCost(0, 2, 1, 10)
 	g.AddEdgeCost(1, 3, 1, 1)
@@ -194,7 +202,7 @@ func TestMinCostMaxFlow(t *testing.T) {
 	}
 
 	// Cheaper to reroute: classic negative-reduced-cost case.
-	g = NewNetwork(4)
+	g = NewNetwork(4, 4)
 	g.AddEdgeCost(0, 1, 2, 1)
 	g.AddEdgeCost(1, 3, 1, 1)
 	g.AddEdgeCost(1, 2, 2, 1)
@@ -291,10 +299,11 @@ func TestGreedyMatchingIsValidAndBelowOptimal(t *testing.T) {
 
 func TestNetworkPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewNetwork(0) },
-		func() { g := NewNetwork(2); g.AddEdge(0, 5, 1) },
-		func() { g := NewNetwork(2); g.AddEdge(-1, 0, 1) },
-		func() { g := NewNetwork(2); g.AddEdge(0, 1, -3) },
+		func() { NewNetwork(0, 0) },
+		func() { NewNetwork(2, -1) },
+		func() { g := NewNetwork(2, 1); g.AddEdge(0, 5, 1) },
+		func() { g := NewNetwork(2, 1); g.AddEdge(-1, 0, 1) },
+		func() { g := NewNetwork(2, 1); g.AddEdge(0, 1, -3) },
 	} {
 		func() {
 			defer func() {
@@ -308,7 +317,7 @@ func TestNetworkPanics(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	g := NewNetwork(3)
+	g := NewNetwork(3, 2)
 	e := g.AddEdge(0, 1, 4)
 	g.AddEdge(1, 2, 4)
 	if g.MaxFlowDinic(0, 2) != 4 {
@@ -368,5 +377,31 @@ func TestBipartiteMatcherReuse(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("reused BipartiteMatcher allocates %v per solve, want 0", allocs)
+	}
+}
+
+// TestNetworkLazyParts: the adjacency index is rebuilt after edges are
+// added to a solved network, and the cost array exists only once a
+// non-zero cost was added (earlier edges then cost zero).
+func TestNetworkLazyParts(t *testing.T) {
+	g := NewNetwork(4, 1)
+	g.AddEdge(0, 1, 3)
+	g.AddEdge(1, 3, 2)
+	if got := g.MaxFlowDinic(0, 3); got != 2 {
+		t.Fatalf("first solve = %d, want 2", got)
+	}
+	if g.cost != nil {
+		t.Fatal("cost array allocated on a zero-cost network")
+	}
+	// A second, costly route: 0-2-3 at cost 5 per unit, capacity 4.
+	g.AddEdgeCost(0, 2, 4, 2)
+	g.AddEdgeCost(2, 3, 4, 3)
+	if len(g.cost) != len(g.to) || g.cost[0] != 0 || g.cost[2] != 0 {
+		t.Fatalf("cost array %v does not back-fill zero for the %d earlier edges", g.cost, 2)
+	}
+	g.Reset()
+	f, c := g.MinCostMaxFlow(0, 3)
+	if f != 6 || c != 4*5 {
+		t.Fatalf("flow,cost = %d,%d; want 6,20", f, c)
 	}
 }

@@ -10,33 +10,54 @@
 // constructions) and are deterministic.
 package flow
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Network is a directed flow network stored as an adjacency list over
-// paired residual edges: edge i and edge i^1 are a forward/backward pair.
+// Network is a directed flow network over paired residual edges: edge i
+// and edge i^1 are a forward/backward pair. Only residual capacities are
+// stored — a backward edge starts at zero, so the flow on a forward edge
+// is its partner's residual — and capacities are 32-bit, which covers the
+// guide's int32 cell counts at a third of the memory of separate 64-bit
+// capacity and flow arrays. Adjacency is a CSR index over the edge
+// arrays, built by the first solve after the last AddEdge.
 type Network struct {
-	n     int
-	heads [][]int32 // per node: indices into edges
-	to    []int32
-	cap   []int64
-	cost  []int64 // used only by min-cost flow; zero otherwise
-	flow  []int64
+	n    int
+	to   []int32
+	res  []int32 // residual capacity
+	cost []int64 // nil until an edge with non-zero cost is added
+
+	// CSR adjacency: the edges leaving node u are adj[start[u]:start[u+1]],
+	// in insertion order. nil while edges are being added.
+	start []int32
+	adj   []int32
 
 	// Scratch reused across MaxFlowDinic calls so repeated solves on one
-	// network (guide construction probes, re-solves after Reset) allocate
-	// nothing per call. Sized lazily to n on first use.
+	// network (re-solves after Reset) allocate nothing per call. Sized
+	// lazily to n on first use.
 	level []int32
 	iter  []int32
 	queue []int32
 }
 
-// NewNetwork creates a network with n nodes and no edges. Node ids are
-// 0..n-1; callers conventionally reserve two of them for source and sink.
-func NewNetwork(n int) *Network {
+// NewNetwork creates a network with n nodes and room for edges forward
+// edges, so a caller that knows its edge count allocates the edge arrays
+// exactly once (adding more still works; the arrays then grow). Node ids
+// are 0..n-1; callers conventionally reserve two of them for source and
+// sink.
+func NewNetwork(n, edges int) *Network {
 	if n <= 0 {
 		panic(fmt.Sprintf("flow: non-positive node count %d", n))
 	}
-	return &Network{n: n, heads: make([][]int32, n)}
+	if edges < 0 {
+		panic(fmt.Sprintf("flow: negative edge count %d", edges))
+	}
+	return &Network{
+		n:   n,
+		to:  make([]int32, 0, 2*edges),
+		res: make([]int32, 0, 2*edges),
+	}
 }
 
 // NumNodes returns the number of nodes.
@@ -48,13 +69,14 @@ func (g *Network) NumEdges() int { return len(g.to) / 2 }
 // AddEdge adds a directed edge from u to v with the given capacity and zero
 // cost, returning the edge id (usable with EdgeFlow). Capacity must be
 // non-negative.
-func (g *Network) AddEdge(u, v int, capacity int64) int {
+func (g *Network) AddEdge(u, v int, capacity int32) int {
 	return g.AddEdgeCost(u, v, capacity, 0)
 }
 
 // AddEdgeCost adds a directed edge from u to v with the given capacity and
-// per-unit cost, returning the edge id.
-func (g *Network) AddEdgeCost(u, v int, capacity, cost int64) int {
+// per-unit cost, returning the edge id. The cost array only exists on
+// networks that carry a non-zero cost.
+func (g *Network) AddEdgeCost(u, v int, capacity int32, cost int64) int {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("flow: edge (%d,%d) out of range [0,%d)", u, v, g.n))
 	}
@@ -63,17 +85,20 @@ func (g *Network) AddEdgeCost(u, v int, capacity, cost int64) int {
 	}
 	id := len(g.to)
 	g.to = append(g.to, int32(v), int32(u))
-	g.cap = append(g.cap, capacity, 0)
-	g.cost = append(g.cost, cost, -cost)
-	g.flow = append(g.flow, 0, 0)
-	g.heads[u] = append(g.heads[u], int32(id))
-	g.heads[v] = append(g.heads[v], int32(id+1))
+	g.res = append(g.res, capacity, 0)
+	if cost != 0 && g.cost == nil {
+		g.cost = make([]int64, id, cap(g.to))
+	}
+	if g.cost != nil {
+		g.cost = append(g.cost, cost, -cost)
+	}
+	g.start, g.adj = nil, nil
 	return id
 }
 
 // EdgeFlow returns the flow currently routed through the forward edge with
 // the given id (as returned by AddEdge/AddEdgeCost).
-func (g *Network) EdgeFlow(id int) int64 { return g.flow[id] }
+func (g *Network) EdgeFlow(id int) int32 { return g.res[id^1] }
 
 // EdgeEndpoints returns (u, v) for the forward edge id.
 func (g *Network) EdgeEndpoints(id int) (u, v int) {
@@ -82,19 +107,44 @@ func (g *Network) EdgeEndpoints(id int) (u, v int) {
 
 // Reset zeroes all flow, allowing the same topology to be re-solved.
 func (g *Network) Reset() {
-	for i := range g.flow {
-		g.flow[i] = 0
+	for id := 0; id < len(g.res); id += 2 {
+		g.res[id] += g.res[id+1]
+		g.res[id+1] = 0
 	}
 }
 
-// residual capacity of edge id.
-func (g *Network) res(id int) int64 { return g.cap[id] - g.flow[id] }
-
 // push routes amount f through edge id (and -f through its pair).
-func (g *Network) push(id int, f int64) {
-	g.flow[id] += f
-	g.flow[id^1] -= f
+func (g *Network) push(id int32, f int32) {
+	g.res[id] -= f
+	g.res[id^1] += f
 }
+
+// index builds the CSR adjacency if edges were added since the last solve.
+// Within a node, edges keep their insertion order, which is what makes
+// the solvers deterministic.
+func (g *Network) index() {
+	if g.start != nil {
+		return
+	}
+	start := make([]int32, g.n+1)
+	for id := range g.to {
+		start[g.to[id^1]+1]++ // the tail of edge id is the head of its pair
+	}
+	for u := 0; u < g.n; u++ {
+		start[u+1] += start[u]
+	}
+	adj := make([]int32, len(g.to))
+	fill := make([]int32, g.n)
+	for id := range g.to {
+		u := g.to[id^1]
+		adj[start[u]+fill[u]] = int32(id)
+		fill[u]++
+	}
+	g.start, g.adj = start, adj
+}
+
+// out returns the ids of the edges leaving u; index must have run.
+func (g *Network) out(u int32) []int32 { return g.adj[g.start[u]:g.start[u+1]] }
 
 // MaxFlowDinic computes the maximum flow from s to t using Dinic's
 // algorithm (BFS level graph + blocking-flow DFS). It runs on top of any
@@ -104,13 +154,14 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 	if s == t {
 		return 0
 	}
+	g.index()
 	if cap(g.level) < g.n {
 		g.level = make([]int32, g.n)
 		g.iter = make([]int32, g.n)
 		g.queue = make([]int32, 0, g.n)
 	}
 	level := g.level[:g.n]
-	iter := g.iter[:g.n]
+	iter := g.iter[:g.n] // position in adj of the next edge to try
 	queue := g.queue[:0]
 
 	bfs := func() bool {
@@ -122,9 +173,9 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 		queue = append(queue, int32(s))
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
-			for _, id := range g.heads[u] {
+			for _, id := range g.out(u) {
 				v := g.to[id]
-				if level[v] < 0 && g.res(int(id)) > 0 {
+				if level[v] < 0 && g.res[id] > 0 {
 					level[v] = level[u] + 1
 					queue = append(queue, v)
 				}
@@ -133,23 +184,20 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 		return level[t] >= 0
 	}
 
-	var dfs func(u int32, limit int64) int64
-	dfs = func(u int32, limit int64) int64 {
+	var dfs func(u int32, limit int32) int32
+	dfs = func(u int32, limit int32) int32 {
 		if int(u) == t {
 			return limit
 		}
-		for ; iter[u] < int32(len(g.heads[u])); iter[u]++ {
-			id := g.heads[u][iter[u]]
+		for end := g.start[u+1]; iter[u] < end; iter[u]++ {
+			id := g.adj[iter[u]]
 			v := g.to[id]
-			if level[v] != level[u]+1 || g.res(int(id)) <= 0 {
+			r := g.res[id]
+			if level[v] != level[u]+1 || r <= 0 {
 				continue
 			}
-			amt := limit
-			if r := g.res(int(id)); r < amt {
-				amt = r
-			}
-			if pushed := dfs(v, amt); pushed > 0 {
-				g.push(int(id), pushed)
+			if pushed := dfs(v, min(limit, r)); pushed > 0 {
+				g.push(id, pushed)
 				return pushed
 			}
 		}
@@ -157,18 +205,15 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 		return 0
 	}
 
-	const inf = int64(1) << 62
 	var total int64
 	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
+		copy(iter, g.start)
 		for {
-			f := dfs(int32(s), inf)
+			f := dfs(int32(s), math.MaxInt32)
 			if f == 0 {
 				break
 			}
-			total += f
+			total += int64(f)
 		}
 	}
 	g.queue = queue // keep any grown capacity for the next call
@@ -182,6 +227,7 @@ func (g *Network) MaxFlowFordFulkerson(s, t int) int64 {
 	if s == t {
 		return 0
 	}
+	g.index()
 	parentEdge := make([]int32, g.n)
 	queue := make([]int32, 0, g.n)
 	var total int64
@@ -196,9 +242,9 @@ func (g *Network) MaxFlowFordFulkerson(s, t int) int64 {
 	bfs:
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
-			for _, id := range g.heads[u] {
+			for _, id := range g.out(u) {
 				v := g.to[id]
-				if parentEdge[v] == -1 && g.res(int(id)) > 0 {
+				if parentEdge[v] == -1 && g.res[id] > 0 {
 					parentEdge[v] = id
 					if int(v) == t {
 						found = true
@@ -211,37 +257,41 @@ func (g *Network) MaxFlowFordFulkerson(s, t int) int64 {
 		if !found {
 			return total
 		}
-		// Find bottleneck.
-		bottleneck := int64(1) << 62
-		for v := int32(t); v != int32(s); {
-			id := parentEdge[v]
-			if r := g.res(int(id)); r < bottleneck {
-				bottleneck = r
-			}
-			v = g.to[id^1]
-		}
-		for v := int32(t); v != int32(s); {
-			id := parentEdge[v]
-			g.push(int(id), bottleneck)
-			v = g.to[id^1]
-		}
-		total += bottleneck
+		total += int64(g.augment(parentEdge, s, t))
 	}
+}
+
+// augment pushes the bottleneck residual along the s-t path recorded in
+// parentEdge and returns it.
+func (g *Network) augment(parentEdge []int32, s, t int) int32 {
+	bottleneck := int32(math.MaxInt32)
+	for v := int32(t); v != int32(s); {
+		id := parentEdge[v]
+		bottleneck = min(bottleneck, g.res[id])
+		v = g.to[id^1]
+	}
+	for v := int32(t); v != int32(s); {
+		id := parentEdge[v]
+		g.push(id, bottleneck)
+		v = g.to[id^1]
+	}
+	return bottleneck
 }
 
 // MinCutFromSource returns the set of nodes reachable from s in the residual
 // graph after a max-flow computation — the "canonical reachability min-cut"
 // the paper's Lemma 2 uses. reachable[v] is true iff v is on the source side.
 func (g *Network) MinCutFromSource(s int) []bool {
+	g.index()
 	reachable := make([]bool, g.n)
 	reachable[s] = true
 	stack := []int32{int32(s)}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, id := range g.heads[u] {
+		for _, id := range g.out(u) {
 			v := g.to[id]
-			if !reachable[v] && g.res(int(id)) > 0 {
+			if !reachable[v] && g.res[id] > 0 {
 				reachable[v] = true
 				stack = append(stack, v)
 			}
@@ -256,6 +306,7 @@ func (g *Network) MinCutFromSource(s int) []bool {
 // value and its total cost. Intended for the travel-cost-aware guide, where
 // edge costs are travel times scaled to integers.
 func (g *Network) MinCostMaxFlow(s, t int) (flowValue, totalCost int64) {
+	g.index()
 	const inf = int64(1) << 62
 	dist := make([]int64, g.n)
 	inQueue := make([]bool, g.n)
@@ -274,12 +325,15 @@ func (g *Network) MinCostMaxFlow(s, t int) (flowValue, totalCost int64) {
 			u := queue[0]
 			queue = queue[1:]
 			inQueue[u] = false
-			for _, id := range g.heads[u] {
+			for _, id := range g.out(u) {
 				v := g.to[id]
-				if g.res(int(id)) <= 0 {
+				if g.res[id] <= 0 {
 					continue
 				}
-				nd := dist[u] + g.cost[id]
+				nd := dist[u]
+				if g.cost != nil {
+					nd += g.cost[id]
+				}
 				if nd < dist[v] {
 					dist[v] = nd
 					parentEdge[v] = id
@@ -293,20 +347,7 @@ func (g *Network) MinCostMaxFlow(s, t int) (flowValue, totalCost int64) {
 		if dist[t] >= inf {
 			return flowValue, totalCost
 		}
-		// Bottleneck along the shortest path.
-		bottleneck := inf
-		for v := int32(t); v != int32(s); {
-			id := parentEdge[v]
-			if r := g.res(int(id)); r < bottleneck {
-				bottleneck = r
-			}
-			v = g.to[id^1]
-		}
-		for v := int32(t); v != int32(s); {
-			id := parentEdge[v]
-			g.push(int(id), bottleneck)
-			v = g.to[id^1]
-		}
+		bottleneck := int64(g.augment(parentEdge, s, t))
 		flowValue += bottleneck
 		totalCost += bottleneck * dist[t]
 	}

@@ -162,16 +162,41 @@ func (g *Guide) TotalTasks() int {
 	return s
 }
 
-// cellRef is a non-empty prediction cell during construction.
-type cellRef struct {
-	key   timeslot.CellKey
-	count int32
+// edgeChunk is the allocation unit of an edgeList, in entries.
+const edgeChunk = 1 << 12
+
+// edgeList is an append-only list of task-cell ids kept in fixed-size
+// chunks. Build collects candidate edges into it before it knows how many
+// there are; chunks never move, so collecting leaves no trail of outgrown
+// arrays behind, and the flow network can then be allocated once at its
+// exact size.
+type edgeList struct {
+	chunks [][]int32
+	n      int
 }
+
+func (l *edgeList) push(v int32) {
+	if l.n%edgeChunk == 0 {
+		l.chunks = append(l.chunks, make([]int32, edgeChunk))
+	}
+	l.chunks[l.n/edgeChunk][l.n%edgeChunk] = v
+	l.n++
+}
+
+func (l *edgeList) at(i int) int32 { return l.chunks[i/edgeChunk][i%edgeChunk] }
+
+// costScale converts travel times to integer edge costs for the min-cost
+// solver while keeping relative precision.
+const costScale = 1024.0
 
 // Build runs Algorithm 1: it constructs the bipartite flow network over the
 // predicted counts and extracts the pair layout from a maximum (optionally
 // min-cost) flow. workerCounts and taskCounts are flattened over
 // (slot, area) with length slots × areas; negative counts are rejected.
+//
+// Every array Build allocates is sized exactly: candidate edges are
+// collected first (4 bytes each), then the network's edge arrays and the
+// guide's runs are each allocated once.
 func Build(cfg Config, workerCounts, taskCounts []int) (*Guide, error) {
 	if cfg.Grid == nil || cfg.Slots == nil {
 		return nil, fmt.Errorf("guide: nil grid or slotting")
@@ -185,66 +210,68 @@ func Build(cfg Config, workerCounts, taskCounts []int) (*Guide, error) {
 		return nil, fmt.Errorf("guide: counts length %d/%d, want %d", len(workerCounts), len(taskCounts), want)
 	}
 
-	wCells, wID, err := collectCells(workerCounts, areas, cfg.Slots.Count)
-	if err != nil {
+	g := &Guide{Cfg: cfg}
+	var err error
+	if g.WorkerCells, g.workerID, err = collectCells(workerCounts, areas); err != nil {
 		return nil, fmt.Errorf("guide: worker %w", err)
 	}
-	tCells, tID, err := collectCells(taskCounts, areas, cfg.Slots.Count)
-	if err != nil {
+	if g.TaskCells, g.taskID, err = collectCells(taskCounts, areas); err != nil {
 		return nil, fmt.Errorf("guide: task %w", err)
 	}
-
-	g := &Guide{Cfg: cfg, workerID: wID, taskID: tID}
-	g.WorkerCells = make([]CellPlan, len(wCells))
-	for i, c := range wCells {
-		g.WorkerCells[i] = CellPlan{Key: c.key, Count: c.count}
-	}
-	g.TaskCells = make([]CellPlan, len(tCells))
-	for i, c := range tCells {
-		g.TaskCells[i] = CellPlan{Key: c.key, Count: c.count}
-	}
-	if len(wCells) == 0 || len(tCells) == 0 {
+	if len(g.WorkerCells) == 0 || len(g.TaskCells) == 0 {
 		return g, nil
 	}
-
-	// Bucket non-empty task cells by slot for edge enumeration.
-	taskBySlot := make([][]int32, cfg.Slots.Count)
-	for i, c := range tCells {
-		taskBySlot[c.key.Slot] = append(taskBySlot[c.key.Slot], int32(i))
+	net, err := g.network()
+	if err != nil {
+		return nil, err
 	}
+	src, snk := net.NumNodes()-2, net.NumNodes()-1
+	if cfg.MinCost {
+		v, _ := net.MinCostMaxFlow(src, snk)
+		g.MatchedPairs = int(v)
+	} else {
+		g.MatchedPairs = int(net.MaxFlowDinic(src, snk))
+	}
+	g.layout(net)
+	return g, nil
+}
 
-	// Network layout: [0, len(wCells)) worker cells, then task cells, then
-	// source and sink.
+// network builds Algorithm 1's flow network over the guide's cells. Node
+// layout: worker cells by dense id, then task cells, then source and
+// sink. Edges go in as source edges, sink edges, then the pair edges
+// worker cell by worker cell (nearest first when capped), so pair edge k
+// has id 2·(cells+k) and its endpoints name its two cells.
+func (g *Guide) network() (*flow.Network, error) {
+	cfg := g.Cfg
+	areas := cfg.Grid.NumCells()
+	wCells, tCells := g.WorkerCells, g.TaskCells
 	nw, nt := len(wCells), len(tCells)
-	net := flow.NewNetwork(nw + nt + 2)
-	src, snk := nw+nt, nw+nt+1
-	for i, c := range wCells {
-		net.AddEdge(src, i, int64(c.count))
+
+	// Dense task ids ascend with the flat (slot, area) key, so the
+	// non-empty task cells of one slot are the id range
+	// [slotStart[slot], slotStart[slot+1]).
+	slotStart := make([]int32, cfg.Slots.Count+1)
+	for i := range tCells {
+		slotStart[tCells[i].Key.Slot+1]++
 	}
-	for i, c := range tCells {
-		net.AddEdge(nw+i, snk, int64(c.count))
+	for s := 0; s < cfg.Slots.Count; s++ {
+		slotStart[s+1] += slotStart[s]
 	}
 
-	type pairEdge struct {
-		edgeID int
-		wCell  int32
-		tCell  int32
-	}
-	var pairEdges []pairEdge
-
-	// costScale converts travel times to integer edge costs for the
-	// min-cost solver while keeping relative precision.
-	const costScale = 1024.0
-
+	// Collect each worker cell's task cells: worker cell wi is joined to
+	// edges[wEnd[wi-1]:wEnd[wi]], nearest first when capped.
+	var edges edgeList
+	wEnd := make([]int32, nw)
 	type cand struct {
 		tCell int32
 		dist  float64
 	}
 	var cands []cand
 	var diskCells []int
-	for wi, wc := range wCells {
-		sw := cfg.repTime(wc.key.Slot)
-		wCenter := cfg.Grid.Center(wc.key.Area)
+	for wi := range wCells {
+		wc := &wCells[wi]
+		sw := cfg.repTime(wc.Key.Slot)
+		wCenter := cfg.Grid.Center(wc.Key.Area)
 		cands = cands[:0]
 		for slot := 0; slot < cfg.Slots.Count; slot++ {
 			sr := cfg.repTime(slot)
@@ -256,18 +283,18 @@ func Build(cfg Config, workerCounts, taskCounts []int) (*Guide, error) {
 				continue
 			}
 			radius := budget * cfg.Velocity
-			nonEmpty := taskBySlot[slot]
-			if len(nonEmpty) == 0 {
+			lo, hi := slotStart[slot], slotStart[slot+1]
+			if lo == hi {
 				continue
 			}
 			// Choose the cheaper enumeration: scan non-empty task cells of
 			// the slot, or walk the disk of cells within the radius.
 			cw, ch := cfg.Grid.CellSize()
 			diskArea := math.Pi * (radius/cw + 1) * (radius/ch + 1)
-			if diskArea < float64(len(nonEmpty)) {
-				diskCells = cfg.Grid.CellsWithinRadius(wc.key.Area, radius, diskCells[:0])
+			if diskArea < float64(hi-lo) {
+				diskCells = cfg.Grid.CellsWithinRadius(wc.Key.Area, radius, diskCells[:0])
 				for _, area := range diskCells {
-					ti := tID[slot*areas+area]
+					ti := g.taskID[slot*areas+area]
 					if ti < 0 {
 						continue
 					}
@@ -277,9 +304,8 @@ func Build(cfg Config, workerCounts, taskCounts []int) (*Guide, error) {
 					}
 				}
 			} else {
-				for _, ti := range nonEmpty {
-					area := tCells[ti].key.Area
-					d := wCenter.Dist(cfg.Grid.Center(area))
+				for ti := lo; ti < hi; ti++ {
+					d := wCenter.Dist(cfg.Grid.Center(tCells[ti].Key.Area))
 					if cfg.edgeFeasible(sw, sr, d) {
 						cands = append(cands, cand{tCell: ti, dist: d})
 					}
@@ -291,68 +317,89 @@ func Build(cfg Config, workerCounts, taskCounts []int) (*Guide, error) {
 			cands = cands[:cfg.MaxEdgesPerCell]
 		}
 		for _, c := range cands {
-			capacity := int64(wc.count)
-			if tc := int64(tCells[c.tCell].count); tc < capacity {
-				capacity = tc
-			}
+			edges.push(c.tCell)
+		}
+		if edges.n > math.MaxInt32/2-nw-nt {
+			return nil, fmt.Errorf("guide: more than %d candidate edges; lower MaxEdgesPerCell", edges.n)
+		}
+		wEnd[wi] = int32(edges.n)
+	}
+
+	net := flow.NewNetwork(nw+nt+2, nw+nt+edges.n)
+	src, snk := nw+nt, nw+nt+1
+	for i := range wCells {
+		net.AddEdge(src, i, wCells[i].Count)
+	}
+	for i := range tCells {
+		net.AddEdge(nw+i, snk, tCells[i].Count)
+	}
+	k := 0
+	for wi := range wCells {
+		wc := &wCells[wi]
+		wCenter := cfg.Grid.Center(wc.Key.Area)
+		for ; k < int(wEnd[wi]); k++ {
+			ti := edges.at(k)
+			tc := &tCells[ti]
 			cost := int64(0)
 			if cfg.MinCost {
-				cost = int64(c.dist / cfg.Velocity * costScale)
+				d := wCenter.Dist(cfg.Grid.Center(tc.Key.Area))
+				cost = int64(d / cfg.Velocity * costScale)
 			}
-			id := net.AddEdgeCost(wi, nw+int(c.tCell), capacity, cost)
-			pairEdges = append(pairEdges, pairEdge{edgeID: id, wCell: int32(wi), tCell: c.tCell})
+			net.AddEdgeCost(wi, nw+int(ti), min(wc.Count, tc.Count), cost)
 		}
 	}
+	return net, nil
+}
 
-	if cfg.MinCost {
-		v, _ := net.MinCostMaxFlow(src, snk)
-		g.MatchedPairs = int(v)
-	} else {
-		g.MatchedPairs = int(net.MaxFlowDinic(src, snk))
+// layout decomposes the solved network's flow into the pair layout. Every
+// pair edge carrying flow becomes one run on each side; they are counted
+// per cell first so all runs live in one exactly sized array.
+func (g *Guide) layout(net *flow.Network) {
+	cfg := g.Cfg
+	wCells, tCells := g.WorkerCells, g.TaskCells
+	nw, nt := len(wCells), len(tCells)
+	firstPair, endPair := 2*(nw+nt), 2*net.NumEdges()
+	nRuns := make([]int32, nw+nt)
+	total := 0
+	for id := firstPair; id < endPair; id += 2 {
+		if net.EdgeFlow(id) > 0 {
+			u, v := net.EdgeEndpoints(id)
+			nRuns[u]++
+			nRuns[v]++
+			total += 2
+		}
 	}
+	arena := make([]Run, total)
+	carve := func(cells []CellPlan, counts []int32) {
+		for i := range cells {
+			cells[i].Runs = arena[:0:counts[i]]
+			arena = arena[counts[i]:]
+		}
+	}
+	carve(wCells, nRuns[:nw])
+	carve(tCells, nRuns[nw:])
 
-	// Decompose the flow into the pair layout. Worker cells are processed
-	// in dense-id order; within a worker cell, partner runs in edge
-	// insertion order (nearest-first when capped). Offsets advance on both
-	// sides as runs are emitted.
-	wOff := make([]int32, nw)
-	tOff := make([]int32, nt)
-	for _, pe := range pairEdges {
-		f := net.EdgeFlow(pe.edgeID)
+	// Worker cells are processed in dense-id order; within a worker cell,
+	// partner runs in edge insertion order (nearest-first when capped).
+	// A cell's Matched count is also its next free node offset, and it
+	// only grows, so each side's runs come out ordered by their own offset
+	// and cover [0, Matched).
+	for id := firstPair; id < endPair; id += 2 {
+		f := net.EdgeFlow(id)
 		if f <= 0 {
 			continue
 		}
-		wp := &g.WorkerCells[pe.wCell]
-		tp := &g.TaskCells[pe.tCell]
-		run := Run{
-			Offset:        wOff[pe.wCell],
-			Partner:       pe.tCell,
-			PartnerOffset: tOff[pe.tCell],
-			Count:         int32(f),
-		}
-		wp.Runs = append(wp.Runs, run)
-		tp.Runs = append(tp.Runs, Run{
-			Offset:        tOff[pe.tCell],
-			Partner:       pe.wCell,
-			PartnerOffset: wOff[pe.wCell],
-			Count:         int32(f),
-		})
+		u, v := net.EdgeEndpoints(id)
+		wi, ti := int32(u), int32(v-nw)
+		wp, tp := &wCells[wi], &tCells[ti]
+		wp.Runs = append(wp.Runs, Run{Offset: wp.Matched, Partner: ti, PartnerOffset: tp.Matched, Count: f})
+		tp.Runs = append(tp.Runs, Run{Offset: tp.Matched, Partner: wi, PartnerOffset: wp.Matched, Count: f})
 		wCenter := cfg.Grid.Center(wp.Key.Area)
 		tCenter := cfg.Grid.Center(tp.Key.Area)
 		g.TravelCost += float64(f) * wCenter.Dist(tCenter) / cfg.Velocity
-		wOff[pe.wCell] += int32(f)
-		tOff[pe.tCell] += int32(f)
-		wp.Matched += int32(f)
-		tp.Matched += int32(f)
+		wp.Matched += f
+		tp.Matched += f
 	}
-
-	// Task-side runs were appended in worker-cell order; sort them by their
-	// own offset so each side's runs cover [0, Matched) in order.
-	for i := range g.TaskCells {
-		runs := g.TaskCells[i].Runs
-		sort.Slice(runs, func(a, b int) bool { return runs[a].Offset < runs[b].Offset })
-	}
-	return g, nil
 }
 
 // NewManual assembles a Guide from explicit cell plans. It is intended for
@@ -388,25 +435,30 @@ func NewManual(cfg Config, workerCells, taskCells []CellPlan) (*Guide, error) {
 	return g, nil
 }
 
-// collectCells extracts non-empty cells and builds the dense-id lookup.
-func collectCells(counts []int, areas, slots int) ([]cellRef, []int32, error) {
-	id := make([]int32, slots*areas)
-	for i := range id {
-		id[i] = -1
-	}
-	var cells []cellRef
+// collectCells returns one plan per non-empty cell, in flat (slot, area)
+// order, and the flat key → dense id lookup (-1 for empty cells).
+func collectCells(counts []int, areas int) ([]CellPlan, []int32, error) {
+	n := 0
 	for flat, c := range counts {
 		if c < 0 {
 			return nil, nil, fmt.Errorf("cell %d has negative count %d", flat, c)
 		}
+		if c > math.MaxInt32 {
+			return nil, nil, fmt.Errorf("cell %d count %d overflows int32", flat, c)
+		}
+		if c > 0 {
+			n++
+		}
+	}
+	cells := make([]CellPlan, 0, n)
+	id := make([]int32, len(counts))
+	for flat, c := range counts {
 		if c == 0 {
+			id[flat] = -1
 			continue
 		}
 		id[flat] = int32(len(cells))
-		cells = append(cells, cellRef{
-			key:   timeslot.UnflattenCell(flat, areas),
-			count: int32(c),
-		})
+		cells = append(cells, CellPlan{Key: timeslot.UnflattenCell(flat, areas), Count: int32(c)})
 	}
 	return cells, id, nil
 }

@@ -97,7 +97,7 @@ func (t *DedupTable) Acquire(clientID uint64) (*ClientWindow, error) {
 		}
 		delete(t.clients, victim)
 	}
-	w := &ClientWindow{window: t.window, recs: make(map[uint64]Result), lastUsed: t.tick}
+	w := &ClientWindow{window: t.window, lastUsed: t.tick}
 	t.clients[clientID] = w
 	return w, nil
 }
@@ -115,12 +115,26 @@ func (t *DedupTable) Clients() int {
 // client reconnected while the old connection's handler was still
 // mid-batch) observes the original's recorded results instead of
 // re-executing.
+//
+// Records live in a ring indexed by seq mod its length. The ring starts
+// empty and doubles when two remembered seqs collide, up to the window
+// size — at which point the seqs inside the window, being fewer than
+// window apart, cannot collide, and a new record simply overwrites the
+// forgotten one in its slot. Recording is O(1) amortised however the
+// client moves its seq, and a client that sends a handful of requests
+// never pays for a full window.
 type ClientWindow struct {
 	mu       sync.Mutex
 	window   int
 	maxSeq   uint64 // highest seq ever recorded
-	recs     map[uint64]Result
+	ring     []dedupRecord
 	lastUsed uint64 // DedupTable LRU stamp, guarded by the table lock
+}
+
+// dedupRecord is one ring slot; seq 0 (never a valid seq) marks it empty.
+type dedupRecord struct {
+	seq uint64
+	res Result
 }
 
 // Lock serializes the client's batch processing and must be held for
@@ -141,16 +155,29 @@ func (w *ClientWindow) inUse() bool {
 	return false
 }
 
+// floor is the highest forgotten seq. The window is exactly the seqs in
+// (floor, maxSeq]: a record at or below the floor is refused even while
+// its slot has not been overwritten yet, so what Lookup answers depends
+// only on what was recorded, never on the ring's size.
+func (w *ClientWindow) floor() uint64 {
+	if w.maxSeq < uint64(w.window) {
+		return 0
+	}
+	return w.maxSeq - uint64(w.window)
+}
+
 // Lookup classifies seq. Callers must hold Lock.
 func (w *ClientWindow) Lookup(seq uint64) (Result, DedupState) {
 	if seq == 0 {
 		return Result{}, DedupInvalid
 	}
-	if r, ok := w.recs[seq]; ok {
-		return r, DedupHit
-	}
-	if w.maxSeq >= uint64(w.window) && seq <= w.maxSeq-uint64(w.window) {
+	if seq <= w.floor() {
 		return Result{}, DedupOverrun
+	}
+	if n := uint64(len(w.ring)); n > 0 {
+		if r := &w.ring[seq%n]; r.seq == seq {
+			return r.res, DedupHit
+		}
 	}
 	return Result{}, DedupNew
 }
@@ -163,18 +190,35 @@ func (w *ClientWindow) Record(seq uint64, res Result) {
 	if seq == 0 || res.Status == StatusBusy {
 		return
 	}
-	w.recs[seq] = res
 	if seq > w.maxSeq {
 		w.maxSeq = seq
 	}
-	// Seqs are client-monotone, so the stale tail is contiguous; still,
-	// sweep by predicate so a client that skips seqs cannot leak.
-	if len(w.recs) > w.window {
-		floor := w.maxSeq - uint64(w.window)
-		for s := range w.recs {
-			if s <= floor {
-				delete(w.recs, s)
+	floor := w.floor()
+	if seq <= floor {
+		return // already outside the window
+	}
+	// Make room: the slot must be empty, forgotten, or this seq's own.
+	// At full size no two seqs inside the window share a slot.
+	for len(w.ring) < w.window {
+		if n := uint64(len(w.ring)); n > 0 {
+			if held := w.ring[seq%n].seq; held <= floor || held == seq {
+				break
 			}
 		}
+		w.grow(floor)
 	}
+	w.ring[seq%uint64(len(w.ring))] = dedupRecord{seq: seq, res: res}
+}
+
+// grow doubles the ring (to at most the window), carrying over the
+// records still inside the window.
+func (w *ClientWindow) grow(floor uint64) {
+	ring := make([]dedupRecord, min(max(2*len(w.ring), 16), w.window))
+	n := uint64(len(ring))
+	for _, r := range w.ring {
+		if r.seq > floor {
+			ring[r.seq%n] = r
+		}
+	}
+	w.ring = ring
 }

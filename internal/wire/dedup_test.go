@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -135,5 +136,203 @@ func TestDedupTableFullWhenAllBusy(t *testing.T) {
 	w.Unlock()
 	if _, err := tb.Acquire(2); err != nil {
 		t.Fatalf("acquire after batch finished: %v", err)
+	}
+}
+
+// mapWindow is the map-backed window ClientWindow replaced (sweep and
+// all), kept as the reference for lookup semantics.
+type mapWindow struct {
+	window int
+	maxSeq uint64
+	recs   map[uint64]Result
+}
+
+func (w *mapWindow) lookup(seq uint64) (Result, DedupState) {
+	if seq == 0 {
+		return Result{}, DedupInvalid
+	}
+	if r, ok := w.recs[seq]; ok {
+		return r, DedupHit
+	}
+	if w.maxSeq >= uint64(w.window) && seq <= w.maxSeq-uint64(w.window) {
+		return Result{}, DedupOverrun
+	}
+	return Result{}, DedupNew
+}
+
+func (w *mapWindow) record(seq uint64, res Result) {
+	if seq == 0 || res.Status == StatusBusy {
+		return
+	}
+	w.recs[seq] = res
+	if seq > w.maxSeq {
+		w.maxSeq = seq
+	}
+	if len(w.recs) > w.window {
+		floor := w.maxSeq - uint64(w.window)
+		for s := range w.recs {
+			if s <= floor {
+				delete(w.recs, s)
+			}
+		}
+	}
+}
+
+// check compares one Lookup with the model. Inside the window the two
+// must agree exactly. At or below the floor the ring always refuses; the
+// map refused too once a sweep had run, and until then replayed whatever
+// it had not yet swept.
+func (w *mapWindow) check(t *testing.T, cw *ClientWindow, seq uint64) {
+	t.Helper()
+	gotRes, got := cw.Lookup(seq)
+	wantRes, want := w.lookup(seq)
+	if w.maxSeq >= uint64(w.window) && seq <= w.maxSeq-uint64(w.window) {
+		wantRes, want = Result{}, DedupOverrun
+	}
+	if got != want || gotRes != wantRes {
+		t.Fatalf("window %d: Lookup(%d) = %+v/%v, model %+v/%v", w.window, seq, gotRes, got, wantRes, want)
+	}
+}
+
+// TestClientWindowMatchesMapModel drives the ring and the map model with
+// the traffic a resilient client produces — seqs assigned in order,
+// completed out of order within a batch, batches resent, a few seqs never
+// completed (BUSY) — and requires identical answers for every seq inside
+// the window, and a refusal for every seq the window has slid past.
+func TestClientWindowMatchesMapModel(t *testing.T) {
+	for _, window := range []int{1, 4, 16, 100, 256} {
+		rng := rand.New(rand.NewSource(int64(window)))
+		tb := NewDedupTable(window, 1)
+		w, _ := tb.Acquire(1)
+		w.Lock()
+		model := &mapWindow{window: window, recs: make(map[uint64]Result)}
+		next := uint64(1)
+		for round := 0; round < 400; round++ {
+			batch := make([]uint64, 1+rng.Intn(min(window, 64)))
+			for i := range batch {
+				batch[i] = next
+				next++
+			}
+			if rng.Intn(4) == 0 && next > uint64(len(batch))+8 {
+				// A resend of an older batch rides along.
+				old := next - uint64(len(batch)) - uint64(rng.Intn(8)) - 1
+				batch = append(batch, old, old+1)
+			}
+			for _, seq := range batch {
+				model.check(t, w, seq)
+			}
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			for _, seq := range batch {
+				if _, st := w.Lookup(seq); st != DedupNew {
+					continue // handleBatch only executes and records fresh seqs
+				}
+				res := Result{Status: StatusOK, Local: uint32(seq), Epoch: uint64(round)}
+				if rng.Intn(16) == 0 {
+					res.Status = StatusBusy
+				}
+				w.Record(seq, res)
+				model.record(seq, res)
+			}
+			// Probe the whole neighbourhood: retained, forgotten, future.
+			lo := uint64(1)
+			if next > uint64(3*window) {
+				lo = next - uint64(3*window)
+			}
+			for seq := lo; seq < next+3; seq++ {
+				model.check(t, w, seq)
+			}
+			if len(w.ring) > window {
+				t.Fatalf("window %d: ring grew to %d slots", window, len(w.ring))
+			}
+		}
+		w.Unlock()
+	}
+}
+
+// TestClientWindowSeqJumps: a client that jumps its seq by far more than
+// the window (hostile, or a restarted counter) costs one slot write, not
+// a walk over the gap; what the jump forgets is refused, never guessed.
+func TestClientWindowSeqJumps(t *testing.T) {
+	const window = 64
+	tb := NewDedupTable(window, 1)
+	w, _ := tb.Acquire(1)
+	w.Lock()
+	defer w.Unlock()
+	for seq := uint64(1); seq <= 10; seq++ {
+		w.Record(seq, Result{Status: StatusOK, Local: uint32(seq)})
+	}
+	small := len(w.ring)
+	if small == 0 || small > 16 {
+		t.Fatalf("10 records hold %d slots, want a small ring", small)
+	}
+	far := uint64(1) << 63
+	w.Record(far, Result{Status: StatusOK, Local: 7})
+	if len(w.ring) != small {
+		t.Fatalf("a far jump grew the ring from %d to %d slots", small, len(w.ring))
+	}
+	if r, st := w.Lookup(far); st != DedupHit || r.Local != 7 {
+		t.Fatalf("Lookup(far) = %+v/%v, want the recorded hit", r, st)
+	}
+	// Everything the jump left behind is refused, never fresh again.
+	for seq := uint64(1); seq <= 200; seq++ {
+		if r, st := w.Lookup(seq); st != DedupOverrun {
+			t.Fatalf("Lookup(%d) after the jump = %+v/%v, want DedupOverrun", seq, r, st)
+		}
+	}
+	// Recording a forgotten seq must not disturb a remembered one.
+	w.Record(far-window, Result{Status: StatusOK, Local: 99})
+	if r, st := w.Lookup(far); st != DedupHit || r.Local != 7 {
+		t.Fatalf("Lookup(far) after a stale Record = %+v/%v", r, st)
+	}
+	// Alternating between distant seqs keeps overwriting, never growing.
+	for i := uint64(0); i < 10000; i++ {
+		w.Record(far+i*(1<<40), Result{Status: StatusOK})
+	}
+	if len(w.ring) > window {
+		t.Fatalf("ring grew to %d slots, window %d", len(w.ring), window)
+	}
+	if _, st := w.Lookup(far + 9999*(1<<40)); st != DedupHit {
+		t.Fatalf("latest seq not remembered: %v", st)
+	}
+}
+
+// fullWindow returns a locked window that has slid well past its size.
+func fullWindow(tb testing.TB) (*ClientWindow, uint64) {
+	w, err := NewDedupTable(DefaultDedupWindow, 1).Acquire(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Lock()
+	seq := uint64(1)
+	for ; seq <= 3*DefaultDedupWindow; seq++ {
+		w.Record(seq, Result{Status: StatusOK, Local: uint32(seq)})
+	}
+	if len(w.ring) != DefaultDedupWindow {
+		tb.Fatalf("full window holds %d slots, want %d", len(w.ring), DefaultDedupWindow)
+	}
+	return w, seq
+}
+
+// TestClientWindowRecordNoAllocs: at a full window, recording neither
+// allocates nor (see BenchmarkClientWindowRecord) scans.
+func TestClientWindowRecordNoAllocs(t *testing.T) {
+	w, seq := fullWindow(t)
+	defer w.Unlock()
+	allocs := testing.AllocsPerRun(1000, func() {
+		w.Record(seq, Result{Status: StatusOK, Local: uint32(seq)})
+		seq++
+	})
+	if allocs != 0 {
+		t.Errorf("Record at a full window allocates %v per call, want 0", allocs)
+	}
+}
+
+func BenchmarkClientWindowRecord(b *testing.B) {
+	w, seq := fullWindow(b)
+	defer w.Unlock()
+	b.ReportAllocs()
+	for b.Loop() {
+		w.Record(seq, Result{Status: StatusOK, Local: uint32(seq)})
+		seq++
 	}
 }

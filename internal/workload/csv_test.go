@@ -104,6 +104,11 @@ func TestLoadCountsCSVRejectsGarbage(t *testing.T) {
 		"day,slot,area,workers,tasks,weather\n0,0,0,-1,1,0.1\n",               // negative
 		"day,slot,area,workers,tasks,weather\nx,0,0,1,1,0.1\n",                // bad int
 		"nope\n", // header
+		// Dimensions whose product wraps around to the row count (1): the
+		// first mod 2^64 with a 63-bit index, the second (2^65+1) with
+		// indices that each fit 32 bits.
+		"day,slot,area,workers,tasks,weather\n32,130,8534232742868170,1,1,0.1\n",
+		"day,slot,area,workers,tasks,weather\n11806112,409890,7623850,1,1,0.1\n",
 	}
 	for i, c := range cases {
 		if _, _, _, _, _, _, err := LoadCountsCSV(strings.NewReader(c)); err == nil {
