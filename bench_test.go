@@ -675,19 +675,18 @@ func BenchmarkWALRecover(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/arrival")
 }
 
-// benchEventFanout prices shared-broadcast event delivery: one day of
-// admissions drives a 4x4 router while nsubs broadcast subscriptions
-// (ShardRouter.Subscribe) consume the merged stream concurrently, and
-// the clock only stops once every subscriber has drained every emitted
-// event — so ns/event is the full per-event cost of emission PLUS
-// delivery to all subscribers, not just the admission path. Because the
-// ring is fed once at emission and subscriber reads are slice copies,
-// fan-out is O(events), not O(events x subscribers x shards): CI gates
-// the 16-subscriber ns/event at 2x the 1-subscriber figure (the
-// per-subscriber merge-on-read design it replaces scales ~16x). The
-// other half of the criterion — idle subscribers add zero steady-state
-// per-tick work — is pinned by TestRouterBroadcastWaitWake (a
-// quiescent router publishes nothing and wakes no one).
+// benchEventFanout prices event delivery: one day of admissions drives
+// a 4x4 router while nsubs subscriptions (ShardRouter.Subscribe) consume
+// the event log concurrently, and the clock only stops once every
+// subscriber has drained every emitted event — so ns/event is the full
+// per-event cost of emission PLUS delivery to all subscribers, not just
+// the admission path. Because the log is fed once at emission and
+// subscriber reads are page copies, fan-out is O(events), not O(events x
+// subscribers x shards): CI gates the 16-subscriber ns/event at 2x the
+// 1-subscriber figure. The other half of the criterion — idle
+// subscribers add zero steady-state per-tick work — is pinned by
+// TestRouterBroadcastWaitWake (a quiescent router publishes nothing and
+// wakes no one).
 func benchEventFanout(b *testing.B, nsubs int) {
 	in, _ := benchSetup(b)
 	events := in.Events()
@@ -716,9 +715,6 @@ func benchEventFanout(b *testing.B, nsubs int) {
 		prodDone := make(chan struct{})
 		var consumers sync.WaitGroup
 		for s := 0; s < nsubs; s++ {
-			// Subscribe before any admission runs so the ring anchors at
-			// seq 0 and the bench prices steady-state ring delivery; the
-			// merge-on-read fallback has its own tests.
 			sub := router.Subscribe(0)
 			consumers.Add(1)
 			go func() {

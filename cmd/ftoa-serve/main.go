@@ -14,9 +14,11 @@
 //	GET  /healthz          -> ok
 //
 // Event kinds are "match", "worker-expired" and "task-expired"; expiries
-// carry -1 on the uninvolved side. Both histories are retention-bounded
-// (-retention): a cursor pointing below the eviction boundary gets 410
-// Gone and must restart from the "next" cursor of a fresh poll.
+// carry -1 on the uninvolved side. /events and /matches read one log that
+// keeps the most recent -retention events per base-grid shard; /matches
+// is that log filtered to commits, its cursor counting matches. A cursor
+// pointing below the window gets 410 Gone and restarts from the "next"
+// the 410 carries.
 //
 // Guided algorithms are servable: -alg polar|polarop|hybrid with -guide
 // pointing at a per-cell count history CSV (the format ftoa-gen -counts
@@ -32,16 +34,14 @@
 // Times are seconds since the server started; arrivals are stamped on
 // admission. Each shard's session is single-writer behind its own lock,
 // so disjoint regions admit concurrently — sharding, not concurrent
-// writes to one session, is the scaling story. The match history is kept
-// in per-shard buffers merged at read time, so committing a match never
-// crosses a server-global lock either. With -halo set, arrivals near a
-// region border are additionally mirrored into the neighboring sessions
-// they could feasibly match in (and retracted the moment their original
-// is spoken for), recovering the cross-border matches disjoint regions
-// lose; /stats breaks the ghost traffic out per shard.
+// writes to one session, is the scaling story. With -halo set, arrivals
+// near a region border are additionally mirrored into the neighboring
+// sessions they could feasibly match in (and retracted the moment their
+// original is spoken for), recovering the cross-border matches disjoint
+// regions lose; /stats breaks the ghost traffic out per shard.
 //
 // Memory is bounded for arbitrarily long uptimes: besides the
-// retention-bounded histories, every shard retires its session arenas on
+// retention-bounded event log, every shard retires its session arenas on
 // the -retire interval (on by default), compacting away matched and
 // expired objects and keeping the per-shard footprint proportional to
 // the live population. Handles reported at admission are therefore only
@@ -169,16 +169,6 @@ type server struct {
 	// value of the last walk.
 	minAdvance  float64
 	lastAdvance atomic.Uint64
-
-	// matchLog is the retention-bounded match-history view behind GET
-	// /matches: fed synchronously and losslessly by the router's OnEvent
-	// hook (so it never misses a commit even when the polled event log
-	// wraps), buffered per shard so recording a match contends only on
-	// the emitting shard — the admission hot path never crosses a
-	// server-global lock. Cursor semantics are count-based as before:
-	// "count" reports the lifetime total, cursors below the eviction
-	// boundary get 410.
-	matchLog *ftoa.MatchLog
 
 	// admitter is the shared batched admission front: every arrival —
 	// HTTP POST or wire batch entry — is enqueued to a per-shard MPSC
@@ -591,7 +581,6 @@ func newServer(cfg config) (*server, error) {
 	s := &server{
 		clock:      func() float64 { return time.Since(started).Seconds() },
 		minAdvance: cfg.tick.Seconds() / 2,
-		matchLog:   ftoa.NewMatchLog(cfg.shards[0]*cfg.shards[1], cfg.retention),
 		admitLimit: cfg.admitQueue,
 		inflight:   make([]atomic.Int32, cfg.shards[0]*cfg.shards[1]),
 		shed:       make([]atomic.Uint64, cfg.shards[0]*cfg.shards[1]),
@@ -610,7 +599,6 @@ func newServer(cfg config) (*server, error) {
 		NewAlgorithm:   mk,
 		Retention:      cfg.retention,
 		RetireInterval: cfg.retire.Seconds(),
-		OnEvent:        s.matchLog.Record,
 	}
 	if cfg.walDir == "" {
 		s.router, err = ftoa.NewShardRouter(shardCfg)
@@ -619,8 +607,8 @@ func newServer(cfg config) (*server, error) {
 		}
 	} else {
 		shardCfg.WAL = &ftoa.WALOptions{Dir: cfg.walDir, Policy: walPolicy, Interval: cfg.walSyncInterval}
-		// Replaying the log re-fires the OnEvent hook for every recovered
-		// commit, so the /matches history comes back along with the router.
+		// Replay appends every recovered event to the router's event log,
+		// so /events and /matches come back along with the router.
 		s.router, s.recovery, err = ftoa.RecoverShardRouter(shardCfg)
 		if err != nil {
 			return nil, err
@@ -856,10 +844,10 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Page size: bounded so a cold cursor over a full multi-shard backlog
-	// cannot serialize shards x retention events into one response; the
-	// returned "next" cursor pages through the rest gap-free. Clients may
-	// lower it with ?limit=N.
+	// Page size: bounded so a cold cursor over a full window cannot
+	// serialize shards x retention events into one response; the returned
+	// "next" cursor pages through the rest gap-free. Clients may lower it
+	// with ?limit=N.
 	limit := maxEventsPage
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -872,7 +860,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// wait=DURATION long-polls: when the cursor is at the head, hold the
-	// request on a broadcast subscription (the same primitive as the wire
+	// request on an event-log subscription (the same primitive as the wire
 	// pusher — no server-side poll loop) until an event arrives or the
 	// window elapses, then answer normally. Only meaningful with an
 	// explicit since cursor; capped so a stuck client cannot pin a
@@ -895,8 +883,8 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if present {
 		if wait > 0 && since >= s.router.Cursor() {
-			// At the head with nothing to deliver: park on the broadcast
-			// until an emission (or the client giving up) wakes us, then
+			// At the head with nothing to deliver: park on the log until
+			// an emission (or the client giving up) wakes us, then
 			// serve the page below exactly as an immediate poll would.
 			sub := s.router.Subscribe(since)
 			sub.Wait(wait, r.Context().Done())
@@ -909,7 +897,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		evs, next = s.router.EventsFromOldest(limit, nil)
 	}
 	if err != nil {
-		// The cursor points below the retention boundary: the client
+		// The cursor points below the retention window: the client
 		// restarts from the oldest still-readable cursor, losing only
 		// the genuinely evicted events.
 		writeJSON(w, http.StatusGone, map[string]any{
@@ -943,9 +931,9 @@ func (s *server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Pages are bounded like /events: an uncapped read would copy and
-	// sort the whole retained window (shards x retention entries) per
-	// poll. Clients follow "next"; ?limit=N lowers the cap.
+	// Pages are bounded like /events: an uncapped read would copy the
+	// whole retained window per poll. Clients follow "next"; ?limit=N
+	// lowers the cap.
 	limit := maxEventsPage
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -959,26 +947,24 @@ func (s *server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	}
 	s.advance()
 	var (
-		entries []ftoa.MatchEntry
+		entries []ftoa.ShardEvent
 		next    uint64
 		err     error
 	)
 	if present {
-		if total := s.matchLog.Count(); since > total {
-			since = total
-		}
-		entries, next, err = s.matchLog.Matches(since, limit, nil)
+		entries, next, err = s.router.Matches(since, limit, nil)
 	} else {
 		// The bare snapshot form returns the retained window, never 410.
-		entries, next = s.matchLog.MatchesFromOldest(limit, nil)
+		entries, next = s.router.MatchesFromOldest(limit, nil)
 	}
 	if err != nil {
 		// Like /events, hand back the oldest still-readable cursor so
 		// the client loses only the genuinely evicted matches.
+		oldest := s.router.OldestMatch()
 		writeJSON(w, http.StatusGone, map[string]any{
-			"error": fmt.Sprintf("matches before %d evicted (retention window)", s.matchLog.Oldest()),
-			"count": s.matchLog.Count(),
-			"next":  s.matchLog.Oldest(),
+			"error": fmt.Sprintf("matches before %d evicted (retention window)", oldest),
+			"count": s.router.MatchCount(),
+			"next":  oldest,
 		})
 		return
 	}
@@ -995,8 +981,8 @@ func (s *server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	}
 	// "count" is the lifetime total; "next" is the gap-free poll cursor
 	// (use it rather than count: a match committing concurrently with
-	// this read may be sequenced but not yet merged).
-	writeJSON(w, http.StatusOK, map[string]any{"matches": out, "count": s.matchLog.Count(), "next": next})
+	// this read may land between the two).
+	writeJSON(w, http.StatusOK, map[string]any{"matches": out, "count": s.router.MatchCount(), "next": next})
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1118,25 +1104,25 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.wire != nil {
 		wireStatus = s.wire.statsJSON()
 	}
-	// Event delivery status: the shared broadcast ring every subscriber
-	// (wire pushers, /events long-polls) is served from. "fallbacks"
-	// counts subscriber reads that fell behind the ring and paged through
-	// the merge-on-read path; "evicted_subs" the wire subscribers dropped
-	// for not draining their stream.
-	bst := s.router.BroadcastStats()
+	// Event delivery status: the event log every reader (wire pushers,
+	// /events, /matches) is served from. "oldest" and "head" bound the
+	// readable window [oldest, head) — one consistent pair — and
+	// "retained" is its size; "evicted_subs" counts the wire subscribers
+	// dropped for not draining their stream.
+	est := s.router.EventLogStats()
 	var evictedSubs uint64
 	if s.wire != nil {
 		evictedSubs = s.wire.evicted.Load()
 	}
 	eventsStatus := map[string]any{
-		"subscribers":   bst.Subscribers,
-		"ring_depth":    bst.Depth,
-		"ring_capacity": bst.Capacity,
-		"published":     bst.Published,
-		"dropped":       bst.Dropped,
-		"fallbacks":     bst.Fallbacks,
-		"wakeups":       bst.Wakeups,
-		"evicted_subs":  evictedSubs,
+		"subscribers":  est.Subscribers,
+		"oldest":       est.Oldest,
+		"head":         est.Frontier,
+		"retained":     est.Frontier - est.Oldest,
+		"capacity":     est.Capacity,
+		"published":    est.Published,
+		"wakeups":      est.Wakeups,
+		"evicted_subs": evictedSubs,
 	}
 	// Topology status: the current (possibly rebalanced) region layout.
 	// The string is "CxR" for the uniform base grid, "CxR+n" after n
@@ -1306,7 +1292,7 @@ func main() {
 	tick := flag.Duration("tick", 250*time.Millisecond, "timer advance interval")
 	shards := flag.String("shards", "1x1", "shard grid as NxM (regions served independently)")
 	halo := flag.Float64("halo", 0, "cross-shard matching reach window in seconds: border arrivals within velocity*halo of a neighbor region are mirrored there so cross-border pairs match (typically the task expiry window; 0 keeps regions disjoint)")
-	retention := flag.Int("retention", 1<<16, "events/matches retained per shard history before eviction")
+	retention := flag.Int("retention", 1<<16, "events retained per base-grid shard: /events and /matches read the most recent retention x shards events")
 	retire := flag.Duration("retire", time.Minute, "per-shard arena retirement interval; matched and expired objects are compacted away, bounding memory by the live population (0 disables)")
 	guide := flag.String("guide", "", "per-cell count history CSV (ftoa-gen -counts format) for guided algorithms")
 	guideGrid := flag.String("guide-grid", "", "guide grid as CxR (default: infer a square from the history)")

@@ -356,54 +356,72 @@ func TestServeMatchesSinceCursor(t *testing.T) {
 	}
 }
 
-// TestServeMatchRetention: the match history is a bounded window — old
-// cursors get 410 Gone while count still reports the lifetime total.
+// TestServeMatchRetention: /matches reads the matches inside the event
+// retention window — exactly the last -retention x shards events, expiries
+// included — old cursors get 410 Gone with the oldest readable ordinal,
+// and count still reports the lifetime total.
 func TestServeMatchRetention(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.retention = 2
+	cfg.retention = 3
 	srv, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setNow := manualClock(srv)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	for i := 0; i < 4; i++ {
+	pair := func(i int) {
 		postJSON(t, ts.URL+"/workers", fmt.Sprintf(`{"x":%d,"y":10,"patience":300}`, 10+20*i))
 		postJSON(t, ts.URL+"/tasks", fmt.Sprintf(`{"x":%d,"y":11,"expiry":60}`, 10+20*i))
 	}
-
-	// 4 matches committed, window keeps the last 2 (base = 2).
-	recent := getJSON(t, ts.URL+"/matches?since=2")
-	if recent["count"].(float64) != 4 || len(recent["matches"].([]any)) != 2 {
-		t.Fatalf("since=2 = %v, want count 4 with the last 2", recent)
+	setNow(1)
+	pair(0) // seq 0, match 0
+	pair(1) // seq 1, match 1
+	// Three events is a full window, not an overrun: nothing is gone yet.
+	postJSON(t, ts.URL+"/workers", `{"x":90,"y":90,"patience":2}`)
+	setNow(10) // seq 2: worker 2 expires unserved
+	if all := getJSON(t, ts.URL+"/matches?since=0"); all["count"].(float64) != 2 || len(all["matches"].([]any)) != 2 {
+		t.Fatalf("since=0 with a full window = %v, want both matches", all)
 	}
-	if m := recent["matches"].([]any)[0].(map[string]any); m["worker"].(float64) != 2 {
-		t.Fatalf("window start = %v, want worker 2", m)
+	pair(2) // seq 3, match 2: the window is now events [1,4) = matches [1,3)
+
+	recent := getJSON(t, ts.URL+"/matches?since=1")
+	if recent["count"].(float64) != 3 || len(recent["matches"].([]any)) != 2 || recent["next"].(float64) != 3 {
+		t.Fatalf("since=1 = %v, want count 3 with matches 1 and 2", recent)
+	}
+	if m := recent["matches"].([]any)[0].(map[string]any); m["task"].(float64) != 1 {
+		t.Fatalf("window start = %v, want task 1", m)
 	}
 	// The bare snapshot form keeps working after eviction: it returns the
 	// retained window, never 410.
 	bare := getJSON(t, ts.URL+"/matches")
-	if bare["count"].(float64) != 4 || len(bare["matches"].([]any)) != 2 {
+	if bare["count"].(float64) != 3 || len(bare["matches"].([]any)) != 2 {
 		t.Fatalf("bare /matches after eviction = %v, want the retained window", bare)
 	}
-	out, status := getJSONStatus(t, ts.URL+"/matches?since=1")
+	out, status := getJSONStatus(t, ts.URL+"/matches?since=0")
 	if status != http.StatusGone {
-		t.Fatalf("since=1 after eviction: status %d (%v), want 410", status, out)
+		t.Fatalf("since=0 after eviction: status %d (%v), want 410", status, out)
 	}
-	if out["count"].(float64) != 4 {
-		t.Fatalf("410 body = %v, want lifetime count 4", out)
+	if out["count"].(float64) != 3 {
+		t.Fatalf("410 body = %v, want lifetime count 3", out)
 	}
-	if out["next"].(float64) != 2 {
-		t.Fatalf("410 recovery cursor = %v, want the window base 2", out["next"])
+	if out["next"].(float64) != 1 {
+		t.Fatalf("410 recovery cursor = %v, want the window base 1", out["next"])
+	}
+	// A cursor past the head is clamped to it.
+	if past := getJSON(t, ts.URL+"/matches?since=99"); past["next"].(float64) != 3 || len(past["matches"].([]any)) != 0 {
+		t.Fatalf("since=99 = %v, want empty with next clamped to 3", past)
 	}
 }
 
-// TestServeEventsRetention: the router event log is bounded too; a stale
-// /events cursor gets 410 Gone plus a fresh cursor to restart from.
+// TestServeEventsRetention: the event log keeps exactly the last
+// -retention x shards events, however they spread over the shards; a
+// stale /events cursor gets 410 Gone plus the cursor to restart from.
 func TestServeEventsRetention(t *testing.T) {
 	cfg := defaultTestConfig()
 	cfg.retention = 2
+	cfg.shards = [2]int{2, 1} // window = 4 events; all traffic hits shard 0
 	srv, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -411,33 +429,46 @@ func TestServeEventsRetention(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	for i := 0; i < 4; i++ {
-		postJSON(t, ts.URL+"/workers", fmt.Sprintf(`{"x":%d,"y":10,"patience":300}`, 10+20*i))
-		postJSON(t, ts.URL+"/tasks", fmt.Sprintf(`{"x":%d,"y":11,"expiry":60}`, 10+20*i))
+	pair := func(i int) {
+		postJSON(t, ts.URL+"/workers", fmt.Sprintf(`{"x":%d,"y":10,"patience":300}`, 5+10*i))
+		postJSON(t, ts.URL+"/tasks", fmt.Sprintf(`{"x":%d,"y":11,"expiry":60}`, 5+10*i))
 	}
+	for i := 0; i < 4; i++ {
+		pair(i)
+	}
+	// One shard emitted twice its -retention and nothing is gone: the
+	// budget is the grid's, not the hot shard's.
+	if full := getJSON(t, ts.URL+"/events?since=0"); len(full["events"].([]any)) != 4 {
+		t.Fatalf("since=0 with a full window = %v, want all 4 events", full)
+	}
+	pair(4)
 	out, status := getJSONStatus(t, ts.URL+"/events?since=0")
 	if status != http.StatusGone {
 		t.Fatalf("stale events cursor: status %d (%v), want 410", status, out)
 	}
-	// The recovery cursor is the eviction boundary, not the stream head:
-	// restarting there loses only the genuinely evicted events and
-	// returns everything still retained.
+	// The recovery cursor is the window's low end, not the stream head:
+	// restarting there loses only the one evicted event.
 	next := uint64(out["next"].(float64))
-	if next != 2 {
-		t.Fatalf("recovery cursor = %d, want the eviction boundary 2", next)
+	if next != 1 {
+		t.Fatalf("recovery cursor = %d, want head-window = 1", next)
 	}
 	ev := getJSON(t, fmt.Sprintf("%s/events?since=%d", ts.URL, next))
 	events := ev["events"].([]any)
-	if len(events) != 2 {
-		t.Fatalf("restarted cursor %d = %v, want the 2 retained events", next, ev)
+	if len(events) != 4 || ev["next"].(float64) != 5 {
+		t.Fatalf("restarted cursor %d = %v, want the 4 retained events", next, ev)
 	}
-	if seq := events[0].(map[string]any)["seq"].(float64); seq != 2 {
-		t.Fatalf("first retained event seq = %v, want 2", seq)
+	if seq := events[0].(map[string]any)["seq"].(float64); seq != 1 {
+		t.Fatalf("first retained event seq = %v, want 1", seq)
 	}
 	// The bare form starts at the oldest retained cursor — never 410.
 	bare := getJSON(t, ts.URL+"/events")
-	if len(bare["events"].([]any)) != 2 {
-		t.Fatalf("bare /events after eviction = %v, want the 2 retained", bare)
+	if len(bare["events"].([]any)) != 4 {
+		t.Fatalf("bare /events after eviction = %v, want the 4 retained", bare)
+	}
+	// /stats reports the same window as one consistent pair.
+	est := getJSON(t, ts.URL+"/stats")["events"].(map[string]any)
+	if est["oldest"].(float64) != 1 || est["head"].(float64) != 5 || est["retained"].(float64) != 4 || est["capacity"].(float64) != 4 {
+		t.Fatalf("stats events = %v, want window [1,5) of capacity 4", est)
 	}
 }
 
@@ -1111,13 +1142,13 @@ func TestServeEventsLongPoll(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing events section: %v", stats)
 	}
-	for _, k := range []string{"subscribers", "ring_depth", "ring_capacity", "published", "fallbacks", "evicted_subs", "wakeups"} {
+	for _, k := range []string{"subscribers", "oldest", "head", "retained", "capacity", "published", "evicted_subs", "wakeups"} {
 		if _, ok := events[k]; !ok {
 			t.Fatalf("stats events section missing %q: %v", k, events)
 		}
 	}
-	if events["ring_capacity"].(float64) <= 0 {
-		t.Fatalf("ring_capacity = %v, want positive", events["ring_capacity"])
+	if events["capacity"].(float64) != 1<<16 {
+		t.Fatalf("capacity = %v, want retention x shards = 65536", events["capacity"])
 	}
 	if events["published"].(float64) < 1 {
 		t.Fatalf("published = %v, want the long-polled match counted", events["published"])

@@ -229,7 +229,11 @@ func (ws *wireServer) handleConn(c net.Conn) {
 			pushStop = make(chan struct{})
 			ws.subs.Add(1)
 			ws.wg.Add(1)
-			go ws.pushEvents(c, cn, since, pushStop)
+			// The head is read here, in frame order, so "now" and "ahead
+			// of the head" mean the same to the client as to the server:
+			// nothing a later batch on this connection emits can fall
+			// below it.
+			go ws.pushEvents(c, cn, since, ws.s.router.Cursor(), pushStop)
 		default:
 			ws.protoFail(cn, fmt.Sprintf("unexpected message 0x%02x", p[0]))
 			return
@@ -426,25 +430,27 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 }
 
 // wirePushSafety bounds how long an idle pusher sleeps between wakeup
-// checks. Delivery is notification-driven (the broadcast wakes the
-// pusher the moment its shard publishes), so this is not a poll
+// checks. Delivery is notification-driven (the event log wakes the
+// pusher the moment its shard appends), so this is not a poll
 // interval — it only bounds recovery from a hypothetically missed
 // wakeup and keeps the stop check live. An idle subscriber costs one
 // timer tick and two atomic loads per second.
 const wirePushSafety = time.Second
 
-// pushEvents streams the merged event log to one subscribed connection,
-// push-based: a broadcast subscription (shard.Broadcast) delivers
-// retained events as a ring copy and wakes the pusher on emission, so a
-// hot stream is pushed immediately and an idle one does no per-tick
-// merge work. A subscriber behind the ring tail pages its backlog
-// through the merge-on-read fallback inside Next; retention overruns
-// surface as EventsGone (the client restarts from the reported cursor,
-// losing only genuinely evicted events). A write that overruns the
-// write deadline means the subscriber is not draining: the connection
-// is dropped (the resilient client reconnects and resumes from its
-// cursor).
-func (ws *wireServer) pushEvents(c net.Conn, cn *wire.Conn, cursor uint64, stop <-chan struct{}) {
+// pushEvents streams the event log to one subscribed connection,
+// push-based: the subscription reads retained events a page at a time
+// and is woken on emission, so a hot stream is pushed immediately and an
+// idle one does no per-tick work. A cursor outside the log's window is
+// answered with EventsGone and the stream continues from the cursor it
+// names: the oldest retained one when the client fell below the window,
+// the head (as of the Subscribe frame) when it is ahead of it — a cursor
+// from another server lifetime (restart without a WAL, or a recovered
+// WAL that lost its unsynced tail), whose sequence numbers are about to
+// be issued again.
+// A write that overruns the write deadline means the subscriber is not
+// draining: the connection is dropped (the resilient client reconnects
+// and resumes from its cursor).
+func (ws *wireServer) pushEvents(c net.Conn, cn *wire.Conn, cursor, head uint64, stop <-chan struct{}) {
 	defer ws.wg.Done()
 	defer ws.subs.Add(-1)
 	defer ws.recoverPanic(c)
@@ -455,14 +461,20 @@ func (ws *wireServer) pushEvents(c net.Conn, cn *wire.Conn, cursor uint64, stop 
 		}
 		ws.dropConn(c) // wake the reader goroutine too
 	}
+	var frame []byte
 	if cursor == wire.SinceNow {
-		cursor = ws.s.router.Cursor()
+		cursor = head
+	} else if cursor > head {
+		if err := cn.WriteFrame(wire.AppendEventsGone(frame[:0], head)); err != nil {
+			evict(err)
+			return
+		}
+		cursor = head
 	}
 	sub := ws.s.router.Subscribe(cursor)
 	defer sub.Close()
 	var buf []ftoa.ShardEvent
 	evs := make([]wire.Event, 0, wireEventPage)
-	var frame []byte
 	for {
 		select {
 		case <-stop:

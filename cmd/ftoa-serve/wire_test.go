@@ -190,3 +190,99 @@ func TestWireRejectsGarbage(t *testing.T) {
 		t.Fatalf("healthy connection broken by garbage peer: %v", err)
 	}
 }
+
+// TestWireSubscribeAheadOfRestartedServer: a Retrier resumes its
+// subscription against a server that restarted without a WAL, so the
+// sequence counter is back at 0 while the client's cursor is 3. The
+// server must answer EventsGone(head) and stream from the head — a
+// subscription left parked at cursor 3 would deliver nothing until the
+// new lifetime re-issued seq 3, silently dropping 0..2.
+func TestWireSubscribeAheadOfRestartedServer(t *testing.T) {
+	boot := func() (*wireServer, string) {
+		srv, err := newServer(defaultTestConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		manualClock(srv)(0)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := newWireServer(srv, ln, 50*time.Millisecond, wireOptions{})
+		srv.wire = ws
+		t.Cleanup(ws.close)
+		return ws, ln.Addr().String()
+	}
+	first, addr := boot()
+	var mu sync.Mutex
+	var seqs, gone []uint64
+	r := wire.NewRetrier(wire.RetryConfig{
+		Dial: func() (net.Conn, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			return net.Dial("tcp", addr)
+		},
+		BackoffBase:      5 * time.Millisecond,
+		BreakerThreshold: -1,
+		Subscribe:        true,
+		SubscribeSince:   0,
+		OnEvents: func(_ uint64, evs []wire.Event) {
+			mu.Lock()
+			for i := range evs {
+				seqs = append(seqs, evs[i].Seq)
+			}
+			mu.Unlock()
+		},
+		OnGone: func(oldest uint64) {
+			mu.Lock()
+			gone = append(gone, oldest)
+			mu.Unlock()
+		},
+	})
+	t.Cleanup(r.Close)
+	matches := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			res, err := r.Do([]wire.Request{
+				{Kind: wire.ReqAddWorker, X: 10, Y: 10, At: nan(), Window: 300},
+				{Kind: wire.ReqAddTask, X: 11, Y: 10, At: nan(), Window: 60},
+			})
+			if err != nil || res[0].Status != wire.StatusOK || res[1].Status != wire.StatusOK {
+				t.Fatalf("admitting pair %d: %+v, %v", i, res, err)
+			}
+		}
+	}
+	await := func(what string, want []uint64, got *[]uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			mu.Lock()
+			cur := append([]uint64(nil), *got...)
+			mu.Unlock()
+			if len(cur) >= len(want) || time.Now().After(deadline) {
+				if len(cur) != len(want) {
+					t.Fatalf("%s = %v, want %v", what, cur, want)
+				}
+				for i := range want {
+					if cur[i] != want[i] {
+						t.Fatalf("%s = %v, want %v", what, cur, want)
+					}
+				}
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	matches(3)
+	await("events before the restart", []uint64{0, 1, 2}, &seqs)
+
+	// Restart: a new server lifetime on a new port, Seq back at 0.
+	_, addr2 := boot()
+	mu.Lock()
+	addr = addr2
+	mu.Unlock()
+	first.close()
+	matches(2)
+	await("EventsGone after the restart", []uint64{0}, &gone)
+	await("events across the restart", []uint64{0, 1, 2, 0, 1}, &seqs)
+}

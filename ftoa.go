@@ -250,13 +250,6 @@ type (
 	// ShardPlacement maps a location to its owner region plus the
 	// neighbor regions within the halo that must receive ghost copies.
 	ShardPlacement = shard.Placement
-	// MatchLog is a retention-bounded, lock-disjoint match view over a
-	// ShardRouter's event stream: per-shard buffers fed by the OnEvent
-	// hook, merged by ordinal at read time.
-	MatchLog = shard.MatchLog
-	// MatchEntry is one committed pair in a MatchLog, tagged with its
-	// dense global match ordinal.
-	MatchEntry = shard.MatchEntry
 	// WALOptions parameterises the per-shard write-ahead log: set it as
 	// ShardConfig.WAL to make a router durable, and boot through
 	// RecoverShardRouter to replay an existing log directory.
@@ -294,23 +287,20 @@ type (
 	// merge thresholds, depth cap, cooldown, EWMA time constant, and an
 	// optional demand forecaster).
 	RebalanceConfig = rebalance.Config
-	// ShardEventSub is one subscriber's cursor into the router's shared
-	// event broadcast ring (ShardRouter.Subscribe): Next reads retained
-	// events as a lock-light slice copy, transparently falling back to
-	// the merge-on-read path when the cursor lags the ring, and Wait
-	// blocks until delivery — the push primitive behind the wire event
-	// pusher and GET /events long-polling.
+	// ShardEventSub is one subscriber's cursor into the router's event
+	// log (ShardRouter.Subscribe): Next copies one page of retained
+	// events under the log's mutex — the same read ShardRouter.Events
+	// does — and Wait blocks until an append moves the head past the
+	// cursor: the push primitive behind the wire event pusher and GET
+	// /events long-polling. ShardRouter.Matches is the same log filtered
+	// to commits and addressed by match ordinal.
 	ShardEventSub = shard.EventSub
-	// ShardBroadcastStats snapshots the shared event ring
-	// (ShardRouter.BroadcastStats): subscriber count, ring depth and
-	// capacity, published/dropped totals, fallback-to-merge transitions
-	// and wakeups delivered.
-	ShardBroadcastStats = shard.BroadcastStats
+	// ShardEventLogStats snapshots the event log
+	// (ShardRouter.EventLogStats): subscriber count, the readable window
+	// [Oldest, Frontier) read as one consistent pair, its capacity, and
+	// the published and wakeup totals.
+	ShardEventLogStats = shard.EventLogStats
 )
-
-// DefaultShardBroadcastCapacity is the event broadcast ring size used
-// when ShardConfig.Broadcast is zero.
-const DefaultShardBroadcastCapacity = shard.DefaultBroadcastCapacity
 
 // MaxShardSplitDepth bounds how many times one base grid cell can be
 // quartered by rebalancing.
@@ -349,13 +339,8 @@ func RecoverShardRouter(cfg ShardConfig) (*ShardRouter, *ShardRecoveryInfo, erro
 // RetirableAlgorithm.Remap and MatcherConfig.OnRetire.
 const RetiredHandle = sim.RetiredHandle
 
-// NewMatchLog creates a match view over `shards` regions keeping at least
-// the most recent `retention` matches per shard; wire its Record method
-// as (part of) ShardConfig.OnEvent.
-func NewMatchLog(shards, retention int) *MatchLog { return shard.NewMatchLog(shards, retention) }
-
-// ErrShardCursorEvicted is returned by ShardRouter.Events when the cursor
-// points below the retention boundary.
+// ErrShardCursorEvicted is returned by ShardRouter.Events, Matches and
+// ShardEventSub.Next when the cursor points below the retention window.
 var ErrShardCursorEvicted = shard.ErrEvicted
 
 // ErrStaleShardHandle is returned by ShardRouter.WithdrawWorker and

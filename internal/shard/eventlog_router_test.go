@@ -14,7 +14,7 @@ import (
 
 // consumeSub drains one subscription concurrently with producers: it
 // reads pages until stop is closed AND the cursor has caught up with the
-// router head, mixing ring reads and fallback pages as the race decides.
+// router head.
 func consumeSub(t *testing.T, r *Router, sub *EventSub, page int, stop <-chan struct{}) []Event {
 	t.Helper()
 	var got []Event
@@ -41,6 +41,56 @@ func consumeSub(t *testing.T, r *Router, sub *EventSub, page int, stop <-chan st
 	}
 }
 
+// syntheticRouter returns a 2x2 greedy router over the bounds of a
+// 300+300 synthetic workload, plus the workload.
+func syntheticRouter(t *testing.T) (*Router, *model.Instance) {
+	t.Helper()
+	wcfg := workload.DefaultSynthetic()
+	wcfg.NumWorkers, wcfg.NumTasks = 300, 300
+	in, err := wcfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(Config{
+		Matcher:      sim.MatcherConfig{Mode: sim.Strict, Velocity: in.Velocity, Bounds: in.Bounds},
+		Cols:         2,
+		Rows:         2,
+		NewAlgorithm: func() sim.Algorithm { return &greedyAlg{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, in
+}
+
+// produce admits arrivals from four concurrent producers, striped, and
+// returns once all of them are in.
+func produce(t *testing.T, r *Router, in *model.Instance, arrivals []model.Event) {
+	t.Helper()
+	var wg sync.WaitGroup
+	const producers = 4
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < len(arrivals); i += producers {
+				var err error
+				switch ev := arrivals[i]; ev.Kind {
+				case model.WorkerArrival:
+					_, _, err = r.AddWorker(in.Workers[ev.Index])
+				case model.TaskArrival:
+					_, _, err = r.AddTask(in.Tasks[ev.Index])
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+}
+
 // requireDense asserts evs is exactly the dense seq range [from, to).
 func requireDense(t *testing.T, evs []Event, from, to uint64) {
 	t.Helper()
@@ -54,40 +104,16 @@ func requireDense(t *testing.T, evs []Event, from, to uint64) {
 	}
 }
 
-func TestRouterBroadcastValidates(t *testing.T) {
-	bad := testConfig(2, 2)
-	bad.Broadcast = -1
-	if _, err := NewRouter(bad); err == nil {
-		t.Error("negative broadcast capacity accepted")
-	}
-}
-
-// TestRouterBroadcastParityConcurrent: a subscriber consuming through
-// the broadcast ring — deliberately undersized so reads keep falling off
-// the tail into the merge-on-read fallback — observes, under concurrent
-// multi-shard admissions, a stream bit-identical to a full EventsLimit
-// merge from the same cursor.
+// TestRouterBroadcastParityConcurrent: a subscriber that starts behind a
+// backlog and pages through the log under concurrent multi-shard
+// admissions observes a stream bit-identical to one full Events read from
+// the same cursor, and Seq-dense.
 func TestRouterBroadcastParityConcurrent(t *testing.T) {
-	wcfg := workload.DefaultSynthetic()
-	wcfg.NumWorkers, wcfg.NumTasks = 300, 300
-	in, err := wcfg.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRouter(Config{
-		Matcher:      sim.MatcherConfig{Mode: sim.Strict, Velocity: in.Velocity, Bounds: in.Bounds},
-		Cols:         2,
-		Rows:         2,
-		NewAlgorithm: func() sim.Algorithm { return &greedyAlg{} },
-		Broadcast:    64, // tiny ring: force frequent fallback + wraparound
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, in := syntheticRouter(t)
 
 	events := in.Events()
-	// Seed a backlog before subscribing so the subscription provably
-	// starts below the ring anchor and exercises the fallback.
+	// Seed a backlog before subscribing so the subscription starts well
+	// behind the head.
 	seed := len(events) / 4
 	for _, ev := range events[:seed] {
 		switch ev.Kind {
@@ -113,30 +139,7 @@ func TestRouterBroadcastParityConcurrent(t *testing.T) {
 		got = consumeSub(t, r, sub, 73, stop)
 	}()
 
-	var wg sync.WaitGroup
-	const producers = 4
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := seed + p; i < len(events); i += producers {
-				ev := events[i]
-				switch ev.Kind {
-				case model.WorkerArrival:
-					if _, _, err := r.AddWorker(in.Workers[ev.Index]); err != nil {
-						t.Error(err)
-						return
-					}
-				case model.TaskArrival:
-					if _, _, err := r.AddTask(in.Tasks[ev.Index]); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
+	produce(t, r, in, events[seed:])
 	r.Finish()
 	close(stop)
 	consumer.Wait()
@@ -153,25 +156,19 @@ func TestRouterBroadcastParityConcurrent(t *testing.T) {
 	}
 	requireDense(t, got, 0, next)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("subscriber stream diverges from EventsLimit merge (%d vs %d events)", len(got), len(want))
+		t.Fatalf("subscriber stream diverges from the full read (%d vs %d events)", len(got), len(want))
 	}
-	st := r.BroadcastStats()
-	if st.Fallbacks == 0 {
-		t.Error("undersized ring never fell back to merge-on-read")
-	}
-	if st.Published == 0 {
-		t.Error("ring never served: no events published")
+	if st := r.EventLogStats(); st.Published != next || st.Frontier != next || st.Oldest != 0 {
+		t.Errorf("log stats %+v, want every one of the %d events published and readable", st, next)
 	}
 }
 
 // TestRouterBroadcastParityRebalance: the subscription's cursor space is
-// continuous across a Rebalance archive swap — the subscriber's stream
-// stays bit-identical to the merged read even when part of it now lives
-// in the swapped-in archive.
+// continuous across a Rebalance — the log belongs to the router, not to a
+// topology, so the subscriber's stream stays Seq-dense and bit-identical
+// to the full read across the swap.
 func TestRouterBroadcastParityRebalance(t *testing.T) {
-	cfg := testConfig(2, 2)
-	cfg.Broadcast = 32
-	r, err := NewRouter(cfg)
+	r, err := NewRouter(testConfig(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +181,14 @@ func TestRouterBroadcastParityRebalance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Pre-subscription backlog in every quadrant (fallback territory).
+	// Pre-subscription backlog in every quadrant.
 	for i := 0; i < 8; i++ {
 		addPair(20+60*float64(i%2), 20+60*float64((i/2)%2), float64(i))
 	}
 	sub := r.Subscribe(0)
 	defer sub.Close()
 
-	// Split quadrant 0 mid-stream: live logs migrate into the archive.
+	// Split quadrant 0 mid-stream.
 	if _, err := r.Rebalance(mustSplit(t, r.Topology(), 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -213,24 +210,23 @@ func TestRouterBroadcastParityRebalance(t *testing.T) {
 	}
 	requireDense(t, got, 0, next)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("stream across rebalance diverges from merge (%d vs %d events)", len(got), len(want))
+		t.Fatalf("stream across rebalance diverges from the full read (%d vs %d events)", len(got), len(want))
 	}
 }
 
-// TestRouterBroadcastRetentionEviction: a subscriber behind the
-// retention boundary gets the same ErrEvicted/restart-at-OldestCursor
-// contract as a polling consumer — even though the broadcast ring still
-// physically holds the evicted events — and the restarted stream matches
-// the merged read bit-identically.
+// TestRouterBroadcastRetentionEviction: a subscriber below the retention
+// window gets the same ErrEvicted/restart-at-OldestCursor contract as a
+// polling consumer — the window is exactly the last Retention × Cols ×
+// Rows events, even though the segment still physically holds the older
+// ones — and the restarted stream matches the polled read bit-identically.
 func TestRouterBroadcastRetentionEviction(t *testing.T) {
 	cfg := testConfig(1, 1)
 	cfg.Retention = 3
-	cfg.Broadcast = 16
 	r, err := NewRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := r.Subscribe(0) // anchored before any event: ring sees all 5
+	sub := r.Subscribe(0)
 	defer sub.Close()
 	for i := 0; i < 5; i++ {
 		if _, _, err := r.AddWorker(model.Worker{Loc: geo.Pt(10, 10), Arrive: float64(i), Patience: 100}); err != nil {
@@ -245,6 +241,9 @@ func TestRouterBroadcastRetentionEviction(t *testing.T) {
 	}
 	if sub.Cursor() != 0 {
 		t.Fatalf("cursor moved to %d on eviction error, want 0", sub.Cursor())
+	}
+	if r.OldestCursor() != 2 {
+		t.Fatalf("OldestCursor = %d, want head-retention = 2", r.OldestCursor())
 	}
 	sub.Seek(r.OldestCursor())
 	got, next, err := sub.Next(0, nil)
@@ -266,22 +265,7 @@ func TestRouterBroadcastRetentionEviction(t *testing.T) {
 // stream concurrently with producers (the -race fan-out gate). Every
 // subscriber must observe the identical gap-free merged stream.
 func TestRouterBroadcastFanoutSmoke(t *testing.T) {
-	wcfg := workload.DefaultSynthetic()
-	wcfg.NumWorkers, wcfg.NumTasks = 300, 300
-	in, err := wcfg.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRouter(Config{
-		Matcher:      sim.MatcherConfig{Mode: sim.Strict, Velocity: in.Velocity, Bounds: in.Bounds},
-		Cols:         2,
-		Rows:         2,
-		NewAlgorithm: func() sim.Algorithm { return &greedyAlg{} },
-		Broadcast:    128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, in := syntheticRouter(t)
 
 	const nsubs = 8
 	stop := make(chan struct{})
@@ -297,31 +281,7 @@ func TestRouterBroadcastFanoutSmoke(t *testing.T) {
 		}(i, sub)
 	}
 
-	events := in.Events()
-	var wg sync.WaitGroup
-	const producers = 4
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; i < len(events); i += producers {
-				ev := events[i]
-				switch ev.Kind {
-				case model.WorkerArrival:
-					if _, _, err := r.AddWorker(in.Workers[ev.Index]); err != nil {
-						t.Error(err)
-						return
-					}
-				case model.TaskArrival:
-					if _, _, err := r.AddTask(in.Tasks[ev.Index]); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
+	produce(t, r, in, in.Events())
 	r.Finish()
 	close(stop)
 	consumers.Wait()
@@ -336,17 +296,17 @@ func TestRouterBroadcastFanoutSmoke(t *testing.T) {
 	for i, got := range streams {
 		requireDense(t, got, 0, next)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("subscriber %d stream diverges from merge", i)
+			t.Fatalf("subscriber %d stream diverges from the full read", i)
 		}
 	}
-	if n := r.BroadcastStats().Subscribers; n != nsubs {
+	if n := r.EventLogStats().Subscribers; n != nsubs {
 		t.Fatalf("Subscribers = %d, want %d", n, nsubs)
 	}
 }
 
 // TestRouterBroadcastWaitWake: Wait is event-driven — it wakes promptly
-// on publish, times out when idle, and an unobserved or quiescent router
-// does zero broadcast work (no publishes, no wakeups).
+// on an append, times out when idle, and a quiescent router appends
+// nothing and wakes no one.
 func TestRouterBroadcastWaitWake(t *testing.T) {
 	r, err := NewRouter(testConfig(1, 1))
 	if err != nil {
@@ -362,10 +322,10 @@ func TestRouterBroadcastWaitWake(t *testing.T) {
 		}
 	}
 
-	// Unobserved: emissions with zero subscribers never touch the ring.
+	// The log is fed whether or not anyone is subscribed.
 	addPair(0)
-	if st := r.BroadcastStats(); st.Published != 0 || st.Depth != 0 {
-		t.Fatalf("unobserved router did broadcast work: %+v", st)
+	if st := r.EventLogStats(); st.Published != 1 || st.Frontier != 1 || st.Wakeups != 0 {
+		t.Fatalf("after one unobserved match: %+v, want it published, readable, no wakeups", st)
 	}
 
 	sub := r.Subscribe(r.Cursor())
@@ -379,8 +339,8 @@ func TestRouterBroadcastWaitWake(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r.Advance(float64(i))
 	}
-	if st := r.BroadcastStats(); st.Published != 0 || st.Wakeups != 0 {
-		t.Fatalf("quiescent ticks did broadcast work: %+v", st)
+	if st := r.EventLogStats(); st.Published != 1 || st.Wakeups != 0 {
+		t.Fatalf("quiescent ticks touched the log: %+v", st)
 	}
 
 	// Hot: a blocked Wait wakes on the next emission.
@@ -400,8 +360,8 @@ func TestRouterBroadcastWaitWake(t *testing.T) {
 	if err != nil || len(evs) != 1 || evs[0].Kind != sim.EventMatch {
 		t.Fatalf("post-wake Next = %v err %v, want the one match", evs, err)
 	}
-	if st := r.BroadcastStats(); st.Published != 1 {
-		t.Fatalf("Published = %d, want 1", st.Published)
+	if st := r.EventLogStats(); st.Published != 2 || st.Wakeups != 1 {
+		t.Fatalf("after the wake: %+v, want 2 published and 1 wakeup", st)
 	}
 
 	// Close wakes a blocked waiter.
@@ -414,7 +374,63 @@ func TestRouterBroadcastWaitWake(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Wait did not wake on Close")
 	}
-	if n := r.BroadcastStats().Subscribers; n != 0 {
+	if n := r.EventLogStats().Subscribers; n != 0 {
 		t.Fatalf("Subscribers = %d after Close, want 0", n)
+	}
+}
+
+// TestRouterMatchesConcurrent: a /matches-style reader paging by match
+// ordinal while four producers emit (the -race gate of the filtered
+// read). Every page holds only commits, in Seq order, the cursor advances
+// by exactly the page length, and the pages add up to the match events of
+// the full stream — none skipped while a lower Seq was still in flight.
+func TestRouterMatchesConcurrent(t *testing.T) {
+	r, in := syntheticRouter(t)
+	stop := make(chan struct{})
+	var got []Event
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		var cursor uint64
+		for {
+			before := len(got)
+			var err error
+			got, cursor, err = r.Matches(cursor, 7, got)
+			if err != nil || cursor != uint64(len(got)) {
+				t.Errorf("Matches: cursor %d after %d matches, err %v", cursor, len(got), err)
+				return
+			}
+			if len(got) > before {
+				continue
+			}
+			select {
+			case <-stop:
+				if cursor == r.MatchCount() {
+					return
+				}
+			default:
+			}
+		}
+	}()
+	produce(t, r, in, in.Events())
+	r.Finish()
+	close(stop)
+	reader.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	all, _, err := r.Events(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Event
+	for _, ev := range all {
+		if ev.Kind == sim.EventMatch {
+			want = append(want, ev)
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("paged matches = %d events, want the %d commits of the full stream", len(got), len(want))
 	}
 }

@@ -1,0 +1,412 @@
+package shard
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"ftoa/internal/sim"
+)
+
+// refLog is the naive reference the event log is checked against: keep
+// every appended event, and answer every question by sorting the lot by
+// Seq and slicing the window out of it.
+type refLog struct {
+	capacity uint64
+	base     uint64
+	resumed  uint64 // head at the last resume: the frontier never waits below it
+	all      []Event
+}
+
+func (m *refLog) append(evs []Event) { m.all = append(m.all, evs...) }
+
+func (m *refLog) resume(base, head uint64) {
+	m.base = base
+	m.resumed = head
+	for _, ev := range m.all {
+		m.resumed = max(m.resumed, ev.Seq+1)
+	}
+}
+
+// window returns the readable window [oldest, frontier) and the events in
+// it. head is one past the highest seq appended (or resumed to), oldest
+// is max(base, head-capacity), and frontier is the first seq at or above
+// oldest that has not been appended yet.
+func (m *refLog) window() (oldest, frontier uint64, evs []Event) {
+	sorted := append([]Event(nil), m.all...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
+	head := m.resumed
+	if n := len(sorted); n > 0 {
+		head = max(head, sorted[n-1].Seq+1)
+	}
+	oldest = m.base
+	if m.capacity > 0 && head > m.capacity {
+		oldest = max(oldest, head-m.capacity)
+	}
+	frontier = max(oldest, m.resumed)
+	for _, ev := range sorted {
+		if ev.Seq < oldest {
+			continue
+		}
+		if ev.Seq < frontier || ev.Seq == frontier {
+			evs = append(evs, ev)
+			frontier = max(frontier, ev.Seq+1)
+		}
+	}
+	return oldest, frontier, evs
+}
+
+// matches returns the ordinal window [oldest, count) of the matches and
+// the readable matches themselves: a match's ordinal is its rank among
+// every match ever appended, by Seq.
+func (m *refLog) matches() (oldest, count uint64, ms []Event) {
+	lo, hi, _ := m.window()
+	for _, ev := range m.all {
+		if ev.Kind != sim.EventMatch {
+			continue
+		}
+		if ev.Seq < lo {
+			oldest++
+		}
+		if ev.Seq < hi {
+			count++
+			if ev.Seq >= lo {
+				ms = append(ms, ev)
+			}
+		}
+	}
+	sort.Slice(ms, func(i, j int) bool { return ms[i].Seq < ms[j].Seq })
+	return oldest, count, ms
+}
+
+// checkLog compares every read the log serves with the reference: the
+// window, one unlimited read, a paged read, the fromOldest read, the
+// eviction errors just below both windows, and the same for matches.
+func checkLog(t *testing.T, l *eventLog, m *refLog, page int) {
+	t.Helper()
+	oldest, frontier, want := m.window()
+	if got := l.oldest.Load(); got != oldest {
+		t.Fatalf("oldest = %d, want %d", got, oldest)
+	}
+	if got := l.frontier.Load(); got != frontier {
+		t.Fatalf("frontier = %d, want %d", got, frontier)
+	}
+	got, next, err := l.read(oldest, false, 0, nil)
+	if err != nil || next != frontier || !sameEvents(got, want) {
+		t.Fatalf("read(%d) = %d events next %d err %v, want %d events next %d", oldest, len(got), next, err, len(want), frontier)
+	}
+	if got, next, _ := l.read(0, true, 0, nil); next != frontier || !sameEvents(got, want) {
+		t.Fatalf("read from oldest = %d events next %d, want %d next %d", len(got), next, len(want), frontier)
+	}
+	var paged []Event
+	for c := oldest; ; {
+		before := len(paged)
+		paged, c, err = l.read(c, false, page, paged)
+		if err != nil {
+			t.Fatalf("paged read: %v", err)
+		}
+		if n := len(paged) - before; n > page {
+			t.Fatalf("page of %d events exceeds limit %d", n, page)
+		} else if n == 0 {
+			if c != frontier {
+				t.Fatalf("paged read stopped at %d, want the frontier %d", c, frontier)
+			}
+			break
+		}
+	}
+	if !sameEvents(paged, want) {
+		t.Fatalf("paged read = %d events, want %d", len(paged), len(want))
+	}
+	if oldest > 0 {
+		if _, c, err := l.read(oldest-1, false, 0, nil); err != ErrEvicted || c != oldest-1 {
+			t.Fatalf("read(%d) = cursor %d err %v, want ErrEvicted and an unmoved cursor", oldest-1, c, err)
+		}
+	}
+
+	mlo, mhi, mwant := m.matches()
+	if glo, ghi := l.oldestMatch(), l.matchCount(); glo != mlo || ghi != mhi {
+		t.Fatalf("match window = [%d,%d), want [%d,%d)", glo, ghi, mlo, mhi)
+	}
+	if got, next, _ := l.matches(0, true, 0, nil); next != mhi || !sameEvents(got, mwant) {
+		t.Fatalf("matches from oldest = %d next %d, want %d next %d", len(got), next, len(mwant), mhi)
+	}
+	// Start mid-window so whole-segment skipping and the scan inside the
+	// first copied segment are both exercised.
+	mid := mlo + uint64(len(mwant))/2
+	var mpaged []Event
+	for c := mid; ; {
+		before := len(mpaged)
+		mpaged, c, err = l.matches(c, false, page, mpaged)
+		if err != nil {
+			t.Fatalf("paged matches: %v", err)
+		}
+		if n := len(mpaged) - before; n > page {
+			t.Fatalf("match page of %d exceeds limit %d", n, page)
+		} else if n == 0 {
+			if c != mhi {
+				t.Fatalf("paged matches stopped at ordinal %d, want %d", c, mhi)
+			}
+			break
+		} else if c != mid+uint64(len(mpaged)) {
+			t.Fatalf("match cursor %d after %d matches from %d", c, len(mpaged), mid)
+		}
+	}
+	if !sameEvents(mpaged, mwant[mid-mlo:]) {
+		t.Fatalf("paged matches from %d = %d, want %d", mid, len(mpaged), len(mwant[mid-mlo:]))
+	}
+	if mlo > 0 {
+		if _, _, err := l.matches(mlo-1, false, 0, nil); err != ErrEvicted {
+			t.Fatalf("matches(%d) err = %v, want ErrEvicted", mlo-1, err)
+		}
+	}
+	if _, c, _ := l.matches(mhi+7, false, 0, nil); c != mhi {
+		t.Fatalf("matches past the head resumed at %d, want it clamped to %d", c, mhi)
+	}
+}
+
+func sameEvents(a, b []Event) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// genStream returns n events with Seq 0..n-1, each assigned to one of
+// `writers` shards, roughly every third one a match.
+func genStream(rng *rand.Rand, n, writers int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		kind := sim.EventWorkerExpired
+		if rng.Intn(3) == 0 {
+			kind = sim.EventMatch
+		}
+		evs[i] = Event{Seq: uint64(i), Shard: rng.Intn(writers), SessionEvent: sim.SessionEvent{Kind: kind, Worker: i, Task: -i, Time: float64(i)}}
+	}
+	return evs
+}
+
+// TestEventLogModelInterleaved: N writers draw sequence numbers from one
+// counter and append their batches late and out of order, as racing
+// shards do. After every few appends every read must equal the
+// reference's, across several segments and with eviction running.
+func TestEventLogModelInterleaved(t *testing.T) {
+	for _, capacity := range []uint64{0, 7, 300, segSize, 2*segSize + 50} {
+		rng := rand.New(rand.NewSource(int64(capacity) + 1))
+		const writers = 5
+		stream := genStream(rng, 4*segSize+123, writers)
+		l, m := newEventLog(capacity), &refLog{capacity: capacity}
+		pending := make([][]Event, writers)
+		flush := func(w int) {
+			if len(pending[w]) == 0 {
+				return
+			}
+			l.append(pending[w])
+			m.append(pending[w])
+			pending[w] = pending[w][:0]
+		}
+		for i, ev := range stream {
+			pending[ev.Shard] = append(pending[ev.Shard], ev)
+			// Most batches flush promptly; some writers sit on theirs for
+			// a long time, leaving holes the frontier must wait on.
+			if w := rng.Intn(writers); rng.Intn(40) != 0 || len(pending[w]) > 60 {
+				flush(w)
+			}
+			if i%211 == 0 {
+				checkLog(t, l, m, 1+rng.Intn(200))
+			}
+		}
+		for w := range pending {
+			flush(w)
+			checkLog(t, l, m, 64)
+		}
+		if _, frontier, _ := m.window(); frontier != uint64(len(stream)) {
+			t.Fatalf("capacity %d: final frontier %d, want the whole stream %d", capacity, frontier, len(stream))
+		}
+		if capacity > 0 {
+			if live := uint64(len(l.segs)); live > capacity/segSize+2 {
+				t.Fatalf("capacity %d: %d live segments, want whole segments freed below the window", capacity, live)
+			}
+		}
+	}
+}
+
+// TestEventLogEvictionAcrossHole: the window moves past a sequence number
+// that was never appended. The frontier must be dragged over the hole,
+// and the straggler, when it finally arrives, is outside the window.
+func TestEventLogEvictionAcrossHole(t *testing.T) {
+	l, m := newEventLog(4), &refLog{capacity: 4}
+	one := func(seq uint64) []Event {
+		return []Event{{Seq: seq, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch}}}
+	}
+	for _, seq := range []uint64{0, 1, 3, 4, 5} {
+		l.append(one(seq))
+		m.append(one(seq))
+		checkLog(t, l, m, 2)
+	}
+	// head 6, window [2,6): the hole at 2 is its first slot.
+	if st := (EventLogStats{Oldest: l.oldest.Load(), Frontier: l.frontier.Load()}); st.Oldest != 2 || st.Frontier != 2 {
+		t.Fatalf("window = [%d,%d), want [2,2) stuck on the hole", st.Oldest, st.Frontier)
+	}
+	l.append(one(6)) // window [3,7): the hole is evicted
+	m.append(one(6))
+	checkLog(t, l, m, 2)
+	if f := l.frontier.Load(); f != 7 {
+		t.Fatalf("frontier = %d, want 7 once the hole left the window", f)
+	}
+	l.append(one(2)) // the straggler: counted as a match, never readable
+	m.append(one(2))
+	checkLog(t, l, m, 2)
+	if lo, hi := l.oldestMatch(), l.matchCount(); lo != 3 || hi != 7 {
+		t.Fatalf("match window = [%d,%d), want [3,7) with the straggler counted below it", lo, hi)
+	}
+}
+
+// TestEventLogRecoverOrder: WAL replay appends one shard's whole history,
+// then the next shard's — far out of order — and then resumes. The log
+// must end up with the same window, events and match ordinals as the
+// uninterrupted run, whatever eviction did on the way.
+func TestEventLogRecoverOrder(t *testing.T) {
+	for _, capacity := range []uint64{0, 100, segSize + 17} {
+		rng := rand.New(rand.NewSource(int64(capacity) + 99))
+		const writers = 4
+		stream := genStream(rng, 3*segSize+40, writers)
+		live := newEventLog(capacity)
+		for i := range stream {
+			live.append(stream[i : i+1])
+		}
+
+		rec, m := newEventLog(capacity), &refLog{capacity: capacity}
+		for w := 0; w < writers; w++ {
+			var batch []Event
+			for _, ev := range stream {
+				if ev.Shard != w {
+					continue
+				}
+				if batch = append(batch, ev); len(batch) == 3 {
+					rec.append(batch)
+					m.append(batch)
+					batch = batch[:0]
+				}
+			}
+			if len(batch) > 0 {
+				rec.append(batch)
+				m.append(batch)
+			}
+		}
+		head := uint64(len(stream))
+		rec.resume(0, head)
+		m.resume(0, head)
+		checkLog(t, rec, m, 100)
+
+		if rec.oldest.Load() != live.oldest.Load() || rec.frontier.Load() != head || live.frontier.Load() != head {
+			t.Fatalf("capacity %d: recovered window [%d,%d), uninterrupted [%d,%d)", capacity,
+				rec.oldest.Load(), rec.frontier.Load(), live.oldest.Load(), live.frontier.Load())
+		}
+		got, _, _ := rec.read(0, true, 0, nil)
+		want, _, _ := live.read(0, true, 0, nil)
+		if !sameEvents(got, want) {
+			t.Fatalf("capacity %d: recovered log serves %d events, uninterrupted %d", capacity, len(got), len(want))
+		}
+		glo, ghi := rec.oldestMatch(), rec.matchCount()
+		wlo, whi := live.oldestMatch(), live.matchCount()
+		if glo != wlo || ghi != whi {
+			t.Fatalf("capacity %d: recovered match window [%d,%d), uninterrupted [%d,%d)", capacity, glo, ghi, wlo, whi)
+		}
+	}
+}
+
+// TestEventLogResumeTornTail: a crash loses one shard's unsynced tail, so
+// some sequence numbers below the recovered head never come back, and a
+// checkpoint generation starts the readable window at its sequence base.
+// Readers skip the holes; appends continue at the head.
+func TestEventLogResumeTornTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	stream := genStream(rng, segSize+200, 3)
+	const base = 40
+	l, m := newEventLog(0), &refLog{}
+	var kept []Event
+	for _, ev := range stream[base:] {
+		if ev.Shard == 1 && ev.Seq >= segSize-30 {
+			continue // shard 1's tail was never synced
+		}
+		kept = append(kept, ev)
+	}
+	l.append(kept)
+	m.append(kept)
+	head := uint64(len(stream))
+	l.resume(base, head)
+	m.resume(base, head)
+	checkLog(t, l, m, 50)
+	if l.oldest.Load() != base || l.frontier.Load() != head {
+		t.Fatalf("resumed window [%d,%d), want [%d,%d)", l.oldest.Load(), l.frontier.Load(), base, head)
+	}
+	next := []Event{{Seq: head, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch}}}
+	l.append(next)
+	m.append(next)
+	checkLog(t, l, m, 50)
+	if f := l.frontier.Load(); f != head+1 {
+		t.Fatalf("frontier %d after the first live append, want %d", f, head+1)
+	}
+}
+
+// TestEventLogSteadyStateAllocs: once the window is full, appending — new
+// segments included — and reading a page into a buffer that has room for
+// it do not allocate.
+func TestEventLogSteadyStateAllocs(t *testing.T) {
+	const capacity = 2*segSize + 100
+	l := newEventLog(capacity)
+	sub := &EventSub{l: l}
+	batch := make([]Event, 4)
+	var seq uint64
+	appendOne := func() {
+		for i := range batch {
+			batch[i] = Event{Seq: seq, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch}}
+			seq++
+		}
+		l.append(batch)
+	}
+	for seq < 2*capacity {
+		appendOne()
+	}
+	// One run appends a whole segment's worth, so it opens a new segment
+	// and frees an old one every time.
+	if n := testing.AllocsPerRun(5, func() {
+		for i := 0; i < segSize/len(batch); i++ {
+			appendOne()
+		}
+	}); n != 0 {
+		t.Errorf("steady-state append allocates %.0f times per segment of events, want 0", n)
+	}
+	dst := make([]Event, 0, 128)
+	sub.cursor = l.oldest.Load()
+	var total int
+	if n := testing.AllocsPerRun(8, func() {
+		out, _, err := sub.Next(128, dst[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(out)
+	}); n != 0 {
+		t.Errorf("Next into a pre-sized dst allocates %.2f times per page, want 0", n)
+	}
+	if total != 9*128 { // AllocsPerRun adds one warm-up run
+		t.Errorf("Next read %d events over 9 pages, want full pages", total)
+	}
+}
+
+// BenchmarkEventLogAppend prices the append collectLocked makes for every
+// emission batch, subscribed or not: 4-event batches into a bounded log
+// at steady state (eviction and segment reuse running).
+func BenchmarkEventLogAppend(b *testing.B) {
+	l := newEventLog(1 << 16)
+	batch := make([]Event, 4)
+	var seq uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			batch[j] = Event{Seq: seq, Shard: j, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch, Worker: i, Task: i}}
+			seq++
+		}
+		l.append(batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/event")
+}

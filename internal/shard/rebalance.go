@@ -5,8 +5,9 @@
 // population and keeping every externally visible contract intact:
 //
 //   - the merged event stream stays one continuous Seq-cursor space: the
-//     old topology's retained events move into the successor state's
-//     archive and gather() serves them below the new shards' logs;
+//     event log belongs to the router, not to a topology, so the old
+//     topology's events stay where they are and the new shards append
+//     after them;
 //   - old admission receipts are invalidated, not aliased: every new
 //     session starts its arena epoch above anything the old topology ever
 //     issued, so a stale withdrawal fails ErrStaleHandle;
@@ -124,8 +125,8 @@ func (r *Router) Rebalance(topo *Topology) (*RebalanceInfo, error) {
 	}
 
 	// Quiesce: settle every pending cross-shard retraction and drain every
-	// session's event tail into the shard logs, so the old state is fully
-	// sequenced before it is archived.
+	// session's event tail into the event log, so the old state is fully
+	// sequenced before it is replaced.
 	for _, si := range old.shards {
 		si.mu.Lock()
 		si.drainPendingLocked()
@@ -149,22 +150,7 @@ func (r *Router) Rebalance(topo *Topology) (*RebalanceInfo, error) {
 		si.mu.Unlock()
 	}
 
-	// Archive the old topology's retained events below the successor's
-	// cursor space (gather serves archive + live logs as one stream).
-	archive := make([]Event, 0, len(old.archive))
-	archive = append(archive, old.archive...)
-	for _, si := range old.shards {
-		si.mu.Lock()
-		archive = append(archive, si.log...)
-		si.mu.Unlock()
-	}
-	sort.Slice(archive, func(i, j int) bool { return archive[i].Seq < archive[j].Seq })
-	if ev := r.evicted.Load(); ev > 0 {
-		cut := sort.Search(len(archive), func(i int) bool { return archive[i].Seq >= ev })
-		archive = archive[cut:]
-	}
-
-	ns, err := r.buildState(topo, old.version+1, archive)
+	ns, err := r.buildState(topo, old.version+1)
 	if err != nil {
 		return nil, err
 	}

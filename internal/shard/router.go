@@ -3,8 +3,8 @@
 // regions, runs one sim.Session per region (each with its own algorithm
 // instance, each single-writer behind its own lock), routes admissions to
 // the region containing their location, and merges the per-shard lifecycle
-// event streams into one globally ordered stream addressed by a `since`
-// sequence cursor.
+// event streams into one globally ordered log addressed by a `since`
+// sequence cursor (eventlog.go).
 //
 // This is the horizontal-scaling story of the serving layer: a session is
 // deliberately single-goroutine (the algorithms' state is lock-free flat
@@ -20,19 +20,16 @@
 //
 // The region set is no longer fixed at construction: Rebalance swaps in a
 // new Topology — splitting a hot region into a finer sub-grid or merging
-// cold siblings back — migrating the live population and continuing the
-// merged cursor space (see rebalance.go). All routing state hangs off one
-// atomically swapped topoState so every code path observes a consistent
-// (placement, shards, archive) triple.
+// cold siblings back — migrating the live population (see rebalance.go).
+// All routing state hangs off one atomically swapped topoState so every
+// code path observes a consistent (placement, shards) pair; the event log
+// belongs to the router, not to a topology, so cursors carry across.
 package shard
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -69,23 +66,11 @@ type Config struct {
 	// NewAlgorithm mints one algorithm instance per shard. Instances must
 	// not share mutable state (a shared read-only Guide is fine).
 	NewAlgorithm func() sim.Algorithm
-	// OnEvent, when non-nil, is invoked synchronously for every sequenced
-	// event, from inside the router call that produced it while the
-	// owning shard's lock is held. Callbacks for different shards run
-	// concurrently, so the handler must be safe for concurrent use, and
-	// it must not call back into the Router (taking a lock the handler
-	// also takes from a Router-calling path deadlocks). Unlike the
-	// polled Events stream it is lossless under retention — the hook for
-	// derived views that must not miss events. Shard ids passed to the
-	// hook follow the CURRENT topology, so handlers indexing by shard
-	// must size for Rebalance growth (MatchLog does).
-	OnEvent func(Event)
-	// Retention bounds the per-shard merged-event log: each shard keeps
-	// at least its most recent Retention events; older ones are evicted
-	// (in batches of Retention/2, so eviction is O(1) amortized per
-	// event — see retain.go) and cursors pointing below the eviction
-	// boundary fail with ErrEvicted. Zero keeps everything (replay
-	// drivers, tests).
+	// Retention bounds the event log: it keeps exactly the most recent
+	// Retention × Cols × Rows events (Retention per base-grid cell, however
+	// the traffic is spread over them), frees older ones a segment at a
+	// time, and cursors pointing below that window fail with ErrEvicted.
+	// Zero keeps everything (replay drivers, tests).
 	Retention int
 	// RetireInterval, when positive, schedules generational arena
 	// retirement per shard: whenever a write (admission, Advance, Finish)
@@ -99,13 +84,6 @@ type Config struct {
 	// sim.RetirableAlgorithm (all of this repo's algorithms do); NewRouter
 	// rejects the config otherwise. Zero disables retirement.
 	RetireInterval float64
-	// Broadcast sizes the shared event ring that Subscribe readers are
-	// served from (see broadcast.go): the number of most recent events a
-	// subscriber can lag behind the live head before its reads fall back
-	// to the merge-on-read path. Zero means DefaultBroadcastCapacity.
-	// The ring is a delivery accelerator only — it never affects which
-	// events a subscriber observes, just how cheaply.
-	Broadcast int
 	// WAL, when non-nil, makes the router durable: every shard records its
 	// admissions, withdrawals, arbitration outcomes and event sequencing to
 	// an append-only per-shard log under WAL.Dir (see walhook.go), and
@@ -193,37 +171,30 @@ type Stats struct {
 	BorderMatches    int
 }
 
-// ErrEvicted is returned by Events when the cursor points below the
-// retention boundary: the gap-free-delivery guarantee no longer holds
-// from there, because at least one shard has dropped events at or above
-// the cursor. The caller restarts from OldestCursor, accepting the gap.
+// ErrEvicted is returned by Events, Matches and EventSub.Next when the
+// cursor points below the retention window: events at or above it have
+// been dropped. The caller restarts from OldestCursor (OldestMatch),
+// accepting the gap.
 var ErrEvicted = errors.New("shard: cursor below retention boundary")
 
 // topoState is one topology epoch's complete routing state: the region
-// tree, its placement geometry, the live shard set, and the events older
-// topologies emitted. Every code path resolves the triple through one
-// atomic load so placement, shard indexing and the cursor space can never
-// be observed mid-swap. States are immutable once published — Rebalance
-// builds the successor aside and swaps the pointer.
+// tree, its placement geometry and the live shard set. Every code path
+// resolves it through one atomic load so placement and shard indexing can
+// never be observed mid-swap. States are immutable once published —
+// Rebalance builds the successor aside and swaps the pointer.
 type topoState struct {
 	version   uint64
 	topo      *Topology
 	placement *Placement
 	shards    []*shardInstance
-	// archive holds the events emitted under earlier topologies, Seq
-	// ascending and pruned below the eviction boundary at each swap:
-	// gather merges it below the live shard logs so event cursors stay
-	// valid and gap-free across rebalances.
-	archive []Event
 }
 
 // Router is a sharded multi-session serving surface; see the package
 // comment. All methods are safe for concurrent use: admissions touch only
 // the target shard's lock, so disjoint regions admit in parallel.
 type Router struct {
-	mode    sim.Mode
-	haloOn  bool
-	onEvent func(Event)
+	mode   sim.Mode
+	haloOn bool
 	// cfg is the validated construction config, retained because
 	// Rebalance mints fresh sessions (and WAL generations) from it.
 	cfg Config
@@ -245,13 +216,10 @@ type Router struct {
 
 	seq  atomic.Uint64 // next sequence number to assign
 	gids atomic.Uint64 // next mirror-group id (halo.go)
-	// bcast is the shared event ring behind Subscribe: collectLocked
-	// publishes each sequenced batch into it so subscriber fan-out costs
-	// O(events) instead of one merge-on-read per subscriber per poll.
-	bcast *broadcast
-	// evicted is the retention boundary: every event with Seq below it
-	// MAY have been dropped from its shard log.
-	evicted atomic.Uint64
+	// log is the one store of the merged event stream (eventlog.go):
+	// collectLocked appends each sequenced batch, every read is a cursor
+	// into it.
+	log *eventLog
 	// walSet, when non-nil, owns the per-shard write-ahead logs
 	// (walhook.go); each shard records through its own si.wal under its
 	// single-writer lock. Guarded by topoMu (Rebalance swaps it).
@@ -267,19 +235,20 @@ type Router struct {
 // pure snapshot readers (stats, cursors) may load it bare.
 func (r *Router) state() *topoState { return r.top.Load() }
 
-// shardInstance is one region's session plus its slice of the merged log
-// and its half of the halo arbitration state (halo.go).
+// shardInstance is one region's session plus its half of the halo
+// arbitration state (halo.go).
 type shardInstance struct {
 	id int
 	// ts points back at the topology state this shard belongs to, so
 	// cross-shard fan-out (claim retraction) resolves sibling shards of
 	// the SAME epoch even while a successor state is being built.
-	ts        *topoState
-	mu        sync.Mutex
-	sess      *sim.Session
-	log       []Event
-	scratch   []sim.SessionEvent
-	retention int
+	ts   *topoState
+	mu   sync.Mutex
+	sess *sim.Session
+	// scratch and batch are collectLocked's reused buffers: the session's
+	// drained events and their sequenced form on the way to the log.
+	scratch []sim.SessionEvent
+	batch   []Event
 	// retireEvery/lastRetire schedule arena retirement on the shard's
 	// session clock; see Config.RetireInterval.
 	retireEvery float64
@@ -306,7 +275,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts, err := r.buildState(NewUniformTopology(cfg.Cols, cfg.Rows), 1, nil)
+	ts, err := r.buildState(NewUniformTopology(cfg.Cols, cfg.Rows), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -343,9 +312,6 @@ func newRouterShell(cfg Config) (*Router, error) {
 	if cfg.Halo < 0 {
 		return nil, fmt.Errorf("shard: negative halo %v", cfg.Halo)
 	}
-	if cfg.Broadcast < 0 {
-		return nil, fmt.Errorf("shard: negative broadcast capacity %d", cfg.Broadcast)
-	}
 	// Validate the base config before geo.NewGrid sees the bounds:
 	// degenerate bounds (zero-area, inverted) must surface as the same
 	// clean error a plain Matcher would return, not a grid panic.
@@ -353,19 +319,17 @@ func newRouterShell(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	return &Router{
-		mode:    cfg.Matcher.Mode,
-		haloOn:  cfg.Halo > 0,
-		onEvent: cfg.OnEvent,
-		bcast:   newBroadcast(cfg.Broadcast),
-		cfg:     cfg,
+		mode:   cfg.Matcher.Mode,
+		haloOn: cfg.Halo > 0,
+		log:    newEventLog(uint64(cfg.Retention) * uint64(cfg.Cols) * uint64(cfg.Rows)),
+		cfg:    cfg,
 	}, nil
 }
 
 // buildState constructs the complete shard set of a topology: fresh
 // sessions (each algorithm's Init run), halo tables when mirroring is on,
-// no WAL attachment (the caller wires logs per generation). archive is
-// adopted as the state's pre-topology event history.
-func (r *Router) buildState(topo *Topology, version uint64, archive []Event) (*topoState, error) {
+// no WAL attachment (the caller wires logs per generation).
+func (r *Router) buildState(topo *Topology, version uint64) (*topoState, error) {
 	cfg := &r.cfg
 	placement := NewPlacementTopo(cfg.Matcher.Bounds, topo, cfg.Halo)
 	n := placement.NumRegions()
@@ -374,13 +338,11 @@ func (r *Router) buildState(topo *Topology, version uint64, archive []Event) (*t
 		topo:      topo,
 		placement: placement,
 		shards:    make([]*shardInstance, n),
-		archive:   archive,
 	}
 	for i := 0; i < n; i++ {
 		si := &shardInstance{
 			id:          i,
 			ts:          ts,
-			retention:   cfg.Retention,
 			retireEvery: cfg.RetireInterval,
 		}
 		mcfg := cfg.Matcher
@@ -719,8 +681,8 @@ func (r *Router) admitGhostLocked(gi *shardInstance, rec *mirror, ad *admission)
 
 // Advance drives every shard's clock to now (shard by shard, so a slow
 // region never blocks admissions to the others), firing timers and
-// expiries. Locks are released via defer so a panicking algorithm or
-// OnEvent hook cannot wedge a shard's mutex.
+// expiries. Locks are released via defer so a panicking algorithm cannot
+// wedge a shard's mutex.
 func (r *Router) Advance(now float64) {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
@@ -772,11 +734,12 @@ func (si *shardInstance) afterWriteLocked(r *Router) {
 	si.maybeRetireLocked()
 }
 
-// collectLocked drains the session's new lifecycle events into the shard
-// log, assigning global sequence numbers, then compacts the session arena
-// and applies retention (see retain.go for the shared eviction policy).
-// Callers hold si.mu; sequence numbers within a shard are strictly
-// increasing because assignment happens under the shard lock.
+// collectLocked drains the session's new lifecycle events, assigns them
+// global sequence numbers and appends them to the event log as one batch,
+// then compacts the session arena. Callers hold si.mu; sequence numbers
+// within a shard are strictly increasing because assignment happens under
+// the shard lock. WAL replay runs through here too, with the recorded
+// sequence numbers, so recovered events enter the log exactly once.
 //
 // This is also where halo arbitration surfaces in the stream: mirrored
 // match endpoints are rewritten to their owner identities and the losing
@@ -788,7 +751,7 @@ func (si *shardInstance) collectLocked(r *Router) {
 	if len(si.scratch) == 0 {
 		return
 	}
-	logged := len(si.log)
+	si.batch = si.batch[:0]
 	for _, ev := range si.scratch {
 		sev := Event{Shard: si.id, SessionEvent: ev, WorkerShard: -1, TaskShard: -1}
 		switch ev.Kind {
@@ -840,25 +803,11 @@ func (si *shardInstance) collectLocked(r *Router) {
 				si.wal.recSeq(sev.Seq)
 			}
 		}
-		si.log = append(si.log, sev)
-		if r.onEvent != nil {
-			r.onEvent(sev)
-		}
+		si.batch = append(si.batch, sev)
 	}
 	si.sess.CompactEvents()
-	// Publish the batch into the shared broadcast ring before retention
-	// can touch it: the ring is fed once, here, at emission — subscriber
-	// fan-out never re-merges the logs. With no subscribers this is one
-	// atomic load. During WAL replay no subscriber can exist yet (the
-	// router is still under construction), so replayed batches skip too.
-	if batch := si.log[logged:]; len(batch) > 0 {
-		r.bcast.publish(batch)
-	}
-	if drop := retainDrop(len(si.log), si.retention); drop > 0 {
-		boundary := si.log[drop-1].Seq + 1
-		n := copy(si.log, si.log[drop:])
-		si.log = si.log[:n]
-		raiseBoundary(&r.evicted, boundary)
+	if len(si.batch) > 0 {
+		r.log.append(si.batch)
 	}
 }
 
@@ -959,158 +908,64 @@ func (si *shardInstance) maybeRetireLocked() {
 // the starting point for a live consumer that only wants new events.
 func (r *Router) Cursor() uint64 { return r.seq.Load() }
 
-// OldestCursor returns the lowest cursor Events still accepts — the
-// retention eviction boundary, i.e. the lowest point from which merged
-// delivery is guaranteed gap-free. A consumer whose cursor got
-// ErrEvicted restarts here. The boundary is global while retention is
-// per-shard, so restarting also skips any below-boundary events a
-// quieter shard happens to still retain: with per-shard logs merged
-// behind one cursor, everything below the hottest shard's eviction
-// point is conservatively treated as gone. Size Retention for the
-// hottest region accordingly.
-func (r *Router) OldestCursor() uint64 { return r.evicted.Load() }
+// OldestCursor returns the lowest cursor Events still accepts — the low
+// end of the retention window. A consumer whose cursor got ErrEvicted
+// restarts here.
+func (r *Router) OldestCursor() uint64 { return r.log.oldest.Load() }
 
-// Events appends to dst every event with since <= Seq < snapshot, where
-// the snapshot is the sequence counter at call entry, merged across
-// shards in Seq order; it returns the extended slice plus the cursor to
-// pass next time (the snapshot). Bounding the walk by the entry snapshot
-// makes the result a consistent prefix even under concurrent admissions:
-// an event sequenced during the walk — which a shard visited earlier
-// might already have missed — is excluded everywhere and delivered by the
-// next poll. If since falls below the retention boundary the result is
+// Events appends to dst every retained event with Seq >= since, in Seq
+// order, and returns the extended slice plus the cursor to pass next
+// time. The result is a gap-free prefix even under concurrent admissions:
+// an event whose predecessor is still being appended by another shard is
+// held back and delivered by the next poll. A cursor above Cursor() is
+// clamped to it. If since falls below the retention window the result is
 // ErrEvicted: events that old were dropped, restart from OldestCursor.
 func (r *Router) Events(since uint64, dst []Event) ([]Event, uint64, error) {
 	return r.EventsLimit(since, 0, dst)
 }
 
 // EventsLimit is Events bounded to at most limit events per call (zero
-// or negative means unlimited): each shard contributes at most its limit
-// earliest matching events and the merged result keeps the limit lowest
-// sequence numbers, so a cold or recovered cursor pages through a large
-// backlog in bounded batches. When the batch was truncated the returned
-// cursor resumes right after the last returned event instead of at the
-// snapshot, keeping delivery gap-free. One page transiently gathers up
-// to shards x limit events before truncating — bounded by the page size,
-// acceptable for poll serving; a k-way merge would tighten it if page
-// loads ever dominate.
+// or negative means unlimited), so a cold or recovered cursor pages
+// through a large backlog in bounded batches; the returned cursor resumes
+// right after the last returned event.
 func (r *Router) EventsLimit(since uint64, limit int, dst []Event) ([]Event, uint64, error) {
-	r.topoMu.RLock()
-	defer r.topoMu.RUnlock()
-	if since < r.evicted.Load() {
-		return dst, 0, ErrEvicted
-	}
-	hi := r.seq.Load()
-	if since >= hi {
-		return dst, hi, nil
-	}
-	start := len(dst)
-	dst = growEvents(dst, limit)
-	dst, capped := r.gather(r.state(), since, hi, limit, dst)
-	// Re-check after the walk: a concurrent eviction during it may have
-	// dropped not-yet-visited events at or above since, leaving a gap.
-	if since < r.evicted.Load() {
-		return dst[:start], 0, ErrEvicted
-	}
-	dst, next := page(since, hi, limit, dst, start, capped)
-	return dst, next, nil
+	return r.log.read(min(since, r.seq.Load()), false, limit, dst)
 }
 
 // EventsFromOldest is EventsLimit anchored at the oldest retained cursor,
-// atomically: the retention boundary is re-read after the shard walk and
-// below-boundary events are dropped from the page, so a concurrent
-// eviction can narrow the page but never produce ErrEvicted — this is
+// atomically, so a concurrent eviction can never produce ErrEvicted —
 // the primitive behind cursor-less polling ("give me what is retained").
 func (r *Router) EventsFromOldest(limit int, dst []Event) ([]Event, uint64) {
-	r.topoMu.RLock()
-	defer r.topoMu.RUnlock()
-	since := r.evicted.Load()
-	hi := r.seq.Load()
-	if since >= hi {
-		return dst, hi
-	}
-	start := len(dst)
-	dst = growEvents(dst, limit)
-	dst, capped := r.gather(r.state(), since, hi, limit, dst)
-	if e := r.evicted.Load(); e > since {
-		// Eviction raced the walk: events below the new boundary may be
-		// incomplete across shards, but everything at or above it was
-		// retained in every shard we visited. Clamp the page to it.
-		since = e
-		tail := dst[start:]
-		k := 0
-		for _, ev := range tail {
-			if ev.Seq >= e {
-				tail[k] = ev
-				k++
-			}
-		}
-		dst = dst[:start+k]
-	}
-	return page(since, hi, limit, dst, start, capped)
+	dst, next, _ := r.log.read(0, true, limit, dst)
+	return dst, next
 }
 
-// gather collects, per source, up to limit events with since <= Seq < hi
-// into dst, reporting whether any source's contribution was truncated.
-// The archive — events emitted under earlier topologies — is one more
-// source, merged exactly like a (frozen) shard log.
-func (r *Router) gather(ts *topoState, since, hi uint64, limit int, dst []Event) ([]Event, bool) {
-	capped := false
-	if arch := ts.archive; len(arch) > 0 {
-		i := sort.Search(len(arch), func(k int) bool { return arch[k].Seq >= since })
-		j := i + sort.Search(len(arch)-i, func(k int) bool { return arch[i+k].Seq >= hi })
-		if limit > 0 && j-i > limit {
-			j = i + limit
-			capped = true
-		}
-		dst = append(dst, arch[i:j]...)
-	}
-	for _, si := range ts.shards {
-		si.mu.Lock()
-		log := si.log
-		i := sort.Search(len(log), func(k int) bool { return log[k].Seq >= since })
-		j := i + sort.Search(len(log)-i, func(k int) bool { return log[i+k].Seq >= hi })
-		if limit > 0 && j-i > limit {
-			j = i + limit
-			capped = true
-		}
-		dst = append(dst, log[i:j]...)
-		si.mu.Unlock()
-	}
-	return dst, capped
+// Matches is Events filtered to commits and addressed by match ordinal:
+// the match with ordinal k is the k-th committed pair in Seq order (from
+// 0), so ordinals double as cursors exactly like Seq does for Events. It
+// appends the retained matches with ordinal >= since, at most limit of
+// them (zero or negative means unlimited), and returns the ordinal to
+// pass next time. A cursor above MatchCount is clamped to it; one below
+// OldestMatch gets ErrEvicted. The window is the event retention window:
+// a match is readable exactly as long as its event is.
+func (r *Router) Matches(since uint64, limit int, dst []Event) ([]Event, uint64, error) {
+	return r.log.matches(since, false, limit, dst)
 }
 
-// growEvents pre-sizes dst for limit more events so the common
-// one-page gather appends without reallocating; unlimited reads keep
-// append's own growth.
-func growEvents(dst []Event, limit int) []Event {
-	if limit <= 0 || cap(dst)-len(dst) >= limit {
-		return dst
-	}
-	grown := make([]Event, len(dst), len(dst)+limit)
-	copy(grown, dst)
-	return grown
+// MatchesFromOldest is Matches anchored at OldestMatch, atomically (see
+// EventsFromOldest).
+func (r *Router) MatchesFromOldest(limit int, dst []Event) ([]Event, uint64) {
+	dst, next, _ := r.log.matches(0, true, limit, dst)
+	return dst, next
 }
 
-// page sorts the gathered tail by Seq, truncates it to limit, and
-// computes the resume cursor: the hi snapshot when the page is complete,
-// or one past the last returned event when any truncation (per-shard or
-// merged) may have hidden events below hi.
-func page(since, hi uint64, limit int, dst []Event, start int, capped bool) ([]Event, uint64) {
-	tail := dst[start:]
-	slices.SortFunc(tail, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
-	if limit > 0 && len(tail) > limit {
-		dst = dst[:start+limit]
-		tail = dst[start:]
-		capped = true
-	}
-	if !capped {
-		return dst, hi
-	}
-	if len(tail) > 0 {
-		return dst, tail[len(tail)-1].Seq + 1
-	}
-	return dst, since
-}
+// MatchCount returns the number of matches readable or already evicted —
+// the ordinal the next visible match will get.
+func (r *Router) MatchCount() uint64 { return r.log.matchCount() }
+
+// OldestMatch returns the lowest ordinal Matches still accepts: the
+// number of matches that have left the retention window.
+func (r *Router) OldestMatch() uint64 { return r.log.oldestMatch() }
 
 // ShardStats snapshots shard i of the current topology.
 func (r *Router) ShardStats(i int) Stats {

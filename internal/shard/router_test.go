@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -222,53 +223,57 @@ func TestRouterEventsCursor(t *testing.T) {
 	}
 }
 
-// TestRouterRetention: old events are evicted per shard and stale cursors
-// fail with ErrEvicted; OnEvent remains lossless throughout.
+// TestRouterRetention: the readable window is exactly the most recent
+// Retention × Cols × Rows events at every step — also when one region
+// emits all of them — and stale cursors fail with ErrEvicted.
 func TestRouterRetention(t *testing.T) {
-	var seen []Event
-	var mu sync.Mutex
-	cfg := testConfig(1, 1)
-	cfg.Retention = 3
-	cfg.OnEvent = func(ev Event) {
-		mu.Lock()
-		seen = append(seen, ev)
-		mu.Unlock()
-	}
-	r, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, _, err := r.AddWorker(model.Worker{Loc: geo.Pt(10, 10), Arrive: float64(i), Patience: 100}); err != nil {
+	for _, grid := range []int{1, 2} {
+		cfg := testConfig(grid, grid)
+		cfg.Retention = 3
+		window := uint64(3 * grid * grid)
+		r, err := NewRouter(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := r.AddTask(model.Task{Loc: geo.Pt(10, 11), Release: float64(i), Expiry: 100}); err != nil {
-			t.Fatal(err)
+		const pairs = 20
+		for i := 0; i < pairs; i++ {
+			// Every pair lands in region 0 and matches on arrival.
+			if _, _, err := r.AddWorker(model.Worker{Loc: geo.Pt(10, 10), Arrive: float64(i), Patience: 100}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := r.AddTask(model.Task{Loc: geo.Pt(10, 11), Release: float64(i), Expiry: 100}); err != nil {
+				t.Fatal(err)
+			}
+			head := uint64(i + 1)
+			oldest := uint64(0)
+			if head > window {
+				oldest = head - window
+			}
+			if r.OldestCursor() != oldest {
+				t.Fatalf("%dx%d after %d events: OldestCursor = %d, want exactly head-window = %d", grid, grid, head, r.OldestCursor(), oldest)
+			}
+			evs, next, err := r.Events(oldest, nil)
+			if err != nil || uint64(len(evs)) != head-oldest || next != head || evs[0].Seq != oldest {
+				t.Fatalf("%dx%d Events(%d) = %d events next %d err %v, want [%d,%d)", grid, grid, oldest, len(evs), next, err, oldest, head)
+			}
+			if oldest > 0 {
+				if _, _, err := r.Events(oldest-1, nil); err != ErrEvicted {
+					t.Fatalf("%dx%d Events(%d) error = %v, want ErrEvicted", grid, grid, oldest-1, err)
+				}
+			}
 		}
-	}
-	// 5 matches emitted, 3 retained (eviction runs once the log
-	// overshoots retention by 50%, dropping back to exactly retention).
-	if _, _, err := r.Events(0, nil); err != ErrEvicted {
-		t.Fatalf("stale cursor error = %v, want ErrEvicted", err)
-	}
-	if r.OldestCursor() != 2 {
-		t.Fatalf("OldestCursor = %d, want the eviction boundary 2", r.OldestCursor())
-	}
-	evs, next, err := r.Events(r.OldestCursor(), nil)
-	if err != nil || len(evs) != 3 || next != 5 {
-		t.Fatalf("Events(2) = %v next %d err %v, want the retained 3", evs, next, err)
-	}
-	// EventsFromOldest serves the same window without an error path.
-	evs2, next2 := r.EventsFromOldest(0, nil)
-	if len(evs2) != 3 || next2 != 5 || evs2[0].Seq != 2 {
-		t.Fatalf("EventsFromOldest = %v next %d, want the retained 3 from seq 2", evs2, next2)
-	}
-	if len(seen) != 5 {
-		t.Fatalf("OnEvent saw %d events, want all 5 despite retention", len(seen))
-	}
-	for i, ev := range seen {
-		if ev.Seq != uint64(i) {
-			t.Fatalf("OnEvent order: event %d has seq %d", i, ev.Seq)
+		// EventsFromOldest serves the same window without an error path.
+		evs, next := r.EventsFromOldest(0, nil)
+		if uint64(len(evs)) != window || next != pairs || evs[0].Seq != pairs-window {
+			t.Fatalf("%dx%d EventsFromOldest = %d events from %d next %d, want the last %d", grid, grid, len(evs), evs[0].Seq, next, window)
+		}
+		// Every event here is a match, so the match window is the same one.
+		ms, mnext, err := r.Matches(r.OldestMatch(), 0, nil)
+		if err != nil || !reflect.DeepEqual(ms, evs) || mnext != pairs || r.MatchCount() != pairs || r.OldestMatch() != pairs-window {
+			t.Fatalf("%dx%d Matches = %d next %d err %v, window [%d,%d), want the events' window", grid, grid, len(ms), mnext, err, r.OldestMatch(), r.MatchCount())
+		}
+		if _, _, err := r.Matches(r.OldestMatch()-1, 0, nil); err != ErrEvicted {
+			t.Fatalf("%dx%d Matches below the window: error = %v, want ErrEvicted", grid, grid, err)
 		}
 	}
 }

@@ -427,7 +427,7 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ts, err := r.buildState(topo, base.topoVer, nil)
+	ts, err := r.buildState(topo, base.topoVer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -481,9 +481,9 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	r.seq.Store(st.nextSeq)
 	r.gids.Store(st.maxGid)
 	// Events below the chain's sequence base belong to earlier topologies
-	// and are not replayable from the chain: resume the eviction boundary
-	// there so stale cursors fail ErrEvicted instead of silently skipping.
-	raiseBoundary(&r.evicted, base.seqBase)
+	// and are not replayable from the chain: the log's window starts there
+	// so stale cursors fail ErrEvicted instead of silently skipping.
+	r.log.resume(base.seqBase, st.nextSeq)
 	info.Events = st.events
 	for _, si := range ts.shards {
 		if now := si.sess.Now(); !math.IsInf(now, -1) && now > info.MaxClock {

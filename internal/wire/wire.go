@@ -312,6 +312,11 @@ func AppendSubscribe(dst []byte, since uint64) []byte {
 	return appendU64(dst, since)
 }
 
+// eventWireSize is one Event's encoded size: every field is fixed-width,
+// so a declared count is checked against the payload before it is trusted
+// with an allocation.
+const eventWireSize = 8 + 4 + 1 + 4 + 4 + 8 + 4 + 4
+
 // AppendEvents encodes an Events payload: the cursor to resume from plus
 // the batch. len(evs) must fit a u16.
 func AppendEvents(dst []byte, next uint64, evs []Event) []byte {
@@ -543,6 +548,9 @@ func DecodeEvents(p []byte) (next uint64, evs []Event, err error) {
 	c := cursor{p: p, off: 1}
 	next = c.u64("next cursor")
 	n := int(c.u16("event count"))
+	if c.err == nil && n*eventWireSize != len(p)-c.off {
+		return 0, nil, fmt.Errorf("wire: %d events declared, %d payload bytes follow", n, len(p)-c.off)
+	}
 	evs = make([]Event, 0, n)
 	for i := 0; i < n && c.err == nil; i++ {
 		evs = append(evs, Event{
