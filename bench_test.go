@@ -675,6 +675,98 @@ func BenchmarkWALRecover(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/arrival")
 }
 
+// durableShapeConfig is the router the end-to-end benchmark's
+// durable-fanout workload boots (benchmark/bench/workload.go): 2x2
+// SimpleGreedy, Strict, halo = velocity 2 x a 2 s reach window, arenas
+// retired every 5 s of session time, ftoa-serve's default retention, no
+// population hints.
+func durableShapeConfig(dir string) ftoa.ShardConfig {
+	return ftoa.ShardConfig{
+		Matcher: ftoa.MatcherConfig{
+			Mode:     ftoa.Strict,
+			Velocity: 2,
+			Bounds:   ftoa.NewRect(0, 0, 100, 100),
+		},
+		Cols:           2,
+		Rows:           2,
+		Halo:           ftoa.HaloForWindow(2, 2),
+		NewAlgorithm:   func() ftoa.Algorithm { return ftoa.NewSimpleGreedy() },
+		Retention:      1 << 16,
+		RetireInterval: 5,
+		WAL:            &ftoa.WALOptions{Dir: dir},
+	}
+}
+
+// fillDurableShape logs n uniform arrivals (half workers with patience 4,
+// half tasks with expiry 2) spread over span seconds of session time —
+// the benchmark's throw-away instance admits its 100k requests in about
+// 0.6 s, well inside one retire interval, so nothing has retired when the
+// log is recovered — and closes the log cleanly.
+func fillDurableShape(tb testing.TB, cfg ftoa.ShardConfig, n int, span float64, seed uint64) {
+	tb.Helper()
+	router, err := ftoa.NewShardRouter(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := mathx.NewRNG(seed)
+	for i := 0; i < n; i++ {
+		at := span * float64(i) / float64(n)
+		loc := ftoa.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+		if rng.Intn(2) == 0 {
+			_, _, err = router.AddWorker(ftoa.Worker{ID: i, Loc: loc, Arrive: at, Patience: 4})
+		} else {
+			_, _, err = router.AddTask(ftoa.Task{ID: i, Loc: loc, Release: at, Expiry: 2})
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := router.WALClose(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkWALRecoverDurableShape is the durable-fanout boot in process:
+// recovering 100k arrivals that all sit inside one retire interval, so
+// the recovered arenas hold every one of them. B/op is what a restart
+// allocates to rebuild that state (CI holds it under 50 MB; reading the
+// whole log into memory and replaying into append-grown arenas cost
+// 105.6 MB) and ns/arrival is the replay price. Every iteration recovers
+// a private copy of the log, so the generation Recover opens never joins
+// the next iteration's chain.
+func BenchmarkWALRecoverDurableShape(b *testing.B) {
+	const arrivals = 100000
+	seedDir := filepath.Join(b.TempDir(), "seed")
+	fillDurableShape(b, durableShapeConfig(seedDir), arrivals, 0.6, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), strconv.Itoa(i))
+		if err := os.CopyFS(dir, os.DirFS(seedDir)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		rec, info, err := ftoa.RecoverShardRouter(durableShapeConfig(dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if !info.Recovered || info.Events == 0 {
+			b.Fatalf("recovered nothing: %+v", info)
+		}
+		if err := rec.WALClose(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/arrivals, "ns/arrival")
+}
+
 // benchEventFanout prices event delivery: one day of admissions drives
 // a 4x4 router while nsubs subscriptions (ShardRouter.Subscribe) consume
 // the event log concurrently, and the clock only stops once every

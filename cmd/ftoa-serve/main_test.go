@@ -797,6 +797,11 @@ func TestServeWALRestart(t *testing.T) {
 	if wal["recovered"] != true || wal["generation"].(float64) != 2 || wal["recovered_matches"].(float64) != 1 {
 		t.Fatalf("post-recovery wal status = %v", wal)
 	}
+	// The restart's cost is readable from the running process.
+	if wal["recover_ms"].(float64) <= 0 || wal["recover_us_per_event"].(float64) <= 0 ||
+		wal["wal_bytes_read"].(float64) <= 0 || wal["skipped_generations"].(float64) != 0 {
+		t.Fatalf("post-recovery wal cost figures = %v", wal)
+	}
 	// The match history view was rebuilt from the replay, not lost.
 	m := getJSON(t, ts2.URL+"/matches")
 	if m["count"].(float64) != 1 {

@@ -86,6 +86,12 @@ var (
 	_ sim.RetirableAlgorithm = (*Hybrid)(nil)
 	_ sim.RetirableAlgorithm = (*TGOA)(nil)
 
+	// The algorithms with per-handle state size it ahead of a recovery;
+	// POLAR, POLAR-OP and GR keep theirs per guide cell or per batch.
+	_ sim.Reserver = (*SimpleGreedy)(nil)
+	_ sim.Reserver = (*Hybrid)(nil)
+	_ sim.Reserver = (*TGOA)(nil)
+
 	_ sim.WithdrawAwareAlgorithm = (*POLAR)(nil)
 	_ sim.WithdrawAwareAlgorithm = (*POLAROP)(nil)
 	_ sim.WithdrawAwareAlgorithm = (*SimpleGreedy)(nil)

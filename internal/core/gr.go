@@ -84,10 +84,11 @@ func (a *GR) OnFinish(now float64) {
 // order, so a window flushed after a retirement commits exactly what it
 // would have without one — including when the retirement lands between
 // Schedule and the pending OnTimer. The batch index is rebuilt from local
-// ids every flush and needs no remapping.
+// ids every flush and needs no remapping. The lists hold each handle at
+// most once, so they follow the session's refit rule on its own terms.
 func (a *GR) Remap(workers, tasks []int32) {
-	a.waitingWorkers = remapHandles(a.waitingWorkers, workers)
-	a.waitingTasks = remapHandles(a.waitingTasks, tasks)
+	a.waitingWorkers = sim.Refit(remapHandles(a.waitingWorkers, workers), len(workers))
+	a.waitingTasks = sim.Refit(remapHandles(a.waitingTasks, tasks), len(tasks))
 }
 
 // OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm. GR keeps no

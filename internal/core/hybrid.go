@@ -130,6 +130,13 @@ func (a *Hybrid) Remap(workers, tasks []int32) {
 	a.waitingTasks.Remap(tasks)
 }
 
+// Reserve implements sim.Reserver for the fallback waiting indexes; the
+// guide path's state is per cell, not per handle.
+func (a *Hybrid) Reserve(workers, tasks int) {
+	a.waitingWorkers.Reserve(workers)
+	a.waitingTasks.Reserve(tasks)
+}
+
 // OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: both halves
 // retract — the guide-path queue entry sentinels via POLAROP's hook and
 // the fallback waiting index drops the id.

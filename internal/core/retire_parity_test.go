@@ -2,6 +2,9 @@ package core
 
 import (
 	"os"
+	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -339,4 +342,112 @@ func TestSessionLongLivedSoak(t *testing.T) {
 		t.Fatalf("steady-state soak round allocates %.1f times, want 0", avg)
 	}
 	sess.Finish()
+}
+
+// burstInstance is a day that opens with a burst of workers — most of
+// them arriving inside the first fortieth of the horizon, with a handful
+// of tasks — and thins out to a trickle on both sides: the shape that
+// leaves a session holding burst-sized arrays long after the objects that
+// needed them are gone. The burst is one-sided so that TGOA, whose
+// augmenting search is quadratic in simultaneously feasible pairs, still
+// gets through it.
+func burstInstance(t *testing.T, cfg workload.Synthetic, burstW, burstT, trickle int) *model.Instance {
+	t.Helper()
+	cfg.NumWorkers, cfg.NumTasks = burstW+trickle, burstT+trickle
+	in, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(i, burst int) float64 {
+		if i < burst {
+			return cfg.Horizon / 40 * float64(i) / float64(burst)
+		}
+		return cfg.Horizon/4 + cfg.Horizon*3/4*float64(i-burst)/float64(trickle)
+	}
+	for i := range in.Workers {
+		in.Workers[i].Arrive = at(i, burstW)
+	}
+	for i := range in.Tasks {
+		in.Tasks[i].Release = at(i, burstT)
+	}
+	return in
+}
+
+// arenaCap reads the capacity of one of the session's private arenas.
+func arenaCap(s *sim.Session, field string) int {
+	return reflect.ValueOf(s).Elem().FieldByName(field).Cap()
+}
+
+// TestRetireReleasesBurstCapacity: for every algorithm, a Strict session
+// that lived through a burst gives the burst's capacity back at a later
+// retirement, that retirement is the only one that allocates, and none of
+// it shows in behaviour — the run commits the bit-identical matching and
+// emits the bit-identical lifecycle stream as a run that never retires
+// (and so never reallocates anything), which also pins the remap tables:
+// the comparison is in instance indexes, translated through every table.
+func TestRetireReleasesBurstCapacity(t *testing.T) {
+	cfg := workload.DefaultSynthetic()
+	const burst, trickle = 6000, 600
+	in := burstInstance(t, cfg, burst, 150, trickle)
+	every := cfg.Horizon / 12
+	for _, a := range sixAlgorithms(t, cfg) {
+		t.Run(a.name, func(t *testing.T) {
+			wantM, wantE := plainStreamEvents(t, in, sim.Strict, a.mk())
+			gotM, gotE, _, _ := retiredStreamReplay(t, in, sim.Strict, a.mk(), every)
+			if wantM.Size() == 0 {
+				t.Fatal("degenerate parity: empty matching")
+			}
+			if !slices.Equal(sortedPairs(gotM), sortedPairs(wantM)) {
+				t.Fatalf("retired run matched %d, plain %d, or different pairs", gotM.Size(), wantM.Size())
+			}
+			if !slices.Equal(sortedKeys(gotE), sortedKeys(wantE)) {
+				t.Fatalf("retired run emitted %d events, plain %d, or different events", len(gotE), len(wantE))
+			}
+
+			// The same schedule again, watching capacity and the heap.
+			sess := sessionMatcher(t, in, sim.Strict).NewSession(a.mk())
+			var ms runtime.MemStats
+			var peak, final, refits, allocatedSince int
+			lastRetire := 0.0
+			retire := func() {
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				sess.Retire(sess.Now())
+				runtime.ReadMemStats(&ms)
+				if ms.Mallocs != before {
+					allocatedSince++
+				}
+				if c := arenaCap(sess, "workers"); c < final {
+					refits++
+					allocatedSince = 0
+				}
+				final = arenaCap(sess, "workers")
+				peak = max(peak, final)
+			}
+			for _, ev := range in.Events() {
+				if ev.Time >= lastRetire+every {
+					retire()
+					lastRetire = ev.Time
+				}
+				var err error
+				if ev.Kind == model.WorkerArrival {
+					_, err = sess.AddWorker(in.Workers[ev.Index])
+				} else {
+					_, err = sess.AddTask(in.Tasks[ev.Index])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			retire()
+			if peak < burst || final >= peak/4*3 || final < sess.NumWorkers() {
+				t.Fatalf("worker arena capacity %d at the burst, %d at the end (%d live)", peak, final, sess.NumWorkers())
+			}
+			// One retirement gives the burst back; the trickle's
+			// retirements after it work in place again.
+			if refits != 1 || allocatedSince != 0 {
+				t.Fatalf("%d refits, %d allocating retirements after the last; want 1 and 0", refits, allocatedSince)
+			}
+		})
+	}
 }

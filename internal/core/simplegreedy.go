@@ -144,6 +144,13 @@ func (a *SimpleGreedy) Remap(workers, tasks []int32) {
 	a.waitingTasks.Remap(tasks)
 }
 
+// Reserve implements sim.Reserver: the waiting indexes' id tables are
+// keyed by handle.
+func (a *SimpleGreedy) Reserve(workers, tasks int) {
+	a.waitingWorkers.Reserve(workers)
+	a.waitingTasks.Reserve(tasks)
+}
+
 // OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: the withdrawn
 // worker leaves the waiting index immediately (Remove tolerates absence —
 // the worker may already have been swept or never waited).

@@ -192,6 +192,14 @@ func (a *TGOA) Remap(workers, tasks []int32) {
 	a.waitingTasks.Remap(tasks)
 }
 
+// Reserve implements sim.Reserver: the greedy-phase waiting indexes'
+// id tables are keyed by handle. The ghost arenas grow with lifetime
+// arrivals whatever one epoch holds, so they are left to append.
+func (a *TGOA) Reserve(workers, tasks int) {
+	a.waitingWorkers.Reserve(workers)
+	a.waitingTasks.Reserve(tasks)
+}
+
 // OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: the greedy-phase
 // waiting index drops the worker. Its ghost copy stays in the virtual
 // matching on purpose — the hypothetical optimum ranges over every object

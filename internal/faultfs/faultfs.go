@@ -20,6 +20,7 @@ package faultfs
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path"
 	"sort"
@@ -40,6 +41,10 @@ type FS struct {
 	// matching operation.
 	tearWrite   map[string]int
 	partialSync map[string]int
+
+	// opens counts Open calls per file, so a test can assert which files a
+	// reader touched.
+	opens map[string]int
 }
 
 type file struct {
@@ -55,6 +60,7 @@ func New() *FS {
 		dirs:        make(map[string]bool),
 		tearWrite:   make(map[string]int),
 		partialSync: make(map[string]int),
+		opens:       make(map[string]int),
 	}
 }
 
@@ -90,18 +96,54 @@ func (fs *FS) Create(name string) (wal.File, error) {
 	return &handle{fs: fs, name: name, f: f}, nil
 }
 
-// ReadFile returns the live view of name: durable plus volatile bytes.
-func (fs *FS) ReadFile(name string) ([]byte, error) {
+// Open opens name for a sequential read of its live view: durable plus
+// volatile bytes, as they are when each Read runs.
+func (fs *FS) Open(name string) (io.ReadCloser, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path.Clean(name)]
+	name = path.Clean(name)
+	f, ok := fs.files[name]
 	if !ok {
-		return nil, &os.PathError{Op: "read", Path: name, Err: os.ErrNotExist}
+		return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
 	}
-	out := make([]byte, 0, len(f.durable)+len(f.volatile))
-	out = append(out, f.durable...)
-	return append(out, f.volatile...), nil
+	fs.opens[name]++
+	return &reader{fs: fs, f: f}, nil
 }
+
+// Opens returns how many times name has been opened for reading.
+func (fs *FS) Opens(name string) int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.opens[path.Clean(name)]
+}
+
+// reader is one Open's cursor over a file's bands.
+type reader struct {
+	fs  *FS
+	f   *file
+	off int
+}
+
+func (r *reader) Read(p []byte) (int, error) {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	n := 0
+	if r.off < len(r.f.durable) {
+		n = copy(p, r.f.durable[r.off:])
+	}
+	if n < len(p) {
+		if v := r.off + n - len(r.f.durable); v < len(r.f.volatile) {
+			n += copy(p[n:], r.f.volatile[v:])
+		}
+	}
+	r.off += n
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+func (r *reader) Close() error { return nil }
 
 // ReadDir lists the base names of files directly under dir.
 func (fs *FS) ReadDir(dir string) ([]string, error) {

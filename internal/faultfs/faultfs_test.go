@@ -2,8 +2,26 @@ package faultfs
 
 import (
 	"bytes"
+	"io"
 	"testing"
+	"testing/iotest"
 )
+
+// liveView reads name's live view through Open, one byte per Read so the
+// cursor crosses the durable/volatile boundary mid-stream.
+func liveView(t *testing.T, fs *FS, name string) []byte {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer f.Close()
+	got, err := io.ReadAll(iotest.OneByteReader(f))
+	if err != nil {
+		t.Fatalf("reading %s: %v", name, err)
+	}
+	return got
+}
 
 func TestDurableVolatileBands(t *testing.T) {
 	fs := New()
@@ -12,7 +30,7 @@ func TestDurableVolatileBands(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	f.Write([]byte("abc"))
-	if got, _ := fs.ReadFile("d/a.wal"); !bytes.Equal(got, []byte("abc")) {
+	if got := liveView(t, fs, "d/a.wal"); !bytes.Equal(got, []byte("abc")) {
 		t.Fatalf("live view = %q", got)
 	}
 	if d := fs.Durable("d/a.wal"); len(d) != 0 {
@@ -23,8 +41,35 @@ func TestDurableVolatileBands(t *testing.T) {
 	}
 	f.Write([]byte("def"))
 	fs.Crash()
-	if got, _ := fs.ReadFile("d/a.wal"); !bytes.Equal(got, []byte("abc")) {
+	if got := liveView(t, fs, "d/a.wal"); !bytes.Equal(got, []byte("abc")) {
 		t.Fatalf("post-crash view = %q, want only the synced prefix", got)
+	}
+}
+
+// TestOpenSpansBands: one read sees the durable band followed by the
+// volatile one, a missing file fails, and opens are counted per file.
+func TestOpenSpansBands(t *testing.T) {
+	fs := New()
+	f, _ := fs.Create("a")
+	f.Write([]byte("abc"))
+	f.Sync()
+	f.Write([]byte("def"))
+	r, err := fs.Open("a")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, []byte("abcdef")) {
+		t.Fatalf("live view = %q, %v", got, err)
+	}
+	if _, err := fs.Open("missing"); err == nil {
+		t.Fatal("opening a missing file succeeded")
+	}
+	if n := fs.Opens("a"); n != 1 {
+		t.Fatalf("Opens(a) = %d, want 1", n)
+	}
+	if n := fs.Opens("missing"); n != 0 {
+		t.Fatalf("Opens(missing) = %d, want 0", n)
 	}
 }
 
@@ -39,7 +84,7 @@ func TestTearNextWrite(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("n = %d, want 2", n)
 	}
-	if got, _ := fs.ReadFile("a"); !bytes.Equal(got, []byte("he")) {
+	if got := liveView(t, fs, "a"); !bytes.Equal(got, []byte("he")) {
 		t.Fatalf("view = %q", got)
 	}
 	// The fault is one-shot.
@@ -57,7 +102,7 @@ func TestPartialNextSync(t *testing.T) {
 		t.Fatalf("err = %v, want injected", err)
 	}
 	fs.Crash()
-	if got, _ := fs.ReadFile("a"); !bytes.Equal(got, []byte("hel")) {
+	if got := liveView(t, fs, "a"); !bytes.Equal(got, []byte("hel")) {
 		t.Fatalf("post-crash view = %q, want partially synced prefix", got)
 	}
 }
@@ -90,7 +135,7 @@ func TestSetFileInstallsDurably(t *testing.T) {
 	f.Write([]byte("volatile"))
 	fs.SetFile("a", []byte("xy"))
 	fs.Crash()
-	if got, _ := fs.ReadFile("a"); !bytes.Equal(got, []byte("xy")) {
+	if got := liveView(t, fs, "a"); !bytes.Equal(got, []byte("xy")) {
 		t.Fatalf("view = %q", got)
 	}
 }

@@ -34,6 +34,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"ftoa/internal/sim"
 )
 
 // Claim states of a mirror record. claimPending is transient: it exists
@@ -327,14 +329,17 @@ func (si *shardInstance) gateLive(rw, rt *mirror, now float64) bool {
 // resolving across arena epochs. Runs inside Session.Retire under the
 // shard lock.
 func (si *shardInstance) onRetire(wmap, tmap []int32) {
-	si.halo.wRef = remapRefs(si.halo.wRef, wmap, si.halo.wByGid)
-	si.halo.tRef = remapRefs(si.halo.tRef, tmap, si.halo.tByGid)
+	si.halo.wRef, si.halo.wByGid = remapRefs(si.halo.wRef, wmap, si.halo.wByGid)
+	si.halo.tRef, si.halo.tByGid = remapRefs(si.halo.tRef, tmap, si.halo.tByGid)
 }
 
 // remapRefs rewrites a dense ref table in place through a retirement
 // table. Survivor handles only move left (retirement left-compacts), so
-// the ascending pass never overwrites an unprocessed slot.
-func remapRefs(refs []*mirror, m []int32, byGid map[uint64]int32) []*mirror {
+// the ascending pass never overwrites an unprocessed slot. The table
+// follows the session's refit rule (sim.Refit); when it is reallocated
+// down, the gid map — whose buckets the same burst sized, and which
+// deletes never shrink — is rebuilt at its live size with it.
+func remapRefs(refs []*mirror, m []int32, byGid map[uint64]int32) ([]*mirror, map[uint64]int32) {
 	for old, rec := range refs {
 		if rec == nil {
 			continue
@@ -348,5 +353,14 @@ func remapRefs(refs []*mirror, m []int32, byGid map[uint64]int32) []*mirror {
 		refs[n] = rec
 		byGid[rec.gid] = n
 	}
-	return refs
+	// Survivors sit below len(m); the table's tail is all nil and can go.
+	refs = refs[:min(len(refs), len(m))]
+	if fit := sim.Refit(refs, len(m)); cap(fit) != cap(refs) {
+		live := make(map[uint64]int32, len(byGid))
+		for gid, h := range byGid {
+			live[gid] = h
+		}
+		return fit, live
+	}
+	return refs, byGid
 }

@@ -432,3 +432,110 @@ func TestRouterHaloRetirement(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterHaloRetirementReleasesBurst: a burst of border admissions
+// sizes every shard's halo tables, and once it has died the tables (and
+// the gid maps beside them) are reallocated down with the session arenas —
+// resolving exactly the copies they resolved before, so the router's
+// stream and counters are those of a router that never retires, and so
+// never reallocates anything.
+func TestRouterHaloRetirementReleasesBurst(t *testing.T) {
+	const burst, trickle = 24000, 1200
+	cfg := workload.DefaultSynthetic()
+	cfg.NumWorkers, cfg.NumTasks = (burst+trickle)/2, (burst+trickle)/2
+	in, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(i int) float64 {
+		if i < burst/2 {
+			return cfg.Horizon / 40 * float64(i) / float64(burst/2)
+		}
+		return cfg.Horizon/4 + cfg.Horizon*3/4*float64(i-burst/2)/float64(trickle/2)
+	}
+	for i := range in.Workers {
+		in.Workers[i].Arrive = at(i)
+	}
+	for i := range in.Tasks {
+		in.Tasks[i].Release = at(i)
+	}
+	mk := func(retire float64) *Router {
+		r, err := NewRouter(Config{
+			Matcher: sim.MatcherConfig{Mode: sim.Strict, Velocity: in.Velocity, Bounds: in.Bounds},
+			Cols:    2,
+			Rows:    1,
+			// Wider than a region: every admission is mirrored.
+			Halo:           cfg.Space,
+			NewAlgorithm:   func() sim.Algorithm { return core.NewSimpleGreedy() },
+			RetireInterval: retire,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	plain, retiring := mk(0), mk(cfg.Horizon/24)
+	wantEvs, wantStats := routerReplay(t, plain, in)
+	// The retiring router is fed by hand so the tables can be watched.
+	var peak, final int
+	for _, ev := range in.Events() {
+		var err error
+		if ev.Kind == model.WorkerArrival {
+			_, _, err = retiring.AddWorker(in.Workers[ev.Index])
+		} else {
+			_, _, err = retiring.AddTask(in.Tasks[ev.Index])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		final = cap(retiring.state().shards[0].halo.wRef)
+		peak = max(peak, final)
+	}
+	retiring.Finish()
+	gotEvs := allEvents(t, retiring)
+	gotStats := retiring.StatsAll(nil)
+	if peak < burst/4 || final >= peak/2 {
+		t.Fatalf("shard 0 worker ref table: capacity %d at the burst, %d at the end", peak, final)
+	}
+
+	// Handles are epoch-scoped receipts, so events are compared on what
+	// happened when, between which shards.
+	key := func(ev Event) [5]float64 {
+		return [5]float64{float64(ev.Seq), float64(ev.Kind), ev.Time, float64(ev.WorkerShard), float64(ev.TaskShard)}
+	}
+	if len(gotEvs) != len(wantEvs) {
+		t.Fatalf("retiring router emitted %d events, plain %d", len(gotEvs), len(wantEvs))
+	}
+	for i := range wantEvs {
+		if key(gotEvs[i]) != key(wantEvs[i]) {
+			t.Fatalf("event %d: retiring %+v, plain %+v", i, gotEvs[i], wantEvs[i])
+		}
+	}
+	for i := range wantStats {
+		g, w := gotStats[i], wantStats[i]
+		g.LiveWorkers, g.LiveTasks, w.LiveWorkers, w.LiveTasks = 0, 0, 0, 0
+		// A retraction that finds its copy already retired has nothing
+		// left to withdraw, so only the retiring router's count is short.
+		g.WithdrawnWorkers, g.WithdrawnTasks, w.WithdrawnWorkers, w.WithdrawnTasks = 0, 0, 0, 0
+		if g != w {
+			t.Fatalf("shard %d stats: retiring %+v, plain %+v", i, g, w)
+		}
+	}
+	for _, si := range retiring.state().shards {
+		for h, rec := range si.halo.wRef {
+			if rec != nil && (h >= si.sess.NumWorkers() || si.halo.wByGid[rec.gid] != int32(h)) {
+				t.Fatalf("shard %d: worker ref %d (gid %d) does not resolve back through the gid map", si.id, h, rec.gid)
+			}
+		}
+		for gid, h := range si.halo.wByGid {
+			if rec := refAt(si.halo.wRef, int(h)); rec == nil || rec.gid != gid {
+				t.Fatalf("shard %d: gid %d maps to worker %d, which holds %+v", si.id, gid, h, rec)
+			}
+		}
+		for gid, h := range si.halo.tByGid {
+			if rec := refAt(si.halo.tRef, int(h)); rec == nil || rec.gid != gid {
+				t.Fatalf("shard %d: gid %d maps to task %d, which holds %+v", si.id, gid, h, rec)
+			}
+		}
+	}
+}

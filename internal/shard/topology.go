@@ -338,6 +338,11 @@ func DecodeTopology(p []byte) (*Topology, error) {
 	if cols <= 0 || rows <= 0 || cols > 1<<12 || rows > 1<<12 {
 		return nil, fmt.Errorf("shard: bad topology base %dx%d", cols, rows)
 	}
+	// Every base cell takes at least one spec byte: the declared grid is
+	// checked against the bytes that back it before it sizes the table.
+	if cols*rows > len(p)-4 {
+		return nil, fmt.Errorf("shard: topology base %dx%d declared, %d spec bytes follow", cols, rows, len(p)-4)
+	}
 	t := &Topology{cols: cols, rows: rows, spec: make([][]byte, cols*rows)}
 	pos := 4
 	for c := 0; c < cols*rows; c++ {

@@ -31,6 +31,15 @@
 // old segment; it opens a new generation, so a truncated tail stays
 // truncated identically on every subsequent boot.
 //
+// # Reading
+//
+// There is one reader: Scanner streams a segment from FS.Open through a
+// fixed-size buffer and hands each durable payload to a callback, so
+// reading a log costs the same memory whatever its length. The payload
+// slice aliases that buffer and is valid only until the callback returns;
+// a caller that needs a record later — the interim records of a group
+// still waiting for its terminal record — copies it.
+//
 // File access goes through the FS interface so a fault-injection
 // filesystem (package faultfs) can simulate crashes, torn writes and
 // partial fsyncs; the zero value of Options uses the real OS filesystem.
@@ -71,27 +80,6 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// parseFrames splits data into payloads, stopping at the first frame that
-// fails a length or CRC check — the logical truncation point. It returns
-// the payloads (sub-slices of data) and how many tail bytes were dropped.
-func parseFrames(data []byte) (payloads [][]byte, torn int64) {
-	off := 0
-	for off+frameHeader <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		if n == 0 || n > maxRecordLen || off+frameHeader+n > len(data) {
-			break
-		}
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			break
-		}
-		payloads = append(payloads, payload)
-		off += frameHeader + n
-	}
-	return payloads, int64(len(data) - off)
-}
-
 // FS abstracts the filesystem the log lives on. Implementations must allow
 // concurrent calls on distinct files; the OS implementation is the default
 // and faultfs provides the fault-injecting one.
@@ -101,8 +89,8 @@ type FS interface {
 	// Create creates name for appending. It fails if the file already
 	// exists: segments are written once per generation, never reopened.
 	Create(name string) (File, error)
-	// ReadFile returns the full contents of name.
-	ReadFile(name string) ([]byte, error)
+	// Open opens name for one sequential read from its first byte.
+	Open(name string) (io.ReadCloser, error)
 	// ReadDir lists the file names (base names, any order) in dir. A
 	// missing dir returns an empty listing, not an error.
 	ReadDir(dir string) ([]string, error)
@@ -125,7 +113,7 @@ func (osFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 }
 
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (osFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
 func (osFS) ReadDir(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
@@ -239,45 +227,131 @@ func Segments(fs FS, dir string) (segs []Segment, maxGen uint64, err error) {
 	return segs, maxGen, nil
 }
 
-// ShardLog is the readable history of one shard: every durable payload
-// across its generations in append order, with per-segment torn tails and
-// dangling interim groups already dropped.
-type ShardLog struct {
-	// Payloads are the record payloads in order; sub-slices of the
-	// segments' read buffers.
-	Payloads [][]byte
-	// Segments is how many generation files contributed.
-	Segments int
-	// TornBytes counts bytes dropped to length/CRC tail truncation,
-	// summed across segments.
+// scanBufSize is the scanner's read buffer: large enough that a segment
+// is read in few system calls, small enough to stay cache-resident. A
+// record longer than the buffer (none the shard package writes comes
+// close) replaces it with one that holds exactly that record.
+const scanBufSize = 64 << 10
+
+// ScanInfo summarises one scanned segment.
+type ScanInfo struct {
+	// Records counts the durable payloads: every valid frame before the
+	// truncation point, minus the dangling interim run.
+	Records int
+	// TornBytes counts the bytes dropped to length/CRC tail truncation.
 	TornBytes int64
-	// DanglingRecords counts interim records dropped because their
-	// closing terminal record never became durable.
+	// DanglingRecords counts the trailing interim records whose closing
+	// terminal record never became durable.
 	DanglingRecords int
+	// Bytes counts the bytes read from the segment.
+	Bytes int64
 }
 
-// ReadShard reads and logically truncates every segment of one shard, in
-// generation order. Each segment independently drops its torn tail and any
-// trailing interim run: a group that lost its terminal record before the
-// crash must not leak decisions into replay, and a new generation starts
-// at a group boundary by construction.
-func ReadShard(fs FS, paths []string) (*ShardLog, error) {
-	out := &ShardLog{}
-	for _, path := range paths {
-		data, err := fs.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("wal: reading %s: %w", path, err)
-		}
-		payloads, torn := parseFrames(data)
-		out.TornBytes += torn
-		// Drop the trailing interim run: its terminal record is gone.
-		n := len(payloads)
-		for n > 0 && len(payloads[n-1]) > 0 && payloads[n-1][0]&InterimBit != 0 {
-			n--
-		}
-		out.DanglingRecords += len(payloads) - n
-		out.Payloads = append(out.Payloads, payloads[:n]...)
-		out.Segments++
+// Scanner reads segments frame by frame through one reusable buffer. The
+// zero value is ready to use; a Scanner is not safe for concurrent use.
+type Scanner struct {
+	buf    []byte
+	lo, hi int  // buf[lo:hi] is read but not yet parsed
+	eof    bool // the segment being scanned has no more bytes
+}
+
+// Scan reads one segment from r, calling fn with every payload that
+// passes its length and CRC check, in order, and stopping at the first
+// frame that fails one — the logical truncation point; the rest of the
+// segment is counted into TornBytes.
+//
+// Interim payloads are delivered as they are read, before the scanner can
+// know whether their terminal record follows. A trailing interim run with
+// no terminal record belongs to an operation that never became durable:
+// its decisions must not survive, so the caller discards whatever interim
+// payloads it is still holding when Scan returns; DanglingRecords says how
+// many that was. A new generation starts at a group boundary by
+// construction, so each segment is judged on its own.
+//
+// The payload aliases the scanner's buffer and is valid only until fn
+// returns. An error from fn stops the scan and is returned as is, with
+// the counts so far.
+func (s *Scanner) Scan(r io.Reader, fn func(payload []byte) error) (ScanInfo, error) {
+	if s.buf == nil {
+		s.buf = make([]byte, scanBufSize)
 	}
-	return out, nil
+	s.lo, s.hi, s.eof = 0, 0, false
+	var info ScanInfo
+	for {
+		if err := s.fill(r, frameHeader, &info); err != nil {
+			return info, err
+		}
+		if s.hi-s.lo < frameHeader {
+			break
+		}
+		n := int(binary.LittleEndian.Uint32(s.buf[s.lo:]))
+		if n == 0 || n > maxRecordLen {
+			break
+		}
+		if err := s.fill(r, frameHeader+n, &info); err != nil {
+			return info, err
+		}
+		if s.hi-s.lo < frameHeader+n {
+			break
+		}
+		sum := binary.LittleEndian.Uint32(s.buf[s.lo+4:])
+		payload := s.buf[s.lo+frameHeader : s.lo+frameHeader+n]
+		if crc32.Checksum(payload, castagnoli) != sum {
+			break
+		}
+		s.lo += frameHeader + n
+		if payload[0]&InterimBit != 0 {
+			info.DanglingRecords++
+		} else {
+			info.Records += info.DanglingRecords + 1
+			info.DanglingRecords = 0
+		}
+		if err := fn(payload); err != nil {
+			return info, err
+		}
+	}
+	// Everything from the truncation point on is the torn tail.
+	info.TornBytes = int64(s.hi - s.lo)
+	for !s.eof {
+		s.lo, s.hi = 0, 0
+		if err := s.fill(r, 1, &info); err != nil {
+			return info, err
+		}
+		info.TornBytes += int64(s.hi)
+	}
+	return info, nil
+}
+
+// fill makes at least need unparsed bytes available, unless the segment
+// ends first: it moves the unparsed tail to the front of the buffer —
+// into a buffer of exactly need bytes when the current one cannot hold
+// that many — and reads on from there.
+func (s *Scanner) fill(r io.Reader, need int, info *ScanInfo) error {
+	if s.hi-s.lo >= need || s.eof {
+		return nil
+	}
+	dst := s.buf
+	if need > len(dst) {
+		dst = make([]byte, need)
+	}
+	s.hi = copy(dst, s.buf[s.lo:s.hi])
+	s.buf, s.lo = dst, 0
+	n, err := io.ReadAtLeast(r, s.buf[s.hi:], need-s.hi)
+	s.hi += n
+	info.Bytes += int64(n)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		s.eof = true
+		return nil
+	}
+	return err
+}
+
+// ScanFile opens one segment, scans it and closes it; see Scan.
+func (s *Scanner) ScanFile(fs FS, path string, fn func(payload []byte) error) (ScanInfo, error) {
+	f, err := fs.Open(path)
+	if err != nil {
+		return ScanInfo{}, fmt.Errorf("wal: opening %s: %w", path, err)
+	}
+	defer f.Close()
+	return s.Scan(f, fn)
 }

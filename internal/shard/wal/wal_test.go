@@ -3,6 +3,7 @@ package wal_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -31,15 +32,51 @@ func openSet(t *testing.T, fs *faultfs.FS, policy wal.SyncPolicy, shards int, ge
 	return s
 }
 
-func readShard(t *testing.T, fs *faultfs.FS, shard int) *wal.ShardLog {
+// shardLog is the readable history of one shard as the tests assert it:
+// every durable payload across its generations in append order, with
+// per-segment torn tails and dangling interim groups already dropped.
+type shardLog struct {
+	Payloads        [][]byte
+	Segments        int
+	TornBytes       int64
+	DanglingRecords int
+}
+
+// scanShard reads every segment in paths, in order, with one Scanner.
+func scanShard(fs wal.FS, paths []string) (*shardLog, error) {
+	out := &shardLog{}
+	var sc wal.Scanner
+	for _, path := range paths {
+		start := len(out.Payloads)
+		info, err := sc.ScanFile(fs, path, func(p []byte) error {
+			out.Payloads = append(out.Payloads, append([]byte(nil), p...))
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		// The scanner delivers interim records before it can know they
+		// dangle; the caller drops the run it is left holding.
+		out.Payloads = out.Payloads[:len(out.Payloads)-info.DanglingRecords]
+		if got := len(out.Payloads) - start; got != info.Records {
+			return nil, fmt.Errorf("%s: %d payloads kept, scanner counted %d records", path, got, info.Records)
+		}
+		out.Segments++
+		out.TornBytes += info.TornBytes
+		out.DanglingRecords += info.DanglingRecords
+	}
+	return out, nil
+}
+
+func readShard(t *testing.T, fs *faultfs.FS, shard int) *shardLog {
 	t.Helper()
 	byShard, _, err := wal.ScanDir(fs, "wal")
 	if err != nil {
 		t.Fatalf("ScanDir: %v", err)
 	}
-	sl, err := wal.ReadShard(fs, byShard[shard])
+	sl, err := scanShard(fs, byShard[shard])
 	if err != nil {
-		t.Fatalf("ReadShard: %v", err)
+		t.Fatalf("scanning shard %d: %v", shard, err)
 	}
 	return sl
 }
@@ -157,8 +194,8 @@ func TestDanglingInterimDropped(t *testing.T) {
 	}
 }
 
-// TestGenerationsConcatenate: ReadShard stitches generations in order and
-// ScanDir reports the highest generation.
+// TestGenerationsConcatenate: a shard's segments read back in generation
+// order and ScanDir reports the highest generation.
 func TestGenerationsConcatenate(t *testing.T) {
 	fs := faultfs.New()
 	s1 := openSet(t, fs, wal.SyncAlways, 2, 1)
@@ -236,7 +273,7 @@ func TestIntervalFlusherMakesDurable(t *testing.T) {
 			fs2 := faultfs.New()
 			fs2.SetFile("wal/s000-g000001.wal", data)
 			byShard, _, _ := wal.ScanDir(fs2, "wal")
-			sl, err := wal.ReadShard(fs2, byShard[0])
+			sl, err := scanShard(fs2, byShard[0])
 			if err == nil && len(sl.Payloads) == 2 {
 				return
 			}
@@ -267,7 +304,11 @@ func TestLargeBufferInlineFlush(t *testing.T) {
 		}
 	}
 	// Live (unsynced) file view must show the threshold-flushed prefix.
-	data, err := fs.ReadFile("wal/s000-g000001.wal")
+	f, err := fs.Open("wal/s000-g000001.wal")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	data, err := io.ReadAll(f)
 	if err != nil || len(data) == 0 {
 		t.Fatalf("no bytes written inline (err=%v)", err)
 	}

@@ -210,6 +210,15 @@ func appendMirrorInfo(dst []byte, rec *mirror, withCopies bool) []byte {
 	return dst
 }
 
+// Every admission payload starts type, flags, then the object body: id,
+// x, y, arrival time, window — admissionTimeOff is where the arrival time
+// sits and admissionFixedLen where the body ends (the count pass of
+// recovery reads just these without decoding the record).
+const (
+	admissionTimeOff  = 2 + 8 + 8 + 8
+	admissionFixedLen = admissionTimeOff + 8 + 8
+)
+
 // encodeAdmission encodes an owner or ghost admission payload into dst.
 // For owner admissions rec may be nil (unmirrored interior admission).
 func encodeAdmission(dst []byte, ad *admission, rec *mirror, ghost bool) []byte {
@@ -373,9 +382,15 @@ func decodeAdmission(payload []byte, task bool) (ad admission, mi mirrorInfo, mi
 		mi.gid = d.u64("gid")
 		mi.owner = int32(d.u32("owner"))
 		mi.ownerLocal = int32(d.u32("owner local"))
-		n := int(d.u16("copy count"))
-		for i := 0; i < n && d.err == nil; i++ {
-			mi.copies = append(mi.copies, int32(d.u32("copy")))
+		// The count is checked against the bytes that back it before it
+		// sizes anything.
+		if n := int(d.u16("copy count")); n > 0 {
+			if raw := d.bytes(4*n, "copies"); raw != nil {
+				mi.copies = make([]int32, n)
+				for i := range mi.copies {
+					mi.copies[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+				}
+			}
 		}
 	}
 	return ad, mi, mirrored, d.err

@@ -1,0 +1,86 @@
+package shard
+
+import (
+	"math"
+	"testing"
+
+	"ftoa/internal/geo"
+	"ftoa/internal/model"
+)
+
+// unframe strips the framing off a single encoded record.
+func unframe(t testing.TB, framed []byte) []byte {
+	t.Helper()
+	if len(framed) < 8 {
+		t.Fatalf("framed record of %d bytes", len(framed))
+	}
+	return framed[8:]
+}
+
+// FuzzReplayRecord feeds arbitrary payloads to the record decoders
+// recovery runs on log bytes — the header (and the topology image inside
+// it), admissions, the fixed-width operation records and the count pass.
+// A CRC only proves a record is what was written, not that what was
+// written is sane, so they must fail closed: an error, never a panic, and
+// no allocation sized by a count the payload cannot back.
+func FuzzReplayRecord(f *testing.F) {
+	cfg := walTestConfig(2, 2, 5, nil)
+	fp := encodeFingerprint(&cfg)
+	topo := NewUniformTopology(2, 2).Encode(nil)
+	header := unframe(f, encodeHeader(1, fp, headerMeta{gen: 3, kind: genCheckpoint, topoVer: 2, topo: topo, epochBase: 4, seqBase: 5}))
+	rec := &mirror{gid: 9, owner: 1, ownerLocal: 7, copies: []int32{1, 0, 3}}
+	owner := encodeAdmission(nil, &admission{w: model.Worker{ID: 1, Loc: geo.Point{X: 4, Y: 5}, Arrive: 2, Patience: 3}}, rec, false)
+	ghost := encodeAdmission(nil, &admission{task: true, t: model.Task{ID: 2, Release: 1, Expiry: 2}, expiryFired: true}, rec, true)
+	plain := encodeAdmission(nil, &admission{task: true, t: model.Task{ID: 3, Release: math.NaN(), Expiry: math.Inf(1)}}, nil, false)
+	f.Add(header)
+	f.Add(header[:len(header)-2]) // topology image cut short
+	f.Add(owner)
+	f.Add(owner[:len(owner)-5]) // copy list cut short
+	f.Add(ghost)
+	f.Add(plain)
+	f.Add(appendF64([]byte{opAdvance}, 12.5))
+	f.Add(appendF64([]byte{opRetire}, 3))
+	f.Add(appendU64([]byte{opWithdraw, 1}, 9))
+	f.Add(appendU32([]byte{opWithdrawLocal, 7}, 2))
+	f.Add([]byte{opFinish})
+	f.Add(unframe(f, encodeSeal(2)))
+	f.Add([]byte{decSeq, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) == 0 {
+			return // the scanner never delivers an empty payload
+		}
+		if hm, err := decodeHeader(p, 1, fp); err == nil {
+			if hm.kind > genCheckpoint || len(hm.topo) > len(p) {
+				t.Fatalf("accepted header %+v from %d bytes", hm, len(p))
+			}
+			if tp, err := DecodeTopology(hm.topo); err == nil && tp.BaseCols()*tp.BaseRows() > len(hm.topo) {
+				t.Fatalf("%d-byte topology image sized a %dx%d table", len(hm.topo), tp.BaseCols(), tp.BaseRows())
+			}
+		}
+		for _, task := range []bool{false, true} {
+			_, mi, mirrored, err := decodeAdmission(p, task)
+			if 4*cap(mi.copies) > len(p) {
+				t.Fatalf("%d-byte payload allocated room for %d copies", len(p), cap(mi.copies))
+			}
+			if err == nil && !mirrored && mi.copies != nil {
+				t.Fatal("unmirrored admission decoded a copy list")
+			}
+		}
+		c := loadCounter{every: 5, clock: math.Inf(-1)}
+		if err := c.record(p); err != nil {
+			t.Fatalf("count pass rejected a payload: %v", err)
+		}
+		if c.closeEpoch(); c.peak.workers+c.peak.tasks > 1 {
+			t.Fatalf("one record counted as %+v", c.peak)
+		}
+		// The fixed-width operation decoders share one bounds-checked cursor.
+		d := decoder{p: p, off: 1}
+		d.u8("flags")
+		d.u64("gid")
+		d.u32("handle")
+		d.f64("clock")
+		if d.err == nil && d.off > len(p) {
+			t.Fatalf("cursor at %d past a %d-byte payload", d.off, len(p))
+		}
+	})
+}

@@ -32,10 +32,24 @@
 // # Crash atomicity
 //
 // The operation record is appended last, closing its group; a crash that
-// loses it loses the decisions with it (the reader drops dangling interim
-// runs), so a recovered shard's event stream is always a durable prefix of
+// loses it loses the decisions with it (replay discards a dangling interim
+// run), so a recovered shard's event stream is always a durable prefix of
 // the pre-crash one. A clean shutdown (flush before exit) loses nothing
 // and recovery is then bit-identical, which is what the parity tests gate.
+//
+// # What recovery costs
+//
+// Recover reads the log through wal.FS.Open and one wal.Scanner — a fixed
+// read buffer, whatever the log's length. It first indexes the directory:
+// generations are walked newest to oldest reading one header each (plus
+// shard 0 of a checkpoint generation, for its seal) up to the latest sealed
+// checkpoint; older generations are superseded and never opened. Then come
+// two sequential passes over that chain. The count pass learns how many
+// admissions one arena epoch has to hold, and every session, halo table
+// and algorithm index is allocated at that size. The replay pass applies
+// the records straight from the stream. A scanned payload is only valid
+// inside the scanner's callback, so the one thing replay copies is the
+// handful of interim records of the group still open.
 package shard
 
 import (
@@ -43,6 +57,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"time"
 
 	"ftoa/internal/shard/wal"
 )
@@ -142,6 +158,11 @@ type replayState struct {
 	nextSeq uint64
 	maxGid  uint64
 	events  int
+	// lr reads the segments, fp is the booting config's fingerprint every
+	// segment header must carry, info collects the per-segment counts.
+	lr   *logReader
+	fp   []byte
+	info *RecoveryInfo
 }
 
 // shardReplay is one shard's decision cursor while its log replays: the
@@ -149,10 +170,24 @@ type replayState struct {
 // the same hooks that produced them. Errors are sticky; any leftover or
 // missing decision aborts recovery as corruption.
 type shardReplay struct {
-	st      *replayState
+	st *replayState
+	// interim holds copies of the open group's decision records (a scanned
+	// payload dies with the scanner callback that delivered it); the slots
+	// beyond its length keep their arrays for the next group.
 	interim [][]byte
 	di      int
 	err     error
+}
+
+// hold copies one interim record into the open group.
+func (rp *shardReplay) hold(p []byte) {
+	n := len(rp.interim)
+	if n < cap(rp.interim) {
+		rp.interim = rp.interim[:n+1]
+		rp.interim[n] = append(rp.interim[n][:0], p...)
+		return
+	}
+	rp.interim = append(rp.interim, slices.Clone(p))
 }
 
 func (rp *shardReplay) next(typ byte, what string) []byte {
@@ -249,21 +284,165 @@ type RecoveryInfo struct {
 	// Topology renders it (e.g. "4x4+6"). SkippedGenerations counts
 	// generations on disk that did not contribute to the recovered state:
 	// unsealed checkpoints (migrations that never committed) and
-	// generations superseded by a later sealed checkpoint.
+	// generations superseded by a later sealed checkpoint — the latter are
+	// not read at all.
 	TopologyVersion    uint64
 	Topology           string
 	SkippedGenerations int
+	// Duration is how long Recover took, generation listing to the new
+	// generation's headers durable; BytesRead how many log bytes it read
+	// over its index, count and replay passes.
+	Duration  time.Duration
+	BytesRead int64
 }
 
-// genData is one on-disk generation during recovery: its read segments by
-// shard, the chain metadata from its first durable header, and whether a
-// checkpoint seal is durable in shard 0.
-type genData struct {
-	gen     uint64
-	hm      headerMeta
-	hasMeta bool
-	sealed  bool
-	byShard map[int]*wal.ShardLog
+// logReader is Recover's one way of reading segments: a single scanner
+// (one fixed buffer for the whole recovery) plus the byte count.
+type logReader struct {
+	fs   wal.FS
+	sc   wal.Scanner
+	read int64
+}
+
+func (lr *logReader) scan(path string, fn func(payload []byte) error) (wal.ScanInfo, error) {
+	info, err := lr.sc.ScanFile(lr.fs, path, fn)
+	lr.read += info.Bytes
+	return info, err
+}
+
+// errStopScan ends a scan that has seen what it came for.
+var errStopScan = errors.New("stop scan")
+
+// header returns the chain metadata of one generation: the first durable
+// header among its segments (shard order). ok is false when no segment
+// starts with one — the header is each segment's first record, so such a
+// generation holds no durable records either.
+func (lr *logReader) header(gen []wal.Segment, fp []byte) (hm headerMeta, ok bool, err error) {
+	for _, sg := range gen {
+		var first []byte
+		_, err := lr.scan(sg.Path, func(p []byte) error {
+			first = slices.Clone(p) // the metadata outlives the read buffer
+			return errStopScan
+		})
+		if err != nil && err != errStopScan {
+			return hm, false, err
+		}
+		if len(first) == 0 || first[0] != recHeader {
+			continue
+		}
+		if hm, err = decodeHeader(first, sg.Shard, fp); err != nil {
+			return hm, false, fmt.Errorf("gen %d shard %d: %w", sg.Gen, sg.Shard, err)
+		}
+		return hm, true, nil
+	}
+	return hm, false, nil
+}
+
+// sealed reports whether a checkpoint generation's seal is durable in
+// shard 0's segment (gen is shard-ordered).
+func (lr *logReader) sealed(gen []wal.Segment) (bool, error) {
+	if gen[0].Shard != 0 {
+		return false, nil
+	}
+	_, err := lr.scan(gen[0].Path, func(p []byte) error {
+		if p[0] == recSeal {
+			return errStopScan
+		}
+		return nil
+	})
+	if err == errStopScan {
+		return true, nil
+	}
+	return false, err
+}
+
+// shardLoad is what the count pass learns about one shard's chain: how
+// many admissions (ghost copies included) one arena epoch has to hold and
+// how many of them are halo-mirrored.
+type shardLoad struct {
+	workers, tasks       int
+	mirroredW, mirroredT int
+}
+
+// loadCounter folds one shard's records into a shardLoad. Arenas only hold
+// what was admitted since the last retirement (plus survivors, which the
+// log cannot tell), so it follows the shard clock the way
+// maybeRetireLocked will during replay and keeps the fullest epoch rather
+// than the total: a log that spans many retire intervals reserves one
+// interval's worth, not its history. The result sizes allocations and
+// nothing else — an arena that turns out too small grows as it always has.
+// owned counts the mirror groups the shard owns over the whole chain (the
+// replay-wide mirrors map holds every one of them).
+type loadCounter struct {
+	every             float64
+	clock, lastRetire float64
+	cur, peak         shardLoad
+	owned             int
+}
+
+func (c *loadCounter) record(p []byte) error {
+	switch typ := p[0]; typ {
+	case opWorker, opGhostWorker, opTask, opGhostTask:
+		if len(p) < admissionFixedLen {
+			return nil // replay reports the truncated record
+		}
+		mirrored := p[1]&1 != 0
+		if typ == opTask || typ == opGhostTask {
+			c.cur.tasks++
+			if mirrored {
+				c.cur.mirroredT++
+			}
+		} else {
+			c.cur.workers++
+			if mirrored {
+				c.cur.mirroredW++
+			}
+		}
+		if mirrored && (typ == opWorker || typ == opTask) {
+			c.owned++
+		}
+		c.advance(math.Float64frombits(binary.LittleEndian.Uint64(p[admissionTimeOff:])))
+	case opAdvance:
+		if len(p) >= 9 {
+			c.advance(math.Float64frombits(binary.LittleEndian.Uint64(p[1:])))
+		}
+	case opRetire:
+		c.lastRetire = c.clock
+		c.closeEpoch()
+	}
+	return nil
+}
+
+func (c *loadCounter) advance(t float64) {
+	if t > c.clock {
+		c.clock = t
+	}
+	if c.every > 0 && c.clock >= c.lastRetire+c.every {
+		c.lastRetire = c.clock
+		c.closeEpoch()
+	}
+}
+
+func (c *loadCounter) closeEpoch() {
+	c.peak.workers = max(c.peak.workers, c.cur.workers)
+	c.peak.tasks = max(c.peak.tasks, c.cur.tasks)
+	c.peak.mirroredW = max(c.peak.mirroredW, c.cur.mirroredW)
+	c.peak.mirroredT = max(c.peak.mirroredT, c.cur.mirroredT)
+	c.cur = shardLoad{}
+}
+
+// reserve allocates the shard's session, algorithm and halo tables for
+// the load the count pass found, before replay fills them.
+func (si *shardInstance) reserve(l shardLoad) {
+	si.sess.Reserve(l.workers, l.tasks)
+	if l.mirroredW > 0 {
+		si.halo.wRef = make([]*mirror, 0, l.workers)
+		si.halo.wByGid = make(map[uint64]int32, l.mirroredW)
+	}
+	if l.mirroredT > 0 {
+		si.halo.tRef = make([]*mirror, 0, l.tasks)
+		si.halo.tByGid = make(map[uint64]int32, l.mirroredT)
+	}
 }
 
 // openWALSet opens one generation's log set for the given topology state
@@ -344,8 +523,9 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	if cfg.WAL == nil {
 		return nil, nil, errors.New("shard: Recover requires Config.WAL")
 	}
-	fs := cfg.WAL.Filesystem()
-	segs, maxGen, err := wal.Segments(fs, cfg.WAL.Dir)
+	start := time.Now()
+	lr := &logReader{fs: cfg.WAL.Filesystem()}
+	segs, maxGen, err := wal.Segments(lr.fs, cfg.WAL.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -354,55 +534,51 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return r, &RecoveryInfo{Shards: r.NumShards(), Generation: 1, TopologyVersion: 1, Topology: r.state().topo.String()}, nil
+		return r, &RecoveryInfo{Shards: r.NumShards(), Generation: 1, TopologyVersion: 1, Topology: r.state().topo.String(), Duration: time.Since(start)}, nil
 	}
 	fp := encodeFingerprint(&cfg)
-	// Read every segment, grouped by generation (segs is gen-ordered).
-	var ordered []*genData
-	var cur *genData
-	for _, sg := range segs {
-		if cur == nil || cur.gen != sg.Gen {
-			cur = &genData{gen: sg.Gen, byShard: make(map[int]*wal.ShardLog)}
-			ordered = append(ordered, cur)
+	// Group the listing by generation (segs is ordered by generation, then
+	// shard).
+	var gens [][]wal.Segment
+	for i, sg := range segs {
+		if i == 0 || segs[i-1].Gen != sg.Gen {
+			gens = append(gens, nil)
 		}
-		sl, err := wal.ReadShard(fs, []string{sg.Path})
+		gens[len(gens)-1] = append(gens[len(gens)-1], sg)
+	}
+	// Index pass — walk the topology-epoch chain from its newest end: an
+	// initial or continuation generation extends the chain, an unsealed
+	// checkpoint is a migration that never committed and contributes
+	// nothing, and a sealed checkpoint holds the complete post-migration
+	// state, so the chain starts there and nothing older is opened.
+	type chainGen struct {
+		hm   headerMeta
+		segs []wal.Segment
+	}
+	var chain []chainGen
+	for i := len(gens) - 1; i >= 0; i-- {
+		hm, ok, err := lr.header(gens[i], fp)
 		if err != nil {
 			return nil, nil, err
 		}
-		cur.byShard[sg.Shard] = sl
-		if !cur.hasMeta && len(sl.Payloads) > 0 && sl.Payloads[0][0] == recHeader {
-			hm, err := decodeHeader(sl.Payloads[0], sg.Shard, fp)
+		if !ok {
+			continue
+		}
+		if hm.kind == genCheckpoint {
+			sealed, err := lr.sealed(gens[i])
 			if err != nil {
-				return nil, nil, fmt.Errorf("gen %d shard %d: %w", sg.Gen, sg.Shard, err)
+				return nil, nil, err
 			}
-			cur.hm, cur.hasMeta = hm, true
-		}
-		if sg.Shard == 0 {
-			for _, p := range sl.Payloads {
-				if p[0] == recSeal {
-					cur.sealed = true
-				}
+			if !sealed {
+				continue
 			}
 		}
-	}
-	// Walk the topology-epoch chain: a sealed checkpoint restarts the
-	// chain (it holds the complete post-migration state), an unsealed one
-	// is a migration that never committed and contributes nothing, and
-	// initial/continuation generations extend the running chain.
-	var chain []*genData
-	for _, g := range ordered {
-		switch {
-		case !g.hasMeta:
-			// No durable header anywhere: no durable records either (the
-			// header is each segment's first record).
-		case g.hm.kind == genCheckpoint && g.sealed:
-			chain = append(chain[:0], g)
-		case g.hm.kind == genCheckpoint:
-			// Unsealed: skipped; the pre-migration chain stands.
-		default:
-			chain = append(chain, g)
+		chain = append(chain, chainGen{hm: hm, segs: gens[i]})
+		if hm.kind == genCheckpoint {
+			break
 		}
 	}
+	slices.Reverse(chain)
 	// Resolve the chain's topology (the state every chain generation was
 	// written under) and build the shell to replay into.
 	topo := NewUniformTopology(cfg.Cols, cfg.Rows)
@@ -411,7 +587,7 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 		base = chain[0].hm
 		for _, g := range chain[1:] {
 			if g.hm.topoVer != base.topoVer {
-				return nil, nil, fmt.Errorf("shard: generation %d written under topology version %d, chain is at %d", g.gen, g.hm.topoVer, base.topoVer)
+				return nil, nil, fmt.Errorf("shard: generation %d written under topology version %d, chain is at %d", g.hm.gen, g.hm.topoVer, base.topoVer)
 			}
 		}
 		if len(base.topo) > 0 {
@@ -444,34 +620,35 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 		Generation:         maxGen + 1,
 		TopologyVersion:    base.topoVer,
 		Topology:           topo.String(),
-		SkippedGenerations: len(ordered) - len(chain),
+		SkippedGenerations: len(gens) - len(chain),
 	}
+	// Each shard's chain: its segment of every chain generation, in order.
+	paths := make([][]string, len(ts.shards))
 	for _, g := range chain {
-		for s := range g.byShard {
-			if s < 0 || s >= len(ts.shards) {
-				return nil, nil, fmt.Errorf("shard: WAL segment for shard %d in gen %d, but topology %s has %d regions", s, g.gen, topo.String(), len(ts.shards))
+		for _, sg := range g.segs {
+			if sg.Shard < 0 || sg.Shard >= len(ts.shards) {
+				return nil, nil, fmt.Errorf("shard: WAL segment for shard %d in gen %d, but topology %s has %d regions", sg.Shard, sg.Gen, topo.String(), len(ts.shards))
 			}
+			paths[sg.Shard] = append(paths[sg.Shard], sg.Path)
 		}
 	}
-	st := &replayState{mirrors: make(map[uint64]*mirror)}
+	// Count pass: size every shard for what its chain will put into it.
+	owned := 0
 	for i, si := range ts.shards {
-		// Concatenate this shard's durable records across the chain.
-		var payloads [][]byte
-		for _, g := range chain {
-			sl := g.byShard[i]
-			if sl == nil {
-				continue
+		c := loadCounter{every: cfg.RetireInterval, clock: math.Inf(-1)}
+		for _, path := range paths[i] {
+			if _, err := lr.scan(path, c.record); err != nil {
+				return nil, nil, err
 			}
-			info.Segments += sl.Segments
-			info.TornBytes += sl.TornBytes
-			info.DanglingRecords += sl.DanglingRecords
-			info.Records += len(sl.Payloads)
-			payloads = append(payloads, sl.Payloads...)
 		}
-		if len(payloads) == 0 {
-			continue // this shard never wrote: it replays empty
-		}
-		if err := r.replayShard(si, payloads, fp, st); err != nil {
+		c.closeEpoch()
+		si.reserve(c.peak)
+		owned += c.owned
+	}
+	// Replay pass.
+	st := &replayState{mirrors: make(map[uint64]*mirror, owned), lr: lr, fp: fp, info: info}
+	for i, si := range ts.shards {
+		if err := r.replayShard(si, paths[i], st); err != nil {
 			return nil, nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -501,41 +678,41 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	}); err != nil {
 		return nil, nil, err
 	}
+	info.BytesRead = lr.read
+	info.Duration = time.Since(start)
 	return r, info, nil
 }
 
-// replayShard applies one shard's durable records in order. The shard's
-// hooks (gate, expiry arbitration, sequence assignment) consume the
-// group's interim records via si.rep; a group whose decisions do not line
-// up with what replay asked for is corruption and aborts.
-func (r *Router) replayShard(si *shardInstance, payloads [][]byte, fp []byte, st *replayState) error {
+// replayShard applies one shard's durable records, segment by segment,
+// straight from the scanner. The shard's hooks (gate, expiry arbitration,
+// sequence assignment) consume the group's interim records via si.rep; a
+// group whose decisions do not line up with what replay asked for is
+// corruption and aborts.
+func (r *Router) replayShard(si *shardInstance, paths []string, st *replayState) error {
 	rp := &shardReplay{st: st}
 	si.rep = rp
 	defer func() { si.rep = nil }()
 	sawHeader := false
-	for _, p := range payloads {
-		if len(p) == 0 {
-			return errors.New("wal: empty record")
-		}
+	apply := func(p []byte) error {
 		typ := p[0]
 		if typ == recHeader {
 			// One per segment; each validates shard and fingerprint.
-			if _, err := decodeHeader(p, si.id, fp); err != nil {
+			if _, err := decodeHeader(p, si.id, st.fp); err != nil {
 				return err
 			}
 			sawHeader = true
-			continue
+			return nil
 		}
 		if !sawHeader {
 			return errors.New("wal: records before any segment header")
 		}
 		if typ == recSeal {
 			// Checkpoint seal (shard 0): a commit marker, not an operation.
-			continue
+			return nil
 		}
 		if typ&wal.InterimBit != 0 {
-			rp.interim = append(rp.interim, p)
-			continue
+			rp.hold(p)
+			return nil
 		}
 		rp.di = 0
 		if err := r.replayOp(si, typ, p); err != nil {
@@ -548,6 +725,20 @@ func (r *Router) replayShard(si *shardInstance, payloads [][]byte, fp []byte, st
 			return fmt.Errorf("wal: operation 0x%02x consumed %d of %d recorded decisions", typ, rp.di, len(rp.interim))
 		}
 		rp.interim = rp.interim[:0]
+		return nil
+	}
+	for _, path := range paths {
+		seg, err := st.lr.scan(path, apply)
+		if err != nil {
+			return err
+		}
+		// Interim records still held belong to a group whose operation
+		// record never became durable: its decisions die with it.
+		rp.interim = rp.interim[:0]
+		st.info.Segments++
+		st.info.Records += seg.Records
+		st.info.TornBytes += seg.TornBytes
+		st.info.DanglingRecords += seg.DanglingRecords
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "ftoa/internal/model"
+import (
+	"slices"
+
+	"ftoa/internal/model"
+)
 
 // Retirement — the generational compaction that makes truly long-lived
 // sessions possible. The session arenas are append-only between epochs
@@ -57,6 +61,74 @@ type RetirableAlgorithm interface {
 // RetiredHandle marks a dropped object in a Remap table.
 const RetiredHandle int32 = -1
 
+// Reserver is implemented by algorithms that keep per-handle state and can
+// size it ahead of a known number of admissions. Session.Reserve forwards
+// its counts; sizing never changes what the algorithm matches.
+type Reserver interface {
+	// Reserve prepares for handles below workers (resp. tasks) on each
+	// side.
+	Reserve(workers, tasks int)
+}
+
+// Reserve sizes the arenas, the deadline queues and the matching for a
+// session that will hold up to workers and tasks objects at once, each in
+// one exact-size allocation, and forwards the counts to an algorithm that
+// implements Reserver. WAL recovery calls it with the admission counts it
+// read off the log, so replay fills arrays of the final size instead of
+// growing — and discarding — them by doubling. The counts are capacity,
+// not a limit: admissions beyond them grow the arenas as usual.
+func (s *Session) Reserve(workers, tasks int) {
+	s.workers = growTo(s.workers, workers)
+	s.wstate = growTo(s.wstate, workers)
+	s.wExpiry.fifo = growTo(s.wExpiry.fifo, workers)
+	s.tasks = growTo(s.tasks, tasks)
+	s.tMatch = growTo(s.tMatch, tasks)
+	s.tMatchAt = growTo(s.tMatchAt, tasks)
+	s.tWithdrawn = growTo(s.tWithdrawn, tasks)
+	s.tExpiry.fifo = growTo(s.tExpiry.fifo, tasks)
+	pairs := min(workers, tasks)
+	s.matching.Pairs = growTo(s.matching.Pairs, pairs)
+	if r, ok := s.alg.(Reserver); ok {
+		r.Reserve(workers, tasks)
+	}
+}
+
+// growTo returns s with room for n entries in all.
+func growTo[T any](s []T, n int) []T { return slices.Grow(s, max(0, n-len(s))) }
+
+// Refit rule of a retirement: an array whose capacity is more than
+// refitSlack times what the ending epoch used is carrying a burst (or a
+// recovered history) that is over, and is reallocated at refitHeadroom
+// times that use. The gap between the two factors is the hysteresis that
+// keeps steady state allocation-free: append growth leaves capacity at most
+// 2x the largest epoch so far, so epochs would have to shrink more than
+// refitSlack/2-fold before anything is reallocated, and the refitted array
+// then absorbs refitHeadroom-fold growth without reallocating again.
+// Arrays at or under refitFloor entries are left alone: freeing them buys
+// nothing and a quiet epoch would only make the next one grow them back.
+const (
+	refitSlack    = 4
+	refitHeadroom = 2
+	refitFloor    = 4096
+)
+
+// Refit returns s unchanged, or — when its capacity exceeds both
+// refitFloor and refitSlack x used, used being how many entries the
+// ending epoch filled (never taken below len(s)) — a copy with capacity
+// refitHeadroom x used. Exported for the structures that follow a
+// session's handles across epochs (spatial indexes, the shard router's
+// halo tables) so every one of them releases burst capacity by the same
+// rule.
+func Refit[T any](s []T, used int) []T {
+	used = max(used, len(s))
+	if cap(s) <= refitFloor || cap(s) <= refitSlack*used {
+		return s
+	}
+	out := make([]T, len(s), max(refitHeadroom*used, refitFloor))
+	copy(out, s)
+	return out
+}
+
 // Retire ends the current arena epoch: every object that is provably dead
 // at or before horizon (see the package comment above — matched, or past
 // its deadline in Strict mode) is dropped, surviving handles are
@@ -79,7 +151,11 @@ const RetiredHandle int32 = -1
 // and Matches() keeps counting commits across epochs.
 //
 // Retire never allocates at steady state: the remap tables and every
-// compaction are in place, reusing arena capacity.
+// compaction are in place, reusing arena capacity. The one exception is
+// deliberate and self-limiting: an array left with more than 4x the
+// capacity the ending epoch used (a burst that passed, a recovered history
+// that has since died) is reallocated at 2x that use, so a session's
+// footprint follows its live population down as well as up (see Refit).
 func (s *Session) Retire(horizon float64) (workers, tasks int) {
 	ra, ok := s.alg.(RetirableAlgorithm)
 	if !ok {
@@ -89,7 +165,8 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 		horizon = s.now
 	}
 
-	wmap := growMap(&s.wRemap, len(s.workers))
+	usedW, usedT := len(s.workers), len(s.tasks)
+	wmap := growMap(&s.wRemap, usedW)
 	keep := 0
 	for h := range s.workers {
 		if s.workerDead(h, horizon) {
@@ -107,7 +184,7 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 	s.workers = s.workers[:keep]
 	s.wstate = s.wstate[:keep]
 
-	tmap := growMap(&s.tRemap, len(s.tasks))
+	tmap := growMap(&s.tRemap, usedT)
 	keep = 0
 	for h := range s.tasks {
 		if s.taskDead(h, horizon) {
@@ -171,6 +248,21 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 	if s.onRetire != nil {
 		s.onRetire(wmap, tmap)
 	}
+
+	// Give back capacity the ending epoch came nowhere near using.
+	s.workers = Refit(s.workers, usedW)
+	s.wstate = Refit(s.wstate, usedW)
+	s.wExpiry.fifo = Refit(s.wExpiry.fifo, usedW)
+	s.wExpiry.heap = Refit(s.wExpiry.heap, usedW)
+	s.wRemap = Refit(s.wRemap[:0], usedW)
+	s.tasks = Refit(s.tasks, usedT)
+	s.tMatch = Refit(s.tMatch, usedT)
+	s.tMatchAt = Refit(s.tMatchAt, usedT)
+	s.tWithdrawn = Refit(s.tWithdrawn, usedT)
+	s.tExpiry.fifo = Refit(s.tExpiry.fifo, usedT)
+	s.tExpiry.heap = Refit(s.tExpiry.heap, usedT)
+	s.tRemap = Refit(s.tRemap[:0], usedT)
+	s.matching.Pairs = Refit(s.matching.Pairs, min(usedW, usedT))
 	return workers, tasks
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ftoa/internal/geo"
@@ -333,5 +334,103 @@ func TestRetireSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	if math.IsInf(s.Now(), -1) {
 		t.Fatal("clock never advanced")
+	}
+}
+
+// TestRetireReleasesBurstCapacity: a burst sizes every arena, and once it
+// has died and an ordinary epoch has gone by, the next retirement
+// reallocates them near that epoch's size — without touching what
+// survives: the remap tables and the survivors' ground truth are exactly
+// what the dead-predicate alone says they should be, and the rounds after
+// the refit allocate nothing again.
+func TestRetireReleasesBurstCapacity(t *testing.T) {
+	alg := &retirableScript{scriptAlg: scriptAlg{name: "noop"}}
+	var gotW, gotT []int32
+	alg.onRemap = func(wm, tm []int32) {
+		gotW = append(gotW[:0], wm...)
+		gotT = append(gotT[:0], tm...)
+	}
+	s := retireSession(t, Strict, alg)
+	clock := 0.0
+	var evbuf []SessionEvent
+	// The expectation buffers are reused so that at steady state the round
+	// itself allocates nothing.
+	var wantW, wantT []int32
+	var liveW []model.Worker
+	var liveT []model.Task
+	// Every round leaves a few long-lived survivors behind, so each
+	// retirement has something to carry across (and, their deadlines being
+	// out of order, the deadline queues run on their overflow heaps).
+	round := func(n int) {
+		for i := 0; i < n; i++ {
+			patience := 1.0
+			if i%64 == 0 {
+				patience = 1e6
+			}
+			mustAddWorker(t, s, model.Worker{ID: int(clock*1000) + i, Loc: geo.Pt(float64(i%10)*10, 5), Arrive: clock, Patience: patience})
+			mustAddTask(t, s, model.Task{ID: int(clock*1000) + i, Loc: geo.Pt(5, float64(i%10)*10), Release: clock, Expiry: patience})
+		}
+		clock += 2
+		s.Advance(clock)
+		evbuf = s.DrainEvents(evbuf[:0])
+		s.CompactEvents()
+		// What the retirement must do, from the dead-predicate alone.
+		wantW, wantT, liveW, liveT = wantW[:0], wantT[:0], liveW[:0], liveT[:0]
+		for h := range s.workers {
+			if s.workerDead(h, clock) {
+				wantW = append(wantW, RetiredHandle)
+				continue
+			}
+			wantW = append(wantW, int32(len(liveW)))
+			liveW = append(liveW, s.workers[h])
+		}
+		for h := range s.tasks {
+			if s.taskDead(h, clock) {
+				wantT = append(wantT, RetiredHandle)
+				continue
+			}
+			wantT = append(wantT, int32(len(liveT)))
+			liveT = append(liveT, s.tasks[h])
+		}
+		s.Retire(clock)
+		if !slices.Equal(gotW, wantW) || !slices.Equal(gotT, wantT) {
+			t.Fatalf("round of %d: remap tables differ from the dead-predicate's", n)
+		}
+		if !slices.Equal(s.workers, liveW) || !slices.Equal(s.tasks, liveT) {
+			t.Fatalf("round of %d: survivors differ from the dead-predicate's", n)
+		}
+		if len(s.wstate) != len(liveW) || len(s.tMatch) != len(liveT) || len(s.tMatchAt) != len(liveT) || len(s.tWithdrawn) != len(liveT) {
+			t.Fatalf("round of %d: side arrays out of step with the arenas", n)
+		}
+	}
+	caps := func() [4]int {
+		return [4]int{cap(s.workers), cap(s.wstate), cap(s.tasks), cap(s.wExpiry.heap)}
+	}
+	const burst, steady = 40000, 300
+	round(burst)
+	atBurst := caps()
+	for _, c := range atBurst {
+		if c < burst-1 {
+			t.Fatalf("capacities %v after a burst of %d", atBurst, burst)
+		}
+	}
+	// The retirement that ended the burst epoch saw the burst in use: no
+	// refit yet. The next one sees an ordinary epoch under burst capacity.
+	round(steady)
+	after := caps()
+	for i, c := range after {
+		if c >= atBurst[i]/4 || c < steady {
+			t.Fatalf("capacities %v after the burst died, were %v at the burst", after, atBurst)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round(steady) // warm the refitted capacities
+	}
+	settled := caps()
+	if avg := testing.AllocsPerRun(8, func() { round(steady) }); avg > 0 {
+		t.Fatalf("round allocates %.1f times after the refit, want 0", avg)
+	}
+	if caps() != settled {
+		t.Fatalf("capacities moved at steady state: %v -> %v", settled, caps())
 	}
 }

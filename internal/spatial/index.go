@@ -18,8 +18,10 @@ package spatial
 
 import (
 	"math"
+	"slices"
 
 	"ftoa/internal/geo"
+	"ftoa/internal/sim"
 )
 
 // entry is one indexed point, stored inline in its bucket.
@@ -81,6 +83,14 @@ func (ix *Index) grow(n int) {
 	}
 }
 
+// Reserve sizes the id tables for ids below n in one exact-size
+// allocation each, for a caller that knows how many ids are coming (WAL
+// recovery does); without it they grow by doubling as ids arrive.
+func (ix *Index) Reserve(n int) {
+	ix.cell = slices.Grow(ix.cell, max(0, n-len(ix.cell)))
+	ix.slot = slices.Grow(ix.slot, max(0, n-len(ix.slot)))
+}
+
 // Insert adds id at point p. Inserting an id that is already present is a
 // programming error and panics, as is a negative id.
 func (ix *Index) Insert(id int, p geo.Point) {
@@ -125,8 +135,10 @@ func (ix *Index) Remove(id int) {
 // old becomes m[old], and entries mapped to a negative id are removed (the
 // retired-handle convention of sim.Session.Retire). Points are untouched —
 // a remap renames objects, it does not move them — so buckets only
-// compact, never rehash, and no capacity is released. Ids at or beyond
-// len(m) panic: the caller's table must cover every inserted id.
+// compact, never rehash. Ids at or beyond len(m) panic: the caller's
+// table must cover every inserted id. The id tables follow the session's
+// refit rule (sim.Refit): when they cover far more ids than the len(m) the
+// ending epoch used, they are reallocated down.
 func (ix *Index) Remap(m []int32) {
 	// Pass 1: clear the id tables for every present entry and compact each
 	// bucket to its survivors. The tables are rebuilt in a second pass
@@ -154,6 +166,12 @@ func (ix *Index) Remap(m []int32) {
 			ix.cell[e.id] = int32(c)
 			ix.slot[e.id] = int32(s)
 		}
+	}
+	// Every surviving id is below len(m): the tables end there (ids beyond
+	// it re-extend them on insert) and give back what that leaves unused.
+	if n := len(m); n < len(ix.cell) {
+		ix.cell = sim.Refit(ix.cell[:n], n)
+		ix.slot = sim.Refit(ix.slot[:n], n)
 	}
 }
 

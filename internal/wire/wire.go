@@ -499,11 +499,19 @@ func DecodeBatch(p []byte, dst []Request) (id uint64, reqs []Request, err error)
 	return id, reqs, c.done("batch")
 }
 
+// minResultWireSize is the smallest encoded Result (kind, status, the
+// withdrawal's applied byte): the bound a declared reply count is checked
+// against before it sizes anything.
+const minResultWireSize = 3
+
 // DecodeBatchReply decodes a BatchReply payload.
 func DecodeBatchReply(p []byte) (id uint64, results []Result, err error) {
 	c := cursor{p: p, off: 1}
 	id = c.u64("reply id")
 	n := int(c.u16("reply count"))
+	if c.err == nil && n*minResultWireSize > len(p)-c.off {
+		return 0, nil, fmt.Errorf("wire: %d results declared, %d payload bytes follow", n, len(p)-c.off)
+	}
 	results = make([]Result, 0, n)
 	for i := 0; i < n && c.err == nil; i++ {
 		var r Result

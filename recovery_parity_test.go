@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ftoa"
+	"ftoa/internal/shard/wal"
 )
 
 // recoveryGuide builds the learned-shape guide the guided algorithms
@@ -193,5 +195,86 @@ func TestRecoveryParityGate(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// heapInUse is the live heap after a full collection.
+func heapInUse() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// TestRecoverAllocationCeiling holds recovery to "allocate what survives
+// it". The log is the durable-fanout shape (2x2 SimpleGreedy, halo, Strict)
+// with every arrival inside one retire interval, so all of it is live when
+// recovery ends: what Recover allocates in total must stay within twice
+// what the recovered router retains (reading the log whole and replaying
+// into append-grown arenas cost five times it). And the reader's share
+// must not depend on the log at all: scanning a log four times as long
+// allocates under the same fixed ceiling — the read buffer.
+func TestRecoverAllocationCeiling(t *testing.T) {
+	const arrivals = 50000
+	dir := filepath.Join(t.TempDir(), "wal")
+	fillDurableShape(t, durableShapeConfig(dir), arrivals, 0.3, 1)
+
+	base := heapInUse()
+	before := totalAlloc()
+	rec, info, err := ftoa.RecoverShardRouter(durableShapeConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := totalAlloc() - before
+	retained := heapInUse() - base
+	defer rec.WALClose()
+	var live int
+	for _, st := range rec.StatsAll(nil) {
+		live += st.LiveWorkers + st.LiveTasks
+	}
+	if !info.Recovered || live < arrivals {
+		t.Fatalf("recovered %d live objects of %d arrivals: %+v", live, arrivals, info)
+	}
+	t.Logf("Recover allocated %.1f MB for %.1f MB retained (%d live objects, %d log bytes read)",
+		float64(allocated)/1e6, float64(retained)/1e6, live, info.BytesRead)
+	if allocated > 2*retained {
+		t.Fatalf("Recover allocated %d bytes to rebuild %d retained", allocated, retained)
+	}
+
+	// The reader alone, over this log and over one four times as long.
+	scanAll := func(dir string) (read int64, allocated uint64) {
+		fs := wal.OSFS()
+		segs, _, err := wal.Segments(fs, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc wal.Scanner
+		before := totalAlloc()
+		for _, sg := range segs {
+			info, err := sc.ScanFile(fs, sg.Path, func([]byte) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			read += info.Bytes
+		}
+		return read, totalAlloc() - before
+	}
+	long := filepath.Join(t.TempDir(), "wal")
+	fillDurableShape(t, durableShapeConfig(long), 4*arrivals, 1.2, 2)
+	const ceiling = 128 << 10 // the 64 KiB read buffer, an open file per segment, slack
+	read1, alloc1 := scanAll(dir)
+	read4, alloc4 := scanAll(long)
+	t.Logf("reader: %d bytes allocated over a %d-byte log, %d over a %d-byte log", alloc1, read1, alloc4, read4)
+	if read4 < 3*read1 {
+		t.Fatalf("the long log is %d bytes against %d, want about 4x", read4, read1)
+	}
+	if alloc1 > ceiling || alloc4 > ceiling {
+		t.Fatalf("reader allocated %d and %d bytes, want both under %d whatever the log length", alloc1, alloc4, ceiling)
 	}
 }
