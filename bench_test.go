@@ -704,6 +704,14 @@ func durableShapeConfig(dir string) ftoa.ShardConfig {
 // log is recovered — and closes the log cleanly.
 func fillDurableShape(tb testing.TB, cfg ftoa.ShardConfig, n int, span float64, seed uint64) {
 	tb.Helper()
+	if err := admitDurableShape(tb, cfg, n, span, seed).WALClose(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// admitDurableShape is fillDurableShape with the router left open.
+func admitDurableShape(tb testing.TB, cfg ftoa.ShardConfig, n int, span float64, seed uint64) *ftoa.ShardRouter {
+	tb.Helper()
 	router, err := ftoa.NewShardRouter(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -721,9 +729,7 @@ func fillDurableShape(tb testing.TB, cfg ftoa.ShardConfig, n int, span float64, 
 			tb.Fatal(err)
 		}
 	}
-	if err := router.WALClose(); err != nil {
-		tb.Fatal(err)
-	}
+	return router
 }
 
 // BenchmarkWALRecoverDurableShape is the durable-fanout boot in process:
@@ -735,9 +741,37 @@ func fillDurableShape(tb testing.TB, cfg ftoa.ShardConfig, n int, span float64, 
 // a private copy of the log, so the generation Recover opens never joins
 // the next iteration's chain.
 func BenchmarkWALRecoverDurableShape(b *testing.B) {
-	const arrivals = 100000
 	seedDir := filepath.Join(b.TempDir(), "seed")
-	fillDurableShape(b, durableShapeConfig(seedDir), arrivals, 0.6, 1)
+	fillDurableShape(b, durableShapeConfig(seedDir), durableShapeArrivals, 0.6, 1)
+	benchRecoverDurableShape(b, seedDir, false)
+}
+
+// BenchmarkWALRecoverAfterCheckpoint is the same boot after a clean
+// shutdown: the same 100k arrivals, then the checkpoint ftoa-serve takes
+// before it closes the log. What is left to recover is the live set — the
+// few hundred objects still unmatched and unexpired — so B/op and the time
+// no longer follow the history (CI holds B/op under 2 MB; the crash
+// restart above allocates ~20 MB). ns/arrival stays per arrival of the
+// history, for comparison with the bench above.
+func BenchmarkWALRecoverAfterCheckpoint(b *testing.B) {
+	seedDir := filepath.Join(b.TempDir(), "seed")
+	router := admitDurableShape(b, durableShapeConfig(seedDir), durableShapeArrivals, 0.6, 1)
+	info, err := router.Checkpoint()
+	if err != nil || !info.Sealed {
+		b.Fatalf("checkpoint: %+v, %v", info, err)
+	}
+	if err := router.WALClose(); err != nil {
+		b.Fatal(err)
+	}
+	benchRecoverDurableShape(b, seedDir, true)
+	b.ReportMetric(float64(info.MigratedWorkers+info.MigratedTasks), "live")
+}
+
+const durableShapeArrivals = 100000
+
+// benchRecoverDurableShape times RecoverShardRouter over private copies of
+// seedDir.
+func benchRecoverDurableShape(b *testing.B, seedDir string, fromCheckpoint bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -752,8 +786,11 @@ func BenchmarkWALRecoverDurableShape(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if !info.Recovered || info.Events == 0 {
-			b.Fatalf("recovered nothing: %+v", info)
+		if !info.Recovered || info.FromCheckpoint != fromCheckpoint || (!fromCheckpoint && info.Events == 0) {
+			b.Fatalf("recovered the wrong thing: %+v", info)
+		}
+		if got := rec.Totals(); got.Workers+got.Tasks-got.GhostWorkers-got.GhostTasks != durableShapeArrivals {
+			b.Fatalf("recovered totals %+v, want %d admissions owned", got, durableShapeArrivals)
 		}
 		if err := rec.WALClose(); err != nil {
 			b.Fatal(err)
@@ -764,7 +801,71 @@ func BenchmarkWALRecoverDurableShape(b *testing.B) {
 		b.StartTimer()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/arrivals, "ns/arrival")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/durableShapeArrivals, "ns/arrival")
+}
+
+// BenchmarkCheckpoint measures the stall a checkpoint imposes — admissions
+// wait for all of it — on a 4x4 halo router with a buffered WAL holding
+// 1k, 10k and 40k live objects: ms/op is the whole of Checkpoint (quiesce,
+// re-admit every live object and its ghost copies into fresh sessions,
+// write and fsync the new generation and its seal, delete the old one),
+// objects/op what it re-admitted. Nothing matches and nothing expires, so
+// every iteration checkpoints the same population. This is the number a
+// run-time trigger has to be scheduled around; ftoa-serve only checkpoints
+// at shutdown.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, live := range []int{1000, 10000, 40000} {
+		b.Run(strconv.Itoa(live), func(b *testing.B) {
+			router, err := ftoa.NewShardRouter(ftoa.ShardConfig{
+				Matcher: ftoa.MatcherConfig{
+					Mode:     ftoa.Strict,
+					Velocity: 2,
+					Bounds:   ftoa.NewRect(0, 0, 100, 100),
+					Hints:    ftoa.Hints{ExpectedWorkers: live / 2, ExpectedTasks: live / 2},
+				},
+				Cols:         4,
+				Rows:         4,
+				Halo:         ftoa.HaloForWindow(2, 2),
+				NewAlgorithm: func() ftoa.Algorithm { return ftoa.NewSimpleGreedy() },
+				Retention:    1 << 16,
+				WAL:          &ftoa.WALOptions{Dir: filepath.Join(b.TempDir(), "wal")},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer router.WALClose()
+			// Patient workers and tasks nobody can reach in time: all at t=0,
+			// so the clock never passes a deadline.
+			rng := mathx.NewRNG(uint64(live))
+			for i := 0; i < live; i++ {
+				loc := ftoa.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+				if i%2 == 0 {
+					_, _, err = router.AddWorker(ftoa.Worker{ID: i, Loc: loc, Patience: 1e9})
+				} else {
+					_, _, err = router.AddTask(ftoa.Task{ID: i, Loc: loc, Expiry: 1e-9})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			objects := 0
+			for i := 0; i < b.N; i++ {
+				info, err := router.Checkpoint()
+				if err != nil || !info.Sealed || info.RemoveErr != nil {
+					b.Fatalf("checkpoint: %+v, %v", info, err)
+				}
+				objects += info.MigratedWorkers + info.MigratedTasks
+			}
+			b.StopTimer()
+			if objects != b.N*live {
+				b.Fatalf("re-admitted %d objects over %d checkpoints of %d", objects, b.N, live)
+			}
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+			b.ReportMetric(float64(objects)/float64(b.N), "objects/op")
+		})
+	}
 }
 
 // benchEventFanout prices event delivery: one day of admissions drives

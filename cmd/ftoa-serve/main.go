@@ -195,13 +195,28 @@ type server struct {
 	shed       []atomic.Uint64
 
 	// walled reports whether the router is WAL-backed; recovery holds
-	// the boot replay summary (nil when walled is false).
-	walled   bool
-	recovery *ftoa.ShardRecoveryInfo
+	// the boot replay summary (nil when walled is false) and checkpointed
+	// the outcome of the last checkpoint this process made (shutdown).
+	walled       bool
+	recovery     *ftoa.ShardRecoveryInfo
+	checkpointed atomic.Pointer[checkpointOutcome]
+
+	// What shutdown stops, when main started it: the HTTP server and the
+	// tick loop (tickDone closes once the loop has returned).
+	http     *http.Server
+	stopTick chan struct{}
+	tickDone chan struct{}
 
 	// wire is the binary-protocol listener (-listen-wire), nil when
 	// disabled; kept here so /stats can report its counters.
 	wire *wireServer
+}
+
+// checkpointOutcome is one Router.Checkpoint as /stats reports it; err is
+// empty when the generation was sealed and what it supersedes removed.
+type checkpointOutcome struct {
+	info *ftoa.ShardRebalanceInfo // nil when the checkpoint could not start
+	err  string
 }
 
 // maxEventsPage caps one GET /events or GET /matches response; pollers
@@ -668,6 +683,68 @@ func recoverUsPerEvent(ri *ftoa.ShardRecoveryInfo) float64 {
 // WAL closed after, so every acknowledged admission becomes durable.
 func (s *server) close() { s.admitter.Close() }
 
+// shutdown is the graceful stop. Producers go first — the tick loop, the
+// wire connections, the HTTP server (in-flight requests get until ctx
+// ends) — so nothing enqueues to the admission rings any more; then the
+// rings drain into their shards; then, with a WAL, the live population is
+// checkpointed into a sealed generation of its own, so the next boot
+// replays what is alive instead of everything this process ever admitted;
+// then the WAL closes. Only the close can fail the shutdown: a checkpoint
+// that does not seal leaves the generations before it in place, the next
+// boot replays those, and the failure is logged and kept for /stats.
+func (s *server) shutdown(ctx context.Context) error {
+	if s.stopTick != nil {
+		close(s.stopTick)
+		<-s.tickDone
+	}
+	if s.wire != nil {
+		s.wire.close()
+	}
+	if s.http != nil {
+		if err := s.http.Shutdown(ctx); err != nil {
+			log.Printf("ftoa-serve: shutdown: %v", err)
+		}
+	}
+	s.close()
+	if s.walled {
+		s.checkpoint()
+	}
+	return s.router.WALClose()
+}
+
+// checkpoint seals the live population as a WAL generation of its own
+// (Router.Checkpoint) and records the outcome.
+func (s *server) checkpoint() {
+	info, err := s.router.Checkpoint()
+	out := &checkpointOutcome{info: info}
+	switch {
+	case err != nil:
+		out.err = err.Error()
+	case !info.Sealed:
+		out.err = fmt.Sprintf("generation %d not sealed: %v", info.WALGeneration, s.router.WALErr())
+	case info.RemoveErr != nil:
+		out.err = info.RemoveErr.Error()
+	}
+	s.checkpointed.Store(out)
+	if info != nil {
+		log.Printf("ftoa-serve: checkpoint: generation %d sealed=%v, %d live objects, checkpoint_ms=%.1f, %d superseded segment(s) removed",
+			info.WALGeneration, info.Sealed, info.MigratedWorkers+info.MigratedTasks,
+			float64(info.Duration.Microseconds())/1e3, info.SegmentsRemoved)
+	}
+	if out.err != "" {
+		log.Printf("ftoa-serve: checkpoint: %s (the generations before it stay the restart's source)", out.err)
+	}
+}
+
+// startTick runs tickLoop until shutdown stops it.
+func (s *server) startTick(interval time.Duration) {
+	s.stopTick, s.tickDone = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(s.tickDone)
+		s.tickLoop(interval, s.stopTick)
+	}()
+}
+
 // now is the session clock value for the current instant.
 func (s *server) now() float64 { return s.clock() }
 
@@ -1038,8 +1115,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// topology swap (the shard count can change between iterations).
 	stats := s.router.StatsAll(nil)
 	shards := make([]shardJSON, len(stats))
-	var workers, tasks, liveW, liveT, matches, expW, expT, attempted, rejected int
-	var ghostW, ghostT, wdW, wdT, claimsLost, borderMatches int
+	// The top-level counts are the router's lifetime totals, which outlive
+	// the sessions a rebalance, a checkpoint or a recovered checkpoint
+	// replaced; the per-shard rows count the current sessions only.
+	tot := s.router.Totals()
+	var liveW, liveT int
 	var shedTotal uint64
 	now := 0.0
 	for i := range shards {
@@ -1071,21 +1151,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Shed:             s.shed[s.lane(i)].Load(),
 			ArrivalRate:      st.ArrivalRate,
 		}
-		workers += st.Workers
-		tasks += st.Tasks
 		liveW += st.LiveWorkers
 		liveT += st.LiveTasks
-		matches += st.Matches
-		expW += st.ExpiredWorkers
-		expT += st.ExpiredTasks
-		attempted += st.Attempted
-		rejected += st.Rejected
-		ghostW += st.GhostWorkers
-		ghostT += st.GhostTasks
-		wdW += st.WithdrawnWorkers
-		wdT += st.WithdrawnTasks
-		claimsLost += st.ClaimsLost
-		borderMatches += st.BorderMatches
 		if st.Now > now {
 			now = st.Now
 		}
@@ -1112,6 +1179,21 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		walStatus["recover_us_per_event"] = recoverUsPerEvent(s.recovery)
 		walStatus["wal_bytes_read"] = s.recovery.BytesRead
 		walStatus["skipped_generations"] = s.recovery.SkippedGenerations
+		// Whether that restart began at a sealed checkpoint (a clean
+		// shutdown's, or a rebalance's) instead of the router's first
+		// generation, and the checkpoint this process has made itself.
+		walStatus["from_checkpoint"] = s.recovery.FromCheckpoint
+		if cp := s.checkpointed.Load(); cp != nil {
+			if cp.info != nil {
+				walStatus["checkpoint_generation"] = cp.info.WALGeneration
+				walStatus["checkpoint_objects"] = cp.info.MigratedWorkers + cp.info.MigratedTasks
+				walStatus["checkpoint_ms"] = float64(cp.info.Duration.Microseconds()) / 1e3
+				walStatus["segments_removed"] = cp.info.SegmentsRemoved
+			}
+			if cp.err != "" {
+				walStatus["checkpoint_error"] = cp.err
+			}
+		}
 		if err := s.router.WALErr(); err != nil {
 			walStatus["error"] = err.Error()
 		}
@@ -1152,21 +1234,21 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"migrating":  s.router.Migrating(),
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"workers":           workers,
-		"tasks":             tasks,
+		"workers":           tot.Workers,
+		"tasks":             tot.Tasks,
 		"live_workers":      liveW,
 		"live_tasks":        liveT,
-		"matches":           matches,
-		"expired_workers":   expW,
-		"expired_tasks":     expT,
-		"attempted":         attempted,
-		"rejected":          rejected,
-		"ghost_workers":     ghostW,
-		"ghost_tasks":       ghostT,
-		"withdrawn_workers": wdW,
-		"withdrawn_tasks":   wdT,
-		"claims_lost":       claimsLost,
-		"border_matches":    borderMatches,
+		"matches":           tot.Matches,
+		"expired_workers":   tot.ExpiredWorkers,
+		"expired_tasks":     tot.ExpiredTasks,
+		"attempted":         tot.Attempted,
+		"rejected":          tot.Rejected,
+		"ghost_workers":     tot.GhostWorkers,
+		"ghost_tasks":       tot.GhostTasks,
+		"withdrawn_workers": tot.WithdrawnWorkers,
+		"withdrawn_tasks":   tot.WithdrawnTasks,
+		"claims_lost":       tot.ClaimsLost,
+		"border_matches":    tot.BorderMatches,
 		"shed":              shedTotal,
 		"wal":               walStatus,
 		"wire":              wireStatus,
@@ -1180,7 +1262,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // tickLoop advances the shard clocks periodically so timer-driven
 // algorithms make progress — and deadlines expire — during arrival
 // lulls; stop ends it so shutdown doesn't race a final advance against
-// the WAL close. It is also the rebalance supervisor's single driving
+// the checkpoint and the WAL close. It is also the rebalance supervisor's single driving
 // goroutine: each tick samples the arrival-rate EWMAs and applies at
 // most one topology change.
 func (s *server) tickLoop(interval time.Duration, stop <-chan struct{}) {
@@ -1410,9 +1492,9 @@ func main() {
 		log.Fatal(err)
 	}
 	if ri := srv.recovery; ri != nil && ri.Recovered {
-		log.Printf("ftoa-serve: recovered %d events (%d matches) from %d WAL segment(s), %d torn byte(s) truncated; resuming at t=%.3f generation %d; recover_ms=%.1f recover_us_per_event=%.2f wal_bytes_read=%d skipped_generations=%d",
+		log.Printf("ftoa-serve: recovered %d events (%d matches) from %d WAL segment(s), %d torn byte(s) truncated; resuming at t=%.3f generation %d; recover_ms=%.1f recover_us_per_event=%.2f wal_bytes_read=%d skipped_generations=%d from_checkpoint=%v",
 			ri.Events, ri.Matches, ri.Segments, ri.TornBytes, ri.MaxClock, ri.Generation,
-			float64(ri.Duration.Microseconds())/1e3, recoverUsPerEvent(ri), ri.BytesRead, ri.SkippedGenerations)
+			float64(ri.Duration.Microseconds())/1e3, recoverUsPerEvent(ri), ri.BytesRead, ri.SkippedGenerations, ri.FromCheckpoint)
 	}
 	for _, line := range haloBootReport(srv.router.Placement()) {
 		log.Print(line)
@@ -1435,8 +1517,8 @@ func main() {
 		log.Printf("ftoa-serve: wire protocol v%d on %s (ring=%d batch=%d max-conns=%d dedup=%d/%d)",
 			wire.Version, wln.Addr(), *admitRing, *admitBatch, *wireMaxConns, *wireDedupWindow, *wireDedupClients)
 	}
-	stopTick := make(chan struct{})
-	go srv.tickLoop(cfg.tick, stopTick)
+	srv.http = hs
+	srv.startTick(cfg.tick)
 	gate.ready(srv.handler())
 	log.Printf("ftoa-serve: %s matching on %s (mode=%s velocity=%g bounds=%s shards=%s halo=%gs retire=%s wal=%q rebalance=%v)",
 		cfg.algorithm, ln.Addr(), cfg.mode, cfg.velocity, *boundsStr, *shards, cfg.halo, cfg.retire, cfg.walDir, cfg.rebalance)
@@ -1445,9 +1527,7 @@ func main() {
 			cfg.rebalSplit, cfg.rebalMerge, cfg.rebalDepth, cfg.rebalCooldown, cfg.rebalTau, cfg.rebalForecast)
 	}
 
-	// Graceful shutdown: stop admitting, drain in-flight requests, then
-	// flush and close the WAL so the final acknowledged operations are
-	// durable before the process exits.
+	// Graceful shutdown; see server.shutdown for the order.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
@@ -1456,21 +1536,9 @@ func main() {
 	case got := <-sig:
 		log.Printf("ftoa-serve: %v: draining", got)
 	}
-	close(stopTick)
-	// Producers first: dropping the wire connections and draining the
-	// HTTP server stops everyone enqueueing to the admission rings.
-	if srv.wire != nil {
-		srv.wire.close()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Printf("ftoa-serve: shutdown: %v", err)
-	}
-	// Then the rings: close drains every enqueued admission into its
-	// shard so acknowledged arrivals reach the WAL before it closes.
-	srv.close()
-	if err := srv.router.WALClose(); err != nil {
+	if err := srv.shutdown(ctx); err != nil {
 		log.Fatalf("ftoa-serve: WAL close: %v", err)
 	}
 	log.Print("ftoa-serve: drained, WAL closed")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -812,6 +813,163 @@ func TestServeWALRestart(t *testing.T) {
 	postJSON(t, ts2.URL+"/tasks", `{"x":89,"y":10,"expiry":60}`)
 	if st := getJSON(t, ts2.URL+"/stats"); st["matches"].(float64) != 2 {
 		t.Fatalf("recovered server won't match: %v", st)
+	}
+}
+
+// walFiles lists the segment files under a WAL directory.
+func walFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestServeWALCleanRestart: the SIGTERM sequence (server.shutdown) seals a
+// checkpoint of the live population and deletes the generations before it,
+// and the server booted over that directory replays the checkpoint alone —
+// lifetime totals equal, match ordinals carried on, cursors from before
+// the restart answered 410 with the restart cursor — however many clean
+// restarts came before.
+func TestServeWALCleanRestart(t *testing.T) {
+	cfg := defaultTestConfig()
+	cfg.shards = [2]int{2, 1}
+	cfg.walDir = t.TempDir() + "/wal"
+	cfg.walSync = "always"
+
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.startTick(cfg.tick)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	postJSON(t, ts.URL+"/workers", `{"x":10,"y":10,"patience":300}`)
+	postJSON(t, ts.URL+"/tasks", `{"x":11,"y":10,"expiry":60}`)
+	postJSON(t, ts.URL+"/workers", `{"x":90,"y":10,"patience":300}`) // unmatched, survives
+	postJSON(t, ts.URL+"/tasks", `{"x":10,"y":90,"expiry":300}`)     // unmatched, survives
+	before := getJSON(t, ts.URL+"/stats")
+	head := getJSON(t, ts.URL+"/events")["next"].(float64)
+	if before["matches"].(float64) != 1 || head < 1 {
+		t.Fatalf("pre-shutdown: stats %v, event head %v", before, head)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	// The router still answers from memory: the checkpoint is on /stats.
+	wal := getJSON(t, ts.URL+"/stats")["wal"].(map[string]any)
+	if wal["checkpoint_generation"].(float64) != 2 || wal["checkpoint_objects"].(float64) != 2 ||
+		wal["checkpoint_ms"].(float64) <= 0 || wal["segments_removed"].(float64) != 2 || wal["checkpoint_error"] != nil {
+		t.Fatalf("post-shutdown wal status = %v", wal)
+	}
+	if got := walFiles(t, cfg.walDir); fmt.Sprint(got) != "[s000-g000002.wal s001-g000002.wal]" {
+		t.Fatalf("after a clean shutdown the directory holds %v, want the checkpoint generation alone", got)
+	}
+
+	srv2, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri := srv2.recovery; !ri.Recovered || !ri.FromCheckpoint || ri.SkippedGenerations != 0 || ri.Segments != 2 {
+		t.Fatalf("recovery = %+v, want the checkpoint generation alone", ri)
+	}
+	ts2 := httptest.NewServer(srv2.handler())
+	defer ts2.Close()
+	after := getJSON(t, ts2.URL+"/stats")
+	for _, k := range []string{"workers", "tasks", "matches", "attempted", "rejected", "expired_workers", "expired_tasks",
+		"ghost_workers", "ghost_tasks", "claims_lost", "border_matches"} {
+		if after[k] != before[k] {
+			t.Errorf("/stats %s = %v after the restart, %v before", k, after[k], before[k])
+		}
+	}
+	// The arenas came back holding what is alive, not the matched pair too.
+	if after["live_workers"].(float64) != 1 || after["live_tasks"].(float64) != 1 {
+		t.Errorf("/stats arenas after the restart: %v workers, %v tasks; want the two survivors", after["live_workers"], after["live_tasks"])
+	}
+	wal = after["wal"].(map[string]any)
+	if wal["recovered"] != true || wal["from_checkpoint"] != true || wal["generation"].(float64) != 3 ||
+		wal["skipped_generations"].(float64) != 0 || wal["recovered_matches"].(float64) != 0 {
+		t.Fatalf("post-restart wal status = %v", wal)
+	}
+	// Cursors from before the restart are stale, and say where to resume.
+	gone, status := getJSONStatus(t, ts2.URL+"/events?since=0")
+	if status != http.StatusGone || gone["next"].(float64) != head {
+		t.Fatalf("/events?since=0 after the restart: %d %v, want 410 and the restart cursor %v", status, gone, head)
+	}
+	if evs := getJSON(t, ts2.URL+fmt.Sprintf("/events?since=%v", head)); evs["next"].(float64) != head {
+		t.Fatalf("/events at the restart cursor = %v", evs)
+	}
+	// Match ordinals carry on: the one match before the restart is ordinal 0
+	// and gone, the next one is ordinal 1.
+	gone, status = getJSONStatus(t, ts2.URL+"/matches?since=0")
+	if status != http.StatusGone || gone["next"].(float64) != 1 || gone["count"].(float64) != 1 {
+		t.Fatalf("/matches?since=0 after the restart: %d %v", status, gone)
+	}
+	postJSON(t, ts2.URL+"/tasks", `{"x":89,"y":10,"expiry":60}`) // the surviving worker serves it
+	m := getJSON(t, ts2.URL+"/matches?since=1")
+	if m["count"].(float64) != 2 || m["next"].(float64) != 2 || len(m["matches"].([]any)) != 1 {
+		t.Fatalf("/matches?since=1 = %v, want the one post-restart match as ordinal 1", m)
+	}
+	if st := getJSON(t, ts2.URL+"/stats"); st["matches"].(float64) != 2 || st["workers"].(float64) != 2 || st["tasks"].(float64) != 3 {
+		t.Fatalf("post-restart stats = %v", st)
+	}
+
+	// A second clean restart leaves the same shape: one sealed checkpoint
+	// generation, then the boot's continuation generation beside it.
+	if err := srv2.shutdown(ctx); err != nil {
+		t.Fatalf("second shutdown: %v", err)
+	}
+	if got := walFiles(t, cfg.walDir); fmt.Sprint(got) != "[s000-g000004.wal s001-g000004.wal]" {
+		t.Fatalf("after the second clean shutdown the directory holds %v", got)
+	}
+	srv3, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv3.router.WALClose()
+	if got := walFiles(t, cfg.walDir); len(got) != 4 || got[3] != "s001-g000005.wal" {
+		t.Fatalf("after the third boot the directory holds %v", got)
+	}
+	if tot := srv3.router.Totals(); tot.Matches != 2 || tot.Workers != 2 || tot.Tasks != 3 {
+		t.Fatalf("third boot totals = %+v", tot)
+	}
+}
+
+// TestServeCheckpointFailureIsNotFatal: when the shutdown checkpoint cannot
+// be written the shutdown still succeeds — the generations already on disk
+// remain the restart's source — and the failure is on /stats.
+func TestServeCheckpointFailureIsNotFatal(t *testing.T) {
+	cfg := defaultTestConfig()
+	cfg.walDir = t.TempDir() + "/wal"
+	cfg.walSync = "always"
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	postJSON(t, ts.URL+"/workers", `{"x":10,"y":10,"patience":300}`)
+	// The directory turns into a file: no new generation can be created.
+	if err := os.RemoveAll(cfg.walDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.walDir, []byte("in the way"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	wal := getJSON(t, ts.URL+"/stats")["wal"].(map[string]any)
+	if msg, _ := wal["checkpoint_error"].(string); msg == "" || wal["checkpoint_generation"] != nil {
+		t.Fatalf("wal status after a failed checkpoint = %v", wal)
 	}
 }
 

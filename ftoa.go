@@ -247,6 +247,11 @@ type (
 	ShardHandle = shard.Handle
 	// ShardStats snapshots one shard.
 	ShardStats = shard.Stats
+	// ShardTotals is the router-wide lifetime count (ShardRouter.Totals):
+	// the current shards' counters plus what every Rebalance, Checkpoint
+	// and recovered checkpoint superseded, so it never falls back when
+	// sessions are replaced.
+	ShardTotals = shard.Totals
 	// ShardPlacement maps a location to its owner region plus the
 	// neighbor regions within the halo that must receive ghost copies.
 	ShardPlacement = shard.Placement
@@ -278,7 +283,12 @@ type (
 	// the region layout a ShardRouter routes over, changed online via
 	// ShardRouter.Rebalance (usually driven by a RebalanceSupervisor).
 	ShardTopology = shard.Topology
-	// ShardRebalanceInfo summarises one online topology change.
+	// ShardRebalanceInfo summarises one migration: an online topology
+	// change (ShardRouter.Rebalance) or a checkpoint of the current
+	// topology (ShardRouter.Checkpoint — the live population re-admitted
+	// into a sealed WAL generation, the generations before it deleted, so
+	// the next RecoverShardRouter reads the live set instead of the
+	// history; a graceful shutdown calls it before closing the WAL).
 	ShardRebalanceInfo = shard.RebalanceInfo
 	// RebalanceSupervisor watches per-region demand and splits hot
 	// regions / merges cold sibling quads via ShardRouter.Rebalance.
@@ -330,7 +340,11 @@ const (
 // merged event stream and matched set — and opens a fresh log generation
 // for it. An empty directory starts a fresh router. Corrupt tails from a
 // crash are truncated, reported in ShardRecoveryInfo, and never refuse
-// the boot; a config that does not fingerprint-match the log does.
+// the boot; a config that does not fingerprint-match the log does. A
+// directory left by a ShardRouter.Checkpoint (ShardRecoveryInfo.
+// FromCheckpoint) replays only the live population it sealed: lifetime
+// totals and match ordinals carry on, receipts and event cursors from
+// before it are stale.
 func RecoverShardRouter(cfg ShardConfig) (*ShardRouter, *ShardRecoveryInfo, error) {
 	return shard.Recover(cfg)
 }

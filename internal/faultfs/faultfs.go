@@ -12,7 +12,13 @@
 //     only a prefix and then fails, like power loss mid-fsync);
 //   - Crash discards every file's volatile band — the post-crash disk
 //     image is exactly the durable bytes;
-//   - reads see durable+volatile, the live view an uncrashed process has.
+//   - reads see durable+volatile, the live view an uncrashed process has;
+//   - Remove unlinks a file from the live view at once, but an unlink is
+//     only durable once the directory is synced, which the WAL never asks
+//     for: Crash brings a removed file back with its durable bytes, unless
+//     the harness first calls PersistRemoves to take the other outcome;
+//   - FailAfter loses the disk at the n-th mutating operation from now, so
+//     a sweep can stop a multi-file protocol (a checkpoint) at every step.
 //
 // faultfs implements wal.FS (the dependency points from the harness to the
 // log, so the wal package itself stays free of test-only machinery).
@@ -45,12 +51,19 @@ type FS struct {
 	// opens counts Open calls per file, so a test can assert which files a
 	// reader touched.
 	opens map[string]int
+
+	// ops counts the mutating operations applied (Create, Write, Sync,
+	// Remove); once it reaches failAt (negative: unarmed) every further one
+	// fails and changes nothing.
+	ops    int
+	failAt int
 }
 
 type file struct {
 	durable  []byte
 	volatile []byte
 	closed   bool
+	removed  bool // unlinked from the live view; see Remove
 }
 
 // New returns an empty filesystem.
@@ -61,7 +74,27 @@ func New() *FS {
 		tearWrite:   make(map[string]int),
 		partialSync: make(map[string]int),
 		opens:       make(map[string]int),
+		failAt:      -1,
 	}
+}
+
+// step accounts one mutating operation and reports whether the disk still
+// takes it. Callers hold mu.
+func (fs *FS) step() bool {
+	if fs.failAt >= 0 && fs.ops >= fs.failAt {
+		return false
+	}
+	fs.ops++
+	return true
+}
+
+// live returns name's file as an uncrashed process sees it: nil once
+// removed. Callers hold mu.
+func (fs *FS) live(name string) *file {
+	if f := fs.files[name]; f != nil && !f.removed {
+		return f
+	}
+	return nil
 }
 
 // errInjected is the failure surfaced by a consumed fault.
@@ -88,8 +121,11 @@ func (fs *FS) Create(name string) (wal.File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	name = path.Clean(name)
-	if _, ok := fs.files[name]; ok {
+	if fs.live(name) != nil {
 		return nil, &os.PathError{Op: "create", Path: name, Err: os.ErrExist}
+	}
+	if !fs.step() {
+		return nil, errInjected
 	}
 	f := &file{}
 	fs.files[name] = f
@@ -102,8 +138,8 @@ func (fs *FS) Open(name string) (io.ReadCloser, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	name = path.Clean(name)
-	f, ok := fs.files[name]
-	if !ok {
+	f := fs.live(name)
+	if f == nil {
 		return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
 	}
 	fs.opens[name]++
@@ -151,8 +187,8 @@ func (fs *FS) ReadDir(dir string) ([]string, error) {
 	defer fs.mu.Unlock()
 	prefix := path.Clean(dir)
 	var names []string
-	for name := range fs.files {
-		if path.Dir(name) == prefix {
+	for name, f := range fs.files {
+		if !f.removed && path.Dir(name) == prefix {
 			names = append(names, strings.TrimPrefix(name, prefix+"/"))
 		}
 	}
@@ -160,8 +196,10 @@ func (fs *FS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-// Crash discards every file's volatile band: the filesystem afterwards
-// holds exactly what a machine reset would have preserved. Open handles
+// Crash discards every file's volatile band and brings back every removed
+// file whose unlink was not persisted (PersistRemoves): the filesystem
+// afterwards holds exactly what a machine reset would have preserved. It
+// also disarms FailAfter — the next process has a working disk. Open handles
 // keep working (the process that crashed is gone; the handles a test still
 // holds belong to it and must not resurrect bytes), so a typical harness
 // drops its writer references after Crash.
@@ -170,7 +208,39 @@ func (fs *FS) Crash() {
 	defer fs.mu.Unlock()
 	for _, f := range fs.files {
 		f.volatile = f.volatile[:0]
+		f.removed = false
 	}
+	fs.failAt = -1
+}
+
+// PersistRemoves makes every unlink so far durable, as a directory sync
+// would: the removed files are gone for good and a later Crash does not
+// bring them back.
+func (fs *FS) PersistRemoves() {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for name, f := range fs.files {
+		if f.removed {
+			delete(fs.files, name)
+		}
+	}
+}
+
+// FailAfter arms a crash point: the next n mutating operations (Create,
+// Write, Sync, Remove) are applied, every one after them fails with the
+// injected fault and changes nothing — the process lost its disk there.
+// Crash disarms it.
+func (fs *FS) FailAfter(n int) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.failAt = fs.ops + n
+}
+
+// Ops returns how many mutating operations have been applied.
+func (fs *FS) Ops() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.ops
 }
 
 // TearNextWrite makes the next Write to name append only its first keep
@@ -215,13 +285,25 @@ func (fs *FS) SetFile(name string, data []byte) {
 	}
 	f.durable = append(f.durable[:0], data...)
 	f.volatile = f.volatile[:0]
+	f.removed = false
 }
 
-// Remove deletes name.
-func (fs *FS) Remove(name string) {
+// Remove unlinks name: it disappears from Open, ReadDir and Create at
+// once, while its durable bytes stay on the post-crash image (Durable,
+// Crash) until PersistRemoves.
+func (fs *FS) Remove(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	delete(fs.files, path.Clean(name))
+	name = path.Clean(name)
+	f := fs.live(name)
+	if f == nil {
+		return &os.PathError{Op: "remove", Path: name, Err: os.ErrNotExist}
+	}
+	if !fs.step() {
+		return errInjected
+	}
+	f.removed = true
+	return nil
 }
 
 type handle struct {
@@ -235,6 +317,9 @@ func (h *handle) Write(p []byte) (int, error) {
 	defer h.fs.mu.Unlock()
 	if h.f.closed {
 		return 0, &os.PathError{Op: "write", Path: h.name, Err: os.ErrClosed}
+	}
+	if !h.fs.step() {
+		return 0, errInjected
 	}
 	if keep, ok := h.fs.tearWrite[h.name]; ok {
 		delete(h.fs.tearWrite, h.name)
@@ -253,6 +338,9 @@ func (h *handle) Sync() error {
 	defer h.fs.mu.Unlock()
 	if h.f.closed {
 		return &os.PathError{Op: "sync", Path: h.name, Err: os.ErrClosed}
+	}
+	if !h.fs.step() {
+		return errInjected
 	}
 	if keep, ok := h.fs.partialSync[h.name]; ok {
 		delete(h.fs.partialSync, h.name)

@@ -151,3 +151,90 @@ func TestClosedHandle(t *testing.T) {
 		t.Fatal("sync on closed handle succeeded")
 	}
 }
+
+// TestRemoveIsNotDurableUntilPersisted: an unlink takes effect in the live
+// view at once — the name is free again — but a crash brings the file back
+// with its durable bytes unless the unlinks were persisted first.
+func TestRemoveIsNotDurableUntilPersisted(t *testing.T) {
+	fs := New()
+	for _, name := range []string{"d/a", "d/b"} {
+		f, _ := fs.Create(name)
+		f.Write([]byte(name))
+		f.Sync()
+		f.Write([]byte("-unsynced"))
+	}
+	if err := fs.Remove("d/a"); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	if err := fs.Remove("d/a"); err == nil {
+		t.Fatal("removing a removed file succeeded")
+	}
+	if _, err := fs.Open("d/a"); err == nil {
+		t.Fatal("a removed file opens")
+	}
+	if names, _ := fs.ReadDir("d"); len(names) != 1 || names[0] != "b" {
+		t.Fatalf("ReadDir after remove = %v", names)
+	}
+	if d := fs.Durable("d/a"); string(d) != "d/a" {
+		t.Fatalf("post-crash image of the unlinked file = %q", d)
+	}
+	fs.Crash()
+	if got := liveView(t, fs, "d/a"); string(got) != "d/a" {
+		t.Fatalf("after the crash the unlinked file holds %q, want its durable bytes back", got)
+	}
+
+	fs.Remove("d/a")
+	fs.Remove("d/b")
+	if _, err := fs.Create("d/b"); err != nil {
+		t.Fatalf("Create over a removed name: %v", err)
+	}
+	fs.PersistRemoves()
+	fs.Crash()
+	if names, _ := fs.ReadDir("d"); len(names) != 1 || names[0] != "b" {
+		t.Fatalf("after persisted unlinks and a crash: %v, want only the re-created b", names)
+	}
+	if d := fs.Durable("d/b"); len(d) != 0 {
+		t.Fatalf("the re-created file inherited %q", d)
+	}
+}
+
+// TestFailAfter: the armed number of mutating operations go through, every
+// later one fails and changes nothing, and a crash disarms it.
+func TestFailAfter(t *testing.T) {
+	fs := New()
+	f, _ := fs.Create("a")
+	f.Write([]byte("one"))
+	f.Sync()
+	if fs.Ops() != 3 {
+		t.Fatalf("Ops = %d after create, write, sync", fs.Ops())
+	}
+	fs.FailAfter(1)
+	if _, err := f.Write([]byte("two")); err != nil {
+		t.Fatalf("the one allowed operation failed: %v", err)
+	}
+	if err := f.Sync(); !ErrInjected(err) {
+		t.Fatalf("Sync past the crash point: %v", err)
+	}
+	if _, err := f.Write([]byte("three")); !ErrInjected(err) {
+		t.Fatalf("Write past the crash point: %v", err)
+	}
+	if _, err := fs.Create("b"); !ErrInjected(err) {
+		t.Fatalf("Create past the crash point: %v", err)
+	}
+	if err := fs.Remove("a"); !ErrInjected(err) {
+		t.Fatalf("Remove past the crash point: %v", err)
+	}
+	if fs.Ops() != 4 {
+		t.Fatalf("Ops = %d, failed operations were counted", fs.Ops())
+	}
+	if got := liveView(t, fs, "a"); string(got) != "onetwo" {
+		t.Fatalf("live view = %q", got)
+	}
+	fs.Crash()
+	if got := liveView(t, fs, "a"); string(got) != "one" {
+		t.Fatalf("post-crash view = %q", got)
+	}
+	if _, err := fs.Create("b"); err != nil {
+		t.Fatalf("Create after the crash disarmed the fault: %v", err)
+	}
+}

@@ -194,15 +194,18 @@ func (l *eventLog) evictLocked() {
 }
 
 // resume positions the log after WAL recovery: base is the sequence base
-// of the recovered generation chain (events below it belong to earlier
-// topologies and are not replayable) and head the next sequence number
-// the router will assign. Sequence numbers lost with a torn log tail are
-// holes that will never fill, so the frontier jumps to the head and
-// readers skip the unset slots.
-func (l *eventLog) resume(base, head uint64) {
+// of the recovered generation chain (events below it were superseded by
+// the checkpoint the chain starts at and are not replayable), matchBase
+// the number of matches among them — they count as freed, so ordinals
+// carry on from where the checkpoint's writer had them — and head the next
+// sequence number the router will assign. Sequence numbers lost with a
+// torn log tail are holes that will never fill, so the frontier jumps to
+// the head and readers skip the unset slots.
+func (l *eventLog) resume(base, head, matchBase uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.base = base
+	l.matchesFreed += matchBase
 	l.head = max(l.head, head)
 	l.evictLocked()
 	l.frontier.Store(l.head)

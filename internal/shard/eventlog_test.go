@@ -16,13 +16,17 @@ type refLog struct {
 	capacity uint64
 	base     uint64
 	resumed  uint64 // head at the last resume: the frontier never waits below it
-	all      []Event
+	// matchBase counts the matches below base a checkpoint superseded: they
+	// were never appended here, yet every ordinal starts after them.
+	matchBase uint64
+	all       []Event
 }
 
 func (m *refLog) append(evs []Event) { m.all = append(m.all, evs...) }
 
-func (m *refLog) resume(base, head uint64) {
+func (m *refLog) resume(base, head, matchBase uint64) {
 	m.base = base
+	m.matchBase += matchBase
 	m.resumed = head
 	for _, ev := range m.all {
 		m.resumed = max(m.resumed, ev.Seq+1)
@@ -62,6 +66,7 @@ func (m *refLog) window() (oldest, frontier uint64, evs []Event) {
 // every match ever appended, by Seq.
 func (m *refLog) matches() (oldest, count uint64, ms []Event) {
 	lo, hi, _ := m.window()
+	oldest, count = m.matchBase, m.matchBase
 	for _, ev := range m.all {
 		if ev.Kind != sim.EventMatch {
 			continue
@@ -292,8 +297,8 @@ func TestEventLogRecoverOrder(t *testing.T) {
 			}
 		}
 		head := uint64(len(stream))
-		rec.resume(0, head)
-		m.resume(0, head)
+		rec.resume(0, head, 0)
+		m.resume(0, head, 0)
 		checkLog(t, rec, m, 100)
 
 		if rec.oldest.Load() != live.oldest.Load() || rec.frontier.Load() != head || live.frontier.Load() != head {
@@ -332,11 +337,16 @@ func TestEventLogResumeTornTail(t *testing.T) {
 	l.append(kept)
 	m.append(kept)
 	head := uint64(len(stream))
-	l.resume(base, head)
-	m.resume(base, head)
+	// The checkpoint superseded 17 matches below its base: ordinals carry on
+	// after them.
+	l.resume(base, head, 17)
+	m.resume(base, head, 17)
 	checkLog(t, l, m, 50)
 	if l.oldest.Load() != base || l.frontier.Load() != head {
 		t.Fatalf("resumed window [%d,%d), want [%d,%d)", l.oldest.Load(), l.frontier.Load(), base, head)
+	}
+	if om := l.oldestMatch(); om != 17 {
+		t.Fatalf("oldest match ordinal %d after resuming behind 17 superseded matches", om)
 	}
 	next := []Event{{Seq: head, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch}}}
 	l.append(next)

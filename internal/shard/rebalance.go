@@ -16,8 +16,17 @@
 //     into fresh sessions and needs nothing older), committed atomically
 //     by a seal record in shard 0 — a crash anywhere before the seal
 //     recovers the pre-migration state, after it the post-migration one.
+//     Once the seal is durable the generations it supersedes are deleted;
+//   - lifetime totals (Router.Totals) read the same before and after: the
+//     seal carries what the superseded sessions had counted, less what the
+//     re-admissions put into the new ones.
 //
-// The migration itself is stop-the-world: Rebalance holds the topology
+// Checkpoint is the same migration onto the topology the router already
+// has: nothing moves between regions, but the new generation holds the
+// live population and nothing else, which is what bounds a restart by live
+// state instead of history.
+//
+// The migration itself is stop-the-world: it holds the topology
 // write lock, so every admission, advance and read path waits (the
 // Admitter answers BUSY instead of queueing). Build is non-destructive —
 // the successor state is assembled beside the live one and installed by a
@@ -29,14 +38,17 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"ftoa/internal/geo"
+	"ftoa/internal/shard/wal"
 )
 
-// RebalanceInfo summarises one completed topology change.
+// RebalanceInfo summarises one completed migration: a topology change
+// (Rebalance) or a checkpoint of the current one (Checkpoint).
 type RebalanceInfo struct {
-	// Version is the new topology epoch; From and To render the old and
-	// new topologies (Topology.String).
+	// Version is the topology epoch after the migration (a checkpoint keeps
+	// it); From and To render the old and new topologies (Topology.String).
 	Version  uint64
 	From, To string
 	// Regions is the new region count.
@@ -44,9 +56,19 @@ type RebalanceInfo struct {
 	// MigratedWorkers and MigratedTasks count the live objects re-admitted
 	// into the new sessions.
 	MigratedWorkers, MigratedTasks int
-	// WALGeneration is the checkpoint generation opened for the new
-	// topology (0 without a WAL).
-	WALGeneration uint64
+	// WALGeneration is the checkpoint generation the migration wrote (0
+	// without a WAL). Sealed reports that its seal is durable — recovery
+	// starts from it; when false, WALErr says why and recovery still yields
+	// the pre-migration state. SegmentsRemoved counts the superseded segment
+	// files deleted after the seal and RemoveErr is the first failure doing
+	// so (what is left is never read and goes with the next seal).
+	WALGeneration   uint64
+	Sealed          bool
+	SegmentsRemoved int
+	RemoveErr       error
+	// Duration is how long admissions were stopped: topology lock taken to
+	// successor state installed and superseded segments removed.
+	Duration time.Duration
 }
 
 // Topology returns the current region tree. The returned value is
@@ -60,8 +82,8 @@ func (r *Router) TopologyVersion() uint64 { return r.state().version }
 // Rebalances returns how many topology changes have completed.
 func (r *Router) Rebalances() uint64 { return r.rebalances.Load() }
 
-// Migrating reports whether a Rebalance is in flight (admission fronts
-// answer BUSY while it is).
+// Migrating reports whether a Rebalance or Checkpoint is in flight
+// (admission fronts answer BUSY while it is).
 func (r *Router) Migrating() bool { return r.migrating.Load() }
 
 // SampleRates folds each shard's owner-admission count into its
@@ -111,17 +133,43 @@ func (r *Router) Rebalance(topo *Topology) (*RebalanceInfo, error) {
 	if topo == nil {
 		return nil, errors.New("shard: nil topology")
 	}
+	return r.migrate(topo)
+}
+
+// Checkpoint re-admits the live population into fresh sessions of the
+// current topology and seals that as a new WAL generation, then deletes the
+// generations it supersedes: recovery afterwards reads the live set, not
+// the history. It is Rebalance onto the same topology and shares its
+// contracts — admissions stop for its duration, receipts issued before it
+// go stale, event cursors carry across on the live router and fall below
+// the retention window of one recovered from it, algorithm state restarts
+// from the live population. Without a WAL there is nothing to seal and
+// Checkpoint does nothing, returning (nil, nil).
+func (r *Router) Checkpoint() (*RebalanceInfo, error) { return r.migrate(nil) }
+
+// migrate is the one migration path; a nil topo is Checkpoint's "the
+// current one".
+func (r *Router) migrate(topo *Topology) (*RebalanceInfo, error) {
+	start := time.Now()
 	r.migrating.Store(true)
 	defer r.migrating.Store(false)
 	r.topoMu.Lock()
 	defer r.topoMu.Unlock()
 	old := r.state()
-	if topo.BaseCols() != old.topo.BaseCols() || topo.BaseRows() != old.topo.BaseRows() {
+	version := old.version
+	switch {
+	case topo == nil:
+		if r.walSet == nil {
+			return nil, nil
+		}
+		topo = old.topo
+	case topo.BaseCols() != old.topo.BaseCols() || topo.BaseRows() != old.topo.BaseRows():
 		return nil, fmt.Errorf("shard: rebalance base %dx%d does not match router base %dx%d",
 			topo.BaseCols(), topo.BaseRows(), old.topo.BaseCols(), old.topo.BaseRows())
-	}
-	if topo.Equal(old.topo) {
+	case topo.Equal(old.topo):
 		return nil, errors.New("shard: rebalance to the current topology")
+	default:
+		version++
 	}
 
 	// Quiesce: settle every pending cross-shard retraction and drain every
@@ -134,6 +182,9 @@ func (r *Router) Rebalance(topo *Topology) (*RebalanceInfo, error) {
 		si.mu.Unlock()
 	}
 	r.applyPending(old)
+	// The old state is now fully sequenced: everything below seqBase — and
+	// matchBase matches among it — belongs to what the checkpoint supersedes.
+	seqBase, matchBase := r.seq.Load(), r.log.matchCount()
 
 	// The new sessions' epoch floor: above every receipt the old topology
 	// ever issued. The old max clock is what the new sessions advance to.
@@ -150,7 +201,7 @@ func (r *Router) Rebalance(topo *Topology) (*RebalanceInfo, error) {
 		si.mu.Unlock()
 	}
 
-	ns, err := r.buildState(topo, old.version+1)
+	ns, err := r.buildState(topo, version)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +220,7 @@ func (r *Router) Rebalance(topo *Topology) (*RebalanceInfo, error) {
 	if r.walSet != nil {
 		r.walSet.Flush()
 		gen := r.walAttempt + 1
-		hm := r.headerMetaFor(ns, gen, genCheckpoint, epochFloor, r.seq.Load())
+		hm := r.headerMetaFor(ns, gen, genCheckpoint, epochFloor, seqBase)
 		newSet, err = r.openWALSet(ns, hm)
 		if err != nil {
 			return nil, err
@@ -270,6 +321,13 @@ func (r *Router) Rebalance(topo *Topology) (*RebalanceInfo, error) {
 		}
 	}
 	r.applyPending(ns)
+	// Whatever the re-admissions counted in the new sessions — admissions,
+	// ghost copies, the algorithms' attempts, the odd match between two live
+	// objects that now share a session — is taken back out, so Totals reads
+	// what it read before the migration.
+	ns.carried = old.carried
+	ns.carried.add(r.shardTotals(old), 1)
+	ns.carried.add(r.shardTotals(ns), -1)
 
 	// Advance the new sessions to the old topology's max clock. No expiry
 	// this fires is new: a migrated object with deadline <= its old shard's
@@ -316,16 +374,24 @@ func (r *Router) Rebalance(topo *Topology) (*RebalanceInfo, error) {
 	// recovery; a flush failure leaves it unsealed (recovery then yields
 	// the pre-migration state) and surfaces via WALErr — the live router
 	// swaps regardless, preferring availability, like every WAL error.
+	// Only a durable seal lets the older generations go: from then on
+	// recovery starts at this one and opens nothing before it.
 	if newSet != nil && newSet != r.walSet {
 		if err := newSet.Flush(); err == nil {
-			newSet.Log(0).Append(encodeSeal(ns.version))
-			newSet.Log(0).Flush()
+			newSet.Log(0).Append(encodeSeal(sealMeta{topoVer: ns.version, matchBase: matchBase, carried: ns.carried}))
+			info.Sealed = newSet.Log(0).Flush() == nil
 		}
 		r.walSet.Close()
 		r.walSet = newSet
+		if info.Sealed {
+			info.SegmentsRemoved, info.RemoveErr = wal.RemoveBelow(r.cfg.WAL.Filesystem(), r.cfg.WAL.Dir, info.WALGeneration)
+		}
 	}
 	r.top.Store(ns)
-	r.rebalances.Add(1)
+	if version != old.version {
+		r.rebalances.Add(1)
+	}
+	info.Duration = time.Since(start)
 	return info, nil
 }
 

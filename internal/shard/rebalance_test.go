@@ -330,9 +330,12 @@ func TestRebalanceRecoveryParity(t *testing.T) {
 
 // TestRecoverSkipsSupersededGenerations: once a checkpoint is sealed the
 // generations before it are history the recovered state does not depend
-// on — recovery must not open them at all, so what they hold (here:
-// garbage, and a header from a different configuration) cannot refuse the
-// boot, and the recovered router is the one an intact directory gives.
+// on. The migration deletes them; and where a crash undoes those unlinks
+// (nothing syncs the directory) recovery must not open them at all, so
+// what they hold (here: garbage, and a header from a different
+// configuration) cannot refuse the boot, and the recovered router is the
+// one an intact directory gives. (An unsealed checkpoint deletes nothing:
+// TestRebalanceUnsealedKeepsHistory.)
 func TestRecoverSkipsSupersededGenerations(t *testing.T) {
 	fs := faultfs.New()
 	cfg := walTestConfig(2, 2, 12, fs)
@@ -342,17 +345,31 @@ func TestRecoverSkipsSupersededGenerations(t *testing.T) {
 	}
 	ops := genWalOps(260, 42)
 	applyWalOps(t, r, ops[:150])
-	if _, err := r.Rebalance(mustSplit(t, r.Topology(), 0)); err != nil {
+	rinfo, err := r.Rebalance(mustSplit(t, r.Topology(), 0))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !rinfo.Sealed || rinfo.SegmentsRemoved != 4 || rinfo.RemoveErr != nil {
+		t.Fatalf("rebalance info = %+v, want a sealed checkpoint and generation 1's four segments removed", rinfo)
+	}
+	segs, _, err := wal.Segments(fs, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sg := range segs {
+		if sg.Gen < rinfo.WALGeneration {
+			t.Fatalf("superseded segment %s still listed after the seal", sg.Path)
+		}
 	}
 	applyWalOps(t, r, ops[150:220])
 	if err := r.WALClose(); err != nil {
 		t.Fatal(err)
 	}
+	// The crash brings the unlinked generation back: nobody synced the
+	// directory. Recovery has to cope with it lying under the seal.
 	fs.Crash()
 
-	segs, _, err := wal.Segments(fs, "wal")
-	if err != nil {
+	if segs, _, err = wal.Segments(fs, "wal"); err != nil {
 		t.Fatal(err)
 	}
 	var superseded, chain []string

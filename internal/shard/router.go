@@ -89,8 +89,9 @@ type Config struct {
 	// an append-only per-shard log under WAL.Dir (see walhook.go), and
 	// Recover rebuilds an equivalent router from those logs at boot.
 	// NewRouter refuses a directory that already holds segments — recovery
-	// over existing history must go through Recover. Topology changes open
-	// a new checkpoint generation (see rebalance.go).
+	// over existing history must go through Recover. Topology changes and
+	// Checkpoint write a new checkpoint generation and delete the ones it
+	// supersedes (see rebalance.go).
 	WAL *wal.Options
 }
 
@@ -128,47 +129,73 @@ type Event struct {
 	TaskShard   int
 }
 
-// Stats is a point-in-time snapshot of one shard. Workers/Tasks count
-// lifetime admissions (monotone across retirements) — with halo mirroring
-// these include ghost copies, broken out in GhostWorkers/GhostTasks;
-// LiveWorkers/LiveTasks are the current arena populations — with
-// retirement on, the gap between the two is the memory the shard has
-// reclaimed. ExpiredWorkers/ExpiredTasks count only lifecycle-owning
-// expiries: deadlines of ghost copies (reported by their owner shard) and
-// of objects that matched elsewhere are excluded.
+// Stats is a point-in-time snapshot of one shard: the lifetime counters of
+// its current session (Totals, monotone across retirements) plus what only
+// a single shard has. LiveWorkers/LiveTasks are the current arena
+// populations — with retirement on, the gap between them and
+// Workers/Tasks is the memory the shard has reclaimed.
 type Stats struct {
-	Shard          int
-	Bounds         geo.Rect
-	Workers        int
-	Tasks          int
-	LiveWorkers    int
-	LiveTasks      int
-	Matches        int
-	ExpiredWorkers int
-	ExpiredTasks   int
-	Attempted      int
-	Rejected       int
-	Now            float64
+	Shard  int
+	Bounds geo.Rect
+	Totals
+	LiveWorkers int
+	LiveTasks   int
+	Now         float64
 
 	// ArrivalRate is the shard's owner-admission rate EWMA in arrivals
 	// per second, folded by Router.SampleRates (zero until sampled). It
 	// is advisory — the rebalance supervisor's demand signal — and is
 	// deliberately not WAL-recorded: a recovered router restarts it.
 	ArrivalRate float64
+}
 
+// Totals is the set of lifetime counters. Per shard (Stats) it counts the
+// shard's current session; router-wide (Router.Totals) it sums the current
+// shards plus every session a Rebalance or Checkpoint has replaced since
+// the router — or the log it recovered — began. A migration's
+// re-admissions count toward none of the router-wide figure: it reads the
+// same immediately before and after one — but for the deadlines that fall
+// inside the old shards' clock skew, which the migration's closing advance
+// expires like any Advance would — and the same again after recovering
+// the generation it sealed.
+type Totals struct {
+	// Workers/Tasks count admissions — with halo mirroring these include
+	// ghost copies, broken out in GhostWorkers/GhostTasks.
+	Workers, Tasks int
+	Matches        int
+	// ExpiredWorkers/ExpiredTasks count only lifecycle-owning expiries:
+	// deadlines of ghost copies (reported by their owner shard) and of
+	// objects that matched elsewhere are excluded.
+	ExpiredWorkers, ExpiredTasks int
+	Attempted, Rejected          int
 	// Halo metrics; all zero with Halo disabled. GhostWorkers/GhostTasks
-	// count mirrored copies admitted into this shard; WithdrawnWorkers/
-	// WithdrawnTasks the copies retracted from it after their original
-	// matched or expired elsewhere; ClaimsLost the commits this shard's
-	// algorithm attempted but lost to cross-shard arbitration; and
-	// BorderMatches the commits won here involving at least one mirrored
-	// endpoint — the matches disjoint sharding would have missed.
-	GhostWorkers     int
-	GhostTasks       int
-	WithdrawnWorkers int
-	WithdrawnTasks   int
-	ClaimsLost       int
-	BorderMatches    int
+	// count mirrored copies admitted into a shard; WithdrawnWorkers/
+	// WithdrawnTasks the copies retracted after their original matched or
+	// expired elsewhere; ClaimsLost the commits an algorithm attempted but
+	// lost to cross-shard arbitration; and BorderMatches the commits
+	// involving at least one mirrored endpoint — the matches disjoint
+	// sharding would have missed.
+	GhostWorkers, GhostTasks         int
+	WithdrawnWorkers, WithdrawnTasks int
+	ClaimsLost, BorderMatches        int
+}
+
+// fields lists the counters in a fixed order — the order the checkpoint
+// seal stores them in (walcodec.go).
+func (t *Totals) fields() [13]*int {
+	return [13]*int{
+		&t.Workers, &t.Tasks, &t.Matches, &t.ExpiredWorkers, &t.ExpiredTasks,
+		&t.Attempted, &t.Rejected, &t.GhostWorkers, &t.GhostTasks,
+		&t.WithdrawnWorkers, &t.WithdrawnTasks, &t.ClaimsLost, &t.BorderMatches,
+	}
+}
+
+// add folds d into t, sign times.
+func (t *Totals) add(d Totals, sign int) {
+	df := d.fields()
+	for i, v := range t.fields() {
+		*v += sign * *df[i]
+	}
 }
 
 // ErrEvicted is returned by Events, Matches and EventSub.Next when the
@@ -187,6 +214,12 @@ type topoState struct {
 	topo      *Topology
 	placement *Placement
 	shards    []*shardInstance
+	// carried is what Totals adds to the shards' own counters: the totals of
+	// every state this one superseded, less what the migration's
+	// re-admissions put into these shards (so it can be negative — a
+	// migration onto a finer halo grid makes more ghost copies than the old
+	// topology ever counted). Set before the state is published.
+	carried Totals
 }
 
 // Router is a sharded multi-session serving surface; see the package
@@ -979,28 +1012,47 @@ func (r *Router) shardStatsOf(ts *topoState, i int) Stats {
 	return Stats{
 		Shard:       si.id,
 		Bounds:      ts.placement.Region(si.id),
-		Workers:     si.sess.AdmittedWorkers(),
-		Tasks:       si.sess.AdmittedTasks(),
 		LiveWorkers: si.sess.NumWorkers(),
 		LiveTasks:   si.sess.NumTasks(),
-		Matches:     si.sess.Matches(),
-		// The session counts every deadline it fires; deadlines of copies
-		// whose lifecycle concluded elsewhere were dropped from the stream
-		// (ownerExpiryLocked) and are subtracted here so the snapshot
-		// counts each logical expiry exactly once, on its owner shard.
-		ExpiredWorkers:   si.sess.ExpiredWorkers() - si.halo.suppressedExpW,
-		ExpiredTasks:     si.sess.ExpiredTasks() - si.halo.suppressedExpT,
-		Attempted:        si.sess.Attempted(),
-		Rejected:         si.sess.Rejected(),
-		Now:              si.sess.Now(),
-		ArrivalRate:      si.rateEWMA,
-		GhostWorkers:     si.halo.ghostW,
-		GhostTasks:       si.halo.ghostT,
-		WithdrawnWorkers: si.sess.WithdrawnWorkers(),
-		WithdrawnTasks:   si.sess.WithdrawnTasks(),
-		ClaimsLost:       si.halo.claimsLost,
-		BorderMatches:    si.halo.borderMatches,
+		Now:         si.sess.Now(),
+		ArrivalRate: si.rateEWMA,
+		Totals: Totals{
+			Workers: si.sess.AdmittedWorkers(),
+			Tasks:   si.sess.AdmittedTasks(),
+			Matches: si.sess.Matches(),
+			// The session counts every deadline it fires; deadlines of copies
+			// whose lifecycle concluded elsewhere were dropped from the stream
+			// (ownerExpiryLocked) and are subtracted here so the snapshot
+			// counts each logical expiry exactly once, on its owner shard.
+			ExpiredWorkers:   si.sess.ExpiredWorkers() - si.halo.suppressedExpW,
+			ExpiredTasks:     si.sess.ExpiredTasks() - si.halo.suppressedExpT,
+			Attempted:        si.sess.Attempted(),
+			Rejected:         si.sess.Rejected(),
+			GhostWorkers:     si.halo.ghostW,
+			GhostTasks:       si.halo.ghostT,
+			WithdrawnWorkers: si.sess.WithdrawnWorkers(),
+			WithdrawnTasks:   si.sess.WithdrawnTasks(),
+			ClaimsLost:       si.halo.claimsLost,
+			BorderMatches:    si.halo.borderMatches,
+		},
 	}
+}
+
+// Totals returns the router-wide lifetime counts; see Totals.
+func (r *Router) Totals() Totals {
+	ts := r.state()
+	t := ts.carried
+	t.add(r.shardTotals(ts), 1)
+	return t
+}
+
+// shardTotals sums the counters of ts's own sessions.
+func (r *Router) shardTotals(ts *topoState) Totals {
+	var t Totals
+	for i := range ts.shards {
+		t.add(r.shardStatsOf(ts, i).Totals, 1)
+	}
+	return t
 }
 
 // Retire compacts every shard's arenas now, regardless of the

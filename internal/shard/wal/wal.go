@@ -94,6 +94,9 @@ type FS interface {
 	// ReadDir lists the file names (base names, any order) in dir. A
 	// missing dir returns an empty listing, not an error.
 	ReadDir(dir string) ([]string, error)
+	// Remove deletes name. Only whole superseded generations are ever
+	// removed (RemoveBelow), never a segment a reader could still need.
+	Remove(name string) error
 }
 
 // File is an append-only log file.
@@ -131,6 +134,8 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 	}
 	return names, nil
 }
+
+func (osFS) Remove(name string) error { return os.Remove(name) }
 
 // OSFS returns the real-filesystem FS implementation.
 func OSFS() FS { return osFS{} }
@@ -225,6 +230,32 @@ func Segments(fs FS, dir string) (segs []Segment, maxGen uint64, err error) {
 		return segs[i].Shard < segs[j].Shard
 	})
 	return segs, maxGen, nil
+}
+
+// RemoveBelow deletes every segment under dir whose generation is below
+// gen, oldest generation first, so whatever a crash leaves behind is a
+// newest-first suffix of the history. The caller has made a sealed
+// checkpoint at gen durable: recovery starts there and opens nothing
+// older, so a failure here only leaves unread files for the next call. It
+// returns how many segments it removed and the first error.
+func RemoveBelow(fs FS, dir string, gen uint64) (removed int, err error) {
+	segs, _, err := Segments(fs, dir)
+	if err != nil {
+		return 0, err
+	}
+	for _, sg := range segs {
+		if sg.Gen >= gen {
+			break
+		}
+		if rerr := fs.Remove(sg.Path); rerr != nil {
+			if err == nil {
+				err = fmt.Errorf("wal: removing %s: %w", sg.Path, rerr)
+			}
+			continue
+		}
+		removed++
+	}
+	return removed, err
 }
 
 // scanBufSize is the scanner's read buffer: large enough that a segment

@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -227,6 +228,54 @@ func TestGenerationsConcatenate(t *testing.T) {
 	}
 	if !bytes.Equal(ops, []byte{1, 2}) {
 		t.Fatalf("ops across generations = %v, want [1 2]", ops)
+	}
+}
+
+// TestRemoveBelow: every segment of the generations below the given one
+// goes, oldest generation first, nothing at or above it and no foreign
+// file; the real filesystem behaves the same; and a segment that cannot be
+// removed is reported without stopping the rest.
+func TestRemoveBelow(t *testing.T) {
+	fs := faultfs.New()
+	for _, gen := range []uint64{1, 2, 4} {
+		openSet(t, fs, wal.SyncAlways, 2, gen).Close()
+	}
+	fs.SetFile("wal/README", []byte("not a segment"))
+	removed, err := wal.RemoveBelow(fs, "wal", 4)
+	if removed != 4 || err != nil {
+		t.Fatalf("RemoveBelow = %d, %v; want 4 segments removed", removed, err)
+	}
+	names, _ := fs.ReadDir("wal")
+	if fmt.Sprint(names) != "[README s000-g000004.wal s001-g000004.wal]" {
+		t.Fatalf("left on disk: %v", names)
+	}
+	if removed, err := wal.RemoveBelow(fs, "wal", 4); removed != 0 || err != nil {
+		t.Fatalf("second RemoveBelow = %d, %v", removed, err)
+	}
+
+	dir := t.TempDir()
+	for _, gen := range []uint64{1, 2} {
+		set, err := wal.Open(wal.Options{Dir: dir}, 2, gen, func(int) []byte { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.Close()
+	}
+	if removed, err := wal.RemoveBelow(wal.OSFS(), dir, 2); removed != 2 || err != nil {
+		t.Fatalf("RemoveBelow on the OS filesystem = %d, %v", removed, err)
+	}
+	if segs, maxGen, _ := wal.Segments(wal.OSFS(), dir); len(segs) != 2 || maxGen != 2 || segs[0].Gen != 2 {
+		t.Fatalf("left on the OS filesystem: %+v", segs)
+	}
+
+	// The disk goes away after the first unlink: the rest fail, are counted
+	// out, and the first failure is the error.
+	fs = faultfs.New()
+	openSet(t, fs, wal.SyncAlways, 3, 1).Close()
+	fs.FailAfter(1)
+	removed, err = wal.RemoveBelow(fs, "wal", 2)
+	if removed != 1 || !faultfs.ErrInjected(errors.Unwrap(err)) {
+		t.Fatalf("RemoveBelow on a failing disk = %d, %v", removed, err)
 	}
 }
 

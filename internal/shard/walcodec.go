@@ -31,9 +31,8 @@ const (
 	// recSeal commits a checkpoint generation (rebalance.go): it is
 	// appended to shard 0's log only, after every shard's re-admission
 	// records were flushed, so its durability implies the whole
-	// checkpoint's. Payload: u64 topology version. A checkpoint
-	// generation without a durable seal is skipped by recovery — the
-	// migration never happened.
+	// checkpoint's. Payload: sealMeta. A checkpoint generation without a
+	// durable seal is skipped by recovery — the migration never happened.
 	recSeal byte = 0x02
 
 	opWorker      byte = 0x10 // owner admission of a worker
@@ -95,6 +94,17 @@ type headerMeta struct {
 	// replayable from the chain, so recovery resumes the eviction boundary
 	// (and the sequence counter) at least here.
 	seqBase uint64
+}
+
+// sealMeta is the seal record's payload: everything about the history a
+// checkpoint supersedes that recovery cannot replay any more.
+type sealMeta struct {
+	topoVer uint64
+	// matchBase is the number of match events sequenced below the
+	// generation's seqBase — the ordinal the chain's first match gets.
+	matchBase uint64
+	// carried is topoState.carried of the state the checkpoint installed.
+	carried Totals
 }
 
 // mirrorInfo is the decoded halo identity of a mirrored admission.
@@ -167,11 +177,18 @@ func encodeHeader(shard int, fp []byte, hm headerMeta) []byte {
 	return wal.AppendFrame(nil, p)
 }
 
-// encodeSeal builds the framed checkpoint seal record (shard 0 only).
-func encodeSeal(topoVer uint64) []byte {
-	p := make([]byte, 0, 9)
+// encodeSeal builds the framed checkpoint seal record (shard 0 only). The
+// carried counts are signed (topoState.carried) and ride as two's-complement
+// u64s.
+func encodeSeal(sm sealMeta) []byte {
+	fields := sm.carried.fields()
+	p := make([]byte, 0, 1+8+8+8*len(fields))
 	p = append(p, recSeal)
-	p = appendU64(p, topoVer)
+	p = appendU64(p, sm.topoVer)
+	p = appendU64(p, sm.matchBase)
+	for _, v := range fields {
+		p = appendU64(p, uint64(int64(*v)))
+	}
 	return wal.AppendFrame(nil, p)
 }
 
@@ -353,6 +370,22 @@ func decodeHeader(payload []byte, shard int, fp []byte) (hm headerMeta, err erro
 		return hm, fmt.Errorf("wal: unknown generation kind %d", hm.kind)
 	}
 	return hm, nil
+}
+
+// decodeSeal decodes a seal record. A seal that ends after the topology
+// version was written before seals carried anything (lifetime totals then
+// restarted at every checkpoint) and decodes as carrying nothing.
+func decodeSeal(payload []byte) (sm sealMeta, err error) {
+	d := decoder{p: payload, off: 1}
+	sm.topoVer = d.u64("seal topology version")
+	if d.err == nil && d.off == len(payload) {
+		return sm, nil
+	}
+	sm.matchBase = d.u64("seal match base")
+	for _, v := range sm.carried.fields() {
+		*v = int(int64(d.u64("seal carried total")))
+	}
+	return sm, d.err
 }
 
 // decodeAdmission decodes an owner or ghost admission payload (type byte

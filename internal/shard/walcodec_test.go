@@ -19,7 +19,9 @@ func unframe(t testing.TB, framed []byte) []byte {
 
 // FuzzReplayRecord feeds arbitrary payloads to the record decoders
 // recovery runs on log bytes — the header (and the topology image inside
-// it), admissions, the fixed-width operation records and the count pass.
+// it), the seal, admissions, the fixed-width operation records and the
+// count pass — and replays the withdrawal records, whose handle indexes the
+// session's arenas, against a shard holding one worker and one task.
 // A CRC only proves a record is what was written, not that what was
 // written is sane, so they must fail closed: an error, never a panic, and
 // no allocation sized by a count the payload cannot back.
@@ -42,8 +44,14 @@ func FuzzReplayRecord(f *testing.F) {
 	f.Add(appendF64([]byte{opRetire}, 3))
 	f.Add(appendU64([]byte{opWithdraw, 1}, 9))
 	f.Add(appendU32([]byte{opWithdrawLocal, 7}, 2))
+	f.Add(appendU32([]byte{opWithdrawLocal, 4}, 0))          // the worker the shard holds
+	f.Add(appendU32([]byte{opWithdrawLocal, 0}, 0xFFFFFFFF)) // handle -1
+	f.Add(appendU32([]byte{opWithdrawLocal, 1}, 1<<20))      // past the task arena
 	f.Add([]byte{opFinish})
-	f.Add(unframe(f, encodeSeal(2)))
+	seal := unframe(f, encodeSeal(sealMeta{topoVer: 2, matchBase: 7, carried: Totals{Workers: 5, GhostTasks: -3}}))
+	f.Add(seal)
+	f.Add(seal[:9])  // a seal from before seals carried totals
+	f.Add(seal[:40]) // carried block cut short
 	f.Add([]byte{decSeq, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if len(p) == 0 {
@@ -56,6 +64,20 @@ func FuzzReplayRecord(f *testing.F) {
 			if tp, err := DecodeTopology(hm.topo); err == nil && tp.BaseCols()*tp.BaseRows() > len(hm.topo) {
 				t.Fatalf("%d-byte topology image sized a %dx%d table", len(hm.topo), tp.BaseCols(), tp.BaseRows())
 			}
+		}
+		if sm, err := decodeSeal(p); err == nil && len(p) != 9 && len(p) < len(seal) {
+			t.Fatalf("accepted seal %+v from %d bytes", sm, len(p))
+		}
+		if p[0] == opWithdraw || p[0] == opWithdrawLocal {
+			r, err := NewRouter(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			si := r.state().shards[0]
+			si.sess.AddWorker(model.Worker{Loc: geo.Point{X: 5, Y: 5}, Patience: 9})
+			si.sess.AddTask(model.Task{Loc: geo.Point{X: 45, Y: 45}, Expiry: 9})
+			si.rep = &shardReplay{st: &replayState{}}
+			r.replayOp(si, p[0], p) // an error is fine; a panic is the bug
 		}
 		for _, task := range []bool{false, true} {
 			_, mi, mirrored, err := decodeAdmission(p, task)

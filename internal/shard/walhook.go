@@ -43,7 +43,11 @@
 // read buffer, whatever the log's length. It first indexes the directory:
 // generations are walked newest to oldest reading one header each (plus
 // shard 0 of a checkpoint generation, for its seal) up to the latest sealed
-// checkpoint; older generations are superseded and never opened. Then come
+// checkpoint; older generations are superseded and never opened — the
+// migration that sealed it deleted them, so they are only there at all
+// when it died in between. After a Checkpoint (a clean shutdown takes one)
+// the chain is that one generation: the live population, whatever the
+// history behind it. Then come
 // two sequential passes over that chain. The count pass learns how many
 // admissions one arena epoch has to hold, and every session, halo table
 // and algorithm index is allocated at that size. The replay pass applies
@@ -289,6 +293,11 @@ type RecoveryInfo struct {
 	TopologyVersion    uint64
 	Topology           string
 	SkippedGenerations int
+	// FromCheckpoint reports that the replayed chain starts at a sealed
+	// checkpoint (a Rebalance or Checkpoint) rather than at the router's
+	// first generation: Records, Events and Matches then count what was
+	// replayed since it, and Router.Totals adds what its seal carried.
+	FromCheckpoint bool
 	// Duration is how long Recover took, generation listing to the new
 	// generation's headers durable; BytesRead how many log bytes it read
 	// over its index, count and replay passes.
@@ -338,22 +347,25 @@ func (lr *logReader) header(gen []wal.Segment, fp []byte) (hm headerMeta, ok boo
 	return hm, false, nil
 }
 
-// sealed reports whether a checkpoint generation's seal is durable in
-// shard 0's segment (gen is shard-ordered).
-func (lr *logReader) sealed(gen []wal.Segment) (bool, error) {
+// seal returns a checkpoint generation's seal; ok is false when none is
+// durable in shard 0's segment (gen is shard-ordered).
+func (lr *logReader) seal(gen []wal.Segment) (sm sealMeta, ok bool, err error) {
 	if gen[0].Shard != 0 {
-		return false, nil
+		return sm, false, nil
 	}
-	_, err := lr.scan(gen[0].Path, func(p []byte) error {
-		if p[0] == recSeal {
-			return errStopScan
+	_, err = lr.scan(gen[0].Path, func(p []byte) error {
+		if p[0] != recSeal {
+			return nil
 		}
-		return nil
+		if sm, err = decodeSeal(p); err != nil {
+			return fmt.Errorf("gen %d: %w", gen[0].Gen, err)
+		}
+		return errStopScan
 	})
 	if err == errStopScan {
-		return true, nil
+		return sm, true, nil
 	}
-	return false, err
+	return sm, false, err
 }
 
 // shardLoad is what the count pass learns about one shard's chain: how
@@ -518,7 +530,11 @@ func (r *Router) attachFreshWAL(cfg *Config) error {
 // the recovered state is the durable prefix of the pre-crash state. After
 // a clean shutdown (Finish not required; WALClose flushes) replay is
 // lossless and the recovered event stream and matched set are
-// bit-identical to the pre-crash router's.
+// bit-identical to the pre-crash router's. When the chain starts at a
+// sealed checkpoint (RecoveryInfo.FromCheckpoint) what is replayed is the
+// checkpoint's re-admission of the then-live population and everything
+// after it: the seal supplies the lifetime totals and the match ordinal of
+// what it superseded, and events below its sequence base are gone.
 func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	if cfg.WAL == nil {
 		return nil, nil, errors.New("shard: Recover requires Config.WAL")
@@ -556,6 +572,7 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 		segs []wal.Segment
 	}
 	var chain []chainGen
+	var sealed sealMeta // of the checkpoint the chain starts at, if it does
 	for i := len(gens) - 1; i >= 0; i-- {
 		hm, ok, err := lr.header(gens[i], fp)
 		if err != nil {
@@ -565,13 +582,14 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 			continue
 		}
 		if hm.kind == genCheckpoint {
-			sealed, err := lr.sealed(gens[i])
+			sm, ok, err := lr.seal(gens[i])
 			if err != nil {
 				return nil, nil, err
 			}
-			if !sealed {
+			if !ok {
 				continue
 			}
+			sealed = sm
 		}
 		chain = append(chain, chainGen{hm: hm, segs: gens[i]})
 		if hm.kind == genCheckpoint {
@@ -607,6 +625,7 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	ts.carried = sealed.carried
 	r.top.Store(ts)
 	r.walAttempt = maxGen
 	if base.epochBase > 0 {
@@ -621,6 +640,7 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 		TopologyVersion:    base.topoVer,
 		Topology:           topo.String(),
 		SkippedGenerations: len(gens) - len(chain),
+		FromCheckpoint:     base.kind == genCheckpoint,
 	}
 	// Each shard's chain: its segment of every chain generation, in order.
 	paths := make([][]string, len(ts.shards))
@@ -659,8 +679,9 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	r.gids.Store(st.maxGid)
 	// Events below the chain's sequence base belong to earlier topologies
 	// and are not replayable from the chain: the log's window starts there
-	// so stale cursors fail ErrEvicted instead of silently skipping.
-	r.log.resume(base.seqBase, st.nextSeq)
+	// so stale cursors fail ErrEvicted instead of silently skipping, and
+	// match ordinals continue after the matches among them.
+	r.log.resume(base.seqBase, st.nextSeq, sealed.matchBase)
 	info.Events = st.events
 	for _, si := range ts.shards {
 		if now := si.sess.Now(); !math.IsInf(now, -1) && now > info.MaxClock {

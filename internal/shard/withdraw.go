@@ -137,9 +137,14 @@ func (si *shardInstance) withdrawOwner(r *Router, local int, epoch uint64, task 
 // recovery; retraction fan-out is suppressed (each shard's log carries the
 // retractions it applied, as opWithdraw records).
 func (si *shardInstance) replayWithdrawLocal(local int, task, claimed, applied bool) error {
-	refs := si.halo.wRef
+	refs, n := si.halo.wRef, si.sess.NumWorkers()
 	if task {
-		refs = si.halo.tRef
+		refs, n = si.halo.tRef, si.sess.NumTasks()
+	}
+	// The handle comes straight off the log: a CRC proves the record is what
+	// was written, not that it names an object this session holds.
+	if local < 0 || local >= n {
+		return fmt.Errorf("wal: recorded withdrawal of handle %d, the session holds %d", local, n)
 	}
 	rec := refAt(refs, local)
 	if claimed {
