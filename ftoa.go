@@ -40,8 +40,10 @@
 //	sess := m.NewSession(ftoa.NewSimpleGreedy())
 //	w, _ := sess.AddWorker(ftoa.Worker{Loc: ftoa.Pt(10, 10), Arrive: 0, Patience: 300})
 //	r, _ := sess.AddTask(ftoa.Task{Loc: ftoa.Pt(11, 10), Release: 5, Expiry: 60})
-//	for _, match := range sess.Drain(nil) {
-//		fmt.Println(match.Worker == w, match.Task == r) // true true
+//	for _, ev := range sess.DrainEvents(nil) {
+//		if ev.Kind == ftoa.EventMatch {
+//			fmt.Println(ev.Worker == w, ev.Task == r) // true true
+//		}
 //	}
 //
 // Replay quick start:
@@ -183,12 +185,9 @@ type (
 	MatcherConfig = sim.MatcherConfig
 	// Session is one live open-world matching session: AddWorker/AddTask
 	// admit arrivals, Advance drives timers and expiries, DrainEvents
-	// returns the typed lifecycle stream (Drain the match-only view), and
-	// Retire compacts away provably dead objects so long-lived sessions
+	// returns the typed lifecycle stream, and Retire compacts away provably dead objects so long-lived sessions
 	// stay bounded by their live population.
 	Session = sim.Session
-	// Match is one committed worker-task pair (session handles).
-	Match = sim.Match
 	// SessionEvent is one lifecycle event: a commit or a deadline expiry
 	// of an unmatched worker/task.
 	SessionEvent = sim.SessionEvent
@@ -384,8 +383,8 @@ func HaloForWindow(velocity, window float64) float64 { return shard.HaloForWindo
 // NewMatcher validates cfg and returns a factory for open-world streaming
 // sessions: workers and tasks are admitted at arrival time via
 // Session.AddWorker/AddTask (returning stable handles), Session.Advance
-// drives timers and expiry, and committed pairs surface through the
-// OnMatch callback or Session.Drain.
+// drives timers and expiry, and committed pairs surface as EventMatch
+// events through the OnEvent callback or Session.DrainEvents.
 func NewMatcher(cfg MatcherConfig) (*Matcher, error) { return sim.NewMatcher(cfg) }
 
 // NewEngine prepares a replay engine for the instance: a thin driver that

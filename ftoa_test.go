@@ -130,14 +130,18 @@ func TestFacadeModel(t *testing.T) {
 
 // TestFacadeStreaming exercises the open-world surface exactly as the
 // package documentation advertises it: a Matcher session fed live
-// arrivals, matches surfacing through both OnMatch and Drain.
+// arrivals, matches surfacing through both OnEvent and DrainEvents.
 func TestFacadeStreaming(t *testing.T) {
-	var fromCallback []ftoa.Match
+	var fromCallback []ftoa.SessionEvent
 	m, err := ftoa.NewMatcher(ftoa.MatcherConfig{
 		Mode:     ftoa.Strict,
 		Velocity: 1,
 		Bounds:   ftoa.NewRect(0, 0, 100, 100),
-		OnMatch:  func(match ftoa.Match) { fromCallback = append(fromCallback, match) },
+		OnEvent: func(ev ftoa.SessionEvent) {
+			if ev.Kind == ftoa.EventMatch {
+				fromCallback = append(fromCallback, ev)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,12 +155,12 @@ func TestFacadeStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sess.Drain(nil)
-	if len(got) != 1 || got[0].Worker != w || got[0].Task != r {
-		t.Fatalf("Drain = %v, want the (w,r) pair", got)
+	got := sess.DrainEvents(nil)
+	if len(got) != 1 || got[0].Kind != ftoa.EventMatch || got[0].Worker != w || got[0].Task != r {
+		t.Fatalf("DrainEvents = %v, want the (w,r) match", got)
 	}
 	if len(fromCallback) != 1 || fromCallback[0] != got[0] {
-		t.Fatalf("OnMatch = %v, want %v", fromCallback, got)
+		t.Fatalf("OnEvent = %v, want %v", fromCallback, got)
 	}
 	sess.Finish()
 	if _, err := sess.AddWorker(ftoa.Worker{Loc: ftoa.Pt(1, 1), Arrive: 9, Patience: 1}); err == nil {

@@ -5,7 +5,7 @@
 // appears in the merged event stream exactly once (matched or expired),
 // nothing unacknowledged appears, and none of the injected faults count
 // as protocol errors.
-package main
+package serve
 
 import (
 	"math/rand"
@@ -31,8 +31,8 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 		t.Skip("chaos soak")
 	}
 	cfg := defaultTestConfig()
-	cfg.shards = [2]int{2, 2}
-	srv, err := newServer(cfg)
+	cfg.Shards = [2]int{2, 2}
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := newWireServer(srv, ln, 50*time.Millisecond, wireOptions{})
-	srv.wire = ws
+	srv.StartWire(ln)
+	ws := srv.wire
 	t.Cleanup(ws.close)
 
 	proxy, err := netfault.New(netfault.Config{

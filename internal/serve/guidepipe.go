@@ -1,0 +1,210 @@
+package serve
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"time"
+
+	"ftoa"
+)
+
+// forecast is the output of the paper's offline prediction step over a
+// recorded count history: HP-MSI's per-(slot, area) worker and task counts
+// along the guide timeline. The guide (Algorithm 1) and the rebalance
+// supervisor's demand forecaster are both built from it.
+type forecast struct {
+	grid         *ftoa.Grid
+	slots        *ftoa.Slotting
+	wPred, tPred []int // slots.Count × grid.NumCells(), slot-major
+}
+
+// loadForecast trains on the -guide count history when cfg needs one — a
+// guided algorithm, a forecasting rebalance supervisor, or both — and
+// returns nil otherwise.
+func loadForecast(cfg Config) (*forecast, error) {
+	guided := cfg.Algorithm == "polar" || cfg.Algorithm == "polarop" || cfg.Algorithm == "hybrid"
+	if guided && cfg.GuidePath == "" {
+		return nil, fmt.Errorf("algorithm %q needs -guide counts.csv", cfg.Algorithm)
+	}
+	if !guided && !cfg.RebalForecast {
+		return nil, nil
+	}
+	f, err := os.Open(cfg.GuidePath)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fc, err := trainCounts(f, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("training on %s: %w", cfg.GuidePath, err)
+	}
+	return fc, nil
+}
+
+// trainCounts runs the prediction half of the offline pipeline: load the
+// per-(day, slot, area) CSV, train HP-MSI (the paper's Table 5 winner) on
+// every day but the last, once per side, and predict the guide timeline.
+// With GuideAnchor uptime that is one forecast day mapped onto the first
+// Horizon seconds of uptime; with wallclock it is a full week — one
+// forecast per weekday, each weekday served by the latest history day with
+// that weekday — under an anchored, weekly-wrapping slotting, so any
+// uptime instant resolves to the right wall-clock (day-of-week,
+// time-of-day) slot.
+func trainCounts(r io.Reader, cfg Config) (*forecast, error) {
+	weekly, err := cfg.weekly()
+	if err != nil {
+		return nil, err
+	}
+	days, slots, areas, wCounts, tCounts, weather, err := ftoa.LoadCountsCSV(r)
+	if err != nil {
+		return nil, err
+	}
+	if days < 3 {
+		return nil, fmt.Errorf("count history has %d day(s); need >= 3 (HP-MSI trains on all but the last, forecasts the last)", days)
+	}
+	cols, rows := cfg.GuideGrid[0], cfg.GuideGrid[1]
+	if cols == 0 && rows == 0 {
+		side := int(math.Round(math.Sqrt(float64(areas))))
+		if side*side != areas {
+			return nil, fmt.Errorf("%d areas is not square; pass -guide-grid CxR", areas)
+		}
+		cols, rows = side, side
+	}
+	if cols*rows != areas {
+		return nil, fmt.Errorf("-guide-grid %dx%d does not match the history's %d areas", cols, rows, areas)
+	}
+	// Day-of-week labels feed HP-MSI's weekday seasonality; -guide-dow0
+	// anchors the history's first day so a trace starting mid-week is
+	// not silently rotated.
+	dow := make([]int, days)
+	for i := range dow {
+		dow[i] = (cfg.GuideDow0 + i) % 7
+	}
+	// The history days the timeline replays, in timeline order.
+	src := []int{days - 1}
+	slotting := ftoa.NewSlotting(cfg.Horizon, slots)
+	if weekly {
+		week := weekdaySources(dow)
+		src = week[:]
+		slotting = ftoa.NewAnchoredSlotting(7*cfg.Horizon, 7*slots, cfg.anchorOffset)
+	}
+	predict := func(counts []int) ([]int, error) {
+		s, err := ftoa.NewSeries(days, slots, areas, counts, weather, dow)
+		if err != nil {
+			return nil, err
+		}
+		p := ftoa.NewHPMSI()
+		if err := p.Fit(s, days-1); err != nil {
+			return nil, err
+		}
+		pred := make([]int, 0, len(src)*slots*areas)
+		for _, d := range src {
+			pred = append(pred, ftoa.ToCounts(ftoa.PredictDay(p, s, d))...)
+		}
+		return pred, nil
+	}
+	fc := &forecast{
+		grid:  ftoa.NewGrid(ftoa.NewRect(cfg.Bounds[0], cfg.Bounds[1], cfg.Bounds[2], cfg.Bounds[3]), cols, rows),
+		slots: slotting,
+	}
+	if fc.wPred, err = predict(wCounts); err != nil {
+		return nil, err
+	}
+	if fc.tPred, err = predict(tCounts); err != nil {
+		return nil, err
+	}
+	return fc, nil
+}
+
+// guide builds the offline guide (Algorithm 1) over the forecast.
+func (fc *forecast) guide(cfg Config) (*ftoa.Guide, error) {
+	return ftoa.BuildGuide(ftoa.GuideConfig{
+		Grid:            fc.grid,
+		Slots:           fc.slots,
+		Velocity:        cfg.Velocity,
+		WorkerPatience:  cfg.GuidePatience,
+		TaskExpiry:      cfg.GuideExpiry,
+		MaxEdgesPerCell: 128,
+		RepSlack:        fc.slots.Width() / 2,
+	}, fc.wPred, fc.tPred)
+}
+
+// demand is the rebalance supervisor's forecaster: the predicted arrival
+// rate — workers and tasks combined, per second, the unit of the router's
+// EWMA — inside region at the slot the instant now falls into (the
+// guide's own slotting, so the same -guide-anchor rules), each forecast
+// cell contributing in proportion to its overlap with the region. The
+// supervisor takes max(measured EWMA, forecast), so a predicted rush can
+// trigger a split before the measured rate catches up.
+func (fc *forecast) demand(region ftoa.Rect, now float64) float64 {
+	areas := fc.grid.NumCells()
+	base := fc.slots.SlotOf(now) * areas
+	var sum float64
+	for c := 0; c < areas; c++ {
+		cr := fc.grid.CellRect(c)
+		w := min(region.MaxX, cr.MaxX) - max(region.MinX, cr.MinX)
+		h := min(region.MaxY, cr.MaxY) - max(region.MinY, cr.MinY)
+		if w <= 0 || h <= 0 {
+			continue
+		}
+		rate := float64(fc.wPred[base+c]+fc.tPred[base+c]) / fc.slots.Width()
+		sum += rate * (w * h) / (cr.Width() * cr.Height())
+	}
+	return sum
+}
+
+// newAlgorithm resolves -alg into a per-shard factory; fc is the forecast
+// the guided algorithms build their guide from.
+func newAlgorithm(cfg Config, fc *forecast) (func() ftoa.Algorithm, error) {
+	switch cfg.Algorithm {
+	case "greedy":
+		return func() ftoa.Algorithm { return ftoa.NewSimpleGreedy() }, nil
+	case "gr":
+		if cfg.Window <= 0 {
+			return nil, fmt.Errorf("gr window must be positive, got %v", cfg.Window)
+		}
+		return func() ftoa.Algorithm { return ftoa.NewGR(cfg.Window) }, nil
+	case "polar", "polarop", "hybrid":
+		g, err := fc.guide(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("building guide from %s: %w", cfg.GuidePath, err)
+		}
+		// The guide is read-only: one instance is shared by every
+		// shard's algorithm.
+		switch cfg.Algorithm {
+		case "polar":
+			return func() ftoa.Algorithm { return ftoa.NewPOLAR(g) }, nil
+		case "polarop":
+			return func() ftoa.Algorithm { return ftoa.NewPOLAROP(g) }, nil
+		}
+		return func() ftoa.Algorithm { return ftoa.NewHybrid(g) }, nil
+	}
+	return nil, fmt.Errorf("unknown algorithm %q (want greedy, gr, polar, polarop or hybrid)", cfg.Algorithm)
+}
+
+// weekdaySources maps each weekday 0-6 (Sunday-anchored, like
+// time.Weekday) to the history day whose pattern should serve it: the
+// latest history day with that weekday, falling back to the overall last
+// day for weekdays a short history never saw.
+func weekdaySources(dow []int) [7]int {
+	var src [7]int
+	for d := range src {
+		src[d] = len(dow) - 1
+	}
+	for i, w := range dow {
+		src[w] = i // ascending i: the latest occurrence wins
+	}
+	return src
+}
+
+// wallclockOffset returns the seconds-into-week of t, scaled so one day
+// spans dayLen seconds of the guide timeline (-horizon is the served day
+// length; with the default 86400 the scale is 1:1). The day fraction is
+// read off the wall-clock components — not elapsed-since-midnight, which
+// over- or undershoots by the shifted hour on DST transition days.
+func wallclockOffset(t time.Time, dayLen float64) float64 {
+	secs := float64(t.Hour()*3600+t.Minute()*60+t.Second()) + float64(t.Nanosecond())/1e9
+	return (float64(t.Weekday()) + secs/86400) * dayLen
+}

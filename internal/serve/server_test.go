@@ -1,32 +1,33 @@
-package main
+package serve
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ftoa"
 )
 
-func defaultTestConfig() config {
-	return config{
-		algorithm: "greedy",
-		window:    1,
-		mode:      "strict",
-		velocity:  1,
-		bounds:    [4]float64{0, 0, 100, 100},
-		tick:      time.Second, // tests drive the clock themselves
-		shards:    [2]int{1, 1},
-		retention: 1 << 16,
-		horizon:   86400,
+func defaultTestConfig() Config {
+	return Config{
+		Algorithm: "greedy",
+		Window:    1,
+		Mode:      "strict",
+		Velocity:  1,
+		Bounds:    [4]float64{0, 0, 100, 100},
+		Tick:      time.Second, // tests drive the clock themselves
+		Shards:    [2]int{1, 1},
+		Retention: 1 << 16,
+		Horizon:   86400,
 	}
 }
 
@@ -70,8 +71,18 @@ func getJSON(t *testing.T, url string) map[string]any {
 	return out
 }
 
+// guideFromCounts is the offline pipeline end to end: train on the count
+// history, build the guide from the forecast.
+func guideFromCounts(r io.Reader, cfg Config) (*ftoa.Guide, error) {
+	fc, err := trainCounts(r, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return fc.guide(cfg)
+}
+
 // manualClock swaps the server's wall clock for an atomic the test sets.
-func manualClock(srv *server) func(float64) {
+func manualClock(srv *Server) func(float64) {
 	var now atomic.Uint64
 	srv.clock = func() float64 { return math.Float64frombits(now.Load()) }
 	return func(v float64) { now.Store(math.Float64bits(v)) }
@@ -80,11 +91,11 @@ func manualClock(srv *server) func(float64) {
 // TestServeEndToEnd is the smoke test CI runs: post a worker and a nearby
 // task, and the committed match must come back on /matches.
 func TestServeEndToEnd(t *testing.T) {
-	srv, err := newServer(defaultTestConfig())
+	srv, err := New(defaultTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	w := postJSON(t, ts.URL+"/workers", `{"x":10,"y":10,"patience":300}`)
@@ -114,12 +125,12 @@ func TestServeEndToEnd(t *testing.T) {
 // TestServeEventsLifecycle: the /events stream surfaces the match AND the
 // expiry of an unserved worker, with a working since cursor.
 func TestServeEventsLifecycle(t *testing.T) {
-	srv, err := newServer(defaultTestConfig())
+	srv, err := New(defaultTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	setNow := manualClock(srv)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	setNow(1)
@@ -165,12 +176,12 @@ func TestServeEventsLifecycle(t *testing.T) {
 // stay region-local, and /stats breaks them out per shard.
 func TestServeSharded(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.shards = [2]int{2, 1}
-	srv, err := newServer(cfg)
+	cfg.Shards = [2]int{2, 1}
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	// Left half -> shard 0, right half -> shard 1.
@@ -213,14 +224,14 @@ func TestServeSharded(t *testing.T) {
 // manual clock so the window boundary is crossed deterministically.
 func TestServeGRBatches(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.algorithm = "gr"
-	cfg.window = 10
-	srv, err := newServer(cfg)
+	cfg.Algorithm = "gr"
+	cfg.Window = 10
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	setNow := manualClock(srv)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	setNow(1)
@@ -240,11 +251,11 @@ func TestServeGRBatches(t *testing.T) {
 }
 
 func TestServeValidation(t *testing.T) {
-	srv, err := newServer(defaultTestConfig())
+	srv, err := New(defaultTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	for _, tc := range []struct{ url, body string }{
@@ -280,47 +291,47 @@ func TestServeValidation(t *testing.T) {
 
 func TestNewServerRejectsBadConfig(t *testing.T) {
 	bad := defaultTestConfig()
-	bad.algorithm = "polar" // guided: not servable without -guide
-	if _, err := newServer(bad); err == nil {
+	bad.Algorithm = "polar" // guided: not servable without -guide
+	if _, err := New(bad); err == nil {
 		t.Error("guided algorithm without -guide accepted")
 	}
 	bad = defaultTestConfig()
-	bad.algorithm = "tgoa"
-	if _, err := newServer(bad); err == nil {
+	bad.Algorithm = "tgoa"
+	if _, err := New(bad); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	bad = defaultTestConfig()
-	bad.mode = "lenient"
-	if _, err := newServer(bad); err == nil {
+	bad.Mode = "lenient"
+	if _, err := New(bad); err == nil {
 		t.Error("unknown mode accepted")
 	}
 	bad = defaultTestConfig()
-	bad.velocity = 0
-	if _, err := newServer(bad); err == nil {
+	bad.Velocity = 0
+	if _, err := New(bad); err == nil {
 		t.Error("zero velocity accepted")
 	}
 	bad = defaultTestConfig()
-	bad.shards = [2]int{0, 3}
-	if _, err := newServer(bad); err == nil {
+	bad.Shards = [2]int{0, 3}
+	if _, err := New(bad); err == nil {
 		t.Error("zero shard dimension accepted")
 	}
 	bad = defaultTestConfig()
-	bad.retention = 0
-	if _, err := newServer(bad); err == nil {
+	bad.Retention = 0
+	if _, err := New(bad); err == nil {
 		t.Error("zero retention accepted")
 	}
 }
 
 func TestNewServerRejectsBadTiming(t *testing.T) {
 	bad := defaultTestConfig()
-	bad.tick = 0
-	if _, err := newServer(bad); err == nil {
+	bad.Tick = 0
+	if _, err := New(bad); err == nil {
 		t.Error("zero tick accepted (would dead-block the tick loop)")
 	}
 	bad = defaultTestConfig()
-	bad.algorithm = "gr"
-	bad.window = 0
-	if _, err := newServer(bad); err == nil {
+	bad.Algorithm = "gr"
+	bad.Window = 0
+	if _, err := New(bad); err == nil {
 		t.Error("zero gr window accepted (NewGR would panic)")
 	}
 }
@@ -328,11 +339,11 @@ func TestNewServerRejectsBadTiming(t *testing.T) {
 // TestServeMatchesSinceCursor: ?since=N returns only matches committed
 // after the first N, while count always reports the full history size.
 func TestServeMatchesSinceCursor(t *testing.T) {
-	srv, err := newServer(defaultTestConfig())
+	srv, err := New(defaultTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	postJSON(t, ts.URL+"/workers", `{"x":10,"y":10,"patience":300}`)
@@ -363,13 +374,13 @@ func TestServeMatchesSinceCursor(t *testing.T) {
 // and count still reports the lifetime total.
 func TestServeMatchRetention(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.retention = 3
-	srv, err := newServer(cfg)
+	cfg.Retention = 3
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	setNow := manualClock(srv)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	pair := func(i int) {
@@ -421,13 +432,13 @@ func TestServeMatchRetention(t *testing.T) {
 // stale /events cursor gets 410 Gone plus the cursor to restart from.
 func TestServeEventsRetention(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.retention = 2
-	cfg.shards = [2]int{2, 1} // window = 4 events; all traffic hits shard 0
-	srv, err := newServer(cfg)
+	cfg.Retention = 2
+	cfg.Shards = [2]int{2, 1} // window = 4 events; all traffic hits shard 0
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	pair := func(i int) {
@@ -492,7 +503,7 @@ func countsCSV() string {
 // guide) runs end to end from the CSV format ftoa-gen emits.
 func TestGuideFromCounts(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.horizon = 100
+	cfg.Horizon = 100
 	g, err := guideFromCounts(strings.NewReader(countsCSV()), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -513,7 +524,7 @@ func TestGuideFromCounts(t *testing.T) {
 	}
 	// A non-square area count needs -guide-grid.
 	bad := cfg
-	bad.guideGrid = [2]int{3, 1}
+	bad.GuideGrid = [2]int{3, 1}
 	if _, err := guideFromCounts(strings.NewReader(countsCSV()), bad); err == nil {
 		t.Error("mismatched -guide-grid accepted")
 	}
@@ -531,25 +542,25 @@ func TestServeGuidedAlgorithm(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := defaultTestConfig()
-	cfg.guidePath = path
-	cfg.horizon = 1000
-	cfg.mode = "assume-guide" // guided counting semantics
-	cfg.shards = [2]int{2, 2}
+	cfg.GuidePath = path
+	cfg.Horizon = 1000
+	cfg.Mode = "assume-guide" // guided counting semantics
+	cfg.Shards = [2]int{2, 2}
 
 	for _, alg := range []string{"polar", "polarop"} {
 		c := cfg
-		c.algorithm = alg
-		if _, err := newServer(c); err != nil {
+		c.Algorithm = alg
+		if _, err := New(c); err != nil {
 			t.Fatalf("%s server from counts history: %v", alg, err)
 		}
 	}
 
-	cfg.algorithm = "hybrid"
-	srv, err := newServer(cfg)
+	cfg.Algorithm = "hybrid"
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	for i := 0; i < 8; i++ {
@@ -567,13 +578,13 @@ func TestServeGuidedAlgorithm(t *testing.T) {
 // and the match history keep counting.
 func TestServeRetirement(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.retire = 10 * time.Second
-	srv, err := newServer(cfg)
+	cfg.Retire = 10 * time.Second
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	setNow := manualClock(srv)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	clock := 0.0
@@ -615,13 +626,13 @@ func TestServeRetirement(t *testing.T) {
 // sharding misses — and /stats reports the ghost traffic.
 func TestServeHaloCrossShardMatch(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.shards = [2]int{2, 1}
-	cfg.halo = 60 // seconds of reach at velocity 1 -> 60 units
-	srv, err := newServer(cfg)
+	cfg.Shards = [2]int{2, 1}
+	cfg.Halo = 60 // seconds of reach at velocity 1 -> 60 units
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	// Owner shards differ; the pair is 2 units apart across the border.
@@ -669,12 +680,12 @@ func TestServeHaloCrossShardMatch(t *testing.T) {
 	}
 
 	// A disjoint server misses the same pair.
-	cfg.halo = 0
-	srv2, err := newServer(cfg)
+	cfg.Halo = 0
+	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(srv2.handler())
+	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	postJSON(t, ts2.URL+"/workers", `{"x":49,"y":50,"patience":300}`)
 	postJSON(t, ts2.URL+"/tasks", `{"x":51,"y":50,"expiry":60}`)
@@ -688,16 +699,16 @@ func TestServeHaloCrossShardMatch(t *testing.T) {
 // time-of-day from the anchor offset instead of clamping at the horizon.
 func TestGuideFromCountsWallclock(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.horizon = 100 // served day length; 2 slots of 50 per day
-	cfg.guideAnchor = "wallclock"
+	cfg.Horizon = 100 // served day length; 2 slots of 50 per day
+	cfg.GuideAnchor = "wallclock"
 	// Boot mid-Wednesday: weekday 3, 60% through the day.
-	cfg.anchorOffset = (3 + 0.6) * cfg.horizon
+	cfg.anchorOffset = (3 + 0.6) * cfg.Horizon
 	g, err := guideFromCounts(strings.NewReader(countsCSV()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	slots := g.Cfg.Slots
-	if slots.Count != 7*2 || slots.Horizon != 7*cfg.horizon {
+	if slots.Count != 7*2 || slots.Horizon != 7*cfg.Horizon {
 		t.Fatalf("week slotting = %d slots over %v, want 14 over 700", slots.Count, slots.Horizon)
 	}
 	// Uptime 0 is Wednesday 60% -> day 3, second half -> slot 3*2+1.
@@ -710,7 +721,7 @@ func TestGuideFromCountsWallclock(t *testing.T) {
 	}
 	// A full week of uptime wraps back to the boot slot instead of
 	// clamping at the last.
-	if got := slots.SlotOf(7 * cfg.horizon); got != 7 {
+	if got := slots.SlotOf(7 * cfg.Horizon); got != 7 {
 		t.Fatalf("SlotOf(one week) = %d, want 7 again", got)
 	}
 	if g.TotalWorkers() == 0 || g.TotalTasks() == 0 {
@@ -720,14 +731,14 @@ func TestGuideFromCountsWallclock(t *testing.T) {
 	// An unknown anchor is rejected by guide construction and by the
 	// server's own validation.
 	bad := cfg
-	bad.guideAnchor = "lunar"
+	bad.GuideAnchor = "lunar"
 	if _, err := guideFromCounts(strings.NewReader(countsCSV()), bad); err == nil {
 		t.Error("unknown guide anchor accepted by guideFromCounts")
 	}
 	srvCfg := defaultTestConfig()
-	srvCfg.guideAnchor = "lunar"
-	if _, err := newServer(srvCfg); err == nil {
-		t.Error("unknown guide anchor accepted by newServer")
+	srvCfg.GuideAnchor = "lunar"
+	if _, err := New(srvCfg); err == nil {
+		t.Error("unknown guide anchor accepted by New")
 	}
 }
 
@@ -754,15 +765,15 @@ func TestWeekdaySources(t *testing.T) {
 // history and clock intact, and keeps serving.
 func TestServeWALRestart(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.shards = [2]int{2, 1}
-	cfg.walDir = t.TempDir() + "/wal"
-	cfg.walSync = "always"
+	cfg.Shards = [2]int{2, 1}
+	cfg.WALDir = t.TempDir() + "/wal"
+	cfg.WALSync = "always"
 
-	srv, err := newServer(cfg)
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	postJSON(t, ts.URL+"/workers", `{"x":10,"y":10,"patience":300}`)
 	postJSON(t, ts.URL+"/tasks", `{"x":11,"y":10,"expiry":60}`)
 	postJSON(t, ts.URL+"/workers", `{"x":90,"y":10,"patience":300}`) // unmatched, survives
@@ -777,7 +788,7 @@ func TestServeWALRestart(t *testing.T) {
 	// Kill: no WALClose, no flush. -wal-sync always made every
 	// acknowledged admission durable already.
 
-	srv2, err := newServer(cfg)
+	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,7 +799,7 @@ func TestServeWALRestart(t *testing.T) {
 	if now := srv2.now(); now < srv2.recovery.MaxClock {
 		t.Fatalf("recovered clock %v rewound below the replayed %v", now, srv2.recovery.MaxClock)
 	}
-	ts2 := httptest.NewServer(srv2.handler())
+	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	after := getJSON(t, ts2.URL+"/stats")
 	if after["matches"].(float64) != 1 || after["workers"].(float64) != 2 {
@@ -830,7 +841,7 @@ func walFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestServeWALCleanRestart: the SIGTERM sequence (server.shutdown) seals a
+// TestServeWALCleanRestart: the SIGTERM sequence (Server.Shutdown) seals a
 // checkpoint of the live population and deletes the generations before it,
 // and the server booted over that directory replays the checkpoint alone —
 // lifetime totals equal, match ordinals carried on, cursors from before
@@ -838,16 +849,16 @@ func walFiles(t *testing.T, dir string) []string {
 // restarts came before.
 func TestServeWALCleanRestart(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.shards = [2]int{2, 1}
-	cfg.walDir = t.TempDir() + "/wal"
-	cfg.walSync = "always"
+	cfg.Shards = [2]int{2, 1}
+	cfg.WALDir = t.TempDir() + "/wal"
+	cfg.WALSync = "always"
 
-	srv, err := newServer(cfg)
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.startTick(cfg.tick)
-	ts := httptest.NewServer(srv.handler())
+	srv.StartTick()
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	postJSON(t, ts.URL+"/workers", `{"x":10,"y":10,"patience":300}`)
 	postJSON(t, ts.URL+"/tasks", `{"x":11,"y":10,"expiry":60}`)
@@ -861,7 +872,7 @@ func TestServeWALCleanRestart(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := srv.shutdown(ctx); err != nil {
+	if err := srv.Shutdown(ctx, nil); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// The router still answers from memory: the checkpoint is on /stats.
@@ -870,18 +881,18 @@ func TestServeWALCleanRestart(t *testing.T) {
 		wal["checkpoint_ms"].(float64) <= 0 || wal["segments_removed"].(float64) != 2 || wal["checkpoint_error"] != nil {
 		t.Fatalf("post-shutdown wal status = %v", wal)
 	}
-	if got := walFiles(t, cfg.walDir); fmt.Sprint(got) != "[s000-g000002.wal s001-g000002.wal]" {
+	if got := walFiles(t, cfg.WALDir); fmt.Sprint(got) != "[s000-g000002.wal s001-g000002.wal]" {
 		t.Fatalf("after a clean shutdown the directory holds %v, want the checkpoint generation alone", got)
 	}
 
-	srv2, err := newServer(cfg)
+	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ri := srv2.recovery; !ri.Recovered || !ri.FromCheckpoint || ri.SkippedGenerations != 0 || ri.Segments != 2 {
 		t.Fatalf("recovery = %+v, want the checkpoint generation alone", ri)
 	}
-	ts2 := httptest.NewServer(srv2.handler())
+	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	after := getJSON(t, ts2.URL+"/stats")
 	for _, k := range []string{"workers", "tasks", "matches", "attempted", "rejected", "expired_workers", "expired_tasks",
@@ -924,18 +935,18 @@ func TestServeWALCleanRestart(t *testing.T) {
 
 	// A second clean restart leaves the same shape: one sealed checkpoint
 	// generation, then the boot's continuation generation beside it.
-	if err := srv2.shutdown(ctx); err != nil {
+	if err := srv2.Shutdown(ctx, nil); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
-	if got := walFiles(t, cfg.walDir); fmt.Sprint(got) != "[s000-g000004.wal s001-g000004.wal]" {
+	if got := walFiles(t, cfg.WALDir); fmt.Sprint(got) != "[s000-g000004.wal s001-g000004.wal]" {
 		t.Fatalf("after the second clean shutdown the directory holds %v", got)
 	}
-	srv3, err := newServer(cfg)
+	srv3, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv3.router.WALClose()
-	if got := walFiles(t, cfg.walDir); len(got) != 4 || got[3] != "s001-g000005.wal" {
+	if got := walFiles(t, cfg.WALDir); len(got) != 4 || got[3] != "s001-g000005.wal" {
 		t.Fatalf("after the third boot the directory holds %v", got)
 	}
 	if tot := srv3.router.Totals(); tot.Matches != 2 || tot.Workers != 2 || tot.Tasks != 3 {
@@ -948,23 +959,23 @@ func TestServeWALCleanRestart(t *testing.T) {
 // remain the restart's source — and the failure is on /stats.
 func TestServeCheckpointFailureIsNotFatal(t *testing.T) {
 	cfg := defaultTestConfig()
-	cfg.walDir = t.TempDir() + "/wal"
-	cfg.walSync = "always"
-	srv, err := newServer(cfg)
+	cfg.WALDir = t.TempDir() + "/wal"
+	cfg.WALSync = "always"
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	postJSON(t, ts.URL+"/workers", `{"x":10,"y":10,"patience":300}`)
 	// The directory turns into a file: no new generation can be created.
-	if err := os.RemoveAll(cfg.walDir); err != nil {
+	if err := os.RemoveAll(cfg.WALDir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cfg.walDir, []byte("in the way"), 0o644); err != nil {
+	if err := os.WriteFile(cfg.WALDir, []byte("in the way"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.shutdown(context.Background()); err != nil {
+	if err := srv.Shutdown(context.Background(), nil); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	wal := getJSON(t, ts.URL+"/stats")["wal"].(map[string]any)
@@ -977,80 +988,30 @@ func TestServeCheckpointFailureIsNotFatal(t *testing.T) {
 // front, and a fresh server refuses a foreign WAL fingerprint.
 func TestServeWALConfigValidation(t *testing.T) {
 	bad := defaultTestConfig()
-	bad.walSync = "eventually"
-	if _, err := newServer(bad); err == nil {
+	bad.WALSync = "eventually"
+	if _, err := New(bad); err == nil {
 		t.Error("unknown -wal-sync accepted")
-	}
-	bad = defaultTestConfig()
-	bad.admitQueue = -1
-	if _, err := newServer(bad); err == nil {
-		t.Error("negative -admit-queue accepted")
 	}
 
 	// A log written under one topology must not replay under another.
 	cfg := defaultTestConfig()
-	cfg.walDir = t.TempDir() + "/wal"
-	cfg.walSync = "always"
-	srv, err := newServer(cfg)
+	cfg.WALDir = t.TempDir() + "/wal"
+	cfg.WALSync = "always"
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.router.WALClose()
-	cfg.shards = [2]int{2, 2}
-	if _, err := newServer(cfg); err == nil {
+	cfg.Shards = [2]int{2, 2}
+	if _, err := New(cfg); err == nil {
 		t.Error("recovery across a shard-topology change accepted")
-	}
-}
-
-// TestServeShedding: with -admit-queue set, a shard over its inflight
-// bound sheds arrivals with 503 + Retry-After, counts them in /stats,
-// and recovers once the backlog drains.
-func TestServeShedding(t *testing.T) {
-	cfg := defaultTestConfig()
-	cfg.shards = [2]int{2, 1}
-	cfg.admitQueue = 1
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-
-	// Saturate shard 0's queue (as a stuck in-flight admission would).
-	srv.inflight[0].Add(1)
-	resp, err := http.Post(ts.URL+"/workers", "application/json",
-		strings.NewReader(`{"x":10,"y":50,"patience":300}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("saturated shard: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	// The other shard is unaffected.
-	postJSON(t, ts.URL+"/workers", `{"x":90,"y":50,"patience":300}`)
-	stats := getJSON(t, ts.URL+"/stats")
-	if stats["shed"].(float64) != 1 {
-		t.Fatalf("stats = %v, want 1 shed", stats)
-	}
-	if sh := stats["shards"].([]any)[0].(map[string]any); sh["shed"].(float64) != 1 {
-		t.Fatalf("shard 0 stats = %v, want the shed there", sh)
-	}
-	// Drain the backlog: admissions flow again.
-	srv.inflight[0].Add(-1)
-	postJSON(t, ts.URL+"/workers", `{"x":10,"y":50,"patience":300}`)
-	if st := getJSON(t, ts.URL+"/stats"); st["workers"].(float64) != 2 {
-		t.Fatalf("post-drain stats = %v, want 2 admitted workers", st)
 	}
 }
 
 // TestServeBootGate: the gate answers 503 "recovering" (on /healthz
 // too) until the real handler is swapped in.
 func TestServeBootGate(t *testing.T) {
-	gate := newBootGate()
+	gate := NewBootGate()
 	ts := httptest.NewServer(gate)
 	defer ts.Close()
 
@@ -1066,11 +1027,11 @@ func TestServeBootGate(t *testing.T) {
 		t.Fatalf("gated /stats: status %d (%v), want 503", status, out)
 	}
 
-	srv, err := newServer(defaultTestConfig())
+	srv, err := New(defaultTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate.ready(srv.handler())
+	gate.Ready(srv.Handler())
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -1089,21 +1050,21 @@ func TestServeCrashRestartSoak(t *testing.T) {
 		t.Skip("set FTOA_SOAK=1 to run the crash/restart soak")
 	}
 	cfg := defaultTestConfig()
-	cfg.shards = [2]int{2, 2}
-	cfg.halo = 30
-	cfg.walDir = t.TempDir() + "/wal"
-	cfg.walSync = "always"
+	cfg.Shards = [2]int{2, 2}
+	cfg.Halo = 30
+	cfg.WALDir = t.TempDir() + "/wal"
+	cfg.WALSync = "always"
 
 	prevMatches, prevWorkers := 0.0, 0.0
 	for round := 0; round < 6; round++ {
-		srv, err := newServer(cfg)
+		srv, err := New(cfg)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if round > 0 && !srv.recovery.Recovered {
 			t.Fatalf("round %d recovered nothing", round)
 		}
-		ts := httptest.NewServer(srv.handler())
+		ts := httptest.NewServer(srv.Handler())
 		st := getJSON(t, ts.URL+"/stats")
 		if st["matches"].(float64) != prevMatches || st["workers"].(float64) != prevWorkers {
 			t.Fatalf("round %d recovered %v matches / %v workers, want %v / %v",
@@ -1127,82 +1088,15 @@ func TestServeCrashRestartSoak(t *testing.T) {
 	}
 }
 
-// TestServeSheddingExactAccounting is the overload-shedding regression
-// guard: under a concurrent burst against a saturated shard, every
-// rejection carries a well-formed Retry-After (RFC 7231 delta-seconds)
-// and the /stats shed counters equal the number of 503s the clients
-// actually observed — no lost or double counts.
-func TestServeSheddingExactAccounting(t *testing.T) {
-	cfg := defaultTestConfig()
-	cfg.admitQueue = 1
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-
-	// Hold the only admission slot so the burst below is shed in full.
-	srv.inflight[0].Add(1)
-	const burst = 24
-	var wg sync.WaitGroup
-	var rejected atomic.Uint64
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/workers", "application/json",
-				strings.NewReader(fmt.Sprintf(`{"x":%d,"y":50,"patience":300}`, i%90)))
-			if err != nil {
-				t.Errorf("post %d: %v", i, err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				t.Errorf("post %d: status %d, want 503", i, resp.StatusCode)
-				return
-			}
-			ra := resp.Header.Get("Retry-After")
-			if secs, err := strconv.Atoi(ra); err != nil || secs < 0 {
-				t.Errorf("post %d: malformed Retry-After %q", i, ra)
-				return
-			}
-			rejected.Add(1)
-		}(i)
-	}
-	wg.Wait()
-	if rejected.Load() != burst {
-		t.Fatalf("rejected %d of %d (errors above)", rejected.Load(), burst)
-	}
-	st := getJSON(t, ts.URL+"/stats")
-	if got := st["shed"].(float64); got != burst {
-		t.Fatalf("stats shed = %v, want exactly %d", got, burst)
-	}
-	if sh := st["shards"].([]any)[0].(map[string]any); sh["shed"].(float64) != burst {
-		t.Fatalf("shard shed = %v, want exactly %d", sh["shed"], burst)
-	}
-	if st["workers"].(float64) != 0 {
-		t.Fatalf("workers = %v, want 0 (everything shed)", st["workers"])
-	}
-	// Release the slot: accounting stays frozen while admissions resume.
-	srv.inflight[0].Add(-1)
-	postJSON(t, ts.URL+"/workers", `{"x":10,"y":50,"patience":300}`)
-	st = getJSON(t, ts.URL+"/stats")
-	if st["shed"].(float64) != burst || st["workers"].(float64) != 1 {
-		t.Fatalf("post-drain stats = shed %v workers %v, want %d / 1",
-			st["shed"], st["workers"], burst)
-	}
-}
-
 // TestHaloBootReport: the boot summary warns exactly when the halo reach
 // window rivals the shard region size, and always reports the effective
 // halo fraction per shard.
 func TestHaloBootReport(t *testing.T) {
-	build := func(haloSecs float64) *server {
+	build := func(haloSecs float64) *Server {
 		cfg := defaultTestConfig()
-		cfg.shards = [2]int{2, 2} // 50x50 regions over 100x100
-		cfg.halo = haloSecs       // velocity 1: reach == seconds
-		srv, err := newServer(cfg)
+		cfg.Shards = [2]int{2, 2} // 50x50 regions over 100x100
+		cfg.Halo = haloSecs       // velocity 1: reach == seconds
+		srv, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1249,11 +1143,11 @@ func TestHaloBootReport(t *testing.T) {
 // returns empty; a concurrent admission releases it immediately with the
 // new event. The /stats "events" section reflects the delivery plumbing.
 func TestServeEventsLongPoll(t *testing.T) {
-	srv, err := newServer(defaultTestConfig())
+	srv, err := New(defaultTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	if _, status := getJSONStatus(t, ts.URL+"/events?since=0&wait=banana"); status != http.StatusBadRequest {

@@ -1,4 +1,4 @@
-// Wire listener: the binary serving surface behind -listen-wire. Batches
+// Wire listener: the binary serving surface behind StartWire. Batches
 // of arrivals come in as framed wire messages (internal/wire), are fed
 // through the router's per-shard MPSC admission rings (shard.Admitter) —
 // so decoding connections never touch a shard lock — and each batch is
@@ -16,7 +16,8 @@
 // a panic in one connection's handler kills only that connection, and
 // effectful requests are deduplicated per client id (wire.DedupTable)
 // so a batch re-sent after a lost ack replays the original receipts.
-package main
+
+package serve
 
 import (
 	"errors"
@@ -39,38 +40,14 @@ import (
 // backlog pages through it in consecutive frames.
 const wireEventPage = 1024
 
-// wireOptions are the hardening knobs (zeros pick the defaults noted).
-type wireOptions struct {
-	maxConns     int           // connection bound (default 256)
-	idleTimeout  time.Duration // per-read deadline after handshake (default 5m)
-	writeTimeout time.Duration // per-frame write deadline (default 10s)
-	dedupWindow  int           // seqs remembered per client (wire default)
-	dedupClients int           // client windows retained (wire default)
-}
-
-func (o wireOptions) withDefaults() wireOptions {
-	if o.maxConns <= 0 {
-		o.maxConns = 256
-	}
-	if o.idleTimeout <= 0 {
-		o.idleTimeout = 5 * time.Minute
-	}
-	if o.writeTimeout <= 0 {
-		o.writeTimeout = 10 * time.Second
-	}
-	return o
-}
-
 // wireServer owns the wire listener and its connections; admissions go
-// through the server's shared rings (server.admitter). One goroutine
+// through the server's shared rings (Server.admitter). One goroutine
 // accepts; each connection gets a reader goroutine (batches on a
 // connection are processed in order — pipelining is across connections)
 // plus, once subscribed, an event pusher.
 type wireServer struct {
-	s     *server
+	s     *Server
 	ln    net.Listener
-	opts  wireOptions
-	retry float64 // BUSY retry-after hint, seconds (one tick, pre-jitter)
 	dedup *wire.DedupTable
 
 	mu     sync.Mutex
@@ -89,14 +66,11 @@ type wireServer struct {
 	subs     atomic.Int64  // live event subscriptions
 }
 
-func newWireServer(s *server, ln net.Listener, tick time.Duration, opts wireOptions) *wireServer {
-	opts = opts.withDefaults()
+func newWireServer(s *Server, ln net.Listener) *wireServer {
 	ws := &wireServer{
 		s:     s,
 		ln:    ln,
-		opts:  opts,
-		retry: tick.Seconds(),
-		dedup: wire.NewDedupTable(opts.dedupWindow, opts.dedupClients),
+		dedup: wire.NewDedupTable(s.cfg.WireDedupWindow, s.cfg.WireDedupClients),
 		conns: make(map[net.Conn]struct{}),
 	}
 	ws.wg.Add(1)
@@ -105,7 +79,7 @@ func newWireServer(s *server, ln net.Listener, tick time.Duration, opts wireOpti
 }
 
 // close stops accepting, drops every connection and waits the handlers
-// out. The shared admission rings are the server's (server.close drains
+// out. The shared admission rings are the server's (Shutdown drains
 // them); call this first so wire producers are gone by then.
 func (ws *wireServer) close() {
 	ws.mu.Lock()
@@ -146,7 +120,7 @@ func (ws *wireServer) acceptLoop() {
 			c.Close()
 			return
 		}
-		if len(ws.conns) >= ws.opts.maxConns {
+		if limit := ws.s.cfg.WireMaxConns; limit > 0 && len(ws.conns) >= limit {
 			ws.mu.Unlock()
 			// Shed at the door without an Error frame: a silent close is a
 			// transient refusal the resilient client retries with backoff,
@@ -174,19 +148,20 @@ func (ws *wireServer) handleConn(c net.Conn) {
 	defer ws.dropConn(c)
 	defer ws.recoverPanic(c)
 	cn := wire.NewConn(c)
-	cn.WriteTimeout = ws.opts.writeTimeout
+	idle := ws.s.cfg.WireIdle
+	cn.WriteTimeout = ws.s.cfg.WireWriteTimeout
 	// A peer that dials and never completes the handshake is shed on a
 	// short deadline; the idle budget applies only to handshaken clients.
 	cn.ReadTimeout = 10 * time.Second
-	if cn.ReadTimeout > ws.opts.idleTimeout {
-		cn.ReadTimeout = ws.opts.idleTimeout
+	if idle > 0 && idle < cn.ReadTimeout {
+		cn.ReadTimeout = idle
 	}
 	clientID, err := wire.ServerHandshake(cn, uint32(ws.s.router.NumShards()), ws.s.now())
 	if err != nil {
 		ws.noteProtoErr(err)
 		return
 	}
-	cn.ReadTimeout = ws.opts.idleTimeout
+	cn.ReadTimeout = idle
 	win, err := ws.dedup.Acquire(clientID)
 	if err != nil {
 		// Table exhausted by active clients: transient, shed silently
@@ -278,10 +253,12 @@ func (ws *wireServer) protoFail(cn *wire.Conn, msg string) {
 	cn.WriteError(msg)
 }
 
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // retryAfter jitters the BUSY hint across [0.5, 1.5) ticks so a crowd
 // of refused clients does not re-arrive in the same tick.
 func (ws *wireServer) retryAfter() float64 {
-	return ws.retry * (0.5 + rand.Float64())
+	return ws.s.cfg.Tick.Seconds() * (0.5 + rand.Float64())
 }
 
 // handleBatch decodes one batch, resolves each effectful request against
@@ -351,9 +328,20 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 				fresh[i] = false
 				continue
 			}
+			if !finite(rq.X) || !finite(rq.Y) {
+				results[i].Status = wire.StatusErr
+				results[i].Msg = "coordinates must be finite"
+				fresh[i] = false
+				continue
+			}
+			// A client may back-date an arrival (the session clamps it to
+			// its shard's clock) but never post-date one: admitting at a
+			// future stamp would drag the shard's clock there and expire
+			// other clients' objects. NaN — "server-stamped" — +Inf and
+			// any stamp ahead of the server's clock all admit at now.
 			at := rq.At
-			if math.IsNaN(at) {
-				at = now // client asked for server-stamped arrival
+			if !(at <= now) {
+				at = now
 			}
 			var ok bool
 			if rq.Kind == wire.ReqAddWorker {

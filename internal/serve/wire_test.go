@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"math"
@@ -16,9 +16,9 @@ func nan() float64 { return math.NaN() }
 
 // bootWire starts a server with the wire listener on a loopback port and
 // returns it plus the dialed client.
-func bootWire(t *testing.T, cfg config) (*server, *wireServer, *wire.Client, func(float64)) {
+func bootWire(t *testing.T, cfg Config) (*Server, *wireServer, *wire.Client, func(float64)) {
 	t.Helper()
-	srv, err := newServer(cfg)
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func bootWire(t *testing.T, cfg config) (*server, *wireServer, *wire.Client, fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := newWireServer(srv, ln, 100*time.Millisecond, wireOptions{})
-	srv.wire = ws
+	srv.StartWire(ln)
+	ws := srv.wire
 	t.Cleanup(ws.close)
 	cl, err := wire.Dial(ln.Addr().String())
 	if err != nil {
@@ -199,7 +199,7 @@ func TestWireRejectsGarbage(t *testing.T) {
 // new lifetime re-issued seq 3, silently dropping 0..2.
 func TestWireSubscribeAheadOfRestartedServer(t *testing.T) {
 	boot := func() (*wireServer, string) {
-		srv, err := newServer(defaultTestConfig())
+		srv, err := New(defaultTestConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,8 +208,8 @@ func TestWireSubscribeAheadOfRestartedServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := newWireServer(srv, ln, 50*time.Millisecond, wireOptions{})
-		srv.wire = ws
+		srv.StartWire(ln)
+		ws := srv.wire
 		t.Cleanup(ws.close)
 		return ws, ln.Addr().String()
 	}
@@ -285,4 +285,48 @@ func TestWireSubscribeAheadOfRestartedServer(t *testing.T) {
 	matches(2)
 	await("EventsGone after the restart", []uint64{0}, &gone)
 	await("events across the restart", []uint64{0, 1, 2, 0, 1}, &seqs)
+}
+
+// TestWireHostileTimestamps: an admission stamped ahead of the server's
+// clock — +Inf, or merely the future — is admitted at the server's now, so
+// no client can drag a shard's clock forward and expire everyone else's
+// objects; non-finite coordinates are refused per entry.
+func TestWireHostileTimestamps(t *testing.T) {
+	srv, _, cl, set := bootWire(t, defaultTestConfig())
+	set(10)
+	res, err := cl.Do([]wire.Request{
+		{Kind: wire.ReqAddTask, X: 50, Y: 50, At: nan(), Window: 5}, // a bystander, admitted at 10, out of the others' reach
+		{Kind: wire.ReqAddWorker, X: 90, Y: 90, At: math.Inf(1), Window: 300},
+		{Kind: wire.ReqAddWorker, X: 90, Y: 10, At: 1e9, Window: 300},
+		{Kind: wire.ReqAddWorker, X: math.NaN(), Y: 10, At: nan(), Window: 300},
+		{Kind: wire.ReqAddTask, X: 10, Y: math.Inf(-1), At: nan(), Window: 60},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res[:3] {
+		if r.Status != wire.StatusOK || r.Time != 10 {
+			t.Fatalf("admission %d = %+v, want OK at the server's time 10", i, r)
+		}
+	}
+	for i, r := range res[3:] {
+		if r.Status != wire.StatusErr || !strings.Contains(r.Msg, "finite") {
+			t.Fatalf("non-finite coordinate %d = %+v, want StatusErr", i, r)
+		}
+	}
+	// The shard's clock is still the server's: one second later a worker
+	// next to the bystander task is admitted at 11 and serves it — the
+	// task has not expired, and nothing is stamped +Inf.
+	set(11)
+	res, err = cl.Do([]wire.Request{{Kind: wire.ReqAddWorker, X: 51, Y: 50, At: nan(), Window: 300}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Status != wire.StatusOK || res[0].Time != 11 {
+		t.Fatalf("server-stamped admission after the hostile batch = %+v, want OK at 11", res[0])
+	}
+	matches, _ := srv.router.MatchesFromOldest(10, nil)
+	if len(matches) != 1 || matches[0].Time != 11 || srv.router.Totals().ExpiredTasks != 0 {
+		t.Fatalf("matches = %+v with %d expired task(s), want the bystander served at 11", matches, srv.router.Totals().ExpiredTasks)
+	}
 }

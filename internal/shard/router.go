@@ -45,7 +45,7 @@ type Config struct {
 	// service area (it is partitioned into the shard grid); Velocity and
 	// Mode apply to every shard; Hints are sized per shard by region area
 	// share plus, with a halo, the expected ghost fraction of the halo
-	// band around it (Placement.HintShare). OnEvent/OnMatch/OnRetire/
+	// band around it (Placement.HintShare). OnEvent/OnRetire/
 	// CommitGate must be nil: the router owns event consumption and the
 	// retirement and arbitration hooks.
 	Matcher sim.MatcherConfig
@@ -133,20 +133,21 @@ type Event struct {
 // its current session (Totals, monotone across retirements) plus what only
 // a single shard has. LiveWorkers/LiveTasks are the current arena
 // populations — with retirement on, the gap between them and
-// Workers/Tasks is the memory the shard has reclaimed.
+// Workers/Tasks is the memory the shard has reclaimed. Its JSON form is a
+// shard row of ftoa-serve's GET /stats.
 type Stats struct {
-	Shard  int
-	Bounds geo.Rect
+	Shard  int      `json:"shard"`
+	Bounds geo.Rect `json:"-"`
 	Totals
-	LiveWorkers int
-	LiveTasks   int
-	Now         float64
+	LiveWorkers int     `json:"live_workers"`
+	LiveTasks   int     `json:"live_tasks"`
+	Now         float64 `json:"now"`
 
 	// ArrivalRate is the shard's owner-admission rate EWMA in arrivals
 	// per second, folded by Router.SampleRates (zero until sampled). It
 	// is advisory — the rebalance supervisor's demand signal — and is
 	// deliberately not WAL-recorded: a recovered router restarts it.
-	ArrivalRate float64
+	ArrivalRate float64 `json:"arrival_rate"`
 }
 
 // Totals is the set of lifetime counters. Per shard (Stats) it counts the
@@ -161,13 +162,16 @@ type Stats struct {
 type Totals struct {
 	// Workers/Tasks count admissions — with halo mirroring these include
 	// ghost copies, broken out in GhostWorkers/GhostTasks.
-	Workers, Tasks int
-	Matches        int
+	Workers int `json:"workers"`
+	Tasks   int `json:"tasks"`
+	Matches int `json:"matches"`
 	// ExpiredWorkers/ExpiredTasks count only lifecycle-owning expiries:
 	// deadlines of ghost copies (reported by their owner shard) and of
 	// objects that matched elsewhere are excluded.
-	ExpiredWorkers, ExpiredTasks int
-	Attempted, Rejected          int
+	ExpiredWorkers int `json:"expired_workers"`
+	ExpiredTasks   int `json:"expired_tasks"`
+	Attempted      int `json:"attempted"`
+	Rejected       int `json:"rejected"`
 	// Halo metrics; all zero with Halo disabled. GhostWorkers/GhostTasks
 	// count mirrored copies admitted into a shard; WithdrawnWorkers/
 	// WithdrawnTasks the copies retracted after their original matched or
@@ -175,9 +179,12 @@ type Totals struct {
 	// lost to cross-shard arbitration; and BorderMatches the commits
 	// involving at least one mirrored endpoint — the matches disjoint
 	// sharding would have missed.
-	GhostWorkers, GhostTasks         int
-	WithdrawnWorkers, WithdrawnTasks int
-	ClaimsLost, BorderMatches        int
+	GhostWorkers     int `json:"ghost_workers"`
+	GhostTasks       int `json:"ghost_tasks"`
+	WithdrawnWorkers int `json:"withdrawn_workers"`
+	WithdrawnTasks   int `json:"withdrawn_tasks"`
+	ClaimsLost       int `json:"claims_lost"`
+	BorderMatches    int `json:"border_matches"`
 }
 
 // fields lists the counters in a fixed order — the order the checkpoint
@@ -330,8 +337,8 @@ func newRouterShell(cfg Config) (*Router, error) {
 	if cfg.NewAlgorithm == nil {
 		return nil, errors.New("shard: nil NewAlgorithm")
 	}
-	if cfg.Matcher.OnEvent != nil || cfg.Matcher.OnMatch != nil {
-		return nil, errors.New("shard: Matcher.OnEvent/OnMatch must be nil (the router consumes events)")
+	if cfg.Matcher.OnEvent != nil {
+		return nil, errors.New("shard: Matcher.OnEvent must be nil (the router consumes events)")
 	}
 	if cfg.Matcher.OnRetire != nil || cfg.Matcher.CommitGate != nil {
 		return nil, errors.New("shard: Matcher.OnRetire/CommitGate must be nil (the router owns both hooks)")

@@ -59,9 +59,9 @@ func TestNewRouterValidates(t *testing.T) {
 		t.Error("nil NewAlgorithm accepted")
 	}
 	bad = testConfig(2, 2)
-	bad.Matcher.OnMatch = func(sim.Match) {}
+	bad.Matcher.OnEvent = func(sim.SessionEvent) {}
 	if _, err := NewRouter(bad); err == nil {
-		t.Error("session-level OnMatch accepted")
+		t.Error("session-level OnEvent accepted")
 	}
 	bad = testConfig(2, 2)
 	bad.Retention = -1

@@ -71,34 +71,6 @@ func TestLifecycleEventStream(t *testing.T) {
 	}
 }
 
-// TestDrainSharesCursorWithDrainEvents: Drain is the match-only filter of
-// the same stream, so consuming via DrainEvents consumes for Drain too.
-func TestDrainSharesCursorWithDrainEvents(t *testing.T) {
-	alg := &scriptAlg{name: "cursor"}
-	alg.onTask = func(p Platform, tk int, now float64) {
-		for w := 0; w < p.NumWorkers(); w++ {
-			if p.TryMatch(w, tk, now) {
-				return
-			}
-		}
-	}
-	s := testMatcher(t, Strict, Hints{}, nil).NewSession(alg)
-	mustAddWorker(t, s, model.Worker{Loc: geo.Pt(1, 1), Arrive: 0, Patience: 10})
-	mustAddTask(t, s, model.Task{Loc: geo.Pt(1, 2), Release: 1, Expiry: 5})
-	if evs := s.DrainEvents(nil); len(evs) != 1 {
-		t.Fatalf("DrainEvents = %v", evs)
-	}
-	if ms := s.Drain(nil); len(ms) != 0 {
-		t.Fatalf("Drain after DrainEvents = %v, want empty (shared cursor)", ms)
-	}
-	mustAddWorker(t, s, model.Worker{Loc: geo.Pt(2, 2), Arrive: 2, Patience: 10})
-	mustAddTask(t, s, model.Task{Loc: geo.Pt(2, 3), Release: 3, Expiry: 5})
-	ms := s.Drain(nil)
-	if len(ms) != 1 || ms[0] != (Match{Worker: 1, Task: 1, Time: 3}) {
-		t.Fatalf("Drain = %v, want the second match only", ms)
-	}
-}
-
 // TestTaskExpiryBoundary: a task is matchable AT its deadline, so the
 // expiry only fires once the clock strictly passes it — and a match at
 // exactly the deadline suppresses it.

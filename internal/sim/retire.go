@@ -144,7 +144,7 @@ func Refit[T any](s []T, used int) []T {
 //
 // After a retirement that dropped anything: handles from before the call
 // are invalid (Epoch increments); events not yet consumed by
-// Drain/DrainEvents are rewritten in place — surviving handles are
+// DrainEvents are rewritten in place — surviving handles are
 // translated, dropped ones become -1 on their side — so drain before
 // retiring to observe exact handles (the shard router does); Matching()
 // views obtained earlier must not be retained, exactly as across Reset;

@@ -225,7 +225,7 @@ func TestRetireRebasesUndrainedEvents(t *testing.T) {
 	if !s.TryMatch(w0, t0, 1) {
 		t.Fatal("first match refused")
 	}
-	got := s.Drain(nil) // consume the first match
+	got := s.DrainEvents(nil) // consume the first match
 	if len(got) != 1 {
 		t.Fatalf("drained %d, want 1", len(got))
 	}

@@ -9,15 +9,6 @@ import (
 	"ftoa/internal/model"
 )
 
-// Match is one committed worker-task pair, reported in commit order.
-// Worker and Task are the session handles returned by AddWorker/AddTask.
-type Match struct {
-	Worker int
-	Task   int
-	// Time is the session time at which the pair was committed.
-	Time float64
-}
-
 // Hints carries closed-world sizing information when the caller happens to
 // have it — a replay driver knows the full population in advance, a live
 // deployment at best estimates it. All fields are optional; zero means
@@ -54,10 +45,6 @@ type MatcherConfig struct {
 	// state may be mid-update when it fires. Record the event and return;
 	// events also remain available via Session.DrainEvents regardless.
 	OnEvent func(SessionEvent)
-	// OnMatch is the match-only compatibility hook: invoked for every
-	// EventMatch, under the same restrictions as OnEvent. Both hooks may
-	// be set; OnEvent fires first.
-	OnMatch func(Match)
 	// OnRetire, when non-nil, is invoked synchronously from within
 	// Session.Retire after a compaction that dropped at least one object,
 	// with the same old→new handle tables the algorithm's Remap hook
@@ -120,7 +107,6 @@ func newSession(cfg MatcherConfig, alg Algorithm) *Session {
 		bounds:   cfg.Bounds,
 		hints:    cfg.Hints,
 		onEvent:  cfg.OnEvent,
-		onMatch:  cfg.OnMatch,
 		onRetire: cfg.OnRetire,
 		gate:     cfg.CommitGate,
 	}
@@ -172,7 +158,6 @@ type Session struct {
 	bounds   geo.Rect
 	hints    Hints
 	onEvent  func(SessionEvent)
-	onMatch  func(Match)
 	onRetire func(workers, tasks []int32)
 	gate     func(w, t int, now float64) bool
 
@@ -199,7 +184,7 @@ type Session struct {
 
 	matching model.Matching
 	// events is the lifecycle arena: commits and expiries in fire order.
-	// drained is the shared consumption cursor of Drain/DrainEvents;
+	// drained is DrainEvents' consumption cursor;
 	// CompactEvents reclaims the consumed prefix.
 	events  []SessionEvent
 	drained int
@@ -429,21 +414,18 @@ func (s *Session) fireTaskExpiry(e expiryEntry) {
 }
 
 // emit appends one lifecycle event to the arena and fires the synchronous
-// hooks (OnEvent first, then the OnMatch compatibility hook for matches).
+// OnEvent hook.
 func (s *Session) emit(ev SessionEvent) {
 	s.events = append(s.events, ev)
 	if s.onEvent != nil {
 		s.onEvent(ev)
-	}
-	if ev.Kind == EventMatch && s.onMatch != nil {
-		s.onMatch(Match{Worker: ev.Worker, Task: ev.Task, Time: ev.Time})
 	}
 }
 
 // Finish ends the session: the clock advances to the hinted horizon (if
 // later than the last arrival), remaining timers fire, and the algorithm's
 // OnFinish hook flushes pending work. Further admissions return
-// ErrFinished; Drain, Matching and the other accessors remain usable.
+// ErrFinished; DrainEvents, Matching and the other accessors remain usable.
 func (s *Session) Finish() {
 	if s.finished {
 		return
@@ -477,30 +459,16 @@ func (s *Session) Finish() {
 }
 
 // DrainEvents appends to dst every lifecycle event emitted since the
-// previous DrainEvents (or Drain — the two share one consumption cursor;
-// Drain is DrainEvents filtered to matches) and returns the extended
-// slice. Event order is fire order, with non-decreasing times.
+// previous DrainEvents and returns the extended slice. Event order is
+// fire order, with non-decreasing times.
 func (s *Session) DrainEvents(dst []SessionEvent) []SessionEvent {
 	dst = append(dst, s.events[s.drained:]...)
 	s.drained = len(s.events)
 	return dst
 }
 
-// Drain appends to dst every match committed since the previous Drain
-// (or DrainEvents — see DrainEvents for the shared-cursor semantics) and
-// returns the extended slice. Pair order is commit order.
-func (s *Session) Drain(dst []Match) []Match {
-	for _, ev := range s.events[s.drained:] {
-		if ev.Kind == EventMatch {
-			dst = append(dst, Match{Worker: ev.Worker, Task: ev.Task, Time: ev.Time})
-		}
-	}
-	s.drained = len(s.events)
-	return dst
-}
-
 // CompactEvents reclaims the arena prefix already consumed by
-// Drain/DrainEvents, keeping the backing capacity. Long-lived sessions
+// DrainEvents, keeping the backing capacity. Long-lived sessions
 // that drain incrementally call it periodically so the event arena stays
 // proportional to the undrained tail instead of the session's lifetime.
 func (s *Session) CompactEvents() {

@@ -8,14 +8,14 @@ import (
 	"ftoa/internal/model"
 )
 
-func testMatcher(t *testing.T, mode Mode, hints Hints, onMatch func(Match)) *Matcher {
+func testMatcher(t *testing.T, mode Mode, hints Hints, onEvent func(SessionEvent)) *Matcher {
 	t.Helper()
 	m, err := NewMatcher(MatcherConfig{
 		Mode:     mode,
 		Velocity: 1,
 		Bounds:   geo.NewRect(0, 0, 10, 10),
 		Hints:    hints,
-		OnMatch:  onMatch,
+		OnEvent:  onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +151,14 @@ func TestAdvanceFiresTimerChains(t *testing.T) {
 	}
 }
 
-// TestDrainAndOnMatch: committed pairs surface both through the callback
-// (synchronously) and through Drain (incrementally).
+// TestDrainAndOnMatch: committed pairs surface as EventMatch both through
+// the OnEvent callback (synchronously) and through DrainEvents
+// (incrementally).
 func TestDrainAndOnMatch(t *testing.T) {
-	var cb []Match
+	var cb []SessionEvent
+	match := func(w, tk int, at float64) SessionEvent {
+		return SessionEvent{Kind: EventMatch, Worker: w, Task: tk, Time: at}
+	}
 	alg := &scriptAlg{name: "drain"}
 	alg.onTask = func(p Platform, tk int, now float64) {
 		for w := 0; w < p.NumWorkers(); w++ {
@@ -163,34 +167,34 @@ func TestDrainAndOnMatch(t *testing.T) {
 			}
 		}
 	}
-	s := testMatcher(t, Strict, Hints{}, func(m Match) { cb = append(cb, m) }).NewSession(alg)
+	s := testMatcher(t, Strict, Hints{}, func(ev SessionEvent) { cb = append(cb, ev) }).NewSession(alg)
 	if _, err := s.AddWorker(model.Worker{Loc: geo.Pt(1, 1), Arrive: 0, Patience: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddTask(model.Task{Loc: geo.Pt(1, 2), Release: 1, Expiry: 5}); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Drain(nil)
-	if len(got) != 1 || got[0] != (Match{Worker: 0, Task: 0, Time: 1}) {
-		t.Fatalf("Drain = %v", got)
+	got := s.DrainEvents(nil)
+	if len(got) != 1 || got[0] != match(0, 0, 1) {
+		t.Fatalf("DrainEvents = %v", got)
 	}
 	if len(cb) != 1 || cb[0] != got[0] {
-		t.Fatalf("OnMatch saw %v, want %v", cb, got)
+		t.Fatalf("OnEvent saw %v, want %v", cb, got)
 	}
-	// Drain is incremental: nothing new yet.
-	if again := s.Drain(nil); len(again) != 0 {
-		t.Errorf("second Drain = %v, want empty", again)
+	// DrainEvents is incremental: nothing new yet.
+	if again := s.DrainEvents(nil); len(again) != 0 {
+		t.Errorf("second DrainEvents = %v, want empty", again)
 	}
-	// A later commit shows up in the next Drain only.
+	// A later commit shows up in the next DrainEvents only.
 	if _, err := s.AddWorker(model.Worker{Loc: geo.Pt(5, 5), Arrive: 2, Patience: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddTask(model.Task{Loc: geo.Pt(5, 6), Release: 3, Expiry: 5}); err != nil {
 		t.Fatal(err)
 	}
-	got = s.Drain(got)
-	if len(got) != 2 || got[1] != (Match{Worker: 1, Task: 1, Time: 3}) {
-		t.Fatalf("Drain after second match = %v", got)
+	got = s.DrainEvents(got)
+	if len(got) != 2 || got[1] != match(1, 1, 3) {
+		t.Fatalf("DrainEvents after second match = %v", got)
 	}
 }
 

@@ -10,13 +10,12 @@
 // return stable dense handles, and Advance drives timers. The session's
 // output is a typed lifecycle event stream (SessionEvent): commits AND
 // deadline expiries of unmatched objects, the paper's two-sided attrition
-// made observable (DrainEvents / OnEvent; Drain / OnMatch remain as
-// match-only compatibility wrappers). Live deployments (cmd/ftoa-serve)
-// push real traffic straight into a Session — or into a grid of them via
-// package shard; the closed-world Engine in this file is a thin replay
-// driver that feeds a recorded instance's arrival events through the very
-// same Session API, so experiments and benchmarks exercise the production
-// code path.
+// made observable (DrainEvents / OnEvent). Live deployments
+// (cmd/ftoa-serve) push real traffic straight into a Session — or into a
+// grid of them via package shard; the closed-world Engine in this file is
+// a thin replay driver that feeds a recorded instance's arrival events
+// through the very same Session API, so experiments and benchmarks
+// exercise the production code path.
 //
 // Two validation modes are supported (see DESIGN.md §3.2):
 //

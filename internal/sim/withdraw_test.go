@@ -161,14 +161,14 @@ func TestWithdrawnObjectsRetireInBothModes(t *testing.T) {
 // TestCommitGateVeto: a vetoing gate turns an otherwise committable
 // TryMatch into a rejection; a passing gate observes the exact pair.
 func TestCommitGateVeto(t *testing.T) {
-	var calls []Match
+	var calls []SessionEvent
 	allow := false
 	m, err := NewMatcher(MatcherConfig{
 		Mode:     Strict,
 		Velocity: 1,
 		Bounds:   geo.NewRect(0, 0, 100, 100),
 		CommitGate: func(w, tk int, now float64) bool {
-			calls = append(calls, Match{Worker: w, Task: tk, Time: now})
+			calls = append(calls, SessionEvent{Kind: EventMatch, Worker: w, Task: tk, Time: now})
 			return allow
 		},
 	})

@@ -25,6 +25,17 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	// What the codec carries but the server must not trust (ftoa-serve
+	// clamps the stamp and refuses the coordinates): a non-finite arrival
+	// time, non-finite coordinates.
+	hostile, err := AppendBatch(nil, 8, []Request{
+		{Kind: ReqAddWorker, Seq: 1, X: 10, Y: 20, At: math.Inf(1), Window: 300},
+		{Kind: ReqAddTask, Seq: 2, X: math.NaN(), Y: math.Inf(-1), At: 5, Window: 60},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hostile)
 	f.Add(valid[:len(valid)-3])                                 // truncated mid-entry
 	f.Add(append(append([]byte(nil), valid...), 0))             // trailing byte
 	f.Add([]byte{MsgBatch, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}) // 65535 entries, none present
