@@ -58,7 +58,7 @@ type mirror struct {
 	// becomes claimMatched and read only after observing that state.
 	commitAt float64
 	gid      uint64
-	task     bool  // which side the object is on
+	side     side  // which kind the object is
 	owner    int32 // owning shard
 	// ownerLocal is the owner session's handle at admission — the same
 	// receipt Handle.Local reports, used as the object's home identity in
@@ -114,36 +114,33 @@ func (m *mirror) claimExpiry() uint32 {
 // this gid held by the queue's shard must be withdrawn.
 type pendingWithdraw struct {
 	gid  uint64
-	task bool
+	side side
 }
 
-// haloState is the per-shard half of the arbitration: dense handle→record
-// tables for every mirrored copy this shard holds, the gid→handle
-// resolution maps retractions address copies by, and the pending
+// haloState is the per-shard half of the arbitration: per side, a dense
+// handle→record table for every mirrored copy this shard holds and the
+// gid→handle resolution map retractions address copies by; and the pending
 // retraction queue. The tables and maps are guarded by the shard's
 // session lock; the queue by its own leaf mutex so other shards can feed
 // it without ordering against session locks.
 type haloState struct {
-	wRef   []*mirror // by current worker handle; nil = unmirrored
-	tRef   []*mirror
-	wByGid map[uint64]int32
-	tByGid map[uint64]int32
+	ref   [2][]*mirror // by side, then current handle; nil = unmirrored
+	byGid [2]map[uint64]int32
 
 	pwMu       sync.Mutex
 	pending    []pendingWithdraw
 	pendingApp []pendingWithdraw // drain scratch, swapped under pwMu
 	hasPending atomic.Bool
 
-	// Stats, owned by the shard lock. ghost* count mirrored copies
-	// admitted here; suppressed* count expiry events dropped because the
-	// object's lifecycle concluded elsewhere (they correct the session's
+	// Stats, owned by the shard lock. ghost counts, by side, the mirrored
+	// copies admitted here; suppressedExp the expiry events dropped because
+	// the object's lifecycle concluded elsewhere (they correct the session's
 	// own expiry counters); claimsLost counts commits vetoed by the
 	// arbitration; borderMatches counts commits involving >=1 mirrored
 	// endpoint.
-	ghostW, ghostT                 int
-	suppressedExpW, suppressedExpT int
-	claimsLost                     int
-	borderMatches                  int
+	ghost, suppressedExp [2]int
+	claimsLost           int
+	borderMatches        int
 }
 
 // refAt returns the mirror record behind a handle, nil when the handle is
@@ -155,37 +152,23 @@ func refAt(refs []*mirror, h int) *mirror {
 	return nil
 }
 
-// putRef installs a record at a handle, growing the dense table. Callers
-// hold the shard lock.
-func putRef(refs []*mirror, h int, rec *mirror) []*mirror {
+// putRef registers a mirrored copy at handle h of its side, growing the
+// dense table. Callers hold the shard lock.
+func (si *shardInstance) putRef(sd side, h int, rec *mirror) {
+	refs := si.halo.ref[sd]
 	for len(refs) <= h {
 		refs = append(refs, nil)
 	}
 	refs[h] = rec
-	return refs
+	si.halo.ref[sd] = refs
+	si.halo.byGid[sd][rec.gid] = int32(h)
 }
 
-// putWorker/putTask register a mirrored copy under the shard lock.
-func (si *shardInstance) putWorker(h int, rec *mirror) {
-	si.halo.wRef = putRef(si.halo.wRef, h, rec)
-	si.halo.wByGid[rec.gid] = int32(h)
-}
-
-func (si *shardInstance) putTask(h int, rec *mirror) {
-	si.halo.tRef = putRef(si.halo.tRef, h, rec)
-	si.halo.tByGid[rec.gid] = int32(h)
-}
-
-// dropWorker/dropTask unregister a copy (withdrawal applied, or admission
-// rolled back). Callers hold the shard lock.
-func (si *shardInstance) dropWorker(h int, rec *mirror) {
-	si.halo.wRef[h] = nil
-	delete(si.halo.wByGid, rec.gid)
-}
-
-func (si *shardInstance) dropTask(h int, rec *mirror) {
-	si.halo.tRef[h] = nil
-	delete(si.halo.tByGid, rec.gid)
+// dropRef unregisters a copy (withdrawal applied, or admission rolled
+// back). Callers hold the shard lock.
+func (si *shardInstance) dropRef(sd side, h int, rec *mirror) {
+	si.halo.ref[sd][h] = nil
+	delete(si.halo.byGid[sd], rec.gid)
 }
 
 // enqueueWithdraw queues a retraction for this shard. Safe to call from
@@ -220,7 +203,7 @@ func (si *shardInstance) drainPendingLocked() {
 // ref and gid entries are dropped only when the session accepted the
 // withdrawal: a refusal means this copy is the one that MATCHED — the
 // claim's winner, which can receive a (redundant) retraction from
-// admitGhostLocked's post-admission re-check — and its ref must survive
+// ghostLocked's post-admission re-check — and its ref must survive
 // so collectLocked keeps recognising the copy's later deadline as a
 // ghost/mirrored expiry. Matched copies' entries are reclaimed by
 // retirement instead.
@@ -232,17 +215,9 @@ func (si *shardInstance) applyWithdrawLocked(pw pendingWithdraw) {
 	if si.wal != nil {
 		si.wal.opWithdraw(pw)
 	}
-	if pw.task {
-		if h, ok := si.halo.tByGid[pw.gid]; ok {
-			if rec := si.halo.tRef[h]; si.sess.WithdrawTask(int(h)) {
-				si.dropTask(int(h), rec)
-			}
-		}
-		return
-	}
-	if h, ok := si.halo.wByGid[pw.gid]; ok {
-		if rec := si.halo.wRef[h]; si.sess.WithdrawWorker(int(h)) {
-			si.dropWorker(int(h), rec)
+	if h, ok := si.halo.byGid[pw.side][pw.gid]; ok {
+		if rec := si.halo.ref[pw.side][h]; pw.side.withdraw(si.sess, int(h)) {
+			si.dropRef(pw.side, int(h), rec)
 		}
 	}
 }
@@ -257,7 +232,7 @@ func (r *Router) retractLosers(ts *topoState, rec *mirror, winner int) {
 		if int(cs) == winner {
 			continue
 		}
-		ts.shards[cs].enqueueWithdraw(pendingWithdraw{gid: rec.gid, task: rec.task})
+		ts.shards[cs].enqueueWithdraw(pendingWithdraw{gid: rec.gid, side: rec.side})
 	}
 }
 
@@ -285,8 +260,8 @@ func (r *Router) applyPending(ts *topoState) {
 // session lock; it takes no locks itself, so claim resolution can never
 // deadlock with another shard's gate.
 func (si *shardInstance) gate(w, t int, now float64) bool {
-	rw := refAt(si.halo.wRef, w)
-	rt := refAt(si.halo.tRef, t)
+	rw := refAt(si.halo.ref[workerSide], w)
+	rt := refAt(si.halo.ref[taskSide], t)
 	if rw == nil && rt == nil {
 		return true // both endpoints purely local: nothing to arbitrate
 	}
@@ -329,8 +304,9 @@ func (si *shardInstance) gateLive(rw, rt *mirror, now float64) bool {
 // resolving across arena epochs. Runs inside Session.Retire under the
 // shard lock.
 func (si *shardInstance) onRetire(wmap, tmap []int32) {
-	si.halo.wRef, si.halo.wByGid = remapRefs(si.halo.wRef, wmap, si.halo.wByGid)
-	si.halo.tRef, si.halo.tByGid = remapRefs(si.halo.tRef, tmap, si.halo.tByGid)
+	for sd, m := range [...][]int32{workerSide: wmap, taskSide: tmap} {
+		si.halo.ref[sd], si.halo.byGid[sd] = remapRefs(si.halo.ref[sd], m, si.halo.byGid[sd])
+	}
 }
 
 // remapRefs rewrites a dense ref table in place through a retirement

@@ -414,19 +414,19 @@ func TestRouterHaloRetirement(t *testing.T) {
 	// Every halo table entry must point at a live, correctly-typed arena
 	// slot after all the compaction.
 	for _, si := range r.state().shards {
-		for gid, h := range si.halo.wByGid {
+		for gid, h := range si.halo.byGid[workerSide] {
 			if int(h) >= si.sess.NumWorkers() {
 				t.Fatalf("shard %d: gid %d maps to worker %d beyond live arena %d", si.id, gid, h, si.sess.NumWorkers())
 			}
-			if refAt(si.halo.wRef, int(h)) == nil {
+			if refAt(si.halo.ref[workerSide], int(h)) == nil {
 				t.Fatalf("shard %d: gid %d handle %d has no ref", si.id, gid, h)
 			}
 		}
-		for gid, h := range si.halo.tByGid {
+		for gid, h := range si.halo.byGid[taskSide] {
 			if int(h) >= si.sess.NumTasks() {
 				t.Fatalf("shard %d: gid %d maps to task %d beyond live arena %d", si.id, gid, h, si.sess.NumTasks())
 			}
-			if refAt(si.halo.tRef, int(h)) == nil {
+			if refAt(si.halo.ref[taskSide], int(h)) == nil {
 				t.Fatalf("shard %d: gid %d handle %d has no ref", si.id, gid, h)
 			}
 		}
@@ -488,7 +488,7 @@ func TestRouterHaloRetirementReleasesBurst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final = cap(retiring.state().shards[0].halo.wRef)
+		final = cap(retiring.state().shards[0].halo.ref[workerSide])
 		peak = max(peak, final)
 	}
 	retiring.Finish()
@@ -522,18 +522,18 @@ func TestRouterHaloRetirementReleasesBurst(t *testing.T) {
 		}
 	}
 	for _, si := range retiring.state().shards {
-		for h, rec := range si.halo.wRef {
-			if rec != nil && (h >= si.sess.NumWorkers() || si.halo.wByGid[rec.gid] != int32(h)) {
+		for h, rec := range si.halo.ref[workerSide] {
+			if rec != nil && (h >= si.sess.NumWorkers() || si.halo.byGid[workerSide][rec.gid] != int32(h)) {
 				t.Fatalf("shard %d: worker ref %d (gid %d) does not resolve back through the gid map", si.id, h, rec.gid)
 			}
 		}
-		for gid, h := range si.halo.wByGid {
-			if rec := refAt(si.halo.wRef, int(h)); rec == nil || rec.gid != gid {
+		for gid, h := range si.halo.byGid[workerSide] {
+			if rec := refAt(si.halo.ref[workerSide], int(h)); rec == nil || rec.gid != gid {
 				t.Fatalf("shard %d: gid %d maps to worker %d, which holds %+v", si.id, gid, h, rec)
 			}
 		}
-		for gid, h := range si.halo.tByGid {
-			if rec := refAt(si.halo.tRef, int(h)); rec == nil || rec.gid != gid {
+		for gid, h := range si.halo.byGid[taskSide] {
+			if rec := refAt(si.halo.ref[taskSide], int(h)); rec == nil || rec.gid != gid {
 				t.Fatalf("shard %d: gid %d maps to task %d, which holds %+v", si.id, gid, h, rec)
 			}
 		}

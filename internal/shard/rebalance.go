@@ -34,10 +34,11 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"ftoa/internal/geo"
@@ -97,7 +98,7 @@ func (r *Router) SampleRates(now, tau float64) {
 	ts := r.state()
 	for _, si := range ts.shards {
 		si.mu.Lock()
-		count := si.sess.AdmittedWorkers() + si.sess.AdmittedTasks() - si.halo.ghostW - si.halo.ghostT
+		count := si.sess.AdmittedWorkers() + si.sess.AdmittedTasks() - si.halo.ghost[workerSide] - si.halo.ghost[taskSide]
 		if !si.rateInit || now <= si.rateAt {
 			si.rateInit = true
 			si.rateCount, si.rateAt = count, now
@@ -114,14 +115,6 @@ func (r *Router) SampleRates(now, tau float64) {
 		si.rateCount, si.rateAt = count, now
 		si.mu.Unlock()
 	}
-}
-
-// migrant is one live object leaving an old session, keyed for the
-// deterministic re-admission order.
-type migrant struct {
-	ad        admission
-	fromShard int
-	fromLocal int
 }
 
 // Rebalance migrates the router onto topo (same base grid, different
@@ -245,81 +238,45 @@ func (r *Router) migrate(topo *Topology) (*RebalanceInfo, error) {
 	// new placement) of objects whose lifecycle can still affect matching.
 	// expiryFired marks AssumeGuide objects living past an already-emitted
 	// deadline, so the new session does not emit it again.
-	var migs []migrant
+	var migs []admission
 	for _, osi := range old.shards {
 		osi.mu.Lock()
-		now := osi.sess.Now()
-		for h := 0; h < osi.sess.NumWorkers(); h++ {
-			if rec := refAt(osi.halo.wRef, h); rec != nil && int(rec.owner) != osi.id {
-				continue
+		for _, sd := range sides {
+			for h, n := 0, sd.count(osi.sess); h < n; h++ {
+				if rec := refAt(osi.halo.ref[sd], h); rec != nil && int(rec.owner) != osi.id {
+					continue
+				}
+				if ad, live := sd.migrant(osi.sess, h); live {
+					migs = append(migs, ad)
+				}
 			}
-			if !osi.sess.WorkerLive(h) {
-				continue
-			}
-			w := *osi.sess.Worker(h)
-			migs = append(migs, migrant{
-				ad:        admission{w: w, migrated: true, expiryFired: w.Deadline() <= now},
-				fromShard: osi.id,
-				fromLocal: h,
-			})
-		}
-		for h := 0; h < osi.sess.NumTasks(); h++ {
-			if rec := refAt(osi.halo.tRef, h); rec != nil && int(rec.owner) != osi.id {
-				continue
-			}
-			if !osi.sess.TaskLive(h) {
-				continue
-			}
-			t := *osi.sess.Task(h)
-			migs = append(migs, migrant{
-				ad:        admission{task: true, t: t, migrated: true, expiryFired: t.Deadline() < now},
-				fromShard: osi.id,
-				fromLocal: h,
-			})
 		}
 		osi.mu.Unlock()
 	}
 	// Deterministic re-admission order: arrival time, then workers before
-	// tasks, then old identity. The stored times are the old owners'
-	// clamped stamps, so the new sessions (clock at -inf until the advance
-	// below) re-stamp every object at exactly its original time.
-	sort.Slice(migs, func(i, j int) bool {
-		a, b := &migs[i], &migs[j]
-		if at, bt := a.ad.time(), b.ad.time(); at != bt {
-			return at < bt
-		}
-		if a.ad.task != b.ad.task {
-			return !a.ad.task
-		}
-		if a.fromShard != b.fromShard {
-			return a.fromShard < b.fromShard
-		}
-		return a.fromLocal < b.fromLocal
+	// tasks, then old identity (shard, handle) — which is the order they
+	// were enumerated in, so a stable sort keeps it. The stored times are the
+	// old owners' clamped stamps, so the new sessions (clock at -inf until the
+	// advance below) re-stamp every object at exactly its original time.
+	slices.SortStableFunc(migs, func(a, b admission) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.side, b.side))
 	})
 
+	// A migration re-admits through the same route and admit as live
+	// traffic: ghosts are re-derived from the new placement, and every copy
+	// is recorded into the checkpoint generation.
+	var migrated [2]int
 	var mbuf []int
 	for i := range migs {
-		ad := &migs[i].ad
-		owner := ns.placement.Owner(ad.loc())
-		var err error
-		if r.haloOn {
-			if mbuf = ns.placement.Mirrors(ad.loc(), owner, mbuf[:0]); len(mbuf) > 0 {
-				_, _, _, err = r.addMirrored(ns, owner, mbuf, ad)
-			} else {
-				_, _, _, err = r.admitOwner(ns, owner, nil, ad)
-			}
-		} else {
-			_, _, _, err = r.admitOwner(ns, owner, nil, ad)
-		}
-		if err != nil {
+		ad := &migs[i]
+		var owner int
+		owner, mbuf = ns.route(ad.loc, mbuf[:0])
+		if _, _, _, err := r.admit(ns, owner, mbuf, ad); err != nil {
 			return abort(fmt.Errorf("shard: migrating object into region %d: %w", owner, err))
 		}
-		if ad.task {
-			info.MigratedTasks++
-		} else {
-			info.MigratedWorkers++
-		}
+		migrated[ad.side]++
 	}
+	info.MigratedWorkers, info.MigratedTasks = migrated[workerSide], migrated[taskSide]
 	r.applyPending(ns)
 	// Whatever the re-admissions counted in the new sessions — admissions,
 	// ghost copies, the algorithms' attempts, the odd match between two live

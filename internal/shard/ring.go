@@ -117,23 +117,16 @@ func NewAdmitter(r *Router, cfg AdmitterConfig) *Admitter {
 // the target ring is full (backpressure; retry after a drain interval) or
 // the Admitter is closed — and res/wg are untouched.
 func (a *Admitter) AddWorker(w model.Worker, res *AdmitResult, wg *sync.WaitGroup) bool {
-	return a.add(&admitOp{ad: admission{w: w}, res: res, wg: wg})
+	return a.add(&admitOp{ad: workerAdmission(w), res: res, wg: wg})
 }
 
 // AddTask enqueues a task admission; see AddWorker.
 func (a *Admitter) AddTask(t model.Task, res *AdmitResult, wg *sync.WaitGroup) bool {
-	return a.add(&admitOp{ad: admission{task: true, t: t}, res: res, wg: wg})
+	return a.add(&admitOp{ad: taskAdmission(t), res: res, wg: wg})
 }
 
 func (a *Admitter) add(op *admitOp) bool {
 	if a.closed.Load() {
-		return false
-	}
-	// During a topology migration admissions would only queue behind the
-	// rebalance write lock; refuse immediately instead so producers get
-	// the BUSY + retry hint while the router is quiescing.
-	if a.r.migrating.Load() {
-		a.busy[a.r.ShardOf(op.ad.loc())%len(a.rings)].Add(1)
 		return false
 	}
 	// The ring count is fixed at creation while the region count can grow
@@ -142,7 +135,14 @@ func (a *Admitter) add(op *admitOp) bool {
 	// against the placement current at admission time. On a static
 	// topology owner%lanes == owner, preserving the historical one
 	// ring/one shard layout bit for bit.
-	lane := a.r.ShardOf(op.ad.loc()) % len(a.rings)
+	lane := a.r.ShardOf(op.ad.loc) % len(a.rings)
+	// During a topology migration admissions would only queue behind the
+	// rebalance write lock; refuse immediately instead so producers get
+	// the BUSY + retry hint while the router is quiescing.
+	if a.r.migrating.Load() {
+		a.busy[lane].Add(1)
+		return false
+	}
 	// The Add must precede publication: the drainer may finish the op (and
 	// call wg.Done) the instant the slot is visible.
 	op.wg.Add(1)
@@ -209,76 +209,62 @@ func (a *Admitter) drainLoop(shard int) {
 					if !ok {
 						return
 					}
-					a.r.admitBatch(shard, []*admitOp{op}, &mbuf)
+					a.r.admitBatch([]*admitOp{op}, &mbuf)
 				}
 			}
 		}
 		// Stable: equal timestamps keep enqueue (ring) order, so a single
 		// producer replaying a trace admits in exactly trace order.
 		sort.SliceStable(batch, func(i, j int) bool {
-			return batch[i].ad.time() < batch[j].ad.time()
+			return batch[i].ad.at < batch[j].ad.at
 		})
 		if a.onBatch != nil {
 			a.onBatch(shard, batch)
 		}
-		a.r.admitBatch(shard, batch, &mbuf)
+		a.r.admitBatch(batch, &mbuf)
 	}
 }
 
 // admitBatch admits one drained, timestamp-sorted batch from a ring lane.
-// Each op's owner shard is re-derived against the placement current NOW —
-// a Rebalance may have moved region boundaries since the op was enqueued
-// to its lane, and only the current owner's session may admit it.
-// Halo-mirrored (border) admissions go through the multi-shard addMirrored
-// flow individually — mirroring locks neighbor shards and must not happen
-// under the owner's lock; maximal same-owner interior runs between them
-// are admitted under one lock acquisition.
-func (r *Router) admitBatch(_ int, ops []*admitOp, mbuf *[]int) {
+// Each op is routed against the placement current NOW — a Rebalance may
+// have moved region boundaries since the op was enqueued to its lane, and
+// only the current owner's session may admit it. A border op takes the
+// general path (Router.admit) on its own — mirroring locks neighbor shards
+// and must not happen under the owner's lock; a maximal same-owner interior
+// run between them is installed under one lock acquisition, each admission
+// still getting the full per-admission sequence (installLocked).
+func (r *Router) admitBatch(ops []*admitOp, mbuf *[]int) {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
 	ts := r.state()
-	i := 0
-	for i < len(ops) {
-		owner := ts.placement.Owner(ops[i].ad.loc())
-		if r.haloOn {
-			*mbuf = ts.placement.Mirrors(ops[i].ad.loc(), owner, (*mbuf)[:0])
-			if len(*mbuf) > 0 {
-				op := ops[i]
-				h, admitted, epoch, err := r.addMirrored(ts, owner, *mbuf, &op.ad)
-				op.finish(h, admitted, epoch, err)
-				i++
-				continue
-			}
+	for i := 0; i < len(ops); {
+		var owner int
+		owner, *mbuf = ts.route(ops[i].ad.loc, (*mbuf)[:0])
+		if len(*mbuf) > 0 {
+			ops[i].finish(r.admit(ts, owner, *mbuf, &ops[i].ad))
+			i++
+			continue
 		}
 		j := i + 1
-		for j < len(ops) && ts.placement.Owner(ops[j].ad.loc()) == owner {
-			if r.haloOn && len(ts.placement.Mirrors(ops[j].ad.loc(), owner, (*mbuf)[:0])) > 0 {
+		for ; j < len(ops); j++ {
+			if o, m := ts.route(ops[j].ad.loc, (*mbuf)[:0]); o != owner || len(m) > 0 {
 				break
 			}
-			j++
 		}
-		r.admitRun(ts, owner, ops[i:j])
-		i = j
+		si := ts.shards[owner]
+		func() {
+			si.mu.Lock()
+			defer si.mu.Unlock()
+			for ; i < j; i++ {
+				si.drainPendingLocked()
+				ops[i].finish(si.installLocked(r, &ops[i].ad, nil, false))
+			}
+		}()
+		// Interior admissions can still settle mirrored counterparties (a
+		// fresh worker matching a ghost task); retractions are applied after
+		// the run, never under this shard's lock.
+		r.applyPending(ts)
 	}
-}
-
-// admitRun admits a run of interior admissions under one lock acquisition,
-// preserving the full per-admission tail for each (see admitOwnerLocked).
-func (r *Router) admitRun(ts *topoState, owner int, ops []*admitOp) {
-	si := ts.shards[owner]
-	func() {
-		si.mu.Lock()
-		defer si.mu.Unlock()
-		for _, op := range ops {
-			si.drainPendingLocked()
-			h, admitted, epoch, err := si.admitOwnerLocked(r, nil, &op.ad)
-			op.finish(h, admitted, epoch, err)
-		}
-	}()
-	// Interior admissions can still settle mirrored counterparties (a
-	// fresh worker matching a ghost task); retractions are applied after
-	// the run, never under this shard's lock.
-	r.applyPending(ts)
 }
 
 // --- bounded MPSC ring ------------------------------------------------

@@ -180,9 +180,9 @@ func TestAdmitterBatchesSorted(t *testing.T) {
 			maxBatch = len(ops)
 		}
 		for i := 1; i < len(ops); i++ {
-			if ops[i-1].ad.time() > ops[i].ad.time() {
+			if ops[i-1].ad.at > ops[i].ad.at {
 				t.Errorf("shard %d batch not time-sorted at %d: %v > %v",
-					shard, i, ops[i-1].ad.time(), ops[i].ad.time())
+					shard, i, ops[i-1].ad.at, ops[i].ad.at)
 				return
 			}
 		}

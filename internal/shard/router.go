@@ -396,8 +396,9 @@ func (r *Router) buildState(topo *Topology, version uint64) (*topoState, error) 
 		if r.haloOn {
 			mcfg.CommitGate = si.gate
 			mcfg.OnRetire = si.onRetire
-			si.halo.wByGid = make(map[uint64]int32)
-			si.halo.tByGid = make(map[uint64]int32)
+			for sd := range si.halo.byGid {
+				si.halo.byGid[sd] = make(map[uint64]int32)
+			}
 		}
 		m, err := sim.NewMatcher(mcfg)
 		if err != nil {
@@ -447,150 +448,121 @@ func (r *Router) Placement() *Placement { return r.state().placement }
 // Handle always names the owner copy. admitted is the arrival time the
 // owner session stamped — w.Arrive clamped up to the shard clock — so
 // callers report deadlines consistent with the shard's view even when
-// concurrent admissions raced the clock forward.
+// concurrent admissions raced the clock forward. A location that is not
+// finite, or a NaN arrival or patience, is refused with
+// ErrInvalidAdmission.
 func (r *Router) AddWorker(w model.Worker) (h Handle, admitted float64, err error) {
-	r.topoMu.RLock()
-	defer r.topoMu.RUnlock()
-	ts := r.state()
-	ad := admission{w: w}
-	owner := ts.placement.Owner(w.Loc)
-	if r.haloOn {
-		if mirrors := ts.placement.Mirrors(w.Loc, owner, nil); len(mirrors) > 0 {
-			h, admitted, _, err = r.addMirrored(ts, owner, mirrors, &ad)
-			return h, admitted, err
-		}
-	}
-	h, admitted, _, err = r.admitOwner(ts, owner, nil, &ad)
-	r.applyPending(ts)
-	return h, admitted, err
+	return r.add(workerAdmission(w))
 }
 
 // AddTask routes the task to the shard owning its location; see AddWorker
-// for the locking, mirroring and admitted-time semantics.
+// for the locking, mirroring, admitted-time and refusal semantics.
 func (r *Router) AddTask(t model.Task) (h Handle, admitted float64, err error) {
+	return r.add(taskAdmission(t))
+}
+
+func (r *Router) add(ad admission) (Handle, float64, error) {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
 	ts := r.state()
-	ad := admission{task: true, t: t}
-	owner := ts.placement.Owner(t.Loc)
-	if r.haloOn {
-		if mirrors := ts.placement.Mirrors(t.Loc, owner, nil); len(mirrors) > 0 {
-			h, admitted, _, err = r.addMirrored(ts, owner, mirrors, &ad)
-			return h, admitted, err
-		}
-	}
-	h, admitted, _, err = r.admitOwner(ts, owner, nil, &ad)
-	r.applyPending(ts)
+	owner, mirrors := ts.route(ad.loc, nil)
+	h, admitted, _, err := r.admit(ts, owner, mirrors, &ad)
 	return h, admitted, err
 }
 
-// admission carries one side's pending admission so the owner/ghost flows
-// are written once; task selects which object is live. A plain value (no
-// closures) so the interior fast path stays allocation-free.
-type admission struct {
-	task bool
-	w    model.Worker
-	t    model.Task
-	// migrated marks a rebalance re-admission; expiryFired additionally
-	// records that the object's deadline expiry was already emitted under
-	// the old topology (AssumeGuide keeps such objects live), so the new
-	// session must not emit it again. Both replay through the WAL
-	// admission flags (walcodec.go).
-	migrated    bool
-	expiryFired bool
+// route is the one place an arrival's destination is resolved: the region
+// owning p under ts and, appended to buf, the neighbor regions within the
+// halo of p that must receive a ghost copy (none without a halo, or for an
+// interior p — buf is then returned untouched, so the interior fast path
+// allocates nothing).
+func (ts *topoState) route(p geo.Point, buf []int) (owner int, mirrors []int) {
+	owner = ts.placement.Owner(p)
+	return owner, ts.placement.Mirrors(p, owner, buf)
 }
 
-// loc returns the live object's location; time its arrival timestamp (the
-// sort key of batched ring admission, ring.go).
-func (ad *admission) loc() geo.Point {
-	if ad.task {
-		return ad.t.Loc
-	}
-	return ad.w.Loc
-}
-
-func (ad *admission) time() float64 {
-	if ad.task {
-		return ad.t.Release
-	}
-	return ad.w.Arrive
-}
-
-// admit pushes the object into a session and returns its handle plus the
-// arrival time the session stamped.
-func (ad *admission) admit(s *sim.Session) (int, float64, error) {
-	if ad.task {
-		var h int
-		var err error
-		if ad.migrated {
-			h, err = s.AddMigratedTask(ad.t, ad.expiryFired)
-		} else {
-			h, err = s.AddTask(ad.t)
+// admit is the one admission path: the direct calls, the ring drainer's
+// border ops and a migration's re-admissions all arrive here with their
+// route resolved (the drainer's interior runs, ring.go, skip only the
+// locking). The owner copy goes first, then one ghost per mirror region,
+// each shard under its own lock only — never nested. The returned epoch is
+// the owner session's arena epoch at admission — the receipt's validity
+// window for WithdrawWorker/WithdrawTask (withdraw.go). Callers hold topoMu.
+func (r *Router) admit(ts *topoState, owner int, mirrors []int, ad *admission) (h Handle, admitted float64, epoch uint64, err error) {
+	var rec *mirror
+	if len(mirrors) > 0 {
+		rec = &mirror{
+			gid:    r.gids.Add(1),
+			side:   ad.side,
+			owner:  int32(owner),
+			copies: make([]int32, 0, len(mirrors)+1),
 		}
-		if err != nil {
-			return -1, 0, err
+		rec.copies = append(rec.copies, int32(owner))
+		for _, m := range mirrors {
+			rec.copies = append(rec.copies, int32(m))
 		}
-		return h, s.Task(h).Release, nil
 	}
-	var h int
-	var err error
-	if ad.migrated {
-		h, err = s.AddMigratedWorker(ad.w, ad.expiryFired)
-	} else {
-		h, err = s.AddWorker(ad.w)
-	}
-	if err != nil {
-		return -1, 0, err
-	}
-	return h, s.Worker(h).Arrive, nil
-}
-
-// admitOwner admits the object into its owner shard. When rec is non-nil
-// the object is halo-mirrored: its ref is registered BEFORE the session
-// admission, because the algorithm may commit the object within the
-// AddWorker/AddTask call itself and that commit must already pass through
-// the claim gate. Handles are dense, so the about-to-be-assigned handle
-// is the session's current count. The returned epoch is the owner
-// session's arena epoch at admission — the receipt's validity window for
-// WithdrawWorker/WithdrawTask (withdraw.go).
-func (r *Router) admitOwner(ts *topoState, owner int, rec *mirror, ad *admission) (Handle, float64, uint64, error) {
 	si := ts.shards[owner]
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	si.drainPendingLocked()
-	return si.admitOwnerLocked(r, rec, ad)
+	func() {
+		si.mu.Lock()
+		defer si.mu.Unlock()
+		si.drainPendingLocked()
+		h, admitted, epoch, err = si.installLocked(r, ad, rec, false)
+	}()
+	if err == nil && rec != nil {
+		// The owner session's clamped arrival defines the logical object's
+		// deadline; rebase the ghosts on it so every copy is pinned to the
+		// same window. Ghost copies never emit lifecycle events of their
+		// own, so migrated expiry suppression is owner-side only.
+		ghost := *ad
+		ghost.at, ghost.expiryFired = admitted, false
+		for _, m := range mirrors {
+			gi := ts.shards[m]
+			gi.mu.Lock()
+			gi.drainPendingLocked()
+			gi.ghostLocked(r, &ghost, rec)
+			gi.mu.Unlock()
+		}
+	}
+	r.applyPending(ts)
+	return h, admitted, epoch, err
 }
 
-// admitOwnerLocked is the owner-admission body shared by the per-call path
-// above and the batched ring path (ring.go, admitRun), which amortizes one
-// lock acquisition over a run of admissions. Callers hold si.mu and have
-// drained pending withdrawals.
-func (si *shardInstance) admitOwnerLocked(r *Router, rec *mirror, ad *admission) (Handle, float64, uint64, error) {
+// installLocked puts one copy of an arrival into this shard's session: the
+// whole sequence, for live owner copies, live ghost copies and WAL replay
+// alike. rec is the arrival's mirror record (nil when it is not
+// halo-mirrored) and ghost says which copy this is. Callers hold si.mu and,
+// live, have drained pending withdrawals.
+func (si *shardInstance) installLocked(r *Router, ad *admission, rec *mirror, ghost bool) (Handle, float64, uint64, error) {
+	// Every copy from every door passes here, the log included: a CRC
+	// proves a record is what was written, not that it was sane.
+	if !ad.valid() {
+		return Handle{}, 0, 0, ErrInvalidAdmission
+	}
+	// A mirrored copy's ref is registered BEFORE the session admission,
+	// because the algorithm may commit the object within the call itself and
+	// that commit must already pass through the claim gate (live) or resolve
+	// its recorded verdict (replay). Handles are dense, so the
+	// about-to-be-assigned handle is the session's current count.
 	var next int
 	if rec != nil {
-		if ad.task {
-			next = si.sess.NumTasks()
+		next = ad.side.count(si.sess)
+		if !ghost {
 			rec.ownerLocal = int32(next)
-			si.putTask(next, rec)
-		} else {
-			next = si.sess.NumWorkers()
-			rec.ownerLocal = int32(next)
-			si.putWorker(next, rec)
 		}
+		si.putRef(ad.side, next, rec)
 	}
-	local, admitted, err := ad.admit(si.sess)
+	local, admitted, err := ad.side.admit(si.sess, ad)
 	if err != nil {
 		if rec != nil {
-			if ad.task {
-				si.dropTask(next, rec)
-			} else {
-				si.dropWorker(next, rec)
-			}
+			si.dropRef(ad.side, next, rec)
 		}
 		if si.wal != nil {
 			si.wal.dropGroup()
 		}
 		return Handle{}, 0, 0, err
+	}
+	if ghost {
+		si.halo.ghost[ad.side]++
 	}
 	// Epoch read BEFORE afterWriteLocked: the admission may itself trigger
 	// a scheduled retirement, which remaps arena handles — the receipt is
@@ -599,123 +571,48 @@ func (si *shardInstance) admitOwnerLocked(r *Router, rec *mirror, ad *admission)
 	epoch := si.sess.Epoch()
 	si.afterWriteLocked(r)
 	if si.wal != nil {
-		// Recorded pre-clamp: replay re-admits the original values and the
-		// session clamps them identically.
-		si.wal.opAdmission(ad, rec, false)
+		// ad as the caller passed it. An owner copy is therefore recorded
+		// pre-clamp: replay re-admits the original values and the session
+		// clamps them identically. A ghost is recorded post-rebase and
+		// post-shrink (ghostLocked): its window depends on the owner shard's
+		// stamped arrival, which this shard's own log cannot reproduce.
+		si.wal.opAdmission(ad, rec, ghost)
 	}
 	return Handle{Shard: si.id, Local: local}, admitted, epoch, nil
 }
 
-// addMirrored is the border admission flow: owner first, then one ghost
-// per reachable neighbor, each shard under its own lock only. A ghost is
-// skipped (or immediately retracted) once the object's claim settled —
-// e.g. the owner session matched it on arrival — so ghosts never outlive
-// a decided object by more than the admission call that raced it.
-func (r *Router) addMirrored(ts *topoState, owner int, mirrors []int, ad *admission) (Handle, float64, uint64, error) {
-	rec := &mirror{
-		gid:    r.gids.Add(1),
-		task:   ad.task,
-		owner:  int32(owner),
-		copies: make([]int32, 0, len(mirrors)+1),
-	}
-	rec.copies = append(rec.copies, int32(owner))
-	for _, m := range mirrors {
-		rec.copies = append(rec.copies, int32(m))
-	}
-	h, admitted, epoch, err := r.admitOwner(ts, owner, rec, ad)
-	if err != nil {
-		return Handle{}, 0, 0, err
-	}
-	// The owner session's clamped arrival defines the logical object's
-	// deadline; rebase the admission on it so every ghost copy is pinned
-	// to the same window (admitGhostLocked preserves the deadline through
-	// the ghost session's own clamping).
-	if ad.task {
-		ad.t.Release = admitted
-	} else {
-		ad.w.Arrive = admitted
-	}
-	for _, m := range mirrors {
-		gi := ts.shards[m]
-		gi.mu.Lock()
-		gi.drainPendingLocked()
-		if rec.settle() == claimFree {
-			r.admitGhostLocked(gi, rec, ad)
-		}
-		gi.mu.Unlock()
-	}
-	r.applyPending(ts)
-	return h, admitted, epoch, nil
-}
-
-// admitGhostLocked admits one ghost copy into a neighbor session. Callers
-// hold gi.mu. After the admission (which may itself commit matches and
-// retire arenas) the claim is re-checked: a claim that settled during the
-// admission was enqueued against the pre-admission gid tables and may
-// have missed the fresh copy, so the retraction is applied here.
+// ghostLocked admits one ghost copy of a live border arrival into a
+// neighbor session; callers hold si.mu. A ghost is skipped once the
+// object's claim settled — e.g. the owner session matched it on arrival —
+// and after the admission (which may itself commit matches and retire
+// arenas) the claim is re-checked: a claim that settled during the
+// admission was enqueued against the pre-admission gid tables and may have
+// missed the fresh copy, so the retraction is applied here. Ghosts thus
+// never outlive a decided object by more than the call that raced it.
 //
-// The copy's deadline is pinned to the logical object's: the ghost
-// session clamps the arrival up to its own clock, which would otherwise
-// extend Arrive+Patience (resp. Release+Expiry) past the owner-stamped
-// deadline under shard clock skew — and let a Strict-mode session commit
-// a cross-border match after the object's true window. The window is
-// shrunk by the clamp delta instead; a copy whose window has already
-// closed on this shard's clock is not admitted at all.
-func (r *Router) admitGhostLocked(gi *shardInstance, rec *mirror, ad *admission) {
-	gad := *ad
-	now := gi.sess.Now() // stable: nothing below moves the clock before admit
-	if gad.task {
-		deadline := gad.t.Deadline()
-		if start := math.Max(gad.t.Release, now); start <= deadline {
-			gad.t.Expiry = deadline - start
-		} else {
-			return
-		}
-	} else {
-		deadline := gad.w.Deadline()
-		if start := math.Max(gad.w.Arrive, now); start <= deadline {
-			gad.w.Patience = deadline - start
-		} else {
-			return
-		}
-	}
-	// Ghost copies never emit lifecycle events of their own, so migrated
-	// expiry suppression is owner-side only.
-	gad.migrated, gad.expiryFired = false, false
-	ad = &gad
-	var next int
-	if ad.task {
-		next = gi.sess.NumTasks()
-		gi.putTask(next, rec)
-	} else {
-		next = gi.sess.NumWorkers()
-		gi.putWorker(next, rec)
-	}
-	if _, _, err := ad.admit(gi.sess); err != nil {
-		if ad.task {
-			gi.dropTask(next, rec)
-		} else {
-			gi.dropWorker(next, rec)
-		}
-		if gi.wal != nil {
-			gi.wal.dropGroup()
-		}
+// The copy's deadline is pinned to the logical object's: the ghost session
+// clamps the arrival up to its own clock, which would otherwise extend the
+// window past the owner-stamped deadline under shard clock skew — and let a
+// Strict-mode session commit a cross-border match after the object's true
+// window. The window is shrunk by the clamp delta instead; a copy whose
+// window has already closed on this shard's clock is not admitted at all.
+func (si *shardInstance) ghostLocked(r *Router, ad *admission, rec *mirror) {
+	if rec.settle() != claimFree {
 		return
 	}
-	if ad.task {
-		gi.halo.ghostT++
-	} else {
-		gi.halo.ghostW++
+	deadline := ad.at + ad.window
+	// The clock is stable: nothing moves it before the admission.
+	start := math.Max(ad.at, si.sess.Now())
+	if start > deadline {
+		return
 	}
-	gi.afterWriteLocked(r)
-	if gi.wal != nil {
-		// Ghosts record post-rebase, post-shrink values: the window clamp
-		// above depends on the owner shard's stamped arrival, which this
-		// shard's own log cannot reproduce.
-		gi.wal.opAdmission(ad, rec, true)
+	pinned := *ad
+	pinned.window = deadline - start
+	if _, _, _, err := si.installLocked(r, &pinned, rec, true); err != nil {
+		return
 	}
 	if rec.settle() != claimFree {
-		gi.applyWithdrawLocked(pendingWithdraw{gid: rec.gid, task: ad.task})
+		si.applyWithdrawLocked(pendingWithdraw{gid: rec.gid, side: ad.side})
 	}
 }
 
@@ -796,43 +693,31 @@ func (si *shardInstance) collectLocked(r *Router) {
 		sev := Event{Shard: si.id, SessionEvent: ev, WorkerShard: -1, TaskShard: -1}
 		switch ev.Kind {
 		case sim.EventMatch:
-			sev.WorkerShard, sev.TaskShard = si.id, si.id
 			border := false
-			// During replay retraction fan-out is suppressed: each shard's
-			// log already carries the withdrawals it applied, at the
-			// position it applied them.
-			if rw := refAt(si.halo.wRef, ev.Worker); rw != nil {
-				sev.WorkerShard = int(rw.owner)
-				sev.Worker = int(rw.ownerLocal)
-				if si.rep == nil {
-					r.retractLosers(si.ts, rw, si.id)
+			for _, sd := range sides {
+				h, home := sd.endpoint(&sev)
+				*home = si.id
+				if rec := refAt(si.halo.ref[sd], *h); rec != nil {
+					*home, *h = int(rec.owner), int(rec.ownerLocal)
+					// During replay retraction fan-out is suppressed: each
+					// shard's log already carries the withdrawals it applied,
+					// at the position it applied them.
+					if si.rep == nil {
+						r.retractLosers(si.ts, rec, si.id)
+					}
+					border = true
 				}
-				border = true
-			}
-			if rt := refAt(si.halo.tRef, ev.Task); rt != nil {
-				sev.TaskShard = int(rt.owner)
-				sev.Task = int(rt.ownerLocal)
-				if si.rep == nil {
-					r.retractLosers(si.ts, rt, si.id)
-				}
-				border = true
 			}
 			if border {
 				si.halo.borderMatches++
 			}
 		case sim.EventWorkerExpired:
-			sev.WorkerShard = si.id
-			if rw := refAt(si.halo.wRef, ev.Worker); rw != nil {
-				if !si.ownerExpiryLocked(r, rw, &sev, false) {
-					continue
-				}
+			if !si.expiryLocked(r, workerSide, &sev) {
+				continue
 			}
 		case sim.EventTaskExpired:
-			sev.TaskShard = si.id
-			if rt := refAt(si.halo.tRef, ev.Task); rt != nil {
-				if !si.ownerExpiryLocked(r, rt, &sev, true) {
-					continue
-				}
+			if !si.expiryLocked(r, taskSide, &sev) {
+				continue
 			}
 		}
 		if si.rep != nil {
@@ -851,57 +736,52 @@ func (si *shardInstance) collectLocked(r *Router) {
 	}
 }
 
-// ownerExpiryLocked arbitrates one mirrored object's expiry event and
-// reports whether it should be emitted. Ghost-copy expiries never emit —
-// the owner reports the object's real lifecycle. An owner expiry is
-// matched against the claim word: in Strict mode it claims the object
-// (permanently barring ghost commits — an expired object is gone) and, on
-// winning, retracts every ghost; losing to a commit suppresses the expiry
-// exactly when a single session would have (match-time-aware, per side's
-// deadline boundary). In AssumeGuide mode expiries never bar later
-// matches, mirroring single-session semantics, so the claim is only read.
-func (si *shardInstance) ownerExpiryLocked(r *Router, rec *mirror, sev *Event, task bool) bool {
-	if int(rec.owner) != si.id {
-		// A ghost copy's deadline: the owner emits the real expiry.
-		if task {
-			si.halo.suppressedExpT++
+// expiryLocked homes one expiry event on its shard and, when the object is
+// mirrored, arbitrates it; it reports whether the event should be emitted.
+// Ghost-copy expiries never emit — the owner reports the object's real
+// lifecycle. An owner expiry is matched against the claim word: in Strict
+// mode it claims the object (permanently barring ghost commits — an expired
+// object is gone) and, on winning, retracts every ghost; losing to a commit
+// suppresses the expiry exactly when a single session would have
+// (match-time-aware, per side's deadline boundary). In AssumeGuide mode
+// expiries never bar later matches, mirroring single-session semantics, so
+// the claim is only read.
+func (si *shardInstance) expiryLocked(r *Router, sd side, sev *Event) bool {
+	h, home := sd.endpoint(sev)
+	*home = si.id
+	rec := refAt(si.halo.ref[sd], *h)
+	if rec == nil {
+		return true
+	}
+	outcome := expirySuppressed // a ghost copy's deadline: the owner emits the real expiry
+	if int(rec.owner) == si.id {
+		*h = int(rec.ownerLocal)
+		if si.rep != nil {
+			// Replay: the recorded arbitration stands in for the claim race;
+			// a winning Strict expiry reconstructs the claim word it won.
+			outcome = si.rep.popExpiry()
+			if outcome == expiryClaimed {
+				rec.state.Store(claimExpired)
+			}
 		} else {
-			si.halo.suppressedExpW++
-		}
-		return false
-	}
-	if task {
-		sev.Task = int(rec.ownerLocal)
-	} else {
-		sev.Worker = int(rec.ownerLocal)
-	}
-	var outcome byte
-	if si.rep != nil {
-		// Replay: the recorded arbitration stands in for the claim race;
-		// a winning Strict expiry reconstructs the claim word it won.
-		outcome = si.rep.popExpiry()
-		if outcome == expiryClaimed {
-			rec.state.Store(claimExpired)
-		}
-	} else {
-		outcome = si.ownerExpiryOutcome(r, rec, sev, task)
-		if si.wal != nil {
-			si.wal.recExpiry(outcome)
+			outcome = si.ownerExpiryOutcome(r, rec, sev.Time)
+			if si.wal != nil {
+				si.wal.recExpiry(outcome)
+			}
 		}
 	}
 	if outcome == expirySuppressed {
-		if task {
-			si.halo.suppressedExpT++
-		} else {
-			si.halo.suppressedExpW++
-		}
+		si.halo.suppressedExp[sd]++
 		return false
 	}
 	return true
 }
 
-// ownerExpiryOutcome is the live arbitration ownerExpiryLocked records.
-func (si *shardInstance) ownerExpiryOutcome(r *Router, rec *mirror, sev *Event, task bool) byte {
+// ownerExpiryOutcome is the live arbitration expiryLocked records. The
+// session's match-time-aware expiry suppression carries across shards: an
+// expiry is suppressed by a commit that came while the object's window was
+// still open (side.closedAt).
+func (si *shardInstance) ownerExpiryOutcome(r *Router, rec *mirror, deadline float64) byte {
 	var state uint32
 	if r.mode == sim.Strict {
 		state = rec.claimExpiry()
@@ -912,20 +792,10 @@ func (si *shardInstance) ownerExpiryOutcome(r *Router, rec *mirror, sev *Event, 
 	} else {
 		state = rec.settle()
 	}
-	if state == claimMatched && matchSuppressesExpiry(rec.commitAt, sev.Time, task) {
+	if state == claimMatched && !rec.side.closedAt(deadline, rec.commitAt) {
 		return expirySuppressed
 	}
 	return expiryEmitted
-}
-
-// matchSuppressesExpiry mirrors the session's match-time-aware expiry
-// suppression across shards: a worker expiry is suppressed by a commit
-// strictly before its deadline, a task expiry by a commit at or before it.
-func matchSuppressesExpiry(commitAt, deadline float64, task bool) bool {
-	if task {
-		return commitAt <= deadline
-	}
-	return commitAt < deadline
 }
 
 // maybeRetireLocked runs scheduled arena retirement once the shard clock
@@ -1029,14 +899,14 @@ func (r *Router) shardStatsOf(ts *topoState, i int) Stats {
 			Matches: si.sess.Matches(),
 			// The session counts every deadline it fires; deadlines of copies
 			// whose lifecycle concluded elsewhere were dropped from the stream
-			// (ownerExpiryLocked) and are subtracted here so the snapshot
+			// (expiryLocked) and are subtracted here so the snapshot
 			// counts each logical expiry exactly once, on its owner shard.
-			ExpiredWorkers:   si.sess.ExpiredWorkers() - si.halo.suppressedExpW,
-			ExpiredTasks:     si.sess.ExpiredTasks() - si.halo.suppressedExpT,
+			ExpiredWorkers:   si.sess.ExpiredWorkers() - si.halo.suppressedExp[workerSide],
+			ExpiredTasks:     si.sess.ExpiredTasks() - si.halo.suppressedExp[taskSide],
 			Attempted:        si.sess.Attempted(),
 			Rejected:         si.sess.Rejected(),
-			GhostWorkers:     si.halo.ghostW,
-			GhostTasks:       si.halo.ghostT,
+			GhostWorkers:     si.halo.ghost[workerSide],
+			GhostTasks:       si.halo.ghost[taskSide],
 			WithdrawnWorkers: si.sess.WithdrawnWorkers(),
 			WithdrawnTasks:   si.sess.WithdrawnTasks(),
 			ClaimsLost:       si.halo.claimsLost,

@@ -155,47 +155,6 @@ func parseSegmentName(name string) (shard int, gen uint64, ok bool) {
 	return s, g, true
 }
 
-// segment is one discovered log file.
-type segment struct {
-	name string
-	gen  uint64
-}
-
-// ScanDir lists the WAL segments under dir grouped by shard, each shard's
-// slice ordered by ascending generation, plus the highest generation seen
-// anywhere (0 when the directory is empty or absent). Foreign files are
-// ignored.
-func ScanDir(fs FS, dir string) (byShard map[int][]string, maxGen uint64, err error) {
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	segs := make(map[int][]segment)
-	for _, name := range names {
-		shard, gen, ok := parseSegmentName(name)
-		if !ok {
-			continue
-		}
-		segs[shard] = append(segs[shard], segment{name: name, gen: gen})
-		if gen > maxGen {
-			maxGen = gen
-		}
-	}
-	if len(segs) == 0 {
-		return nil, 0, nil
-	}
-	byShard = make(map[int][]string, len(segs))
-	for shard, ss := range segs {
-		sort.Slice(ss, func(i, j int) bool { return ss[i].gen < ss[j].gen })
-		ordered := make([]string, len(ss))
-		for i, s := range ss {
-			ordered[i] = filepath.Join(dir, s.name)
-		}
-		byShard[shard] = ordered
-	}
-	return byShard, maxGen, nil
-}
-
 // Segment names one discovered (shard, generation) log file.
 type Segment struct {
 	Shard int
@@ -203,11 +162,10 @@ type Segment struct {
 	Path  string
 }
 
-// Segments lists every WAL segment under dir individually, ordered by
-// generation then shard, plus the highest generation seen (0 when the
-// directory is empty or absent). Foreign files are ignored. Unlike
-// ScanDir this keeps generations apart, which recovery needs to walk the
-// topology-epoch chain generation by generation.
+// Segments lists every WAL segment under dir, ordered by generation then
+// shard, plus the highest generation seen (0 when the directory is empty or
+// absent). Foreign files are ignored. Generations are kept apart because
+// recovery walks the topology-epoch chain generation by generation.
 func Segments(fs FS, dir string) (segs []Segment, maxGen uint64, err error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {

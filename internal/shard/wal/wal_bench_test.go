@@ -89,11 +89,7 @@ func BenchmarkScan(b *testing.B) {
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
-	byShard, _, err := wal.ScanDir(fs, "wal")
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := fs.Open(byShard[0][0])
+	f, err := fs.Open(shardPaths(b, fs, 0)[0])
 	if err != nil {
 		b.Fatal(err)
 	}

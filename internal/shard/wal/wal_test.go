@@ -69,13 +69,25 @@ func scanShard(fs wal.FS, paths []string) (*shardLog, error) {
 	return out, nil
 }
 
+// shardPaths lists one shard's segments under "wal" in generation order.
+func shardPaths(t testing.TB, fs wal.FS, shard int) []string {
+	t.Helper()
+	segs, _, err := wal.Segments(fs, "wal")
+	if err != nil {
+		t.Fatalf("Segments: %v", err)
+	}
+	var paths []string
+	for _, sg := range segs {
+		if sg.Shard == shard {
+			paths = append(paths, sg.Path)
+		}
+	}
+	return paths
+}
+
 func readShard(t *testing.T, fs *faultfs.FS, shard int) *shardLog {
 	t.Helper()
-	byShard, _, err := wal.ScanDir(fs, "wal")
-	if err != nil {
-		t.Fatalf("ScanDir: %v", err)
-	}
-	sl, err := scanShard(fs, byShard[shard])
+	sl, err := scanShard(fs, shardPaths(t, fs, shard))
 	if err != nil {
 		t.Fatalf("scanning shard %d: %v", shard, err)
 	}
@@ -196,7 +208,7 @@ func TestDanglingInterimDropped(t *testing.T) {
 }
 
 // TestGenerationsConcatenate: a shard's segments read back in generation
-// order and ScanDir reports the highest generation.
+// order and Segments reports the highest generation.
 func TestGenerationsConcatenate(t *testing.T) {
 	fs := faultfs.New()
 	s1 := openSet(t, fs, wal.SyncAlways, 2, 1)
@@ -209,15 +221,15 @@ func TestGenerationsConcatenate(t *testing.T) {
 	s2.Log(0).Append(group(payload(0x10, 2)))
 	s2.Close()
 
-	byShard, maxGen, err := wal.ScanDir(fs, "wal")
+	_, maxGen, err := wal.Segments(fs, "wal")
 	if err != nil {
-		t.Fatalf("ScanDir: %v", err)
+		t.Fatalf("Segments: %v", err)
 	}
 	if maxGen != 3 {
 		t.Fatalf("maxGen = %d, want 3", maxGen)
 	}
-	if len(byShard[0]) != 2 || len(byShard[1]) != 2 {
-		t.Fatalf("segment counts = %d,%d, want 2,2", len(byShard[0]), len(byShard[1]))
+	if n0, n1 := len(shardPaths(t, fs, 0)), len(shardPaths(t, fs, 1)); n0 != 2 || n1 != 2 {
+		t.Fatalf("segment counts = %d,%d, want 2,2", n0, n1)
 	}
 	sl := readShard(t, fs, 0)
 	var ops []byte
@@ -289,18 +301,18 @@ func TestOpenRefusesExistingSegment(t *testing.T) {
 	}
 }
 
-// TestScanDirIgnoresForeign: non-segment files don't confuse discovery,
+// TestSegmentsIgnoresForeign: non-segment files don't confuse discovery,
 // and a missing directory is an empty history.
-func TestScanDirIgnoresForeign(t *testing.T) {
+func TestSegmentsIgnoresForeign(t *testing.T) {
 	fs := faultfs.New()
 	fs.SetFile("wal/README", []byte("not a segment"))
-	byShard, maxGen, err := wal.ScanDir(fs, "wal")
-	if err != nil || len(byShard) != 0 || maxGen != 0 {
-		t.Fatalf("foreign-only dir: byShard=%v maxGen=%d err=%v", byShard, maxGen, err)
+	segs, maxGen, err := wal.Segments(fs, "wal")
+	if err != nil || len(segs) != 0 || maxGen != 0 {
+		t.Fatalf("foreign-only dir: segs=%v maxGen=%d err=%v", segs, maxGen, err)
 	}
-	byShard, maxGen, err = wal.ScanDir(fs, "absent")
-	if err != nil || len(byShard) != 0 || maxGen != 0 {
-		t.Fatalf("absent dir: byShard=%v maxGen=%d err=%v", byShard, maxGen, err)
+	segs, maxGen, err = wal.Segments(fs, "absent")
+	if err != nil || len(segs) != 0 || maxGen != 0 {
+		t.Fatalf("absent dir: segs=%v maxGen=%d err=%v", segs, maxGen, err)
 	}
 }
 
@@ -321,8 +333,7 @@ func TestIntervalFlusherMakesDurable(t *testing.T) {
 		if data := fs.Durable("wal/s000-g000001.wal"); len(data) > 0 {
 			fs2 := faultfs.New()
 			fs2.SetFile("wal/s000-g000001.wal", data)
-			byShard, _, _ := wal.ScanDir(fs2, "wal")
-			sl, err := scanShard(fs2, byShard[0])
+			sl, err := scanShard(fs2, shardPaths(t, fs2, 0))
 			if err == nil && len(sl.Payloads) == 2 {
 				return
 			}
@@ -366,13 +377,13 @@ func TestLargeBufferInlineFlush(t *testing.T) {
 	}
 }
 
-func ExampleScanDir() {
+func ExampleSegments() {
 	fs := faultfs.New()
 	s, _ := wal.Open(wal.Options{Dir: "d", Policy: wal.SyncAlways, FS: fs}, 2, 1, func(i int) []byte {
 		return wal.AppendFrame(nil, []byte{0x01, byte(i)})
 	})
 	s.Close()
-	byShard, maxGen, _ := wal.ScanDir(fs, "d")
-	fmt.Println(len(byShard), maxGen)
+	segs, maxGen, _ := wal.Segments(fs, "d")
+	fmt.Println(len(segs), maxGen)
 	// Output: 2 1
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"ftoa/internal/model"
 	"ftoa/internal/shard/wal"
 )
 
@@ -35,6 +34,8 @@ const (
 	// durable seal is skipped by recovery — the migration never happened.
 	recSeal byte = 0x02
 
+	// The four admission types: bit 0 is the side, bit 1 ghost
+	// (side.admissionOp and admissionKind rely on it).
 	opWorker      byte = 0x10 // owner admission of a worker
 	opTask        byte = 0x11 // owner admission of a task
 	opGhostWorker byte = 0x12 // mirrored ghost-copy admission
@@ -44,7 +45,7 @@ const (
 	opRetire      byte = 0x22 // manual Router.Retire
 	opWithdraw    byte = 0x23 // cross-shard retraction applied here
 	// opWithdrawLocal is a platform-initiated withdrawal of an owner
-	// receipt (withdraw.go). Payload: flags (bit 0 task, bit 1 claim word
+	// receipt (withdraw.go). Payload: flags (bit 0 the side, bit 1 claim word
 	// won, bit 2 session accepted), u32 local handle. Additive: logs
 	// written before this type existed never contain it and replay
 	// unchanged.
@@ -192,24 +193,6 @@ func encodeSeal(sm sealMeta) []byte {
 	return wal.AppendFrame(nil, p)
 }
 
-// appendWorkerBody encodes the model.Worker fields shared by owner and
-// ghost records.
-func appendWorkerBody(dst []byte, w *model.Worker) []byte {
-	dst = appendU64(dst, uint64(w.ID))
-	dst = appendF64(dst, w.Loc.X)
-	dst = appendF64(dst, w.Loc.Y)
-	dst = appendF64(dst, w.Arrive)
-	return appendF64(dst, w.Patience)
-}
-
-func appendTaskBody(dst []byte, t *model.Task) []byte {
-	dst = appendU64(dst, uint64(t.ID))
-	dst = appendF64(dst, t.Loc.X)
-	dst = appendF64(dst, t.Loc.Y)
-	dst = appendF64(dst, t.Release)
-	return appendF64(dst, t.Expiry)
-}
-
 // appendMirrorInfo encodes a mirrored admission's halo identity. withCopies
 // is set on owner records (the authoritative copy list) and clear on ghost
 // records (the ghost's shard never drives retractions of its siblings).
@@ -239,18 +222,7 @@ const (
 // encodeAdmission encodes an owner or ghost admission payload into dst.
 // For owner admissions rec may be nil (unmirrored interior admission).
 func encodeAdmission(dst []byte, ad *admission, rec *mirror, ghost bool) []byte {
-	var typ byte
-	switch {
-	case ghost && ad.task:
-		typ = opGhostTask
-	case ghost:
-		typ = opGhostWorker
-	case ad.task:
-		typ = opTask
-	default:
-		typ = opWorker
-	}
-	dst = append(dst, typ)
+	dst = append(dst, ad.side.admissionOp(ghost))
 	var flags byte
 	if rec != nil {
 		flags |= 1
@@ -261,11 +233,11 @@ func encodeAdmission(dst []byte, ad *admission, rec *mirror, ghost bool) []byte 
 		flags |= 2
 	}
 	dst = append(dst, flags)
-	if ad.task {
-		dst = appendTaskBody(dst, &ad.t)
-	} else {
-		dst = appendWorkerBody(dst, &ad.w)
-	}
+	dst = appendU64(dst, uint64(ad.id))
+	dst = appendF64(dst, ad.loc.X)
+	dst = appendF64(dst, ad.loc.Y)
+	dst = appendF64(dst, ad.at)
+	dst = appendF64(dst, ad.window)
 	if rec != nil {
 		dst = appendMirrorInfo(dst, rec, !ghost)
 	}
@@ -388,28 +360,18 @@ func decodeSeal(payload []byte) (sm sealMeta, err error) {
 	return sm, d.err
 }
 
-// decodeAdmission decodes an owner or ghost admission payload (type byte
-// already dispatched by the caller).
-func decodeAdmission(payload []byte, task bool) (ad admission, mi mirrorInfo, mirrored bool, err error) {
+// decodeAdmission decodes an owner or ghost admission payload of the given
+// side (type byte already dispatched by the caller).
+func decodeAdmission(payload []byte, sd side) (ad admission, mi mirrorInfo, mirrored bool, err error) {
 	d := decoder{p: payload, off: 1}
 	flags := d.u8("flags")
-	ad.task = task
-	if task {
-		ad.t.ID = int(int64(d.u64("task id")))
-		ad.t.Loc.X = d.f64("task x")
-		ad.t.Loc.Y = d.f64("task y")
-		ad.t.Release = d.f64("task release")
-		ad.t.Expiry = d.f64("task expiry")
-	} else {
-		ad.w.ID = int(int64(d.u64("worker id")))
-		ad.w.Loc.X = d.f64("worker x")
-		ad.w.Loc.Y = d.f64("worker y")
-		ad.w.Arrive = d.f64("worker arrive")
-		ad.w.Patience = d.f64("worker patience")
-	}
-	if flags&2 != 0 {
-		ad.migrated, ad.expiryFired = true, true
-	}
+	ad.side = sd
+	ad.id = int(int64(d.u64("admission id")))
+	ad.loc.X = d.f64("admission x")
+	ad.loc.Y = d.f64("admission y")
+	ad.at = d.f64("admission time")
+	ad.window = d.f64("admission window")
+	ad.expiryFired = flags&2 != 0
 	if flags&1 != 0 {
 		mirrored = true
 		mi.gid = d.u64("gid")

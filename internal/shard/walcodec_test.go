@@ -20,8 +20,10 @@ func unframe(t testing.TB, framed []byte) []byte {
 // FuzzReplayRecord feeds arbitrary payloads to the record decoders
 // recovery runs on log bytes — the header (and the topology image inside
 // it), the seal, admissions, the fixed-width operation records and the
-// count pass — and replays the withdrawal records, whose handle indexes the
-// session's arenas, against a shard holding one worker and one task.
+// count pass — and replays the records whose contents reach a session
+// (withdrawals, whose handle indexes its arenas, and admissions, whose
+// deadline orders its expiry heap) against a shard holding one worker and
+// one task.
 // A CRC only proves a record is what was written, not that what was
 // written is sane, so they must fail closed: an error, never a panic, and
 // no allocation sized by a count the payload cannot back.
@@ -31,15 +33,20 @@ func FuzzReplayRecord(f *testing.F) {
 	topo := NewUniformTopology(2, 2).Encode(nil)
 	header := unframe(f, encodeHeader(1, fp, headerMeta{gen: 3, kind: genCheckpoint, topoVer: 2, topo: topo, epochBase: 4, seqBase: 5}))
 	rec := &mirror{gid: 9, owner: 1, ownerLocal: 7, copies: []int32{1, 0, 3}}
-	owner := encodeAdmission(nil, &admission{w: model.Worker{ID: 1, Loc: geo.Point{X: 4, Y: 5}, Arrive: 2, Patience: 3}}, rec, false)
-	ghost := encodeAdmission(nil, &admission{task: true, t: model.Task{ID: 2, Release: 1, Expiry: 2}, expiryFired: true}, rec, true)
-	plain := encodeAdmission(nil, &admission{task: true, t: model.Task{ID: 3, Release: math.NaN(), Expiry: math.Inf(1)}}, nil, false)
+	owner := encodeAdmission(nil, &admission{side: workerSide, id: 1, loc: geo.Point{X: 4, Y: 5}, at: 2, window: 3}, rec, false)
+	ghost := encodeAdmission(nil, &admission{side: taskSide, id: 2, at: 1, window: 2, expiryFired: true}, rec, true)
+	plain := encodeAdmission(nil, &admission{side: taskSide, id: 3, at: math.NaN(), window: math.Inf(1)}, nil, false)
 	f.Add(header)
 	f.Add(header[:len(header)-2]) // topology image cut short
 	f.Add(owner)
 	f.Add(owner[:len(owner)-5]) // copy list cut short
 	f.Add(ghost)
 	f.Add(plain)
+	// Admissions no session can order: replay must refuse them.
+	f.Add(encodeAdmission(nil, &admission{side: workerSide, id: 4, loc: geo.Point{X: math.NaN(), Y: 5}, window: 3}, nil, false))
+	f.Add(encodeAdmission(nil, &admission{side: taskSide, id: 5, loc: geo.Point{X: 5, Y: math.Inf(-1)}, window: 3}, rec, false))
+	f.Add(encodeAdmission(nil, &admission{side: workerSide, id: 6, loc: geo.Point{X: 5, Y: 5}, at: 1, window: math.NaN()}, rec, true))
+	f.Add(encodeAdmission(nil, &admission{side: taskSide, id: 7, at: math.Inf(-1), window: math.Inf(1)}, nil, false))
 	f.Add(appendF64([]byte{opAdvance}, 12.5))
 	f.Add(appendF64([]byte{opRetire}, 3))
 	f.Add(appendU64([]byte{opWithdraw, 1}, 9))
@@ -68,7 +75,8 @@ func FuzzReplayRecord(f *testing.F) {
 		if sm, err := decodeSeal(p); err == nil && len(p) != 9 && len(p) < len(seal) {
 			t.Fatalf("accepted seal %+v from %d bytes", sm, len(p))
 		}
-		if p[0] == opWithdraw || p[0] == opWithdrawLocal {
+		admits := p[0] >= opWorker && p[0] <= opGhostTask
+		if p[0] == opWithdraw || p[0] == opWithdrawLocal || admits {
 			r, err := NewRouter(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -76,11 +84,14 @@ func FuzzReplayRecord(f *testing.F) {
 			si := r.state().shards[0]
 			si.sess.AddWorker(model.Worker{Loc: geo.Point{X: 5, Y: 5}, Patience: 9})
 			si.sess.AddTask(model.Task{Loc: geo.Point{X: 45, Y: 45}, Expiry: 9})
-			si.rep = &shardReplay{st: &replayState{}}
-			r.replayOp(si, p[0], p) // an error is fine; a panic is the bug
+			si.rep = &shardReplay{st: &replayState{mirrors: map[uint64]*mirror{}}}
+			err = r.replayOp(si, p[0], p) // an error is fine; a panic is the bug
+			if ad, _, _, derr := decodeAdmission(p, workerSide); admits && derr == nil && err == nil && !ad.valid() {
+				t.Fatalf("replayed an admission no session can order: %+v", ad)
+			}
 		}
-		for _, task := range []bool{false, true} {
-			_, mi, mirrored, err := decodeAdmission(p, task)
+		for _, sd := range sides {
+			_, mi, mirrored, err := decodeAdmission(p, sd)
 			if 4*cap(mi.copies) > len(p) {
 				t.Fatalf("%d-byte payload allocated room for %d copies", len(p), cap(mi.copies))
 			}
@@ -92,7 +103,7 @@ func FuzzReplayRecord(f *testing.F) {
 		if err := c.record(p); err != nil {
 			t.Fatalf("count pass rejected a payload: %v", err)
 		}
-		if c.closeEpoch(); c.peak.workers+c.peak.tasks > 1 {
+		if c.closeEpoch(); c.peak.n[workerSide]+c.peak.n[taskSide] > 1 {
 			t.Fatalf("one record counted as %+v", c.peak)
 		}
 		// The fixed-width operation decoders share one bounds-checked cursor.

@@ -130,19 +130,12 @@ func (sw *shardWAL) opRetire(horizon float64) {
 }
 
 func (sw *shardWAL) opWithdraw(pw pendingWithdraw) {
-	var flags byte
-	if pw.task {
-		flags = 1
-	}
-	p := append(sw.scratch[:0], opWithdraw, flags)
+	p := append(sw.scratch[:0], opWithdraw, byte(pw.side))
 	sw.op(binary.LittleEndian.AppendUint64(p, pw.gid))
 }
 
-func (sw *shardWAL) opWithdrawLocal(local int, task, claimed, applied bool) {
-	var flags byte
-	if task {
-		flags |= 1
-	}
+func (sw *shardWAL) opWithdrawLocal(local int, sd side, claimed, applied bool) {
+	flags := byte(sd)
 	if claimed {
 		flags |= 2
 	}
@@ -368,12 +361,11 @@ func (lr *logReader) seal(gen []wal.Segment) (sm sealMeta, ok bool, err error) {
 	return sm, false, err
 }
 
-// shardLoad is what the count pass learns about one shard's chain: how
-// many admissions (ghost copies included) one arena epoch has to hold and
-// how many of them are halo-mirrored.
+// shardLoad is what the count pass learns about one shard's chain: by
+// side, how many admissions (ghost copies included) one arena epoch has to
+// hold and how many of them are halo-mirrored.
 type shardLoad struct {
-	workers, tasks       int
-	mirroredW, mirroredT int
+	n, mirrored [2]int
 }
 
 // loadCounter folds one shard's records into a shardLoad. Arenas only hold
@@ -398,20 +390,13 @@ func (c *loadCounter) record(p []byte) error {
 		if len(p) < admissionFixedLen {
 			return nil // replay reports the truncated record
 		}
-		mirrored := p[1]&1 != 0
-		if typ == opTask || typ == opGhostTask {
-			c.cur.tasks++
-			if mirrored {
-				c.cur.mirroredT++
+		sd, ghost := admissionKind(typ)
+		c.cur.n[sd]++
+		if p[1]&1 != 0 {
+			c.cur.mirrored[sd]++
+			if !ghost {
+				c.owned++
 			}
-		} else {
-			c.cur.workers++
-			if mirrored {
-				c.cur.mirroredW++
-			}
-		}
-		if mirrored && (typ == opWorker || typ == opTask) {
-			c.owned++
 		}
 		c.advance(math.Float64frombits(binary.LittleEndian.Uint64(p[admissionTimeOff:])))
 	case opAdvance:
@@ -436,24 +421,22 @@ func (c *loadCounter) advance(t float64) {
 }
 
 func (c *loadCounter) closeEpoch() {
-	c.peak.workers = max(c.peak.workers, c.cur.workers)
-	c.peak.tasks = max(c.peak.tasks, c.cur.tasks)
-	c.peak.mirroredW = max(c.peak.mirroredW, c.cur.mirroredW)
-	c.peak.mirroredT = max(c.peak.mirroredT, c.cur.mirroredT)
+	for sd := range c.cur.n {
+		c.peak.n[sd] = max(c.peak.n[sd], c.cur.n[sd])
+		c.peak.mirrored[sd] = max(c.peak.mirrored[sd], c.cur.mirrored[sd])
+	}
 	c.cur = shardLoad{}
 }
 
 // reserve allocates the shard's session, algorithm and halo tables for
 // the load the count pass found, before replay fills them.
 func (si *shardInstance) reserve(l shardLoad) {
-	si.sess.Reserve(l.workers, l.tasks)
-	if l.mirroredW > 0 {
-		si.halo.wRef = make([]*mirror, 0, l.workers)
-		si.halo.wByGid = make(map[uint64]int32, l.mirroredW)
-	}
-	if l.mirroredT > 0 {
-		si.halo.tRef = make([]*mirror, 0, l.tasks)
-		si.halo.tByGid = make(map[uint64]int32, l.mirroredT)
+	si.sess.Reserve(l.n[workerSide], l.n[taskSide])
+	for sd, m := range l.mirrored {
+		if m > 0 {
+			si.halo.ref[sd] = make([]*mirror, 0, l.n[sd])
+			si.halo.byGid[sd] = make(map[uint64]int32, m)
+		}
 	}
 }
 
@@ -505,11 +488,11 @@ func (r *Router) headerMetaFor(ts *topoState, gen uint64, kind byte, epochBase, 
 // already holds segments — silently writing a second history beside an
 // existing one would orphan it; recovery over it must be explicit.
 func (r *Router) attachFreshWAL(cfg *Config) error {
-	byShard, _, err := wal.ScanDir(cfg.WAL.Filesystem(), cfg.WAL.Dir)
+	segs, _, err := wal.Segments(cfg.WAL.Filesystem(), cfg.WAL.Dir)
 	if err != nil {
 		return err
 	}
-	if len(byShard) > 0 {
+	if len(segs) > 0 {
 		return fmt.Errorf("shard: WAL directory %s already contains segments; use Recover", cfg.WAL.Dir)
 	}
 	return r.attachWAL(r.headerMetaFor(r.state(), 1, genInitial, 0, 0))
@@ -769,9 +752,8 @@ func (r *Router) replayShard(si *shardInstance, paths []string, st *replayState)
 func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 	switch typ {
 	case opWorker, opTask, opGhostWorker, opGhostTask:
-		task := typ == opTask || typ == opGhostTask
-		ghost := typ == opGhostWorker || typ == opGhostTask
-		ad, mi, mirrored, err := decodeAdmission(p, task)
+		sd, ghost := admissionKind(typ)
+		ad, mi, mirrored, err := decodeAdmission(p, sd)
 		if err != nil {
 			return err
 		}
@@ -782,7 +764,7 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 		if mirrored {
 			rec = si.rep.st.mirrors[mi.gid]
 			if rec == nil {
-				rec = &mirror{gid: mi.gid, task: task, owner: mi.owner, ownerLocal: mi.ownerLocal}
+				rec = &mirror{gid: mi.gid, side: sd, owner: mi.owner, ownerLocal: mi.ownerLocal}
 				si.rep.st.mirrors[mi.gid] = rec
 			}
 			if len(mi.copies) > 0 {
@@ -792,33 +774,13 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 				si.rep.st.maxGid = mi.gid
 			}
 		}
-		// Registration before admission, like the live path: the
-		// algorithm may commit the object within the admission call and
-		// that commit's recorded gate verdict resolves through the refs.
-		var next int
-		if rec != nil {
-			if task {
-				next = si.sess.NumTasks()
-				si.putTask(next, rec)
-			} else {
-				next = si.sess.NumWorkers()
-				si.putWorker(next, rec)
-			}
-			if !ghost && int32(next) != mi.ownerLocal {
-				return fmt.Errorf("wal: owner admission replayed at handle %d, recorded %d", next, mi.ownerLocal)
-			}
-		}
-		if _, _, err := ad.admit(si.sess); err != nil {
+		h, _, _, err := si.installLocked(r, &ad, rec, ghost)
+		if err != nil {
 			return fmt.Errorf("wal: replaying admission: %w", err)
 		}
-		if ghost {
-			if task {
-				si.halo.ghostT++
-			} else {
-				si.halo.ghostW++
-			}
+		if mirrored && !ghost && int32(h.Local) != mi.ownerLocal {
+			return fmt.Errorf("wal: owner admission replayed at handle %d, recorded %d", h.Local, mi.ownerLocal)
 		}
-		si.afterWriteLocked(r)
 	case opAdvance:
 		d := decoder{p: p, off: 1}
 		now := d.f64("advance clock")
@@ -846,7 +808,7 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 		if d.err != nil {
 			return d.err
 		}
-		si.applyWithdrawLocked(pendingWithdraw{gid: gid, task: flags&1 != 0})
+		si.applyWithdrawLocked(pendingWithdraw{gid: gid, side: side(flags & 1)})
 	case opWithdrawLocal:
 		d := decoder{p: p, off: 1}
 		flags := d.u8("local withdraw flags")
@@ -854,7 +816,7 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 		if d.err != nil {
 			return d.err
 		}
-		return si.replayWithdrawLocal(local, flags&1 != 0, flags&2 != 0, flags&4 != 0)
+		return si.replayWithdrawLocal(local, side(flags&1), flags&2 != 0, flags&4 != 0)
 	default:
 		return fmt.Errorf("wal: unknown record type 0x%02x", typ)
 	}

@@ -41,15 +41,15 @@ var ErrStaleHandle = errors.New("shard: handle epoch predates the shard's arena 
 // Like the session-level primitive it wraps, withdrawal is silent — no
 // lifecycle event is emitted — and makes the object retirable.
 func (r *Router) WithdrawWorker(h Handle, epoch uint64) (bool, error) {
-	return r.withdraw(h, epoch, false)
+	return r.withdraw(h, epoch, workerSide)
 }
 
 // WithdrawTask retracts a task receipt; see WithdrawWorker.
 func (r *Router) WithdrawTask(h Handle, epoch uint64) (bool, error) {
-	return r.withdraw(h, epoch, true)
+	return r.withdraw(h, epoch, taskSide)
 }
 
-func (r *Router) withdraw(h Handle, epoch uint64, task bool) (bool, error) {
+func (r *Router) withdraw(h Handle, epoch uint64, sd side) (bool, error) {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
 	ts := r.state()
@@ -57,7 +57,7 @@ func (r *Router) withdraw(h Handle, epoch uint64, task bool) (bool, error) {
 		return false, fmt.Errorf("shard: withdraw names shard %d, grid has %d", h.Shard, len(ts.shards))
 	}
 	si := ts.shards[h.Shard]
-	applied, err := si.withdrawOwner(r, h.Local, epoch, task)
+	applied, err := si.withdrawOwner(r, h.Local, epoch, sd)
 	// A claimed border withdrawal enqueued ghost retractions; apply them
 	// now (never while holding si.mu) so the copies are gone when the
 	// call returns, matching the commit path's retraction promptness.
@@ -65,25 +65,17 @@ func (r *Router) withdraw(h Handle, epoch uint64, task bool) (bool, error) {
 	return applied, err
 }
 
-func (si *shardInstance) withdrawOwner(r *Router, local int, epoch uint64, task bool) (bool, error) {
+func (si *shardInstance) withdrawOwner(r *Router, local int, epoch uint64, sd side) (bool, error) {
 	si.mu.Lock()
 	defer si.mu.Unlock()
 	si.drainPendingLocked()
 	if si.sess.Epoch() != epoch {
 		return false, ErrStaleHandle
 	}
-	n := si.sess.NumWorkers()
-	if task {
-		n = si.sess.NumTasks()
-	}
-	if local < 0 || local >= n {
+	if n := sd.count(si.sess); local < 0 || local >= n {
 		return false, fmt.Errorf("shard: withdraw handle %d out of range (shard %d holds %d)", local, si.id, n)
 	}
-	refs := si.halo.wRef
-	if task {
-		refs = si.halo.tRef
-	}
-	rec := refAt(refs, local)
+	rec := refAt(si.halo.ref[sd], local)
 	if rec != nil && int(rec.owner) != si.id {
 		// Honest receipts always name owner copies; a ghost copy's handle
 		// is internal to the halo machinery and not withdrawable here.
@@ -110,25 +102,16 @@ func (si *shardInstance) withdrawOwner(r *Router, local int, epoch uint64, task 
 		}
 		r.retractLosers(si.ts, rec, si.id)
 	}
-	var applied bool
-	if task {
-		applied = si.sess.WithdrawTask(local)
-	} else {
-		applied = si.sess.WithdrawWorker(local)
-	}
+	applied := sd.withdraw(si.sess, local)
 	if applied && rec != nil {
-		if task {
-			si.dropTask(local, rec)
-		} else {
-			si.dropWorker(local, rec)
-		}
+		si.dropRef(sd, local, rec)
 	}
 	if si.wal != nil && (applied || claimed) {
 		// Recorded only when something changed: a refused withdrawal
 		// mutates nothing and must replay as nothing. The claim outcome is
 		// a cross-shard race, so it rides in the record (walcodec.go) and
 		// replay reconstructs the claim word instead of re-racing it.
-		si.wal.opWithdrawLocal(local, task, claimed, applied)
+		si.wal.opWithdrawLocal(local, sd, claimed, applied)
 	}
 	return applied, nil
 }
@@ -136,38 +119,24 @@ func (si *shardInstance) withdrawOwner(r *Router, local int, epoch uint64, task 
 // replayWithdrawLocal applies a recorded platform withdrawal during
 // recovery; retraction fan-out is suppressed (each shard's log carries the
 // retractions it applied, as opWithdraw records).
-func (si *shardInstance) replayWithdrawLocal(local int, task, claimed, applied bool) error {
-	refs, n := si.halo.wRef, si.sess.NumWorkers()
-	if task {
-		refs, n = si.halo.tRef, si.sess.NumTasks()
-	}
+func (si *shardInstance) replayWithdrawLocal(local int, sd side, claimed, applied bool) error {
 	// The handle comes straight off the log: a CRC proves the record is what
 	// was written, not that it names an object this session holds.
-	if local < 0 || local >= n {
+	if n := sd.count(si.sess); local < 0 || local >= n {
 		return fmt.Errorf("wal: recorded withdrawal of handle %d, the session holds %d", local, n)
 	}
-	rec := refAt(refs, local)
+	rec := refAt(si.halo.ref[sd], local)
 	if claimed {
 		if rec == nil {
 			return fmt.Errorf("wal: recorded claimed withdrawal of unmirrored handle %d", local)
 		}
 		rec.state.Store(claimExpired)
 	}
-	var got bool
-	if task {
-		got = si.sess.WithdrawTask(local)
-	} else {
-		got = si.sess.WithdrawWorker(local)
-	}
-	if got != applied {
+	if got := sd.withdraw(si.sess, local); got != applied {
 		return fmt.Errorf("wal: withdrawal of handle %d replayed applied=%v, recorded %v", local, got, applied)
 	}
 	if applied && rec != nil {
-		if task {
-			si.dropTask(local, rec)
-		} else {
-			si.dropWorker(local, rec)
-		}
+		si.dropRef(sd, local, rec)
 	}
 	return nil
 }
