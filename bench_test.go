@@ -12,6 +12,7 @@ package ftoa_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -580,6 +581,90 @@ func BenchmarkShardRouter4x4Stream(b *testing.B) { benchRouterStream(b, 4, 4, 0)
 func BenchmarkShardRouterHalo4x4(b *testing.B) {
 	cfg := ftoa.DefaultSynthetic()
 	benchRouterStream(b, 4, 4, ftoa.HaloForWindow(cfg.Velocity, cfg.TaskExpiry)/4)
+}
+
+// BenchmarkAdmitterHandoff prices the layer between the wire decoder and
+// the shard lock: producers hand arrivals to a ShardAdmitter the way a wire
+// connection does — a batch of 64 enqueued, then one wait for its results —
+// and the lanes' drainers admit them into a disjoint 4×4 greedy router.
+// ns/admission therefore holds the hand-off (enqueue, drainer wake-up,
+// sort, completion) on top of BenchmarkShardRouter4x4Stream's admission
+// itself; allocs/admission is the figure CI holds (one op per arrival plus
+// the drainers' per-batch sort).
+func BenchmarkAdmitterHandoff(b *testing.B) {
+	for _, producers := range []int{1, 8} {
+		b.Run(strconv.Itoa(producers)+"producers", func(b *testing.B) { benchAdmitterHandoff(b, producers) })
+	}
+}
+
+func benchAdmitterHandoff(b *testing.B, producers int) {
+	const batch = 64
+	cfg := ftoa.DefaultSynthetic()
+	cfg.NumWorkers, cfg.NumTasks = 128*batch, 128*batch
+	in, err := cfg.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	events := in.Events()
+	var mallocs uint64
+	var ms runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		router, err := ftoa.NewShardRouter(ftoa.ShardConfig{
+			Matcher:      ftoa.MatcherConfig{Mode: ftoa.AssumeGuide, Velocity: in.Velocity, Bounds: in.Bounds},
+			Cols:         4,
+			Rows:         4,
+			NewAlgorithm: func() ftoa.Algorithm { return ftoa.NewSimpleGreedy() },
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		adm := ftoa.NewShardAdmitter(router, ftoa.ShardAdmitterConfig{})
+		runtime.ReadMemStats(&ms)
+		mallocs -= ms.Mallocs
+		b.StartTimer()
+		var pw sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			pw.Add(1)
+			go func() {
+				defer pw.Done()
+				var res [batch]ftoa.ShardAdmitResult
+				var wg sync.WaitGroup
+				// Batch k of the trace belongs to producer k mod producers.
+				for lo := p * batch; lo < len(events); lo += producers * batch {
+					for j, ev := range events[lo:min(lo+batch, len(events))] {
+						ok := false
+						switch ev.Kind {
+						case ftoa.WorkerArrival:
+							ok = adm.AddWorker(in.Workers[ev.Index], &res[j], &wg)
+						case ftoa.TaskArrival:
+							ok = adm.AddTask(in.Tasks[ev.Index], &res[j], &wg)
+						}
+						if !ok {
+							b.Error("refused: at most 8 batches of 64 are in flight on 1024-slot lanes")
+							return
+						}
+					}
+					wg.Wait()
+				}
+			}()
+		}
+		pw.Wait()
+		adm.Close()
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs
+		if got := router.Totals(); got.Workers+got.Tasks != len(events) {
+			b.Fatalf("%d of %d arrivals admitted", got.Workers+got.Tasks, len(events))
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	admissions := float64(b.N) * float64(len(events))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/admissions, "ns/admission")
+	b.ReportMetric(float64(mallocs)/admissions, "allocs/admission")
 }
 
 // benchWAL builds a fresh per-iteration WAL directory factory at the

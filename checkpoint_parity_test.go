@@ -114,7 +114,7 @@ func TestCheckpointRecoveryParity(t *testing.T) {
 						t.Fatal(err)
 					}
 					driveArrivals(t, live, in, 0, cut)
-					before := live.Totals()
+					before, matchesBefore := live.Totals(), live.MatchCount()
 					info, err := live.Checkpoint()
 					if err != nil {
 						t.Fatal(err)
@@ -125,16 +125,27 @@ func TestCheckpointRecoveryParity(t *testing.T) {
 					if info.MigratedWorkers+info.MigratedTasks == 0 {
 						t.Fatal("degenerate checkpoint: nothing alive to re-admit")
 					}
-					// The re-admissions count toward nothing. The one thing a
-					// migration does for real is bring every region to the
-					// furthest shard clock, and the deadlines that passes
-					// expire (and retract from their ghost sessions) as they
-					// would have at the next Advance.
+					// The re-admissions count no arrival twice. What a migration
+					// does for real stays counted. The algorithms run again
+					// over the migrants: attempts, rejections and — POLAR and
+					// TGOA pair on arrival — matches between objects still
+					// alive, each one in the event log and in the totals alike.
+					// And every region is brought to the furthest shard clock:
+					// the deadlines that passes expire (and retract from their
+					// ghost sessions) as they would have at the next Advance.
 					after := live.Totals()
+					committed := int(live.MatchCount() - matchesBefore)
+					rejected, border := after.Rejected-before.Rejected, after.BorderMatches-before.BorderMatches
+					if after.Matches-before.Matches != committed || after.Attempted-before.Attempted != rejected+committed ||
+						rejected < 0 || border < 0 || border > committed {
+						t.Fatalf("the checkpoint logged %d match(es) and counted otherwise:\n got %+v\nwant %+v", committed, after, before)
+					}
 					if after.ExpiredWorkers < before.ExpiredWorkers || after.ExpiredTasks < before.ExpiredTasks ||
 						after.WithdrawnWorkers < before.WithdrawnWorkers || after.WithdrawnTasks < before.WithdrawnTasks {
 						t.Fatalf("the checkpoint lost expiries:\n got %+v\nwant %+v", after, before)
 					}
+					after.Matches, after.BorderMatches = before.Matches, before.BorderMatches
+					after.Attempted, after.Rejected = before.Attempted, before.Rejected
 					after.ExpiredWorkers, after.ExpiredTasks = before.ExpiredWorkers, before.ExpiredTasks
 					after.WithdrawnWorkers, after.WithdrawnTasks = before.WithdrawnWorkers, before.WithdrawnTasks
 					if after != before {

@@ -68,8 +68,7 @@ func main() {
 	flag.DurationVar(&cfg.WireWriteTimeout, "wire-write-timeout", 10*time.Second, "wire per-frame write deadline; a subscriber that cannot drain its event stream this fast is evicted")
 	flag.IntVar(&cfg.WireDedupWindow, "wire-dedup-window", wire.DefaultDedupWindow, "idempotency seqs remembered per wire client; a batch re-sent within the window replays its original receipts")
 	flag.IntVar(&cfg.WireDedupClients, "wire-dedup-clients", wire.DefaultDedupCap, "wire client idempotency windows retained (LRU-evicted beyond this)")
-	flag.IntVar(&cfg.Ring, "admit-ring", 1024, "per-shard admission ring capacity shared by HTTP and wire arrivals; a full ring answers 503/BUSY (backpressure bound)")
-	flag.IntVar(&cfg.Batch, "admit-batch", 256, "max ring admissions drained per shard lock acquisition")
+	flag.IntVar(&cfg.Ring, "admit-ring", 1024, "per-shard admission lane capacity shared by HTTP and wire arrivals; a full lane answers 503/BUSY (backpressure bound)")
 	flag.BoolVar(&cfg.Rebalance, "rebalance", false, "adapt the shard topology online: split regions whose arrival rate exceeds -rebalance-split into a finer sub-grid and merge cold sibling quads back, migrating live state (see docs/rebalance.md)")
 	flag.Float64Var(&cfg.RebalSplit, "rebalance-split", 200, "per-region arrival rate (admissions/sec) above which the region is split")
 	flag.Float64Var(&cfg.RebalMerge, "rebalance-merge", 0, "combined arrival rate below which four sibling sub-regions merge back (0 disables merging; must be <= split/4)")

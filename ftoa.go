@@ -265,17 +265,17 @@ type (
 	// tails, the replayed event and match totals, the highest recovered
 	// shard clock, and the log generation the recovered router writes.
 	ShardRecoveryInfo = shard.RecoveryInfo
-	// ShardAdmitter is the batched MPSC admission front of a
-	// ShardRouter: producers enqueue arrivals into per-shard lock-free
-	// rings and each shard's single drainer admits timestamp-sorted
+	// ShardAdmitter is the batched admission front of a ShardRouter:
+	// producers enqueue arrivals into per-shard bounded lanes (buffered
+	// channels) and each lane's single drainer admits timestamp-sorted
 	// batches under one lock acquisition, with explicit backpressure
-	// (a full ring refuses immediately). The concurrency engine behind
+	// (a full lane refuses immediately). The concurrency engine behind
 	// ftoa-serve's wire listener.
 	ShardAdmitter = shard.Admitter
-	// ShardAdmitterConfig sizes a ShardAdmitter (ring capacity and
+	// ShardAdmitterConfig sizes a ShardAdmitter (lane capacity and
 	// max batch per lock acquisition).
 	ShardAdmitterConfig = shard.AdmitterConfig
-	// ShardAdmitResult is one ring admission's outcome; H and Epoch
+	// ShardAdmitResult is one lane admission's outcome; H and Epoch
 	// form the receipt ShardRouter.WithdrawWorker/WithdrawTask accepts.
 	ShardAdmitResult = shard.AdmitResult
 	// ShardTopology is a quadtree refinement of the base shard grid:
@@ -361,8 +361,8 @@ var ErrShardCursorEvicted = shard.ErrEvicted
 // (a retirement may have remapped the handle).
 var ErrStaleShardHandle = shard.ErrStaleHandle
 
-// NewShardAdmitter starts one ring and one drainer goroutine per shard
-// of r; Close it before closing the router's WAL so ring-buffered
+// NewShardAdmitter starts one lane and one drainer goroutine per shard
+// of r; Close it before closing the router's WAL so lane-buffered
 // admissions become durable.
 func NewShardAdmitter(r *ShardRouter, cfg ShardAdmitterConfig) *ShardAdmitter {
 	return shard.NewAdmitter(r, cfg)

@@ -53,12 +53,11 @@ type Config struct {
 	WALSync         string        // always, interval or none
 	WALSyncInterval time.Duration // group-commit window for WALSync=interval; 0 = default
 
-	// Ring and Batch size the shared per-shard admission rings every
-	// arrival — HTTP POST or wire batch — goes through (shard.Admitter).
-	// A full ring is the server's one overload signal: 503 + Retry-After
-	// over HTTP, a BUSY result on the wire. Zero picks the admitter
-	// defaults (1024 / 256).
-	Ring, Batch int
+	// Ring sizes the shared per-shard admission lanes every arrival —
+	// HTTP POST or wire batch — goes through (shard.Admitter). A full lane
+	// is the server's one overload signal: 503 + Retry-After over HTTP, a
+	// BUSY result on the wire. Zero picks the admitter default (1024).
+	Ring int
 
 	// Adaptive topology: when Rebalance is set a supervisor watches
 	// per-region arrival-rate EWMAs and splits hot regions into a finer

@@ -192,7 +192,7 @@ func New(cfg Config) (*Server, error) {
 	for _, line := range haloBootReport(s.router.Placement()) {
 		log.Print(line)
 	}
-	s.admitter = ftoa.NewShardAdmitter(s.router, ftoa.ShardAdmitterConfig{Ring: cfg.Ring, Batch: cfg.Batch})
+	s.admitter = ftoa.NewShardAdmitter(s.router, ftoa.ShardAdmitterConfig{Ring: cfg.Ring})
 	if cfg.Rebalance {
 		rcfg := ftoa.RebalanceConfig{
 			SplitRate: cfg.RebalSplit,
@@ -279,8 +279,8 @@ func (s *Server) checkpoint() {
 // the field write.
 func (s *Server) StartWire(ln net.Listener) {
 	s.wire = newWireServer(s, ln)
-	log.Printf("ftoa-serve: wire protocol v%d on %s (ring=%d batch=%d max-conns=%d dedup=%d/%d)",
-		wire.Version, ln.Addr(), s.cfg.Ring, s.cfg.Batch, s.cfg.WireMaxConns, s.cfg.WireDedupWindow, s.cfg.WireDedupClients)
+	log.Printf("ftoa-serve: wire protocol v%d on %s (ring=%d max-conns=%d dedup=%d/%d)",
+		wire.Version, ln.Addr(), s.cfg.Ring, s.cfg.WireMaxConns, s.cfg.WireDedupWindow, s.cfg.WireDedupClients)
 }
 
 // StartTick runs the tick loop every Config.Tick until Shutdown. The loop

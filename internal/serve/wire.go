@@ -263,7 +263,7 @@ func (ws *wireServer) retryAfter() float64 {
 
 // handleBatch decodes one batch, resolves each effectful request against
 // the client's dedup window, runs the remainder in two phases —
-// admissions enqueued to the rings and awaited, then advances and
+// admissions enqueued to the lanes and awaited, then advances and
 // withdrawals in batch order — and writes the positional reply. The
 // window is held across the whole batch, serializing this client's
 // batches across connections: a batch re-sent on a fresh connection
@@ -279,7 +279,6 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 	ws.requests.Add(uint64(len(reqs)))
 	results := make([]wire.Result, len(reqs))
 	admRes := make([]ftoa.ShardAdmitResult, len(reqs))
-	pending := make([]bool, len(reqs))
 	fresh := make([]bool, len(reqs)) // executes this batch; Record afterwards
 	var wg sync.WaitGroup
 	now := ws.s.now()
@@ -314,7 +313,7 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 	}
 
 	// Phase 1: enqueue every fresh admission. The loop never blocks on a
-	// shard lock — a full ring is an immediate BUSY result.
+	// shard lock — a full lane is an immediate BUSY result.
 	for i := range reqs {
 		rq := &reqs[i]
 		if !fresh[i] {
@@ -354,9 +353,7 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 				results[i].Status = wire.StatusBusy
 				results[i].RetryAfter = ws.retryAfter()
 				fresh[i] = false // BUSY is retryable: never recorded
-				continue
 			}
-			pending[i] = true
 		case wire.ReqAdvance, wire.ReqWithdrawWorker, wire.ReqWithdrawTask:
 			// Phase 2.
 		default:
@@ -375,9 +372,8 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 		}
 		switch rq.Kind {
 		case wire.ReqAddWorker, wire.ReqAddTask:
-			if !pending[i] {
-				continue
-			}
+			// Still fresh means enqueued: validation failures and BUSY
+			// both cleared the flag in phase 1.
 			if err := admRes[i].Err; err != nil {
 				results[i].Status = wire.StatusErr
 				results[i].Msg = err.Error()

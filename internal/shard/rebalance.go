@@ -278,13 +278,18 @@ func (r *Router) migrate(topo *Topology) (*RebalanceInfo, error) {
 	}
 	info.MigratedWorkers, info.MigratedTasks = migrated[workerSide], migrated[taskSide]
 	r.applyPending(ns)
-	// Whatever the re-admissions counted in the new sessions — admissions,
-	// ghost copies, the algorithms' attempts, the odd match between two live
-	// objects that now share a session — is taken back out, so Totals reads
-	// what it read before the migration.
+	// The re-admissions counted every migrant, owner and ghost copy alike, a
+	// second time; those four counters are taken back out so Totals counts
+	// each arrival once. Everything else the new sessions counted happened:
+	// two live objects that now share a session match, in the event log and
+	// in Totals alike.
+	readmitted := r.shardTotals(ns)
 	ns.carried = old.carried
 	ns.carried.add(r.shardTotals(old), 1)
-	ns.carried.add(r.shardTotals(ns), -1)
+	ns.carried.add(Totals{
+		Workers: readmitted.Workers, Tasks: readmitted.Tasks,
+		GhostWorkers: readmitted.GhostWorkers, GhostTasks: readmitted.GhostTasks,
+	}, -1)
 
 	// Advance the new sessions to the old topology's max clock. No expiry
 	// this fires is new: a migrated object with deadline <= its old shard's

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -370,4 +371,147 @@ func TestAdmitterWALRecoveryParity(t *testing.T) {
 	}
 	expectParity(t, rec, live, "recovered vs live (ring+halo+withdraw)")
 	rec.WALClose()
+}
+
+// heldAdmitter returns an Admitter over a fresh 1×1 router whose drainer is
+// parked inside its first batch — one accepted op — until release is closed,
+// so everything enqueued meanwhile stays in the lane.
+func heldAdmitter(t *testing.T, cfg AdmitterConfig) (r *Router, adm *Admitter, release chan struct{}) {
+	t.Helper()
+	r, err := NewRouter(testConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{})
+	release = make(chan struct{})
+	held := false // the lane's one drainer is the only goroutine to touch it
+	adm = NewAdmitter(r, cfg)
+	adm.onBatch = func(int, []*admitOp) {
+		if !held {
+			held = true
+			entered <- struct{}{}
+			<-release
+		}
+	}
+	var res AdmitResult
+	var wg sync.WaitGroup
+	if !adm.AddWorker(model.Worker{Loc: geo.Pt(50, 50), Patience: 100}, &res, &wg) {
+		t.Fatal("first enqueue refused")
+	}
+	<-entered
+	return r, adm, release
+}
+
+// errUntouched marks a result slot no drainer has written.
+var errUntouched = errors.New("result slot untouched")
+
+// TestAdmitterCapacity pins the documented rounding: a lane holds
+// AdmitterConfig.Ring rounded up to a power of two, never fewer than two,
+// and the enqueue after that is refused and counted once.
+func TestAdmitterCapacity(t *testing.T) {
+	for _, c := range []struct{ ring, holds int }{{1, 2}, {3, 4}, {1024, 1024}} {
+		r, adm, release := heldAdmitter(t, AdmitterConfig{Ring: c.ring, Batch: 1})
+		var wg sync.WaitGroup
+		res := make([]AdmitResult, c.holds+1)
+		w := model.Worker{Loc: geo.Pt(50, 50), Patience: 100}
+		for i := 0; i < c.holds; i++ {
+			if !adm.AddWorker(w, &res[i], &wg) {
+				t.Fatalf("Ring %d: enqueue %d of %d refused", c.ring, i+1, c.holds)
+			}
+		}
+		if adm.AddWorker(w, &res[c.holds], &wg) {
+			t.Fatalf("Ring %d: enqueue %d accepted", c.ring, c.holds+1)
+		}
+		if adm.Busy(0) != 1 || adm.BusyTotal() != 1 {
+			t.Fatalf("Ring %d: Busy = %d/%d, want 1/1", c.ring, adm.Busy(0), adm.BusyTotal())
+		}
+		close(release)
+		wg.Wait()
+		adm.Close()
+		if st := r.ShardStats(0); st.Workers != 1+c.holds {
+			t.Fatalf("Ring %d: admitted %d workers, want %d", c.ring, st.Workers, 1+c.holds)
+		}
+	}
+}
+
+// TestAdmitterCloseAdmitsQueued: Close is a drain, not a drop. A lane filled
+// behind a held drainer is admitted in full when the drainer is released
+// into a concurrent Close: every accepted op gets its result and is counted.
+func TestAdmitterCloseAdmitsQueued(t *testing.T) {
+	const lane = 64
+	r, adm, release := heldAdmitter(t, AdmitterConfig{Ring: lane, Batch: 8})
+	var wg sync.WaitGroup
+	res := make([]AdmitResult, lane)
+	for i := range res {
+		res[i].Err = errUntouched
+		if !adm.AddWorker(model.Worker{Loc: geo.Pt(50, 50), Arrive: float64(lane - i), Patience: 100}, &res[i], &wg) {
+			t.Fatalf("enqueue %d of %d refused", i+1, lane)
+		}
+	}
+	go close(release)
+	adm.Close()
+	wg.Wait()
+	seen := map[Handle]bool{}
+	for i := range res {
+		if res[i].Err != nil {
+			t.Fatalf("queued admission %d: %v", i, res[i].Err)
+		}
+		seen[res[i].H] = true
+	}
+	if st := r.ShardStats(0); len(seen) != lane || st.Workers != 1+lane {
+		t.Fatalf("%d distinct handles for %d queued ops, %d workers admitted (want %d)", len(seen), lane, st.Workers, 1+lane)
+	}
+}
+
+// TestAdmitterRefusalLeavesWaitGroupBalanced: a refused enqueue hands
+// everything back. Eight producers race for the two slots of a lane whose
+// drainer is held; each refusal leaves its WaitGroup waitable at once (a
+// count left behind would hang the Wait) and its result slot unwritten, and
+// the refusals counted are the refusals seen.
+func TestAdmitterRefusalLeavesWaitGroupBalanced(t *testing.T) {
+	r, adm, release := heldAdmitter(t, AdmitterConfig{Ring: 2, Batch: 1})
+	const producers, attempts = 8, 200
+	type queued struct {
+		res *AdmitResult
+		wg  *sync.WaitGroup
+	}
+	accepted := make([][]queued, producers)
+	var pw sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		pw.Add(1)
+		go func() {
+			defer pw.Done()
+			for i := 0; i < attempts; i++ {
+				res := &AdmitResult{Err: errUntouched}
+				wg := new(sync.WaitGroup)
+				if adm.AddWorker(model.Worker{Loc: geo.Pt(50, 50), Patience: 100}, res, wg) {
+					accepted[p] = append(accepted[p], queued{res, wg})
+					continue
+				}
+				wg.Wait()
+				if *res != (AdmitResult{Err: errUntouched}) {
+					t.Errorf("producer %d: refused enqueue %d wrote its result slot: %+v", p, i, *res)
+				}
+			}
+		}()
+	}
+	pw.Wait()
+	close(release)
+	n := 0
+	for _, qs := range accepted {
+		for _, q := range qs {
+			q.wg.Wait()
+			if q.res.Err != nil {
+				t.Errorf("accepted admission: %v", q.res.Err)
+			}
+			n++
+		}
+	}
+	adm.Close()
+	if n != 2 || adm.Busy(0) != producers*attempts-2 {
+		t.Fatalf("%d accepted and %d refused of %d enqueues on a held 2-slot lane", n, adm.Busy(0), producers*attempts)
+	}
+	if st := r.ShardStats(0); st.Workers != 1+n {
+		t.Fatalf("admitted %d workers, want %d", st.Workers, 1+n)
+	}
 }

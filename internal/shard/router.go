@@ -222,8 +222,8 @@ type topoState struct {
 	placement *Placement
 	shards    []*shardInstance
 	// carried is what Totals adds to the shards' own counters: the totals of
-	// every state this one superseded, less what the migration's
-	// re-admissions put into these shards (so it can be negative — a
+	// every state this one superseded, less the admissions the migration's
+	// re-admissions counted again in these shards (so it can be negative — a
 	// migration onto a finer halo grid makes more ghost copies than the old
 	// topology ever counted). Set before the state is published.
 	carried Totals
