@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md §4 for the experiment index), plus micro-benchmarks of the
+// (`ftoa-bench -list` is the experiment index), plus micro-benchmarks of the
 // core operations behind the paper's complexity claims (O(1) per-arrival
 // processing for POLAR/POLAR-OP versus search-based baselines).
 //

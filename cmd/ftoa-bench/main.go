@@ -20,7 +20,7 @@ func main() {
 		mode     = flag.String("mode", "assume-guide", "validation mode: assume-guide (paper counting) or strict (simulated movement, rechecked deadlines)")
 		skipOPT  = flag.Bool("skip-opt", false, "omit the OPT series")
 		seed     = flag.Uint64("seed", 0, "workload seed offset")
-		parallel = flag.Int("parallel", 0, "worker pool size for sweep rows and per-row algorithms (0 = sequential, -1 = GOMAXPROCS); parallel runs report Memory as 0")
+		parallel = flag.Int("parallel", 0, "worker pool size for sweep rows and per-row algorithms (0 = sequential, -1 = GOMAXPROCS); parallel runs leave Memory unmeasured and print it as -")
 		timing   = flag.String("timing", "", "write per-experiment wall-clock timings as JSON to this file (- for stdout; the result tables then move to stderr so stdout stays machine-readable)")
 	)
 	flag.Parse()

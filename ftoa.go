@@ -25,7 +25,10 @@
 //     — this is what cmd/ftoa-serve exposes over HTTP;
 //   - the replay engine (NewEngine/Run), a thin driver that feeds a
 //     recorded instance's arrival stream through the same session API,
-//     simulating worker movement and validating matches;
+//     simulating worker movement and validating matches. It reports the
+//     matching and the replay's wall time; the paper's per-algorithm
+//     memory series is taken by the experiment harness (cmd/ftoa-bench),
+//     which measures every figure through one function;
 //   - workload generators for the paper's synthetic sweeps and multi-day
 //     city traces.
 //
@@ -201,8 +204,6 @@ type (
 	Result = sim.Result
 	// Mode selects match-validation semantics.
 	Mode = sim.Mode
-	// EngineOption tunes replay-engine construction.
-	EngineOption = sim.EngineOption
 	// OPTOptions tunes the offline optimum computation.
 	OPTOptions = core.OPTOptions
 )
@@ -391,13 +392,7 @@ func NewMatcher(cfg MatcherConfig) (*Matcher, error) { return sim.NewMatcher(cfg
 // feeds the recorded arrival stream through the same open-world session
 // API live deployments use. Use the returned engine's Clone method to
 // replay the same instance concurrently on several goroutines.
-func NewEngine(in *Instance, mode Mode, opts ...EngineOption) *Engine {
-	return sim.NewEngine(in, mode, opts...)
-}
-
-// WithAllocTracking enables per-run heap-allocation measurement
-// (Result.AllocBytes) at the cost of two stop-the-world pauses per Run.
-func WithAllocTracking() EngineOption { return sim.WithAllocTracking() }
+func NewEngine(in *Instance, mode Mode) *Engine { return sim.NewEngine(in, mode) }
 
 // NewPOLAR creates the POLAR algorithm (Algorithm 2) bound to a guide.
 func NewPOLAR(g *Guide) Algorithm { return core.NewPOLAR(g) }
@@ -489,7 +484,7 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 }
 
 // Beijing returns a city configuration shaped like the paper's Beijing
-// dataset (a synthetic substitute; see DESIGN.md §5).
+// dataset (a synthetic substitute for the proprietary trace; see City).
 func Beijing() City { return workload.Beijing() }
 
 // Hangzhou returns a city configuration shaped like the paper's Hangzhou

@@ -18,7 +18,7 @@ type OPTOptions struct {
 	// MaxCandidates other tasks are skipped while the task still has
 	// alternatives — a one-sided nearest-K cap would concentrate every
 	// task in a dense hotspot onto the same few central workers and
-	// cripple the matching. See DESIGN.md §3.3.
+	// cripple the matching.
 	MaxCandidates int
 }
 

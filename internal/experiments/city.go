@@ -69,21 +69,15 @@ func cityExperiment(id string, city workload.City, opts Options) (*Result, error
 		}
 		return s
 	}
-	res := &Result{
-		ID:         id,
-		Title:      fmt.Sprintf("Fig 5 (%s trace): varying deadline Dr", city.Name),
-		XLabel:     "Dr",
-		Algorithms: opts.algorithms(),
-		Notes: []string{
-			fmt.Sprintf("%s substitute trace; HP-MSI forecasts %d workers and %d tasks for the test day",
-				city.Name, sum(wPred), sum(tPred)),
-		},
-	}
+	res := opts.newResult(id, fmt.Sprintf("Fig 5 (%s trace): varying deadline Dr", city.Name),
+		"Dr", opts.algorithms(), len(cityDrSweep))
+	res.Notes = append(res.Notes,
+		fmt.Sprintf("%s substitute trace; HP-MSI forecasts %d workers and %d tasks for the test day",
+			city.Name, sum(wPred), sum(tPred)))
 	// Each Dr row rebuilds its instance and guide from the shared read-only
 	// trace and forecasts, so rows parallelise exactly like the synthetic
 	// sweeps (Trace.Instance derives a fresh RNG per call).
-	res.Rows = make([]Row, len(cityDrSweep))
-	err = forEach(opts, len(cityDrSweep), func(i int) error {
+	return res.fill(opts, func(i int) (Row, error) {
 		dr := cityDrSweep[i]
 		var in *model.Instance
 		var g *guide.Guide
@@ -98,20 +92,15 @@ func cityExperiment(id string, city workload.City, opts Options) (*Result, error
 				Velocity:        city.Velocity,
 				WorkerPatience:  city.WorkerPatience,
 				TaskExpiry:      dr,
-				MaxEdgesPerCell: opts.GuideMaxEdges,
+				MaxEdgesPerCell: guideMaxEdges,
 				RepSlack:        tr.Slots.Width() / 2,
 			}, wPred, tPred)
 		})
 		if err != nil {
-			return err
+			return Row{}, err
 		}
-		res.Rows[i] = Row{X: fmtF(dr), ByAlgo: runAll(in, g, opts)}
-		return nil
+		return Row{X: fmtF(dr), ByAlgo: runAll(in, g, opts)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // forecastDay trains HP-MSI on both sides of the trace history and returns

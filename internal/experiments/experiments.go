@@ -64,6 +64,9 @@ type Result struct {
 	// output (used by Table 5 and the ratio ablation, whose shapes differ
 	// from the per-algorithm panels).
 	Custom string
+	// noMemory marks a parallel run, whose Memory cells are unmeasured
+	// (Options.measure) and print as "-" rather than as a measured zero.
+	noMemory bool
 }
 
 // Print renders the three metric tables the paper's panels plot, or the
@@ -84,7 +87,12 @@ func (r *Result) Print(w io.Writer) {
 	}{
 		{"Matching size", func(m Metric) string { return fmt.Sprintf("%d", m.MatchingSize) }},
 		{"Time (s)", func(m Metric) string { return fmt.Sprintf("%.3f", m.Seconds) }},
-		{"Memory (MB)", func(m Metric) string { return fmt.Sprintf("%.1f", m.MemoryMB) }},
+		{"Memory (MB)", func(m Metric) string {
+			if r.noMemory {
+				return "-"
+			}
+			return fmt.Sprintf("%.1f", m.MemoryMB)
+		}},
 	}
 	for _, sec := range sections {
 		fmt.Fprintf(w, "-- %s --\n", sec.name)
@@ -117,18 +125,10 @@ type Options struct {
 	// (worker movement simulated, deadline rechecked at commit time). The
 	// default, false, reproduces the paper's counting, which assumes every
 	// guide-matched pair is feasible in reality (the stated assumption
-	// before Lemma 1). See DESIGN.md §3.2.
+	// before Lemma 1; see sim.AssumeGuide).
 	Strict bool
 	// SkipOPT drops the OPT series everywhere (it dominates runtime).
 	SkipOPT bool
-	// OPTCandidates caps OPT's per-task candidate workers (default 64).
-	OPTCandidates int
-	// GuideMaxEdges caps guide edges per cell (default 128).
-	GuideMaxEdges int
-	// GRWindow is the batching window in slot units (default 0.25, which
-	// gives GR its paper-reported "marginally outperforms SimpleGreedy"
-	// position without starving task deadlines).
-	GRWindow float64
 	// Seed offsets workload seeds, for variance studies.
 	Seed uint64
 	// Parallelism bounds the worker pool that runs sweep rows — and the
@@ -149,15 +149,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
-	}
-	if o.OPTCandidates == 0 {
-		o.OPTCandidates = 64
-	}
-	if o.GuideMaxEdges == 0 {
-		o.GuideMaxEdges = 128
-	}
-	if o.GRWindow <= 0 {
-		o.GRWindow = 0.25
 	}
 	if o.pool == nil {
 		o.pool = newPool(o.parallelism())
@@ -277,143 +268,179 @@ func (o Options) scaledSide(n int) int {
 	return v
 }
 
-// runAll runs the full comparison set on one instance and returns metrics
-// keyed by algorithm label. guideCfg and counts parameterise the guide the
-// POLAR variants use; OPT runs unless opts.SkipOPT.
-//
-// On the sequential path every replay measures its own heap allocation (the
-// paper's memory metric). On the parallel path each algorithm replays on a
-// private clone of the engine, gated by the shared worker pool; MemoryMB is
-// reported as 0 there because the allocation counter is process-wide.
+// Fixed parameters of every experiment.
+const (
+	// optCandidates caps OPT's per-task candidate workers.
+	optCandidates = 64
+	// guideMaxEdges caps guide edges per cell.
+	guideMaxEdges = 128
+	// grWindow is GR's batching window in slot units; 0.25 gives GR its
+	// paper-reported "marginally outperforms SimpleGreedy" position without
+	// starving task deadlines.
+	grWindow = 0.25
+)
+
+// measure runs one unit of work — a replay or an offline solve — and
+// reports its matching size, wall time and, on the sequential path only,
+// the heap it allocated (TotalAlloc delta, the closest portable analogue of
+// the paper's memory metric). The counter is process-wide, so concurrent
+// units cannot attribute it and MemoryMB stays 0 on the parallel path.
+func (o Options) measure(work func() model.Matching) Metric {
+	var ms runtime.MemStats
+	var before uint64
+	sequential := !o.parallel()
+	if sequential {
+		runtime.ReadMemStats(&ms)
+		before = ms.TotalAlloc
+	}
+	start := time.Now()
+	m := work()
+	met := Metric{MatchingSize: m.Size(), Seconds: time.Since(start).Seconds()}
+	if sequential {
+		runtime.ReadMemStats(&ms)
+		met.MemoryMB = float64(ms.TotalAlloc-before) / (1 << 20)
+	}
+	return met
+}
+
+// fan runs fn(0) … fn(n-1): inline and in order on the sequential path, one
+// goroutine each, gated by the shared worker pool, on the parallel path.
+func (o Options) fan(n int, fn func(i int)) {
+	if !o.parallel() {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o.pool.do(func() { fn(i) })
+		}()
+	}
+	wg.Wait()
+}
+
+// runCell is the only place an instance is measured: every algorithm in
+// algs replays it under mode, core.OPT solves it offline when withOPT, and
+// the metrics come back keyed by algorithm name (AlgoOPT for the optimum).
+// Sequentially the replays share one engine; in parallel the first takes
+// the base engine and each later one clones it inside its pool slot, so
+// per-run state is only allocated once a replay is actually admitted.
+func runCell(in *model.Instance, mode sim.Mode, algs []sim.Algorithm, withOPT bool, opts Options) map[string]Metric {
+	names := make([]string, len(algs), len(algs)+1)
+	for i, alg := range algs {
+		names[i] = alg.Name()
+	}
+	if withOPT {
+		names = append(names, AlgoOPT)
+	}
+	metrics := make([]Metric, len(names))
+	base := sim.NewEngine(in, mode)
+	opts.fan(len(names), func(i int) {
+		if i == len(algs) {
+			metrics[i] = opts.measure(func() model.Matching {
+				return core.OPT(in, core.OPTOptions{MaxCandidates: optCandidates})
+			})
+			return
+		}
+		eng := base
+		if i > 0 && opts.parallel() {
+			eng = base.Clone()
+		}
+		metrics[i] = opts.measure(func() model.Matching { return eng.Run(algs[i]).Matching })
+	})
+	out := make(map[string]Metric, len(names))
+	for i, name := range names {
+		out[name] = metrics[i]
+	}
+	return out
+}
+
+// runAll measures the paper's comparison set on one instance: the four
+// online algorithms (the POLAR variants following g) under the options'
+// validation mode, plus OPT unless opts.SkipOPT.
 func runAll(in *model.Instance, g *guide.Guide, opts Options) map[string]Metric {
 	mode := sim.AssumeGuide
 	if opts.Strict {
 		mode = sim.Strict
 	}
-	mkAlgs := func() []sim.Algorithm {
-		return []sim.Algorithm{
-			core.NewSimpleGreedy(),
-			core.NewGR(opts.GRWindow),
-			core.NewPOLAR(g),
-			core.NewPOLAROP(g),
-		}
-	}
-
-	if !opts.parallel() {
-		out := make(map[string]Metric, 5)
-		eng := sim.NewEngine(in, mode, sim.WithAllocTracking())
-		for _, alg := range mkAlgs() {
-			res := eng.Run(alg)
-			out[res.Algorithm] = Metric{
-				MatchingSize: res.Matching.Size(),
-				Seconds:      res.Elapsed.Seconds(),
-				MemoryMB:     float64(res.AllocBytes) / (1 << 20),
-			}
-		}
-		if !opts.SkipOPT {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			before := ms.TotalAlloc
-			start := time.Now()
-			m := core.OPT(in, core.OPTOptions{MaxCandidates: opts.OPTCandidates})
-			elapsed := time.Since(start)
-			runtime.ReadMemStats(&ms)
-			out[AlgoOPT] = Metric{
-				MatchingSize: m.Size(),
-				Seconds:      elapsed.Seconds(),
-				MemoryMB:     float64(ms.TotalAlloc-before) / (1 << 20),
-			}
-		}
-		return out
-	}
-
-	algs := mkAlgs()
-	names := make([]string, len(algs))
-	metrics := make([]Metric, len(algs)+1) // last slot is OPT
-	base := sim.NewEngine(in, mode)
-	var wg sync.WaitGroup
-	for i, alg := range algs {
-		names[i] = alg.Name()
-		wg.Add(1)
-		go func(i int, alg sim.Algorithm) {
-			defer wg.Done()
-			opts.pool.do(func() {
-				// The first replay reuses the base engine's state slices;
-				// the rest clone inside their pool slot so per-run state
-				// is only allocated once a replay is actually admitted.
-				eng := base
-				if i > 0 {
-					eng = base.Clone()
-				}
-				res := eng.Run(alg)
-				metrics[i] = Metric{
-					MatchingSize: res.Matching.Size(),
-					Seconds:      res.Elapsed.Seconds(),
-				}
-			})
-		}(i, alg)
-	}
-	if !opts.SkipOPT {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			opts.pool.do(func() {
-				start := time.Now()
-				m := core.OPT(in, core.OPTOptions{MaxCandidates: opts.OPTCandidates})
-				metrics[len(algs)] = Metric{
-					MatchingSize: m.Size(),
-					Seconds:      time.Since(start).Seconds(),
-				}
-			})
-		}()
-	}
-	wg.Wait()
-
-	out := make(map[string]Metric, len(algs)+1)
-	for i, name := range names {
-		// POLAR's Name() is "POLAR" etc., matching the Algo constants.
-		out[name] = metrics[i]
-	}
-	if !opts.SkipOPT {
-		out[AlgoOPT] = metrics[len(algs)]
-	}
-	return out
+	return runCell(in, mode, []sim.Algorithm{
+		core.NewSimpleGreedy(), core.NewGR(grWindow), core.NewPOLAR(g), core.NewPOLAROP(g),
+	}, !opts.SkipOPT, opts)
 }
 
-// buildSyntheticGuide derives the guide from the generating distribution's
-// expected counts — the i.i.d.-model setup of the synthetic experiments.
-func buildSyntheticGuide(cfg workload.Synthetic, gridSide, slots int, opts Options) (*guide.Guide, error) {
-	grid := geo.NewGrid(cfg.Bounds(), gridSide, gridSide)
-	sl := timeslot.New(cfg.Horizon, slots)
-	wc, tc := cfg.ExpectedCounts(grid, sl)
+// point is one synthetic x-axis point: the generating distribution and the
+// discretisation its guide is built on.
+type point struct {
+	cfg             workload.Synthetic
+	gridSide, slots int
+}
+
+// defaultPoint is Table 4's default configuration at the options' scale
+// and seed offset.
+func (o Options) defaultPoint() point {
+	cfg := workload.DefaultSynthetic()
+	cfg.Seed += o.Seed
+	cfg.NumWorkers = o.scaled(cfg.NumWorkers)
+	cfg.NumTasks = o.scaled(cfg.NumTasks)
+	return point{cfg: cfg, gridSide: o.scaledSide(defaultGridSide), slots: defaultSlots}
+}
+
+// guide derives the guide from the generating distribution's expected
+// counts — the i.i.d.-model setup of the synthetic experiments. minCost
+// selects the min-cost max-flow variant the guide ablation studies.
+func (p point) guide(minCost bool) (*guide.Guide, error) {
+	grid := geo.NewGrid(p.cfg.Bounds(), p.gridSide, p.gridSide)
+	sl := timeslot.New(p.cfg.Horizon, p.slots)
+	wc, tc := p.cfg.ExpectedCounts(grid, sl)
 	return guide.Build(guide.Config{
 		Grid:            grid,
 		Slots:           sl,
-		Velocity:        cfg.Velocity,
-		WorkerPatience:  cfg.WorkerPatience,
-		TaskExpiry:      cfg.TaskExpiry,
-		MaxEdgesPerCell: opts.GuideMaxEdges,
+		Velocity:        p.cfg.Velocity,
+		WorkerPatience:  p.cfg.WorkerPatience,
+		TaskExpiry:      p.cfg.TaskExpiry,
+		MaxEdgesPerCell: guideMaxEdges,
 		RepSlack:        sl.Width() / 2,
+		MinCost:         minCost,
 	}, wc, tc)
 }
 
-// syntheticPoint generates an instance for cfg, builds its guide, and runs
-// the comparison set. Instance generation and guide construction are gated
-// through the worker pool so concurrent rows respect the parallelism bound.
-func syntheticPoint(cfg workload.Synthetic, gridSide, slots int, opts Options) (map[string]Metric, error) {
-	var in *model.Instance
-	var g *guide.Guide
-	var err error
+// build generates the point's instance and its max-flow guide. Both run
+// inside one pool slot so concurrent rows respect the parallelism bound.
+func (p point) build(opts Options) (in *model.Instance, g *guide.Guide, err error) {
 	opts.pool.do(func() {
-		if in, err = cfg.Generate(); err != nil {
-			return
+		if in, err = p.cfg.Generate(); err == nil {
+			g, err = p.guide(false)
 		}
-		g, err = buildSyntheticGuide(cfg, gridSide, slots, opts)
+	})
+	return in, g, err
+}
+
+// newResult starts a panel-shaped result with one empty row per x-axis
+// point, for fill to complete.
+func (o Options) newResult(id, title, xlabel string, algs []string, rows int) *Result {
+	return &Result{
+		ID: id, Title: title, XLabel: xlabel, Algorithms: algs,
+		Rows:     make([]Row, rows),
+		noMemory: o.parallel(),
+	}
+}
+
+// fill computes every row — concurrently under Options.Parallelism, rows
+// being independent — and returns the completed result; rows land in
+// x-axis order either way.
+func (r *Result) fill(opts Options, row func(i int) (Row, error)) (*Result, error) {
+	err := forEach(opts, len(r.Rows), func(i int) (err error) {
+		r.Rows[i], err = row(i)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return runAll(in, g, opts), nil
+	return r, nil
 }
 
 // algorithms returns the algorithm list for a result, honouring SkipOPT.
@@ -483,12 +510,6 @@ func Run(ids []string, opts Options, w io.Writer) ([]Timing, error) {
 	return timings, nil
 }
 
-// All runs every registered experiment in order.
-func All(opts Options, w io.Writer) error {
-	_, err := Run(IDs(), opts, w)
-	return err
-}
-
 // fmtInt renders an integer x-axis value compactly (20000 → "20000").
 func fmtInt(v int) string { return fmt.Sprintf("%d", v) }
 
@@ -497,22 +518,4 @@ func fmtF(v float64) string {
 	s := fmt.Sprintf("%.3f", v)
 	s = strings.TrimRight(s, "0")
 	return strings.TrimRight(s, ".")
-}
-
-// buildSyntheticGuideMinCost is buildSyntheticGuide with an explicit
-// min-cost toggle, used by the guide ablation.
-func buildSyntheticGuideMinCost(cfg workload.Synthetic, gridSide, slots int, opts Options, minCost bool) (*guide.Guide, error) {
-	grid := geo.NewGrid(cfg.Bounds(), gridSide, gridSide)
-	sl := timeslot.New(cfg.Horizon, slots)
-	wc, tc := cfg.ExpectedCounts(grid, sl)
-	return guide.Build(guide.Config{
-		Grid:            grid,
-		Slots:           sl,
-		Velocity:        cfg.Velocity,
-		WorkerPatience:  cfg.WorkerPatience,
-		TaskExpiry:      cfg.TaskExpiry,
-		MaxEdgesPerCell: opts.GuideMaxEdges,
-		RepSlack:        sl.Width() / 2,
-		MinCost:         minCost,
-	}, wc, tc)
 }

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"ftoa/internal/core"
+	"ftoa/internal/guide"
 	"ftoa/internal/sim"
-	"ftoa/internal/workload"
 )
 
 func init() {
@@ -15,45 +15,22 @@ func init() {
 // HybridAblation compares the POLAR-OP+Greedy extension (see core.Hybrid)
 // against its two parents over the deadline sweep, under the honest Strict
 // validation where the guide's prediction error actually bites. This is an
-// extension beyond the paper, motivated by the oracle-guide ablation in
-// EXPERIMENTS.md.
+// extension beyond the paper, motivated by the gap ablation-strict measures.
 func HybridAblation(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	res := &Result{
-		ID:         "ablation-hybrid",
-		Title:      "Extension: POLAR-OP with greedy fallback (strict validation)",
-		XLabel:     "Dr",
-		Algorithms: []string{AlgoSimpleGreedy, AlgoPOLAROP, "POLAR-OP+G"},
-	}
-	for _, dr := range sweepDr {
-		cfg := workload.DefaultSynthetic()
-		cfg.Seed += opts.Seed
-		cfg.NumWorkers = opts.scaled(cfg.NumWorkers)
-		cfg.NumTasks = opts.scaled(cfg.NumTasks)
-		cfg.TaskExpiry = dr
-		in, err := cfg.Generate()
+	res := opts.newResult("ablation-hybrid", "Extension: POLAR-OP with greedy fallback (strict validation)",
+		"Dr", []string{AlgoSimpleGreedy, AlgoPOLAROP, "POLAR-OP+G"}, len(sweepDr))
+	return res.fill(opts, func(i int) (Row, error) {
+		p := opts.defaultPoint()
+		p.cfg.TaskExpiry = sweepDr[i]
+		in, g, err := p.build(opts)
 		if err != nil {
-			return nil, err
+			return Row{}, err
 		}
-		g, err := buildSyntheticGuide(cfg, opts.scaledSide(defaultGridSide), defaultSlots, opts)
-		if err != nil {
-			return nil, err
-		}
-		eng := sim.NewEngine(in, sim.Strict, sim.WithAllocTracking())
-		row := Row{X: fmtF(dr), ByAlgo: map[string]Metric{}}
-		for _, alg := range []sim.Algorithm{
+		return Row{X: fmtF(sweepDr[i]), ByAlgo: runCell(in, sim.Strict, []sim.Algorithm{
 			core.NewSimpleGreedy(), core.NewPOLAROP(g), core.NewHybrid(g),
-		} {
-			r := eng.Run(alg)
-			row.ByAlgo[r.Algorithm] = Metric{
-				MatchingSize: r.Matching.Size(),
-				Seconds:      r.Elapsed.Seconds(),
-				MemoryMB:     float64(r.AllocBytes) / (1 << 20),
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+		}, false, opts)}, nil
+	})
 }
 
 // MinCostAblation quantifies the paper's note after Algorithm 1: replacing
@@ -62,45 +39,28 @@ func HybridAblation(opts Options) (*Result, error) {
 // and shorter pickup distances.
 func MinCostAblation(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	res := &Result{
-		ID:         "ablation-mincost",
-		Title:      "Ablation: max-flow vs min-cost guide (strict validation)",
-		XLabel:     "Guide",
-		Algorithms: []string{AlgoPOLAROP},
-	}
-	cfg := workload.DefaultSynthetic()
-	cfg.Seed += opts.Seed
-	cfg.NumWorkers = opts.scaled(cfg.NumWorkers)
-	cfg.NumTasks = opts.scaled(cfg.NumTasks)
-	in, err := cfg.Generate()
+	variants := []string{"max-flow", "min-cost"}
+	res := opts.newResult("ablation-mincost", "Ablation: max-flow vs min-cost guide (strict validation)",
+		"Guide", []string{AlgoPOLAROP}, len(variants))
+	res.Notes = append(res.Notes,
+		"the Memory column here reports the guide's total planned travel time, not MB")
+	res.noMemory = false // the column is a property of the guide, known on either path
+	p := opts.defaultPoint()
+	in, err := p.cfg.Generate()
 	if err != nil {
 		return nil, err
 	}
-	for _, variant := range []struct {
-		name    string
-		minCost bool
-	}{
-		{"max-flow", false},
-		{"min-cost", true},
-	} {
-		g, err := buildSyntheticGuideMinCost(cfg, opts.scaledSide(defaultGridSide), defaultSlots, opts, variant.minCost)
+	return res.fill(opts, func(i int) (Row, error) {
+		var g *guide.Guide
+		var err error
+		opts.pool.do(func() { g, err = p.guide(variants[i] == "min-cost") })
 		if err != nil {
-			return nil, err
+			return Row{}, err
 		}
-		eng := sim.NewEngine(in, sim.Strict)
-		r := eng.Run(core.NewPOLAROP(g)) // MemoryMB column repurposed below; no alloc tracking needed
-		res.Rows = append(res.Rows, Row{
-			X: variant.name,
-			ByAlgo: map[string]Metric{AlgoPOLAROP: {
-				MatchingSize: r.Matching.Size(),
-				Seconds:      r.Elapsed.Seconds(),
-				MemoryMB:     g.TravelCost, // repurposed column, see note
-			}},
-		})
-	}
-	res.Notes = append(res.Notes,
-		"the Memory column here reports the guide's total planned travel time, not MB")
-	return res, nil
+		m := runCell(in, sim.Strict, []sim.Algorithm{core.NewPOLAROP(g)}, false, opts)[AlgoPOLAROP]
+		m.MemoryMB = g.TravelCost
+		return Row{X: variants[i], ByAlgo: map[string]Metric{AlgoPOLAROP: m}}, nil
+	})
 }
 
 // StrictGapAblation measures the gap between the paper's counting
@@ -108,38 +68,16 @@ func MinCostAblation(opts Options) (*Result, error) {
 // algorithms — the quantity the paper's Lemma-1 assumption hides.
 func StrictGapAblation(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	res := &Result{
-		ID:         "ablation-strict",
-		Title:      "Ablation: paper counting vs strict validation",
-		XLabel:     "Mode",
-		Algorithms: []string{AlgoSimpleGreedy, AlgoPOLAR, AlgoPOLAROP},
-	}
-	cfg := workload.DefaultSynthetic()
-	cfg.Seed += opts.Seed
-	cfg.NumWorkers = opts.scaled(cfg.NumWorkers)
-	cfg.NumTasks = opts.scaled(cfg.NumTasks)
-	in, err := cfg.Generate()
+	modes := []sim.Mode{sim.AssumeGuide, sim.Strict}
+	res := opts.newResult("ablation-strict", "Ablation: paper counting vs strict validation",
+		"Mode", []string{AlgoSimpleGreedy, AlgoPOLAR, AlgoPOLAROP}, len(modes))
+	in, g, err := opts.defaultPoint().build(opts)
 	if err != nil {
 		return nil, err
 	}
-	g, err := buildSyntheticGuide(cfg, opts.scaledSide(defaultGridSide), defaultSlots, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, mode := range []sim.Mode{sim.AssumeGuide, sim.Strict} {
-		eng := sim.NewEngine(in, mode, sim.WithAllocTracking())
-		row := Row{X: mode.String(), ByAlgo: map[string]Metric{}}
-		for _, alg := range []sim.Algorithm{
+	return res.fill(opts, func(i int) (Row, error) {
+		return Row{X: modes[i].String(), ByAlgo: runCell(in, modes[i], []sim.Algorithm{
 			core.NewSimpleGreedy(), core.NewPOLAR(g), core.NewPOLAROP(g),
-		} {
-			r := eng.Run(alg)
-			row.ByAlgo[r.Algorithm] = Metric{
-				MatchingSize: r.Matching.Size(),
-				Seconds:      r.Elapsed.Seconds(),
-				MemoryMB:     float64(r.AllocBytes) / (1 << 20),
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+		}, false, opts)}, nil
+	})
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ftoa/internal/core"
+	"ftoa/internal/sim"
 )
 
 // matchingTable flattens a result's MatchingSize series into a comparable
@@ -31,6 +34,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}{
 		{"fig4-w", VaryW, Options{Scale: 0.002}},
 		{"fig5-scale", Scalability, Options{Scale: 0.0005}},
+		{"ablation-hybrid", HybridAblation, Options{Scale: 0.002}},
+		{"ablation-strict", StrictGapAblation, Options{Scale: 0.002}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seqOpts := tc.opts
@@ -115,5 +120,77 @@ func TestRunEmitsTimings(t *testing.T) {
 	}
 	if _, err := Run([]string{"nope"}, Options{Scale: 0.002}, &buf); err == nil {
 		t.Error("Run with unknown id should fail")
+	}
+}
+
+// TestRunCellMatchesEngine licenses the one measuring path by value, not
+// shape: on either path runCell reports exactly the matching size a plain
+// Engine.Run (or core.OPT) gives for each name, memory is measured for the
+// sequential path and left at zero on the parallel one.
+func TestRunCellMatchesEngine(t *testing.T) {
+	opts := Options{Scale: 0.002}.withDefaults()
+	in, g, err := opts.defaultPoint().build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkAlgs := func() []sim.Algorithm {
+		return []sim.Algorithm{core.NewSimpleGreedy(), core.NewGR(grWindow), core.NewPOLAR(g), core.NewPOLAROP(g)}
+	}
+	want := map[string]int{AlgoOPT: core.OPT(in, core.OPTOptions{MaxCandidates: optCandidates}).Size()}
+	for _, alg := range mkAlgs() {
+		want[alg.Name()] = sim.NewEngine(in, sim.AssumeGuide).Run(alg).Matching.Size()
+	}
+	if len(want) != 5 || want[AlgoOPT] == 0 {
+		t.Fatalf("degenerate reference %v", want)
+	}
+
+	for _, par := range []int{0, 4} {
+		o := Options{Scale: 0.002, Parallelism: par}.withDefaults()
+		got := runCell(in, sim.AssumeGuide, mkAlgs(), true, o)
+		if len(got) != len(want) {
+			t.Errorf("parallelism %d: %d series, want %d", par, len(got), len(want))
+		}
+		measured := false
+		for name, size := range want {
+			m, ok := got[name]
+			if !ok || m.MatchingSize != size {
+				t.Errorf("parallelism %d: %s matched %d (present %v), engine says %d", par, name, m.MatchingSize, ok, size)
+			}
+			measured = measured || m.MemoryMB > 0
+			if par > 1 && m.MemoryMB != 0 {
+				t.Errorf("parallelism %d: %s MemoryMB = %v, want 0 (unmeasured)", par, name, m.MemoryMB)
+			}
+		}
+		if par <= 1 && !measured {
+			t.Error("sequential runCell measured no memory for any series")
+		}
+	}
+}
+
+// TestPrintMarksUnmeasuredMemory: a parallel run's Memory cells print as
+// "-", never as a measured 0.0; a sequential run prints numbers.
+func TestPrintMarksUnmeasuredMemory(t *testing.T) {
+	memoryRows := func(opts Options) []string {
+		res, err := VaryW(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		res.Print(&buf)
+		_, mem, ok := strings.Cut(buf.String(), "-- Memory (MB) --\n")
+		if !ok {
+			t.Fatal("no Memory table")
+		}
+		return strings.Split(strings.TrimSpace(mem), "\n")[1:] // drop the header
+	}
+	for _, row := range memoryRows(Options{Scale: 0.002, SkipOPT: true, Parallelism: 2}) {
+		if cells := strings.Fields(row)[1:]; strings.Join(cells, "") != "----" {
+			t.Errorf("parallel memory row %q, want four \"-\" cells", row)
+		}
+	}
+	for _, row := range memoryRows(Options{Scale: 0.002, SkipOPT: true}) {
+		if strings.Contains(row, " -") {
+			t.Errorf("sequential memory row %q has an unmeasured cell", row)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func CompetitiveRatio(opts Options) (*Result, error) {
 	if side < 4 {
 		side = 4
 	}
-	g, err := buildSyntheticGuide(cfg, side, defaultSlots, opts)
+	g, err := point{cfg: cfg, gridSide: side, slots: defaultSlots}.guide(false)
 	if err != nil {
 		return nil, err
 	}
@@ -53,28 +53,19 @@ func CompetitiveRatio(opts Options) (*Result, error) {
 		tcfg := cfg
 		tcfg.Seed = uint64(trial+1)*7919 + opts.Seed
 		var in *model.Instance
-		var genErr error
-		var opt, polar, polarOP int
-		opts.pool.do(func() {
-			if in, genErr = tcfg.Generate(); genErr != nil {
-				return
-			}
-			opt = core.OPT(in, core.OPTOptions{MaxCandidates: opts.OPTCandidates}).Size()
-		})
-		if genErr != nil {
-			return genErr
+		var err error
+		opts.pool.do(func() { in, err = tcfg.Generate() })
+		if err != nil {
+			return err
 		}
+		m := runCell(in, sim.AssumeGuide, []sim.Algorithm{core.NewPOLAR(g), core.NewPOLAROP(g)}, true, opts)
+		opt := m[AlgoOPT].MatchingSize
 		if opt == 0 {
 			return nil
 		}
-		opts.pool.do(func() {
-			eng := sim.NewEngine(in, sim.AssumeGuide)
-			polar = eng.Run(core.NewPOLAR(g)).Matching.Size()
-			polarOP = eng.Run(core.NewPOLAROP(g)).Matching.Size()
-		})
 		ratios[trial] = trialRatio{
-			polar:   float64(polar) / float64(opt),
-			polarOP: float64(polarOP) / float64(opt),
+			polar:   float64(m[AlgoPOLAR].MatchingSize) / float64(opt),
+			polarOP: float64(m[AlgoPOLAROP].MatchingSize) / float64(opt),
 			valid:   true,
 		}
 		return nil

@@ -1,9 +1,5 @@
 package experiments
 
-import (
-	"ftoa/internal/workload"
-)
-
 // Default sweep values from Table 4 (bold = default).
 var (
 	sweepW     = []int{5000, 10000, 20000, 30000, 40000}
@@ -18,194 +14,139 @@ var (
 	defaultSlots    = 48
 )
 
+// sweep is one synthetic panel of Figures 4–6: n x-axis points, each the
+// default configuration with one parameter moved.
+type sweep struct {
+	id, title, xlabel string
+	n                 int
+	// set moves point i's parameter and returns its x-axis label.
+	set func(o Options, i int, p *point) string
+	// omitOPT, when non-empty, drops the OPT series and is the note
+	// saying why.
+	omitOPT string
+}
+
+// The ten synthetic panels, in the paper's order.
+var sweeps = []sweep{
+	{id: "fig4-w", title: "Fig 4(a,e,i): varying |W|", xlabel: "|W|", n: len(sweepW),
+		set: func(o Options, i int, p *point) string {
+			p.cfg.NumWorkers = o.scaled(sweepW[i])
+			return fmtInt(p.cfg.NumWorkers)
+		}},
+	{id: "fig4-r", title: "Fig 4(b,f,j): varying |R|", xlabel: "|R|", n: len(sweepR),
+		set: func(o Options, i int, p *point) string {
+			p.cfg.NumTasks = o.scaled(sweepR[i])
+			return fmtInt(p.cfg.NumTasks)
+		}},
+	{id: "fig4-dr", title: "Fig 4(c,g,k): varying deadline Dr", xlabel: "Dr", n: len(sweepDr),
+		set: func(_ Options, i int, p *point) string {
+			p.cfg.TaskExpiry = sweepDr[i]
+			return fmtF(sweepDr[i])
+		}},
+	// Cells per side over the same space. Under Scale < 1 the swept
+	// resolutions shrink with the populations so per-cell densities match
+	// the paper's.
+	{id: "fig4-g", title: "Fig 4(d,h,l): varying grid resolution", xlabel: "Grid", n: len(sweepGrid),
+		set: func(o Options, i int, p *point) string {
+			p.gridSide = o.scaledSide(sweepGrid[i])
+			return fmtInt(p.gridSide)
+		}},
+	// The slot counts are not scaled: slot width relative to the deadlines
+	// is the quantity under study.
+	{id: "fig5-t", title: "Fig 5(a,e,i): varying time slots", xlabel: "Slots", n: len(sweepSlots),
+		set: func(_ Options, i int, p *point) string {
+			p.slots = sweepSlots[i]
+			return fmtInt(p.slots)
+		}},
+	// |W| and |R| grow together to one million objects; the paper omits
+	// OPT here too ("OPT does not scale with the simultaneous increase of
+	// |R| and |W|").
+	{id: "fig5-scale", title: "Fig 5(b,f,j): scalability |W|=|R|", xlabel: "|W|=|R|", n: len(sweepScale),
+		omitOPT: "OPT omitted (does not scale), as in the paper",
+		set: func(o Options, i int, p *point) string {
+			p.cfg.NumWorkers = o.scaled(sweepScale[i])
+			p.cfg.NumTasks = p.cfg.NumWorkers
+			return fmtInt(p.cfg.NumWorkers)
+		}},
+	// Figure 6 moves the tasks' distributions; the workers' stay fixed.
+	{id: "fig6-mu", title: "Fig 6(a,e,i): varying temporal μ", xlabel: "mu", n: len(sweepFrac),
+		set: func(_ Options, i int, p *point) string {
+			p.cfg.TaskTempMu = sweepFrac[i]
+			return fmtF(sweepFrac[i])
+		}},
+	{id: "fig6-sigma", title: "Fig 6(b,f,j): varying temporal σ", xlabel: "sigma", n: len(sweepFrac),
+		set: func(_ Options, i int, p *point) string {
+			p.cfg.TaskTempSigma = sweepFrac[i]
+			return fmtF(sweepFrac[i])
+		}},
+	// The distance between the worker and task hotspots.
+	{id: "fig6-mean", title: "Fig 6(c,g,k): varying spatial mean", xlabel: "mean", n: len(sweepFrac),
+		set: func(_ Options, i int, p *point) string {
+			p.cfg.TaskSpatialMean = sweepFrac[i]
+			return fmtF(sweepFrac[i])
+		}},
+	{id: "fig6-cov", title: "Fig 6(d,h,l): varying spatial cov", xlabel: "cov", n: len(sweepFrac),
+		set: func(_ Options, i int, p *point) string {
+			p.cfg.TaskSpatialCov = sweepFrac[i]
+			return fmtF(sweepFrac[i])
+		}},
+}
+
+// The panels by name, for tests, benchmarks and library callers.
+var (
+	VaryW           = panel("fig4-w")
+	VaryR           = panel("fig4-r")
+	VaryDeadline    = panel("fig4-dr")
+	VaryGrid        = panel("fig4-g")
+	VarySlots       = panel("fig5-t")
+	Scalability     = panel("fig5-scale")
+	VaryTempMu      = panel("fig6-mu")
+	VaryTempSigma   = panel("fig6-sigma")
+	VarySpatialMean = panel("fig6-mean")
+	VarySpatialCov  = panel("fig6-cov")
+)
+
+// panel returns the runner of the sweep with the given id.
+func panel(id string) Runner {
+	for _, s := range sweeps {
+		if s.id == id {
+			return s.run
+		}
+	}
+	panic("experiments: no sweep " + id)
+}
+
 func init() {
-	register("fig4-w", VaryW)
-	register("fig4-r", VaryR)
-	register("fig4-dr", VaryDeadline)
-	register("fig4-g", VaryGrid)
-	register("fig5-t", VarySlots)
-	register("fig5-scale", Scalability)
-	register("fig5-bj", Beijing)
-	register("fig5-hz", Hangzhou)
-	register("fig6-mu", VaryTempMu)
-	register("fig6-sigma", VaryTempSigma)
-	register("fig6-mean", VarySpatialMean)
-	register("fig6-cov", VarySpatialCov)
+	for _, s := range sweeps {
+		register(s.id, s.run)
+		if s.id == "fig5-scale" { // Figure 5's city panels follow its synthetic ones
+			register("fig5-bj", Beijing)
+			register("fig5-hz", Hangzhou)
+		}
+	}
 	register("table5", PredictionTable)
 	register("ratio", CompetitiveRatio)
 }
 
-// sweepSynthetic runs one synthetic sweep: mutate configures each point
-// from the default config and the sweep value index. Rows are independent
-// — each derives its own deterministic seed from the base config — so with
-// Options.Parallelism they run concurrently on the shared worker pool;
-// results land in sweep order either way.
-func sweepSynthetic(id, title, xlabel string, xs []string,
-	mutate func(cfg *workload.Synthetic, gridSide, slots *int, i int), opts Options) (*Result, error) {
-
+// run measures the panel: every row is the default point with the sweep's
+// parameter moved, so each derives its own deterministic seed and rows are
+// independent (see Result.fill).
+func (s sweep) run(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	res := &Result{ID: id, Title: title, XLabel: xlabel, Algorithms: opts.algorithms()}
-	res.Rows = make([]Row, len(xs))
-	err := forEach(opts, len(xs), func(i int) error {
-		cfg := workload.DefaultSynthetic()
-		cfg.Seed += opts.Seed
-		cfg.NumWorkers = opts.scaled(cfg.NumWorkers)
-		cfg.NumTasks = opts.scaled(cfg.NumTasks)
-		gridSide, slots := opts.scaledSide(defaultGridSide), defaultSlots
-		mutate(&cfg, &gridSide, &slots, i)
-		metrics, err := syntheticPoint(cfg, gridSide, slots, opts)
+	if s.omitOPT != "" {
+		opts.SkipOPT = true
+	}
+	res := opts.newResult(s.id, s.title, s.xlabel, opts.algorithms(), s.n)
+	if s.omitOPT != "" {
+		res.Notes = append(res.Notes, s.omitOPT)
+	}
+	return res.fill(opts, func(i int) (Row, error) {
+		p := opts.defaultPoint()
+		x := s.set(opts, i, &p)
+		in, g, err := p.build(opts)
 		if err != nil {
-			return err
+			return Row{}, err
 		}
-		res.Rows[i] = Row{X: xs[i], ByAlgo: metrics}
-		return nil
+		return Row{X: x, ByAlgo: runAll(in, g, opts)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// VaryW reproduces Figure 4(a,e,i): matching size, time and memory as the
-// number of workers grows.
-func VaryW(opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	xs := make([]string, len(sweepW))
-	for i, v := range sweepW {
-		xs[i] = fmtInt(opts.scaled(v))
-	}
-	return sweepSynthetic("fig4-w", "Fig 4(a,e,i): varying |W|", "|W|", xs,
-		func(cfg *workload.Synthetic, _, _ *int, i int) {
-			cfg.NumWorkers = opts.scaled(sweepW[i])
-		}, opts)
-}
-
-// VaryR reproduces Figure 4(b,f,j): varying the number of tasks.
-func VaryR(opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	xs := make([]string, len(sweepR))
-	for i, v := range sweepR {
-		xs[i] = fmtInt(opts.scaled(v))
-	}
-	return sweepSynthetic("fig4-r", "Fig 4(b,f,j): varying |R|", "|R|", xs,
-		func(cfg *workload.Synthetic, _, _ *int, i int) {
-			cfg.NumTasks = opts.scaled(sweepR[i])
-		}, opts)
-}
-
-// VaryDeadline reproduces Figure 4(c,g,k): varying the task deadline Dr.
-func VaryDeadline(opts Options) (*Result, error) {
-	xs := make([]string, len(sweepDr))
-	for i, v := range sweepDr {
-		xs[i] = fmtF(v)
-	}
-	return sweepSynthetic("fig4-dr", "Fig 4(c,g,k): varying deadline Dr", "Dr", xs,
-		func(cfg *workload.Synthetic, _, _ *int, i int) {
-			cfg.TaskExpiry = sweepDr[i]
-		}, opts)
-}
-
-// VaryGrid reproduces Figure 4(d,h,l): varying the prediction grid
-// resolution (cells per side over the same space). Under Scale < 1 the
-// swept resolutions shrink with the populations so per-cell densities
-// match the paper's.
-func VaryGrid(opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	xs := make([]string, len(sweepGrid))
-	for i, v := range sweepGrid {
-		xs[i] = fmtInt(opts.scaledSide(v))
-	}
-	return sweepSynthetic("fig4-g", "Fig 4(d,h,l): varying grid resolution", "Grid", xs,
-		func(cfg *workload.Synthetic, gridSide, _ *int, i int) {
-			*gridSide = opts.scaledSide(sweepGrid[i])
-		}, opts)
-}
-
-// VarySlots reproduces Figure 5(a,e,i): varying the number of time slots
-// over the same horizon. The swept values are not scaled: slot width
-// relative to the deadlines is the quantity under study.
-func VarySlots(opts Options) (*Result, error) {
-	xs := make([]string, len(sweepSlots))
-	for i, v := range sweepSlots {
-		xs[i] = fmtInt(v)
-	}
-	return sweepSynthetic("fig5-t", "Fig 5(a,e,i): varying time slots", "Slots", xs,
-		func(cfg *workload.Synthetic, _, slots *int, i int) {
-			*slots = sweepSlots[i]
-		}, opts)
-}
-
-// Scalability reproduces Figure 5(b,f,j): |W| and |R| grow together to one
-// million objects. OPT is omitted, exactly as the paper omits it ("OPT
-// does not scale with the simultaneous increase of |R| and |W|").
-func Scalability(opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	opts.SkipOPT = true
-	xs := make([]string, len(sweepScale))
-	for i, v := range sweepScale {
-		xs[i] = fmtInt(opts.scaled(v))
-	}
-	res, err := sweepSynthetic("fig5-scale", "Fig 5(b,f,j): scalability |W|=|R|", "|W|=|R|", xs,
-		func(cfg *workload.Synthetic, _, _ *int, i int) {
-			cfg.NumWorkers = opts.scaled(sweepScale[i])
-			cfg.NumTasks = opts.scaled(sweepScale[i])
-		}, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes, "OPT omitted (does not scale), as in the paper")
-	return res, nil
-}
-
-// VaryTempMu reproduces Figure 6(a,e,i): varying the mean of the tasks'
-// temporal distribution (workers' distribution stays fixed at 0.25).
-func VaryTempMu(opts Options) (*Result, error) {
-	xs := make([]string, len(sweepFrac))
-	for i, v := range sweepFrac {
-		xs[i] = fmtF(v)
-	}
-	return sweepSynthetic("fig6-mu", "Fig 6(a,e,i): varying temporal μ", "mu", xs,
-		func(cfg *workload.Synthetic, _, _ *int, i int) {
-			cfg.TaskTempMu = sweepFrac[i]
-		}, opts)
-}
-
-// VaryTempSigma reproduces Figure 6(b,f,j): varying the tasks' temporal
-// standard deviation.
-func VaryTempSigma(opts Options) (*Result, error) {
-	xs := make([]string, len(sweepFrac))
-	for i, v := range sweepFrac {
-		xs[i] = fmtF(v)
-	}
-	return sweepSynthetic("fig6-sigma", "Fig 6(b,f,j): varying temporal σ", "sigma", xs,
-		func(cfg *workload.Synthetic, _, _ *int, i int) {
-			cfg.TaskTempSigma = sweepFrac[i]
-		}, opts)
-}
-
-// VarySpatialMean reproduces Figure 6(c,g,k): varying the mean of the
-// tasks' spatial distribution — the distance between worker and task
-// hotspots.
-func VarySpatialMean(opts Options) (*Result, error) {
-	xs := make([]string, len(sweepFrac))
-	for i, v := range sweepFrac {
-		xs[i] = fmtF(v)
-	}
-	return sweepSynthetic("fig6-mean", "Fig 6(c,g,k): varying spatial mean", "mean", xs,
-		func(cfg *workload.Synthetic, _, _ *int, i int) {
-			cfg.TaskSpatialMean = sweepFrac[i]
-		}, opts)
-}
-
-// VarySpatialCov reproduces Figure 6(d,h,l): varying the covariance of the
-// tasks' spatial distribution.
-func VarySpatialCov(opts Options) (*Result, error) {
-	xs := make([]string, len(sweepFrac))
-	for i, v := range sweepFrac {
-		xs[i] = fmtF(v)
-	}
-	return sweepSynthetic("fig6-cov", "Fig 6(d,h,l): varying spatial cov", "cov", xs,
-		func(cfg *workload.Synthetic, _, _ *int, i int) {
-			cfg.TaskSpatialCov = sweepFrac[i]
-		}, opts)
 }

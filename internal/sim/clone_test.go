@@ -55,20 +55,3 @@ func TestCloneRunsIndependently(t *testing.T) {
 		t.Errorf("base engine after clones matched %d, want %d", again, want)
 	}
 }
-
-func TestAllocTrackingOptIn(t *testing.T) {
-	in := twoByTwo()
-	// Default: no tracking, AllocBytes stays zero.
-	if res := NewEngine(in, Strict).Run(greedyScript()); res.AllocBytes != 0 {
-		t.Errorf("AllocBytes = %d without WithAllocTracking, want 0", res.AllocBytes)
-	}
-	// Opt-in: the replay allocates at least the matching pairs.
-	if res := NewEngine(in, Strict, WithAllocTracking()).Run(greedyScript()); res.AllocBytes == 0 {
-		t.Error("AllocBytes = 0 with WithAllocTracking, want > 0")
-	}
-	// Clones do not inherit tracking (process-wide counter, concurrency).
-	tracked := NewEngine(in, Strict, WithAllocTracking())
-	if res := tracked.Clone().Run(greedyScript()); res.AllocBytes != 0 {
-		t.Errorf("clone AllocBytes = %d, want 0 (tracking not inherited)", res.AllocBytes)
-	}
-}

@@ -17,7 +17,7 @@
 // through the very same Session API, so experiments and benchmarks
 // exercise the production code path.
 //
-// Two validation modes are supported (see DESIGN.md §3.2):
+// Two validation modes are supported:
 //
 //   - Strict: a match is committed only if the worker, departing its
 //     current simulated position at commit time, can reach the task before
@@ -29,7 +29,6 @@
 package sim
 
 import (
-	"runtime"
 	"time"
 
 	"ftoa/internal/geo"
@@ -149,13 +148,6 @@ type Result struct {
 	// construction and instance generation are excluded, matching the
 	// paper's decision to omit offline preprocessing from reported times).
 	Elapsed time.Duration
-	// AllocBytes is the heap allocated during the replay (TotalAlloc
-	// delta), the closest portable analogue of the paper's memory metric.
-	// It is 0 unless the engine was created with WithAllocTracking:
-	// measuring it costs two stop-the-world runtime.ReadMemStats pauses
-	// per Run, and the process-wide counter is meaningless when several
-	// replays run concurrently.
-	AllocBytes uint64
 	// Attempted and Rejected count TryMatch calls and how many the engine
 	// refused (always 0 in AssumeGuide mode for available pairs); the gap
 	// quantifies the discretisation/prediction error the paper's Strict
@@ -222,10 +214,6 @@ type Engine struct {
 	in   *model.Instance
 	mode Mode
 
-	// measureAllocs enables the TotalAlloc delta in Result.AllocBytes at
-	// the cost of two stop-the-world pauses per Run.
-	measureAllocs bool
-
 	events []model.Event
 
 	sess *Session
@@ -237,36 +225,19 @@ type Engine struct {
 	identity bool
 }
 
-// EngineOption tunes engine construction.
-type EngineOption func(*Engine)
-
-// WithAllocTracking enables per-run heap-allocation measurement
-// (Result.AllocBytes). It costs two stop-the-world runtime.ReadMemStats
-// pauses per Run and reads a process-wide counter, so leave it off on hot
-// replay paths and whenever engines run concurrently.
-func WithAllocTracking() EngineOption {
-	return func(e *Engine) { e.measureAllocs = true }
-}
-
 // NewEngine prepares an engine for the instance. The event order is
 // computed once and shared across runs (and across Clones).
-func NewEngine(in *model.Instance, mode Mode, opts ...EngineOption) *Engine {
-	e := &Engine{
+func NewEngine(in *model.Instance, mode Mode) *Engine {
+	return &Engine{
 		in:     in,
 		mode:   mode,
 		events: in.Events(),
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
 }
 
 // Clone returns a new engine over the same instance and mode that shares
 // the immutable inputs (instance and precomputed event order) but owns its
 // own session, so clones can Run concurrently on separate goroutines.
-// Alloc tracking is NOT inherited: the counter it reads is process-wide
-// and meaningless under concurrency.
 func (e *Engine) Clone() *Engine {
 	return &Engine{
 		in:     e.in,
@@ -314,12 +285,6 @@ func (e *Engine) Run(alg Algorithm) Result {
 	e.h2t = e.h2t[:0]
 	e.identity = true
 
-	var ms runtime.MemStats
-	var allocBefore uint64
-	if e.measureAllocs {
-		runtime.ReadMemStats(&ms)
-		allocBefore = ms.TotalAlloc
-	}
 	start := time.Now()
 
 	for _, ev := range e.events {
@@ -345,11 +310,6 @@ func (e *Engine) Run(alg Algorithm) Result {
 	s.Finish()
 
 	elapsed := time.Since(start)
-	var allocBytes uint64
-	if e.measureAllocs {
-		runtime.ReadMemStats(&ms)
-		allocBytes = ms.TotalAlloc - allocBefore
-	}
 
 	matching := s.Matching()
 	if !e.identity {
@@ -365,7 +325,6 @@ func (e *Engine) Run(alg Algorithm) Result {
 		Mode:           e.mode,
 		Matching:       matching,
 		Elapsed:        elapsed,
-		AllocBytes:     allocBytes,
 		Attempted:      s.Attempted(),
 		Rejected:       s.Rejected(),
 		ExpiredWorkers: s.ExpiredWorkers(),

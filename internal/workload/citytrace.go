@@ -17,8 +17,9 @@ import (
 // Section 6.3 predictors consume — and (b) realized arrival streams for
 // test days — the input the online assignment experiments consume.
 //
-// See DESIGN.md §5 for why this preserves the behaviours the paper's
-// experiments exercise.
+// That structure is what the paper's experiments exercise: the predictors
+// see the same kinds of regularity Table 5 ranks them on, and the test-day
+// stream has the hotspots and rush hours that make guidance matter.
 type City struct {
 	Name string
 

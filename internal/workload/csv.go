@@ -58,13 +58,17 @@ func LoadInstanceCSV(r io.Reader, velocity float64) (*model.Instance, error) {
 		var x, y, tm, win float64
 		for i, dst := range []*float64{&x, &y, &tm, &win} {
 			v, err := strconv.ParseFloat(rec[2+i], 64)
-			if err != nil {
+			// ParseFloat accepts "NaN" and "Inf"; neither is a place or a time.
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("workload: line %d: bad number %q", line, rec[2+i])
 			}
 			*dst = v
 		}
 		if win < 0 {
 			return nil, fmt.Errorf("workload: line %d: negative window %v", line, win)
+		}
+		if math.IsInf(tm+win, 0) {
+			return nil, fmt.Errorf("workload: line %d: deadline %v+%v overflows", line, tm, win)
 		}
 		switch rec[0] {
 		case "worker":
@@ -108,6 +112,9 @@ func LoadInstanceCSV(r io.Reader, velocity float64) (*model.Instance, error) {
 		margin = 1
 	}
 	in.Bounds = geo.NewRect(minX-margin, minY-margin, maxX+margin, maxY+margin)
+	if b := in.Bounds; math.IsInf(b.Width(), 0) || math.IsInf(b.Height(), 0) {
+		return nil, fmt.Errorf("workload: coordinates span [%v,%v]×[%v,%v], too wide for finite bounds", minX, maxX, minY, maxY)
+	}
 	in.Horizon = maxTime
 	if err := in.Validate(); err != nil {
 		return nil, err

@@ -56,6 +56,11 @@ func TestLoadInstanceCSVRejectsGarbage(t *testing.T) {
 		"kind,id,x,y,time,window\nworker,0,1,1,1,-2", // negative window
 		"kind,id,x,y,time,window\n",                  // no objects
 		"kind,id,x,y,time,window\nworker,0,1,1,1",    // wrong field count
+		// Non-finite numbers, which strconv.ParseFloat accepts.
+		"kind,id,x,y,time,window\nworker,0,NaN,1,0,5", // NaN coordinate
+		"kind,id,x,y,time,window\ntask,0,Inf,1,1,5",   // infinite coordinate
+		"kind,id,x,y,time,window\nworker,0,1,1,NaN,5", // NaN time
+		"kind,id,x,y,time,window\ntask,0,1,1,1,Inf",   // infinite window
 	}
 	for i, c := range cases {
 		if _, err := LoadInstanceCSV(strings.NewReader(c), 1); err == nil {

@@ -2,7 +2,7 @@
 // synthetic workloads of Table 4 (Normal temporal distribution,
 // multivariate-Normal spatial distribution over a square space) and the
 // multi-day city traces that stand in for the proprietary Didi taxi-calling
-// datasets (see DESIGN.md §5 for the substitution rationale).
+// datasets (see City for what the substitute preserves).
 //
 // Time is measured in slot units of the default configuration (1 unit = one
 // 15-minute slot), so the paper's parameters carry over unchanged: the
