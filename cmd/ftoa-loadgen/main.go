@@ -338,9 +338,6 @@ func runConn(cfg *genConfig, id int, deadline time.Time, tally *connTally) {
 		r := wire.NewRetrier(wire.RetryConfig{
 			Addr:           cfg.dialAddr,
 			RequestTimeout: cfg.requestTimeout,
-			// The tally wants every batch resolved, so never fail fast:
-			// Do blocks through reconnects until the server answers.
-			BreakerThreshold: -1,
 		})
 		defer r.Close()
 		defer func() {
@@ -423,11 +420,10 @@ type verifier struct {
 func newVerifier(cfg *genConfig) *verifier {
 	v := &verifier{seen: make(map[endpoint]int)}
 	v.r = wire.NewRetrier(wire.RetryConfig{
-		Addr:             cfg.dialAddr,
-		RequestTimeout:   cfg.requestTimeout,
-		BreakerThreshold: -1,
-		Subscribe:        true,
-		SubscribeSince:   0, // the stream's origin: every terminal event of the run
+		Addr:           cfg.dialAddr,
+		RequestTimeout: cfg.requestTimeout,
+		Subscribe:      true,
+		SubscribeSince: 0, // the stream's origin: every terminal event of the run
 		OnEvents: func(_ uint64, evs []wire.Event) {
 			v.mu.Lock()
 			for i := range evs {
@@ -520,12 +516,11 @@ type subscriber struct {
 func newSubscriber(cfg *genConfig) *subscriber {
 	s := &subscriber{}
 	s.r = wire.NewRetrier(wire.RetryConfig{
-		Addr:             cfg.dialAddr,
-		RequestTimeout:   cfg.requestTimeout,
-		BreakerThreshold: -1,
-		Subscribe:        true,
-		SubscribeSince:   wire.SinceNow,
-		OnEvents:         s.onEvents,
+		Addr:           cfg.dialAddr,
+		RequestTimeout: cfg.requestTimeout,
+		Subscribe:      true,
+		SubscribeSince: wire.SinceNow,
+		OnEvents:       s.onEvents,
 		OnGone: func(uint64) {
 			s.mu.Lock()
 			s.gone++

@@ -9,6 +9,11 @@
 // O(1) by occupying/associating a guide node and following its
 // pre-computed pairing. SimpleGreedy and GR represent the wait-in-place
 // online models the paper improves on; OPT is the clairvoyant upper bound.
+//
+// The wait-in-place model itself — an arrival takes the nearest feasible
+// waiting object of the other kind, or waits where it arrived — is
+// implemented once, by waitPool (waitpool.go). SimpleGreedy is exactly the
+// pool; TGOA's greedy first half and Hybrid's guide-miss fallback reuse it.
 package core
 
 import (

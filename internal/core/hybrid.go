@@ -2,9 +2,7 @@ package core
 
 import (
 	"ftoa/internal/guide"
-	"ftoa/internal/model"
 	"ftoa/internal/sim"
-	"ftoa/internal/spatial"
 )
 
 // Hybrid is an extension beyond the paper: POLAR-OP with a SimpleGreedy
@@ -13,7 +11,16 @@ import (
 // predicted, its partner cells hold no usable waiter, or (in strict mode)
 // every guide-suggested pair fails the physical feasibility check — the
 // object falls back to nearest-feasible-neighbour matching over the pool of
-// *all* waiting objects.
+// *all* waiting objects (a guided waitPool).
+//
+// The guide may have dispatched a waiting worker, so the fallback judges
+// feasibility from the worker's live position, while the worker stays
+// indexed where it arrived. A task therefore searches the radius
+// (Dr + max Dw)·v around itself, where max Dw is the largest patience of
+// any worker the pool has held. That bound is lossless: FeasibleAt needs
+// the task released before the worker's deadline, so a waiting worker has
+// moved less than Dw·v from its indexed location, and a worker that can
+// make the deadline is within Dr·v of the task.
 //
 // The motivation comes from the reproduction itself: with an oracle guide
 // POLAR-OP tracks OPT, and its losses under learned predictions are exactly
@@ -23,20 +30,14 @@ import (
 // POLAR-OP carries over.
 type Hybrid struct {
 	op              *POLAROP
-	p               sim.Platform
+	waitPool        // the fallback, guided
 	fallbackMatches int
-
-	waitingWorkers *spatial.Index
-	waitingTasks   *spatial.Index
-	// maxTaskBudget is the running max of Dr over admitted tasks; see the
-	// SimpleGreedy field of the same name for why the running max prunes
-	// exactly the same candidates as the closed-world peek did.
-	maxTaskBudget float64
-	deadIDs       []int
 }
 
 // NewHybrid creates the extension bound to an offline guide.
-func NewHybrid(g *guide.Guide) *Hybrid { return &Hybrid{op: NewPOLAROP(g)} }
+func NewHybrid(g *guide.Guide) *Hybrid {
+	return &Hybrid{op: NewPOLAROP(g), waitPool: waitPool{guided: true}}
+}
 
 // Name implements sim.Algorithm.
 func (a *Hybrid) Name() string { return "POLAR-OP+G" }
@@ -47,12 +48,8 @@ func (a *Hybrid) FallbackMatches() int { return a.fallbackMatches }
 
 // Init implements sim.Algorithm.
 func (a *Hybrid) Init(p sim.Platform) {
-	a.p = p
 	a.op.Init(p)
-	h := p.Hints()
-	a.waitingWorkers = spatial.NewIndex(p.Bounds(), expectedOr(h.ExpectedWorkers, defaultIndexCapacity))
-	a.waitingTasks = spatial.NewIndex(p.Bounds(), expectedOr(h.ExpectedTasks, defaultIndexCapacity))
-	a.maxTaskBudget = 0
+	a.init(p)
 	a.fallbackMatches = 0
 }
 
@@ -62,93 +59,47 @@ func (a *Hybrid) OnWorkerArrival(w int, now float64) {
 	if workerMatched(a.p, w) {
 		return // the guide path matched it
 	}
-	// Guide miss: try the greedy fallback over all waiting tasks.
-	worker := a.p.Worker(w)
-	velocity := a.p.Velocity()
-	a.deadIDs = a.deadIDs[:0]
-	pos := a.p.WorkerPos(w, now)
-	t, _ := a.waitingTasks.Nearest(pos, a.maxTaskBudget*velocity, func(t int) bool {
-		if !a.p.TaskAvailable(t, now) {
-			a.deadIDs = append(a.deadIDs, t)
-			return false
-		}
-		return model.FeasibleAt(worker, a.p.Task(t), pos, now, velocity)
-	})
-	for _, id := range a.deadIDs {
-		a.waitingTasks.Remove(id)
-	}
-	if t >= 0 && a.p.TryMatch(w, t, now) {
-		a.waitingTasks.Remove(t)
+	// Guide miss: try the greedy fallback over all waiting tasks; still
+	// unmatched, the worker waits there for future fallbacks.
+	if a.offerWorker(w, now) {
 		a.fallbackMatches++
-		return
 	}
-	// Still unmatched: track it for future fallbacks. The guide may have
-	// dispatched it; index its initial position and let feasibility checks
-	// use live positions.
-	a.waitingWorkers.Insert(w, worker.Loc)
 }
 
 // OnTaskArrival implements sim.Algorithm.
 func (a *Hybrid) OnTaskArrival(t int, now float64) {
-	task := a.p.Task(t)
-	if task.Expiry > a.maxTaskBudget {
-		a.maxTaskBudget = task.Expiry
-	}
+	a.noteTask(a.p.Task(t))
 	a.op.OnTaskArrival(t, now)
 	if taskMatched(a.p, t) {
 		return
 	}
-	velocity := a.p.Velocity()
-	a.deadIDs = a.deadIDs[:0]
-	w, _ := a.waitingWorkers.Nearest(task.Loc, task.Expiry*velocity*2, func(w int) bool {
-		if !a.p.WorkerAvailable(w, now) {
-			a.deadIDs = append(a.deadIDs, w)
-			return false
-		}
-		return model.FeasibleAt(a.p.Worker(w), task, a.p.WorkerPos(w, now), now, velocity)
-	})
-	for _, id := range a.deadIDs {
-		a.waitingWorkers.Remove(id)
-	}
-	if w >= 0 && a.p.TryMatch(w, t, now) {
-		a.waitingWorkers.Remove(w)
+	if a.offerTask(t, now) {
 		a.fallbackMatches++
-		return
 	}
-	a.waitingTasks.Insert(t, task.Loc)
 }
 
 // OnFinish implements sim.Algorithm.
 func (a *Hybrid) OnFinish(now float64) { a.op.OnFinish(now) }
 
 // Remap implements sim.RetirableAlgorithm: both halves rebase — the
-// guide-path queues via POLAROP's remap and the fallback waiting indexes
-// via the spatial re-key.
+// guide-path queues via POLAROP's remap and the fallback pool's indexes.
 func (a *Hybrid) Remap(workers, tasks []int32) {
 	a.op.Remap(workers, tasks)
-	a.waitingWorkers.Remap(workers)
-	a.waitingTasks.Remap(tasks)
-}
-
-// Reserve implements sim.Reserver for the fallback waiting indexes; the
-// guide path's state is per cell, not per handle.
-func (a *Hybrid) Reserve(workers, tasks int) {
-	a.waitingWorkers.Reserve(workers)
-	a.waitingTasks.Reserve(tasks)
+	a.waitPool.Remap(workers, tasks)
 }
 
 // OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: both halves
 // retract — the guide-path queue entry sentinels via POLAROP's hook and
-// the fallback waiting index drops the id.
+// the fallback pool drops the id.
 func (a *Hybrid) OnWorkerWithdraw(w int, now float64) {
 	a.op.OnWorkerWithdraw(w, now)
-	a.waitingWorkers.Remove(w)
+	a.waitPool.OnWorkerWithdraw(w, now)
 }
 
 // OnTaskWithdraw is OnWorkerWithdraw for the task side.
 func (a *Hybrid) OnTaskWithdraw(t int, now float64) {
 	a.op.OnTaskWithdraw(t, now)
-	a.waitingTasks.Remove(t)
+	a.waitPool.OnTaskWithdraw(t, now)
 }
 
 // workerMatched and taskMatched probe availability at time 0 as a cheap

@@ -3,7 +3,6 @@ package core
 import (
 	"ftoa/internal/model"
 	"ftoa/internal/sim"
-	"ftoa/internal/spatial"
 )
 
 // TGOA is the two-sided online algorithm of Tong et al. (ICDE 2016) — the
@@ -27,25 +26,21 @@ import (
 //
 // The virtual matching is kept in TGOA's own arrival-ordered ghost arenas
 // (a private copy of every admitted object), not in platform handles:
-// the hypothetical optimum ranges over ALL objects ever seen — matched
-// and expired ones included — so it must survive arena retirement intact
-// for retirement to stay behaviour-neutral. This means TGOA's memory
-// grows with lifetime arrivals by design (the price of its competitive
-// analysis); only the greedy-phase waiting indexes compact.
+// the hypothetical optimum ranges over ALL objects ever seen — matched,
+// expired and withdrawn ones included — so it must survive arena
+// retirement and withdrawal intact for both to stay behaviour-neutral. A
+// withdrawn object's ghost stays in the virtual matching on purpose; the
+// second-half commit path re-checks availability through the platform,
+// which reports it dead. This means TGOA's memory grows with lifetime
+// arrivals by design (the price of its competitive analysis); only the
+// wait-in-place pool compacts, and the pool's withdraw hooks are TGOA's.
 type TGOA struct {
-	p sim.Platform
+	// waitPool is the greedy first half, and holds the second half's
+	// waiters too, keyed by platform handle and rebased by Remap.
+	waitPool
 
 	total   int // hinted |W| + |R|, to locate the halfway point; 0 = unknown
 	arrived int
-
-	// Greedy-phase state (same machinery as SimpleGreedy), keyed by
-	// platform handle and rebased by Remap.
-	waitingWorkers *spatial.Index
-	waitingTasks   *spatial.Index
-	// maxTaskBudget is the running max of Dr over admitted tasks; pruning
-	// with it is lossless, see the SimpleGreedy field of the same name.
-	maxTaskBudget float64
-	deadIDs       []int
 
 	// Ghost arenas: one entry per arrival, in arrival order, never
 	// compacted. Internal ids (indexes into ws/ts) are the nodes of the
@@ -72,7 +67,7 @@ func (a *TGOA) Name() string { return "TGOA" }
 
 // Init implements sim.Algorithm.
 func (a *TGOA) Init(p sim.Platform) {
-	a.p = p
+	a.init(p)
 	h := p.Hints()
 	// The phase split needs the full population; a one-sided hint would
 	// place the halfway point far too early, so it counts as unknown.
@@ -81,9 +76,6 @@ func (a *TGOA) Init(p sim.Platform) {
 		a.total = h.ExpectedWorkers + h.ExpectedTasks
 	}
 	a.arrived = 0
-	a.waitingWorkers = spatial.NewIndex(p.Bounds(), expectedOr(h.ExpectedWorkers, defaultIndexCapacity))
-	a.waitingTasks = spatial.NewIndex(p.Bounds(), expectedOr(h.ExpectedTasks, defaultIndexCapacity))
-	a.maxTaskBudget = 0
 	a.ws = a.ws[:0]
 	a.ts = a.ts[:0]
 	a.i2hW = a.i2hW[:0]
@@ -108,30 +100,24 @@ func (a *TGOA) OnWorkerArrival(w int, now float64) {
 	a.virtW = append(a.virtW, -1)
 	a.markW = append(a.markW, false)
 	a.augmentFromWorker(iw)
-	worker := a.p.Worker(w)
-	velocity := a.p.Velocity()
-
 	if !a.secondHalf() {
-		// First half: plain greedy.
-		if t := a.nearestTask(worker, now); t >= 0 && a.p.TryMatch(w, t, now) {
-			a.waitingTasks.Remove(t)
-			return
-		}
-		a.waitingWorkers.Insert(w, worker.Loc)
+		a.offerWorker(w, now) // first half: plain greedy
 		return
 	}
+	worker := a.p.Worker(w)
+	velocity := a.p.Velocity()
 	// Second half: follow the hypothetical optimal matching. A retired
 	// virtual partner (translation -1) is unavailable by construction.
 	if it := a.virtW[iw]; it >= 0 {
 		if th := a.i2hT[it]; th >= 0 && a.p.TaskAvailable(int(th), now) &&
 			model.FeasibleAt(worker, &a.ts[it], worker.Loc, now, velocity) {
 			if a.p.TryMatch(w, int(th), now) {
-				a.waitingTasks.Remove(int(th))
+				a.tasks.Remove(int(th))
 				return
 			}
 		}
 	}
-	a.waitingWorkers.Insert(w, worker.Loc)
+	a.workers.Insert(w, worker.Loc)
 }
 
 // OnTaskArrival implements sim.Algorithm.
@@ -143,30 +129,22 @@ func (a *TGOA) OnTaskArrival(t int, now float64) {
 	a.virtT = append(a.virtT, -1)
 	a.mark = append(a.mark, false)
 	a.augmentFromTask(it)
-	task := a.p.Task(t)
-	velocity := a.p.Velocity()
-	if task.Expiry > a.maxTaskBudget {
-		a.maxTaskBudget = task.Expiry
-	}
-
 	if !a.secondHalf() {
-		if w := a.nearestWorker(task, now); w >= 0 && a.p.TryMatch(w, t, now) {
-			a.waitingWorkers.Remove(w)
-			return
-		}
-		a.waitingTasks.Insert(t, task.Loc)
+		a.offerTask(t, now)
 		return
 	}
+	task := a.p.Task(t)
+	velocity := a.p.Velocity()
 	if iw := a.virtT[it]; iw >= 0 {
 		if wh := a.i2hW[iw]; wh >= 0 && a.p.WorkerAvailable(int(wh), now) &&
 			model.FeasibleAt(&a.ws[iw], task, a.ws[iw].Loc, now, velocity) {
 			if a.p.TryMatch(int(wh), t, now) {
-				a.waitingWorkers.Remove(int(wh))
+				a.workers.Remove(int(wh))
 				return
 			}
 		}
 	}
-	a.waitingTasks.Insert(t, task.Loc)
+	a.tasks.Insert(t, task.Loc)
 }
 
 // OnFinish implements sim.Algorithm.
@@ -175,8 +153,7 @@ func (a *TGOA) OnFinish(now float64) {}
 // Remap implements sim.RetirableAlgorithm. The ghost arenas and the
 // virtual matching over them are untouched — the hypothetical optimum
 // ranges over all objects ever seen, which is exactly why it lives in
-// internal ids — so only the handle translations and the greedy waiting
-// indexes rebase.
+// internal ids — so only the handle translations and the pool rebase.
 func (a *TGOA) Remap(workers, tasks []int32) {
 	for i, h := range a.i2hW {
 		if h >= 0 {
@@ -188,61 +165,7 @@ func (a *TGOA) Remap(workers, tasks []int32) {
 			a.i2hT[i] = tasks[h]
 		}
 	}
-	a.waitingWorkers.Remap(workers)
-	a.waitingTasks.Remap(tasks)
-}
-
-// Reserve implements sim.Reserver: the greedy-phase waiting indexes'
-// id tables are keyed by handle. The ghost arenas grow with lifetime
-// arrivals whatever one epoch holds, so they are left to append.
-func (a *TGOA) Reserve(workers, tasks int) {
-	a.waitingWorkers.Reserve(workers)
-	a.waitingTasks.Reserve(tasks)
-}
-
-// OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: the greedy-phase
-// waiting index drops the worker. Its ghost copy stays in the virtual
-// matching on purpose — the hypothetical optimum ranges over every object
-// ever seen, withdrawn ones included, exactly as it keeps matched and
-// expired ones — and the second-half commit path re-checks availability
-// through the platform, which now reports the worker dead.
-func (a *TGOA) OnWorkerWithdraw(w int, now float64) { a.waitingWorkers.Remove(w) }
-
-// OnTaskWithdraw is OnWorkerWithdraw for the task side.
-func (a *TGOA) OnTaskWithdraw(t int, now float64) { a.waitingTasks.Remove(t) }
-
-// nearestTask / nearestWorker are the greedy-phase searches.
-func (a *TGOA) nearestTask(worker *model.Worker, now float64) int {
-	velocity := a.p.Velocity()
-	a.deadIDs = a.deadIDs[:0]
-	t, _ := a.waitingTasks.Nearest(worker.Loc, a.maxTaskBudget*velocity, func(t int) bool {
-		if !a.p.TaskAvailable(t, now) {
-			a.deadIDs = append(a.deadIDs, t)
-			return false
-		}
-		return model.FeasibleAt(worker, a.p.Task(t), worker.Loc, now, velocity)
-	})
-	for _, id := range a.deadIDs {
-		a.waitingTasks.Remove(id)
-	}
-	return t
-}
-
-func (a *TGOA) nearestWorker(task *model.Task, now float64) int {
-	velocity := a.p.Velocity()
-	a.deadIDs = a.deadIDs[:0]
-	w, _ := a.waitingWorkers.Nearest(task.Loc, task.Expiry*velocity, func(w int) bool {
-		if !a.p.WorkerAvailable(w, now) {
-			a.deadIDs = append(a.deadIDs, w)
-			return false
-		}
-		worker := a.p.Worker(w)
-		return model.FeasibleAt(worker, task, worker.Loc, now, velocity)
-	})
-	for _, id := range a.deadIDs {
-		a.waitingWorkers.Remove(id)
-	}
-	return w
+	a.waitPool.Remap(workers, tasks)
 }
 
 // feasibleWaitInPlace is the pair predicate of TGOA's own online model

@@ -69,12 +69,11 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 	seen := make(map[chaosEndpoint]int)
 	var gone int
 	sub := wire.NewRetrier(wire.RetryConfig{
-		Addr:             addr,
-		RequestTimeout:   2 * time.Second,
-		BackoffBase:      5 * time.Millisecond,
-		BreakerThreshold: -1,
-		Subscribe:        true,
-		SubscribeSince:   0,
+		Addr:           addr,
+		RequestTimeout: 2 * time.Second,
+		BackoffBase:    5 * time.Millisecond,
+		Subscribe:      true,
+		SubscribeSince: 0,
 		OnEvents: func(_ uint64, evs []wire.Event) {
 			vmu.Lock()
 			for i := range evs {
@@ -112,10 +111,9 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			r := wire.NewRetrier(wire.RetryConfig{
-				Addr:             addr,
-				RequestTimeout:   2 * time.Second,
-				BackoffBase:      5 * time.Millisecond,
-				BreakerThreshold: -1,
+				Addr:           addr,
+				RequestTimeout: 2 * time.Second,
+				BackoffBase:    5 * time.Millisecond,
 			})
 			defer func() {
 				rmu.Lock()

@@ -222,10 +222,9 @@ func TestWireSubscribeAheadOfRestartedServer(t *testing.T) {
 			defer mu.Unlock()
 			return net.Dial("tcp", addr)
 		},
-		BackoffBase:      5 * time.Millisecond,
-		BreakerThreshold: -1,
-		Subscribe:        true,
-		SubscribeSince:   0,
+		BackoffBase:    5 * time.Millisecond,
+		Subscribe:      true,
+		SubscribeSince: 0,
 		OnEvents: func(_ uint64, evs []wire.Event) {
 			mu.Lock()
 			for i := range evs {

@@ -2,7 +2,7 @@
 // RPCs and an optional event subscription, demultiplexed by a single
 // reader goroutine. Used by cmd/ftoa-loadgen and the serve-layer tests.
 // Client is one connection and dies with it; Retrier (retry.go) wraps it
-// with reconnection, resend and a circuit breaker.
+// with reconnection and resend.
 package wire
 
 import (
@@ -37,7 +37,6 @@ type GoneHandler func(oldest uint64)
 type Client struct {
 	cn  *Conn
 	ack HelloAck
-	id  uint64
 
 	// seq feeds the idempotency tokens Do assigns to effectful requests
 	// whose Seq is zero. It only grows, even across errors, so a token
@@ -90,7 +89,6 @@ func NewClientID(c net.Conn, clientID uint64) (*Client, error) {
 	cl := &Client{
 		cn:         cn,
 		ack:        ack,
-		id:         clientID,
 		inflight:   make(map[uint64]chan []Result),
 		readerDone: make(chan struct{}),
 	}
@@ -101,22 +99,11 @@ func NewClientID(c net.Conn, clientID uint64) (*Client, error) {
 // Hello returns the server's handshake answer (shard count, clock).
 func (cl *Client) Hello() HelloAck { return cl.ack }
 
-// ClientID returns the id this connection handshook under.
-func (cl *Client) ClientID() uint64 { return cl.id }
-
 // SetRequestTimeout bounds every subsequent Do from send to reply; zero
 // (the default) waits forever. A timed-out batch may still execute —
 // drop the connection and re-send with the same seqs to resolve the
 // ambiguity through the server's dedup window.
 func (cl *Client) SetRequestTimeout(d time.Duration) { cl.timeout.Store(int64(d)) }
-
-// SetSeq positions the idempotency counter so the next auto-assigned
-// token is seq+1. A Retrier carrying its counter across reconnects uses
-// this to keep tokens monotone within the client id.
-func (cl *Client) SetSeq(seq uint64) { cl.seq.Store(seq) }
-
-// Seq returns the last assigned idempotency token.
-func (cl *Client) Seq() uint64 { return cl.seq.Load() }
 
 // Subscribe asks for event push starting at since (SinceNow for the
 // stream head). Handlers run on the reader goroutine. Call at most once,

@@ -2,8 +2,8 @@
 // contract: automatic reconnection under capped exponential backoff with
 // full jitter, resubmission of batches whose ack was lost (safe because
 // every effectful request carries an idempotency token the server
-// dedups), resumable event subscription from the last delivered cursor,
-// and a circuit breaker with half-open probing.
+// dedups), and resumable event subscription from the last delivered
+// cursor.
 package wire
 
 import (
@@ -16,12 +16,6 @@ import (
 	"time"
 )
 
-// ErrCircuitOpen is returned by Do when the circuit breaker is open and
-// nothing of the batch has been sent yet — failing fast is safe exactly
-// until the first send, after which Do must block and resolve the batch
-// through the dedup window.
-var ErrCircuitOpen = errors.New("wire: circuit open")
-
 // ErrRetrierClosed is returned by Do after Close.
 var ErrRetrierClosed = errors.New("wire: retrier closed")
 
@@ -33,9 +27,6 @@ type RetryConfig struct {
 	// Dial overrides the transport, e.g. to route through a chaos proxy
 	// or an in-process pipe.
 	Dial func() (net.Conn, error)
-	// ClientID is the stable idempotency identity presented on every
-	// handshake; 0 picks a random one at construction.
-	ClientID uint64
 	// RequestTimeout bounds each attempt of a batch from send to reply
 	// (0: 10s). On expiry the connection is dropped and the batch
 	// re-sent on the next one.
@@ -44,12 +35,6 @@ type RetryConfig struct {
 	// uniform(0, min(cap, base<<n)) — full jitter (0: 50ms / 5s).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// BreakerThreshold consecutive connect failures open the breaker
-	// (0: 8; negative: never open).
-	BreakerThreshold int
-	// BreakerCooldown is the first open interval; each failed half-open
-	// probe doubles it, capped at 16x (0: 1s).
-	BreakerCooldown time.Duration
 	// Subscribe, when true, maintains an event subscription across
 	// reconnects, resuming from the cursor after the last delivered
 	// frame. SubscribeSince seeds the cursor (use SinceNow for the
@@ -69,9 +54,6 @@ func (c *RetryConfig) withDefaults() RetryConfig {
 		addr := d.Addr
 		d.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	if d.ClientID == 0 {
-		d.ClientID = RandomClientID()
-	}
 	if d.RequestTimeout == 0 {
 		d.RequestTimeout = 10 * time.Second
 	}
@@ -81,12 +63,6 @@ func (c *RetryConfig) withDefaults() RetryConfig {
 	if d.BackoffCap <= 0 {
 		d.BackoffCap = 5 * time.Second
 	}
-	if d.BreakerThreshold == 0 {
-		d.BreakerThreshold = 8
-	}
-	if d.BreakerCooldown <= 0 {
-		d.BreakerCooldown = time.Second
-	}
 	return d
 }
 
@@ -95,15 +71,15 @@ func (c *RetryConfig) withDefaults() RetryConfig {
 // server acknowledges it exactly once. Safe for concurrent use.
 type Retrier struct {
 	cfg RetryConfig
+	id  uint64        // stable idempotency identity, presented on every handshake
 	seq atomic.Uint64 // idempotency tokens, shared across connections
 
-	mu      sync.Mutex
-	cur     *Client
-	gen     uint64        // bumped on every successful connect
-	ready   chan struct{} // closed while cur != nil; replaced on loss
-	closed  bool
-	fatal   error     // handshake refusal: retrying cannot help
-	openTil time.Time // breaker: fail fast until then
+	mu     sync.Mutex
+	cur    *Client
+	gen    uint64        // bumped on every successful connect
+	ready  chan struct{} // closed while cur != nil; replaced on loss
+	closed bool
+	fatal  error // handshake refusal: retrying cannot help
 
 	done chan struct{} // closed by Close
 
@@ -120,15 +96,13 @@ type Retrier struct {
 func NewRetrier(cfg RetryConfig) *Retrier {
 	r := &Retrier{
 		cfg:   cfg.withDefaults(),
+		id:    RandomClientID(),
 		ready: make(chan struct{}),
 		done:  make(chan struct{}),
 	}
 	go r.run()
 	return r
 }
-
-// ClientID returns the stable identity every handshake presents.
-func (r *Retrier) ClientID() uint64 { return r.cfg.ClientID }
 
 // Reconnects counts successful connections beyond the first.
 func (r *Retrier) Reconnects() uint64 { return r.reconnects.Load() }
@@ -171,8 +145,7 @@ func (r *Retrier) WaitConnect(patience time.Duration) (HelloAck, error) {
 // however many reconnects that takes. Effectful requests with Seq 0 get
 // tokens assigned in place before the first send and keep them on every
 // resend, so the reply is the original receipt even when an earlier
-// attempt executed. Fails fast with ErrCircuitOpen only while nothing
-// has been sent; fails with the handshake refusal if the server rejects
+// attempt executed. Fails with the handshake refusal if the server rejects
 // this client outright.
 func (r *Retrier) Do(reqs []Request) ([]Result, error) {
 	for i := range reqs {
@@ -180,18 +153,16 @@ func (r *Retrier) Do(reqs []Request) ([]Result, error) {
 			reqs[i].Seq = r.seq.Add(1)
 		}
 	}
-	sent := false
 	var lastGen uint64
 	for {
-		cl, gen, err := r.await(lastGen, !sent)
+		cl, gen, err := r.await(lastGen)
 		if err != nil {
 			return nil, err
 		}
-		lastGen = gen
-		if sent {
+		if lastGen > 0 {
 			r.resends.Add(1)
 		}
-		sent = true
+		lastGen = gen
 		res, err := cl.Do(reqs)
 		if err == nil {
 			return res, nil
@@ -202,9 +173,8 @@ func (r *Retrier) Do(reqs []Request) ([]Result, error) {
 	}
 }
 
-// await blocks until a connection newer than minGen is up. With failFast
-// it instead returns ErrCircuitOpen whenever the breaker is open.
-func (r *Retrier) await(minGen uint64, failFast bool) (*Client, uint64, error) {
+// await blocks until a connection newer than minGen is up.
+func (r *Retrier) await(minGen uint64) (*Client, uint64, error) {
 	for {
 		r.mu.Lock()
 		switch {
@@ -219,19 +189,13 @@ func (r *Retrier) await(minGen uint64, failFast bool) (*Client, uint64, error) {
 			cl, gen := r.cur, r.gen
 			r.mu.Unlock()
 			return cl, gen, nil
-		case failFast && time.Now().Before(r.openTil):
-			r.mu.Unlock()
-			return nil, 0, ErrCircuitOpen
 		}
 		ch := r.ready
 		r.mu.Unlock()
-		t := time.NewTimer(50 * time.Millisecond) // re-check breaker state
 		select {
 		case <-ch:
 		case <-r.done:
-		case <-t.C:
 		}
-		t.Stop()
 	}
 }
 
@@ -251,12 +215,10 @@ func (r *Retrier) Close() {
 	}
 }
 
-// run owns the connection lifecycle: connect (with backoff, breaker
-// accounting and half-open probing), resubscribe, publish, wait for
-// death, repeat.
+// run owns the connection lifecycle: connect (with backoff), resubscribe,
+// publish, wait for death, repeat.
 func (r *Retrier) run() {
 	fails := 0
-	cooldown := r.cfg.BreakerCooldown
 	first := true
 	for {
 		select {
@@ -278,25 +240,11 @@ func (r *Retrier) run() {
 				return
 			}
 			fails++
-			if r.cfg.BreakerThreshold > 0 && fails >= r.cfg.BreakerThreshold {
-				// Open (or re-open after a failed half-open probe): fail
-				// fast and back off harder each time, capped at 16x.
-				r.mu.Lock()
-				r.openTil = time.Now().Add(cooldown)
-				r.mu.Unlock()
-				r.sleep(cooldown)
-				if cooldown < r.cfg.BreakerCooldown<<4 {
-					cooldown <<= 1
-				}
-				continue
-			}
 			r.sleep(backoff(r.cfg.BackoffBase, r.cfg.BackoffCap, fails))
 			continue
 		}
 		fails = 0
-		cooldown = r.cfg.BreakerCooldown
 		r.mu.Lock()
-		r.openTil = time.Time{}
 		if r.closed {
 			r.mu.Unlock()
 			cl.Close()
@@ -331,7 +279,7 @@ func (r *Retrier) connect() (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := NewClientID(c, r.cfg.ClientID)
+	cl, err := NewClientID(c, r.id)
 	if err != nil {
 		return nil, err
 	}

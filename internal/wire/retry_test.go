@@ -82,10 +82,9 @@ func TestRetrierExactlyOnceAcrossDrop(t *testing.T) {
 	defer stop()
 
 	r := NewRetrier(RetryConfig{
-		Addr:             addr,
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       10 * time.Millisecond,
-		BreakerThreshold: -1,
+		Addr:        addr,
+		BackoffBase: time.Millisecond,
+		BackoffCap:  10 * time.Millisecond,
 	})
 	defer r.Close()
 	res, err := r.Do([]Request{
@@ -138,84 +137,6 @@ func TestRetrierFatalRefusal(t *testing.T) {
 	}
 }
 
-// TestRetrierBreakerHalfOpen: consecutive connect failures open the
-// breaker (Do fails fast pre-send with ErrCircuitOpen); once the target
-// heals, a half-open probe reconnects and Do succeeds again.
-func TestRetrierBreakerHalfOpen(t *testing.T) {
-	addr, stop := flakyServer(t, func(cn *Conn, idx int) {
-		if _, err := ServerHandshake(cn, 1, 0); err != nil {
-			return
-		}
-		for {
-			p, err := cn.ReadFrame()
-			if err != nil || len(p) == 0 || p[0] != MsgBatch {
-				return
-			}
-			id, reqs, err := DecodeBatch(p, nil)
-			if err != nil {
-				return
-			}
-			results := make([]Result, len(reqs))
-			for i := range results {
-				results[i] = Result{Kind: reqs[i].Kind, Status: StatusOK}
-			}
-			if cn.WriteFrame(AppendBatchReply(nil, id, results)) != nil {
-				return
-			}
-		}
-	})
-	defer stop()
-
-	var healthy atomic.Bool
-	r := NewRetrier(RetryConfig{
-		Dial: func() (net.Conn, error) {
-			if !healthy.Load() {
-				return nil, errors.New("host unreachable")
-			}
-			return net.Dial("tcp", addr)
-		},
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       5 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  100 * time.Millisecond,
-	})
-	defer r.Close()
-
-	// While the target is down the breaker opens; a Do that has sent
-	// nothing yet must fail fast rather than queue behind a dead host.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, err := r.Do([]Request{{Kind: ReqAdvance}})
-		if errors.Is(err, ErrCircuitOpen) {
-			break
-		}
-		if err == nil {
-			t.Fatal("Do succeeded against a dead dialer")
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened; last err %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Heal the target: the next half-open probe reconnects and requests
-	// flow again, without any intervention from the caller.
-	healthy.Store(true)
-	for {
-		res, err := r.Do([]Request{{Kind: ReqAdvance}})
-		if err == nil && len(res) == 1 && res[0].Status == StatusOK {
-			break
-		}
-		if !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("Do during recovery = %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never recovered after the target healed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestRetrierResumesSubscription: the subscription survives a dropped
 // connection, resuming from the cursor after the last delivered frame —
 // no event is delivered twice, none is skipped.
@@ -256,12 +177,11 @@ func TestRetrierResumesSubscription(t *testing.T) {
 	var mu sync.Mutex
 	var seqs []uint64
 	r := NewRetrier(RetryConfig{
-		Addr:             addr,
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       10 * time.Millisecond,
-		BreakerThreshold: -1,
-		Subscribe:        true,
-		SubscribeSince:   0,
+		Addr:           addr,
+		BackoffBase:    time.Millisecond,
+		BackoffCap:     10 * time.Millisecond,
+		Subscribe:      true,
+		SubscribeSince: 0,
 		OnEvents: func(_ uint64, evs []Event) {
 			mu.Lock()
 			for i := range evs {

@@ -91,6 +91,10 @@ const (
 	MaxBatch   = 4096
 )
 
+// maxMsg caps the message an Error frame or a StatusErr result carries;
+// longer ones are cut on encode.
+const maxMsg = 1 << 10
+
 // Message types (first payload byte).
 const (
 	MsgHello      byte = 0x01 // c→s: magic, version, u64 client id
@@ -228,8 +232,8 @@ func AppendHelloAck(dst []byte, shards uint32, now float64) []byte {
 
 // AppendError encodes an Error payload.
 func AppendError(dst []byte, msg string) []byte {
-	if len(msg) > 1<<10 {
-		msg = msg[:1<<10]
+	if len(msg) > maxMsg {
+		msg = msg[:maxMsg]
 	}
 	dst = append(dst, MsgError)
 	dst = appendU16(dst, uint16(len(msg)))
@@ -296,8 +300,8 @@ func AppendBatchReply(dst []byte, id uint64, results []Result) []byte {
 			dst = appendF64(dst, r.RetryAfter)
 		default:
 			msg := r.Msg
-			if len(msg) > 1<<10 {
-				msg = msg[:1<<10]
+			if len(msg) > maxMsg {
+				msg = msg[:maxMsg]
 			}
 			dst = appendU16(dst, uint16(len(msg)))
 			dst = append(dst, msg...)
