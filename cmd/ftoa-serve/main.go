@@ -50,7 +50,7 @@ func main() {
 	flag.DurationVar(&cfg.Tick, "tick", 250*time.Millisecond, "timer advance interval")
 	shards := flag.String("shards", "1x1", "shard grid as NxM (regions served independently)")
 	flag.Float64Var(&cfg.Halo, "halo", 0, "cross-shard matching reach window in seconds: border arrivals within velocity*halo of a neighbor region are mirrored there so cross-border pairs match (typically the task expiry window; 0 keeps regions disjoint)")
-	flag.IntVar(&cfg.Retention, "retention", 1<<16, "events retained per base-grid shard: /events and /matches read the most recent retention x shards events")
+	flag.IntVar(&cfg.Retention, "retention", 1<<16, "events retained per base-grid shard: /events and /matches read the most recent retention x shards events, held at 32 bytes each (32 MiB at the default on a 4x4 grid)")
 	flag.DurationVar(&cfg.Retire, "retire", time.Minute, "per-shard arena retirement interval; matched and expired objects are compacted away, bounding memory by the live population (0 disables)")
 	flag.StringVar(&cfg.GuidePath, "guide", "", "per-cell count history CSV (ftoa-gen -counts format) for guided algorithms")
 	guideGrid := flag.String("guide-grid", "", "guide grid as CxR (default: infer a square from the history)")

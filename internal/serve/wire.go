@@ -1,12 +1,13 @@
 // Wire listener: the binary serving surface behind StartWire. Batches
 // of arrivals come in as framed wire messages (internal/wire), are fed
-// through the router's per-shard MPSC admission rings (shard.Admitter) —
-// so decoding connections never touch a shard lock — and each batch is
-// answered after all of its admissions drained, so an acknowledged
-// arrival is in its shard (and, on a durable server, WAL-recorded).
-// Subscribed connections get the merged event stream pushed as it grows.
+// through the router's per-shard admission lanes (shard.Admitter: one
+// buffered channel and one drainer per shard) — so decoding connections
+// never touch a shard lock — and each batch is answered after all of its
+// admissions drained, so an acknowledged arrival is in its shard (and, on
+// a durable server, WAL-recorded). Subscribed connections get the merged
+// event stream pushed as it grows.
 //
-// Backpressure is end-to-end: a full ring surfaces as a per-entry BUSY
+// Backpressure is end-to-end: a full lane surfaces as a per-entry BUSY
 // result with a jittered retry-after hint (counted in /stats under
 // "wire"), never as blocking the decode loop.
 //
@@ -41,7 +42,7 @@ import (
 const wireEventPage = 1024
 
 // wireServer owns the wire listener and its connections; admissions go
-// through the server's shared rings (Server.admitter). One goroutine
+// through the server's shared lanes (Server.admitter). One goroutine
 // accepts; each connection gets a reader goroutine (batches on a
 // connection are processed in order — pipelining is across connections)
 // plus, once subscribed, an event pusher.
@@ -57,7 +58,7 @@ type wireServer struct {
 
 	batches  atomic.Uint64
 	requests atomic.Uint64
-	busy     atomic.Uint64 // BUSY results returned (ring backpressure)
+	busy     atomic.Uint64 // BUSY results returned (lane backpressure)
 	deduped  atomic.Uint64 // effectful requests answered from the dedup window
 	protoErr atomic.Uint64 // framing/decode violations that dropped a conn
 	refused  atomic.Uint64 // conns dropped at the door (max-conns, client table full)

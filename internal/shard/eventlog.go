@@ -5,9 +5,10 @@
 // every event's Seq from one atomic counter, so the sequence space is
 // dense and a sequence number is an address: the log is a table of
 // fixed-size segments, seq s lives in slot s%segSize of segment
-// s/segSize, and segments are allocated on first write. collectLocked
-// appends each sequenced batch exactly once (WAL replay goes through the
-// same call); Events, Subscribe and Matches are all reads of this table.
+// s/segSize as a 32-byte record, and segments are allocated on first
+// write. collectLocked appends each sequenced batch exactly once (WAL
+// replay goes through the same call); Events, Subscribe and Matches are
+// all reads of this table.
 //
 // Batches from different shards race, so they can arrive out of Seq
 // order. frontier is one past the highest CONTIGUOUSLY appended seq and
@@ -48,18 +49,55 @@ const (
 	segMask  = segSize - 1
 )
 
+// record is one stored event: an Event less its Seq, which is the slot's
+// address, with handles and shard ids held in the 32 bits they already
+// fit in (sessions keep handles as int32, the WAL and the wire carry shard
+// ids as 32-bit, and newRouterShell refuses a grid whose ids would not).
+// At 32 bytes a segment's array is exactly one 32 KiB size class.
+type record struct {
+	time                                        float64
+	worker, task, shard, workerShard, taskShard int32
+	kind                                        sim.SessionEventKind
+}
+
+// pack stores ev one field at a time: a composite literal is built on the
+// stack with narrow stores and copied out with wide loads, which stalls
+// store forwarding on the append every emission makes.
+func (r *record) pack(ev *Event) {
+	r.time = ev.Time
+	r.worker = int32(ev.Worker)
+	r.task = int32(ev.Task)
+	r.shard = int32(ev.Shard)
+	r.workerShard = int32(ev.WorkerShard)
+	r.taskShard = int32(ev.TaskShard)
+	r.kind = ev.Kind
+}
+
+func (r *record) unpack(seq uint64) Event {
+	return Event{
+		Seq:          seq,
+		Shard:        int(r.shard),
+		SessionEvent: sim.SessionEvent{Kind: r.kind, Worker: int(r.worker), Task: int(r.task), Time: r.time},
+		WorkerShard:  int(r.workerShard),
+		TaskShard:    int(r.taskShard),
+	}
+}
+
 // segment holds the events of one aligned run of segSize sequence
 // numbers. set marks the slots written; matches counts the match events
-// among them.
+// among them. The records are their own allocation, so the header's
+// bitmap and count do not push the array past its size class; a recycled
+// segment clears only the header, and slots left over from its previous
+// run stay unset until written.
 type segment struct {
-	ev      [segSize]Event
+	ev      *[segSize]record
 	set     [segSize / 64]uint64
 	matches uint64
 }
 
 func (s *segment) has(j uint64) bool { return s != nil && s.set[j>>6]>>(j&63)&1 != 0 }
 
-func (s *segment) isMatch(j uint64) bool { return s.has(j) && s.ev[j].Kind == sim.EventMatch }
+func (s *segment) isMatch(j uint64) bool { return s.has(j) && s.ev[j].kind == sim.EventMatch }
 
 // matchCount is matches, zero for a segment that was never written.
 func (s *segment) matchCount() uint64 {
@@ -125,12 +163,12 @@ func (l *eventLog) append(evs []Event) {
 			if s = l.spare; s != nil {
 				l.spare = nil
 			} else {
-				s = new(segment)
+				s = &segment{ev: new([segSize]record)}
 			}
 			l.segs[idx-l.first] = s
 		}
 		j := ev.Seq & segMask
-		s.ev[j] = *ev
+		s.ev[j].pack(ev)
 		s.set[j>>6] |= 1 << (j & 63)
 		if ev.Kind == sim.EventMatch {
 			s.matches++
@@ -241,7 +279,7 @@ func (l *eventLog) read(since uint64, fromOldest bool, limit int, dst []Event) (
 			if !s.has(c & segMask) {
 				continue
 			}
-			dst = append(dst, s.ev[c&segMask])
+			dst = append(dst, s.ev[c&segMask].unpack(c))
 			if len(dst) == full {
 				return dst, c + 1, nil
 			}
@@ -311,7 +349,7 @@ func (l *eventLog) matches(since uint64, fromOldest bool, limit int, dst []Event
 				continue
 			}
 			if ord >= since {
-				dst = append(dst, s.ev[c&segMask])
+				dst = append(dst, s.ev[c&segMask].unpack(c))
 				if limit > 0 && len(dst) == full {
 					return dst, ord + 1, nil
 				}

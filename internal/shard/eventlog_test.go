@@ -1,10 +1,13 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"ftoa/internal/sim"
 )
@@ -400,6 +403,88 @@ func TestEventLogSteadyStateAllocs(t *testing.T) {
 	if total != 9*128 { // AllocsPerRun adds one warm-up run
 		t.Errorf("Next read %d events over 9 pages, want full pages", total)
 	}
+}
+
+// TestEventLogFootprint: a retained event costs its 32-byte record plus
+// its share of a segment header. The record array fills the 32 KiB size
+// class exactly, so no page slack rides along with it.
+func TestEventLogFootprint(t *testing.T) {
+	if n := unsafe.Sizeof([segSize]record{}); n != 32<<10 {
+		t.Fatalf("a segment's records take %d bytes, want exactly 32 KiB", n)
+	}
+	const events = 64 * segSize
+	l := newEventLog(0)
+	batch := make([]Event, 64)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for seq := uint64(0); seq < events; {
+		for i := range batch {
+			batch[i] = Event{Seq: seq, Shard: i, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch, Worker: int(seq), Task: int(seq)}}
+			seq++
+		}
+		l.append(batch)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEvent := float64(int64(after.HeapInuse)-int64(before.HeapInuse)) / events
+	t.Logf("%.2f B of HeapInuse per retained event", perEvent)
+	if perEvent > 33 {
+		t.Errorf("retaining %d events costs %.2f B of HeapInuse each, want at most 33", events, perEvent)
+	}
+	runtime.KeepAlive(l)
+}
+
+// TestEventLogRecordRoundTrip: events at the edges of what a record holds
+// — all three kinds, the -1 side of each expiry, handles and shard ids at
+// MaxInt32, a negative zero, a subnormal and a huge Time — read back
+// exactly through Events, a subscription and Matches.
+func TestEventLogRecordRoundTrip(t *testing.T) {
+	const big = math.MaxInt32
+	in := []Event{
+		{Seq: 0, Shard: big, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch, Worker: big, Task: big, Time: 1e300}, WorkerShard: big, TaskShard: big},
+		{Seq: 1, Shard: big, SessionEvent: sim.SessionEvent{Kind: sim.EventWorkerExpired, Worker: big, Task: -1, Time: math.Copysign(0, -1)}, WorkerShard: big, TaskShard: -1},
+		{Seq: 2, Shard: 0, SessionEvent: sim.SessionEvent{Kind: sim.EventTaskExpired, Worker: -1, Task: big, Time: math.SmallestNonzeroFloat64}, WorkerShard: -1, TaskShard: 0},
+		{Seq: 3, Shard: 7, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch, Worker: 0, Task: 0, Time: 0}, WorkerShard: 5, TaskShard: 6},
+	}
+	r, err := NewRouter(testConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.log.append(in)
+	r.seq.Store(uint64(len(in)))
+	var matches []Event
+	for _, ev := range in {
+		if ev.Kind == sim.EventMatch {
+			matches = append(matches, ev)
+		}
+	}
+	same := func(via string, got, want []Event) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s read back %+v, want %+v", via, got, want)
+		}
+		for i := range got {
+			if math.Float64bits(got[i].Time) != math.Float64bits(want[i].Time) {
+				t.Fatalf("%s: event %d Time bits %#x, want %#x", via, i, math.Float64bits(got[i].Time), math.Float64bits(want[i].Time))
+			}
+		}
+	}
+	got, _, err := r.Events(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("Events", got, in)
+	sub := r.Subscribe(0)
+	defer sub.Close()
+	if got, _, err = sub.Next(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	same("EventSub.Next", got, in)
+	if got, _, err = r.Matches(0, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	same("Matches", got, matches)
 }
 
 // BenchmarkEventLogAppend prices the append collectLocked makes for every

@@ -52,7 +52,8 @@ type Config struct {
 	// Cols, Rows shape the base shard grid. 1×1 is a valid single-shard
 	// deployment and behaves exactly like one session behind one lock.
 	// Rebalance refines the base grid online; the static layout is the
-	// initial topology.
+	// initial topology. Shard ids are 32-bit, so Cols × Rows ×
+	// 4^MaxSplitDepth must not exceed MaxInt32.
 	Cols, Rows int
 	// Halo, when positive, enables cross-shard border matching: an
 	// admission within Halo (a distance) of a neighboring region is
@@ -333,6 +334,10 @@ func NewRouter(cfg Config) (*Router, error) {
 func newRouterShell(cfg Config) (*Router, error) {
 	if cfg.Cols <= 0 || cfg.Rows <= 0 {
 		return nil, fmt.Errorf("shard: non-positive grid %dx%d", cfg.Cols, cfg.Rows)
+	}
+	if cfg.Cols > maxBaseCells/cfg.Rows {
+		return nil, fmt.Errorf("shard: grid %dx%d has more than %d cells: split %d deep, its shard ids would exceed MaxInt32",
+			cfg.Cols, cfg.Rows, maxBaseCells, MaxSplitDepth)
 	}
 	if cfg.NewAlgorithm == nil {
 		return nil, errors.New("shard: nil NewAlgorithm")

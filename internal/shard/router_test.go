@@ -3,6 +3,7 @@ package shard
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -77,6 +78,23 @@ func TestNewRouterValidates(t *testing.T) {
 	bad.Matcher.Bounds = geo.Rect{} // degenerate bounds must error, not panic in grid construction
 	if _, err := NewRouter(bad); err == nil {
 		t.Error("empty bounds accepted")
+	}
+}
+
+// TestNewRouterRefusesShardIDOverflow: a base grid whose fully split
+// topology would number regions past MaxInt32 is refused, since shard ids
+// are 32-bit in the WAL, on the wire and in the event log. Acceptance is
+// checked on the validating shell alone: building 512×512 sessions would
+// cost the test hundreds of megabytes.
+func TestNewRouterRefusesShardIDOverflow(t *testing.T) {
+	for _, grid := range [][2]int{{1024, 1024}, {512, 1024}, {1 << 40, 1 << 40}} {
+		_, err := NewRouter(testConfig(grid[0], grid[1]))
+		if err == nil || !strings.Contains(err.Error(), "MaxInt32") {
+			t.Errorf("%dx%d: err = %v, want a refusal naming MaxInt32", grid[0], grid[1], err)
+		}
+	}
+	if _, err := newRouterShell(testConfig(512, 512)); err != nil {
+		t.Errorf("512x512 (2^30 regions fully split) refused: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"ftoa/internal/geo"
 )
@@ -31,6 +32,11 @@ type Topology struct {
 // depth 6 a single cell already holds 4096 leaf regions. Split refuses to
 // refine past it, and policy layers (shard/rebalance) clamp to it.
 const MaxSplitDepth = 6
+
+// maxBaseCells is the largest base grid whose fully split topology keeps
+// every region id within MaxInt32: shard ids are 32-bit in the WAL, on
+// the wire and in the event log.
+const maxBaseCells = math.MaxInt32 >> (2 * MaxSplitDepth)
 
 // maxSplitDepth is the internal alias predating the export.
 const maxSplitDepth = MaxSplitDepth
