@@ -13,10 +13,9 @@
 // The report is machine-readable JSON on stdout (or -out). "rps" counts
 // every acknowledged request — including BUSY rejections, which are the
 // server's backpressure working as designed — while "admitted_rps"
-// counts only successful admissions; CI gates on proto_errors == 0 and
-// an rps floor. Latency percentiles are over batch round-trips: with
-// batching, that IS the admission latency every request in the batch
-// experienced.
+// counts only successful admissions. Latency percentiles are over batch
+// round-trips: with batching, that IS the admission latency every
+// request in the batch experienced.
 //
 // Per-entry BUSY refusals are retried up to -busy-retries times after
 // sleeping the server's Retry-After hint; "retried" counts the
@@ -24,17 +23,16 @@
 // out. Every attempt counts toward "requests", so requests ==
 // admitted + busy + errors always holds.
 //
-// Fault-tolerance harness: -resilient swaps each connection's client
-// for a wire.Retrier (reconnect + idempotent resend), -chaos interposes
-// an internal/netfault proxy injecting latency, resets, stalls and
-// partitions, and -verify subscribes to the merged event stream and
-// checks the exactly-once invariant — every acknowledged admission
-// appears in the stream exactly once, nothing else does. See
-// docs/chaos.md.
+// The end-to-end gates on this path are Go tests: the TestServe* tests
+// in main_test.go drive run against the server booted in process
+// (hotspot throughput, the static-vs-adaptive rebalance pairs, the
+// 16-subscriber fan-out), and the exactly-once chaos soak is
+// TestChaosSoakExactlyOnce in internal/serve (docs/chaos.md).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -47,7 +45,6 @@ import (
 	"time"
 
 	"ftoa"
-	"ftoa/internal/netfault"
 	"ftoa/internal/wire"
 )
 
@@ -71,51 +68,9 @@ type genConfig struct {
 	// busyRetries bounds per-entry BUSY re-submissions (0 disables); each
 	// retry sleeps the server's Retry-After hint first.
 	busyRetries int
-	// resilient swaps each connection's client for a wire.Retrier:
-	// reconnect with backoff, idempotent resend, per-request deadlines.
-	resilient      bool
-	requestTimeout time.Duration
-	// chaos interposes an internal/netfault proxy between the
-	// connections and addr; chaosSeed makes its fault schedule
-	// reproducible.
-	chaos     bool
-	chaosSeed int64
-	// verify subscribes to the merged event stream and checks the
-	// exactly-once invariant after the load completes.
-	verify        bool
-	verifyTimeout time.Duration
 	// subscribers opens N event-stream subscriptions alongside the
 	// admission load and reports delivery lag and throughput.
 	subscribers int
-
-	// dialAddr is what connections actually dial: addr, or the chaos
-	// proxy in front of it. Set by run.
-	dialAddr string
-}
-
-// chaosReport is the netfault proxy's accounting, embedded in the report.
-type chaosReport struct {
-	Conns      uint64 `json:"conns"`
-	DialErrors uint64 `json:"dial_errors"`
-	Resets     uint64 `json:"resets"`
-	Stalls     uint64 `json:"stalls"`
-	Partitions uint64 `json:"partitions"`
-	BytesIn    uint64 `json:"bytes_in"`
-	BytesOut   uint64 `json:"bytes_out"`
-}
-
-// verifyReport scores the exactly-once invariant: every acknowledged
-// admission appears in the merged event stream exactly once (as a match
-// endpoint or an expiry), and nothing unacknowledged appears at all.
-type verifyReport struct {
-	Acked      uint64 `json:"acked"`       // distinct acknowledged admissions
-	AckedDup   uint64 `json:"acked_dup"`   // same endpoint acknowledged twice (client/server bug)
-	Observed   uint64 `json:"observed"`    // acked endpoints seen terminal in the stream
-	Duplicates uint64 `json:"duplicates"`  // endpoints terminal more than once
-	Missing    uint64 `json:"missing"`     // acked endpoints never seen terminal
-	Unexpected uint64 `json:"unexpected"`  // terminal endpoints never acked (double admission)
-	EventsGone uint64 `json:"events_gone"` // retention overran the subscription
-	Complete   bool   `json:"complete"`    // all of the above clean
 }
 
 // subscriberReport aggregates the -subscribers fan-out: every
@@ -151,62 +106,36 @@ type report struct {
 	Retried     uint64  `json:"retried"`
 	GaveUp      uint64  `json:"gave_up"`
 	ProtoErrors uint64  `json:"proto_errors"`
-	Reconnects  uint64  `json:"reconnects"`
-	Resends     uint64  `json:"resends"`
+	Reconnects  uint64  `json:"reconnects"` // subscriber reconnections
 	RPS         float64 `json:"rps"`
 	AdmittedRPS float64 `json:"admitted_rps"`
 	P50Ms       float64 `json:"p50_ms"`
 	P90Ms       float64 `json:"p90_ms"`
 	P99Ms       float64 `json:"p99_ms"`
 
-	Chaos       *chaosReport      `json:"chaos,omitempty"`
-	Verify      *verifyReport     `json:"verify,omitempty"`
 	Subscribers *subscriberReport `json:"subscribers,omitempty"`
-}
-
-// endpoint identifies one admitted object by its receipt; with the
-// server running -retire 0 (no handle reuse) it is unique for the run.
-type endpoint struct {
-	worker       bool
-	shard, local uint32
-}
-
-// batcher is the slice of client surface runConn needs; wire.Client and
-// wire.Retrier both satisfy it.
-type batcher interface {
-	Do([]wire.Request) ([]wire.Result, error)
 }
 
 // connTally is one connection's contribution, merged after the run.
 type connTally struct {
-	requests   uint64
-	admitted   uint64
-	busy       uint64
-	errors     uint64
-	retried    uint64
-	gaveUp     uint64
-	protoErr   uint64
-	reconnects uint64
-	resends    uint64
-	rttMs      []float64  // one sample per batch round-trip
-	acked      []endpoint // acknowledged admission receipts (verify mode)
+	requests uint64
+	admitted uint64
+	busy     uint64
+	errors   uint64
+	retried  uint64
+	gaveUp   uint64
+	protoErr uint64
+	rttMs    []float64 // one sample per batch round-trip
 }
 
 // absorb tallies one reply's results and returns the indices that came
 // back BUSY plus the largest Retry-After hint among them (capped at 2s).
-func (t *connTally) absorb(cfg *genConfig, res []wire.Result) (busy []int, wait time.Duration) {
+func (t *connTally) absorb(res []wire.Result) (busy []int, wait time.Duration) {
 	t.requests += uint64(len(res))
 	for i := range res {
 		switch res[i].Status {
 		case wire.StatusOK:
 			t.admitted++
-			if cfg.verify && (res[i].Kind == wire.ReqAddWorker || res[i].Kind == wire.ReqAddTask) {
-				t.acked = append(t.acked, endpoint{
-					worker: res[i].Kind == wire.ReqAddWorker,
-					shard:  res[i].Shard,
-					local:  res[i].Local,
-				})
-			}
 		case wire.StatusBusy:
 			t.busy++
 			busy = append(busy, i)
@@ -242,7 +171,7 @@ func hotspotCenter(cfg *genConfig, phase int) (cx, cy float64) {
 
 // synthesize fills reqs with n fresh arrivals from the configured
 // pattern. Hotspot sends 80% of arrivals into a square covering 10% of
-// each dimension — the skew that makes one shard's ring the bottleneck
+// each dimension — the skew that makes one shard's lane the bottleneck
 // while its neighbors idle. With -hotspot-drift the square relocates to
 // a new deterministic spot every drift interval, the moving rush an
 // adaptive topology has to chase.
@@ -300,9 +229,9 @@ func traceBatch(in *ftoa.Instance, evs []ftoa.Event, reqs []wire.Request) []wire
 // honoring per-entry BUSY Retry-After hints with up to cfg.busyRetries
 // re-submissions. A retried entry keeps its idempotency seq — BUSY is
 // never recorded in the server's dedup window, so the re-submission is
-// a fresh attempt, while an OK/Err outcome re-sent by a Retrier replays.
-// Returns false when the connection died (the tally is final).
-func send(cfg *genConfig, cl batcher, reqs []wire.Request, tally *connTally) bool {
+// a fresh attempt. Returns false when the connection died (the tally is
+// final).
+func send(cfg *genConfig, cl *wire.Client, reqs []wire.Request, tally *connTally) bool {
 	for attempt := 0; ; attempt++ {
 		t0 := time.Now()
 		res, err := cl.Do(reqs)
@@ -311,7 +240,7 @@ func send(cfg *genConfig, cl batcher, reqs []wire.Request, tally *connTally) boo
 			return false
 		}
 		tally.rttMs = append(tally.rttMs, float64(time.Since(t0))/float64(time.Millisecond))
-		busy, wait := tally.absorb(cfg, res)
+		busy, wait := tally.absorb(res)
 		if len(busy) == 0 || attempt >= cfg.busyRetries {
 			tally.gaveUp += uint64(len(busy))
 			return true
@@ -333,31 +262,12 @@ func send(cfg *genConfig, cl batcher, reqs []wire.Request, tally *connTally) boo
 // walks this connection's stride of the event list to exhaustion;
 // synthesis runs until the deadline.
 func runConn(cfg *genConfig, id int, deadline time.Time, tally *connTally) {
-	var cl batcher
-	if cfg.resilient {
-		r := wire.NewRetrier(wire.RetryConfig{
-			Addr:           cfg.dialAddr,
-			RequestTimeout: cfg.requestTimeout,
-		})
-		defer r.Close()
-		defer func() {
-			tally.reconnects += r.Reconnects()
-			tally.resends += r.Resends()
-		}()
-		if _, err := r.WaitConnect(10 * time.Second); err != nil {
-			tally.protoErr++
-			return
-		}
-		cl = r
-	} else {
-		c, err := wire.Dial(cfg.dialAddr)
-		if err != nil {
-			tally.protoErr++
-			return
-		}
-		defer c.Close()
-		cl = c
+	cl, err := wire.Dial(cfg.addr)
+	if err != nil {
+		tally.protoErr++
+		return
 	}
+	defer cl.Close()
 	rng := rand.New(rand.NewSource(cfg.seed + int64(id)))
 	var interval time.Duration
 	if cfg.rate > 0 {
@@ -406,91 +316,6 @@ func runConn(cfg *genConfig, id int, deadline time.Time, tally *connTally) {
 	}
 }
 
-// verifier subscribes to the merged event stream — through the same
-// faulty path as the load, exercising resumable subscription — and
-// records every terminal endpoint it mentions: a match consumes its
-// worker and task, an expiry consumes its one object.
-type verifier struct {
-	r    *wire.Retrier
-	mu   sync.Mutex
-	seen map[endpoint]int
-	gone uint64
-}
-
-func newVerifier(cfg *genConfig) *verifier {
-	v := &verifier{seen: make(map[endpoint]int)}
-	v.r = wire.NewRetrier(wire.RetryConfig{
-		Addr:           cfg.dialAddr,
-		RequestTimeout: cfg.requestTimeout,
-		Subscribe:      true,
-		SubscribeSince: 0, // the stream's origin: every terminal event of the run
-		OnEvents: func(_ uint64, evs []wire.Event) {
-			v.mu.Lock()
-			for i := range evs {
-				if evs[i].Worker >= 0 {
-					v.seen[endpoint{true, uint32(evs[i].WorkerShard), uint32(evs[i].Worker)}]++
-				}
-				if evs[i].Task >= 0 {
-					v.seen[endpoint{false, uint32(evs[i].TaskShard), uint32(evs[i].Task)}]++
-				}
-			}
-			v.mu.Unlock()
-		},
-		OnGone: func(uint64) {
-			v.mu.Lock()
-			v.gone++
-			v.mu.Unlock()
-		},
-	})
-	return v
-}
-
-// missing counts acked endpoints not yet seen terminal.
-func (v *verifier) missing(acked map[endpoint]int) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	n := 0
-	for ep := range acked {
-		if v.seen[ep] == 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// settle drives the server clock forward until every acknowledged
-// admission has reached its terminal event (matched or expired) or
-// patience runs out, then scores the exactly-once invariant.
-func (v *verifier) settle(acked map[endpoint]int, ackedDup uint64, timeout time.Duration) *verifyReport {
-	deadline := time.Now().Add(timeout)
-	for v.missing(acked) > 0 && time.Now().Before(deadline) {
-		// Advance is idempotent by nature (the server moves to its own
-		// clock) and drives expiries for objects that will never match.
-		v.r.Do([]wire.Request{{Kind: wire.ReqAdvance}})
-		time.Sleep(100 * time.Millisecond)
-	}
-	// One last drain window so events emitted by the final advance land.
-	time.Sleep(300 * time.Millisecond)
-	v.r.Close()
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	rep := &verifyReport{Acked: uint64(len(acked)), AckedDup: ackedDup, EventsGone: v.gone}
-	for ep, n := range v.seen {
-		if n > 1 {
-			rep.Duplicates++
-		}
-		if _, ok := acked[ep]; ok {
-			rep.Observed++
-		} else {
-			rep.Unexpected++
-		}
-	}
-	rep.Missing = rep.Acked - rep.Observed
-	rep.Complete = rep.Missing == 0 && rep.Duplicates == 0 && rep.Unexpected == 0 &&
-		rep.AckedDup == 0 && rep.EventsGone == 0
-	return rep
-}
-
 // subscriber is one event-stream consumer riding alongside the
 // admission load: it subscribes from the live head through a resilient
 // client (reconnects resume from the cursor, so continuity is
@@ -516,8 +341,7 @@ type subscriber struct {
 func newSubscriber(cfg *genConfig) *subscriber {
 	s := &subscriber{}
 	s.r = wire.NewRetrier(wire.RetryConfig{
-		Addr:           cfg.dialAddr,
-		RequestTimeout: cfg.requestTimeout,
+		Addr:           cfg.addr,
 		Subscribe:      true,
 		SubscribeSince: wire.SinceNow,
 		OnEvents:       s.onEvents,
@@ -582,22 +406,6 @@ func (s *subscriber) onEvents(_ uint64, evs []wire.Event) {
 
 // run executes the load and assembles the report.
 func run(cfg *genConfig) *report {
-	cfg.dialAddr = cfg.addr
-	var proxy *netfault.Proxy
-	if cfg.chaos {
-		var err error
-		proxy, err = netfault.New(netfault.SoakProfile(cfg.addr, cfg.chaosSeed))
-		if err != nil {
-			log.Fatalf("ftoa-loadgen: chaos proxy: %v", err)
-		}
-		defer proxy.Close()
-		cfg.dialAddr = proxy.Addr().String()
-		log.Printf("ftoa-loadgen: chaos proxy on %s -> %s (seed %d)", cfg.dialAddr, cfg.addr, cfg.chaosSeed)
-	}
-	var ver *verifier
-	if cfg.verify {
-		ver = newVerifier(cfg)
-	}
 	subs := make([]*subscriber, cfg.subscribers)
 	for i := range subs {
 		subs[i] = newSubscriber(cfg)
@@ -635,8 +443,6 @@ func run(cfg *genConfig) *report {
 		DurationS:  elapsed,
 	}
 	var rtts []float64
-	acked := make(map[endpoint]int)
-	var ackedDup uint64
 	for i := range tallies {
 		t := &tallies[i]
 		rep.Requests += t.requests
@@ -646,14 +452,7 @@ func run(cfg *genConfig) *report {
 		rep.Retried += t.retried
 		rep.GaveUp += t.gaveUp
 		rep.ProtoErrors += t.protoErr
-		rep.Reconnects += t.reconnects
-		rep.Resends += t.resends
 		rtts = append(rtts, t.rttMs...)
-		for _, ep := range t.acked {
-			if acked[ep]++; acked[ep] > 1 {
-				ackedDup++
-			}
-		}
 	}
 	if elapsed > 0 {
 		rep.RPS = float64(rep.Requests) / elapsed
@@ -684,22 +483,6 @@ func run(cfg *genConfig) *report {
 		sr.LagP99Ms = percentile(lags, 0.99)
 		rep.Subscribers = sr
 	}
-	if ver != nil {
-		rep.Verify = ver.settle(acked, ackedDup, cfg.verifyTimeout)
-		rep.Reconnects += ver.r.Reconnects()
-	}
-	if proxy != nil {
-		st := proxy.Stats()
-		rep.Chaos = &chaosReport{
-			Conns:      st.Conns,
-			DialErrors: st.DialErrors,
-			Resets:     st.Resets,
-			Stalls:     st.Stalls,
-			Partitions: st.Partitions,
-			BytesIn:    st.BytesIn,
-			BytesOut:   st.BytesOut,
-		}
-	}
 	return rep
 }
 
@@ -718,109 +501,86 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:9090", "ftoa-serve wire address (-listen-wire)")
-	conns := flag.Int("conns", 4, "concurrent wire connections")
-	rate := flag.Float64("rate", 0, "target total admissions per second across all connections (0 = unthrottled)")
-	duration := flag.Duration("duration", 10*time.Second, "synthesis run length (-trace runs to exhaustion instead)")
-	batch := flag.Int("batch", 64, "admissions per wire batch")
-	pattern := flag.String("pattern", "uniform", "synthetic arrival pattern: uniform or hotspot (80% of arrivals in a square covering 10% of each dimension)")
-	hotspotDrift := flag.Duration("hotspot-drift", 0, "relocate the hotspot to a new spot every interval (0 = fixed central hotspot); the schedule is a deterministic function of -seed alone")
-	boundsStr := flag.String("bounds", "0,0,100,100", "service area as x0,y0,x1,y1 (must match the server's)")
-	seed := flag.Int64("seed", 1, "synthesis seed; runs are deterministic per (seed, conns, batch)")
-	workersFrac := flag.Float64("workers-frac", 0.5, "fraction of synthetic arrivals that are workers")
-	patience := flag.Float64("patience", 300, "synthetic worker patience (seconds)")
-	expiry := flag.Float64("expiry", 60, "synthetic task expiry (seconds)")
-	velocity := flag.Float64("velocity", 1, "worker velocity for -trace parsing")
-	tracePath := flag.String("trace", "", "replay this ftoa-gen instance CSV instead of synthesizing")
-	out := flag.String("out", "", "write the JSON report here (default stdout)")
-	busyRetries := flag.Int("busy-retries", 3, "re-submit BUSY entries up to this many times, sleeping the server's Retry-After hint first (0 disables)")
-	resilient := flag.Bool("resilient", false, "use the reconnecting idempotent client (wire.Retrier) instead of a bare connection")
-	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-batch deadline for -resilient clients")
-	chaos := flag.Bool("chaos", false, "interpose an internal/netfault proxy (latency, resets, stalls, partitions) between the connections and -addr")
-	chaosSeed := flag.Int64("chaos-seed", 0, "fault schedule seed for -chaos (0 = use -seed)")
-	verify := flag.Bool("verify", false, "subscribe to the event stream and check the exactly-once invariant after the load; exits nonzero if violated")
-	verifyTimeout := flag.Duration("verify-timeout", 60*time.Second, "how long -verify drives the server clock waiting for every acked admission to reach a terminal event")
-	subscribers := flag.Int("subscribers", 0, "open N event-stream subscriptions alongside the load and report delivery lag p50/p99, events/sec and gap counts")
-	flag.Parse()
+// parseArgs reads an ftoa-loadgen command line (program name excluded)
+// into the run's configuration and the report's destination (-out; ""
+// is stdout). An unknown flag exits like any flag parse; a bad value is
+// an error.
+func parseArgs(args []string) (cfg *genConfig, out string, err error) {
+	fs := flag.NewFlagSet("ftoa-loadgen", flag.ExitOnError)
+	cfg = &genConfig{}
+	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:9090", "ftoa-serve wire address (-listen-wire)")
+	fs.IntVar(&cfg.conns, "conns", 4, "concurrent wire connections")
+	fs.Float64Var(&cfg.rate, "rate", 0, "target total admissions per second across all connections (0 = unthrottled)")
+	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "synthesis run length (-trace runs to exhaustion instead)")
+	fs.IntVar(&cfg.batch, "batch", 64, "admissions per wire batch")
+	fs.StringVar(&cfg.pattern, "pattern", "uniform", "synthetic arrival pattern: uniform or hotspot (80% of arrivals in a square covering 10% of each dimension)")
+	fs.DurationVar(&cfg.drift, "hotspot-drift", 0, "relocate the hotspot to a new spot every interval (0 = fixed central hotspot); the schedule is a deterministic function of -seed alone")
+	bounds := fs.String("bounds", "0,0,100,100", "service area as x0,y0,x1,y1 (must match the server's)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "synthesis seed; runs are deterministic per (seed, conns, batch)")
+	fs.Float64Var(&cfg.workersFrac, "workers-frac", 0.5, "fraction of synthetic arrivals that are workers")
+	fs.Float64Var(&cfg.patience, "patience", 300, "synthetic worker patience (seconds)")
+	fs.Float64Var(&cfg.expiry, "expiry", 60, "synthetic task expiry (seconds)")
+	velocity := fs.Float64("velocity", 1, "worker velocity for -trace parsing")
+	tracePath := fs.String("trace", "", "replay this ftoa-gen instance CSV instead of synthesizing")
+	fs.StringVar(&out, "out", "", "write the JSON report here (default stdout)")
+	fs.IntVar(&cfg.busyRetries, "busy-retries", 3, "re-submit BUSY entries up to this many times, sleeping the server's Retry-After hint first (0 disables)")
+	fs.IntVar(&cfg.subscribers, "subscribers", 0, "open N event-stream subscriptions alongside the load and report delivery lag p50/p99, events/sec and gap counts")
+	fs.Parse(args)
 
-	cfg := &genConfig{
-		addr:           *addr,
-		conns:          *conns,
-		rate:           *rate,
-		duration:       *duration,
-		batch:          *batch,
-		pattern:        *pattern,
-		drift:          *hotspotDrift,
-		seed:           *seed,
-		workersFrac:    *workersFrac,
-		patience:       *patience,
-		expiry:         *expiry,
-		busyRetries:    *busyRetries,
-		resilient:      *resilient,
-		requestTimeout: *requestTimeout,
-		chaos:          *chaos,
-		chaosSeed:      *chaosSeed,
-		verify:         *verify,
-		verifyTimeout:  *verifyTimeout,
-		subscribers:    *subscribers,
+	switch {
+	case cfg.subscribers < 0:
+		return nil, "", errors.New("-subscribers must be >= 0")
+	case cfg.busyRetries < 0:
+		return nil, "", errors.New("-busy-retries must be >= 0")
+	case cfg.conns <= 0 || cfg.batch <= 0 || cfg.batch > wire.MaxBatch:
+		return nil, "", fmt.Errorf("need conns > 0 and 0 < batch <= %d", wire.MaxBatch)
+	case cfg.pattern != "uniform" && cfg.pattern != "hotspot":
+		return nil, "", fmt.Errorf("unknown -pattern %q", cfg.pattern)
+	case cfg.drift < 0 || (cfg.drift > 0 && cfg.pattern != "hotspot"):
+		return nil, "", errors.New("-hotspot-drift needs -pattern hotspot and a non-negative interval")
 	}
-	if cfg.subscribers < 0 {
-		log.Fatalf("ftoa-loadgen: -subscribers must be >= 0")
-	}
-	if cfg.chaosSeed == 0 {
-		cfg.chaosSeed = cfg.seed
-	}
-	if cfg.busyRetries < 0 {
-		log.Fatalf("ftoa-loadgen: -busy-retries must be >= 0")
-	}
-	if cfg.conns <= 0 || cfg.batch <= 0 || cfg.batch > wire.MaxBatch {
-		log.Fatalf("ftoa-loadgen: need conns > 0 and 0 < batch <= %d", wire.MaxBatch)
-	}
-	if cfg.pattern != "uniform" && cfg.pattern != "hotspot" {
-		log.Fatalf("ftoa-loadgen: unknown -pattern %q", cfg.pattern)
-	}
-	if cfg.drift < 0 || (cfg.drift > 0 && cfg.pattern != "hotspot") {
-		log.Fatalf("ftoa-loadgen: -hotspot-drift needs -pattern hotspot and a non-negative interval")
-	}
-	parts := strings.Split(*boundsStr, ",")
+	parts := strings.Split(*bounds, ",")
 	if len(parts) != 4 {
-		log.Fatalf("ftoa-loadgen: bad -bounds %q: want x0,y0,x1,y1", *boundsStr)
+		return nil, "", fmt.Errorf("bad -bounds %q: want x0,y0,x1,y1", *bounds)
 	}
 	for i, p := range parts {
 		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%g", &cfg.bounds[i]); err != nil {
-			log.Fatalf("ftoa-loadgen: bad -bounds component %q: %v", p, err)
+			return nil, "", fmt.Errorf("bad -bounds component %q: %v", p, err)
 		}
 	}
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
 		if err != nil {
-			log.Fatal(err)
+			return nil, "", err
 		}
 		in, err := ftoa.LoadInstanceCSV(f, *velocity)
 		f.Close()
 		if err != nil {
-			log.Fatalf("ftoa-loadgen: %s: %v", *tracePath, err)
+			return nil, "", fmt.Errorf("%s: %v", *tracePath, err)
 		}
 		cfg.traceIn = in
 		cfg.trace = in.Events()
 	}
+	return cfg, out, nil
+}
 
+func main() {
+	cfg, out, err := parseArgs(os.Args[1:])
+	if err != nil {
+		log.Fatalf("ftoa-loadgen: %v", err)
+	}
 	rep := run(cfg)
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
 	enc = append(enc, '\n')
-	if *out == "" {
+	if out == "" {
 		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
+	} else if err := os.WriteFile(out, enc, 0o644); err != nil {
 		log.Fatal(err)
 	}
 	if rep.ProtoErrors > 0 {
 		log.Fatalf("ftoa-loadgen: %d connection(s) died on protocol errors", rep.ProtoErrors)
-	}
-	if rep.Verify != nil && !rep.Verify.Complete {
-		log.Fatalf("ftoa-loadgen: exactly-once verification failed: %+v", *rep.Verify)
 	}
 }

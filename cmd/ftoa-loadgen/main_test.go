@@ -1,15 +1,22 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ftoa"
+	"ftoa/internal/serve"
 	"ftoa/internal/wire"
 )
 
@@ -339,5 +346,252 @@ func TestRunSubscriberReport(t *testing.T) {
 	}
 	if sr.LagP99Ms < sr.LagP50Ms || sr.LagP99Ms > 5000 {
 		t.Fatalf("degenerate lag percentiles: p50 %v p99 %v", sr.LagP50Ms, sr.LagP99Ms)
+	}
+}
+
+// The wire path end to end: each test below boots the real server in
+// process (serve.New at ftoa-serve's flag defaults plus the flags the
+// scenario sets, the wire listener and the tick loop on loopback), drives
+// it with run over the scenario's ftoa-loadgen command line, and gates
+// the report and /stats. By default each runs a short form of a few
+// seconds; FTOA_SOAK=1 runs the full length.
+
+// soaking reports FTOA_SOAK=1: run every scenario at full length.
+func soaking() bool { return os.Getenv("FTOA_SOAK") != "" }
+
+// soakLength picks the full run length when soaking and the short form
+// otherwise.
+func soakLength(full, short string) string {
+	if soaking() {
+		return full
+	}
+	return short
+}
+
+// serveStats is the part of GET /stats the gates read.
+type serveStats struct {
+	Workers      int `json:"workers"`
+	Tasks        int `json:"tasks"`
+	Matches      int `json:"matches"`
+	GhostWorkers int `json:"ghost_workers"`
+	GhostTasks   int `json:"ghost_tasks"`
+	Wire         struct {
+		Requests uint64 `json:"requests"`
+	} `json:"wire"`
+	Events struct {
+		Published   uint64 `json:"published"`
+		EvictedSubs uint64 `json:"evicted_subs"`
+	} `json:"events"`
+	Topology struct {
+		Version    uint64 `json:"version"`
+		Rebalances uint64 `json:"rebalances"`
+	} `json:"topology"`
+}
+
+// bootServe starts the server cfg describes the way cmd/ftoa-serve does —
+// wire listener and tick loop — and returns its wire address and a reader
+// of /stats through the server's own handler. Cleanup shuts it down.
+func bootServe(t *testing.T, cfg serve.Config) (addr string, stats func() serveStats) {
+	t.Helper()
+	srv, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.StartWire(ln)
+	srv.StartTick()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx, nil); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
+	h := srv.Handler()
+	return ln.Addr().String(), func() serveStats {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var st serveStats
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("/stats: status %d, %v", rec.Code, err)
+		}
+		return st
+	}
+}
+
+// load runs ftoa-loadgen's command line args against addr.
+func load(t *testing.T, addr string, args ...string) *report {
+	t.Helper()
+	cfg, _, err := parseArgs(append([]string{"-addr", addr}, args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := run(cfg)
+	t.Logf("%s: %d requests (%d admitted, %d busy) at %.0f rps, p99 %.1f ms",
+		strings.Join(args, " "), rep.Requests, rep.Admitted, rep.Busy, rep.RPS, rep.P99Ms)
+	return rep
+}
+
+// requireClean is the gate every run shares: no connection died on a
+// protocol error, no entry came back ERR, and every attempt is accounted
+// as admitted or BUSY.
+func requireClean(t *testing.T, rep *report) {
+	t.Helper()
+	if rep.ProtoErrors != 0 || rep.Errors != 0 {
+		t.Errorf("proto_errors = %d, errors = %d, want 0", rep.ProtoErrors, rep.Errors)
+	}
+	if rep.Requests != rep.Admitted+rep.Busy {
+		t.Errorf("requests %d != admitted %d + busy %d", rep.Requests, rep.Admitted, rep.Busy)
+	}
+}
+
+// rpsFloor is a deliberately lenient throughput floor: it catches "the
+// wire path collapsed", not machine jitter — the batched path sustains
+// orders of magnitude more.
+const rpsFloor = 2000
+
+// gridServer is ftoa-serve -shards 4x4 -halo 5, the server every load
+// scenario runs against.
+func gridServer() serve.Config {
+	cfg := serve.DefaultConfig()
+	cfg.Shards, cfg.Halo = [2]int{4, 4}, 5
+	return cfg
+}
+
+// TestServeHotspotLoad: 8 connections of unthrottled hotspot load
+// against a 4x4 halo server finish with a clean protocol, clear the rps
+// floor, and the server counted exactly what the client sent.
+func TestServeHotspotLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wire load")
+	}
+	addr, stats := bootServe(t, gridServer())
+	rep := load(t, addr, "-conns", "8", "-batch", "128", "-pattern", "hotspot",
+		"-duration", soakLength("30s", "1s"), "-seed", "1")
+	requireClean(t, rep)
+	if rep.RPS < rpsFloor {
+		t.Errorf("rps = %.0f, under the %d floor", rep.RPS, rpsFloor)
+	}
+	if got := stats().Wire.Requests; got != rep.Requests {
+		t.Errorf("/stats wire.requests = %d, the generator sent %d", got, rep.Requests)
+	}
+}
+
+// TestServeRebalanceUniformParity: 2000/s of uniform load over 16
+// regions is 125/s per region, below the 200/s split threshold, so an
+// adaptive server must never touch its topology and must match what a
+// static one matches, within 5 % (arrivals are server-stamped, so two
+// timed runs are close but not bit-equal).
+func TestServeRebalanceUniformParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wire load")
+	}
+	matches := map[bool]int{}
+	for _, adaptive := range []bool{false, true} {
+		t.Run(topologyName(adaptive), func(t *testing.T) {
+			cfg := gridServer()
+			cfg.Rebalance = adaptive
+			addr, stats := bootServe(t, cfg)
+			rep := load(t, addr, "-conns", "4", "-batch", "64", "-pattern", "uniform", "-rate", "2000",
+				"-duration", soakLength("15s", "1500ms"), "-seed", "7")
+			requireClean(t, rep)
+			st := stats()
+			matches[adaptive] = st.Matches
+			if st.Topology.Version != 1 || st.Topology.Rebalances != 0 {
+				t.Errorf("topology = v%d after %d rebalances, want v1 untouched", st.Topology.Version, st.Topology.Rebalances)
+			}
+		})
+	}
+	s, a := matches[false], matches[true]
+	t.Logf("matches: static %d, adaptive %d", s, a)
+	if s == 0 || a == 0 {
+		t.Fatalf("a run matched nothing: static %d, adaptive %d", s, a)
+	}
+	if r := float64(a) / float64(s); r < 0.95 || r > 1.0526 {
+		t.Errorf("adaptive/static matches = %.3f, diverged beyond 5%%", r)
+	}
+}
+
+// TestServeRebalanceMovingHotspot: under a hotspot that relocates every
+// drift interval the adaptive server must actually rebalance, keep exact
+// accounting across the sessions it replaces (what /stats owns, ghost
+// copies aside, is what the generator was acknowledged), and keep serving:
+// an absolute rps floor always, and at least 0.9x the static run's rps
+// under FTOA_SOAK=1 (the ratio of two short runs is runner jitter).
+func TestServeRebalanceMovingHotspot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wire load")
+	}
+	rps := map[bool]float64{}
+	for _, adaptive := range []bool{false, true} {
+		t.Run(topologyName(adaptive), func(t *testing.T) {
+			cfg := gridServer()
+			if adaptive {
+				cfg.Rebalance = true
+				cfg.RebalSplit, cfg.RebalMerge = 500, 100
+				cfg.RebalCooldown, cfg.RebalTau = 2*time.Second, time.Second
+			}
+			addr, stats := bootServe(t, cfg)
+			rep := load(t, addr, "-conns", "8", "-batch", "128", "-pattern", "hotspot",
+				"-hotspot-drift", soakLength("5s", "500ms"), "-duration", soakLength("30s", "1s"), "-seed", "1")
+			requireClean(t, rep)
+			rps[adaptive] = rep.RPS
+			st := stats()
+			if owned := st.Workers + st.Tasks - st.GhostWorkers - st.GhostTasks; uint64(owned) != rep.Admitted {
+				t.Errorf("/stats owns %d admissions, the generator was acknowledged %d", owned, rep.Admitted)
+			}
+			if adaptive && st.Topology.Rebalances < 1 {
+				t.Errorf("the drifting hotspot drove no topology change")
+			}
+		})
+	}
+	s, a := rps[false], rps[true]
+	t.Logf("rps: static %.0f, adaptive %.0f (%.3f)", s, a, a/s)
+	if a < rpsFloor {
+		t.Errorf("adaptive rps = %.0f, under the %d floor", a, rpsFloor)
+	}
+	if soaking() && a < 0.9*s {
+		t.Errorf("adaptive rps %.0f under 0.9x static %.0f", a, s)
+	}
+}
+
+// topologyName names a run of a static-vs-adaptive pair. Each run is a
+// subtest so its server is shut down before the next one boots.
+func topologyName(adaptive bool) string {
+	if adaptive {
+		return "adaptive"
+	}
+	return "static"
+}
+
+// TestServeFanout16Subscribers: 16 subscriptions read the one event log
+// beside throttled hotspot load. Every stream is gap-free with no
+// retention overrun, and p99 delivery lag stays under a generous 2.5 s —
+// push delivery lands in milliseconds, so seconds would mean the pusher
+// regressed to polling or subscribers are starving. The server fed the
+// log and evicted no one.
+func TestServeFanout16Subscribers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wire load")
+	}
+	addr, stats := bootServe(t, gridServer())
+	rep := load(t, addr, "-conns", "4", "-batch", "64", "-pattern", "hotspot", "-rate", "3000",
+		"-duration", soakLength("20s", "1500ms"), "-seed", "1", "-subscribers", "16")
+	requireClean(t, rep)
+	sr := rep.Subscribers
+	if sr == nil || sr.Count != 16 || sr.Events == 0 {
+		t.Fatalf("subscribers = %+v, want 16 that received events", sr)
+	}
+	if sr.Gaps != 0 || sr.EventsGone != 0 {
+		t.Errorf("gaps = %d, events_gone = %d, want gap-free streams", sr.Gaps, sr.EventsGone)
+	}
+	if sr.LagP99Ms > 2500 {
+		t.Errorf("lag p99 = %.0f ms, over 2500", sr.LagP99Ms)
+	}
+	if st := stats(); st.Events.Published == 0 || st.Events.EvictedSubs != 0 {
+		t.Errorf("/stats events: published %d, evicted_subs %d; want > 0 and 0", st.Events.Published, st.Events.EvictedSubs)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"ftoa/internal/serve"
-	"ftoa/internal/wire"
 )
 
 // parsePair parses "NxM" into two positive integers.
@@ -40,42 +39,42 @@ func parsePair(s, flagName string) ([2]int, error) {
 }
 
 func main() {
-	var cfg serve.Config
+	cfg := serve.DefaultConfig()
 	addr := flag.String("addr", ":8080", "listen address")
-	flag.StringVar(&cfg.Algorithm, "alg", "greedy", "matching algorithm: greedy, gr, polar, polarop or hybrid")
-	flag.Float64Var(&cfg.Window, "window", 1.0, "gr batch window in seconds")
-	flag.StringVar(&cfg.Mode, "mode", "strict", "validation mode: strict or assume-guide")
-	flag.Float64Var(&cfg.Velocity, "velocity", 1.0, "worker velocity (units per second)")
+	flag.StringVar(&cfg.Algorithm, "alg", cfg.Algorithm, "matching algorithm: greedy, gr, polar, polarop or hybrid")
+	flag.Float64Var(&cfg.Window, "window", cfg.Window, "gr batch window in seconds")
+	flag.StringVar(&cfg.Mode, "mode", cfg.Mode, "validation mode: strict or assume-guide")
+	flag.Float64Var(&cfg.Velocity, "velocity", cfg.Velocity, "worker velocity (units per second)")
 	boundsStr := flag.String("bounds", "0,0,100,100", "service area as x0,y0,x1,y1")
-	flag.DurationVar(&cfg.Tick, "tick", 250*time.Millisecond, "timer advance interval")
+	flag.DurationVar(&cfg.Tick, "tick", cfg.Tick, "timer advance interval")
 	shards := flag.String("shards", "1x1", "shard grid as NxM (regions served independently)")
-	flag.Float64Var(&cfg.Halo, "halo", 0, "cross-shard matching reach window in seconds: border arrivals within velocity*halo of a neighbor region are mirrored there so cross-border pairs match (typically the task expiry window; 0 keeps regions disjoint)")
-	flag.IntVar(&cfg.Retention, "retention", 1<<16, "events retained per base-grid shard: /events and /matches read the most recent retention x shards events, held at 32 bytes each (32 MiB at the default on a 4x4 grid)")
-	flag.DurationVar(&cfg.Retire, "retire", time.Minute, "per-shard arena retirement interval; matched and expired objects are compacted away, bounding memory by the live population (0 disables)")
-	flag.StringVar(&cfg.GuidePath, "guide", "", "per-cell count history CSV (ftoa-gen -counts format) for guided algorithms")
+	flag.Float64Var(&cfg.Halo, "halo", cfg.Halo, "cross-shard matching reach window in seconds: border arrivals within velocity*halo of a neighbor region are mirrored there so cross-border pairs match (typically the task expiry window; 0 keeps regions disjoint)")
+	flag.IntVar(&cfg.Retention, "retention", cfg.Retention, "events retained per base-grid shard: /events and /matches read the most recent retention x shards events, held at 32 bytes each (32 MiB at the default on a 4x4 grid)")
+	flag.DurationVar(&cfg.Retire, "retire", cfg.Retire, "per-shard arena retirement interval; matched and expired objects are compacted away, bounding memory by the live population (0 disables)")
+	flag.StringVar(&cfg.GuidePath, "guide", cfg.GuidePath, "per-cell count history CSV (ftoa-gen -counts format) for guided algorithms")
 	guideGrid := flag.String("guide-grid", "", "guide grid as CxR (default: infer a square from the history)")
 	guideDow0 := flag.Int("guide-dow0", 0, "weekday (0-6) of the count history's first day, anchoring HP-MSI's weekday feature")
-	flag.Float64Var(&cfg.Horizon, "horizon", 86400, "guide horizon in seconds (the served day length)")
-	flag.Float64Var(&cfg.GuidePatience, "guide-patience", 300, "worker patience Dw assumed by the guide (seconds)")
-	flag.Float64Var(&cfg.GuideExpiry, "guide-expiry", 60, "task expiry Dr assumed by the guide (seconds)")
-	flag.StringVar(&cfg.GuideAnchor, "guide-anchor", "wallclock", "guide slot anchoring: wallclock (7-day week guide keyed to wall-clock day-of-week and time-of-day) or uptime (legacy: the first -horizon seconds of uptime are the served day)")
-	flag.StringVar(&cfg.WALDir, "wal", "", "write-ahead log directory; arrivals and match outcomes are made durable per shard and replayed at boot, so a killed server restarts with its state intact (empty disables durability)")
-	flag.StringVar(&cfg.WALSync, "wal-sync", "interval", "WAL fsync policy: always (fsync per operation), interval (group commit on -wal-sync-interval) or none (OS page cache only)")
-	flag.DurationVar(&cfg.WALSyncInterval, "wal-sync-interval", 0, "group-commit window for -wal-sync interval (0 = 50ms default)")
+	flag.Float64Var(&cfg.Horizon, "horizon", cfg.Horizon, "guide horizon in seconds (the served day length)")
+	flag.Float64Var(&cfg.GuidePatience, "guide-patience", cfg.GuidePatience, "worker patience Dw assumed by the guide (seconds)")
+	flag.Float64Var(&cfg.GuideExpiry, "guide-expiry", cfg.GuideExpiry, "task expiry Dr assumed by the guide (seconds)")
+	flag.StringVar(&cfg.GuideAnchor, "guide-anchor", cfg.GuideAnchor, "guide slot anchoring: wallclock (7-day week guide keyed to wall-clock day-of-week and time-of-day) or uptime (legacy: the first -horizon seconds of uptime are the served day)")
+	flag.StringVar(&cfg.WALDir, "wal", cfg.WALDir, "write-ahead log directory; arrivals and match outcomes are made durable per shard and replayed at boot, so a killed server restarts with its state intact (empty disables durability)")
+	flag.StringVar(&cfg.WALSync, "wal-sync", cfg.WALSync, "WAL fsync policy: always (fsync per operation), interval (group commit on -wal-sync-interval) or none (OS page cache only)")
+	flag.DurationVar(&cfg.WALSyncInterval, "wal-sync-interval", cfg.WALSyncInterval, "group-commit window for -wal-sync interval (0 = 50ms default)")
 	listenWire := flag.String("listen-wire", "", "binary wire-protocol listen address for batched admission over TCP (empty disables); see docs/wire.md")
-	flag.IntVar(&cfg.WireMaxConns, "wire-max-conns", 256, "max concurrent wire connections; excess dials are closed at the door (the resilient client retries with backoff)")
-	flag.DurationVar(&cfg.WireIdle, "wire-idle", 5*time.Minute, "wire per-connection idle (read) deadline; a silent peer is dropped after this long")
-	flag.DurationVar(&cfg.WireWriteTimeout, "wire-write-timeout", 10*time.Second, "wire per-frame write deadline; a subscriber that cannot drain its event stream this fast is evicted")
-	flag.IntVar(&cfg.WireDedupWindow, "wire-dedup-window", wire.DefaultDedupWindow, "idempotency seqs remembered per wire client; a batch re-sent within the window replays its original receipts")
-	flag.IntVar(&cfg.WireDedupClients, "wire-dedup-clients", wire.DefaultDedupCap, "wire client idempotency windows retained (LRU-evicted beyond this)")
-	flag.IntVar(&cfg.Ring, "admit-ring", 1024, "per-shard admission lane capacity shared by HTTP and wire arrivals; a full lane answers 503/BUSY (backpressure bound)")
-	flag.BoolVar(&cfg.Rebalance, "rebalance", false, "adapt the shard topology online: split regions whose arrival rate exceeds -rebalance-split into a finer sub-grid and merge cold sibling quads back, migrating live state (see docs/rebalance.md)")
-	flag.Float64Var(&cfg.RebalSplit, "rebalance-split", 200, "per-region arrival rate (admissions/sec) above which the region is split")
-	flag.Float64Var(&cfg.RebalMerge, "rebalance-merge", 0, "combined arrival rate below which four sibling sub-regions merge back (0 disables merging; must be <= split/4)")
-	flag.IntVar(&cfg.RebalDepth, "rebalance-depth", 2, "max quarterings per base grid cell (clamped to 6)")
-	flag.DurationVar(&cfg.RebalCooldown, "rebalance-cooldown", 10*time.Second, "minimum interval between topology changes")
-	flag.DurationVar(&cfg.RebalTau, "rebalance-tau", 5*time.Second, "arrival-rate EWMA time constant (larger = smoother, slower to react)")
-	flag.BoolVar(&cfg.RebalForecast, "rebalance-forecast", false, "also forecast per-region demand with HP-MSI trained on the -guide count history, splitting ahead of predicted rushes")
+	flag.IntVar(&cfg.WireMaxConns, "wire-max-conns", cfg.WireMaxConns, "max concurrent wire connections; excess dials are closed at the door (the resilient client retries with backoff)")
+	flag.DurationVar(&cfg.WireIdle, "wire-idle", cfg.WireIdle, "wire per-connection idle (read) deadline; a silent peer is dropped after this long")
+	flag.DurationVar(&cfg.WireWriteTimeout, "wire-write-timeout", cfg.WireWriteTimeout, "wire per-frame write deadline; a subscriber that cannot drain its event stream this fast is evicted")
+	flag.IntVar(&cfg.WireDedupWindow, "wire-dedup-window", cfg.WireDedupWindow, "idempotency seqs remembered per wire client; a batch re-sent within the window replays its original receipts")
+	flag.IntVar(&cfg.WireDedupClients, "wire-dedup-clients", cfg.WireDedupClients, "wire client idempotency windows retained (LRU-evicted beyond this)")
+	flag.IntVar(&cfg.Ring, "admit-ring", cfg.Ring, "per-shard admission lane capacity shared by HTTP and wire arrivals; a full lane answers 503/BUSY (backpressure bound)")
+	flag.BoolVar(&cfg.Rebalance, "rebalance", cfg.Rebalance, "adapt the shard topology online: split regions whose arrival rate exceeds -rebalance-split into a finer sub-grid and merge cold sibling quads back, migrating live state (see docs/rebalance.md)")
+	flag.Float64Var(&cfg.RebalSplit, "rebalance-split", cfg.RebalSplit, "per-region arrival rate (admissions/sec) above which the region is split")
+	flag.Float64Var(&cfg.RebalMerge, "rebalance-merge", cfg.RebalMerge, "combined arrival rate below which four sibling sub-regions merge back (0 disables merging; must be <= split/4)")
+	flag.IntVar(&cfg.RebalDepth, "rebalance-depth", cfg.RebalDepth, "max quarterings per base grid cell (clamped to 6)")
+	flag.DurationVar(&cfg.RebalCooldown, "rebalance-cooldown", cfg.RebalCooldown, "minimum interval between topology changes")
+	flag.DurationVar(&cfg.RebalTau, "rebalance-tau", cfg.RebalTau, "arrival-rate EWMA time constant (larger = smoother, slower to react)")
+	flag.BoolVar(&cfg.RebalForecast, "rebalance-forecast", cfg.RebalForecast, "also forecast per-region demand with HP-MSI trained on the -guide count history, splitting ahead of predicted rushes")
 	flag.Parse()
 
 	cfg.GuideDow0 = ((*guideDow0)%7 + 7) % 7

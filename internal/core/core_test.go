@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ftoa/internal/geo"
@@ -216,6 +217,32 @@ func TestGRWindowValidation(t *testing.T) {
 		}
 	}()
 	NewGR(0)
+}
+
+// TestNewGRRefusesNaN: a NaN window never fires a batch (every flush
+// check against it is false), so the guard must refuse it with the
+// non-positive ones.
+func TestNewGRRefusesNaN(t *testing.T) {
+	for _, tc := range []struct {
+		window float64
+		panics bool
+	}{
+		{math.NaN(), true},
+		{0, true},
+		{-1, true},
+		{math.Inf(-1), true},
+		{1, false},
+		{math.Inf(1), false},
+	} {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewGR(tc.window)
+			return false
+		}()
+		if panicked != tc.panics {
+			t.Errorf("NewGR(%v): panicked=%v, want %v", tc.window, panicked, tc.panics)
+		}
+	}
 }
 
 // TestGRBatchesMatchWithinWindows checks GR on a crafted instance where

@@ -37,9 +37,9 @@ type GR struct {
 }
 
 // NewGR creates a GR instance with the given batching window (in the same
-// time units as the instance). Window must be positive.
+// time units as the instance). Window must be positive (NaN panics too).
 func NewGR(window float64) *GR {
-	if window <= 0 {
+	if !(window > 0) {
 		panic("core: GR window must be positive")
 	}
 	return &GR{window: window}

@@ -8,8 +8,13 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -19,120 +24,179 @@ import (
 )
 
 // chaosEndpoint identifies one admitted object by its receipt; with
-// retirement disabled (defaultTestConfig) handles are never reused, so
-// it is unique for the run.
+// retirement disabled handles are never reused, so it is unique for the
+// run.
 type chaosEndpoint struct {
 	worker       bool
 	shard, local uint32
+}
+
+// chaosCase is one soak: the server, the fault profile, the client
+// template and the load each of four clients sends through the proxy.
+type chaosCase struct {
+	name  string
+	cfg   Config
+	proxy func(target string) netfault.Config
+	// manual swaps the tick loop for a test-driven clock, jumped past
+	// every window once the load is in; otherwise the tick loop runs and
+	// expires the unmatched on its own.
+	manual  bool
+	retry   wire.RetryConfig // Addr and the subscription fields are filled in
+	batches int              // per client
+	batch   int
+	pace    time.Duration // one batch per pace per client
+	window  float64       // patience and expiry of every admission
 }
 
 func TestChaosSoakExactlyOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	cfg := defaultTestConfig()
-	cfg.Shards = [2]int{2, 2}
-	srv, err := New(cfg)
+	manual := defaultTestConfig() // retirement off
+	manual.Shards = [2]int{2, 2}
+	// ftoa-serve -shards 2x2 -tick 100ms -retire 0 -retention 1048576
+	// behind netfault.SoakProfile, loaded at 2000 admissions/s by four
+	// resilient clients sending batches of 64 with 2 s windows: 1.5 s of
+	// load by default, 15 s under FTOA_SOAK=1.
+	profile := DefaultConfig()
+	profile.Shards = [2]int{2, 2}
+	profile.Tick = 100 * time.Millisecond
+	profile.Retire = 0
+	profile.Retention = 1 << 20
+	const pace = 128 * time.Millisecond // 64 per batch, 500/s per client
+	load := 1500 * time.Millisecond
+	if os.Getenv("FTOA_SOAK") != "" {
+		load = 15 * time.Second
+	}
+	for _, tc := range []chaosCase{
+		{
+			name: "manual-clock",
+			cfg:  manual,
+			proxy: func(target string) netfault.Config {
+				return netfault.Config{
+					Target:         target,
+					Seed:           42,
+					LatencyMin:     time.Millisecond,
+					LatencyMax:     5 * time.Millisecond,
+					ResetEvery:     250 * time.Millisecond,
+					StallEvery:     200 * time.Millisecond,
+					StallFor:       40 * time.Millisecond,
+					PartitionEvery: time.Second,
+					PartitionFor:   120 * time.Millisecond,
+				}
+			},
+			manual:  true,
+			retry:   wire.RetryConfig{RequestTimeout: 2 * time.Second, BackoffBase: 5 * time.Millisecond},
+			batches: 12,
+			batch:   16,
+			pace:    20 * time.Millisecond,
+			window:  5,
+		},
+		{
+			name:    "soak-profile",
+			cfg:     profile,
+			proxy:   func(target string) netfault.Config { return netfault.SoakProfile(target, 7) },
+			batches: int(load / pace),
+			batch:   64,
+			pace:    pace,
+			window:  2,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) { chaosSoak(t, tc) })
+	}
+}
+
+func chaosSoak(t *testing.T, tc chaosCase) {
+	srv, err := New(tc.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := manualClock(srv)
-	set(0)
+	var set func(float64)
+	if tc.manual {
+		set = manualClock(srv)
+		set(0)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.StartWire(ln)
-	ws := srv.wire
-	t.Cleanup(ws.close)
-
-	proxy, err := netfault.New(netfault.Config{
-		Target:         ln.Addr().String(),
-		Seed:           42,
-		LatencyMin:     time.Millisecond,
-		LatencyMax:     5 * time.Millisecond,
-		ResetEvery:     250 * time.Millisecond,
-		StallEvery:     200 * time.Millisecond,
-		StallFor:       40 * time.Millisecond,
-		PartitionEvery: time.Second,
-		PartitionFor:   120 * time.Millisecond,
+	if !tc.manual {
+		srv.StartTick()
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx, nil)
 	})
+
+	proxy, err := netfault.New(tc.proxy(ln.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { proxy.Close() })
-	addr := proxy.Addr().String()
+	rc := tc.retry
+	rc.Addr = proxy.Addr().String()
 
 	// The verifier subscription rides the same chaotic path, exercising
 	// cursor resumption across resets.
 	var vmu sync.Mutex
-	seen := make(map[chaosEndpoint]int)
-	var gone int
-	sub := wire.NewRetrier(wire.RetryConfig{
-		Addr:           addr,
-		RequestTimeout: 2 * time.Second,
-		BackoffBase:    5 * time.Millisecond,
-		Subscribe:      true,
-		SubscribeSince: 0,
-		OnEvents: func(_ uint64, evs []wire.Event) {
-			vmu.Lock()
-			for i := range evs {
-				if evs[i].Worker >= 0 {
-					seen[chaosEndpoint{true, uint32(evs[i].WorkerShard), uint32(evs[i].Worker)}]++
-				}
-				if evs[i].Task >= 0 {
-					seen[chaosEndpoint{false, uint32(evs[i].TaskShard), uint32(evs[i].Task)}]++
-				}
+	tally := soakTally{acked: make(map[chaosEndpoint]int), seen: make(map[chaosEndpoint]int)}
+	sc := rc
+	sc.Subscribe = true
+	sc.SubscribeSince = 0 // the stream's origin: every terminal event of the run
+	sc.OnEvents = func(_ uint64, evs []wire.Event) {
+		vmu.Lock()
+		for i := range evs {
+			if evs[i].Worker >= 0 {
+				tally.seen[chaosEndpoint{true, uint32(evs[i].WorkerShard), uint32(evs[i].Worker)}]++
 			}
-			vmu.Unlock()
-		},
-		OnGone: func(uint64) {
-			vmu.Lock()
-			gone++
-			vmu.Unlock()
-		},
-	})
+			if evs[i].Task >= 0 {
+				tally.seen[chaosEndpoint{false, uint32(evs[i].TaskShard), uint32(evs[i].Task)}]++
+			}
+		}
+		vmu.Unlock()
+	}
+	sc.OnGone = func(uint64) {
+		vmu.Lock()
+		tally.gone++
+		vmu.Unlock()
+	}
+	sub := wire.NewRetrier(sc)
 	t.Cleanup(sub.Close)
 
 	// Load: resilient clients admitting through the proxy, paced so the
 	// run outlives several reset/stall/partition cycles.
-	const (
-		clients    = 4
-		batches    = 12
-		batchSize  = 16
-		totalAdmit = clients * batches * batchSize
-	)
-	ackedCh := make(chan []chaosEndpoint, clients)
-	var totalReconnects, totalResends uint64
-	var rmu sync.Mutex
+	const clients = 4
+	var resends uint64
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			r := wire.NewRetrier(wire.RetryConfig{
-				Addr:           addr,
-				RequestTimeout: 2 * time.Second,
-				BackoffBase:    5 * time.Millisecond,
-			})
-			defer func() {
-				rmu.Lock()
-				totalReconnects += r.Reconnects()
-				totalResends += r.Resends()
-				rmu.Unlock()
-				r.Close()
-			}()
+			r := wire.NewRetrier(rc)
+			defer r.Close()
 			rng := rand.New(rand.NewSource(int64(c)))
 			var acked []chaosEndpoint
-			for b := 0; b < batches; b++ {
-				reqs := make([]wire.Request, batchSize)
+			defer func() {
+				vmu.Lock()
+				for _, ep := range acked {
+					tally.acked[ep]++
+				}
+				tally.reconnects += r.Reconnects()
+				resends += r.Resends()
+				vmu.Unlock()
+			}()
+			next := time.Now()
+			for b := 0; b < tc.batches; b++ {
+				reqs := make([]wire.Request, tc.batch)
 				for i := range reqs {
 					reqs[i] = wire.Request{
 						Kind:   wire.ReqAddWorker,
 						X:      rng.Float64() * 100,
 						Y:      rng.Float64() * 100,
 						At:     nan(),
-						Window: 5,
+						Window: tc.window,
 					}
 					if i%2 == 1 {
 						reqs[i].Kind = wire.ReqAddTask
@@ -158,45 +222,26 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 						t.Errorf("client %d admission error: %+v", c, res[i])
 					}
 				}
-				time.Sleep(20 * time.Millisecond)
+				next = next.Add(tc.pace)
+				time.Sleep(time.Until(next))
 			}
-			ackedCh <- acked
 		}(c)
 	}
 	wg.Wait()
-	close(ackedCh)
-	acked := make(map[chaosEndpoint]int)
-	for batch := range ackedCh {
-		for _, ep := range batch {
-			if acked[ep]++; acked[ep] > 1 {
-				t.Errorf("endpoint %+v acknowledged twice", ep)
-			}
-		}
-	}
-	if len(acked) == 0 {
-		t.Fatal("no admission survived the chaos — the soak exercised nothing")
-	}
 
-	// Expire everything unmatched (window 5s, clock jumps to 100) and
-	// drive advances through the chaotic path until the stream has shown
-	// every acked endpoint a terminal event.
-	set(100)
+	// Expire everything unmatched (the manual clock jumps past every
+	// window; the tick loop gets there by itself) and drive advances
+	// through the chaotic path until the stream has shown every acked
+	// endpoint a terminal event.
+	if tc.manual {
+		set(100)
+	}
 	missing := func() int {
 		vmu.Lock()
 		defer vmu.Unlock()
-		n := 0
-		for ep := range acked {
-			if seen[ep] == 0 {
-				n++
-			}
-		}
-		return n
+		return tally.missing()
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for missing() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d acked endpoints never reached a terminal event", missing(), len(acked))
-		}
+	for deadline := time.Now().Add(60 * time.Second); missing() > 0 && time.Now().Before(deadline); {
 		if _, err := sub.Do([]wire.Request{{Kind: wire.ReqAdvance}}); err != nil {
 			t.Fatalf("advance through chaos: %v", err)
 		}
@@ -206,29 +251,83 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 	// reach the verifier before scoring.
 	time.Sleep(300 * time.Millisecond)
 
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st struct {
+		Wire struct {
+			ProtocolErrors uint64 `json:"protocol_errors"`
+			Deduped        uint64 `json:"deduped"`
+		} `json:"wire"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("/stats: %v", err)
+	}
+	if st.Wire.ProtocolErrors != 0 {
+		t.Errorf("injected network faults counted as %d protocol errors", st.Wire.ProtocolErrors)
+	}
 	vmu.Lock()
 	defer vmu.Unlock()
-	for ep, n := range seen {
+	tally.reconnects += sub.Reconnects()
+	tally.resets = proxy.Stats().Resets
+	tally.score(t)
+	t.Logf("chaos soak: %d acked, %d stream endpoints, %d reconnects, %d resends, %d deduped, stats %+v",
+		len(tally.acked), len(tally.seen), tally.reconnects, resends, st.Wire.Deduped, proxy.Stats())
+}
+
+// soakTally is what a soak observed: receipts handed out, terminal events
+// per endpoint in the merged stream, retention overruns, and how hard the
+// chaos bit (client reconnects, proxy resets).
+type soakTally struct {
+	acked, seen map[chaosEndpoint]int
+	gone        int
+	reconnects  uint64
+	resets      uint64
+}
+
+// missing counts acked endpoints not yet seen terminal.
+func (s *soakTally) missing() int {
+	n := 0
+	for ep := range s.acked {
+		if s.seen[ep] == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// score is the exactly-once verdict every soak shares: admissions were
+// acknowledged, no receipt twice; every acked endpoint terminal exactly
+// once and nothing unacknowledged terminal; the subscription never
+// overran retention; and the faults actually struck — some client
+// reconnected and the proxy reset at least one connection.
+func (s *soakTally) score(t *testing.T) {
+	t.Helper()
+	if len(s.acked) == 0 {
+		t.Error("no admission survived the chaos — the soak exercised nothing")
+	}
+	for ep, n := range s.acked {
+		if n > 1 {
+			t.Errorf("endpoint %+v acknowledged %d times", ep, n)
+		}
+	}
+	if n := s.missing(); n > 0 {
+		t.Errorf("%d of %d acked endpoints never reached a terminal event", n, len(s.acked))
+	}
+	for ep, n := range s.seen {
 		if n != 1 {
 			t.Errorf("endpoint %+v terminal %d times, want exactly once", ep, n)
 		}
-		if acked[ep] == 0 {
+		if s.acked[ep] == 0 {
 			t.Errorf("endpoint %+v terminal but never acknowledged (a lost-ack resend re-executed)", ep)
 		}
 	}
-	if gone != 0 {
-		t.Errorf("subscription overran retention %d times", gone)
+	if s.gone != 0 {
+		t.Errorf("subscription overran retention %d times", s.gone)
 	}
-	if ws.protoErr.Load() != 0 {
-		t.Errorf("injected network faults counted as %d protocol errors", ws.protoErr.Load())
+	if s.reconnects == 0 {
+		t.Error("no client ever reconnected: the chaos schedule never bit")
 	}
-	rmu.Lock()
-	recon, resend := totalReconnects, totalResends
-	rmu.Unlock()
-	recon += sub.Reconnects()
-	if recon == 0 {
-		t.Errorf("no client ever reconnected: the chaos schedule (resets every ~250ms over a %d-admission run) never bit", totalAdmit)
+	if s.resets == 0 {
+		t.Error("the proxy never reset a connection")
 	}
-	t.Logf("chaos soak: %d acked, %d stream endpoints, %d reconnects, %d resends, %d deduped, stats %+v",
-		len(acked), len(seen), recon, resend, ws.deduped.Load(), proxy.Stats())
 }

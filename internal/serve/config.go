@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ftoa"
+	"ftoa/internal/wire"
 )
 
 // Config is everything New needs; cmd/ftoa-serve fills it from its flags,
@@ -83,6 +84,38 @@ type Config struct {
 	WireDedupClients int           // client windows retained
 }
 
+// DefaultConfig is ftoa-serve with every flag at its default: the flags
+// take their defaults from it, and an in-process server built from it
+// with a command line's fields set is the binary that command line runs.
+func DefaultConfig() Config {
+	return Config{
+		Algorithm:        "greedy",
+		Window:           1,
+		Mode:             "strict",
+		Velocity:         1,
+		Bounds:           [4]float64{0, 0, 100, 100},
+		Tick:             250 * time.Millisecond,
+		Shards:           [2]int{1, 1},
+		Retention:        1 << 16,
+		Retire:           time.Minute,
+		Horizon:          86400,
+		GuidePatience:    300,
+		GuideExpiry:      60,
+		GuideAnchor:      "wallclock",
+		WALSync:          "interval",
+		Ring:             1024,
+		RebalSplit:       200,
+		RebalDepth:       2,
+		RebalCooldown:    10 * time.Second,
+		RebalTau:         5 * time.Second,
+		WireMaxConns:     256,
+		WireIdle:         5 * time.Minute,
+		WireWriteTimeout: 10 * time.Second,
+		WireDedupWindow:  wire.DefaultDedupWindow,
+		WireDedupClients: wire.DefaultDedupCap,
+	}
+}
+
 // weekly resolves GuideAnchor: true for the wall-clock week timeline,
 // false for the single uptime day.
 func (c *Config) weekly() (bool, error) {
@@ -132,11 +165,12 @@ func (c *Config) validate() (mode ftoa.Mode, policy ftoa.WALSyncPolicy, err erro
 		err = fmt.Errorf("tick must be positive, got %v", c.Tick)
 	case c.Retention <= 0:
 		err = fmt.Errorf("retention must be positive, got %d", c.Retention)
-	case c.Horizon <= 0:
+	// The negated comparisons refuse NaN, which every plain one lets by.
+	case !(c.Horizon > 0):
 		err = fmt.Errorf("horizon must be positive, got %v", c.Horizon)
 	case c.Retire < 0:
 		err = fmt.Errorf("retire interval must be non-negative, got %v", c.Retire)
-	case c.Halo < 0:
+	case !(c.Halo >= 0):
 		err = fmt.Errorf("halo window must be non-negative, got %v", c.Halo)
 	case c.RebalForecast && !c.Rebalance:
 		err = fmt.Errorf("-rebalance-forecast needs -rebalance")

@@ -162,7 +162,7 @@ func newAlgorithm(cfg Config, fc *forecast) (func() ftoa.Algorithm, error) {
 	case "greedy":
 		return func() ftoa.Algorithm { return ftoa.NewSimpleGreedy() }, nil
 	case "gr":
-		if cfg.Window <= 0 {
+		if !(cfg.Window > 0) {
 			return nil, fmt.Errorf("gr window must be positive, got %v", cfg.Window)
 		}
 		return func() ftoa.Algorithm { return ftoa.NewGR(cfg.Window) }, nil

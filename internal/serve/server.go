@@ -58,9 +58,10 @@
 // "recovering"; Shutdown drains in-flight requests, checkpoints the live
 // population and flushes the log.
 //
-// Every arrival, HTTP or wire, is admitted through one bounded ring per
-// shard, and a full ring is the one overload signal: 503 + Retry-After
-// over HTTP (counted in /stats "shed"), a BUSY result on the wire.
+// Every arrival, HTTP or wire, is admitted through its shard's admission
+// lane (shard.Admitter: one buffered channel and one drainer per shard),
+// and a full lane is the one overload signal: 503 + Retry-After over HTTP
+// (counted in /stats "shed"), a BUSY result on the wire.
 package serve
 
 import (
@@ -77,7 +78,7 @@ import (
 	"ftoa/internal/wire"
 )
 
-// Server owns the shard router, the admission rings in front of it and,
+// Server owns the shard router, the admission lanes in front of it and,
 // once started, the tick loop and the wire listener.
 type Server struct {
 	cfg    Config
@@ -94,11 +95,12 @@ type Server struct {
 	lastAdvance atomic.Uint64
 
 	// admitter is the shared batched admission front: every arrival —
-	// HTTP POST or wire batch entry — is enqueued to a per-shard MPSC
-	// ring and admitted by that ring's single drainer, so producers never
-	// touch a shard lock and backpressure (a full ring, or a router
-	// mid-rebalance) is an immediate refusal. shed counts the refusals
-	// answered 503 over HTTP; the wire listener counts its BUSY results.
+	// HTTP POST or wire batch entry — is enqueued to its shard's admission
+	// lane (a buffered channel) and admitted by that lane's single drainer,
+	// so producers never touch a shard lock and backpressure (a full
+	// lane, or a router mid-rebalance) is an immediate refusal. shed counts
+	// the refusals answered 503 over HTTP; the wire listener counts its
+	// BUSY results.
 	admitter *ftoa.ShardAdmitter
 	shed     atomic.Uint64
 
@@ -223,7 +225,7 @@ func recoverUsPerEvent(ri *ftoa.ShardRecoveryInfo) float64 {
 // Shutdown is the graceful stop. Producers go first — the tick loop, the
 // wire connections, then hs, the HTTP server carrying Handler when there
 // is one (in-flight requests get until ctx ends) — so nothing enqueues to
-// the admission rings any more; then the rings drain into their shards;
+// the admission lanes any more; then the lanes drain into their shards;
 // then, with a WAL, the live population is checkpointed into a sealed
 // generation of its own, so the next boot replays what is alive instead
 // of everything this process ever admitted; then the WAL closes. Only the

@@ -336,6 +336,32 @@ func TestNewServerRejectsBadTiming(t *testing.T) {
 	}
 }
 
+// TestNewServerRefusesNaN: every float knob refuses NaN at the door. A NaN
+// halo used to boot and then panic on the first admission; a NaN gr
+// window booted and never matched. +Inf halo stays a valid reach.
+func TestNewServerRefusesNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"halo NaN", func(c *Config) { c.Halo = nan }, false},
+		{"horizon NaN", func(c *Config) { c.Horizon = nan }, false},
+		{"gr window NaN", func(c *Config) { c.Algorithm, c.Window = "gr", nan }, false},
+		{"rebalance split NaN", func(c *Config) { c.Rebalance, c.RebalSplit = true, nan }, false},
+		{"rebalance merge NaN", func(c *Config) { c.Rebalance, c.RebalSplit, c.RebalMerge = true, 200, nan }, false},
+		{"halo +Inf", func(c *Config) { c.Shards, c.Halo = [2]int{2, 2}, math.Inf(1) }, true},
+		{"rebalance finite", func(c *Config) { c.Rebalance, c.RebalSplit, c.RebalMerge = true, 200, 10 }, true},
+	} {
+		cfg := defaultTestConfig()
+		tc.set(&cfg)
+		if _, err := New(cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestServeMatchesSinceCursor: ?since=N returns only matches committed
 // after the first N, while count always reports the full history size.
 func TestServeMatchesSinceCursor(t *testing.T) {

@@ -16,7 +16,7 @@ type statsJSON struct {
 	LiveWorkers int `json:"live_workers"`
 	LiveTasks   int `json:"live_tasks"`
 	// Shed counts the arrivals answered 503 because their shard's
-	// admission ring refused them.
+	// admission lane refused them.
 	Shed     uint64            `json:"shed"`
 	WAL      map[string]any    `json:"wal"`
 	Wire     map[string]any    `json:"wire"`

@@ -80,7 +80,7 @@ func newWireServer(s *Server, ln net.Listener) *wireServer {
 }
 
 // close stops accepting, drops every connection and waits the handlers
-// out. The shared admission rings are the server's (Shutdown drains
+// out. The shared admission lanes are the server's (Shutdown drains
 // them); call this first so wire producers are gone by then.
 func (ws *wireServer) close() {
 	ws.mu.Lock()

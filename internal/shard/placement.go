@@ -66,8 +66,8 @@ func NewPlacement(bounds geo.Rect, cols, rows int, halo float64) *Placement {
 // NewPlacementTopo builds the placement of an arbitrary topology. Halo
 // must be non-negative; the base grid follows geo.NewGrid's rules.
 func NewPlacementTopo(bounds geo.Rect, topo *Topology, halo float64) *Placement {
-	if halo < 0 {
-		panic("shard: negative halo")
+	if !(halo >= 0) {
+		panic("shard: halo must be non-negative")
 	}
 	p := &Placement{
 		topo:       topo,

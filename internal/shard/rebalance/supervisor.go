@@ -79,17 +79,18 @@ func New(r *shard.Router, cfg Config) (*Supervisor, error) {
 	if r == nil {
 		return nil, errors.New("rebalance: nil router")
 	}
-	if cfg.SplitRate <= 0 {
+	// Negated comparisons, so NaN is refused too.
+	if !(cfg.SplitRate > 0) {
 		return nil, errors.New("rebalance: SplitRate must be positive")
 	}
-	if cfg.MergeRate < 0 {
+	if !(cfg.MergeRate >= 0) {
 		return nil, errors.New("rebalance: MergeRate must be non-negative")
 	}
 	if cfg.MergeRate > 0 && cfg.MergeRate*4 > cfg.SplitRate {
 		return nil, fmt.Errorf("rebalance: MergeRate %g too close to SplitRate %g (need MergeRate <= SplitRate/4 for hysteresis)",
 			cfg.MergeRate, cfg.SplitRate)
 	}
-	if cfg.Cooldown < 0 {
+	if !(cfg.Cooldown >= 0) {
 		return nil, errors.New("rebalance: Cooldown must be non-negative")
 	}
 	if cfg.MaxDepth <= 0 || cfg.MaxDepth > shard.MaxSplitDepth {

@@ -1,6 +1,7 @@
 package rebalance
 
 import (
+	"math"
 	"testing"
 
 	"ftoa/internal/core"
@@ -76,6 +77,30 @@ func TestNewValidation(t *testing.T) {
 	}
 	if s, err := New(r, Config{SplitRate: 10, MergeRate: 2.5}); err != nil || s == nil {
 		t.Errorf("boundary MergeRate == SplitRate/4 rejected: %v", err)
+	}
+}
+
+// TestNewRefusesNaN: NaN passes every "x <= 0" / "x < 0" check, and a NaN
+// threshold or cooldown silently disables the comparison it feeds, so
+// each rate and the cooldown refuse it. An infinite SplitRate (splitting
+// priced out of reach) stays valid.
+func TestNewRefusesNaN(t *testing.T) {
+	r := testRouter(t)
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"SplitRate NaN", Config{SplitRate: nan}, false},
+		{"MergeRate NaN", Config{SplitRate: 10, MergeRate: nan}, false},
+		{"Cooldown NaN", Config{SplitRate: 10, Cooldown: nan}, false},
+		{"SplitRate +Inf", Config{SplitRate: math.Inf(1)}, true},
+		{"finite", Config{SplitRate: 10, MergeRate: 2, Cooldown: 1}, true},
+	} {
+		if _, err := New(r, tc.cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

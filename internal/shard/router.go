@@ -354,8 +354,8 @@ func newRouterShell(cfg Config) (*Router, error) {
 	if cfg.RetireInterval < 0 {
 		return nil, fmt.Errorf("shard: negative retire interval %v", cfg.RetireInterval)
 	}
-	if cfg.Halo < 0 {
-		return nil, fmt.Errorf("shard: negative halo %v", cfg.Halo)
+	if !(cfg.Halo >= 0) { // NaN too: every halo comparison would be false
+		return nil, fmt.Errorf("shard: halo must be non-negative, got %v", cfg.Halo)
 	}
 	// Validate the base config before geo.NewGrid sees the bounds:
 	// degenerate bounds (zero-area, inverted) must surface as the same

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -78,6 +79,38 @@ func TestNewRouterValidates(t *testing.T) {
 	bad.Matcher.Bounds = geo.Rect{} // degenerate bounds must error, not panic in grid construction
 	if _, err := NewRouter(bad); err == nil {
 		t.Error("empty bounds accepted")
+	}
+}
+
+// TestNewRouterRefusesNaNHalo: a NaN halo slips past every "halo < 0"
+// check and leaves Placement.Mirrors with no region to place an
+// admission in, so the router refuses it at construction, and so does
+// the placement itself. +Inf stays a valid (whole-area) reach.
+func TestNewRouterRefusesNaNHalo(t *testing.T) {
+	for _, tc := range []struct {
+		halo float64
+		ok   bool
+	}{
+		{math.NaN(), false},
+		{-1, false},
+		{math.Inf(-1), false},
+		{0, true},
+		{5, true},
+		{math.Inf(1), true},
+	} {
+		cfg := testConfig(2, 2)
+		cfg.Halo = tc.halo
+		if _, err := NewRouter(cfg); (err == nil) != tc.ok {
+			t.Errorf("halo %v: err = %v, want accepted=%v", tc.halo, err, tc.ok)
+		}
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewPlacement(cfg.Matcher.Bounds, 2, 2, tc.halo)
+			return false
+		}()
+		if panicked == tc.ok {
+			t.Errorf("NewPlacement halo %v: panicked=%v, want %v", tc.halo, panicked, !tc.ok)
+		}
 	}
 }
 
