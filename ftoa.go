@@ -173,13 +173,6 @@ type (
 	// handles through the old→new tables. All algorithms in this package
 	// implement it.
 	RetirableAlgorithm = sim.RetirableAlgorithm
-	// WithdrawAwareAlgorithm is an Algorithm that eagerly drops its
-	// per-object state when the platform withdraws a handle
-	// (Session.WithdrawWorker/WithdrawTask — the retraction behind the
-	// shard router's halo ghosts). The hook is an optimisation; platform
-	// availability checks already report withdrawn objects dead. All
-	// algorithms in this package implement it.
-	WithdrawAwareAlgorithm = sim.WithdrawAwareAlgorithm
 	// Platform is the session-side API visible to algorithms.
 	Platform = sim.Platform
 	// Matcher is a configured factory for open-world matching sessions.

@@ -248,32 +248,6 @@ func TestPagedMatchesDenseSession(t *testing.T) {
 	}
 }
 
-// TestWithdrawNeverWrittenPage: retracting an object from an algorithm
-// instance that never saw it arrive (so its cell's page does not exist)
-// is a no-op, exactly as it is on a dense zero cell.
-func TestWithdrawNeverWrittenPage(t *testing.T) {
-	cfg, in := parityInstance(t, 50)
-	for _, a := range guidedPairs(parityGuide(t, cfg)) {
-		t.Run(a.name, func(t *testing.T) {
-			sess := sessionMatcher(t, in, sim.Strict).NewSession(NewSimpleGreedy())
-			w, err := sess.AddWorker(in.Workers[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			tk, err := sess.AddTask(in.Tasks[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, alg := range []sim.Algorithm{a.paged(), a.dense()} {
-				alg.Init(sess)
-				wa := alg.(sim.WithdrawAwareAlgorithm)
-				wa.OnWorkerWithdraw(w, sess.Now())
-				wa.OnTaskWithdraw(tk, sess.Now())
-			}
-		})
-	}
-}
-
 // routerRun drives in through a router and returns the merged event
 // stream. Topology changes are applied at the given arrival counts; with
 // none, admissions go through the batched admitter (one at a time, so the

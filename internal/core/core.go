@@ -81,8 +81,7 @@ func remapHandles(hs []int32, m []int32) []int32 {
 	return hs[:k]
 }
 
-// All six online algorithms support arena retirement and cross-shard
-// withdrawal (the halo router's retraction primitive).
+// All six online algorithms support arena retirement.
 var (
 	_ sim.RetirableAlgorithm = (*POLAR)(nil)
 	_ sim.RetirableAlgorithm = (*POLAROP)(nil)
@@ -96,11 +95,4 @@ var (
 	_ sim.Reserver = (*SimpleGreedy)(nil)
 	_ sim.Reserver = (*Hybrid)(nil)
 	_ sim.Reserver = (*TGOA)(nil)
-
-	_ sim.WithdrawAwareAlgorithm = (*POLAR)(nil)
-	_ sim.WithdrawAwareAlgorithm = (*POLAROP)(nil)
-	_ sim.WithdrawAwareAlgorithm = (*SimpleGreedy)(nil)
-	_ sim.WithdrawAwareAlgorithm = (*GR)(nil)
-	_ sim.WithdrawAwareAlgorithm = (*Hybrid)(nil)
-	_ sim.WithdrawAwareAlgorithm = (*TGOA)(nil)
 )

@@ -91,16 +91,6 @@ func (a *GR) Remap(workers, tasks []int32) {
 	a.waitingTasks = sim.Refit(remapHandles(a.waitingTasks, tasks), len(tasks))
 }
 
-// OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm. GR keeps no
-// per-object state beyond the waiting lists, and flush already compacts
-// every entry that fails its availability check — which a withdrawn
-// object does — at the next window boundary, so eager removal would only
-// duplicate that sweep. Deliberately a no-op.
-func (a *GR) OnWorkerWithdraw(w int, now float64) {}
-
-// OnTaskWithdraw is OnWorkerWithdraw for the task side.
-func (a *GR) OnTaskWithdraw(t int, now float64) {}
-
 // flush runs a maximum matching over the currently available waiting
 // objects and commits it.
 func (a *GR) flush(now float64) {

@@ -88,20 +88,6 @@ func (a *Hybrid) Remap(workers, tasks []int32) {
 	a.waitPool.Remap(workers, tasks)
 }
 
-// OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: both halves
-// retract — the guide-path queue entry sentinels via POLAROP's hook and
-// the fallback pool drops the id.
-func (a *Hybrid) OnWorkerWithdraw(w int, now float64) {
-	a.op.OnWorkerWithdraw(w, now)
-	a.waitPool.OnWorkerWithdraw(w, now)
-}
-
-// OnTaskWithdraw is OnWorkerWithdraw for the task side.
-func (a *Hybrid) OnTaskWithdraw(t int, now float64) {
-	a.op.OnTaskWithdraw(t, now)
-	a.waitPool.OnTaskWithdraw(t, now)
-}
-
 // workerMatched and taskMatched probe availability at time 0 as a cheap
 // "has a match been committed for this object" signal: at time 0 no
 // deadline has passed, so unavailability can only come from the matched

@@ -107,44 +107,14 @@ func (a *POLAR) OnFinish(now float64) {}
 // cell's k-th occupant answers for guide node k — so retired occupants
 // must keep their slot: they are replaced by a negative sentinel rather
 // than removed, and the match paths above skip the (always-doomed)
-// TryMatch against them. Occupant lists are bounded by the guide's node
-// counts, so the sentinels cost no growth.
+// TryMatch against them. A withdrawn occupant keeps its handle until
+// then: the one TryMatch a partner spends on it is refused (counted as
+// attempted and rejected, nothing committed), and the retirement that
+// follows sentinels it like any other dead occupant. Occupant lists are
+// bounded by the guide's node counts, so the sentinels cost no growth.
 func (a *POLAR) Remap(workers, tasks []int32) {
 	a.wCells.each(func(c *polarCell) { remapOccupants(c.occupants, workers) })
 	a.tCells.each(func(c *polarCell) { remapOccupants(c.occupants, tasks) })
-}
-
-// OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: the withdrawn
-// worker's occupied guide node (if any — it occupies at most one, in its
-// own (slot, area) cell) gets the same negative sentinel a retirement
-// would install, so the partner path skips it without a doomed TryMatch.
-func (a *POLAR) OnWorkerWithdraw(w int, now float64) {
-	if cid := a.g.WorkerCellID(locateWorker(a.g, a.p.Worker(w))); cid >= 0 {
-		withdrawOccupant(a.wCells.peek(cid), int32(w))
-	}
-}
-
-// OnTaskWithdraw is OnWorkerWithdraw for the task side.
-func (a *POLAR) OnTaskWithdraw(t int, now float64) {
-	if cid := a.g.TaskCellID(locateTask(a.g, a.p.Task(t))); cid >= 0 {
-		withdrawOccupant(a.tCells.peek(cid), int32(t))
-	}
-}
-
-// withdrawOccupant sentinels the handle's node slot in one cell. The scan
-// is bounded by the cell's node count; absence is fine (the object never
-// occupied a node — its type was full or unpredicted — or the cell was
-// never written at all, which peek reports as nil).
-func withdrawOccupant(cell *polarCell, h int32) {
-	if cell == nil {
-		return
-	}
-	for i, occ := range cell.occupants {
-		if occ == h {
-			cell.occupants[i] = -1
-			return
-		}
-	}
 }
 
 func remapOccupants(occ []int32, m []int32) {

@@ -35,8 +35,8 @@ type opCell struct {
 }
 
 // waitQueue is a FIFO of object indices. Dead entries (matched elsewhere,
-// expired, or retired to a negative sentinel by Remap) are dropped lazily
-// during scans, keeping amortised cost O(1).
+// expired, withdrawn, or retired to a negative sentinel by Remap) are
+// dropped lazily during scans, keeping amortised cost O(1).
 type waitQueue struct {
 	items []int32
 	head  int
@@ -80,18 +80,6 @@ func (q *waitQueue) scan(dead func(int32) bool, try func(int32) bool) bool {
 		i++
 	}
 	return false
-}
-
-// withdraw sentinels one handle's entry in place (if present), so a
-// retracted object stops being a match candidate without waiting for a
-// scan to probe its availability.
-func (q *waitQueue) withdraw(h int32) {
-	for i := q.head; i < len(q.items); i++ {
-		if q.items[i] == h {
-			q.items[i] = -1
-			return
-		}
-	}
 }
 
 // remap rebases the queue across an arena epoch. The consumed prefix is
@@ -189,28 +177,6 @@ func (a *POLAROP) OnFinish(now float64) {}
 func (a *POLAROP) Remap(workers, tasks []int32) {
 	a.wCells.each(func(c *opCell) { c.queue.remap(workers) })
 	a.tCells.each(func(c *opCell) { c.queue.remap(tasks) })
-}
-
-// OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: the withdrawn
-// worker's waiting-queue entry (it waits in at most its own cell's queue)
-// becomes a negative sentinel, which future scans remove with exactly the
-// swap dynamics a lazily discovered dead entry gets. Sentineling instead
-// of splicing keeps scan's order evolution untouched.
-func (a *POLAROP) OnWorkerWithdraw(w int, now float64) {
-	if cid := a.g.WorkerCellID(locateWorker(a.g, a.p.Worker(w))); cid >= 0 {
-		if cell := a.wCells.peek(cid); cell != nil {
-			cell.queue.withdraw(int32(w))
-		}
-	}
-}
-
-// OnTaskWithdraw is OnWorkerWithdraw for the task side.
-func (a *POLAROP) OnTaskWithdraw(t int, now float64) {
-	if cid := a.g.TaskCellID(locateTask(a.g, a.p.Task(t))); cid >= 0 {
-		if cell := a.tCells.peek(cid); cell != nil {
-			cell.queue.withdraw(int32(t))
-		}
-	}
 }
 
 // peekPartner returns the partner of the cell's current node without

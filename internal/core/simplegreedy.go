@@ -8,7 +8,7 @@ import "ftoa/internal/sim"
 // satisfies the deadline constraint, if any; otherwise it waits in place
 // (workers until Sw+Dw, tasks until Sr+Dr). Workers never relocate. It is
 // exactly the wait-in-place pool (waitPool), whose methods it inherits for
-// retirement, recovery sizing and withdrawal.
+// retirement and recovery sizing.
 type SimpleGreedy struct {
 	waitPool
 }

@@ -33,7 +33,9 @@ import (
 // second-half commit path re-checks availability through the platform,
 // which reports it dead. This means TGOA's memory grows with lifetime
 // arrivals by design (the price of its competitive analysis); only the
-// wait-in-place pool compacts, and the pool's withdraw hooks are TGOA's.
+// wait-in-place pool compacts: a withdrawn second-half waiter leaves its
+// index at the next search that passes over it or, at the latest, at
+// Retire.
 type TGOA struct {
 	// waitPool is the greedy first half, and holds the second half's
 	// waiters too, keyed by platform handle and rebased by Remap.

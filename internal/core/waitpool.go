@@ -15,8 +15,12 @@ import (
 // and parks its second half's waiters in it; Hybrid falls back to it when
 // the guide misses.
 //
-// Its exported methods implement sim.RetirableAlgorithm's Remap, sim.Reserver
-// and sim.WithdrawAwareAlgorithm for the algorithms that embed it.
+// Its exported methods implement sim.RetirableAlgorithm's Remap and
+// sim.Reserver for the algorithms that embed it. A waiting object that
+// leaves — matched elsewhere, expired or withdrawn — is unavailable
+// through the platform, which is the searches' dead filter: the first
+// search that passes over it removes it, and the next Remap drops it at
+// the latest.
 type waitPool struct {
 	p sim.Platform
 
@@ -37,7 +41,6 @@ type waitPool struct {
 	// covers every feasible candidate.
 	maxTaskBudget   float64
 	maxWorkerBudget float64 // the largest Dw of any worker the pool has held
-	deadIDs         []int   // scratch for lazy expiry cleanup
 
 	// lastBounds/lastSized enable index reuse across sessions over the
 	// same service area, so repeat replays allocate nothing here.
@@ -100,17 +103,11 @@ func (q *waitPool) offerWorker(w int, now float64) bool {
 	if q.guided {
 		pos = q.p.WorkerPos(w, now)
 	}
-	q.deadIDs = q.deadIDs[:0]
 	// The farthest reachable waiting task is bounded by the largest
 	// remaining expiry budget.
-	t, _ := q.tasks.Nearest(pos, q.maxTaskBudget*velocity, func(t int) bool {
-		if !q.p.TaskAvailable(t, now) {
-			q.deadIDs = append(q.deadIDs, t)
-			return false
-		}
-		return model.FeasibleAt(worker, q.p.Task(t), pos, now, velocity)
-	})
-	q.sweep(q.tasks)
+	t, _ := q.tasks.Nearest(pos, q.maxTaskBudget*velocity,
+		func(t int) bool { return !q.p.TaskAvailable(t, now) },
+		func(t int) bool { return model.FeasibleAt(worker, q.p.Task(t), pos, now, velocity) })
 	if t >= 0 && q.p.TryMatch(w, t, now) {
 		q.tasks.Remove(t)
 		return true
@@ -127,26 +124,22 @@ func (q *waitPool) offerTask(t int, now float64) bool {
 	task := q.p.Task(t)
 	velocity := q.p.Velocity()
 	q.noteTask(task)
-	q.deadIDs = q.deadIDs[:0]
 	// Workers beyond Dr·v cannot reach the task before its deadline; a
 	// guided one may be up to Dw·v from where it is indexed.
 	radius := task.Expiry * velocity
 	if q.guided {
 		radius = (task.Expiry + q.maxWorkerBudget) * velocity
 	}
-	w, _ := q.workers.Nearest(task.Loc, radius, func(w int) bool {
-		if !q.p.WorkerAvailable(w, now) {
-			q.deadIDs = append(q.deadIDs, w)
-			return false
-		}
-		worker := q.p.Worker(w)
-		pos := worker.Loc
-		if q.guided {
-			pos = q.p.WorkerPos(w, now)
-		}
-		return model.FeasibleAt(worker, task, pos, now, velocity)
-	})
-	q.sweep(q.workers)
+	w, _ := q.workers.Nearest(task.Loc, radius,
+		func(w int) bool { return !q.p.WorkerAvailable(w, now) },
+		func(w int) bool {
+			worker := q.p.Worker(w)
+			pos := worker.Loc
+			if q.guided {
+				pos = q.p.WorkerPos(w, now)
+			}
+			return model.FeasibleAt(worker, task, pos, now, velocity)
+		})
 	if w >= 0 && q.p.TryMatch(w, t, now) {
 		q.workers.Remove(w)
 		return true
@@ -155,20 +148,14 @@ func (q *waitPool) offerTask(t int, now float64) bool {
 	return false
 }
 
-// sweep drops the dead ids the last search collected from ix.
-func (q *waitPool) sweep(ix *spatial.Index) {
-	for _, id := range q.deadIDs {
-		ix.Remove(id)
-	}
-}
-
 // Remap implements sim.RetirableAlgorithm: the waiting indexes are
 // re-keyed in place. Retired ids drop out of their buckets — the same
-// entries the lazy deadIDs sweep would have removed, since a retired
+// entries a search's dead filter would have removed, since a retired
 // object is unavailable by construction — so the index stays proportional
-// to the live waiting population. The budgets are running maxima over
-// everything the pool has seen and deliberately survive retirement:
-// pruning with a too-large radius is lossless.
+// to the live waiting population, withdrawn objects no search visited
+// included. The budgets are running maxima over everything the pool has
+// seen and deliberately survive retirement: pruning with a too-large
+// radius is lossless.
 func (q *waitPool) Remap(workers, tasks []int32) {
 	q.workers.Remap(workers)
 	q.tasks.Remap(tasks)
@@ -180,11 +167,3 @@ func (q *waitPool) Reserve(workers, tasks int) {
 	q.workers.Reserve(workers)
 	q.tasks.Reserve(tasks)
 }
-
-// OnWorkerWithdraw implements sim.WithdrawAwareAlgorithm: the withdrawn
-// worker leaves the waiting index immediately (Remove tolerates absence —
-// the worker may already have been swept or never waited).
-func (q *waitPool) OnWorkerWithdraw(w int, now float64) { q.workers.Remove(w) }
-
-// OnTaskWithdraw is OnWorkerWithdraw for the task side.
-func (q *waitPool) OnTaskWithdraw(t int, now float64) { q.tasks.Remove(t) }

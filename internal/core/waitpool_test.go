@@ -100,3 +100,107 @@ func TestHybridFallbackReachesDispatchedWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestWithdrawnWaitersLeaveAtRetire: withdrawal does not call the
+// algorithm, so a withdrawn waiter that no search ever visits stays in the
+// pool's index — but only until the next Retire, whose Remap drops it.
+// Tasks wait on the left, workers on the right, each side beyond the
+// other's search radius; a third of each is withdrawn.
+func TestWithdrawnWaitersLeaveAtRetire(t *testing.T) {
+	const n = 30
+	bounds := geo.NewRect(0, 0, 100, 10)
+	empty, err := guide.NewManual(guide.Config{
+		Grid:           geo.NewGrid(bounds, 2, 1),
+		Slots:          timeslot.New(100, 1),
+		Velocity:       1,
+		WorkerPatience: 50,
+		TaskExpiry:     50,
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []sim.Mode{sim.AssumeGuide, sim.Strict} {
+		greedy, hybrid := NewSimpleGreedy(), NewHybrid(empty)
+		for _, c := range []struct {
+			name string
+			alg  sim.Algorithm
+			pool *waitPool
+		}{
+			{"SimpleGreedy", greedy, &greedy.waitPool},
+			{"Hybrid", hybrid, &hybrid.waitPool},
+		} {
+			m, err := sim.NewMatcher(sim.MatcherConfig{Mode: mode, Velocity: 1, Bounds: bounds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := m.NewSession(c.alg)
+			liveW, liveT := 0, 0
+			for i := 0; i < n; i++ {
+				tk, err := s.AddTask(model.Task{Loc: geo.Pt(float64(i), 5), Release: 0, Expiry: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%3 == 0 {
+					s.WithdrawTask(tk)
+				} else {
+					liveT++
+				}
+			}
+			for i := 0; i < n; i++ {
+				w, err := s.AddWorker(model.Worker{Loc: geo.Pt(float64(99-i), 5), Arrive: 0, Patience: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%3 == 0 {
+					s.WithdrawWorker(w)
+				} else {
+					liveW++
+				}
+			}
+			if s.Matches() != 0 || c.pool.workers.Len() != n || c.pool.tasks.Len() != n {
+				t.Fatalf("%s/%v: %d matches, indexes %d/%d before retire; want 0 and every waiter (%d) still indexed",
+					c.name, mode, s.Matches(), c.pool.workers.Len(), c.pool.tasks.Len(), n)
+			}
+			s.Retire(s.Now())
+			if c.pool.workers.Len() != liveW || c.pool.tasks.Len() != liveT {
+				t.Fatalf("%s/%v: indexes hold %d workers, %d tasks after retire; want the live %d, %d",
+					c.name, mode, c.pool.workers.Len(), c.pool.tasks.Len(), liveW, liveT)
+			}
+			if s.NumWorkers() != liveW || s.NumTasks() != liveT {
+				t.Fatalf("%s/%v: arenas %d/%d after retire, want %d/%d", c.name, mode, s.NumWorkers(), s.NumTasks(), liveW, liveT)
+			}
+		}
+	}
+}
+
+// TestSearchSweepsWithdrawnWaiters: a search removes every withdrawn
+// waiter within its reach, not only those nearer than what it matches, so
+// halo ghosts withdrawn in a busy neighbourhood do not pile up in the
+// index until the next Retire. One bucket holds every task; the arriving
+// worker matches the nearest and passes over the nine withdrawn beyond it.
+func TestSearchSweepsWithdrawnWaiters(t *testing.T) {
+	a := NewSimpleGreedy()
+	m, err := sim.NewMatcher(sim.MatcherConfig{
+		Mode: sim.Strict, Velocity: 1, Bounds: geo.NewRect(0, 0, 100, 10),
+		Hints: sim.Hints{ExpectedWorkers: 1, ExpectedTasks: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.NewSession(a)
+	for i := 0; i < 10; i++ {
+		tk, err := s.AddTask(model.Task{Loc: geo.Pt(float64(1+i), 5), Release: 0, Expiry: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			s.WithdrawTask(tk)
+		}
+	}
+	if _, err := s.AddWorker(model.Worker{Loc: geo.Pt(0, 5), Arrive: 0, Patience: 50}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Matches() != 1 || a.tasks.Len() != 0 {
+		t.Fatalf("%d matches, %d tasks still indexed; want 1 and 0", s.Matches(), a.tasks.Len())
+	}
+}

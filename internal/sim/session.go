@@ -161,9 +161,8 @@ type Session struct {
 	onRetire func(workers, tasks []int32)
 	gate     func(w, t int, now float64) bool
 
-	alg         Algorithm
-	timerAlg    TimerAlgorithm         // nil when alg has no OnTimer
-	withdrawAlg WithdrawAwareAlgorithm // nil when alg has no OnWithdraw hooks
+	alg      Algorithm
+	timerAlg TimerAlgorithm // nil when alg has no OnTimer
 
 	// Arenas; handles index into them. Append-only within an epoch;
 	// Retire compacts them across epoch boundaries (see retire.go).
@@ -252,7 +251,6 @@ func (s *Session) Reset(alg Algorithm) {
 	s.stats = MatchStats{}
 	s.alg = alg
 	s.timerAlg, _ = alg.(TimerAlgorithm)
-	s.withdrawAlg, _ = alg.(WithdrawAwareAlgorithm)
 	alg.Init(s)
 }
 

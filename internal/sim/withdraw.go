@@ -15,26 +15,14 @@ package sim
 //   - is provably dead for Retire in both modes, so the next retirement
 //     compacts it away.
 //
-// Withdrawal is silent (no lifecycle event) and does not advance the
-// session clock: it removes an object from consideration, it does not
-// report on it.
-
-// WithdrawAwareAlgorithm is implemented by algorithms that want to drop
-// their per-object state for a withdrawn handle eagerly. The hook is an
-// optimisation, never a correctness requirement: the platform's
-// availability checks already report a withdrawn object dead, so
-// algorithms that filter lazily (the same paths that absorb expiries)
-// stay correct without it. The hook runs synchronously from within
-// WithdrawWorker/WithdrawTask and must not call back into the platform's
-// mutating surface (TryMatch, Dispatch, Schedule); read-only accessors
-// are safe.
-type WithdrawAwareAlgorithm interface {
-	Algorithm
-	// OnWorkerWithdraw is invoked after worker w became withdrawn.
-	OnWorkerWithdraw(w int, now float64)
-	// OnTaskWithdraw is invoked after task t became withdrawn.
-	OnTaskWithdraw(t int, now float64)
-}
+// Withdrawal is silent (no lifecycle event), does not advance the
+// session clock and does not call the algorithm: it removes an object
+// from consideration, it does not report on it. Withdrawal is
+// availability — algorithms already filter candidates through
+// WorkerAvailable/TaskAvailable (the same checks that absorb expiries),
+// so a withdrawn object is skipped or refused wherever an algorithm
+// still holds it, and whatever per-object state it leaves behind is
+// dropped by Remap at the next Retire.
 
 // WithdrawWorker retracts worker h from matching consideration (see the
 // package comment above). It reports whether the worker was live — an
@@ -49,9 +37,6 @@ func (s *Session) WithdrawWorker(h int) bool {
 	}
 	ws.withdrawn = true
 	s.withdrawnW++
-	if s.withdrawAlg != nil {
-		s.withdrawAlg.OnWorkerWithdraw(h, s.now)
-	}
 	return true
 }
 
@@ -62,9 +47,6 @@ func (s *Session) WithdrawTask(h int) bool {
 	}
 	s.tWithdrawn[h] = true
 	s.withdrawnT++
-	if s.withdrawAlg != nil {
-		s.withdrawAlg.OnTaskWithdraw(h, s.now)
-	}
 	return true
 }
 

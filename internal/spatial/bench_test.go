@@ -25,12 +25,12 @@ func populated(n int, seed uint64) (*Index, []geo.Point) {
 func BenchmarkIndexNearest(b *testing.B) {
 	ix, pts := populated(10000, 42)
 	// One warm-up query grows the scratch buffer to its steady-state size.
-	ix.Nearest(geo.Pt(50, 50), 100, nil)
+	ix.Nearest(geo.Pt(50, 50), 100, nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := pts[i%len(pts)]
-		if id, _ := ix.Nearest(q, 20, nil); id < 0 {
+		if id, _ := ix.Nearest(q, 20, nil, nil); id < 0 {
 			b.Fatal("no neighbour found")
 		}
 	}

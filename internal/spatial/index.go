@@ -42,6 +42,7 @@ type Index struct {
 	slot    []int32
 	n       int
 	scratch []int
+	dead    []int // ids Nearest found dead, removed once its scan ends
 }
 
 // NewIndex creates an index over bounds sized for roughly expectedN entries
@@ -194,14 +195,20 @@ func (ix *Index) Reset() {
 	ix.n = 0
 }
 
-// Nearest returns the id of the entry nearest to p within maxDist for which
-// accept returns true, or (-1, 0) if none qualifies. Entries for which
-// accept returns false are skipped but kept. Accept may be nil, meaning
-// every entry qualifies.
+// Nearest returns the id of the entry nearest to p within maxDist that is
+// not dead and for which accept returns true, or (-1, 0) if none
+// qualifies. Entries for which accept returns false are skipped but kept;
+// entries for which dead returns true are skipped and removed. Either
+// predicate may be nil, meaning no entry is dead / every entry qualifies.
 //
 // The search expands ring by ring and stops as soon as the best candidate
 // found so far is provably closer than anything in unexplored rings.
-func (ix *Index) Nearest(p geo.Point, maxDist float64, accept func(id int) bool) (best int, bestDist float64) {
+// Within the rings it visits, dead sees every entry within maxDist, not
+// only those closer than the best so far, so entries that can never
+// qualify again leave the searched neighbourhood on the first search that
+// passes over them. Accept is asked only about live entries that would
+// beat the best so far.
+func (ix *Index) Nearest(p geo.Point, maxDist float64, dead, accept func(id int) bool) (best int, bestDist float64) {
 	best = -1
 	bestDist = math.Inf(1)
 	if maxDist < 0 || ix.n == 0 {
@@ -218,16 +225,24 @@ func (ix *Index) Nearest(p geo.Point, maxDist float64, accept func(id int) bool)
 		for _, c := range ix.scratch {
 			for _, e := range ix.buckets[c] {
 				d := p.Dist(e.p)
-				if d > maxDist || d >= bestDist {
+				if d > maxDist {
 					continue
 				}
-				if accept != nil && !accept(int(e.id)) {
+				if dead != nil && dead(int(e.id)) {
+					ix.dead = append(ix.dead, int(e.id))
+					continue
+				}
+				if d >= bestDist || accept != nil && !accept(int(e.id)) {
 					continue
 				}
 				best, bestDist = int(e.id), d
 			}
 		}
 	}
+	for _, id := range ix.dead {
+		ix.Remove(id)
+	}
+	ix.dead = ix.dead[:0]
 	if best == -1 {
 		return -1, 0
 	}

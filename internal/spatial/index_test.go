@@ -39,22 +39,22 @@ func TestNearestBasic(t *testing.T) {
 	ix.Insert(1, geo.Pt(10, 10))
 	ix.Insert(2, geo.Pt(20, 10))
 	ix.Insert(3, geo.Pt(90, 90))
-	id, d := ix.Nearest(geo.Pt(12, 10), 1000, nil)
+	id, d := ix.Nearest(geo.Pt(12, 10), 1000, nil, nil)
 	if id != 1 || math.Abs(d-2) > 1e-9 {
 		t.Errorf("Nearest = (%d, %v), want (1, 2)", id, d)
 	}
 	// maxDist excludes everything.
-	if id, _ := ix.Nearest(geo.Pt(0, 0), 5, nil); id != -1 {
+	if id, _ := ix.Nearest(geo.Pt(0, 0), 5, nil, nil); id != -1 {
 		t.Errorf("Nearest within 5 = %d, want -1", id)
 	}
 	// accept filter skips the closest.
-	id, _ = ix.Nearest(geo.Pt(12, 10), 1000, func(id int) bool { return id != 1 })
+	id, _ = ix.Nearest(geo.Pt(12, 10), 1000, nil, func(id int) bool { return id != 1 })
 	if id != 2 {
 		t.Errorf("filtered Nearest = %d, want 2", id)
 	}
 	// Empty index.
 	empty := NewIndex(bounds(), 1)
-	if id, _ := empty.Nearest(geo.Pt(1, 1), 10, nil); id != -1 {
+	if id, _ := empty.Nearest(geo.Pt(1, 1), 10, nil, nil); id != -1 {
 		t.Error("empty index should return -1")
 	}
 }
@@ -83,7 +83,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 				wantID, wantD = e.id, d
 			}
 		}
-		gotID, gotD := ix.Nearest(q, maxD, nil)
+		gotID, gotD := ix.Nearest(q, maxD, nil, nil)
 		if gotID != wantID {
 			t.Fatalf("trial %d: Nearest = %d (%v), want %d (%v)", trial, gotID, gotD, wantID, wantD)
 		}
@@ -115,7 +115,7 @@ func TestNearestAfterRemovals(t *testing.T) {
 				wantID, wantD = id, d
 			}
 		}
-		gotID, _ := ix.Nearest(q, math.Inf(1), nil)
+		gotID, _ := ix.Nearest(q, math.Inf(1), nil, nil)
 		if gotID != wantID {
 			t.Fatalf("trial %d: got %d want %d", trial, gotID, wantID)
 		}
@@ -185,7 +185,7 @@ func TestNearestAcceptRejectsEverything(t *testing.T) {
 	ix.Insert(1, geo.Pt(10, 10))
 	ix.Insert(2, geo.Pt(20, 20))
 	ix.Insert(3, geo.Pt(30, 30))
-	id, d := ix.Nearest(geo.Pt(15, 15), math.Inf(1), func(int) bool { return false })
+	id, d := ix.Nearest(geo.Pt(15, 15), math.Inf(1), nil, func(int) bool { return false })
 	if id != -1 || d != 0 {
 		t.Errorf("Nearest with all-rejecting accept = (%d, %v), want (-1, 0)", id, d)
 	}
@@ -193,8 +193,34 @@ func TestNearestAcceptRejectsEverything(t *testing.T) {
 	if ix.Len() != 3 {
 		t.Errorf("Len after rejected scan = %d, want 3", ix.Len())
 	}
-	if id, _ := ix.Nearest(geo.Pt(15, 15), math.Inf(1), nil); id == -1 {
+	if id, _ := ix.Nearest(geo.Pt(15, 15), math.Inf(1), nil, nil); id == -1 {
 		t.Error("entries lost after all-rejecting scan")
+	}
+}
+
+// TestNearestRemovesDeadEntries: a dead entry within maxDist leaves the
+// index on the first search that passes over it, even one farther than
+// the winner; a dead entry beyond maxDist, and a merely refused one, stay.
+func TestNearestRemovesDeadEntries(t *testing.T) {
+	ix := NewIndex(bounds(), 10)
+	ix.Insert(1, geo.Pt(50, 50))
+	ix.Insert(2, geo.Pt(51, 50))
+	ix.Insert(3, geo.Pt(52, 50))
+	ix.Insert(4, geo.Pt(50, 53))
+	ix.Insert(5, geo.Pt(50, 51))
+	dead := func(id int) bool { return id == 3 || id == 4 }
+	id, _ := ix.Nearest(geo.Pt(50, 50), 2.5, dead, func(id int) bool { return id != 5 })
+	if id != 1 {
+		t.Fatalf("Nearest = %d, want 1", id)
+	}
+	if ix.Len() != 4 {
+		t.Fatalf("Len = %d after the search, want 4 (only dead id 3 within reach removed)", ix.Len())
+	}
+	if id, _ := ix.Nearest(geo.Pt(52, 50), 0.5, nil, nil); id != -1 {
+		t.Fatalf("removed dead id 3 still found: %d", id)
+	}
+	if id, _ := ix.Nearest(geo.Pt(50, 53), 0.5, nil, nil); id != 4 {
+		t.Fatalf("dead id 4 beyond maxDist was removed: Nearest = %d", id)
 	}
 }
 
@@ -224,7 +250,7 @@ func TestWithinAtBucketBoundaries(t *testing.T) {
 		}
 	}
 	// Nearest from a boundary point must see entries in the adjacent cell.
-	if id, _ := ix.Nearest(geo.Pt(10, 10), 0.5, nil); id != 0 {
+	if id, _ := ix.Nearest(geo.Pt(10, 10), 0.5, nil, nil); id != 0 {
 		t.Errorf("Nearest at boundary = %d, want 0", id)
 	}
 }
@@ -238,7 +264,7 @@ func TestReset(t *testing.T) {
 	if ix.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", ix.Len())
 	}
-	if id, _ := ix.Nearest(geo.Pt(50, 25), math.Inf(1), nil); id != -1 {
+	if id, _ := ix.Nearest(geo.Pt(50, 25), math.Inf(1), nil, nil); id != -1 {
 		t.Errorf("Nearest on reset index = %d, want -1", id)
 	}
 	if got := ix.Within(geo.Pt(50, 25), 1000, nil); len(got) != 0 {
@@ -251,7 +277,7 @@ func TestReset(t *testing.T) {
 	if ix.Len() != 50 {
 		t.Fatalf("Len after re-insert = %d", ix.Len())
 	}
-	if id, _ := ix.Nearest(geo.Pt(0, 0), 1, nil); id != 0 {
+	if id, _ := ix.Nearest(geo.Pt(0, 0), 1, nil, nil); id != 0 {
 		t.Errorf("Nearest after Reset+re-insert = %d, want 0", id)
 	}
 	// Reset of an empty index is a no-op.
@@ -271,11 +297,11 @@ func TestQueriesDoNotAllocateAtSteadyState(t *testing.T) {
 		ix.Insert(i, pts[i])
 	}
 	// Warm up the scratch buffer.
-	ix.Nearest(geo.Pt(50, 50), 100, nil)
+	ix.Nearest(geo.Pt(50, 50), 100, nil, nil)
 	dst := ix.Within(geo.Pt(50, 50), 30, nil)
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		ix.Nearest(geo.Pt(37, 61), 25, nil)
+		ix.Nearest(geo.Pt(37, 61), 25, nil, nil)
 	}); allocs != 0 {
 		t.Errorf("Nearest allocates %.1f objects/op at steady state, want 0", allocs)
 	}
@@ -306,7 +332,7 @@ func TestPointsOutsideBounds(t *testing.T) {
 	ix := NewIndex(bounds(), 10)
 	ix.Insert(1, geo.Pt(-50, -50))
 	ix.Insert(2, geo.Pt(150, 150))
-	id, _ := ix.Nearest(geo.Pt(-40, -40), 1000, nil)
+	id, _ := ix.Nearest(geo.Pt(-40, -40), 1000, nil, nil)
 	if id != 1 {
 		t.Errorf("Nearest = %d, want 1", id)
 	}
@@ -352,8 +378,8 @@ func TestRemap(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		q := geo.Pt(rng.Float64()*100, rng.Float64()*100)
-		gotID, gotD := ix.Nearest(q, 40, nil)
-		wantID, wantD := want.Nearest(q, 40, nil)
+		gotID, gotD := ix.Nearest(q, 40, nil, nil)
+		wantID, wantD := want.Nearest(q, 40, nil, nil)
 		if gotID != wantID || math.Abs(gotD-wantD) > 1e-12 {
 			t.Fatalf("Nearest(%v) = (%d, %v), want (%d, %v)", q, gotID, gotD, wantID, wantD)
 		}
