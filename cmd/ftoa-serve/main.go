@@ -65,7 +65,7 @@ func main() {
 	flag.IntVar(&cfg.WireMaxConns, "wire-max-conns", cfg.WireMaxConns, "max concurrent wire connections; excess dials are closed at the door (the resilient client retries with backoff)")
 	flag.DurationVar(&cfg.WireIdle, "wire-idle", cfg.WireIdle, "wire per-connection idle (read) deadline; a silent peer is dropped after this long")
 	flag.DurationVar(&cfg.WireWriteTimeout, "wire-write-timeout", cfg.WireWriteTimeout, "wire per-frame write deadline; a subscriber that cannot drain its event stream this fast is evicted")
-	flag.IntVar(&cfg.WireDedupWindow, "wire-dedup-window", cfg.WireDedupWindow, "idempotency seqs remembered per wire client; a batch re-sent within the window replays its original receipts")
+	flag.IntVar(&cfg.WireDedupWindow, "wire-dedup-window", cfg.WireDedupWindow, "idempotency seqs remembered per wire client, 40 bytes each once the window is full (320 KiB per client at the default); a batch re-sent within the window replays its original receipts")
 	flag.IntVar(&cfg.WireDedupClients, "wire-dedup-clients", cfg.WireDedupClients, "wire client idempotency windows retained (LRU-evicted beyond this)")
 	flag.IntVar(&cfg.Ring, "admit-ring", cfg.Ring, "per-shard admission lane capacity shared by HTTP and wire arrivals; a full lane answers 503/BUSY (backpressure bound)")
 	flag.BoolVar(&cfg.Rebalance, "rebalance", cfg.Rebalance, "adapt the shard topology online: split regions whose arrival rate exceeds -rebalance-split into a finer sub-grid and merge cold sibling quads back, migrating live state (see docs/rebalance.md)")

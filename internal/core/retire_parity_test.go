@@ -410,6 +410,9 @@ func TestRetireReleasesBurstCapacity(t *testing.T) {
 			var peak, final, refits, allocatedSince int
 			lastRetire := 0.0
 			retire := func() {
+				// Mallocs counts the whole process: collect first, so no
+				// cycle is in flight whose workers allocate in the window.
+				runtime.GC()
 				runtime.ReadMemStats(&ms)
 				before := ms.Mallocs
 				sess.Retire(sess.Now())

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"ftoa/internal/model"
+)
 
 // SessionEventKind distinguishes the lifecycle events a session emits.
 type SessionEventKind uint8
@@ -55,31 +59,39 @@ type SessionEvent struct {
 	Time   float64
 }
 
-// expiryEntry is one pending platform-side deadline: at is the object's
-// deadline, handle its session index on the queue's side.
-type expiryEntry struct {
-	at     float64
-	handle int32
-}
-
-// entryLess orders entries by deadline, then by handle for determinism.
-func entryLess(a, b expiryEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.handle < b.handle
-}
-
-// expiryQueue is the platform-side deadline queue of one session side.
-// Admission times are clamped monotone, so with the constant per-side
-// windows of the paper's workloads deadlines arrive already sorted: those
-// go into a FIFO with O(1) push and pop. A deadline below the FIFO tail
-// (variable windows) overflows into a small binary min-heap, so arbitrary
-// deadline orders stay correct while the hot path never pays for them.
+// expiryQueue is the platform-side deadline queue of one session side. It
+// holds handles only: an entry's deadline is read back from the side's
+// arena (workers or tasks, whichever is set), which stores the clamped
+// arrival the deadline is computed from, so each object costs the queue 4
+// bytes and no copy of its window. Admission times are clamped monotone,
+// so with the constant per-side windows of the paper's workloads deadlines
+// arrive already sorted: those go into a FIFO with O(1) push and pop. A
+// deadline below the FIFO tail (variable windows) overflows into a small
+// binary min-heap, so arbitrary deadline orders stay correct while the hot
+// path never pays for them.
 type expiryQueue struct {
-	fifo []expiryEntry // non-decreasing .at, consumed from head
+	fifo []int32 // non-decreasing deadlines, consumed from head
 	head int
-	heap []expiryEntry // out-of-order overflow, sift-managed
+	heap []int32 // out-of-order overflow, sift-managed
+
+	workers *[]model.Worker
+	tasks   *[]model.Task
+}
+
+// at returns the deadline of handle h.
+func (q *expiryQueue) at(h int32) float64 {
+	if q.workers != nil {
+		return (*q.workers)[h].Deadline()
+	}
+	return (*q.tasks)[h].Deadline()
+}
+
+// less orders handles by deadline, then by handle for determinism.
+func (q *expiryQueue) less(a, b int32) bool {
+	if da, db := q.at(a), q.at(b); da != db {
+		return da < db
+	}
+	return a < b
 }
 
 func (q *expiryQueue) reset() {
@@ -88,15 +100,15 @@ func (q *expiryQueue) reset() {
 	q.heap = q.heap[:0]
 }
 
-func (q *expiryQueue) push(e expiryEntry) {
+func (q *expiryQueue) push(h int32) {
 	n := len(q.fifo)
 	if q.head == n {
 		// FIFO drained: restart it from the front, keeping capacity.
-		q.fifo = append(q.fifo[:0], e)
+		q.fifo = append(q.fifo[:0], h)
 		q.head = 0
 		return
 	}
-	if q.fifo[n-1].at <= e.at {
+	if q.at(q.fifo[n-1]) <= q.at(h) {
 		if q.head >= 4096 && 2*q.head >= n {
 			// Reclaim the consumed prefix so a never-empty long-lived
 			// queue stays proportional to its pending entries.
@@ -104,14 +116,14 @@ func (q *expiryQueue) push(e expiryEntry) {
 			q.fifo = q.fifo[:n]
 			q.head = 0
 		}
-		q.fifo = append(q.fifo, e)
+		q.fifo = append(q.fifo, h)
 		return
 	}
 	// Out-of-order deadline: overflow heap, sift-up.
-	q.heap = append(q.heap, e)
+	q.heap = append(q.heap, h)
 	for i := len(q.heap) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !entryLess(q.heap[i], q.heap[parent]) {
+		if !q.less(q.heap[i], q.heap[parent]) {
 			break
 		}
 		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
@@ -119,46 +131,49 @@ func (q *expiryQueue) push(e expiryEntry) {
 	}
 }
 
-// peek returns the earliest pending entry without removing it.
-func (q *expiryQueue) peek() (expiryEntry, bool) {
-	if q.head < len(q.fifo) {
-		if len(q.heap) > 0 && entryLess(q.heap[0], q.fifo[q.head]) {
-			return q.heap[0], true
-		}
-		return q.fifo[q.head], true
+// fromHeap reports whether the earliest pending entry is the heap's top;
+// the queue must be non-empty.
+func (q *expiryQueue) fromHeap() bool {
+	return q.head == len(q.fifo) || len(q.heap) > 0 && q.less(q.heap[0], q.fifo[q.head])
+}
+
+// peek returns the earliest pending handle and its deadline without
+// removing it.
+func (q *expiryQueue) peek() (h int32, at float64, ok bool) {
+	if q.head == len(q.fifo) && len(q.heap) == 0 {
+		return 0, 0, false
 	}
-	if len(q.heap) > 0 {
-		return q.heap[0], true
+	if q.fromHeap() {
+		h = q.heap[0]
+	} else {
+		h = q.fifo[q.head]
 	}
-	return expiryEntry{}, false
+	return h, q.at(h), true
 }
 
 // pop removes the earliest pending entry; the queue must be non-empty.
-func (q *expiryQueue) pop() expiryEntry {
-	if q.head < len(q.fifo) && !(len(q.heap) > 0 && entryLess(q.heap[0], q.fifo[q.head])) {
-		e := q.fifo[q.head]
+func (q *expiryQueue) pop() {
+	if !q.fromHeap() {
 		q.head++
-		return e
+		return
 	}
-	h := q.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	q.heap = h[:last]
-	siftDown(q.heap, 0)
-	return top
+	last := len(q.heap) - 1
+	q.heap[0] = q.heap[last]
+	q.heap = q.heap[:last]
+	q.siftDown(0)
 }
 
 // siftDown restores the min-heap property below index i.
-func siftDown(h []expiryEntry, i int) {
+func (q *expiryQueue) siftDown(i int) {
+	h := q.heap
 	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && entryLess(h[l], h[min]) {
+		if l < n && q.less(h[l], h[min]) {
 			min = l
 		}
-		if r < n && entryLess(h[r], h[min]) {
+		if r < n && q.less(h[r], h[min]) {
 			min = r
 		}
 		if min == i {
@@ -169,32 +184,31 @@ func siftDown(h []expiryEntry, i int) {
 	}
 }
 
-// remap rebases the queue across an arena epoch: entries of retired
-// objects are dropped (a retired object is matched or already past its
-// fired deadline, so its pending entry could only ever have been
-// suppressed — dropping it leaves the emitted event stream unchanged) and
-// surviving entries get their new handles. The FIFO filter preserves its
+// remap rebases the queue across an arena epoch, after the arena itself has
+// been compacted: entries of retired objects are dropped (a retired object
+// is matched or already past its fired deadline, so its pending entry could
+// only ever have been suppressed — dropping it leaves the emitted event
+// stream unchanged) and surviving entries get their new handles, which read
+// the same deadlines from the compacted arena. The FIFO filter preserves its
 // sorted order; the heap is filtered and re-heapified. Everything is in
 // place, reclaiming the consumed FIFO prefix as a side effect.
 func (q *expiryQueue) remap(m []int32) {
 	out := q.fifo[:0]
-	for _, e := range q.fifo[q.head:] {
-		if n := m[e.handle]; n >= 0 {
-			e.handle = n
-			out = append(out, e)
+	for _, h := range q.fifo[q.head:] {
+		if n := m[h]; n >= 0 {
+			out = append(out, n)
 		}
 	}
 	q.fifo = out
 	q.head = 0
 	hout := q.heap[:0]
-	for _, e := range q.heap {
-		if n := m[e.handle]; n >= 0 {
-			e.handle = n
-			hout = append(hout, e)
+	for _, h := range q.heap {
+		if n := m[h]; n >= 0 {
+			hout = append(hout, n)
 		}
 	}
 	q.heap = hout
 	for i := len(q.heap)/2 - 1; i >= 0; i-- {
-		siftDown(q.heap, i)
+		q.siftDown(i)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // relative handle order), and pushes the old→new handle mapping through
 // every structure that speaks handles: the algorithm's per-object state
 // (via the RetirableAlgorithm hook), the platform deadline queues, the
-// undrained tail of the lifecycle event arena, and the committed
-// matching.
+// motion table of dispatched workers, the undrained tail of the lifecycle
+// event arena, and the committed matching.
 //
 // "Provably dead" is mode-aware, mirroring the availability boundaries:
 //
@@ -134,10 +134,11 @@ func Refit[T any](s []T, used int) []T {
 // its deadline in Strict mode) is dropped, surviving handles are
 // left-compacted preserving their relative order, and the old→new mapping
 // is propagated to the algorithm (RetirableAlgorithm.Remap), the deadline
-// queues, the undrained event tail and the committed matching. horizon is
-// clamped to the session clock; passing Now() retires everything
-// retirable, while an earlier horizon keeps a grace window of recently
-// dead objects whose handles external views may still be resolving.
+// queues, the motion table, the undrained event tail and the committed
+// matching. horizon is clamped to the session clock; passing Now() retires
+// everything retirable, while an earlier horizon keeps a grace window of
+// recently dead objects whose handles external views may still be
+// resolving.
 //
 // Retire returns how many workers and tasks were dropped. It is a no-op
 // (0, 0) when the bound algorithm does not implement RetirableAlgorithm.
@@ -157,15 +158,14 @@ func Refit[T any](s []T, used int) []T {
 // that has since died) is reallocated at 2x that use, so a session's
 // footprint follows its live population down as well as up (see Refit).
 func (s *Session) Retire(horizon float64) (workers, tasks int) {
-	ra, ok := s.alg.(RetirableAlgorithm)
-	if !ok {
+	if s.retAlg == nil {
 		return 0, 0
 	}
 	if horizon > s.now {
 		horizon = s.now
 	}
 
-	usedW, usedT := len(s.workers), len(s.tasks)
+	usedW, usedT, usedM := len(s.workers), len(s.tasks), len(s.motion)
 	wmap := growMap(&s.wRemap, usedW)
 	keep := 0
 	for h := range s.workers {
@@ -210,6 +210,22 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 		return 0, 0
 	}
 
+	// Motion table: compact in table order. Each entry names its worker,
+	// so the survivor's workerState (already at its new handle) is pointed
+	// at the entry's new slot directly.
+	keep = 0
+	for _, m := range s.motion {
+		nw := wmap[m.worker]
+		if nw < 0 {
+			continue
+		}
+		m.worker = nw
+		s.motion[keep] = m
+		s.wstate[nw].motion = int32(keep)
+		keep++
+	}
+	s.motion = s.motion[:keep]
+
 	// Deadline queues: drop the entries of retired objects (their expiry
 	// would have been suppressed — a retired object is matched or already
 	// past its fired deadline) and rewrite the survivors' handles.
@@ -244,7 +260,7 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 	s.retiredW += workers
 	s.retiredT += tasks
 	s.epoch++
-	ra.Remap(wmap, tmap)
+	s.retAlg.Remap(wmap, tmap)
 	if s.onRetire != nil {
 		s.onRetire(wmap, tmap)
 	}
@@ -252,6 +268,7 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 	// Give back capacity the ending epoch came nowhere near using.
 	s.workers = Refit(s.workers, usedW)
 	s.wstate = Refit(s.wstate, usedW)
+	s.motion = Refit(s.motion, usedM)
 	s.wExpiry.fifo = Refit(s.wExpiry.fifo, usedW)
 	s.wExpiry.heap = Refit(s.wExpiry.heap, usedW)
 	s.wRemap = Refit(s.wRemap[:0], usedW)

@@ -110,20 +110,33 @@ func newSession(cfg MatcherConfig, alg Algorithm) *Session {
 		onRetire: cfg.OnRetire,
 		gate:     cfg.CommitGate,
 	}
+	s.wExpiry.workers = &s.workers
+	s.tExpiry.tasks = &s.tasks
 	s.Reset(alg)
 	return s
 }
 
-// workerState is the platform-owned ground truth for one admitted worker.
+// workerState is the platform-owned ground truth for one admitted worker
+// beside its model.Worker: 16 bytes. A worker stands where it arrived,
+// workers[h].Loc, until a Dispatch first moves it; only then does it get
+// an entry in the session's motion table.
 type workerState struct {
-	anchor     geo.Point // position at anchorTime
-	target     geo.Point // dispatch target, valid while moving
-	origin     geo.Point // admission location, for guided-distance stats
-	anchorTime float64
-	matchedAt  float64 // commit time, valid when matched
+	matchedAt float64 // commit time, valid when matched
+	motion    int32   // index into Session.motion, or -1: at workers[h].Loc
+	matched   bool
+	withdrawn bool // retracted via WithdrawWorker; see withdraw.go
+}
+
+// motionEntry is the motion state of one dispatched worker: it is at
+// anchor at anchorTime and, while moving, heads for target at the
+// session's velocity. worker is the owning handle, so Retire can compact
+// the table and rewrite each survivor's workerState.motion in one pass.
+type motionEntry struct {
+	worker     int32
 	moving     bool
-	matched    bool
-	withdrawn  bool // retracted via WithdrawWorker; see withdraw.go
+	anchor     geo.Point
+	target     geo.Point // valid while moving
+	anchorTime float64
 }
 
 // ErrFinished is returned by AddWorker/AddTask after Finish.
@@ -163,12 +176,17 @@ type Session struct {
 
 	alg      Algorithm
 	timerAlg TimerAlgorithm // nil when alg has no OnTimer
+	// retAlg is nil when alg has no Remap. Resolved once here: a type
+	// assertion in Retire would, at random, build the runtime's per-site
+	// assertion cache and so allocate on a path that must not.
+	retAlg RetirableAlgorithm
 
 	// Arenas; handles index into them. Append-only within an epoch;
 	// Retire compacts them across epoch boundaries (see retire.go).
 	workers    []model.Worker
 	tasks      []model.Task
 	wstate     []workerState
+	motion     []motionEntry // dispatched workers only, see workerState
 	tMatch     []bool
 	tMatchAt   []float64 // commit time per task, valid when tMatch
 	tWithdrawn []bool    // retracted via WithdrawTask; see withdraw.go
@@ -221,6 +239,7 @@ func (s *Session) Reset(alg Algorithm) {
 	s.workers = s.workers[:0]
 	s.tasks = s.tasks[:0]
 	s.wstate = s.wstate[:0]
+	s.motion = s.motion[:0]
 	s.tMatch = s.tMatch[:0]
 	s.tMatchAt = s.tMatchAt[:0]
 	s.tWithdrawn = s.tWithdrawn[:0]
@@ -251,6 +270,7 @@ func (s *Session) Reset(alg Algorithm) {
 	s.stats = MatchStats{}
 	s.alg = alg
 	s.timerAlg, _ = alg.(TimerAlgorithm)
+	s.retAlg, _ = alg.(RetirableAlgorithm)
 	alg.Init(s)
 }
 
@@ -273,13 +293,9 @@ func (s *Session) addWorker(w model.Worker, pushExpiry bool) (int, error) {
 	s.advanceTo(w.Arrive)
 	h := len(s.workers)
 	s.workers = append(s.workers, w)
-	s.wstate = append(s.wstate, workerState{
-		anchor:     w.Loc,
-		origin:     w.Loc,
-		anchorTime: w.Arrive,
-	})
+	s.wstate = append(s.wstate, workerState{motion: -1})
 	if pushExpiry {
-		s.wExpiry.push(expiryEntry{at: w.Deadline(), handle: int32(h)})
+		s.wExpiry.push(int32(h))
 	}
 	s.alg.OnWorkerArrival(h, w.Arrive)
 	return h, nil
@@ -305,7 +321,7 @@ func (s *Session) addTask(t model.Task, pushExpiry bool) (int, error) {
 	s.tMatchAt = append(s.tMatchAt, 0)
 	s.tWithdrawn = append(s.tWithdrawn, false)
 	if pushExpiry {
-		s.tExpiry.push(expiryEntry{at: t.Deadline(), handle: int32(h)})
+		s.tExpiry.push(int32(h))
 	}
 	s.alg.OnTaskArrival(h, t.Release)
 	return h, nil
@@ -340,18 +356,18 @@ func (s *Session) Advance(now float64) float64 {
 // events exactly the brute-force-oracle set either way.
 func (s *Session) advanceTo(t float64) {
 	for {
-		we, wok := s.wExpiry.peek()
-		te, tok := s.tExpiry.peek()
-		wDue := wok && we.at <= t
-		tDue := tok && te.at < t
+		wh, wAt, wok := s.wExpiry.peek()
+		th, tAt, tok := s.tExpiry.peek()
+		wDue := wok && wAt <= t
+		tDue := tok && tAt < t
 		timerDue := s.timerAlg != nil && s.timer <= t
 		switch {
-		case wDue && (!tDue || we.at <= te.at) && (!timerDue || we.at <= s.timer):
+		case wDue && (!tDue || wAt <= tAt) && (!timerDue || wAt <= s.timer):
 			s.wExpiry.pop()
-			s.fireWorkerExpiry(we)
-		case tDue && (!timerDue || te.at < s.timer):
+			s.fireWorkerExpiry(int(wh), wAt)
+		case tDue && (!timerDue || tAt < s.timer):
 			s.tExpiry.pop()
-			s.fireTaskExpiry(te)
+			s.fireTaskExpiry(int(th), tAt)
 		case timerDue:
 			at := s.timer
 			s.timer = math.Inf(1)
@@ -375,40 +391,38 @@ func (s *Session) advanceTo(t float64) {
 // a worker expires unless it was matched strictly before its deadline
 // (mirroring WorkerAvailable's now < deadline boundary). Emission never
 // touches algorithm state.
-func (s *Session) fireWorkerExpiry(e expiryEntry) {
-	if e.at > s.now {
-		s.now = e.at
+func (s *Session) fireWorkerExpiry(w int, at float64) {
+	if at > s.now {
+		s.now = at
 	}
-	w := int(e.handle)
 	ws := &s.wstate[w]
 	if ws.withdrawn {
 		// Retracted copies have no lifecycle here: whichever session
 		// committed or expired the original reports it.
 		return
 	}
-	if ws.matched && ws.matchedAt < e.at {
+	if ws.matched && ws.matchedAt < at {
 		return
 	}
 	s.expiredW++
-	s.emit(SessionEvent{Kind: EventWorkerExpired, Worker: w, Task: -1, Time: e.at})
+	s.emit(SessionEvent{Kind: EventWorkerExpired, Worker: w, Task: -1, Time: at})
 }
 
 // fireTaskExpiry is fireWorkerExpiry for the task side: a task expires
 // unless it was matched at or before its deadline (TaskAvailable allows
 // now <= deadline).
-func (s *Session) fireTaskExpiry(e expiryEntry) {
-	if e.at > s.now {
-		s.now = e.at
+func (s *Session) fireTaskExpiry(t int, at float64) {
+	if at > s.now {
+		s.now = at
 	}
-	t := int(e.handle)
 	if s.tWithdrawn[t] {
 		return
 	}
-	if s.tMatch[t] && s.tMatchAt[t] <= e.at {
+	if s.tMatch[t] && s.tMatchAt[t] <= at {
 		return
 	}
 	s.expiredT++
-	s.emit(SessionEvent{Kind: EventTaskExpired, Worker: -1, Task: t, Time: e.at})
+	s.emit(SessionEvent{Kind: EventTaskExpired, Worker: -1, Task: t, Time: at})
 }
 
 // emit appends one lifecycle event to the arena and fires the synchronous
@@ -447,12 +461,12 @@ func (s *Session) Finish() {
 	// Deadlines beyond the end are not expiries: those objects outlive
 	// the session unserved-but-alive.
 	for {
-		te, tok := s.tExpiry.peek()
-		if !tok || te.at > end {
+		th, tAt, tok := s.tExpiry.peek()
+		if !tok || tAt > end {
 			return
 		}
 		s.tExpiry.pop()
-		s.fireTaskExpiry(te)
+		s.fireTaskExpiry(int(th), tAt)
 	}
 }
 
@@ -531,24 +545,28 @@ func (s *Session) Hints() Hints { return s.hints }
 
 // WorkerPos implements Platform.
 func (s *Session) WorkerPos(w int, now float64) geo.Point {
-	ws := &s.wstate[w]
-	if !ws.moving {
-		return ws.anchor
+	i := s.wstate[w].motion
+	if i < 0 {
+		return s.workers[w].Loc
 	}
-	elapsed := now - ws.anchorTime
+	m := &s.motion[i]
+	if !m.moving {
+		return m.anchor
+	}
+	elapsed := now - m.anchorTime
 	if elapsed <= 0 {
-		return ws.anchor
+		return m.anchor
 	}
-	total := ws.anchor.Dist(ws.target)
+	total := m.anchor.Dist(m.target)
 	traveled := elapsed * s.velocity
 	if traveled >= total {
 		// Arrived: collapse the segment so future queries are O(1).
-		ws.anchor = ws.target
-		ws.anchorTime = now
-		ws.moving = false
-		return ws.anchor
+		m.anchor = m.target
+		m.anchorTime = now
+		m.moving = false
+		return m.anchor
 	}
-	return ws.anchor.Lerp(ws.target, traveled/total)
+	return m.anchor.Lerp(m.target, traveled/total)
 }
 
 // WorkerAvailable implements Platform. In AssumeGuide mode deadlines are
@@ -608,7 +626,7 @@ func (s *Session) TryMatch(w, t int, now float64) bool {
 	s.matching.Add(w, t)
 	s.matchCount++
 	s.stats.TotalPickupDistance += pos.Dist(s.tasks[t].Loc)
-	s.stats.TotalGuidedDistance += ws.origin.Dist(pos)
+	s.stats.TotalGuidedDistance += s.workers[w].Loc.Dist(pos)
 	if wait := now - s.tasks[t].Release; wait > 0 {
 		s.stats.TotalTaskWait += wait
 	}
@@ -619,21 +637,31 @@ func (s *Session) TryMatch(w, t int, now float64) bool {
 	return true
 }
 
-// Dispatch implements Platform.
+// Dispatch implements Platform. A worker's first move gives it an entry
+// in the motion table; a dispatch that leaves an undispatched worker where
+// it arrived changes nothing.
 func (s *Session) Dispatch(w int, target geo.Point, now float64) {
 	ws := &s.wstate[w]
 	if ws.matched {
 		return
 	}
 	pos := s.WorkerPos(w, now)
-	ws.anchor = pos
-	ws.anchorTime = now
+	if ws.motion < 0 {
+		if pos == target {
+			return
+		}
+		ws.motion = int32(len(s.motion))
+		s.motion = append(s.motion, motionEntry{worker: int32(w)})
+	}
+	m := &s.motion[ws.motion]
+	m.anchor = pos
+	m.anchorTime = now
 	if pos == target {
-		ws.moving = false
+		m.moving = false
 		return
 	}
-	ws.target = target
-	ws.moving = true
+	m.target = target
+	m.moving = true
 }
 
 // Schedule implements Platform. Only one pending timer is kept — a newer

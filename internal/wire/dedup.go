@@ -123,18 +123,39 @@ func (t *DedupTable) Clients() int {
 // forgotten one in its slot. Recording is O(1) amortised however the
 // client moves its seq, and a client that sends a handful of requests
 // never pays for a full window.
+//
+// A slot is 40 bytes with no pointers, so the GC never scans the ring: it
+// keeps the fields a terminal result carries, and the rare non-empty Msg
+// (an ERR's text) lives in msgs beside it, keyed by seq. A message leaves
+// msgs with its record — when the slot is overwritten, or when grow drops
+// a record that fell below the floor — so msgs never outgrows the ring.
 type ClientWindow struct {
 	mu       sync.Mutex
 	window   int
 	maxSeq   uint64 // highest seq ever recorded
 	ring     []dedupRecord
-	lastUsed uint64 // DedupTable LRU stamp, guarded by the table lock
+	msgs     map[uint64]string // Msg of the ring's records that have one
+	lastUsed uint64            // DedupTable LRU stamp, guarded by the table lock
 }
 
-// dedupRecord is one ring slot; seq 0 (never a valid seq) marks it empty.
+// dedupRecord is one ring slot: a recorded Result without RetryAfter
+// (BUSY-only, and BUSY is never recorded) and without Msg (see msgs).
+// seq 0 (never a valid seq) marks the slot empty.
 type dedupRecord struct {
-	seq uint64
-	res Result
+	seq          uint64
+	epoch        uint64
+	time         float64
+	shard, local uint32
+	kind, status byte
+	applied      bool
+}
+
+// result rebuilds the Result recorded in r.
+func (w *ClientWindow) result(r *dedupRecord) Result {
+	return Result{
+		Kind: r.kind, Status: r.status, Shard: r.shard, Local: r.local,
+		Epoch: r.epoch, Time: r.time, Applied: r.applied, Msg: w.msgs[r.seq],
+	}
 }
 
 // Lock serializes the client's batch processing and must be held for
@@ -176,7 +197,7 @@ func (w *ClientWindow) Lookup(seq uint64) (Result, DedupState) {
 	}
 	if n := uint64(len(w.ring)); n > 0 {
 		if r := &w.ring[seq%n]; r.seq == seq {
-			return r.res, DedupHit
+			return w.result(r), DedupHit
 		}
 	}
 	return Result{}, DedupNew
@@ -207,7 +228,18 @@ func (w *ClientWindow) Record(seq uint64, res Result) {
 		}
 		w.grow(floor)
 	}
-	w.ring[seq%uint64(len(w.ring))] = dedupRecord{seq: seq, res: res}
+	r := &w.ring[seq%uint64(len(w.ring))]
+	delete(w.msgs, r.seq)
+	*r = dedupRecord{
+		seq: seq, epoch: res.Epoch, time: res.Time, shard: res.Shard, local: res.Local,
+		kind: res.Kind, status: res.Status, applied: res.Applied,
+	}
+	if res.Msg != "" {
+		if w.msgs == nil {
+			w.msgs = make(map[uint64]string)
+		}
+		w.msgs[seq] = res.Msg
+	}
 }
 
 // grow doubles the ring (to at most the window), carrying over the
@@ -215,9 +247,11 @@ func (w *ClientWindow) Record(seq uint64, res Result) {
 func (w *ClientWindow) grow(floor uint64) {
 	ring := make([]dedupRecord, min(max(2*len(w.ring), 16), w.window))
 	n := uint64(len(ring))
-	for _, r := range w.ring {
-		if r.seq > floor {
-			ring[r.seq%n] = r
+	for i := range w.ring {
+		if r := &w.ring[i]; r.seq > floor {
+			ring[r.seq%n] = *r
+		} else {
+			delete(w.msgs, r.seq)
 		}
 	}
 	w.ring = ring

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestClientWindowLifecycle: the four lookup states, receipt replay, and
@@ -325,6 +328,60 @@ func TestClientWindowRecordNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Record at a full window allocates %v per call, want 0", allocs)
 	}
+}
+
+// TestClientWindowMessagesLeaveWithTheirSlots: an ERR's text is kept
+// beside the ring only while its record is, so a client whose every
+// request fails holds at most a window of messages, and each remembered
+// seq replays exactly the Result recorded for it.
+func TestClientWindowMessagesLeaveWithTheirSlots(t *testing.T) {
+	const window = 64
+	w, _ := NewDedupTable(window, 1).Acquire(1)
+	w.Lock()
+	defer w.Unlock()
+	res := func(seq uint64) Result {
+		if seq%3 == 0 {
+			return Result{Kind: ReqAddWorker, Status: StatusOK, Shard: 2, Local: uint32(seq), Epoch: seq, Time: float64(seq) / 7}
+		}
+		return Result{Kind: ReqWithdrawTask, Status: StatusErr, Msg: fmt.Sprint("refused ", seq)}
+	}
+	for seq := uint64(1); seq <= 10*window; seq += 1 + seq%2 {
+		w.Record(seq, res(seq))
+		if len(w.msgs) > len(w.ring) {
+			t.Fatalf("after seq %d: %d messages for a ring of %d slots", seq, len(w.msgs), len(w.ring))
+		}
+	}
+	for seq := uint64(9*window + 1); seq <= 10*window; seq += 1 + seq%2 {
+		if got, st := w.Lookup(seq); st != DedupHit || got != res(seq) {
+			t.Fatalf("Lookup(%d) = %+v/%v, recorded %+v", seq, got, st, res(seq))
+		}
+	}
+}
+
+// TestClientWindowFootprint: a remembered seq costs its 40-byte ring slot
+// and nothing else, so a full window of DefaultDedupWindow records is
+// 320 KiB per client.
+func TestClientWindowFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(dedupRecord{}); n != 40 {
+		t.Fatalf("a dedup record takes %d bytes, want 40", n)
+	}
+	const clients = 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	windows := make([]*ClientWindow, clients)
+	for i := range windows {
+		windows[i], _ = fullWindow(t)
+		windows[i].Unlock()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRecord := float64(int64(after.HeapInuse)-int64(before.HeapInuse)) / (clients * DefaultDedupWindow)
+	t.Logf("%.2f B of HeapInuse per remembered seq", perRecord)
+	if perRecord > 41 {
+		t.Errorf("%d full windows of %d seqs cost %.2f B of HeapInuse per seq, want at most 41", clients, DefaultDedupWindow, perRecord)
+	}
+	runtime.KeepAlive(windows)
 }
 
 func BenchmarkClientWindowRecord(b *testing.B) {
