@@ -589,8 +589,9 @@ func BenchmarkShardRouterHalo4x4(b *testing.B) {
 // and the lanes' drainers admit them into a disjoint 4×4 greedy router.
 // ns/admission therefore holds the hand-off (enqueue, drainer wake-up,
 // sort, completion) on top of BenchmarkShardRouter4x4Stream's admission
-// itself; allocs/admission is the figure CI holds (one op per arrival plus
-// the drainers' per-batch sort).
+// itself; allocs/admission is the figure CI holds. The hand-off itself
+// allocates nothing (the op travels in the producer's result slot, the
+// drainers sort in place), so it counts the router's admissions alone.
 func BenchmarkAdmitterHandoff(b *testing.B) {
 	for _, producers := range []int{1, 8} {
 		b.Run(strconv.Itoa(producers)+"producers", func(b *testing.B) { benchAdmitterHandoff(b, producers) })

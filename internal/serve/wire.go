@@ -262,6 +262,34 @@ func (ws *wireServer) retryAfter() float64 {
 	return ws.s.cfg.Tick.Seconds() * (0.5 + rand.Float64())
 }
 
+// batchScratch is one batch's working memory: a result and an admission
+// slot per request (the admission slot is also what the lane carries; see
+// shard.AdmitResult), which requests execute in this batch, the WaitGroup
+// and the reply buffer. It comes from batchPool and goes back once the
+// reply is written, so a connection between batches holds only its
+// request buffer, and the scratch of a one-off huge batch is left to the
+// GC rather than pinned by the connection that sent it.
+type batchScratch struct {
+	results []wire.Result
+	adm     []ftoa.ShardAdmitResult
+	fresh   []bool
+	wg      sync.WaitGroup
+	reply   []byte
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// zeroed returns s resized to n zero values, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // handleBatch decodes one batch, resolves each effectful request against
 // the client's dedup window, runs the remainder in two phases —
 // admissions enqueued to the lanes and awaited, then advances and
@@ -278,10 +306,14 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 	}
 	ws.batches.Add(1)
 	ws.requests.Add(uint64(len(reqs)))
-	results := make([]wire.Result, len(reqs))
-	admRes := make([]ftoa.ShardAdmitResult, len(reqs))
-	fresh := make([]bool, len(reqs)) // executes this batch; Record afterwards
-	var wg sync.WaitGroup
+	// Put back explicitly, not deferred: a panic unwinding past admissions
+	// still in their lanes must leave the scratch to the GC, since the
+	// drainers will yet write into it.
+	sc := batchPool.Get().(*batchScratch)
+	sc.results = zeroed(sc.results, len(reqs))
+	sc.adm = zeroed(sc.adm, len(reqs))
+	sc.fresh = zeroed(sc.fresh, len(reqs)) // executes this batch; Record afterwards
+	results, admRes, fresh := sc.results, sc.adm, sc.fresh
 	now := ws.s.now()
 
 	win.Lock()
@@ -345,9 +377,9 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 			}
 			var ok bool
 			if rq.Kind == wire.ReqAddWorker {
-				ok = ws.s.admitter.AddWorker(ftoa.Worker{Loc: ftoa.Pt(rq.X, rq.Y), Arrive: at, Patience: rq.Window}, &admRes[i], &wg)
+				ok = ws.s.admitter.AddWorker(ftoa.Worker{Loc: ftoa.Pt(rq.X, rq.Y), Arrive: at, Patience: rq.Window}, &admRes[i], &sc.wg)
 			} else {
-				ok = ws.s.admitter.AddTask(ftoa.Task{Loc: ftoa.Pt(rq.X, rq.Y), Release: at, Expiry: rq.Window}, &admRes[i], &wg)
+				ok = ws.s.admitter.AddTask(ftoa.Task{Loc: ftoa.Pt(rq.X, rq.Y), Release: at, Expiry: rq.Window}, &admRes[i], &sc.wg)
 			}
 			if !ok {
 				ws.busy.Add(1)
@@ -356,12 +388,10 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 				fresh[i] = false // BUSY is retryable: never recorded
 			}
 		case wire.ReqAdvance, wire.ReqWithdrawWorker, wire.ReqWithdrawTask:
-			// Phase 2.
-		default:
-			return reqs, fmt.Errorf("unknown request kind 0x%02x", rq.Kind)
+			// Phase 2. DecodeBatch refused every other kind.
 		}
 	}
-	wg.Wait()
+	sc.wg.Wait()
 
 	// Phase 2: collect admission outcomes, then apply clock advances and
 	// withdrawals in batch order — after the admissions, so a batch that
@@ -411,7 +441,10 @@ func (ws *wireServer) handleBatch(cn *wire.Conn, win *wire.ClientWindow, p []byt
 			win.Record(rq.Seq, results[i])
 		}
 	}
-	return reqs, cn.WriteFrame(wire.AppendBatchReply(nil, id, results))
+	sc.reply = wire.AppendBatchReply(sc.reply[:0], id, results)
+	err = cn.WriteFrame(sc.reply)
+	batchPool.Put(sc)
+	return reqs, err
 }
 
 // wirePushSafety bounds how long an idle pusher sleeps between wakeup

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"context"
 	"math"
+	"math/rand/v2"
 	"net"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +192,132 @@ func TestWireRejectsGarbage(t *testing.T) {
 	// The real client still works.
 	if _, err := cl.Do([]wire.Request{{Kind: wire.ReqAdvance}}); err != nil {
 		t.Fatalf("healthy connection broken by garbage peer: %v", err)
+	}
+}
+
+// TestWireUnknownKindIsFatal: a batch whose second entry carries an
+// unknown request kind is refused whole at decode — the fatal Error
+// frame, one protocol error, and nothing admitted, not even the valid
+// first entry.
+func TestWireUnknownKindIsFatal(t *testing.T) {
+	srv, ws, _, _ := bootWire(t, defaultTestConfig())
+	c, err := net.Dial("tcp", ws.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cn := wire.NewConn(c)
+	cn.ReadTimeout = 5 * time.Second
+	if _, err := wire.ClientHandshake(cn, 7); err != nil {
+		t.Fatal(err)
+	}
+	reqs := []wire.Request{
+		{Kind: wire.ReqAddWorker, Seq: 1, X: 10, Y: 10, At: nan(), Window: 300},
+		{Kind: wire.ReqAddTask, Seq: 2, X: 11, Y: 10, At: nan(), Window: 60},
+	}
+	first, err := wire.AppendBatch(nil, 1, reqs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.AppendBatch(nil, 1, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[len(first)] = 0x7f // the second entry's kind byte
+	if err := cn.WriteFrame(payload); err != nil {
+		t.Fatal(err)
+	}
+	p, err := cn.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p) == 0 || p[0] != wire.MsgError {
+		t.Fatalf("reply to an unknown kind = %x, want an Error frame", p)
+	}
+	if err := wire.DecodeError(p); err == nil || !strings.Contains(err.Error(), "0x7f") {
+		t.Fatalf("Error frame = %v, want it to name kind 0x7f", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	st := getJSON(t, ts.URL+"/stats")
+	if pe := st["wire"].(map[string]any)["protocol_errors"].(float64); pe != 1 {
+		t.Fatalf("protocol_errors = %v, want 1", pe)
+	}
+	if st["workers"].(float64) != 0 || st["tasks"].(float64) != 0 {
+		t.Fatalf("/stats admitted %v workers and %v tasks from a refused batch, want none", st["workers"], st["tasks"])
+	}
+}
+
+// discardConn is a connection whose writes vanish: handleBatch's reply
+// frames go nowhere, so a test can drive it without a peer.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestHandleBatchAllocations: a warm 64-admission batch through
+// handleBatch — dedup lookups, the lane hand-off, the drainers' sort and
+// admission on a disjoint 4×4 greedy router, dedup records, the reply —
+// allocates at most four times. Mallocs are counted process-wide, so the
+// drainers' share is in; what remains is the router's amortized growth
+// (arenas, event log segments).
+func TestHandleBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled batch scratch at random")
+	}
+	cfg := defaultTestConfig()
+	cfg.Shards = [2]int{4, 4}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown(context.Background(), nil) })
+	set := manualClock(srv)
+	ws := &wireServer{s: srv, dedup: wire.NewDedupTable(0, 0)}
+	win, err := ws.dedup.Acquire(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn := wire.NewConn(discardConn{})
+	const batch, warm, measured = 64, 500, 500
+	reqs := make([]wire.Request, batch)
+	var payload []byte
+	var scratch []wire.Request
+	var seq uint64
+	rng := rand.New(rand.NewPCG(1, 2))
+	run := func(b int) {
+		set(float64(b) / 20)
+		for i := 0; i < batch; i += 2 {
+			// A worker and a task on the same spot: greedy pairs them, so
+			// the live population stays small.
+			x, y := 1+98*rng.Float64(), 1+98*rng.Float64()
+			seq += 2
+			reqs[i] = wire.Request{Kind: wire.ReqAddWorker, Seq: seq - 1, X: x, Y: y, At: nan(), Window: 5}
+			reqs[i+1] = wire.Request{Kind: wire.ReqAddTask, Seq: seq, X: x, Y: y, At: nan(), Window: 5}
+		}
+		payload, err = wire.AppendBatch(payload[:0], uint64(b), reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scratch, err = ws.handleBatch(cn, win, payload, scratch[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b := 0; b < warm; b++ {
+		run(b)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b := warm; b < warm+measured; b++ {
+		run(b)
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := float64(after.Mallocs-before.Mallocs) / measured
+	t.Logf("%.2f allocations per %d-admission batch", perBatch, batch)
+	if perBatch > 4 {
+		t.Errorf("a warm %d-admission batch allocates %.2f times, want at most 4", batch, perBatch)
+	}
+	if tot := srv.router.Totals(); tot.Workers+tot.Tasks != batch*(warm+measured) || tot.Matches != tot.Workers {
+		t.Fatalf("totals %+v after %d admissions, want every pair admitted and matched", tot, batch*(warm+measured))
 	}
 }
 

@@ -398,6 +398,9 @@ type EventSub struct {
 	l      *eventLog
 	cursor uint64
 	notify chan struct{}
+	// timer bounds a timed Wait: made by the first one and Reset by each
+	// after, so waiting allocates nothing.
+	timer  *time.Timer
 	armed  atomic.Bool
 	closed atomic.Bool
 }
@@ -480,9 +483,16 @@ func (s *EventSub) Wait(timeout time.Duration, stop <-chan struct{}) bool {
 	}
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		timeoutC = timer.C
-		defer timer.Stop()
+		// Since Go 1.23 (this module's go line) Stop and Reset discard a
+		// fire the timer already sent, so one left over from an earlier
+		// Wait cannot cut this one short.
+		if s.timer == nil {
+			s.timer = time.NewTimer(timeout)
+		} else {
+			s.timer.Reset(timeout)
+		}
+		timeoutC = s.timer.C
+		defer s.timer.Stop()
 	}
 	select {
 	case <-s.notify:

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 	"unsafe"
 
 	"ftoa/internal/sim"
@@ -402,6 +403,65 @@ func TestEventLogSteadyStateAllocs(t *testing.T) {
 	}
 	if total != 9*128 { // AllocsPerRun adds one warm-up run
 		t.Errorf("Next read %d events over 9 pages, want full pages", total)
+	}
+}
+
+// TestEventSubWaitReusesTimer: a subscription keeps one timer across its
+// waits. Over a thousand 1 ms timeouts alternating with append-triggered
+// wakeups, a fire left from an earlier wait never cuts a later one short:
+// a wakeup never reports false, a timeout never reports true with nothing
+// appended, and a wait allocates nothing.
+func TestEventSubWaitReusesTimer(t *testing.T) {
+	l := newEventLog(4)
+	sub := &EventSub{l: l, notify: make(chan struct{}, 1)}
+	l.subs[sub] = struct{}{}
+	ev := make([]Event, 1)
+	var seq uint64
+	appendOne := func() {
+		ev[0] = Event{Seq: seq, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch}}
+		seq++
+		l.append(ev)
+	}
+	// Two segments' worth first, so later appends reuse a freed segment.
+	for seq < 2*segSize {
+		appendOne()
+	}
+	sub.cursor = seq
+	kick, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for range kick {
+			// Append only once the waiter is parked, so the wakeup comes
+			// through the notification rather than Wait's first check.
+			for !sub.armed.Load() {
+				runtime.Gosched()
+			}
+			appendOne()
+		}
+	}()
+	defer func() {
+		close(kick)
+		<-done
+	}()
+	page := make([]Event, 0, 4)
+	cycle := func() {
+		if sub.Wait(time.Millisecond, nil) {
+			t.Fatal("a 1 ms wait with nothing appended reported true")
+		}
+		kick <- struct{}{}
+		if !sub.Wait(time.Minute, nil) {
+			t.Fatal("an append-triggered wakeup reported false")
+		}
+		got, _, err := sub.Next(0, page[:0])
+		if err != nil || len(got) != 1 {
+			t.Fatalf("Next after a wakeup = %d events, %v; want the one appended", len(got), err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Errorf("a timeout plus a wakeup allocates %.2f times, want 0", n)
 	}
 }
 

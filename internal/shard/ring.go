@@ -16,7 +16,7 @@
 package shard
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,11 +27,17 @@ import (
 // producer registered before the WaitGroup is released. H and Epoch form
 // the withdrawal receipt (withdraw.go); Admitted is the owner-stamped
 // arrival time, as returned by Router.AddWorker.
+//
+// The slot is also what travels down the lane: it carries the enqueued
+// admission itself, so a producer that keeps its slots in batch memory
+// hands arrivals off without allocating.
 type AdmitResult struct {
 	H        Handle
 	Admitted float64
 	Epoch    uint64
 	Err      error
+
+	op admitOp
 }
 
 // AdmitterConfig sizes an Admitter.
@@ -52,7 +58,7 @@ type AdmitterConfig struct {
 // owner (the wire listener) stops its producers first.
 type Admitter struct {
 	r      *Router
-	lanes  []chan *admitOp
+	lanes  []chan *AdmitResult
 	batch  int
 	stop   chan struct{}
 	closed atomic.Bool
@@ -61,21 +67,23 @@ type Admitter struct {
 
 	// onBatch, when set (tests), observes every drained batch after
 	// sorting and before admission, from the drainer goroutine.
-	onBatch func(shard int, ops []*admitOp)
+	onBatch func(shard int, ops []*AdmitResult)
 }
 
-// admitOp is one enqueued admission: the payload plus where to deliver the
-// result. The producer registers res/wg before enqueueing; the drainer
-// writes *res and releases wg exactly once.
+// admitOp is one enqueued admission: the payload plus the WaitGroup to
+// release. The producer fills it in before enqueueing; the drainer writes
+// the result beside it and releases wg exactly once.
 type admitOp struct {
-	ad  admission
-	res *AdmitResult
-	wg  *sync.WaitGroup
+	ad admission
+	wg *sync.WaitGroup
 }
 
-func (op *admitOp) finish(h Handle, admitted float64, epoch uint64, err error) {
-	*op.res = AdmitResult{H: h, Admitted: admitted, Epoch: epoch, Err: err}
-	op.wg.Done()
+// finish delivers the outcome. The slot is the producer's again the moment
+// wg is released, so nothing here touches it after Done.
+func (r *AdmitResult) finish(h Handle, admitted float64, epoch uint64, err error) {
+	wg := r.op.wg
+	r.H, r.Admitted, r.Epoch, r.Err = h, admitted, epoch, err
+	wg.Done()
 }
 
 // NewAdmitter starts one drainer per shard of r. The caller owns the
@@ -99,14 +107,14 @@ func NewAdmitter(r *Router, cfg AdmitterConfig) *Admitter {
 	n := r.NumShards()
 	a := &Admitter{
 		r:     r,
-		lanes: make([]chan *admitOp, n),
+		lanes: make([]chan *AdmitResult, n),
 		batch: batch,
 		stop:  make(chan struct{}),
 		busy:  make([]atomic.Uint64, n),
 	}
 	a.wg.Add(n)
 	for i := range a.lanes {
-		a.lanes[i] = make(chan *admitOp, capacity)
+		a.lanes[i] = make(chan *AdmitResult, capacity)
 		go a.drainLoop(i)
 	}
 	return a
@@ -114,19 +122,20 @@ func NewAdmitter(r *Router, cfg AdmitterConfig) *Admitter {
 
 // AddWorker enqueues a worker admission for the shard owning its location.
 // It returns true when accepted: the result will be written to *res and
-// wg released once the shard's drainer admits it. False means refused —
-// the target lane is full (backpressure; retry after a drain interval) or
-// the Admitter is closed — and res/wg are untouched.
+// wg released once the shard's drainer admits it; until then *res belongs
+// to the drainer. False means refused — the target lane is full
+// (backpressure; retry after a drain interval) or the Admitter is closed —
+// and res/wg are untouched.
 func (a *Admitter) AddWorker(w model.Worker, res *AdmitResult, wg *sync.WaitGroup) bool {
-	return a.add(&admitOp{ad: workerAdmission(w), res: res, wg: wg})
+	return a.add(workerAdmission(w), res, wg)
 }
 
 // AddTask enqueues a task admission; see AddWorker.
 func (a *Admitter) AddTask(t model.Task, res *AdmitResult, wg *sync.WaitGroup) bool {
-	return a.add(&admitOp{ad: taskAdmission(t), res: res, wg: wg})
+	return a.add(taskAdmission(t), res, wg)
 }
 
-func (a *Admitter) add(op *admitOp) bool {
+func (a *Admitter) add(ad admission, res *AdmitResult, wg *sync.WaitGroup) bool {
 	if a.closed.Load() {
 		return false
 	}
@@ -135,7 +144,7 @@ func (a *Admitter) add(op *admitOp) bool {
 	// regions that hash onto it and the drainer re-derives each op's owner
 	// against the placement current at admission time. On a static
 	// topology owner%lanes == owner: one lane per shard.
-	lane := a.r.ShardOf(op.ad.loc) % len(a.lanes)
+	lane := a.r.ShardOf(ad.loc) % len(a.lanes)
 	// During a topology migration admissions would only queue behind the
 	// rebalance write lock; refuse immediately instead so producers get
 	// the BUSY + retry hint while the router is quiescing.
@@ -143,14 +152,18 @@ func (a *Admitter) add(op *admitOp) bool {
 		a.busy[lane].Add(1)
 		return false
 	}
-	// The Add must precede the send: the drainer may finish the op (and call
-	// wg.Done) the instant it is received.
-	op.wg.Add(1)
+	// The op must be in the slot before the send publishes it, and the Add
+	// must precede the send: the drainer may finish the op (and call
+	// wg.Done) the instant it is received. A refusal puts both back.
+	prev := res.op
+	res.op = admitOp{ad: ad, wg: wg}
+	wg.Add(1)
 	select {
-	case a.lanes[lane] <- op:
+	case a.lanes[lane] <- res:
 		return true
 	default:
-		op.wg.Done()
+		res.op = prev
+		wg.Done()
 		a.busy[lane].Add(1)
 		return false
 	}
@@ -185,7 +198,7 @@ func (a *Admitter) Close() {
 func (a *Admitter) drainLoop(lane int) {
 	defer a.wg.Done()
 	ch := a.lanes[lane]
-	batch := make([]*admitOp, 0, a.batch)
+	batch := make([]*AdmitResult, 0, a.batch)
 	var mbuf []int
 	for {
 		batch = batch[:0]
@@ -205,14 +218,28 @@ func (a *Admitter) drainLoop(lane int) {
 		}
 		// Stable: equal timestamps keep enqueue (lane) order, so a single
 		// producer replaying a trace admits in exactly trace order.
-		sort.SliceStable(batch, func(i, j int) bool {
-			return batch[i].ad.at < batch[j].ad.at
-		})
+		slices.SortStableFunc(batch, byArrival)
 		if a.onBatch != nil {
 			a.onBatch(lane, batch)
 		}
 		a.r.admitBatch(batch, &mbuf)
+		// The slots are their producers' again: do not pin their memory
+		// until the next pass overwrites these pointers.
+		clear(batch)
 	}
+}
+
+// byArrival orders a drained batch by arrival time. A stable sort only
+// asks whether x goes before y (-1), which is exactly x.at < y.at, so the
+// order is the one a `<` comparison gives, NaN included.
+func byArrival(x, y *AdmitResult) int {
+	switch {
+	case x.op.ad.at < y.op.ad.at:
+		return -1
+	case y.op.ad.at < x.op.ad.at:
+		return 1
+	}
+	return 0
 }
 
 // admitBatch admits one drained, timestamp-sorted batch from a lane.
@@ -223,21 +250,21 @@ func (a *Admitter) drainLoop(lane int) {
 // and must not happen under the owner's lock; a maximal same-owner interior
 // run between them is installed under one lock acquisition, each admission
 // still getting the full per-admission sequence (installLocked).
-func (r *Router) admitBatch(ops []*admitOp, mbuf *[]int) {
+func (r *Router) admitBatch(ops []*AdmitResult, mbuf *[]int) {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
 	ts := r.state()
 	for i := 0; i < len(ops); {
 		var owner int
-		owner, *mbuf = ts.route(ops[i].ad.loc, (*mbuf)[:0])
+		owner, *mbuf = ts.route(ops[i].op.ad.loc, (*mbuf)[:0])
 		if len(*mbuf) > 0 {
-			ops[i].finish(r.admit(ts, owner, *mbuf, &ops[i].ad))
+			ops[i].finish(r.admit(ts, owner, *mbuf, &ops[i].op.ad))
 			i++
 			continue
 		}
 		j := i + 1
 		for ; j < len(ops); j++ {
-			if o, m := ts.route(ops[j].ad.loc, (*mbuf)[:0]); o != owner || len(m) > 0 {
+			if o, m := ts.route(ops[j].op.ad.loc, (*mbuf)[:0]); o != owner || len(m) > 0 {
 				break
 			}
 		}
@@ -247,7 +274,7 @@ func (r *Router) admitBatch(ops []*admitOp, mbuf *[]int) {
 			defer si.mu.Unlock()
 			for ; i < j; i++ {
 				si.drainPendingLocked()
-				ops[i].finish(si.installLocked(r, &ops[i].ad, nil, false))
+				ops[i].finish(si.installLocked(r, &ops[i].op.ad, nil, false))
 			}
 		}()
 		// Interior admissions can still settle mirrored counterparties (a

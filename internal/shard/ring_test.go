@@ -172,7 +172,7 @@ func TestAdmitterBatchesSorted(t *testing.T) {
 	maxBatch := 0
 	seen := 0
 	adm := NewAdmitter(r, AdmitterConfig{Ring: 4096, Batch: 32})
-	adm.onBatch = func(shard int, ops []*admitOp) {
+	adm.onBatch = func(shard int, ops []*AdmitResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		batches++
@@ -181,9 +181,9 @@ func TestAdmitterBatchesSorted(t *testing.T) {
 			maxBatch = len(ops)
 		}
 		for i := 1; i < len(ops); i++ {
-			if ops[i-1].ad.at > ops[i].ad.at {
+			if ops[i-1].op.ad.at > ops[i].op.ad.at {
 				t.Errorf("shard %d batch not time-sorted at %d: %v > %v",
-					shard, i, ops[i-1].ad.at, ops[i].ad.at)
+					shard, i, ops[i-1].op.ad.at, ops[i].op.ad.at)
 				return
 			}
 		}
@@ -237,6 +237,54 @@ func TestAdmitterBatchesSorted(t *testing.T) {
 	t.Logf("batches=%d max=%d", batches, maxBatch)
 }
 
+// TestAdmitterBatchesStable: the drainers' sort is stable. One producer
+// enqueues arrivals whose stamps take only three values, scrambled, while
+// every drainer is held in its first batch, so the lanes fill and drain in
+// full batches. In every batch, admissions with equal stamps keep their
+// enqueue order — the order trace replay relies on.
+func TestAdmitterBatchesStable(t *testing.T) {
+	r, err := NewRouter(testConfig(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var mu sync.Mutex
+	batches, seen := 0, 0
+	adm := NewAdmitter(r, AdmitterConfig{Ring: 4096, Batch: 64})
+	adm.onBatch = func(shard int, ops []*AdmitResult) {
+		<-release
+		mu.Lock()
+		defer mu.Unlock()
+		batches++
+		seen += len(ops)
+		for i := 1; i < len(ops); i++ {
+			p, q := &ops[i-1].op.ad, &ops[i].op.ad
+			if p.at > q.at || p.at == q.at && p.id > q.id {
+				t.Errorf("shard %d batch of %d: admission %d (at %v) drained before %d (at %v)",
+					shard, len(ops), p.id, p.at, q.id, q.at)
+				return
+			}
+		}
+	}
+	const n = 2000
+	res := make([]AdmitResult, n)
+	var wg sync.WaitGroup
+	g := lcg(7)
+	for i := range res {
+		// The ID is the enqueue index.
+		w := model.Worker{ID: i, Loc: geo.Point{X: g.f() * 100, Y: g.f() * 100}, Arrive: float64(int(g.f() * 3)), Patience: 1000}
+		if !adm.AddWorker(w, &res[i], &wg) {
+			t.Fatal("refused on an oversized ring")
+		}
+	}
+	close(release)
+	wg.Wait()
+	adm.Close()
+	if seen != n || batches > n/8 {
+		t.Fatalf("drainers saw %d admissions in %d batches, want %d in full batches", seen, batches, n)
+	}
+}
+
 // TestAdmitterBusy: a full ring refuses the enqueue immediately — no
 // blocking — leaves res/wg untouched, and counts the refusal.
 func TestAdmitterBusy(t *testing.T) {
@@ -247,7 +295,7 @@ func TestAdmitterBusy(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	block := make(chan struct{})
 	adm := NewAdmitter(r, AdmitterConfig{Ring: 1, Batch: 1})
-	adm.onBatch = func(int, []*admitOp) {
+	adm.onBatch = func(int, []*AdmitResult) {
 		entered <- struct{}{}
 		<-block
 	}
@@ -386,7 +434,7 @@ func heldAdmitter(t *testing.T, cfg AdmitterConfig) (r *Router, adm *Admitter, r
 	release = make(chan struct{})
 	held := false // the lane's one drainer is the only goroutine to touch it
 	adm = NewAdmitter(r, cfg)
-	adm.onBatch = func(int, []*admitOp) {
+	adm.onBatch = func(int, []*AdmitResult) {
 		if !held {
 			held = true
 			entered <- struct{}{}
