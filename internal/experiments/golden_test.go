@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/matching_golden.txt from this run")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
 // TestMatchingTablesGolden pins the paper's numbers: every registered
 // experiment except table5 (prediction only, no online algorithm, and most
@@ -66,4 +66,29 @@ func TestMatchingTablesGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("matching tables differ from %s (rerun with -update if the change is meant to move them)", path)
+}
+
+// TestPredictionTableGolden pins Table 5, the one experiment the matching
+// golden leaves out: the seven predictors' RMSLE and ER on both city
+// traces at the unit tests' scale must equal testdata/table5_golden.txt
+// byte for byte. It covers the trace-to-Series conversion every forecast
+// in the repository reads.
+func TestPredictionTableGolden(t *testing.T) {
+	res, err := PredictionTable(testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/table5_golden.txt"
+	if *update {
+		if err := os.WriteFile(path, []byte(res.Custom), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Custom != string(want) {
+		t.Fatalf("Table 5 differs from %s (rerun with -update if the change is meant to move it):\n got:\n%s\nwant:\n%s", path, res.Custom, want)
+	}
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -182,5 +184,98 @@ func TestOneTrainingPass(t *testing.T) {
 	cfg.Rebalance, cfg.Algorithm, cfg.GuidePath = true, "greedy", ""
 	if _, err := New(cfg); err == nil {
 		t.Error("-rebalance-forecast without -guide accepted")
+	}
+}
+
+// cityCountsCSV is a generated Beijing-shaped history in the format
+// ftoa-gen -counts emits: 10 days (day 0 a Monday) of 96 slots over 4x4
+// areas, 2000 arrivals per side per day.
+func cityCountsCSV(t *testing.T) string {
+	t.Helper()
+	c := ftoa.Beijing()
+	c.Cols, c.Rows, c.Days = 4, 4, 10
+	c.WorkersPerDay, c.TasksPerDay = 2000, 2000
+	tr, err := c.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sb.WriteString("day,slot,area,workers,tasks,weather\n")
+	areas := tr.Grid.NumCells()
+	for d := 0; d < c.Days; d++ {
+		for s := 0; s < c.SlotsPerDay; s++ {
+			for a := 0; a < areas; a++ {
+				fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,%.4f\n", d, s, a,
+					tr.WorkerCounts[d][s*areas+a], tr.TaskCounts[d][s*areas+a], tr.Weather[d][s])
+			}
+		}
+	}
+	return sb.String()
+}
+
+// servedGuideHash fingerprints what trainCounts + forecast.guide hand the
+// online algorithms for history under cfg: both sides' rounded forecasts,
+// the matching size and every cell's pair layout.
+func servedGuideHash(t *testing.T, history string, cfg Config) string {
+	t.Helper()
+	fc, err := trainCounts(strings.NewReader(history), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := fc.guide(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v %v %d|", fc.wPred, fc.tPred, g.MatchedPairs)
+	for _, cells := range [][]ftoa.CellPlan{g.WorkerCells, g.TaskCells} {
+		for _, c := range cells {
+			fmt.Fprintf(h, "%v %d %d %v|", c.Key, c.Count, c.Matched, c.Runs)
+		}
+	}
+	return fmt.Sprintf("%d pairs, layout %x", g.MatchedPairs, h.Sum64())
+}
+
+// TestServeGuideGolden pins the served guide bit for bit — the HP-MSI
+// forecast, the edge policy and the pair layout together — under both
+// anchors, for the flat countsCSV history and a generated city history,
+// so a refactor of the pipeline behind trainCounts cannot move it unseen.
+// HP-MSI reads the weekday only to group history days, so the one-day
+// uptime guide must not depend on -guide-dow0 at all.
+func TestServeGuideGolden(t *testing.T) {
+	flat := defaultTestConfig()
+	flat.Horizon = 100 // 2 slots of 50
+	flat.GuidePatience, flat.GuideExpiry = 60, 30
+	city := defaultTestConfig() // a 86400 s day: 96 slots of 900 s
+	city.GuidePatience, city.GuideExpiry = 300, 60
+	cityCSV := cityCountsCSV(t)
+
+	for _, tc := range []struct {
+		name, history string
+		cfg           Config
+		uptime        string
+		wallclock     [2]string // -guide-dow0 0 and 1
+	}{
+		{"countsCSV", countsCSV(), flat, "36 pairs, layout e81606766dd64f00",
+			[2]string{"252 pairs, layout 2623402403aca37e", "252 pairs, layout 2623402403aca37e"}},
+		{"city", cityCSV, city, "1509 pairs, layout 3d80f08c51694a0d",
+			[2]string{"10936 pairs, layout b7812f88cca5afa0", "10936 pairs, layout f1d93c7271f5913e"}},
+	} {
+		for dow0 := 0; dow0 < 7; dow0++ {
+			cfg := tc.cfg
+			cfg.GuideDow0 = dow0
+			if got := servedGuideHash(t, tc.history, cfg); got != tc.uptime {
+				t.Errorf("%s, uptime, -guide-dow0 %d: %s, want %s", tc.name, dow0, got, tc.uptime)
+			}
+		}
+		for dow0, want := range tc.wallclock {
+			cfg := tc.cfg
+			cfg.GuideAnchor = "wallclock"
+			cfg.anchorOffset = (3 + 0.6) * cfg.Horizon // boot mid-Wednesday
+			cfg.GuideDow0 = dow0
+			if got := servedGuideHash(t, tc.history, cfg); got != want {
+				t.Errorf("%s, wallclock, -guide-dow0 %d: %s, want %s", tc.name, dow0, got, want)
+			}
+		}
 	}
 }
