@@ -53,7 +53,7 @@ func main() {
 	flag.DurationVar(&cfg.Retire, "retire", cfg.Retire, "per-shard arena retirement interval; matched and expired objects are compacted away, bounding memory by the live population (0 disables)")
 	flag.StringVar(&cfg.GuidePath, "guide", cfg.GuidePath, "per-cell count history CSV (ftoa-gen -counts format) for guided algorithms")
 	guideGrid := flag.String("guide-grid", "", "guide grid as CxR (default: infer a square from the history)")
-	guideDow0 := flag.Int("guide-dow0", 0, "weekday (0-6) of the count history's first day, anchoring HP-MSI's weekday feature")
+	flag.IntVar(&cfg.GuideDow0, "guide-dow0", cfg.GuideDow0, "weekday (0-6) of the count history's first day, anchoring HP-MSI's weekday feature: 0 = Sunday, as time.Weekday; ftoa-gen histories start on a Monday")
 	flag.Float64Var(&cfg.Horizon, "horizon", cfg.Horizon, "guide horizon in seconds (the served day length)")
 	flag.Float64Var(&cfg.GuidePatience, "guide-patience", cfg.GuidePatience, "worker patience Dw assumed by the guide (seconds)")
 	flag.Float64Var(&cfg.GuideExpiry, "guide-expiry", cfg.GuideExpiry, "task expiry Dr assumed by the guide (seconds)")
@@ -77,7 +77,6 @@ func main() {
 	flag.BoolVar(&cfg.RebalForecast, "rebalance-forecast", cfg.RebalForecast, "also forecast per-region demand with HP-MSI trained on the -guide count history, splitting ahead of predicted rushes")
 	flag.Parse()
 
-	cfg.GuideDow0 = ((*guideDow0)%7 + 7) % 7
 	parts := strings.Split(*boundsStr, ",")
 	if len(parts) != 4 {
 		log.Fatalf("bad -bounds %q: want x0,y0,x1,y1", *boundsStr)

@@ -50,15 +50,7 @@ func main() {
 	grid := ftoa.NewGrid(cfg.Bounds(), *gridSide, *gridSide)
 	sl := ftoa.NewSlotting(cfg.Horizon, *slots)
 	wc, tc := cfg.ExpectedCounts(grid, sl)
-	g, err := ftoa.BuildGuide(ftoa.GuideConfig{
-		Grid:            grid,
-		Slots:           sl,
-		Velocity:        cfg.Velocity,
-		WorkerPatience:  cfg.WorkerPatience,
-		TaskExpiry:      cfg.TaskExpiry,
-		MaxEdgesPerCell: 128,
-		RepSlack:        sl.Width() / 2,
-	}, wc, tc)
+	g, err := ftoa.BuildGuide(ftoa.NewGuideConfig(grid, sl, cfg.Velocity, cfg.WorkerPatience, cfg.TaskExpiry), wc, tc)
 	if err != nil {
 		fail(err)
 	}

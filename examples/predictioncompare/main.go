@@ -34,26 +34,17 @@ func main() {
 	areas := tr.Grid.NumCells()
 	trainDays := city.Days - *test
 
-	series := func(counts [][]int) *ftoa.Series {
-		var flat []int
-		var weather []float64
-		for d := 0; d < city.Days; d++ {
-			flat = append(flat, counts[d]...)
-			weather = append(weather, tr.Weather[d]...)
-		}
-		s, err := ftoa.NewSeries(city.Days, city.SlotsPerDay, areas, flat, weather, tr.DayOfWeek)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return s
+	wSeries, tSeries, err := tr.Series()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	sides := []struct {
 		name string
 		s    *ftoa.Series
 	}{
-		{"demand", series(tr.TaskCounts)},
-		{"supply", series(tr.WorkerCounts)},
+		{"demand", tSeries},
+		{"supply", wSeries},
 	}
 
 	predictors := []func() ftoa.Predictor{
@@ -79,12 +70,7 @@ func main() {
 			}
 			var rmsle, er float64
 			for day := trainDays; day < city.Days; day++ {
-				actual := make([]float64, city.SlotsPerDay*areas)
-				for slot := 0; slot < city.SlotsPerDay; slot++ {
-					for a := 0; a < areas; a++ {
-						actual[slot*areas+a] = side.s.At(day, slot, a)
-					}
-				}
+				actual := ftoa.ActualDay(side.s, day)
 				pred := ftoa.PredictDay(p, side.s, day)
 				rmsle += ftoa.RMSLE(actual, pred, city.SlotsPerDay, areas)
 				er += ftoa.ErrorRate(actual, pred, city.SlotsPerDay, areas)

@@ -46,40 +46,26 @@ func main() {
 	// Train the paper's chosen predictor on all but the last day.
 	testDay := city.Days - 1
 	areas := tr.Grid.NumCells()
-	flatten := func(src [][]int) []int {
-		var out []int
-		for d := 0; d < city.Days; d++ {
-			out = append(out, src[d]...)
-		}
-		return out
+	wSeries, tSeries, err := tr.Series()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	var weather []float64
-	for d := 0; d < city.Days; d++ {
-		weather = append(weather, tr.Weather[d]...)
-	}
-	forecast := func(counts [][]int, label string) []int {
-		s, err := ftoa.NewSeries(city.Days, city.SlotsPerDay, areas, flatten(counts), weather, tr.DayOfWeek)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	forecast := func(s *ftoa.Series, label string) []int {
 		p := ftoa.NewHPMSI()
 		if err := p.Fit(s, testDay); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		pred := ftoa.PredictDay(p, s, testDay)
-		actual := make([]float64, len(pred))
-		for i, c := range counts[testDay] {
-			actual[i] = float64(c)
-		}
+		actual := ftoa.ActualDay(s, testDay)
 		fmt.Printf("HP-MSI %s forecast: ER %.3f, RMSLE %.3f\n", label,
 			ftoa.ErrorRate(actual, pred, city.SlotsPerDay, areas),
 			ftoa.RMSLE(actual, pred, city.SlotsPerDay, areas))
 		return ftoa.ToCounts(pred)
 	}
-	wPred := forecast(tr.WorkerCounts, "supply")
-	tPred := forecast(tr.TaskCounts, "demand")
+	wPred := forecast(wSeries, "supply")
+	tPred := forecast(tSeries, "demand")
 
 	g, err := ftoa.BuildGuide(ftoa.GuideConfig{
 		Grid:           tr.Grid,

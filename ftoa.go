@@ -159,6 +159,12 @@ type (
 	CellPlan = guide.CellPlan
 )
 
+// NewGuideConfig is the guide configuration with the repository's one
+// edge policy; see guide.NewConfig.
+func NewGuideConfig(grid *Grid, slots *Slotting, velocity, patience, expiry float64) GuideConfig {
+	return guide.NewConfig(grid, slots, velocity, patience, expiry)
+}
+
 // BuildGuide runs Algorithm 1 over predicted per-(slot, area) counts.
 func BuildGuide(cfg GuideConfig, workerCounts, taskCounts []int) (*Guide, error) {
 	return guide.Build(cfg, workerCounts, taskCounts)
@@ -438,8 +444,16 @@ func NewHPMSI() Predictor     { return predict.NewHPMSI() }
 // PredictDay runs a fitted predictor over every cell of one day.
 func PredictDay(p Predictor, s *Series, day int) []float64 { return predict.PredictDay(p, s, day) }
 
+// ActualDay extracts one day's realised counts, flattened like PredictDay.
+func ActualDay(s *Series, day int) []float64 { return predict.ActualDay(s, day) }
+
 // ToCounts rounds forecasts to the integer counts BuildGuide consumes.
 func ToCounts(pred []float64) []int { return predict.ToCounts(pred) }
+
+// Forecast is the framework's HP-MSI prediction step; see predict.Forecast.
+func Forecast(workers, tasks *Series, days []int) (wPred, tPred []int, err error) {
+	return predict.Forecast(workers, tasks, days)
+}
 
 // ErrorRate is the paper's ER prediction metric.
 func ErrorRate(actual, predicted []float64, slots, areas int) float64 {

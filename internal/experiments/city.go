@@ -55,9 +55,11 @@ func cityExperiment(id string, city workload.City, opts Options) (*Result, error
 		return nil, err
 	}
 	testDay := city.Days - 1
-	trainDays := testDay
-
-	wPred, tPred, err := forecastDay(tr, trainDays, testDay)
+	wSeries, tSeries, err := tr.Series()
+	if err != nil {
+		return nil, err
+	}
+	wPred, tPred, err := predict.Forecast(wSeries, tSeries, []int{testDay})
 	if err != nil {
 		return nil, err
 	}
@@ -86,65 +88,13 @@ func cityExperiment(id string, city workload.City, opts Options) (*Result, error
 			if in, err = tr.Instance(testDay, dr); err != nil {
 				return
 			}
-			g, err = guide.Build(guide.Config{
-				Grid:            tr.Grid,
-				Slots:           tr.Slots,
-				Velocity:        city.Velocity,
-				WorkerPatience:  city.WorkerPatience,
-				TaskExpiry:      dr,
-				MaxEdgesPerCell: guideMaxEdges,
-				RepSlack:        tr.Slots.Width() / 2,
-			}, wPred, tPred)
+			g, err = guide.Build(guide.NewConfig(tr.Grid, tr.Slots, city.Velocity, city.WorkerPatience, dr), wPred, tPred)
 		})
 		if err != nil {
 			return Row{}, err
 		}
 		return Row{X: fmtF(dr), ByAlgo: runAll(in, g, opts)}, nil
 	})
-}
-
-// forecastDay trains HP-MSI on both sides of the trace history and returns
-// integer count forecasts for the test day.
-func forecastDay(tr *workload.Trace, trainDays, testDay int) (workers, tasks []int, err error) {
-	wSeries, tSeries, err := traceSeries(tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	wp := predict.NewHPMSI()
-	if err := wp.Fit(wSeries, trainDays); err != nil {
-		return nil, nil, err
-	}
-	tp := predict.NewHPMSI()
-	if err := tp.Fit(tSeries, trainDays); err != nil {
-		return nil, nil, err
-	}
-	workers = predict.ToCounts(predict.PredictDay(wp, wSeries, testDay))
-	tasks = predict.ToCounts(predict.PredictDay(tp, tSeries, testDay))
-	return workers, tasks, nil
-}
-
-// traceSeries converts a city trace's histories into predict.Series.
-func traceSeries(tr *workload.Trace) (workers, tasks *predict.Series, err error) {
-	days := tr.City.Days
-	slots := tr.City.SlotsPerDay
-	areas := tr.Grid.NumCells()
-	flatten := func(src [][]int) []int {
-		out := make([]int, 0, days*slots*areas)
-		for d := 0; d < days; d++ {
-			out = append(out, src[d]...)
-		}
-		return out
-	}
-	weather := make([]float64, 0, days*slots)
-	for d := 0; d < days; d++ {
-		weather = append(weather, tr.Weather[d]...)
-	}
-	workers, err = predict.NewSeries(days, slots, areas, flatten(tr.WorkerCounts), weather, tr.DayOfWeek)
-	if err != nil {
-		return nil, nil, err
-	}
-	tasks, err = predict.NewSeries(days, slots, areas, flatten(tr.TaskCounts), weather, tr.DayOfWeek)
-	return workers, tasks, err
 }
 
 // PredictionTable reproduces Table 5: the seven prediction methods
@@ -177,7 +127,7 @@ func PredictionTable(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, t, err := traceSeries(tr)
+		w, t, err := tr.Series()
 		if err != nil {
 			return nil, err
 		}

@@ -272,8 +272,6 @@ func (o Options) scaledSide(n int) int {
 const (
 	// optCandidates caps OPT's per-task candidate workers.
 	optCandidates = 64
-	// guideMaxEdges caps guide edges per cell.
-	guideMaxEdges = 128
 	// grWindow is GR's batching window in slot units; 0.25 gives GR its
 	// paper-reported "marginally outperforms SimpleGreedy" position without
 	// starving task deadlines.
@@ -396,16 +394,9 @@ func (p point) guide(minCost bool) (*guide.Guide, error) {
 	grid := geo.NewGrid(p.cfg.Bounds(), p.gridSide, p.gridSide)
 	sl := timeslot.New(p.cfg.Horizon, p.slots)
 	wc, tc := p.cfg.ExpectedCounts(grid, sl)
-	return guide.Build(guide.Config{
-		Grid:            grid,
-		Slots:           sl,
-		Velocity:        p.cfg.Velocity,
-		WorkerPatience:  p.cfg.WorkerPatience,
-		TaskExpiry:      p.cfg.TaskExpiry,
-		MaxEdgesPerCell: guideMaxEdges,
-		RepSlack:        sl.Width() / 2,
-		MinCost:         minCost,
-	}, wc, tc)
+	cfg := guide.NewConfig(grid, sl, p.cfg.Velocity, p.cfg.WorkerPatience, p.cfg.TaskExpiry)
+	cfg.MinCost = minCost
+	return guide.Build(cfg, wc, tc)
 }
 
 // build generates the point's instance and its max-flow guide. Both run

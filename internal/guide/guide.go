@@ -40,7 +40,7 @@ type Config struct {
 	// to, keeping the nearest ones by travel distance. Zero or negative
 	// means unlimited. The cap bounds guide-construction memory at extreme
 	// scales (the 1M-object scalability run) at a small cost in matching
-	// value; the default used by experiments is 128.
+	// value; NewConfig sets 128.
 	MaxEdgesPerCell int
 
 	// MinCost, when true, computes a min-cost max-flow with edge cost equal
@@ -52,9 +52,26 @@ type Config struct {
 	// testing edge feasibility between cell representatives, compensating
 	// the discretisation error of representing objects by slot midpoints
 	// and cell centers (the "differences can be ignored" remark after the
-	// paper's Lemma 1 assumption). Zero is the neutral default; the
-	// experiments use half a slot width.
+	// paper's Lemma 1 assumption). Zero is the neutral default; NewConfig
+	// sets half a slot width.
 	RepSlack float64
+}
+
+// NewConfig is the guide configuration the server, the experiments and
+// ftoa-sim all build with: the caller's discretisation, velocity and
+// deadlines (Dw, Dr), plus the one edge policy — each worker cell keeps
+// its 128 nearest feasible task cells, and edges are tested with half a
+// slot of representative slack.
+func NewConfig(grid *geo.Grid, slots *timeslot.Slotting, velocity, patience, expiry float64) Config {
+	return Config{
+		Grid:            grid,
+		Slots:           slots,
+		Velocity:        velocity,
+		WorkerPatience:  patience,
+		TaskExpiry:      expiry,
+		MaxEdgesPerCell: 128,
+		RepSlack:        slots.Width() / 2,
+	}
 }
 
 // repTime returns the representative time of a slot: its midpoint, which

@@ -136,6 +136,31 @@ func ToCounts(pred []float64) []int {
 	return out
 }
 
+// Forecast is the framework's offline prediction step: it fits HP-MSI on
+// every day of each side's history but the last, once per side, and
+// returns the rounded count forecasts of days, concatenated in the order
+// given — the per-(slot, area) counts a guide is built from.
+func Forecast(workers, tasks *Series, days []int) (wPred, tPred []int, err error) {
+	side := func(s *Series) ([]int, error) {
+		p := NewHPMSI()
+		if err := p.Fit(s, s.Days-1); err != nil {
+			return nil, err
+		}
+		pred := make([]int, 0, len(days)*s.Slots*s.Areas)
+		for _, d := range days {
+			pred = append(pred, ToCounts(PredictDay(p, s, d))...)
+		}
+		return pred, nil
+	}
+	if wPred, err = side(workers); err != nil {
+		return nil, nil, err
+	}
+	if tPred, err = side(tasks); err != nil {
+		return nil, nil, err
+	}
+	return wPred, tPred, nil
+}
+
 // ActualDay extracts the realized counts of one day, flattened like
 // PredictDay's output.
 func ActualDay(s *Series, day int) []float64 {

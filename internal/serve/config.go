@@ -29,7 +29,7 @@ type Config struct {
 	// Guide pipeline (polar/polarop/hybrid, and -rebalance-forecast).
 	GuidePath     string // counts CSV; "" = no guide
 	GuideGrid     [2]int // cols, rows; 0,0 = infer a square grid
-	GuideDow0     int    // weekday (0-6) of the history's first day
+	GuideDow0     int    // weekday of the history's first day, 0 = Sunday as time.Weekday
 	Horizon       float64
 	GuidePatience float64
 	GuideExpiry   float64
@@ -99,6 +99,7 @@ func DefaultConfig() Config {
 		Retention:        1 << 16,
 		Retire:           time.Minute,
 		Horizon:          86400,
+		GuideDow0:        1, // ftoa-gen histories start on a Monday
 		GuidePatience:    300,
 		GuideExpiry:      60,
 		GuideAnchor:      "wallclock",

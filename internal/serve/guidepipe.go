@@ -44,8 +44,9 @@ func loadForecast(cfg Config) (*forecast, error) {
 }
 
 // trainCounts runs the prediction half of the offline pipeline: load the
-// per-(day, slot, area) CSV, train HP-MSI (the paper's Table 5 winner) on
-// every day but the last, once per side, and predict the guide timeline.
+// per-(day, slot, area) CSV and hand both sides to ftoa.Forecast, which
+// trains HP-MSI (the paper's Table 5 winner) on every day but the last and
+// predicts the history days the guide timeline replays.
 // With GuideAnchor uptime that is one forecast day mapped onto the first
 // Horizon seconds of uptime; with wallclock it is a full week — one
 // forecast per weekday, each weekday served by the latest history day with
@@ -78,10 +79,7 @@ func trainCounts(r io.Reader, cfg Config) (*forecast, error) {
 	// Day-of-week labels feed HP-MSI's weekday seasonality; -guide-dow0
 	// anchors the history's first day so a trace starting mid-week is
 	// not silently rotated.
-	dow := make([]int, days)
-	for i := range dow {
-		dow[i] = (cfg.GuideDow0 + i) % 7
-	}
+	dow := historyWeekdays(cfg.GuideDow0, days)
 	// The history days the timeline replays, in timeline order.
 	src := []int{days - 1}
 	slotting := ftoa.NewSlotting(cfg.Horizon, slots)
@@ -90,29 +88,19 @@ func trainCounts(r io.Reader, cfg Config) (*forecast, error) {
 		src = week[:]
 		slotting = ftoa.NewAnchoredSlotting(7*cfg.Horizon, 7*slots, cfg.anchorOffset)
 	}
-	predict := func(counts []int) ([]int, error) {
-		s, err := ftoa.NewSeries(days, slots, areas, counts, weather, dow)
-		if err != nil {
-			return nil, err
-		}
-		p := ftoa.NewHPMSI()
-		if err := p.Fit(s, days-1); err != nil {
-			return nil, err
-		}
-		pred := make([]int, 0, len(src)*slots*areas)
-		for _, d := range src {
-			pred = append(pred, ftoa.ToCounts(ftoa.PredictDay(p, s, d))...)
-		}
-		return pred, nil
+	wSeries, err := ftoa.NewSeries(days, slots, areas, wCounts, weather, dow)
+	if err != nil {
+		return nil, err
+	}
+	tSeries, err := ftoa.NewSeries(days, slots, areas, tCounts, weather, dow)
+	if err != nil {
+		return nil, err
 	}
 	fc := &forecast{
 		grid:  ftoa.NewGrid(ftoa.NewRect(cfg.Bounds[0], cfg.Bounds[1], cfg.Bounds[2], cfg.Bounds[3]), cols, rows),
 		slots: slotting,
 	}
-	if fc.wPred, err = predict(wCounts); err != nil {
-		return nil, err
-	}
-	if fc.tPred, err = predict(tCounts); err != nil {
+	if fc.wPred, fc.tPred, err = ftoa.Forecast(wSeries, tSeries, src); err != nil {
 		return nil, err
 	}
 	return fc, nil
@@ -120,15 +108,8 @@ func trainCounts(r io.Reader, cfg Config) (*forecast, error) {
 
 // guide builds the offline guide (Algorithm 1) over the forecast.
 func (fc *forecast) guide(cfg Config) (*ftoa.Guide, error) {
-	return ftoa.BuildGuide(ftoa.GuideConfig{
-		Grid:            fc.grid,
-		Slots:           fc.slots,
-		Velocity:        cfg.Velocity,
-		WorkerPatience:  cfg.GuidePatience,
-		TaskExpiry:      cfg.GuideExpiry,
-		MaxEdgesPerCell: 128,
-		RepSlack:        fc.slots.Width() / 2,
-	}, fc.wPred, fc.tPred)
+	gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
+	return ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
 }
 
 // demand is the rebalance supervisor's forecaster: the predicted arrival
@@ -182,6 +163,16 @@ func newAlgorithm(cfg Config, fc *forecast) (func() ftoa.Algorithm, error) {
 		return func() ftoa.Algorithm { return ftoa.NewHybrid(g) }, nil
 	}
 	return nil, fmt.Errorf("unknown algorithm %q (want greedy, gr, polar, polarop or hybrid)", cfg.Algorithm)
+}
+
+// historyWeekdays labels each of a count history's days with its weekday
+// (0 = Sunday, as time.Weekday), the first day being dow0 taken mod 7.
+func historyWeekdays(dow0, days int) []int {
+	dow := make([]int, days)
+	for i := range dow {
+		dow[i] = ((dow0+i)%7 + 7) % 7
+	}
+	return dow
 }
 
 // weekdaySources maps each weekday 0-6 (Sunday-anchored, like

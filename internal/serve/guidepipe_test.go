@@ -137,7 +137,7 @@ func TestOneTrainingPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := map[string]int{"ftoa.LoadCountsCSV(": 0, "ftoa.NewHPMSI(": 0, "os.Open(": 0}
+	calls := map[string]int{"ftoa.LoadCountsCSV(": 0, "ftoa.Forecast(": 0, "os.Open(": 0}
 	for _, f := range files {
 		if strings.HasSuffix(f, "_test.go") {
 			continue
@@ -276,6 +276,28 @@ func TestServeGuideGolden(t *testing.T) {
 			if got := servedGuideHash(t, tc.history, cfg); got != want {
 				t.Errorf("%s, wallclock, -guide-dow0 %d: %s, want %s", tc.name, dow0, got, want)
 			}
+		}
+	}
+}
+
+// TestDefaultDow0MatchesGeneratedHistories: generated histories (ftoa-gen
+// -counts) label their days 0 = Monday, while the server numbers weekdays
+// like time.Weekday, 0 = Sunday. With DefaultConfig's -guide-dow0 every
+// generated day must get the weekday of its own label, or a wallclock
+// server serves each real weekday the next history day's forecast.
+func TestDefaultDow0MatchesGeneratedHistories(t *testing.T) {
+	c := ftoa.Beijing()
+	c.Cols, c.Rows, c.Days = 4, 4, 10
+	c.WorkersPerDay, c.TasksPerDay = 500, 500
+	tr, err := c.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := historyWeekdays(DefaultConfig().GuideDow0, c.Days)
+	monday := time.Date(2024, time.January, 1, 12, 0, 0, 0, time.UTC)
+	for d, label := range tr.DayOfWeek {
+		if want := monday.AddDate(0, 0, label).Weekday(); time.Weekday(got[d]) != want {
+			t.Errorf("history day %d (label %d): served as %v, want %v", d, label, time.Weekday(got[d]), want)
 		}
 	}
 }

@@ -104,10 +104,13 @@ func TestNewRefusesNaN(t *testing.T) {
 	}
 }
 
-// TestUniformLoadNeverChanges is the parity guarantee the CI smoke test
-// leans on: demand below SplitRate on every region, tick after tick,
-// provably never triggers a topology change — so an adaptive server under
-// uniform load behaves bit-identically to a static one.
+// TestUniformLoadNeverChanges is the guarantee cmd/ftoa-loadgen's
+// rebalance pair leans on: TestServeRebalanceUniformParity holds a static
+// and an adaptive server to the same matches under uniform load, and
+// TestServeRebalanceMovingHotspot is its moving-hotspot counterpart.
+// Demand below SplitRate on every region, tick after tick, provably never
+// triggers a topology change — so an adaptive server under uniform load
+// behaves bit-identically to a static one.
 func TestUniformLoadNeverChanges(t *testing.T) {
 	r := testRouter(t)
 	s, err := New(r, Config{SplitRate: 1000, MergeRate: 10, Tau: 0, Cooldown: 0})

@@ -7,6 +7,7 @@ import (
 	"ftoa/internal/geo"
 	"ftoa/internal/mathx"
 	"ftoa/internal/model"
+	"ftoa/internal/predict"
 	"ftoa/internal/timeslot"
 )
 
@@ -343,4 +344,27 @@ func (tr *Trace) Instance(day int, taskExpiry float64) (*model.Instance, error) 
 // exposed for tests and for the "oracle" prediction ablation.
 func (tr *Trace) Lambda(day int) (worker, task []float64) {
 	return tr.workerLambda[day], tr.taskLambda[day]
+}
+
+// Series returns the trace's worker and task count histories as
+// prediction series, with its weather and day-of-week covariates.
+func (tr *Trace) Series() (workers, tasks *predict.Series, err error) {
+	days, slots, areas := tr.City.Days, tr.City.SlotsPerDay, tr.Grid.NumCells()
+	flatten := func(src [][]int) []int {
+		out := make([]int, 0, days*slots*areas)
+		for d := 0; d < days; d++ {
+			out = append(out, src[d]...)
+		}
+		return out
+	}
+	weather := make([]float64, 0, days*slots)
+	for d := 0; d < days; d++ {
+		weather = append(weather, tr.Weather[d]...)
+	}
+	workers, err = predict.NewSeries(days, slots, areas, flatten(tr.WorkerCounts), weather, tr.DayOfWeek)
+	if err != nil {
+		return nil, nil, err
+	}
+	tasks, err = predict.NewSeries(days, slots, areas, flatten(tr.TaskCounts), weather, tr.DayOfWeek)
+	return workers, tasks, err
 }
