@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -218,6 +219,39 @@ func TestCellsWithinRadius(t *testing.T) {
 	// Negative radius yields nothing.
 	if cells := g.CellsWithinRadius(0, -1, nil); len(cells) != 0 {
 		t.Errorf("negative radius returned %v", cells)
+	}
+}
+
+// TestCellsWithinRadiusBruteForce: the bounding-box scan returns exactly
+// the cells a full scan of the grid finds, in the same row-major order,
+// for random origins and radii on grids with unequal cell sides —
+// including radii at exact multiples of a cell side, where the box edge
+// is decided.
+func TestCellsWithinRadiusBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, g := range []*Grid{
+		NewGrid(NewRect(0, 0, 100, 100), 20, 20),
+		NewGrid(NewRect(-3, 7, 41, 20), 11, 7),
+		NewGrid(NewRect(0, 0, 1, 1), 1, 1),
+	} {
+		cw, ch := g.CellSize()
+		for i := 0; i < 2000; i++ {
+			origin := rng.Intn(g.NumCells())
+			radius := rng.Float64() * 3 * math.Max(cw, ch)
+			if i%4 == 0 {
+				radius = float64(rng.Intn(4)) * []float64{cw, ch}[i%8/4]
+			}
+			var want []int
+			c := g.Center(origin)
+			for cell := 0; cell < g.NumCells(); cell++ {
+				if g.Center(cell).SqDist(c) <= radius*radius {
+					want = append(want, cell)
+				}
+			}
+			if got := g.CellsWithinRadius(origin, radius, nil); !slices.Equal(got, want) {
+				t.Fatalf("%dx%d grid, origin %d, radius %v: %v, want %v", g.Cols, g.Rows, origin, radius, got, want)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -300,4 +301,137 @@ func TestDefaultDow0MatchesGeneratedHistories(t *testing.T) {
 			t.Errorf("history day %d (label %d): served as %v, want %v", d, label, time.Weekday(got[d]), want)
 		}
 	}
+}
+
+// serveShapeConfig and serveShapeCSV are the guided server the committed
+// benchmark's wire-batch workload boots (benchmark/bench/workload.go,
+// which this module cannot import): a 64 s uptime day of 32 slots over
+// 20x20 areas of the 100x100 bounds, v = 2, Dw = 4, Dr = 2, trained on 6
+// days of Poisson counts with mean 2500/2 req/s x 2 s / 400 areas = 6.25
+// per side and cell.
+func serveShapeConfig() Config {
+	cfg := defaultTestConfig()
+	cfg.Velocity, cfg.Horizon = 2, 64
+	cfg.GuidePatience, cfg.GuideExpiry = 4, 2
+	return cfg
+}
+
+func serveShapeCSV(seed int64) string {
+	const days, slots, areas, mean = 6, 32, 400, 6.25
+	rng := rand.New(rand.NewSource(seed))
+	poisson := func() int {
+		limit, p, k := math.Exp(-mean), 1.0, 0
+		for {
+			if p *= rng.Float64(); p <= limit {
+				return k
+			}
+			k++
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString("day,slot,area,workers,tasks,weather\n")
+	for d := 0; d < days; d++ {
+		for s := 0; s < slots; s++ {
+			for a := 0; a < areas; a++ {
+				fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,0.5\n", d, s, a, poisson(), poisson())
+			}
+		}
+	}
+	return sb.String()
+}
+
+// guideLayout fingerprints a guide's matching size and every cell's pair
+// layout.
+func guideLayout(g *ftoa.Guide) string {
+	h := fnv.New64a()
+	for _, cells := range [][]ftoa.CellPlan{g.WorkerCells, g.TaskCells} {
+		for _, c := range cells {
+			fmt.Fprintf(h, "%v %d %d %v|", c.Key, c.Count, c.Matched, c.Runs)
+		}
+	}
+	return fmt.Sprintf("%d pairs, layout %x", g.MatchedPairs, h.Sum64())
+}
+
+// TestServeShapeGuideGolden pins Algorithm 1 bit for bit at the shape the
+// server builds under the benchmark, at both edge slacks: the repository's
+// slot/2 and the server's 0. The slack-0 network is the one golden whose
+// max flow needs long augmenting paths (Dinic runs ~20 phases on it, where
+// the other goldens need at most a handful), so a solver or network
+// change that alters the augmentation order shows up here first.
+func TestServeShapeGuideGolden(t *testing.T) {
+	cfg := serveShapeConfig()
+	fc, err := trainCounts(strings.NewReader(serveShapeCSV(1)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		slack float64
+		want  string
+	}{
+		{fc.slots.Width() / 2, "79895 pairs, layout cb389e2f83623644"},
+		{0, "79895 pairs, layout 44ceb3cb299977c5"},
+	} {
+		gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
+		gc.RepSlack = tc.slack
+		g, err := ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got := guideLayout(g); got != tc.want {
+			t.Errorf("RepSlack %v: %s, want %s", tc.slack, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkServeGuideBoot times the guided boot's three layers on the
+// benchmark's history: parsing the CSV, the HP-MSI forecast, and
+// Algorithm 1 under the served edge policy.
+func BenchmarkServeGuideBoot(b *testing.B) {
+	cfg := serveShapeConfig()
+	history := serveShapeCSV(1)
+	b.Run("LoadCountsCSV", func(b *testing.B) {
+		b.SetBytes(int64(len(history)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, _, _, _, _, err := ftoa.LoadCountsCSV(strings.NewReader(history)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	days, slots, areas, wCounts, tCounts, weather, err := ftoa.LoadCountsCSV(strings.NewReader(history))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dow := historyWeekdays(cfg.GuideDow0, days)
+	wSeries, err := ftoa.NewSeries(days, slots, areas, wCounts, weather, dow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tSeries, err := ftoa.NewSeries(days, slots, areas, tCounts, weather, dow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Forecast", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, err := ftoa.Forecast(wSeries, tSeries, []int{days - 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	fc, err := trainCounts(strings.NewReader(history), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("BuildGuide", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := fc.guide(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
