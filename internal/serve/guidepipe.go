@@ -106,9 +106,14 @@ func trainCounts(r io.Reader, cfg Config) (*forecast, error) {
 	return fc, nil
 }
 
-// guide builds the offline guide (Algorithm 1) over the forecast.
+// guide builds the offline guide (Algorithm 1) over the forecast. Its
+// edges are tested with no representative slack: the slot/2 the
+// experiments keep plans same-slot pairs between adjacent areas that a
+// task's reach (Dr·v) cannot cover, and the server's Strict recheck
+// then refuses them.
 func (fc *forecast) guide(cfg Config) (*ftoa.Guide, error) {
 	gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
+	gc.RepSlack = 0
 	return ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
 }
 

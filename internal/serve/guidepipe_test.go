@@ -259,8 +259,8 @@ func TestServeGuideGolden(t *testing.T) {
 	}{
 		{"countsCSV", countsCSV(), flat, "36 pairs, layout e81606766dd64f00",
 			[2]string{"252 pairs, layout 2623402403aca37e", "252 pairs, layout 2623402403aca37e"}},
-		{"city", cityCSV, city, "1509 pairs, layout 3d80f08c51694a0d",
-			[2]string{"10936 pairs, layout b7812f88cca5afa0", "10936 pairs, layout f1d93c7271f5913e"}},
+		{"city", cityCSV, city, "1501 pairs, layout c3fa0d812e2cf94e",
+			[2]string{"10901 pairs, layout f463e84c29d666e8", "10901 pairs, layout a5aec42075dfcb48"}},
 	} {
 		for dow0 := 0; dow0 < 7; dow0++ {
 			cfg := tc.cfg
@@ -434,4 +434,59 @@ func BenchmarkServeGuideBoot(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestServedGuideStrictRefusals pins why the server builds its guide with
+// no representative slack: on one paced stream of the benchmark's shape
+// through a 1x1 Strict POLAR-OP session, the served guide commits more
+// matches than the slot/2 guide built from the same forecast, because the
+// Strict recheck refuses a smaller share of the pairs it plans.
+func TestServedGuideStrictRefusals(t *testing.T) {
+	cfg := serveShapeConfig()
+	fc, err := trainCounts(strings.NewReader(serveShapeCSV(2)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := fc.guide(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
+	halfSlot, err := ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ftoa.NewMatcher(ftoa.MatcherConfig{
+		Mode: ftoa.Strict, Velocity: cfg.Velocity, Bounds: ftoa.NewRect(0, 0, 100, 100),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 20 000 uniform arrivals, half of each side, paced at the benchmark's
+	// 2500/s from the middle of the guide's day.
+	const n, rate, start = 20000, 2500.0, 16.0
+	run := func(g *ftoa.Guide) (matched int, refused float64) {
+		rng := rand.New(rand.NewSource(7))
+		sess := m.NewSession(ftoa.NewPOLAROP(g))
+		for i := 0; i < n; i++ {
+			at, loc := start+float64(i)/rate, ftoa.Pt(rng.Float64()*100, rng.Float64()*100)
+			if rng.Intn(2) == 0 {
+				_, err = sess.AddWorker(ftoa.Worker{Loc: loc, Arrive: at, Patience: cfg.GuidePatience})
+			} else {
+				_, err = sess.AddTask(ftoa.Task{Loc: loc, Release: at, Expiry: cfg.GuideExpiry})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		sess.Finish()
+		return sess.Matching().Size(), float64(sess.Rejected()) / float64(sess.Attempted())
+	}
+	sm, sr := run(served)
+	hm, hr := run(halfSlot)
+	t.Logf("served guide: %d matches, %.3f of attempts refused; slot/2 guide: %d, %.3f", sm, sr, hm, hr)
+	if sm <= hm || sr >= hr {
+		t.Errorf("served guide: %d matches, refusal rate %.3f; slot/2 guide: %d, %.3f: want more matches and fewer refusals",
+			sm, sr, hm, hr)
+	}
 }
