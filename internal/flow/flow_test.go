@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -403,5 +405,110 @@ func TestNetworkLazyParts(t *testing.T) {
 	f, c := g.MinCostMaxFlow(0, 3)
 	if f != 6 || c != 4*5 {
 		t.Fatalf("flow,cost = %d,%d; want 6,20", f, c)
+	}
+}
+
+// dinicReference is MaxFlowDinic as first written — a recursive
+// blocking-flow search restarted from s after every augmentation, over a
+// full BFS level graph. The solver must reproduce its flow arc for arc:
+// the guide's pair layout is read off the per-edge flows.
+func dinicReference(g *Network, s, t int) int64 {
+	g.index()
+	level := make([]int32, g.n)
+	iter := make([]int32, g.n)
+	bfs := func() bool {
+		for i := range level {
+			level[i] = -1
+		}
+		level[s] = 0
+		queue := []int32{int32(s)}
+		for qi := 0; qi < len(queue); qi++ {
+			u := queue[qi]
+			for _, id := range g.out(u) {
+				if v := g.to[id]; level[v] < 0 && g.res[id] > 0 {
+					level[v] = level[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+		return level[t] >= 0
+	}
+	var dfs func(u int32, limit int32) int32
+	dfs = func(u int32, limit int32) int32 {
+		if int(u) == t {
+			return limit
+		}
+		for end := g.start[u+1]; iter[u] < end; iter[u]++ {
+			id := g.adj[iter[u]]
+			v, r := g.to[id], g.res[id]
+			if level[v] != level[u]+1 || r <= 0 {
+				continue
+			}
+			if pushed := dfs(v, min(limit, r)); pushed > 0 {
+				g.push(id, pushed)
+				return pushed
+			}
+		}
+		level[u] = -1
+		return 0
+	}
+	var total int64
+	for bfs() {
+		copy(iter, g.start)
+		for f := dfs(int32(s), math.MaxInt32); f > 0; f = dfs(int32(s), math.MaxInt32) {
+			total += int64(f)
+		}
+	}
+	return total
+}
+
+// TestDinicMatchesReference: on random networks — general digraphs with
+// parallel arcs and cycles, and the guide's source/cells/sink layering
+// with long residual detours — MaxFlowDinic leaves exactly the residual
+// capacities the reference does, including when it extends a flow an
+// earlier solve left behind.
+func TestDinicMatchesReference(t *testing.T) {
+	// build returns a network, its source and sink, and a third node the
+	// first solve routes a partial flow to.
+	build := func(seed uint64) (g *Network, s, t, mid int) {
+		rng := mathx.NewRNG(seed)
+		if seed%2 == 0 {
+			n := 3 + rng.Intn(30)
+			g = NewNetwork(n, 0)
+			for e := rng.Intn(6 * n); e > 0; e-- {
+				g.AddEdge(rng.Intn(n), rng.Intn(n), int32(rng.Intn(9)))
+			}
+			return g, 0, n - 1, n / 2
+		}
+		nl, nr := 1+rng.Intn(40), 1+rng.Intn(40)
+		g = NewNetwork(nl+nr+2, 0)
+		src, snk := nl+nr, nl+nr+1
+		for i := 0; i < nl; i++ {
+			g.AddEdge(src, i, int32(1+rng.Intn(6)))
+		}
+		for j := 0; j < nr; j++ {
+			g.AddEdge(nl+j, snk, int32(1+rng.Intn(6)))
+		}
+		for i := 0; i < nl; i++ {
+			for j := 0; j < nr; j++ {
+				if d := i - j*nl/nr; d >= -2 && d <= 2 && rng.Float64() < 0.6 {
+					g.AddEdge(i, nl+j, int32(1+rng.Intn(6)))
+				}
+			}
+		}
+		return g, src, snk, nl
+	}
+	for seed := uint64(0); seed < 400; seed++ {
+		got, s, sink, mid := build(seed)
+		want, _, _, _ := build(seed)
+		if a, b := got.MaxFlowDinic(s, mid), dinicReference(want, s, mid); a != b {
+			t.Fatalf("seed %d: partial flow %d, reference %d", seed, a, b)
+		}
+		if a, b := got.MaxFlowDinic(s, sink), dinicReference(want, s, sink); a != b {
+			t.Fatalf("seed %d: flow %d, reference %d", seed, a, b)
+		}
+		if !slices.Equal(got.res, want.res) {
+			t.Fatalf("seed %d: residual capacities differ from the reference's", seed)
+		}
 	}
 }

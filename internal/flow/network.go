@@ -160,64 +160,114 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 		g.iter = make([]int32, g.n)
 		g.queue = make([]int32, 0, g.n)
 	}
-	level := g.level[:g.n]
-	iter := g.iter[:g.n] // position in adj of the next edge to try
-	queue := g.queue[:0]
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		level[s] = 0
-		queue = queue[:0]
-		queue = append(queue, int32(s))
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			for _, id := range g.out(u) {
-				v := g.to[id]
-				if level[v] < 0 && g.res[id] > 0 {
-					level[v] = level[u] + 1
-					queue = append(queue, v)
-				}
-			}
-		}
-		return level[t] >= 0
+	var total int64
+	for !g.cutOff(s, t) && g.levels(s, t) {
+		copy(g.iter[:g.n], g.start)
+		total += g.blockingFlow(s, t)
 	}
+	return total
+}
 
-	var dfs func(u int32, limit int32) int32
-	dfs = func(u int32, limit int32) int32 {
-		if int(u) == t {
-			return limit
+// cutOff reports whether no residual arc leaves s or none enters t, so
+// that t is unreachable without a search. Once a flow saturates the
+// smaller side of a bipartite network it spares the final level graph,
+// which would otherwise explore everything still reachable from s.
+func (g *Network) cutOff(s, t int) bool {
+	open := false
+	for _, id := range g.out(int32(s)) {
+		if g.res[id] > 0 {
+			open = true
+			break
 		}
-		for end := g.start[u+1]; iter[u] < end; iter[u]++ {
-			id := g.adj[iter[u]]
-			v := g.to[id]
-			r := g.res[id]
-			if level[v] != level[u]+1 || r <= 0 {
+	}
+	if !open {
+		return true
+	}
+	for _, id := range g.out(int32(t)) {
+		if g.res[id^1] > 0 { // the arc into t paired with id
+			return false
+		}
+	}
+	return true
+}
+
+// levels labels nodes with their BFS distance from s over residual arcs
+// and reports whether t is reachable. It stops once it labels t: every
+// shallower level is complete by then, and a node at t's depth or deeper
+// lies on no shortest augmenting path, so leaving it unlabelled only
+// spares the blocking flow a dead end it would have pruned.
+func (g *Network) levels(s, t int) bool {
+	level, to, res := g.level[:g.n], g.to, g.res
+	for i := range level {
+		level[i] = -1
+	}
+	level[s] = 0
+	queue := append(g.queue[:0], int32(s)) // each node enters once: no growth
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for _, id := range g.out(u) {
+			if res[id] <= 0 {
 				continue
 			}
-			if pushed := dfs(v, min(limit, r)); pushed > 0 {
-				g.push(id, pushed)
-				return pushed
+			if v := to[id]; level[v] < 0 {
+				level[v] = level[u] + 1
+				if int(v) == t {
+					return true
+				}
+				queue = append(queue, v)
 			}
 		}
-		level[u] = -1 // dead end; prune
-		return 0
 	}
+	return false
+}
 
+// blockingFlow saturates the level graph with augmenting paths, found by
+// a depth-first search that keeps its path as an explicit arc stack.
+// After each augmentation it retreats to the tail of the first arc the
+// augmentation saturated and searches on from there: a search restarted
+// from s would walk the unsaturated prefix back down to the same arc,
+// because iter still points at every arc of the path. The paths, and so
+// the flow on every arc, are the ones the restarting search finds.
+func (g *Network) blockingFlow(s, t int) int64 {
+	level, iter, to, res, adj := g.level, g.iter, g.to, g.res, g.adj
+	path := g.queue[:0] // the BFS queue is free until the next phase
 	var total int64
-	for bfs() {
-		copy(iter, g.start)
-		for {
-			f := dfs(int32(s), math.MaxInt32)
-			if f == 0 {
-				break
+	for u := int32(s); ; {
+		if int(u) == t {
+			f := int32(math.MaxInt32)
+			for _, id := range path {
+				f = min(f, res[id])
+			}
+			for _, id := range path {
+				g.push(id, f)
 			}
 			total += int64(f)
+			k := 0
+			for res[path[k]] > 0 {
+				k++
+			}
+			u, path = to[path[k]^1], path[:k]
+			continue
 		}
+		next, end, want := iter[u], g.start[u+1], level[u]+1
+		for next < end && (res[adj[next]] <= 0 || level[to[adj[next]]] != want) {
+			next++
+		}
+		iter[u] = next
+		if next < end {
+			path = append(path, adj[next])
+			u = to[adj[next]]
+			continue
+		}
+		level[u] = -1 // dead end; prune
+		if len(path) == 0 {
+			return total
+		}
+		id := path[len(path)-1]
+		path = path[:len(path)-1]
+		u = to[id^1]
+		iter[u]++
 	}
-	g.queue = queue // keep any grown capacity for the next call
-	return total
 }
 
 // MaxFlowFordFulkerson computes max flow using the Edmonds–Karp variant
