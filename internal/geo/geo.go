@@ -209,15 +209,17 @@ func (g *Grid) CenterDist(a, b int) float64 {
 // CellsWithinRadius appends to dst the indices of all cells whose center
 // lies within radius of the center of the origin cell, and returns the
 // extended slice. The origin cell itself is always included (distance 0).
-// The scan is restricted to the bounding square of the radius, so cost is
-// proportional to the disk area rather than the whole grid.
+// The scan is restricted to the bounding box of the radius, so cost is
+// proportional to the disk area rather than the whole grid: a center k
+// columns away is k·cellW away, so no column past ceil(radius/cellW) can
+// qualify, and likewise for rows.
 func (g *Grid) CellsWithinRadius(origin int, radius float64, dst []int) []int {
 	if radius < 0 {
 		return dst
 	}
 	oc, or := g.ColRow(origin)
-	dc := int(math.Ceil(radius/g.cellW)) + 1
-	dr := int(math.Ceil(radius/g.cellH)) + 1
+	dc := int(math.Ceil(radius / g.cellW))
+	dr := int(math.Ceil(radius / g.cellH))
 	center := g.Center(origin)
 	r2 := radius * radius
 	for row := max(0, or-dr); row <= min(g.Rows-1, or+dr); row++ {

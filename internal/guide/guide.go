@@ -275,6 +275,13 @@ func (g *Guide) network() (*flow.Network, error) {
 		slotStart[s+1] += slotStart[s]
 	}
 
+	grid := cfg.Grid
+	centers := make([]geo.Point, areas)
+	for a := range centers {
+		centers[a] = grid.Center(a)
+	}
+	cw, ch := grid.CellSize()
+
 	// Collect each worker cell's task cells: worker cell wi is joined to
 	// edges[wEnd[wi-1]:wEnd[wi]], nearest first when capped.
 	var edges edgeList
@@ -284,11 +291,11 @@ func (g *Guide) network() (*flow.Network, error) {
 		dist  float64
 	}
 	var cands []cand
-	var diskCells []int
 	for wi := range wCells {
 		wc := &wCells[wi]
 		sw := cfg.repTime(wc.Key.Slot)
-		wCenter := cfg.Grid.Center(wc.Key.Area)
+		wCenter := centers[wc.Key.Area]
+		wCol, wRow := grid.ColRow(wc.Key.Area)
 		cands = cands[:0]
 		for slot := 0; slot < cfg.Slots.Count; slot++ {
 			sr := cfg.repTime(slot)
@@ -305,24 +312,30 @@ func (g *Guide) network() (*flow.Network, error) {
 				continue
 			}
 			// Choose the cheaper enumeration: scan non-empty task cells of
-			// the slot, or walk the disk of cells within the radius.
-			cw, ch := cfg.Grid.CellSize()
+			// the slot, or walk the disk of cells within the radius (the
+			// cells geo.Grid.CellsWithinRadius lists, in its row-major
+			// order, over the same bounding box).
 			diskArea := math.Pi * (radius/cw + 1) * (radius/ch + 1)
 			if diskArea < float64(hi-lo) {
-				diskCells = cfg.Grid.CellsWithinRadius(wc.Key.Area, radius, diskCells[:0])
-				for _, area := range diskCells {
-					ti := g.taskID[slot*areas+area]
-					if ti < 0 {
-						continue
-					}
-					d := wCenter.Dist(cfg.Grid.Center(area))
-					if cfg.edgeFeasible(sw, sr, d) {
-						cands = append(cands, cand{tCell: ti, dist: d})
+				dc, dr := int(math.Ceil(radius/cw)), int(math.Ceil(radius/ch))
+				r2 := radius * radius
+				taskID := g.taskID[slot*areas : (slot+1)*areas]
+				for row := max(0, wRow-dr); row <= min(grid.Rows-1, wRow+dr); row++ {
+					for col := max(0, wCol-dc); col <= min(grid.Cols-1, wCol+dc); col++ {
+						area := row*grid.Cols + col
+						ti := taskID[area]
+						if ti < 0 || centers[area].SqDist(wCenter) > r2 {
+							continue
+						}
+						d := wCenter.Dist(centers[area])
+						if cfg.edgeFeasible(sw, sr, d) {
+							cands = append(cands, cand{tCell: ti, dist: d})
+						}
 					}
 				}
 			} else {
 				for ti := lo; ti < hi; ti++ {
-					d := wCenter.Dist(cfg.Grid.Center(tCells[ti].Key.Area))
+					d := wCenter.Dist(centers[tCells[ti].Key.Area])
 					if cfg.edgeFeasible(sw, sr, d) {
 						cands = append(cands, cand{tCell: ti, dist: d})
 					}
@@ -353,13 +366,13 @@ func (g *Guide) network() (*flow.Network, error) {
 	k := 0
 	for wi := range wCells {
 		wc := &wCells[wi]
-		wCenter := cfg.Grid.Center(wc.Key.Area)
+		wCenter := centers[wc.Key.Area]
 		for ; k < int(wEnd[wi]); k++ {
 			ti := edges.at(k)
 			tc := &tCells[ti]
 			cost := int64(0)
 			if cfg.MinCost {
-				d := wCenter.Dist(cfg.Grid.Center(tc.Key.Area))
+				d := wCenter.Dist(centers[tc.Key.Area])
 				cost = int64(d / cfg.Velocity * costScale)
 			}
 			net.AddEdgeCost(wi, nw+int(ti), min(wc.Count, tc.Count), cost)
