@@ -133,8 +133,9 @@ type csvRows struct {
 	br     *bufio.Reader
 	fields int    // every record must have this many
 	raw    []byte // a line longer than br's buffer
-	rec    []byte // the current record's unescaped field bytes
-	ends   []int  // field i is rec[ends[i-1]:ends[i]]
+	rec    []byte // the current record's unescaped fields, one byte apart
+	buf    []byte // rec's storage when a quote forces a copy
+	ends   []int  // field i is rec[ends[i-1]+1:ends[i]] (field 0 starts at 0)
 	line   int    // lines read so far
 }
 
@@ -146,7 +147,7 @@ func newCSVRows(r io.Reader, fields int) *csvRows {
 func (s *csvRows) field(i int) []byte {
 	start := 0
 	if i > 0 {
-		start = s.ends[i-1]
+		start = s.ends[i-1] + 1
 	}
 	return s.rec[start:s.ends[i]]
 }
@@ -206,7 +207,28 @@ func (s *csvRows) next() error {
 		return errRead
 	}
 	start := s.line
-	s.rec, s.ends = s.rec[:0], s.ends[:0]
+	s.ends = s.ends[:0]
+	if bytes.IndexByte(line, '"') < 0 {
+		// No quotes: the fields are the line itself, split at the commas.
+		if n := len(line); n > 0 && line[n-1] == '\n' {
+			line = line[:n-1]
+		}
+		s.rec = line
+		for i, c := range line {
+			if c == ',' {
+				s.ends = append(s.ends, i)
+			}
+		}
+		s.ends = append(s.ends, len(line))
+		if errRead != nil {
+			return errRead
+		}
+		if len(s.ends) != s.fields {
+			return fmt.Errorf("record on line %d: %w", start, csv.ErrFieldCount)
+		}
+		return nil
+	}
+	s.rec = s.buf[:0] // never the line: that is the reader's buffer
 	syntax := func(err error) error {
 		if s.line != start {
 			return fmt.Errorf("record on line %d, line %d: %w", start, s.line, err)
@@ -229,6 +251,7 @@ fields:
 			}
 			s.rec = append(s.rec, field...)
 			s.ends = append(s.ends, len(s.rec))
+			s.rec = append(s.rec, ',')
 			if i < 0 {
 				break fields
 			}
@@ -251,9 +274,11 @@ fields:
 				case len(line) > 0 && line[0] == ',':
 					line = line[1:]
 					s.ends = append(s.ends, len(s.rec))
+					s.rec = append(s.rec, ',')
 					continue fields
 				case isEOL(line):
 					s.ends = append(s.ends, len(s.rec))
+					s.rec = append(s.rec, ',')
 					break fields
 				default:
 					return syntax(csv.ErrQuote) // text after the closing quote
@@ -273,10 +298,12 @@ fields:
 					return syntax(csv.ErrQuote) // EOF inside the quotes
 				}
 				s.ends = append(s.ends, len(s.rec))
+				s.rec = append(s.rec, ',')
 				break fields
 			}
 		}
 	}
+	s.buf = s.rec
 	if errRead != nil {
 		return errRead
 	}
@@ -284,6 +311,24 @@ fields:
 		return fmt.Errorf("record on line %d: %w", start, csv.ErrFieldCount)
 	}
 	return nil
+}
+
+// atoi is strconv.Atoi over bytes. Up to 18 plain digits cannot
+// overflow an int64 and are summed in place; anything else (a sign, a
+// longer number, a stray byte) goes to strconv.Atoi, which accepts and
+// rejects exactly what it always did.
+func atoi(b []byte) (int, error) {
+	if len(b) == 0 || len(b) > 18 {
+		return strconv.Atoi(string(b))
+	}
+	v := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.Atoi(string(b))
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, nil
 }
 
 // countsRow is one parsed history row awaiting the dimensions, which are
@@ -330,7 +375,7 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 		}
 		var ints [5]int // day, slot, area, workers, tasks
 		for i := range ints {
-			v, err := strconv.Atoi(string(rows.field(i)))
+			v, err := atoi(rows.field(i))
 			if err != nil {
 				return fail("bad integer %q", rows.field(i))
 			}
