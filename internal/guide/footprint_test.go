@@ -28,10 +28,13 @@ func poissonCounts(rng *mathx.RNG, n int, mean float64) []int {
 	return out
 }
 
-// serveShape is the guide ftoa-serve builds under the committed
-// benchmark's wire-batch workload: 20×20 areas × 32 slots over a 64 s
-// day, Poisson counts around 5 per cell and side, at most 128 edges per
-// worker cell.
+// serveShape has the geometry of the guide ftoa-serve builds under the
+// committed benchmark's wire-batch workload — 20×20 areas × 32 slots over
+// a 64 s day, at most 128 edges per worker cell — but not that guide: its
+// counts are Poisson draws around 5 per cell and side rather than an
+// HP-MSI forecast, and its edges keep NewConfig's slot/2 slack where the
+// server uses 0. The served guide is pinned by internal/serve's
+// TestServeShapeGuideGolden and timed by its BenchmarkServeGuideBoot.
 func serveShape() (Config, []int, []int) {
 	const side, slots = 20, 32
 	rng := mathx.NewRNG(14)
