@@ -161,34 +161,11 @@ func (g *Network) MaxFlowDinic(s, t int) int64 {
 		g.queue = make([]int32, 0, g.n)
 	}
 	var total int64
-	for !g.cutOff(s, t) && g.levels(s, t) {
+	for g.levels(s, t) {
 		copy(g.iter[:g.n], g.start)
 		total += g.blockingFlow(s, t)
 	}
 	return total
-}
-
-// cutOff reports whether no residual arc leaves s or none enters t, so
-// that t is unreachable without a search. Once a flow saturates the
-// smaller side of a bipartite network it spares the final level graph,
-// which would otherwise explore everything still reachable from s.
-func (g *Network) cutOff(s, t int) bool {
-	open := false
-	for _, id := range g.out(int32(s)) {
-		if g.res[id] > 0 {
-			open = true
-			break
-		}
-	}
-	if !open {
-		return true
-	}
-	for _, id := range g.out(int32(t)) {
-		if g.res[id^1] > 0 { // the arc into t paired with id
-			return false
-		}
-	}
-	return true
 }
 
 // levels labels nodes with their BFS distance from s over residual arcs
