@@ -313,12 +313,12 @@ fields:
 	return nil
 }
 
-// atoi is strconv.Atoi over bytes. Up to 18 plain digits cannot
-// overflow an int64 and are summed in place; anything else (a sign, a
+// atoi is strconv.Atoi over bytes. Up to 9 plain digits cannot overflow
+// even a 32-bit int and are summed in place; anything else (a sign, a
 // longer number, a stray byte) goes to strconv.Atoi, which accepts and
 // rejects exactly what it always did.
 func atoi(b []byte) (int, error) {
-	if len(b) == 0 || len(b) > 18 {
+	if len(b) == 0 || len(b) > 9 {
 		return strconv.Atoi(string(b))
 	}
 	v := 0
