@@ -354,10 +354,10 @@ func guideLayout(g *ftoa.Guide) string {
 
 // TestServeShapeGuideGolden pins Algorithm 1 bit for bit at the shape the
 // server builds under the benchmark, at both edge slacks: the repository's
-// slot/2 and the server's 0. The slack-0 network is the one golden whose
-// max flow needs long augmenting paths (Dinic runs ~20 phases on it, where
-// the other goldens need at most a handful), so a solver or network
-// change that alters the augmentation order shows up here first.
+// slot/2 and the server's 0. The slack-0 network's max flow needs long
+// augmenting paths (Dinic runs 19 phases on it, with paths up to 39 arcs;
+// 8 phases at slot/2), so a solver or network change that alters the
+// augmentation order shows up here first.
 func TestServeShapeGuideGolden(t *testing.T) {
 	cfg := serveShapeConfig()
 	fc, err := trainCounts(strings.NewReader(serveShapeCSV(1)), cfg)
