@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -511,4 +512,210 @@ func TestDinicMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: residual capacities differ from the reference's", seed)
 		}
 	}
+}
+
+// randomNetwork is one of TestDinicMatchesReference's networks: a general
+// digraph with parallel arcs and cycles for even seeds, the guide's
+// source/cells/sink layering with long residual detours for odd ones. It
+// returns the network, its source and sink, and a third node a first
+// solve can route a partial flow to.
+func randomNetwork(seed uint64) (g *Network, s, t, mid int) {
+	rng := mathx.NewRNG(seed)
+	if seed%2 == 0 {
+		n := 3 + rng.Intn(30)
+		g = NewNetwork(n, 0)
+		for e := rng.Intn(6 * n); e > 0; e-- {
+			g.AddEdge(rng.Intn(n), rng.Intn(n), int32(rng.Intn(9)))
+		}
+		return g, 0, n - 1, n / 2
+	}
+	nl, nr := 1+rng.Intn(40), 1+rng.Intn(40)
+	g = NewNetwork(nl+nr+2, 0)
+	src, snk := nl+nr, nl+nr+1
+	for i := 0; i < nl; i++ {
+		g.AddEdge(src, i, int32(1+rng.Intn(6)))
+	}
+	for j := 0; j < nr; j++ {
+		g.AddEdge(nl+j, snk, int32(1+rng.Intn(6)))
+	}
+	for i := 0; i < nl; i++ {
+		for j := 0; j < nr; j++ {
+			if d := i - j*nl/nr; d >= -2 && d <= 2 && rng.Float64() < 0.6 {
+				g.AddEdge(i, nl+j, int32(1+rng.Intn(6)))
+			}
+		}
+	}
+	return g, src, snk, nl
+}
+
+// guideNetwork has the shape of Algorithm 1's network: worker and task
+// cells over slots × areas on a line, each with a random count (empty
+// cells get no node), a source edge per worker cell, a sink edge per task
+// cell, and an edge from a worker cell to every task cell from the slot
+// before it to three slots on whose area lies within reach, capacity the
+// smaller count. A sparse reach makes Dinic run many phases on it.
+func guideNetwork(seed uint64) (g *Network, s, t int) {
+	rng := mathx.NewRNG(seed)
+	slots, areas, reach := 2+rng.Intn(10), 2+rng.Intn(30), rng.Intn(3)
+	count := func() int32 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return int32(1 + rng.Intn(8))
+	}
+	wc, tc := make([]int32, slots*areas), make([]int32, slots*areas)
+	for i := range wc {
+		wc[i], tc[i] = count(), count()
+	}
+	n := 2*slots*areas + 2
+	s, t = n-2, n-1
+	g = NewNetwork(n, 0)
+	for i := range wc {
+		g.AddEdge(s, i, wc[i])
+		g.AddEdge(slots*areas+i, t, tc[i])
+	}
+	for i, w := range wc {
+		if w == 0 {
+			continue
+		}
+		slot, area := i/areas, i%areas
+		for ts := max(0, slot-1); ts < min(slots, slot+4); ts++ {
+			r := reach * (ts - slot + 1)
+			for ta := max(0, area-r); ta <= min(areas-1, area+r); ta++ {
+				if j := ts*areas + ta; tc[j] > 0 {
+					g.AddEdge(i, slots*areas+j, min(w, tc[j]))
+				}
+			}
+		}
+	}
+	return g, s, t
+}
+
+// checkFlow reports the first arc whose flow leaves [0, capacity] or node
+// other than those in terminals where flow is not conserved; caps holds
+// every forward edge's capacity before the solve.
+func checkFlow(g *Network, caps []int32, terminals ...int) error {
+	net := make([]int64, g.n)
+	for id := 0; id < len(g.res); id += 2 {
+		f := g.EdgeFlow(id)
+		if f < 0 || f > caps[id/2] || g.res[id] != caps[id/2]-f {
+			return fmt.Errorf("edge %d: flow %d, residual %d, capacity %d", id, f, g.res[id], caps[id/2])
+		}
+		u, v := g.EdgeEndpoints(id)
+		net[u] -= int64(f)
+		net[v] += int64(f)
+	}
+	for v, x := range net {
+		if x != 0 && !slices.Contains(terminals, v) {
+			return fmt.Errorf("node %d: net inflow %d", v, x)
+		}
+	}
+	return nil
+}
+
+func capacities(g *Network) []int32 {
+	caps := make([]int32, g.NumEdges())
+	for id := range caps {
+		caps[id] = g.res[2*id] + g.res[2*id+1]
+	}
+	return caps
+}
+
+// onePhase reports whether a single Dinic phase finishes a max flow from
+// s to t on a copy of g.
+func onePhase(g *Network, s, t int) bool {
+	c := &Network{n: g.n, to: g.to, res: slices.Clone(g.res)}
+	c.index()
+	c.level, c.iter, c.queue = make([]int32, c.n), make([]int32, c.n), make([]int32, 0, c.n)
+	if c.levels(s, t) {
+		copy(c.iter, c.start)
+		c.blockingFlow(s, t)
+	}
+	return !c.levels(s, t)
+}
+
+// TestMaxFlowMatchesReference: on TestDinicMatchesReference's networks
+// and on guide-shaped ones, MaxFlow finds the reference's flow value —
+// also when it extends a partial flow — and leaves a valid flow; where
+// one Dinic phase finishes the network, it leaves MaxFlowDinic's
+// residuals arc for arc.
+func TestMaxFlowMatchesReference(t *testing.T) {
+	var exact, finished int
+	check := func(name string, got, want *Network, s, sink, mid int) {
+		t.Helper()
+		caps := capacities(got)
+		var a, b int64
+		if mid >= 0 {
+			a, b = got.MaxFlow(s, mid), dinicReference(want, s, mid)
+			if a != b {
+				t.Fatalf("%s: partial flow %d, reference %d", name, a, b)
+			}
+			if err := checkFlow(got, caps, s, mid); err != nil {
+				t.Fatalf("%s: partial flow: %v", name, err)
+			}
+		}
+		one := onePhase(got, s, sink)
+		dinic := &Network{n: got.n, to: got.to, res: slices.Clone(got.res)}
+		if c, d := got.MaxFlow(s, sink), dinicReference(want, s, sink); c != d {
+			t.Fatalf("%s: flow %d, reference %d", name, c, d)
+		}
+		terminals := []int{s, sink}
+		if mid >= 0 {
+			terminals = append(terminals, mid)
+		}
+		if err := checkFlow(got, caps, terminals...); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if one {
+			dinic.MaxFlowDinic(s, sink)
+			if !slices.Equal(got.res, dinic.res) {
+				t.Fatalf("%s: one Dinic phase finishes it, but the residuals differ from MaxFlowDinic's", name)
+			}
+			exact++
+		}
+		finished++
+	}
+	for seed := uint64(0); seed < 400; seed++ {
+		got, s, sink, mid := randomNetwork(seed)
+		want, _, _, _ := randomNetwork(seed)
+		check(fmt.Sprintf("random network %d", seed), got, want, s, sink, mid)
+	}
+	for seed := uint64(0); seed < 400; seed++ {
+		got, s, sink := guideNetwork(seed)
+		want, _, _ := guideNetwork(seed)
+		check(fmt.Sprintf("guide network %d", seed), got, want, s, sink, -1)
+	}
+	t.Logf("%d networks, %d finished by Dinic's first phase", finished, exact)
+	if exact == 0 || exact == finished {
+		t.Errorf("%d of %d networks finished in one phase: both kinds must be covered", exact, finished)
+	}
+}
+
+// FuzzMaxFlow: on a small network decoded from the input — a node count,
+// then (tail, head, capacity) byte triples, source 0, sink n-1 — MaxFlow
+// finds MaxFlowFordFulkerson's value and leaves a valid flow.
+func FuzzMaxFlow(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 3, 1, 3, 2, 0, 2, 1, 2, 3, 5, 1, 2, 1})
+	f.Add([]byte{6, 0, 1, 16, 0, 2, 13, 1, 2, 10, 2, 1, 4, 1, 3, 12, 3, 2, 9, 2, 4, 14, 4, 3, 7, 3, 5, 20, 4, 5, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 2 + int(data[0])%30
+		build := func() *Network {
+			g := NewNetwork(n, 0)
+			for b := data[1:]; len(b) >= 3; b = b[3:] {
+				g.AddEdge(int(b[0])%n, int(b[1])%n, int32(b[2]%32))
+			}
+			return g
+		}
+		got, want := build(), build()
+		caps := capacities(got)
+		if a, b := got.MaxFlow(0, n-1), want.MaxFlowFordFulkerson(0, n-1); a != b {
+			t.Fatalf("MaxFlow %d, Ford-Fulkerson %d", a, b)
+		}
+		if err := checkFlow(got, caps, 0, n-1); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -33,12 +33,16 @@ type Network struct {
 	start []int32
 	adj   []int32
 
-	// Scratch reused across MaxFlowDinic calls so repeated solves on one
-	// network (re-solves after Reset) allocate nothing per call. Sized
-	// lazily to n on first use.
+	// Scratch reused across MaxFlowDinic and MaxFlow calls so repeated
+	// solves on one network (re-solves after Reset) allocate nothing per
+	// call. Sized lazily to n on first use; the push-relabel arrays only
+	// when a solve gets past Dinic's first phase.
 	level []int32
 	iter  []int32
 	queue []int32
+
+	excess           []int64
+	head, next, prev []int32 // label buckets of push-relabel's gap heuristic
 }
 
 // NewNetwork creates a network with n nodes and room for edges forward
@@ -244,6 +248,248 @@ func (g *Network) blockingFlow(s, t int) int64 {
 		path = path[:len(path)-1]
 		u = to[id^1]
 		iter[u]++
+	}
+}
+
+// MaxFlow computes a maximum flow from s to t on top of any existing flow
+// and returns the amount of additional flow pushed. It is the solver
+// Algorithm 1's guide is built with. It runs Dinic's first phase — the
+// BFS level graph and its blocking flow, exactly as MaxFlowDinic does —
+// and finishes the residual network with FIFO push-relabel: exact global
+// relabelling, the gap heuristic, and excess that cannot reach t
+// returned to s.
+//
+// The split matters because the guide reads its pair layout off the
+// per-edge flows. The first phase moves nearly all of the flow along
+// shortest paths, earlier edges first, and POLAR-OP does well on that
+// layout; a pure push-relabel flow of the same value does worse. What
+// is left after it is a thin tail of long augmenting paths, which costs
+// Dinic a phase per path length and push-relabel a few global relabels.
+// On a network the first phase finishes, the residuals are
+// MaxFlowDinic's arc for arc.
+func (g *Network) MaxFlow(s, t int) int64 {
+	if s == t {
+		return 0
+	}
+	g.index()
+	if cap(g.level) < g.n {
+		g.level = make([]int32, g.n)
+		g.iter = make([]int32, g.n)
+		g.queue = make([]int32, 0, g.n)
+	}
+	if !g.levels(s, t) {
+		return 0
+	}
+	copy(g.iter[:g.n], g.start)
+	total := g.blockingFlow(s, t)
+	return total + g.pushRelabel(int32(s), int32(t))
+}
+
+// pushRelabel finishes a maximum flow from s to t on the residual network
+// and returns the flow it adds. A node's label is its residual distance
+// to t while it has one (< n); s sits at n, and a node cut off from t
+// climbs above n until its excess can flow back into s.
+func (g *Network) pushRelabel(s, t int32) int64 {
+	order := g.label(s, t)
+	n, open := int32(g.n), false
+	for _, id := range g.out(s) {
+		open = open || g.res[id] > 0 && g.level[g.to[id]] < n
+	}
+	if !open {
+		return 0 // the residuals stay the blocking flow's
+	}
+	if cap(g.excess) < g.n {
+		g.excess = make([]int64, g.n)
+		g.head = make([]int32, g.n)
+		g.next = make([]int32, g.n)
+		g.prev = make([]int32, g.n)
+	}
+	excess := g.excess[:n]
+	clear(excess)
+	q := g.relabel(order, s, t)
+	// The preflow: saturate every arc out of s into a node that reaches t.
+	for _, id := range g.out(s) {
+		if r, v := g.res[id], g.to[id]; r > 0 && g.level[v] < n {
+			g.push(id, r)
+			if excess[v] == 0 && v != t {
+				q.add(v)
+			}
+			excess[v] += int64(r)
+		}
+	}
+	g.discharge(&q, s, t)
+	return excess[t]
+}
+
+// label is the global relabel's BFS: it sets the label of every node
+// that reaches t to its residual distance to t, and s's to n. A node
+// that cannot reach t keeps a label above n if it has one — labels there
+// are lower bounds on n plus the distance back to s, and resetting them
+// would undo the climb that returns its excess — and gets n+1 otherwise.
+// It leaves the nodes that reach t in g.queue, in BFS order.
+func (g *Network) label(s, t int32) []int32 {
+	n, h, to, res := int32(g.n), g.level[:g.n], g.to, g.res
+	for i, l := range h {
+		if l < n {
+			h[i] = n + 1
+		}
+	}
+	h[s], h[t] = n, 0
+	order := append(g.queue[:0], t)
+	for qi := 0; qi < len(order); qi++ {
+		v := order[qi]
+		for _, id := range g.out(v) {
+			if u := to[id]; h[u] == n+1 && res[id^1] > 0 {
+				h[u] = h[v] + 1
+				order = append(order, u)
+			}
+		}
+	}
+	return order
+}
+
+// preflow is push-relabel's state between two global relabels: the FIFO
+// of active nodes, a ring over g.queue that a node enters when its excess
+// turns positive (so it holds each node at most once); the highest label
+// below n a bucket may hold; and the relabel work done so far.
+type preflow struct {
+	fifo    []int32
+	head, n int
+	hi      int32
+	work    int
+}
+
+func (q *preflow) add(v int32) {
+	i := q.head + q.n
+	if i >= len(q.fifo) {
+		i -= len(q.fifo)
+	}
+	q.fifo[i] = v
+	q.n++
+}
+
+func (q *preflow) pop() int32 {
+	v := q.fifo[q.head]
+	if q.head++; q.head == len(q.fifo) {
+		q.head = 0
+	}
+	q.n--
+	return v
+}
+
+// relabel completes a global relabel after label: it files the nodes
+// that reach t (order) into one bucket per label, resets every current
+// arc, and returns the nodes holding excess, other than s and t, as the
+// new FIFO.
+func (g *Network) relabel(order []int32, s, t int32) preflow {
+	h, head, next, prev := g.level, g.head, g.next, g.prev
+	for i := range head {
+		head[i] = -1
+	}
+	for _, v := range order {
+		next[v], prev[v] = head[h[v]], -1
+		if head[h[v]] >= 0 {
+			prev[head[h[v]]] = v
+		}
+		head[h[v]] = v
+	}
+	copy(g.iter[:g.n], g.start)
+	q := preflow{fifo: g.queue[:g.n], hi: h[order[len(order)-1]]}
+	for v, x := range g.excess[:g.n] {
+		if x > 0 && int32(v) != s && int32(v) != t {
+			q.fifo[q.n] = int32(v)
+			q.n++
+		}
+	}
+	return q
+}
+
+// discharge runs FIFO push-relabel until no node but s and t holds
+// excess. An admissible arc goes one label down; every 6n + m of relabel
+// work, a global relabel restores exact distances.
+func (g *Network) discharge(q *preflow, s, t int32) {
+	h, cur, to, res, adj, excess := g.level, g.iter, g.to, g.res, g.adj, g.excess
+	budget := 6*g.n + len(g.to)
+	for q.n > 0 {
+		u := q.pop()
+		for excess[u] > 0 {
+			hu, k, end := h[u], cur[u], g.start[u+1]
+			for ; k < end; k++ {
+				id := adj[k]
+				r := res[id]
+				if r <= 0 {
+					continue
+				}
+				v := to[id]
+				if h[v]+1 != hu {
+					continue
+				}
+				f := int32(min(excess[u], int64(r)))
+				g.push(id, f)
+				excess[u] -= int64(f)
+				if excess[v] == 0 && v != s && v != t {
+					q.add(v)
+				}
+				excess[v] += int64(f)
+				if excess[u] == 0 {
+					break
+				}
+			}
+			if cur[u] = k; k == end {
+				g.lift(q, u)
+			}
+		}
+		if q.work > budget {
+			*q = g.relabel(g.label(s, t), s, t)
+		}
+	}
+}
+
+// lift relabels u, whose arcs are all inadmissible, to one above its
+// lowest residual neighbour. The gap heuristic: when u was the last node
+// at a label below n, no node above that label can reach t, and all of
+// them move to n+1 at once.
+func (g *Network) lift(q *preflow, u int32) {
+	n, h, to, res, adj := int32(g.n), g.level, g.to, g.res, g.adj
+	head, next, prev := g.head, g.next, g.prev
+	hu, lo, arg := h[u], int32(math.MaxInt32), g.start[u]
+	for k := g.start[u]; k < g.start[u+1]; k++ {
+		if id := adj[k]; res[id] > 0 && h[to[id]]+1 < lo {
+			lo, arg = h[to[id]]+1, k
+		}
+	}
+	q.work += int(g.start[u+1]-g.start[u]) + 12
+	if hu < n {
+		if prev[u] >= 0 {
+			next[prev[u]] = next[u]
+		} else {
+			head[hu] = next[u]
+		}
+		if next[u] >= 0 {
+			prev[next[u]] = prev[u]
+		}
+		if head[hu] < 0 {
+			for l := hu + 1; l <= q.hi; l++ {
+				for v := head[l]; v >= 0; v = next[v] {
+					h[v], g.iter[v] = n+1, g.start[v]
+				}
+				head[l] = -1
+			}
+			q.hi = hu - 1
+			if lo <= n+1 {
+				h[u], g.iter[u] = n+1, g.start[u]
+				return
+			}
+		}
+	}
+	h[u], g.iter[u] = lo, arg // the arcs before arg lead higher
+	if lo < n {
+		next[u], prev[u] = head[lo], -1
+		if head[lo] >= 0 {
+			prev[head[lo]] = u
+		}
+		head[lo] = u
+		q.hi = max(q.hi, lo)
 	}
 }
 

@@ -247,7 +247,7 @@ func Build(cfg Config, workerCounts, taskCounts []int) (*Guide, error) {
 		v, _ := net.MinCostMaxFlow(src, snk)
 		g.MatchedPairs = int(v)
 	} else {
-		g.MatchedPairs = int(net.MaxFlowDinic(src, snk))
+		g.MatchedPairs = int(net.MaxFlow(src, snk))
 	}
 	g.layout(net)
 	return g, nil

@@ -259,8 +259,8 @@ func TestServeGuideGolden(t *testing.T) {
 	}{
 		{"countsCSV", countsCSV(), flat, "36 pairs, layout e81606766dd64f00",
 			[2]string{"252 pairs, layout 2623402403aca37e", "252 pairs, layout 2623402403aca37e"}},
-		{"city", cityCSV, city, "1501 pairs, layout c3fa0d812e2cf94e",
-			[2]string{"10901 pairs, layout f463e84c29d666e8", "10901 pairs, layout a5aec42075dfcb48"}},
+		{"city", cityCSV, city, "1501 pairs, layout ca0ec1a7aec14575",
+			[2]string{"10901 pairs, layout 71634b52d968fbf8", "10901 pairs, layout 1143b9a2dd731e43"}},
 	} {
 		for dow0 := 0; dow0 < 7; dow0++ {
 			cfg := tc.cfg
@@ -368,8 +368,8 @@ func TestServeShapeGuideGolden(t *testing.T) {
 		slack float64
 		want  string
 	}{
-		{fc.slots.Width() / 2, "79895 pairs, layout cb389e2f83623644"},
-		{0, "79895 pairs, layout 44ceb3cb299977c5"},
+		{fc.slots.Width() / 2, "79895 pairs, layout 9513e1bb61851904"},
+		{0, "79895 pairs, layout ab3f200d1360107c"},
 	} {
 		gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
 		gc.RepSlack = tc.slack
