@@ -60,6 +60,37 @@ func BenchmarkGuideBuildServeShape(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxFlowServeShape times Algorithm 1's max flow alone on
+// serveShape's counts under the server's edge policy (RepSlack 0, so a
+// task slot joins only when its travel budget is positive): Dinic run to
+// completion, the exact reference, against MaxFlow, the solver Build
+// calls. Dinic's first phase moves all but a few percent of the flow;
+// the rest needs augmenting paths dozens of arcs long.
+func BenchmarkMaxFlowServeShape(b *testing.B) {
+	cfg, wc, tc := serveShape()
+	cfg.RepSlack = 0
+	g := &Guide{Cfg: cfg}
+	g.WorkerCells, g.workerID, _ = collectCells(wc, cfg.Grid.NumCells())
+	g.TaskCells, g.taskID, _ = collectCells(tc, cfg.Grid.NumCells())
+	net, err := g.network()
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, snk := net.NumNodes()-2, net.NumNodes()-1
+	for _, bc := range []struct {
+		name  string
+		solve func(s, t int) int64
+	}{{"Dinic", net.MaxFlowDinic}, {"MaxFlow", net.MaxFlow}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				net.Reset()
+				bc.solve(src, snk)
+			}
+		})
+	}
+}
+
 // heapLive returns the bytes reachable after a full collection.
 func heapLive() uint64 {
 	runtime.GC()

@@ -53,7 +53,10 @@ type Config struct {
 	// the discretisation error of representing objects by slot midpoints
 	// and cell centers (the "differences can be ignored" remark after the
 	// paper's Lemma 1 assumption). Zero is the neutral default; NewConfig
-	// sets half a slot width.
+	// sets half a slot width. A task slot sr is a candidate for a worker
+	// slot sw only while its budget sr + TaskExpiry + RepSlack − sw is
+	// positive: at a budget of 0 only a worker and a task at the same
+	// point could be paired, which no real pair is.
 	RepSlack float64
 }
 
@@ -79,9 +82,16 @@ func NewConfig(grid *geo.Grid, slots *timeslot.Slotting, velocity, patience, exp
 // understate every task's deadline by half a slot on average).
 func (c Config) repTime(slot int) float64 { return c.Slots.Mid(slot) }
 
-// edgeFeasible applies the Definition 4 predicate to cell representatives.
+// budget is the travel time a worker represented at sw has to reach a
+// task represented at sr before the task expires, RepSlack included.
+func (c Config) budget(sw, sr float64) float64 { return sr + c.TaskExpiry + c.RepSlack - sw }
+
+// edgeFeasible is the guide's one edge rule: the Definition 4 predicate
+// on cell representatives — the task's slot starts within the worker's
+// patience, and the centre distance fits the travel budget — for a
+// positive budget only.
 func (c Config) edgeFeasible(sw, sr, dist float64) bool {
-	if sr >= sw+c.WorkerPatience {
+	if sr >= sw+c.WorkerPatience || c.budget(sw, sr) <= 0 {
 		return false
 	}
 	return sw+dist/c.Velocity <= sr+c.TaskExpiry+c.RepSlack
@@ -302,9 +312,9 @@ func (g *Guide) network() (*flow.Network, error) {
 			if sr >= sw+cfg.WorkerPatience {
 				break // later slots only get later
 			}
-			budget := sr + cfg.TaskExpiry + cfg.RepSlack - sw // travel-time budget
-			if budget < 0 {
-				continue
+			budget := cfg.budget(sw, sr)
+			if budget <= 0 {
+				continue // edgeFeasible refuses every cell of the slot
 			}
 			radius := budget * cfg.Velocity
 			lo, hi := slotStart[slot], slotStart[slot+1]
@@ -495,8 +505,7 @@ func collectCells(counts []int, areas int) ([]CellPlan, []int32, error) {
 
 // Validate checks the internal consistency of the pair layout: runs on each
 // side tile [0, Matched) without gaps, cross-references agree, and every
-// paired (worker cell, task cell) satisfies the Definition 4 predicate on
-// representatives. It is used by tests and available to callers who build
+// paired (worker cell, task cell) passes the edge rule Build applies. It is used by tests and available to callers who build
 // guides from untrusted predictions.
 func (g *Guide) Validate() error {
 	check := func(cells []CellPlan, side string) error {
@@ -537,12 +546,9 @@ func (g *Guide) Validate() error {
 			total += int(r.Count)
 			tc := &g.TaskCells[r.Partner]
 			sr := g.Cfg.repTime(tc.Key.Slot)
-			if sr >= sw+g.Cfg.WorkerPatience {
-				return fmt.Errorf("guide: pair (w%d,t%d) violates worker deadline", wi, r.Partner)
-			}
-			d := wCenter.Dist(g.Cfg.Grid.Center(tc.Key.Area))
-			if sw+d/g.Cfg.Velocity > sr+g.Cfg.TaskExpiry+g.Cfg.RepSlack+1e-9 {
-				return fmt.Errorf("guide: pair (w%d,t%d) violates travel deadline", wi, r.Partner)
+			if d := wCenter.Dist(g.Cfg.Grid.Center(tc.Key.Area)); !g.Cfg.edgeFeasible(sw, sr, d) {
+				return fmt.Errorf("guide: pair (w%d,t%d) breaks the edge rule: budget %g, travel %g",
+					wi, r.Partner, g.Cfg.budget(sw, sr), d/g.Cfg.Velocity)
 			}
 			// The reverse run must exist and point back.
 			found := false

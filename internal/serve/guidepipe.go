@@ -110,7 +110,10 @@ func trainCounts(r io.Reader, cfg Config) (*forecast, error) {
 // edges are tested with no representative slack: the slot/2 the
 // experiments keep plans same-slot pairs between adjacent areas that a
 // task's reach (Dr·v) cannot cover, and the server's Strict recheck
-// then refuses them.
+// then refuses them. With no slack, a worker cell's own area one slot
+// earlier has a travel budget of exactly 0 when Dr is one slot, and
+// guide.Build drops such edges: only a worker and a task at the same
+// point could make that pair.
 func (fc *forecast) guide(cfg Config) (*ftoa.Guide, error) {
 	gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
 	gc.RepSlack = 0

@@ -354,10 +354,11 @@ func guideLayout(g *ftoa.Guide) string {
 
 // TestServeShapeGuideGolden pins Algorithm 1 bit for bit at the shape the
 // server builds under the benchmark, at both edge slacks: the repository's
-// slot/2 and the server's 0. The slack-0 network's max flow needs long
-// augmenting paths (Dinic runs 19 phases on it, with paths up to 39 arcs;
-// 8 phases at slot/2), so a solver or network change that alters the
-// augmentation order shows up here first.
+// slot/2 and the server's 0. Both networks need more than one Dinic phase
+// (8 at slot/2; 70 at 0, where only positive-budget edges are left and
+// the last augmenting path is 189 arcs long), so the layouts are the
+// push-relabel finish's, and a change to either solver phase or to the
+// network shows up here first.
 func TestServeShapeGuideGolden(t *testing.T) {
 	cfg := serveShapeConfig()
 	fc, err := trainCounts(strings.NewReader(serveShapeCSV(1)), cfg)
@@ -369,7 +370,7 @@ func TestServeShapeGuideGolden(t *testing.T) {
 		want  string
 	}{
 		{fc.slots.Width() / 2, "79895 pairs, layout 9513e1bb61851904"},
-		{0, "79895 pairs, layout ab3f200d1360107c"},
+		{0, "79469 pairs, layout f6aaac77bd196152"},
 	} {
 		gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
 		gc.RepSlack = tc.slack
@@ -436,11 +437,16 @@ func BenchmarkServeGuideBoot(b *testing.B) {
 	})
 }
 
-// TestServedGuideStrictRefusals pins why the server builds its guide with
-// no representative slack: on one paced stream of the benchmark's shape
-// through a 1x1 Strict POLAR-OP session, the served guide commits more
-// matches than the slot/2 guide built from the same forecast, because the
-// Strict recheck refuses a smaller share of the pairs it plans.
+// TestServedGuideStrictRefusals pins why the server builds its guide as
+// it does, on one paced stream of the benchmark's shape through a 1x1
+// Strict POLAR-OP session. Against the slot/2 guide built from the same
+// forecast, the served guide (no representative slack) commits more
+// matches because the Strict recheck refuses a smaller share of the pairs
+// it plans. Against the same forecast with its zero-budget edges kept —
+// a slack of 1e-9 gives the same-area edge to the previous slot, whose
+// budget sr + Dr − sw is exactly 0, a budget again, as the server had
+// before it dropped them — it commits more matches too, and it plans no
+// pair whose budget is not positive.
 func TestServedGuideStrictRefusals(t *testing.T) {
 	cfg := serveShapeConfig()
 	fc, err := trainCounts(strings.NewReader(serveShapeCSV(2)), cfg)
@@ -455,6 +461,24 @@ func TestServedGuideStrictRefusals(t *testing.T) {
 	halfSlot, err := ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
 	if err != nil {
 		t.Fatal(err)
+	}
+	gc.RepSlack = 1e-9
+	kept, err := ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// zeroBudget counts the pairs g plans between a worker cell and a task
+	// cell whose representative travel budget, with no slack, is ≤ 0.
+	zeroBudget := func(g *ftoa.Guide) (pairs int) {
+		for _, wc := range g.WorkerCells {
+			for _, r := range wc.Runs {
+				tc := g.TaskCells[r.Partner]
+				if fc.slots.Mid(tc.Key.Slot)+cfg.GuideExpiry-fc.slots.Mid(wc.Key.Slot) <= 0 {
+					pairs += int(r.Count)
+				}
+			}
+		}
+		return pairs
 	}
 	m, err := ftoa.NewMatcher(ftoa.MatcherConfig{
 		Mode: ftoa.Strict, Velocity: cfg.Velocity, Bounds: ftoa.NewRect(0, 0, 100, 100),
@@ -484,9 +508,18 @@ func TestServedGuideStrictRefusals(t *testing.T) {
 	}
 	sm, sr := run(served)
 	hm, hr := run(halfSlot)
-	t.Logf("served guide: %d matches, %.3f of attempts refused; slot/2 guide: %d, %.3f", sm, sr, hm, hr)
+	km, kr := run(kept)
+	sz, kz := zeroBudget(served), zeroBudget(kept)
+	t.Logf("served guide: %d matches, %.3f of attempts refused, %d zero-budget pairs; slot/2 guide: %d, %.3f; zero-budget edges kept: %d, %.3f, %d zero-budget pairs",
+		sm, sr, sz, hm, hr, km, kr, kz)
 	if sm <= hm || sr >= hr {
 		t.Errorf("served guide: %d matches, refusal rate %.3f; slot/2 guide: %d, %.3f: want more matches and fewer refusals",
 			sm, sr, hm, hr)
+	}
+	if sz != 0 || kz == 0 {
+		t.Errorf("zero-budget pairs: served guide %d, want 0; with them kept %d, want some", sz, kz)
+	}
+	if sm <= km {
+		t.Errorf("served guide: %d matches; with zero-budget edges kept: %d: want more", sm, km)
 	}
 }
