@@ -41,8 +41,8 @@ type Network struct {
 	iter  []int32
 	queue []int32
 
-	excess           []int64
-	head, next, prev []int32 // label buckets of push-relabel's gap heuristic
+	excess []int64
+	count  []int32 // nodes per label below n, for push-relabel's gap heuristic
 }
 
 // NewNetwork creates a network with n nodes and room for edges forward
@@ -300,9 +300,7 @@ func (g *Network) pushRelabel(s, t int32) int64 {
 	}
 	if cap(g.excess) < g.n {
 		g.excess = make([]int64, g.n)
-		g.head = make([]int32, g.n)
-		g.next = make([]int32, g.n)
-		g.prev = make([]int32, g.n)
+		g.count = make([]int32, g.n)
 	}
 	excess := g.excess[:n]
 	clear(excess)
@@ -350,12 +348,11 @@ func (g *Network) label(s, t int32) []int32 {
 
 // preflow is push-relabel's state between two global relabels: the FIFO
 // of active nodes, a ring over g.queue that a node enters when its excess
-// turns positive (so it holds each node at most once); the highest label
-// below n a bucket may hold; and the relabel work done so far.
+// turns positive (so it holds each node at most once), and the relabel
+// work done so far.
 type preflow struct {
 	fifo    []int32
 	head, n int
-	hi      int32
 	work    int
 }
 
@@ -377,24 +374,16 @@ func (q *preflow) pop() int32 {
 	return v
 }
 
-// relabel completes a global relabel after label: it files the nodes
-// that reach t (order) into one bucket per label, resets every current
-// arc, and returns the nodes holding excess, other than s and t, as the
-// new FIFO.
+// relabel completes a global relabel after label: it counts the nodes
+// that reach t (order) at each label, resets every current arc, and
+// returns the nodes holding excess, other than s and t, as the new FIFO.
 func (g *Network) relabel(order []int32, s, t int32) preflow {
-	h, head, next, prev := g.level, g.head, g.next, g.prev
-	for i := range head {
-		head[i] = -1
-	}
+	clear(g.count)
 	for _, v := range order {
-		next[v], prev[v] = head[h[v]], -1
-		if head[h[v]] >= 0 {
-			prev[head[h[v]]] = v
-		}
-		head[h[v]] = v
+		g.count[g.level[v]]++
 	}
 	copy(g.iter[:g.n], g.start)
-	q := preflow{fifo: g.queue[:g.n], hi: h[order[len(order)-1]]}
+	q := preflow{fifo: g.queue[:g.n]}
 	for v, x := range g.excess[:g.n] {
 		if x > 0 && int32(v) != s && int32(v) != t {
 			q.fifo[q.n] = int32(v)
@@ -450,8 +439,7 @@ func (g *Network) discharge(q *preflow, s, t int32) {
 // at a label below n, no node above that label can reach t, and all of
 // them move to n+1 at once.
 func (g *Network) lift(q *preflow, u int32) {
-	n, h, to, res, adj := int32(g.n), g.level, g.to, g.res, g.adj
-	head, next, prev := g.head, g.next, g.prev
+	n, h, to, res, adj, count := int32(g.n), g.level, g.to, g.res, g.adj, g.count
 	hu, lo, arg := h[u], int32(math.MaxInt32), g.start[u]
 	for k := g.start[u]; k < g.start[u+1]; k++ {
 		if id := adj[k]; res[id] > 0 && h[to[id]]+1 < lo {
@@ -460,22 +448,13 @@ func (g *Network) lift(q *preflow, u int32) {
 	}
 	q.work += int(g.start[u+1]-g.start[u]) + 12
 	if hu < n {
-		if prev[u] >= 0 {
-			next[prev[u]] = next[u]
-		} else {
-			head[hu] = next[u]
-		}
-		if next[u] >= 0 {
-			prev[next[u]] = prev[u]
-		}
-		if head[hu] < 0 {
-			for l := hu + 1; l <= q.hi; l++ {
-				for v := head[l]; v >= 0; v = next[v] {
+		if count[hu]--; count[hu] == 0 {
+			for v, l := range h {
+				if l > hu && l < n {
+					count[l]--
 					h[v], g.iter[v] = n+1, g.start[v]
 				}
-				head[l] = -1
 			}
-			q.hi = hu - 1
 			if lo <= n+1 {
 				h[u], g.iter[u] = n+1, g.start[u]
 				return
@@ -484,12 +463,7 @@ func (g *Network) lift(q *preflow, u int32) {
 	}
 	h[u], g.iter[u] = lo, arg // the arcs before arg lead higher
 	if lo < n {
-		next[u], prev[u] = head[lo], -1
-		if head[lo] >= 0 {
-			prev[head[lo]] = u
-		}
-		head[lo] = u
-		q.hi = max(q.hi, lo)
+		count[lo]++
 	}
 }
 
