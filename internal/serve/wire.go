@@ -189,7 +189,13 @@ func (ws *wireServer) handleConn(c net.Conn) {
 			return
 		case p[0] == wire.MsgBatch:
 			if reqs, err = ws.handleBatch(cn, win, p, reqs[:0]); err != nil {
-				ws.protoFail(cn, err.Error())
+				// A failed reply write is the network's doing, not a
+				// protocol violation; only a batch that did not decode is.
+				if opErr := (*net.OpError)(nil); errors.As(err, &opErr) {
+					ws.noteProtoErr(err)
+				} else {
+					ws.protoFail(cn, err.Error())
+				}
 				return
 			}
 		case p[0] == wire.MsgSubscribe:
