@@ -549,11 +549,12 @@ func randomNetwork(seed uint64) (g *Network, s, t, mid int) {
 }
 
 // guideNetwork has the shape of Algorithm 1's network: worker and task
-// cells over slots × areas on a line, each with a random count (empty
-// cells get no node), a source edge per worker cell, a sink edge per task
-// cell, and an edge from a worker cell to every task cell from the slot
-// before it to three slots on whose area lies within reach, capacity the
-// smaller count. A sparse reach makes Dinic run many phases on it.
+// cells over slots × areas on a line, each with a random count (a quarter
+// of them empty), a source edge per worker cell, a sink edge per task
+// cell, and an edge from each non-empty worker cell to every non-empty
+// task cell from one slot earlier to three slots later whose area is
+// within reach × (slot gap + 1), with the smaller count as capacity. A
+// short reach makes Dinic run many phases on it.
 func guideNetwork(seed uint64) (g *Network, s, t int) {
 	rng := mathx.NewRNG(seed)
 	slots, areas, reach := 2+rng.Intn(10), 2+rng.Intn(30), rng.Intn(3)
@@ -640,7 +641,7 @@ func onePhase(g *Network, s, t int) bool {
 // one Dinic phase finishes the network, it leaves MaxFlowDinic's
 // residuals arc for arc.
 func TestMaxFlowMatchesReference(t *testing.T) {
-	var exact, finished int
+	var exact, networks int
 	check := func(name string, got, want *Network, s, sink, mid int) {
 		t.Helper()
 		caps := capacities(got)
@@ -673,7 +674,7 @@ func TestMaxFlowMatchesReference(t *testing.T) {
 			}
 			exact++
 		}
-		finished++
+		networks++
 	}
 	for seed := uint64(0); seed < 400; seed++ {
 		got, s, sink, mid := randomNetwork(seed)
@@ -685,9 +686,9 @@ func TestMaxFlowMatchesReference(t *testing.T) {
 		want, _, _ := guideNetwork(seed)
 		check(fmt.Sprintf("guide network %d", seed), got, want, s, sink, -1)
 	}
-	t.Logf("%d networks, %d finished by Dinic's first phase", finished, exact)
-	if exact == 0 || exact == finished {
-		t.Errorf("%d of %d networks finished in one phase: both kinds must be covered", exact, finished)
+	t.Logf("%d networks, %d finished by Dinic's first phase", networks, exact)
+	if exact == 0 || exact == networks {
+		t.Errorf("%d of %d networks finished in one phase: both kinds must be covered", exact, networks)
 	}
 }
 

@@ -469,7 +469,8 @@ func (g *Network) lift(q *preflow, u int32) {
 
 // MaxFlowFordFulkerson computes max flow using the Edmonds–Karp variant
 // (BFS augmenting paths), the algorithm the paper cites for Algorithm 1.
-// It is kept as a cross-check oracle for Dinic; production paths use Dinic.
+// It is kept as a cross-check oracle for the other solvers; the guide uses
+// MaxFlow.
 func (g *Network) MaxFlowFordFulkerson(s, t int) int64 {
 	if s == t {
 		return 0

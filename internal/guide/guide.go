@@ -505,8 +505,9 @@ func collectCells(counts []int, areas int) ([]CellPlan, []int32, error) {
 
 // Validate checks the internal consistency of the pair layout: runs on each
 // side tile [0, Matched) without gaps, cross-references agree, and every
-// paired (worker cell, task cell) passes the edge rule Build applies. It is used by tests and available to callers who build
-// guides from untrusted predictions.
+// paired (worker cell, task cell) passes the edge rule Build applies. It
+// is used by tests and available to callers who build guides from
+// untrusted predictions.
 func (g *Guide) Validate() error {
 	check := func(cells []CellPlan, side string) error {
 		for ci := range cells {
