@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"os"
 	"time"
@@ -106,18 +107,58 @@ func trainCounts(r io.Reader, cfg Config) (*forecast, error) {
 	return fc, nil
 }
 
-// guide builds the offline guide (Algorithm 1) over the forecast. Its
-// edges are tested with no representative slack: the slot/2 the
-// experiments keep plans same-slot pairs between adjacent areas that a
-// task's reach (Dr·v) cannot cover, and the server's Strict recheck
-// then refuses them. With no slack, a worker cell's own area one slot
-// earlier has a travel budget of exactly 0 when Dr is one slot, and
-// guide.Build drops such edges: only a worker and a task at the same
-// point could make that pair.
+// guide builds the offline guide (Algorithm 1) over the forecast, summed
+// into reach-sized areas (blocks). Its edges are tested with no
+// representative slack: the slot/2 the experiments keep plans same-slot
+// pairs between adjacent areas that a task's reach (Dr·v) cannot cover,
+// and the server's Strict recheck then refuses them. With no slack, a
+// worker cell's own area one slot earlier has a travel budget of exactly
+// 0 when Dr is one slot, and guide.Build drops such edges: only a worker
+// and a task at the same point could make that pair.
 func (fc *forecast) guide(cfg Config) (*ftoa.Guide, error) {
-	gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
+	grid, wPred, tPred := fc.blocks(2 * cfg.GuideExpiry * cfg.Velocity)
+	gc := ftoa.NewGuideConfig(grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
 	gc.RepSlack = 0
-	return ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
+	return ftoa.BuildGuide(gc, wPred, tPred)
+}
+
+// blocks sums the forecast into the areas the served guide is built on:
+// on each axis, the smallest whole block of history areas at least reach
+// wide (blockSide). Algorithm 1 represents every object by its area's
+// centre, which the paper's Lemma 1 remark lets it ignore only while an
+// area is small against a task's reach; areas narrower than the reach
+// plan pairs between neighbours that a real pair seldom bridges, and a
+// network many times the size. With 1×1 blocks it is the forecast itself.
+func (fc *forecast) blocks(reach float64) (*ftoa.Grid, []int, []int) {
+	g := fc.grid
+	kc := blockSide(g.Cols, g.Bounds.Width(), reach)
+	kr := blockSide(g.Rows, g.Bounds.Height(), reach)
+	if kc == 1 && kr == 1 {
+		return g, fc.wPred, fc.tPred
+	}
+	coarse := ftoa.NewGrid(g.Bounds, g.Cols/kc, g.Rows/kr)
+	areas, blocks := g.NumCells(), coarse.NumCells()
+	wPred := make([]int, fc.slots.Count*blocks)
+	tPred := make([]int, len(wPred))
+	for i := range fc.wPred {
+		col, row := g.ColRow(i % areas)
+		b := i/areas*blocks + row/kr*coarse.Cols + col/kc
+		wPred[b] += fc.wPred[i]
+		tPred[b] += fc.tPred[i]
+	}
+	return coarse, wPred, tPred
+}
+
+// blockSide is the number of history areas merged along an axis of n
+// areas spanning length: the smallest k dividing n whose k areas are at
+// least reach long, or n — the whole axis — when no proper divisor is.
+func blockSide(n int, length, reach float64) int {
+	for k := 1; k < n; k++ {
+		if n%k == 0 && float64(k)*length >= reach*float64(n) {
+			return k
+		}
+	}
+	return n
 }
 
 // demand is the rebalance supervisor's forecaster: the predicted arrival
@@ -156,10 +197,14 @@ func newAlgorithm(cfg Config, fc *forecast) (func() ftoa.Algorithm, error) {
 		}
 		return func() ftoa.Algorithm { return ftoa.NewGR(cfg.Window) }, nil
 	case "polar", "polarop", "hybrid":
+		t0 := time.Now()
 		g, err := fc.guide(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("building guide from %s: %w", cfg.GuidePath, err)
 		}
+		log.Printf("ftoa-serve: guide on %dx%d areas (history %dx%d), %d slots, %d pairs, build_ms=%.1f",
+			g.Cfg.Grid.Cols, g.Cfg.Grid.Rows, fc.grid.Cols, fc.grid.Rows, g.Cfg.Slots.Count, g.MatchedPairs,
+			float64(time.Since(t0).Microseconds())/1e3)
 		// The guide is read-only: one instance is shared by every
 		// shard's algorithm.
 		switch cfg.Algorithm {

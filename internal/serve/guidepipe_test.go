@@ -238,7 +238,8 @@ func servedGuideHash(t *testing.T, history string, cfg Config) string {
 }
 
 // TestServeGuideGolden pins the served guide bit for bit — the HP-MSI
-// forecast, the edge policy and the pair layout together — under both
+// forecast, the area blocks, the edge policy and the pair layout
+// together — under both
 // anchors, for the flat countsCSV history and a generated city history,
 // so a refactor of the pipeline behind trainCounts cannot move it unseen.
 // HP-MSI reads the weekday only to group history days, so the one-day
@@ -257,10 +258,10 @@ func TestServeGuideGolden(t *testing.T) {
 		uptime        string
 		wallclock     [2]string // -guide-dow0 0 and 1
 	}{
-		{"countsCSV", countsCSV(), flat, "36 pairs, layout e81606766dd64f00",
-			[2]string{"252 pairs, layout 2623402403aca37e", "252 pairs, layout 2623402403aca37e"}},
-		{"city", cityCSV, city, "1501 pairs, layout ca0ec1a7aec14575",
-			[2]string{"10901 pairs, layout 71634b52d968fbf8", "10901 pairs, layout 1143b9a2dd731e43"}},
+		{"countsCSV", countsCSV(), flat, "36 pairs, layout 58504fa52f231088",
+			[2]string{"252 pairs, layout 816a9c18b18bbc9e", "252 pairs, layout 816a9c18b18bbc9e"}},
+		{"city", cityCSV, city, "1509 pairs, layout c493b4a2122a10d1",
+			[2]string{"10936 pairs, layout 9b41e719fc7d7de9", "10936 pairs, layout 9b03de75e20b7c4b"}},
 	} {
 		for dow0 := 0; dow0 < 7; dow0++ {
 			cfg := tc.cfg
@@ -358,7 +359,8 @@ func guideLayout(g *ftoa.Guide) string {
 // (8 at slot/2; 70 at 0, where only positive-budget edges are left and
 // the last augmenting path is 189 arcs long), so the layouts are the
 // push-relabel finish's, and a change to either solver phase or to the
-// network shows up here first.
+// network shows up here first. The third row is what the server serves:
+// fc.guide, the same forecast summed into 10x10 areas of 10 units.
 func TestServeShapeGuideGolden(t *testing.T) {
 	cfg := serveShapeConfig()
 	fc, err := trainCounts(strings.NewReader(serveShapeCSV(1)), cfg)
@@ -384,6 +386,16 @@ func TestServeShapeGuideGolden(t *testing.T) {
 		if got := guideLayout(g); got != tc.want {
 			t.Errorf("RepSlack %v: %s, want %s", tc.slack, got, tc.want)
 		}
+	}
+	g, err := fc.guide(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := guideLayout(g), "78678 pairs, layout 66e3c995ffb3d21c"; got != want {
+		t.Errorf("served guide: %s, want %s", got, want)
 	}
 }
 
@@ -437,16 +449,73 @@ func BenchmarkServeGuideBoot(b *testing.B) {
 	})
 }
 
+// strictRun feeds 20 000 arrivals, half of each side, paced at the
+// benchmark's 2500/s from the middle of the guide's day and placed by
+// place, through a 1x1 Strict POLAR-OP session on g.
+func strictRun(t *testing.T, cfg Config, g *ftoa.Guide, place func(*rand.Rand) ftoa.Point) (matched, attempted int) {
+	t.Helper()
+	m, err := ftoa.NewMatcher(ftoa.MatcherConfig{
+		Mode: ftoa.Strict, Velocity: cfg.Velocity, Bounds: ftoa.NewRect(0, 0, 100, 100),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, rate, start = 20000, 2500.0, 16.0
+	rng := rand.New(rand.NewSource(7))
+	sess := m.NewSession(ftoa.NewPOLAROP(g))
+	for i := 0; i < n; i++ {
+		at, loc := start+float64(i)/rate, place(rng)
+		if rng.Intn(2) == 0 {
+			_, err = sess.AddWorker(ftoa.Worker{Loc: loc, Arrive: at, Patience: cfg.GuidePatience})
+		} else {
+			_, err = sess.AddTask(ftoa.Task{Loc: loc, Release: at, Expiry: cfg.GuideExpiry})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.Finish()
+	return sess.Matching().Size(), sess.Attempted()
+}
+
+func uniformPoint(rng *rand.Rand) ftoa.Point { return ftoa.Pt(rng.Float64()*100, rng.Float64()*100) }
+
+// hotspotPoint is the benchmark's hotspot shape: 80% of arrivals inside
+// the central square a tenth of the side wide, the rest uniform.
+func hotspotPoint(rng *rand.Rand) ftoa.Point {
+	if rng.Float64() < 0.8 {
+		return ftoa.Pt(45+rng.Float64()*10, 45+rng.Float64()*10)
+	}
+	return uniformPoint(rng)
+}
+
+// historyGuide is Algorithm 1 on the forecast's own (history) grid with
+// representative slack slack.
+func historyGuide(t *testing.T, fc *forecast, cfg Config, slack float64) *ftoa.Guide {
+	t.Helper()
+	gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
+	gc.RepSlack = slack
+	g, err := ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestServedGuideStrictRefusals pins why the server builds its guide as
-// it does, on one paced stream of the benchmark's shape through a 1x1
-// Strict POLAR-OP session. Against the slot/2 guide built from the same
-// forecast, the served guide (no representative slack) commits more
-// matches because the Strict recheck refuses a smaller share of the pairs
-// it plans. Against the same forecast with its zero-budget edges kept —
-// a slack of 1e-9 gives the same-area edge to the previous slot, whose
-// budget sr + Dr − sw is exactly 0, a budget again, as the server had
-// before it dropped them — it commits more matches too, and it plans no
-// pair whose budget is not positive.
+// it does, on one paced uniform stream of the benchmark's shape through a
+// 1x1 Strict POLAR-OP session. The served guide — reach-sized areas, no
+// representative slack — commits more matches than the same forecast's
+// guide on the history grid with no slack (the server's guide before it
+// summed areas into blocks) and more than the slot/2 guide the
+// experiments build. POLAR-OP pools association per cell and the Strict
+// recheck scans the partner cells' waiting queues; on areas at least
+// 2·Dr·v wide those queues are deeper, so an arrival more often finds
+// someone within reach. The served guide also plans no pair whose travel
+// budget is not positive; the history grid's guide with those edges kept
+// (a slack of 1e-9 gives the same-area edge to the previous slot, whose
+// budget sr + Dr − sw is exactly 0) is the control that the count sees
+// them.
 func TestServedGuideStrictRefusals(t *testing.T) {
 	cfg := serveShapeConfig()
 	fc, err := trainCounts(strings.NewReader(serveShapeCSV(2)), cfg)
@@ -457,16 +526,9 @@ func TestServedGuideStrictRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
-	halfSlot, err := ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc.RepSlack = 1e-9
-	kept, err := ftoa.BuildGuide(gc, fc.wPred, fc.tPred)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := historyGuide(t, fc, cfg, 0)
+	halfSlot := historyGuide(t, fc, cfg, fc.slots.Width()/2)
+	kept := historyGuide(t, fc, cfg, 1e-9)
 	// zeroBudget counts the pairs g plans between a worker cell and a task
 	// cell whose representative travel budget, with no slack, is ≤ 0.
 	zeroBudget := func(g *ftoa.Guide) (pairs int) {
@@ -480,46 +542,202 @@ func TestServedGuideStrictRefusals(t *testing.T) {
 		}
 		return pairs
 	}
-	m, err := ftoa.NewMatcher(ftoa.MatcherConfig{
-		Mode: ftoa.Strict, Velocity: cfg.Velocity, Bounds: ftoa.NewRect(0, 0, 100, 100),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 20 000 uniform arrivals, half of each side, paced at the benchmark's
-	// 2500/s from the middle of the guide's day.
-	const n, rate, start = 20000, 2500.0, 16.0
-	run := func(g *ftoa.Guide) (matched int, refused float64) {
-		rng := rand.New(rand.NewSource(7))
-		sess := m.NewSession(ftoa.NewPOLAROP(g))
-		for i := 0; i < n; i++ {
-			at, loc := start+float64(i)/rate, ftoa.Pt(rng.Float64()*100, rng.Float64()*100)
-			if rng.Intn(2) == 0 {
-				_, err = sess.AddWorker(ftoa.Worker{Loc: loc, Arrive: at, Patience: cfg.GuidePatience})
-			} else {
-				_, err = sess.AddTask(ftoa.Task{Loc: loc, Release: at, Expiry: cfg.GuideExpiry})
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		sess.Finish()
-		return sess.Matching().Size(), float64(sess.Rejected()) / float64(sess.Attempted())
-	}
-	sm, sr := run(served)
-	hm, hr := run(halfSlot)
-	km, kr := run(kept)
+	sm, sa := strictRun(t, cfg, served, uniformPoint)
+	fm, fa := strictRun(t, cfg, flat, uniformPoint)
+	hm, ha := strictRun(t, cfg, halfSlot, uniformPoint)
 	sz, kz := zeroBudget(served), zeroBudget(kept)
-	t.Logf("served guide: %d matches, %.3f of attempts refused, %d zero-budget pairs; slot/2 guide: %d, %.3f; zero-budget edges kept: %d, %.3f, %d zero-budget pairs",
-		sm, sr, sz, hm, hr, km, kr, kz)
-	if sm <= hm || sr >= hr {
-		t.Errorf("served guide: %d matches, refusal rate %.3f; slot/2 guide: %d, %.3f: want more matches and fewer refusals",
-			sm, sr, hm, hr)
+	t.Logf("served guide (%dx%d areas): %d matches, %.2f attempts per match; history grid: %d, %.2f; slot/2 on the history grid: %d, %.2f",
+		served.Cfg.Grid.Cols, served.Cfg.Grid.Rows, sm, float64(sa)/float64(sm), fm, float64(fa)/float64(fm), hm, float64(ha)/float64(hm))
+	if sm <= fm || sm <= hm {
+		t.Errorf("served guide: %d matches; history grid: %d; slot/2: %d: want the served guide's the most", sm, fm, hm)
 	}
 	if sz != 0 || kz == 0 {
 		t.Errorf("zero-budget pairs: served guide %d, want 0; with them kept %d, want some", sz, kz)
 	}
-	if sm <= km {
-		t.Errorf("served guide: %d matches; with zero-budget edges kept: %d: want more", sm, km)
+}
+
+// hotspotCSV is serveShapeCSV's history with the benchmark's hotspot
+// shape: 6 days of 32 slots over 20x20 areas, each slot 2500 arrivals
+// per side placed by hotspotPoint.
+func hotspotCSV(seed int64) string {
+	const days, slots, perSlot = 6, 32, 2500
+	grid := ftoa.NewGrid(ftoa.NewRect(0, 0, 100, 100), 20, 20)
+	rng := rand.New(rand.NewSource(seed))
+	var sb strings.Builder
+	sb.WriteString("day,slot,area,workers,tasks,weather\n")
+	for d := 0; d < days; d++ {
+		for s := 0; s < slots; s++ {
+			var w, k [400]int
+			for i := 0; i < perSlot; i++ {
+				w[grid.CellOf(hotspotPoint(rng))]++
+				k[grid.CellOf(hotspotPoint(rng))]++
+			}
+			for a := range w {
+				fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,0.5\n", d, s, a, w[a], k[a])
+			}
+		}
+	}
+	return sb.String()
+}
+
+// TestServedGuideHotspot: on a hotspot-shaped history and stream, where
+// the history grid's small areas are crowded, the served guide still
+// commits more Strict POLAR-OP matches than the same forecast's guide on
+// the history grid.
+func TestServedGuideHotspot(t *testing.T) {
+	cfg := serveShapeConfig()
+	fc, err := trainCounts(strings.NewReader(hotspotCSV(3)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := fc.guide(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, sa := strictRun(t, cfg, served, hotspotPoint)
+	fm, fa := strictRun(t, cfg, historyGuide(t, fc, cfg, 0), hotspotPoint)
+	t.Logf("hotspot: served guide %d matches, %.2f attempts per match; history grid %d, %.2f",
+		sm, float64(sa)/float64(sm), fm, float64(fa)/float64(fm))
+	if sm <= fm {
+		t.Errorf("hotspot: served guide %d matches, history grid %d: want more", sm, fm)
+	}
+}
+
+// TestBlockSide: on each axis the served guide merges the smallest whole
+// block of history areas at least 2·Dr·v long, or the whole axis.
+func TestBlockSide(t *testing.T) {
+	for _, tc := range []struct {
+		n             int
+		length, reach float64
+		want          int
+	}{
+		{20, 100, 8, 2},    // the benchmark: 5-unit areas, Dr·v = 4
+		{20, 100, 5, 1},    // areas exactly as long as the reach
+		{20, 100, 1, 1},    // and longer
+		{30, 100, 8, 3},    // 3.33-unit areas: two are 6.67 long, three 10
+		{20, 100, 26, 10},  // 6 to 9 areas would do, but none divides 20
+		{7, 100, 30, 7},    // no proper divisor of 7 reaches: the whole axis
+		{20, 100, 200, 20}, // not even the whole axis reaches
+		{1, 100, 200, 1},
+	} {
+		if got := blockSide(tc.n, tc.length, tc.reach); got != tc.want {
+			t.Errorf("blockSide(%d areas over %v, reach %v) = %d, want %d", tc.n, tc.length, tc.reach, got, tc.want)
+		}
+	}
+}
+
+// randomCountsCSV is a 3-day history of 4 slots over areas areas with
+// small random counts.
+func randomCountsCSV(areas int, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	var sb strings.Builder
+	sb.WriteString("day,slot,area,workers,tasks,weather\n")
+	for d := 0; d < 3; d++ {
+		for s := 0; s < 4; s++ {
+			for a := 0; a < areas; a++ {
+				fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,0.5\n", d, s, a, rng.Intn(8), rng.Intn(8))
+			}
+		}
+	}
+	return sb.String()
+}
+
+// TestGuideBlocks: the served guide's areas are whole blocks of history
+// areas, and summing the forecast into them moves every prediction to
+// the block that contains its area and loses none, per slot and side —
+// on the benchmark's square history, on non-square -guide-grid histories
+// (one with an axis no proper block reaches across) and on a wallclock
+// week of 7 × 32 slots.
+func TestGuideBlocks(t *testing.T) {
+	shape := serveShapeConfig()
+	week := shape
+	week.GuideAnchor = "wallclock"
+	week.anchorOffset = (3 + 0.6) * week.Horizon
+	wide := defaultTestConfig() // reach 2·15·1 = 30
+	wide.Horizon, wide.GuidePatience, wide.GuideExpiry = 100, 30, 15
+	wide.GuideGrid = [2]int{6, 4} // 16.7 x 25 areas
+	prime := wide
+	prime.GuideGrid = [2]int{7, 6} // 14.3 x 16.7: no proper block of 7 is 30 long
+
+	for _, tc := range []struct {
+		name       string
+		history    string
+		cfg        Config
+		cols, rows int
+		slots      int
+	}{
+		{"benchmark", serveShapeCSV(1), shape, 10, 10, 32},
+		{"non-square", randomCountsCSV(24, 1), wide, 3, 2, 4},
+		{"prime axis", randomCountsCSV(42, 2), prime, 1, 3, 4},
+		{"wallclock week", serveShapeCSV(1), week, 10, 10, 7 * 32},
+	} {
+		fc, err := trainCounts(strings.NewReader(tc.history), tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		grid, wPred, tPred := fc.blocks(2 * tc.cfg.GuideExpiry * tc.cfg.Velocity)
+		if grid.Cols != tc.cols || grid.Rows != tc.rows || fc.slots.Count != tc.slots {
+			t.Fatalf("%s: guide on %dx%d areas, %d slots; want %dx%d, %d", tc.name, grid.Cols, grid.Rows, fc.slots.Count, tc.cols, tc.rows, tc.slots)
+		}
+		areas, blocks := fc.grid.NumCells(), grid.NumCells()
+		if len(wPred) != tc.slots*blocks || len(tPred) != len(wPred) {
+			t.Fatalf("%s: %d and %d block predictions, want %d", tc.name, len(wPred), len(tPred), tc.slots*blocks)
+		}
+		for _, side := range []struct {
+			name          string
+			areas, blocks []int
+		}{{"workers", fc.wPred, wPred}, {"tasks", fc.tPred, tPred}} {
+			want := make([]int, len(side.blocks))
+			for slot := 0; slot < tc.slots; slot++ {
+				inAreas, inBlocks := 0, 0
+				for c := 0; c < areas; c++ {
+					n := side.areas[slot*areas+c]
+					inAreas += n
+					want[slot*blocks+grid.CellOf(fc.grid.Center(c))] += n
+				}
+				for b := 0; b < blocks; b++ {
+					inBlocks += side.blocks[slot*blocks+b]
+				}
+				if inAreas != inBlocks {
+					t.Errorf("%s, %s, slot %d: %d predicted over the history's areas, %d over the guide's", tc.name, side.name, slot, inAreas, inBlocks)
+				}
+			}
+			for b := range want {
+				if side.blocks[b] != want[b] {
+					t.Fatalf("%s, %s: block prediction %d is %d, want the %d of the areas it contains", tc.name, side.name, b, side.blocks[b], want[b])
+				}
+			}
+		}
+		g, err := fc.guide(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if g.Cfg.Grid.Cols != tc.cols || g.Cfg.Grid.Rows != tc.rows || g.Cfg.Slots.Count != tc.slots {
+			t.Errorf("%s: served guide on %dx%d areas, %d slots", tc.name, g.Cfg.Grid.Cols, g.Cfg.Grid.Rows, g.Cfg.Slots.Count)
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestGuideBlocksReachedAlready: when the history's areas already span
+// 2·Dr·v, the served guide is Algorithm 1 on the history grid itself.
+func TestGuideBlocksReachedAlready(t *testing.T) {
+	cfg := serveShapeConfig()
+	cfg.GuideExpiry = 1.25 // 2·Dr·v = 5, the history's area side
+	fc, err := trainCounts(strings.NewReader(serveShapeCSV(1)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := fc.guide(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := guideLayout(served), guideLayout(historyGuide(t, fc, cfg, 0)); got != want {
+		t.Errorf("served guide: %s; on the history grid: %s", got, want)
+	}
+	if served.Cfg.Grid.Cols != 20 || served.Cfg.Grid.Rows != 20 {
+		t.Errorf("served guide on %dx%d areas, want the history's 20x20", served.Cfg.Grid.Cols, served.Cfg.Grid.Rows)
 	}
 }
