@@ -52,7 +52,7 @@ func main() {
 	flag.IntVar(&cfg.Retention, "retention", cfg.Retention, "events retained per base-grid shard: /events and /matches read the most recent retention x shards events, held at 32 bytes each (32 MiB at the default on a 4x4 grid)")
 	flag.DurationVar(&cfg.Retire, "retire", cfg.Retire, "per-shard arena retirement interval; matched and expired objects are compacted away, bounding memory by the live population (0 disables)")
 	flag.StringVar(&cfg.GuidePath, "guide", cfg.GuidePath, "per-cell count history CSV (ftoa-gen -counts format) for guided algorithms")
-	guideGrid := flag.String("guide-grid", "", "the count history's area layout as CxR (default: infer a square); the served guide is built on whole blocks of these areas, each axis' block the smallest at least 2 x -guide-expiry x -velocity long")
+	guideGrid := flag.String("guide-grid", "", "the count history's area layout as CxR (default: infer a square); the served guide is built on whole blocks of these areas, each axis' block the smallest at least 2 x -guide-expiry x -velocity long, or the whole axis (one area at the defaults: 2 x 60 x 1 exceeds the 100-unit bounds)")
 	flag.IntVar(&cfg.GuideDow0, "guide-dow0", cfg.GuideDow0, "weekday (0-6) of the count history's first day, anchoring HP-MSI's weekday feature: 0 = Sunday, as time.Weekday; ftoa-gen histories start on a Monday")
 	flag.Float64Var(&cfg.Horizon, "horizon", cfg.Horizon, "guide horizon in seconds (the served day length)")
 	flag.Float64Var(&cfg.GuidePatience, "guide-patience", cfg.GuidePatience, "worker patience Dw assumed by the guide (seconds)")

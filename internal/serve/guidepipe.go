@@ -133,9 +133,6 @@ func (fc *forecast) blocks(reach float64) (*ftoa.Grid, []int, []int) {
 	g := fc.grid
 	kc := blockSide(g.Cols, g.Bounds.Width(), reach)
 	kr := blockSide(g.Rows, g.Bounds.Height(), reach)
-	if kc == 1 && kr == 1 {
-		return g, fc.wPred, fc.tPred
-	}
 	coarse := ftoa.NewGrid(g.Bounds, g.Cols/kc, g.Rows/kr)
 	areas, blocks := g.NumCells(), coarse.NumCells()
 	wPred := make([]int, fc.slots.Count*blocks)

@@ -239,9 +239,9 @@ func servedGuideHash(t *testing.T, history string, cfg Config) string {
 
 // TestServeGuideGolden pins the served guide bit for bit — the HP-MSI
 // forecast, the area blocks, the edge policy and the pair layout
-// together — under both
-// anchors, for the flat countsCSV history and a generated city history,
-// so a refactor of the pipeline behind trainCounts cannot move it unseen.
+// together — under both anchors, for the flat countsCSV history and a
+// generated city history, so a refactor of the pipeline behind
+// trainCounts cannot move it unseen.
 // HP-MSI reads the weekday only to group history days, so the one-day
 // uptime guide must not depend on -guide-dow0 at all.
 func TestServeGuideGolden(t *testing.T) {
@@ -318,23 +318,39 @@ func serveShapeConfig() Config {
 }
 
 func serveShapeCSV(seed int64) string {
-	const days, slots, areas, mean = 6, 32, 400, 6.25
-	rng := rand.New(rand.NewSource(seed))
-	poisson := func() int {
-		limit, p, k := math.Exp(-mean), 1.0, 0
-		for {
-			if p *= rng.Float64(); p <= limit {
-				return k
+	const mean = 6.25
+	return shapeHistory(seed, func(rng *rand.Rand, w, k []int) {
+		poisson := func() int {
+			limit, p, n := math.Exp(-mean), 1.0, 0
+			for {
+				if p *= rng.Float64(); p <= limit {
+					return n
+				}
+				n++
 			}
-			k++
 		}
-	}
+		for a := range w {
+			w[a], k[a] = poisson(), poisson()
+		}
+	})
+}
+
+// shapeHistory renders a count history at the benchmark's shape, 6 days
+// of 32 slots over 20x20 areas: fill draws each slot's per-area worker
+// and task counts, starting from zero, from one rng seeded with seed.
+func shapeHistory(seed int64, fill func(rng *rand.Rand, w, k []int)) string {
+	const days, slots, areas = 6, 32, 400
+	rng := rand.New(rand.NewSource(seed))
+	w, k := make([]int, areas), make([]int, areas)
 	var sb strings.Builder
 	sb.WriteString("day,slot,area,workers,tasks,weather\n")
 	for d := 0; d < days; d++ {
 		for s := 0; s < slots; s++ {
-			for a := 0; a < areas; a++ {
-				fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,0.5\n", d, s, a, poisson(), poisson())
+			clear(w)
+			clear(k)
+			fill(rng, w, k)
+			for a := range w {
+				fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,0.5\n", d, s, a, w[a], k[a])
 			}
 		}
 	}
@@ -502,104 +518,86 @@ func historyGuide(t *testing.T, fc *forecast, cfg Config, slack float64) *ftoa.G
 	return g
 }
 
+// hotspotCSV is a history of the benchmark's hotspot shape: each slot
+// 2500 arrivals per side placed by hotspotPoint.
+func hotspotCSV(seed int64) string {
+	grid := ftoa.NewGrid(ftoa.NewRect(0, 0, 100, 100), 20, 20)
+	return shapeHistory(seed, func(rng *rand.Rand, w, k []int) {
+		for i := 0; i < 2500; i++ {
+			w[grid.CellOf(hotspotPoint(rng))]++
+			k[grid.CellOf(hotspotPoint(rng))]++
+		}
+	})
+}
+
 // TestServedGuideStrictRefusals pins why the server builds its guide as
-// it does, on one paced uniform stream of the benchmark's shape through a
-// 1x1 Strict POLAR-OP session. The served guide — reach-sized areas, no
-// representative slack — commits more matches than the same forecast's
-// guide on the history grid with no slack (the server's guide before it
-// summed areas into blocks) and more than the slot/2 guide the
-// experiments build. POLAR-OP pools association per cell and the Strict
-// recheck scans the partner cells' waiting queues; on areas at least
-// 2·Dr·v wide those queues are deeper, so an arrival more often finds
-// someone within reach. The served guide also plans no pair whose travel
-// budget is not positive; the history grid's guide with those edges kept
-// (a slack of 1e-9 gives the same-area edge to the previous slot, whose
-// budget sr + Dr − sw is exactly 0) is the control that the count sees
-// them.
+// it does, on paced streams of the benchmark's shape — uniform, and
+// hotspot-shaped on a hotspot history, where the history grid's small
+// areas are crowded — through a 1x1 Strict POLAR-OP session. The served
+// guide — reach-sized areas, no representative slack — commits more
+// matches than the same forecast's guide on the history grid with no
+// slack (the server's guide before it summed areas into blocks) and more
+// than the slot/2 guide the experiments build. POLAR-OP pools
+// association per cell and the Strict recheck scans the partner cells'
+// waiting queues; on areas at least 2·Dr·v wide those queues are deeper,
+// so an arrival more often finds someone within reach. No guide plans a
+// pair whose travel budget is not positive, and dropping those edges is
+// itself a gain: the history grid's guide with them kept (a slack of
+// 1e-9 gives the same-area edge to the previous slot, whose budget
+// sr + Dr − sw is exactly 0) plans some and commits fewer matches.
 func TestServedGuideStrictRefusals(t *testing.T) {
 	cfg := serveShapeConfig()
-	fc, err := trainCounts(strings.NewReader(serveShapeCSV(2)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := fc.guide(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := historyGuide(t, fc, cfg, 0)
-	halfSlot := historyGuide(t, fc, cfg, fc.slots.Width()/2)
-	kept := historyGuide(t, fc, cfg, 1e-9)
-	// zeroBudget counts the pairs g plans between a worker cell and a task
-	// cell whose representative travel budget, with no slack, is ≤ 0.
-	zeroBudget := func(g *ftoa.Guide) (pairs int) {
-		for _, wc := range g.WorkerCells {
-			for _, r := range wc.Runs {
-				tc := g.TaskCells[r.Partner]
-				if fc.slots.Mid(tc.Key.Slot)+cfg.GuideExpiry-fc.slots.Mid(wc.Key.Slot) <= 0 {
-					pairs += int(r.Count)
+	for _, tc := range []struct {
+		name    string
+		history string
+		place   func(*rand.Rand) ftoa.Point
+	}{
+		{"uniform", serveShapeCSV(2), uniformPoint},
+		{"hotspot", hotspotCSV(3), hotspotPoint},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc, err := trainCounts(strings.NewReader(tc.history), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, err := fc.guide(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat := historyGuide(t, fc, cfg, 0)
+			halfSlot := historyGuide(t, fc, cfg, fc.slots.Width()/2)
+			kept := historyGuide(t, fc, cfg, 1e-9)
+			// zeroBudget counts the pairs g plans between a worker cell and
+			// a task cell whose representative travel budget, with no
+			// slack, is ≤ 0.
+			zeroBudget := func(g *ftoa.Guide) (pairs int) {
+				for _, wc := range g.WorkerCells {
+					for _, r := range wc.Runs {
+						tc := g.TaskCells[r.Partner]
+						if fc.slots.Mid(tc.Key.Slot)+cfg.GuideExpiry-fc.slots.Mid(wc.Key.Slot) <= 0 {
+							pairs += int(r.Count)
+						}
+					}
 				}
+				return pairs
 			}
-		}
-		return pairs
-	}
-	sm, sa := strictRun(t, cfg, served, uniformPoint)
-	fm, fa := strictRun(t, cfg, flat, uniformPoint)
-	hm, ha := strictRun(t, cfg, halfSlot, uniformPoint)
-	sz, kz := zeroBudget(served), zeroBudget(kept)
-	t.Logf("served guide (%dx%d areas): %d matches, %.2f attempts per match; history grid: %d, %.2f; slot/2 on the history grid: %d, %.2f",
-		served.Cfg.Grid.Cols, served.Cfg.Grid.Rows, sm, float64(sa)/float64(sm), fm, float64(fa)/float64(fm), hm, float64(ha)/float64(hm))
-	if sm <= fm || sm <= hm {
-		t.Errorf("served guide: %d matches; history grid: %d; slot/2: %d: want the served guide's the most", sm, fm, hm)
-	}
-	if sz != 0 || kz == 0 {
-		t.Errorf("zero-budget pairs: served guide %d, want 0; with them kept %d, want some", sz, kz)
-	}
-}
-
-// hotspotCSV is serveShapeCSV's history with the benchmark's hotspot
-// shape: 6 days of 32 slots over 20x20 areas, each slot 2500 arrivals
-// per side placed by hotspotPoint.
-func hotspotCSV(seed int64) string {
-	const days, slots, perSlot = 6, 32, 2500
-	grid := ftoa.NewGrid(ftoa.NewRect(0, 0, 100, 100), 20, 20)
-	rng := rand.New(rand.NewSource(seed))
-	var sb strings.Builder
-	sb.WriteString("day,slot,area,workers,tasks,weather\n")
-	for d := 0; d < days; d++ {
-		for s := 0; s < slots; s++ {
-			var w, k [400]int
-			for i := 0; i < perSlot; i++ {
-				w[grid.CellOf(hotspotPoint(rng))]++
-				k[grid.CellOf(hotspotPoint(rng))]++
+			sm, sa := strictRun(t, cfg, served, tc.place)
+			fm, fa := strictRun(t, cfg, flat, tc.place)
+			hm, ha := strictRun(t, cfg, halfSlot, tc.place)
+			km, _ := strictRun(t, cfg, kept, tc.place)
+			sz, fz, kz := zeroBudget(served), zeroBudget(flat), zeroBudget(kept)
+			t.Logf("served guide (%dx%d areas): %d matches, %.2f attempts per match; history grid: %d, %.2f; slot/2 on the history grid: %d, %.2f; zero-budget edges kept: %d",
+				served.Cfg.Grid.Cols, served.Cfg.Grid.Rows, sm, float64(sa)/float64(sm), fm, float64(fa)/float64(fm), hm, float64(ha)/float64(hm), km)
+			if sm <= fm || sm <= hm {
+				t.Errorf("served guide: %d matches; history grid: %d; slot/2: %d: want the served guide's the most", sm, fm, hm)
 			}
-			for a := range w {
-				fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,0.5\n", d, s, a, w[a], k[a])
+			if fm <= km {
+				t.Errorf("history grid: %d matches; with zero-budget edges kept: %d: want more", fm, km)
 			}
-		}
-	}
-	return sb.String()
-}
-
-// TestServedGuideHotspot: on a hotspot-shaped history and stream, where
-// the history grid's small areas are crowded, the served guide still
-// commits more Strict POLAR-OP matches than the same forecast's guide on
-// the history grid.
-func TestServedGuideHotspot(t *testing.T) {
-	cfg := serveShapeConfig()
-	fc, err := trainCounts(strings.NewReader(hotspotCSV(3)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := fc.guide(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, sa := strictRun(t, cfg, served, hotspotPoint)
-	fm, fa := strictRun(t, cfg, historyGuide(t, fc, cfg, 0), hotspotPoint)
-	t.Logf("hotspot: served guide %d matches, %.2f attempts per match; history grid %d, %.2f",
-		sm, float64(sa)/float64(sm), fm, float64(fa)/float64(fm))
-	if sm <= fm {
-		t.Errorf("hotspot: served guide %d matches, history grid %d: want more", sm, fm)
+			if sz != 0 || fz != 0 || kz == 0 {
+				t.Errorf("zero-budget pairs: served guide %d, history grid %d, want 0; with them kept %d, want some", sz, fz, kz)
+			}
+		})
 	}
 }
 
