@@ -196,6 +196,13 @@ func cityCountsCSV(t *testing.T) string {
 	c := ftoa.Beijing()
 	c.Cols, c.Rows, c.Days = 4, 4, 10
 	c.WorkersPerDay, c.TasksPerDay = 2000, 2000
+	return renderCityCounts(t, c)
+}
+
+// renderCityCounts generates c's history and writes it as ftoa-gen -kind
+// city -counts does.
+func renderCityCounts(t *testing.T, c ftoa.City) string {
+	t.Helper()
 	tr, err := c.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -277,6 +284,48 @@ func TestServeGuideGolden(t *testing.T) {
 			cfg.GuideDow0 = dow0
 			if got := servedGuideHash(t, tc.history, cfg); got != want {
 				t.Errorf("%s, wallclock, -guide-dow0 %d: %s, want %s", tc.name, dow0, got, want)
+			}
+		}
+	}
+}
+
+// TestForecastGolden pins HP-MSI's forecast bit for bit: hashes of the
+// rounded worker and task counts ftoa.Forecast hands trainCounts, for the
+// benchmark's history under the uptime anchor (one forecast day) and for
+// the history ftoa-gen -kind city -counts writes at its defaults (Beijing,
+// 20x30 areas, 7 days of 96 slots, 20 000 arrivals per side per day, seed
+// 1) under the wallclock anchor (seven forecast days, one per weekday).
+func TestForecastGolden(t *testing.T) {
+	city := ftoa.Beijing()
+	city.Days, city.Seed = 7, 1
+	city.WorkersPerDay, city.TasksPerDay = 20000, 20000
+	wallclock := defaultTestConfig()
+	wallclock.GuideGrid = [2]int{20, 30}
+	wallclock.GuideAnchor = "wallclock"
+	wallclock.anchorOffset = (3 + 0.6) * wallclock.Horizon
+	for _, tc := range []struct {
+		name, history  string
+		cfg            Config
+		workers, tasks string
+	}{
+		{"serve shape, uptime", serveShapeCSV(1), serveShapeConfig(),
+			"12800 cells, ab2131ea2963a60a", "12800 cells, d76efe4d2290a569"},
+		{"ftoa-gen city, wallclock", renderCityCounts(t, city), wallclock,
+			"403200 cells, 339ba22b24f944cb", "403200 cells, 75b9de85f5f4fd5c"},
+	} {
+		fc, err := trainCounts(strings.NewReader(tc.history), tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, side := range []struct {
+			name string
+			pred []int
+			want string
+		}{{"workers", fc.wPred, tc.workers}, {"tasks", fc.tPred, tc.tasks}} {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%v", side.pred)
+			if got := fmt.Sprintf("%d cells, %x", len(side.pred), h.Sum64()); got != side.want {
+				t.Errorf("%s, %s: %s, want %s", tc.name, side.name, got, side.want)
 			}
 		}
 	}
