@@ -3,10 +3,14 @@ package workload
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"os"
+	"slices"
 	"strconv"
 
 	"ftoa/internal/geo"
@@ -137,10 +141,18 @@ type csvRows struct {
 	buf    []byte // rec's storage when a quote forces a copy
 	ends   []int  // field i is rec[ends[i-1]+1:ends[i]] (field 0 starts at 0)
 	line   int    // lines read so far
+	win    []byte // the reader's buffered bytes countsRow reads from
+	off    int    // how many of them it has read
+
+	// The day and slot fields countsRow last scanned.
+	prefix                 int    // their length with both commas, 0 if none
+	prefixWord, prefixMask uint64 // their bytes, as a little-endian word
+	day, slot              int    // their values
+	weatherKey             uint64 // the last weather field it returned, or 0
 }
 
 func newCSVRows(r io.Reader, fields int) *csvRows {
-	return &csvRows{br: bufio.NewReaderSize(r, 64<<10), fields: fields}
+	return &csvRows{br: bufio.NewReaderSize(r, 64<<10), fields: fields, ends: make([]int, 0, fields)}
 }
 
 // field returns field i of the current record; it is valid until next.
@@ -331,17 +343,184 @@ func atoi(b []byte) (int, error) {
 	return v, nil
 }
 
-// countsRow is one parsed history row awaiting the dimensions, which are
-// only known once every row has been seen.
-type countsRow struct {
-	w, t            int
-	wx              float64
-	day, slot, area uint32
+// countsRow parses the next history row straight out of the reader's
+// buffer, in one pass, when it is plain: five integers, each ended by a
+// comma, then a weather field of at most 7 bytes with no comma, quote or
+// \r, then \n, at least 8 bytes before the end of the buffer. The three
+// cell indices have 1 to 9 digits (which fit 32 bits) and the two counts
+// 1 to 18 (which fit an int64). It reports false, and reads nothing, for
+// any other row — a sign, a longer number, a stray byte, a quote, a
+// blank line, a row the buffer does not hold whole — and the caller reads
+// that one with next.
+//
+// A row that starts with the bytes of the day and slot fields countsRow
+// last scanned takes their values without scanning them again: in
+// ftoa-gen's order that is every row but the first of each slot. weather
+// is nil when its bytes are those of the last weather countsRow returned
+// and no forgetWeather came since; otherwise it is valid until the next
+// read.
+func (s *csvRows) countsRow() (day, slot, area, workers, tasks int, weather []byte, ok bool) {
+	if s.off == len(s.win) {
+		s.br.Discard(s.off)
+		s.win, _ = s.br.Peek(s.br.Buffered())
+		s.off = 0
+	}
+	buf := s.win[s.off:]
+	var ints [5]int
+	p, f := 0, 0
+	if s.prefix > 0 && len(buf) >= 8 && binary.LittleEndian.Uint64(buf)&s.prefixMask == s.prefixWord {
+		p, f = s.prefix, 2
+		ints[0], ints[1] = s.day, s.slot
+	}
+	for ; f < len(ints); f++ {
+		v, start := 0, p
+		for ; p < len(buf); p++ {
+			c := buf[p] - '0'
+			if c > 9 {
+				break
+			}
+			v = v*10 + int(c)
+		}
+		if digits := p - start; digits == 0 || digits > 18 || f < 3 && digits > 9 ||
+			p == len(buf) || buf[p] != ',' {
+			s.unread()
+			return
+		}
+		ints[f] = v
+		p++
+		if f == 1 {
+			s.prefix = 0
+			if p <= 8 && len(buf) >= 8 {
+				s.prefix, s.day, s.slot = p, ints[0], ints[1]
+				s.prefixMask = ^uint64(0) >> (64 - 8*p)
+				s.prefixWord = binary.LittleEndian.Uint64(buf) & s.prefixMask
+			}
+		}
+	}
+	// The weather field is read as one 8-byte word: its first \n, comma,
+	// quote or \r must be a \n.
+	if p+8 > len(buf) {
+		s.unread()
+		return
+	}
+	x := binary.LittleEndian.Uint64(buf[p:])
+	stop := zeroByte(x^'\n'*ones) | zeroByte(x^','*ones) | zeroByte(x^'"'*ones) | zeroByte(x^'\r'*ones)
+	n := bits.TrailingZeros64(stop) / 8
+	if n == 8 || buf[p+n] != '\n' {
+		s.unread()
+		return
+	}
+	s.off += p + n + 1
+	s.line++
+	// The field's bytes and its length make a key that is never 0.
+	if key := x&(1<<(8*n)-1) | uint64(n+1)<<56; key != s.weatherKey {
+		s.weatherKey = key
+		weather = buf[p : p+n]
+	}
+	return ints[0], ints[1], ints[2], ints[3], ints[4], weather, true
 }
 
-// countsChunk is the allocation unit of the staged rows. Chunks never
-// move, so staging a long history leaves no outgrown arrays behind.
-const countsChunk = 1024
+// forgetWeather makes the next countsRow return its weather field: the
+// caller has parsed another one since.
+func (s *csvRows) forgetWeather() { s.weatherKey = 0 }
+
+const ones = 0x0101010101010101 // 1 in every byte of a word
+
+// zeroByte sets the high bit of the lowest zero byte of x. Bits above it
+// may be set too, so only the lowest set bit is exact.
+func zeroByte(x uint64) uint64 { return (x - ones) &^ x & (0x80 * ones) }
+
+// unread hands the rows countsRow has not taken back to next.
+func (s *csvRows) unread() {
+	s.br.Discard(s.off)
+	s.win, s.off = nil, 0
+}
+
+// rowsHint bounds how many history rows r has left from its size, when r
+// can tell it: a valid row takes at least 12 bytes ("0,0,0,0,0,0\n"). It
+// returns 0 when r cannot tell, and caps what it trusts a size for.
+func rowsHint(r io.Reader) int {
+	var size int64
+	switch r := r.(type) {
+	case interface{ Len() int }: // strings.Reader, bytes.Reader, bytes.Buffer
+		size = int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0
+		}
+		size = fi.Size() - off
+	}
+	return int(min(max(size, 0)/12+1, 1<<20))
+}
+
+// cellOrder follows the order ftoa-gen writes a history in: every (day,
+// slot, area) cell once, row-major from (0, 0, 0), so that row i is the
+// cell at flat index i. The area and slot counts are learned at the first
+// slot and day change.
+type cellOrder struct {
+	d, s, a      int // the last row's cell
+	slots, areas int // 0 until learned
+	areaEnd      int // 0 before the first row, then areas, or MaxInt until learned
+}
+
+// next reports whether (d, s, a) is the cell after the last one.
+func (o *cellOrder) next(d, s, a int) bool {
+	if a == o.a+1 && a < o.areaEnd && d == o.d && s == o.s {
+		o.a = a
+		return true
+	}
+	return o.wrap(d, s, a)
+}
+
+// wrap is next for the first row, a new slot or a new day.
+func (o *cellOrder) wrap(d, s, a int) bool {
+	ok := false
+	switch {
+	case o.areaEnd == 0:
+		if ok = d == 0 && s == 0 && a == 0; ok {
+			o.areaEnd = math.MaxInt
+		}
+	case a == 0 && (o.areas == 0 || o.a+1 == o.areas):
+		switch {
+		case d == o.d && s == o.s+1:
+			ok = o.slots == 0 || s < o.slots
+		case d == o.d+1 && s == 0:
+			ok = o.slots == 0 || o.s+1 == o.slots
+			if ok && o.slots == 0 {
+				o.slots = o.s + 1
+			}
+		}
+		if ok && o.areas == 0 {
+			o.areas, o.areaEnd = o.a+1, o.a+1
+		}
+	}
+	if ok {
+		o.d, o.s, o.a = d, s, a
+	}
+	return ok
+}
+
+// cell returns the cell of in-order row i.
+func (o *cellOrder) cell(i int) (d, s, a int) {
+	switch {
+	case o.areas == 0:
+		return 0, 0, i
+	case o.slots == 0:
+		return 0, i / o.areas, i % o.areas
+	}
+	return i / (o.slots * o.areas), i / o.areas % o.slots, i % o.areas
+}
+
+// movedRow is the cell and weather of a row that came out of order.
+type movedRow struct {
+	d, s, a int
+	wx      float64
+}
 
 // LoadCountsCSV reads a per-(day, slot, area) count history from the CSV
 // format ftoa-gen -counts emits:
@@ -352,10 +531,16 @@ const countsChunk = 1024
 // triple must appear exactly once. It returns the flattened worker and task
 // count tensors plus the per-(day, slot) weather series, ready for
 // predict.NewSeries.
+//
+// Rows in ftoa-gen's order land straight in the returned tensors, whose
+// capacity r's size bounds when r can tell it; a weather field is parsed
+// only when its bytes differ from the row before's. A history in any other
+// order is placed cell by cell once every row is read.
 func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, weather []float64, err error) {
 	fail := func(format string, args ...any) (int, int, int, []int, []int, []float64, error) {
 		return 0, 0, 0, nil, nil, nil, fmt.Errorf("workload: "+format, args...)
 	}
+	hint := rowsHint(r)
 	rows := newCSVRows(r, 6)
 	if err := rows.next(); err != nil {
 		return fail("reading CSV header: %w", err)
@@ -363,71 +548,116 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 	if string(rows.field(0)) != "day" {
 		return fail("unexpected CSV header %v", rows.strings())
 	}
-	var staged [][]countsRow
-	n := 0
+	workers, tasks = make([]int, 0, hint), make([]int, 0, hint)
+	var (
+		order cellOrder
+		moved []movedRow // from the first row out of order on
+		wx    float64    // the weather of the last row
+	)
 	for {
-		err := rows.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fail("reading CSV: %w", err)
-		}
-		var ints [5]int // day, slot, area, workers, tasks
-		for i := range ints {
-			v, err := atoi(rows.field(i))
-			if err != nil {
-				return fail("bad integer %q", rows.field(i))
+		d, s, a, w, t, wxField, plain := rows.countsRow()
+		if !plain {
+			err := rows.next()
+			if err == io.EOF {
+				break
 			}
-			ints[i] = v
+			if err != nil {
+				return fail("reading CSV: %w", err)
+			}
+			var ints [5]int // day, slot, area, workers, tasks
+			for i := range ints {
+				v, err := atoi(rows.field(i))
+				if err != nil {
+					return fail("bad integer %q", rows.field(i))
+				}
+				ints[i] = v
+			}
+			d, s, a, w, t = ints[0], ints[1], ints[2], ints[3], ints[4]
+			wxField = rows.field(5)
+			rows.forgetWeather()
 		}
-		wx, err := strconv.ParseFloat(string(rows.field(5)), 64)
-		if err != nil {
-			return fail("bad weather %q", rows.field(5))
+		// wxField is nil when countsRow saw the last row's weather again.
+		if wxField != nil {
+			var err error
+			if wx, err = strconv.ParseFloat(string(wxField), 64); err != nil {
+				return fail("bad weather %q", wxField)
+			}
 		}
-		for _, v := range ints {
-			if v < 0 {
+		// A plain row has no sign and indices of at most 9 digits.
+		if !plain {
+			if d < 0 || s < 0 || a < 0 || w < 0 || t < 0 {
 				return fail("negative field in %v", rows.strings())
 			}
+			// A valid file has as many rows as cells, so an index that does
+			// not fit 32 bits could only belong to a file of billions of rows.
+			if d > math.MaxInt32 || s > math.MaxInt32 || a > math.MaxInt32 {
+				return fail("cell index out of range in %v", rows.strings())
+			}
 		}
-		// A valid file has as many rows as cells, so an index that does
-		// not fit 32 bits could only belong to a file of billions of rows.
-		if ints[0] > math.MaxInt32 || ints[1] > math.MaxInt32 || ints[2] > math.MaxInt32 {
-			return fail("cell index out of range in %v", rows.strings())
+		days, slots, areas = max(days, d+1), max(slots, s+1), max(areas, a+1)
+		workers, tasks = append(workers, w), append(tasks, t)
+		switch {
+		case moved == nil && order.next(d, s, a):
+			// In order, a slot starts with area 0, and the first slot's
+			// rows tell how many slots the hint has room for.
+			if a == 0 {
+				if len(weather) == 1 {
+					weather = slices.Grow(weather, hint/(len(workers)-1))
+				}
+				weather = append(weather, wx)
+			} else {
+				weather[len(weather)-1] = wx
+			}
+		default:
+			moved = append(moved, movedRow{d, s, a, wx})
 		}
-		days, slots, areas = max(days, ints[0]+1), max(slots, ints[1]+1), max(areas, ints[2]+1)
-		if n%countsChunk == 0 {
-			staged = append(staged, make([]countsRow, 0, countsChunk))
-		}
-		last := &staged[len(staged)-1]
-		*last = append(*last, countsRow{
-			day: uint32(ints[0]), slot: uint32(ints[1]), area: uint32(ints[2]),
-			w: ints[3], t: ints[4], wx: wx,
-		})
-		n++
 	}
+	n := len(workers)
 	// days×slots×areas must equal the row count. The indices come from the
 	// file, so their product can wrap around to it; divide instead. (Rows
 	// imply non-zero dimensions; a header-only file is an empty history.)
 	if n > 0 && (n%days != 0 || n/days%slots != 0 || n/days/slots != areas) {
 		return fail("%d rows for %d×%d×%d cells", n, days, slots, areas)
 	}
-	workers = make([]int, n)
-	tasks = make([]int, n)
-	weather = make([]float64, days*slots)
+	if moved == nil {
+		// Every row came in order and there are as many as cells: row i
+		// is cell i.
+		return days, slots, areas, workers, tasks, weather, nil
+	}
+	return placeCells(days, slots, areas, &order, moved, workers, tasks, weather)
+}
+
+// placeCells lays out a history whose rows came out of order: the rows
+// before the first such one are order's cells 0, 1, …, with one
+// weather value per slot in weather; the rest are moved's cells, in file
+// order. A later row's weather overwrites an earlier one's for the same
+// slot, as in a file read top to bottom.
+func placeCells(days, slots, areas int, order *cellOrder, moved []movedRow, rowW, rowT []int, rowWx []float64) (int, int, int, []int, []int, []float64, error) {
+	n := len(rowW)
+	workers, tasks := make([]int, n), make([]int, n)
+	weather := make([]float64, days*slots)
 	seen := make([]bool, n)
-	for _, chunk := range staged {
-		for _, rr := range chunk {
-			day, slot, area := int(rr.day), int(rr.slot), int(rr.area)
-			flat := (day*slots+slot)*areas + area
-			if seen[flat] {
-				return fail("duplicate cell (%d,%d,%d)", day, slot, area)
-			}
-			seen[flat] = true
-			workers[flat] = rr.w
-			tasks[flat] = rr.t
-			weather[day*slots+slot] = rr.wx
+	inOrder := n - len(moved)
+	perSlot := order.areas // in-order rows per weather value
+	if perSlot == 0 {
+		perSlot = max(inOrder, 1) // all in slot (0, 0)
+	}
+	for i := range inOrder {
+		d, s, a := order.cell(i)
+		flat := (d*slots+s)*areas + a
+		seen[flat] = true
+		workers[flat], tasks[flat] = rowW[i], rowT[i]
+		weather[d*slots+s] = rowWx[i/perSlot]
+	}
+	for j, m := range moved {
+		i := inOrder + j
+		flat := (m.d*slots+m.s)*areas + m.a
+		if seen[flat] {
+			return 0, 0, 0, nil, nil, nil, fmt.Errorf("workload: duplicate cell (%d,%d,%d)", m.d, m.s, m.a)
 		}
+		seen[flat] = true
+		workers[flat], tasks[flat] = rowW[i], rowT[i]
+		weather[m.d*slots+m.s] = m.wx
 	}
 	return days, slots, areas, workers, tasks, weather, nil
 }
