@@ -32,24 +32,31 @@ type HPMSI struct {
 
 	assign    []int // area -> cluster
 	nClusters int
-	// clusterHA[dow][slot][cluster]: same-dow mean of cluster totals.
-	clusterHA [][]float64 // indexed [dow*Slots+slot][cluster]
-	haCount   []int       // training days per dow
-	// clusterProfile[slot][cluster]: all-days mean (for PAQ-style scaling).
-	clusterProfile [][]float64
-	// weatherMean[bin][slot][cluster]: mean over training slots whose
-	// weather falls in the bin.
-	weatherMean  [][][]float64
-	weatherCount [][]int
-	// clusterCounts[day*Slots+slot][cluster]: observed cluster totals over
+	// The cluster-level aggregates, each flat with the cluster index last:
+	// clusterHA[(dow·Slots+slot)·k+c] is the same-dow mean of cluster
+	// totals over haCount[dow] training days; clusterProfile[slot·k+c]
+	// the all-days mean (for PAQ-style scaling); weatherMean[(bin·Slots+
+	// slot)·k+c] the mean over the weatherCount[bin·Slots+slot] training
+	// slots whose weather falls in the bin.
+	clusterHA      []float64
+	haCount        [7]int
+	clusterProfile []float64
+	weatherMean    []float64
+	weatherCount   []int
+	// clusterCounts[(day·Slots+slot)·k+c]: observed cluster totals over
 	// the whole series (test days included — look-back uses only observed
 	// past values).
-	clusterCounts [][]float64
+	clusterCounts []float64
 	// shares[slot*Areas+area]: area's historical share within its cluster
 	// at this slot of day (smoothed).
 	shares []float64
 	// weights of the three estimators + intercept, fit on training tail.
 	weights [4]float64
+
+	// Predict's k cluster forecasts for (predDay, predSlot), computed at
+	// its first area; predDay is -1 when there are none.
+	predDay, predSlot int
+	pred              []float64
 }
 
 // NewHPMSI creates the predictor with defaults.
@@ -80,6 +87,7 @@ func (h *HPMSI) Fit(s *Series, trainDays int) error {
 	h.cluster()
 	h.buildAggregates()
 	h.fitWeights()
+	h.predDay, h.pred = -1, make([]float64, h.nClusters)
 	return nil
 }
 
@@ -91,7 +99,19 @@ func (h *HPMSI) cluster() {
 	s := h.s
 	const profBins = 12
 	nf := profBins + 2
-	feats := make([][]float64, s.Areas)
+	feats := make([]float64, s.Areas*nf) // row a is feats[a*nf:(a+1)*nf]
+	totals := make([]float64, s.Areas)
+	// Each area's bins and total sum its counts in (day, slot) order.
+	for d := 0; d < h.trainDays; d++ {
+		for slot := 0; slot < s.Slots; slot++ {
+			bin := slot * profBins / s.Slots
+			counts := s.counts[(d*s.Slots+slot)*s.Areas:][:s.Areas]
+			for a, v := range counts {
+				feats[a*nf+bin] += v
+				totals[a] += v
+			}
+		}
+	}
 	// Geographic coordinates: areas are row-major on an unknown grid; use
 	// the index split by a square-ish width as a proxy when the caller's
 	// grid shape is unknown. The profile dominates; geography only breaks
@@ -100,17 +120,8 @@ func (h *HPMSI) cluster() {
 	if side < 1 {
 		side = 1
 	}
-	for a := 0; a < s.Areas; a++ {
-		f := make([]float64, nf)
-		total := 0.0
-		for d := 0; d < h.trainDays; d++ {
-			for slot := 0; slot < s.Slots; slot++ {
-				bin := slot * profBins / s.Slots
-				v := s.At(d, slot, a)
-				f[bin] += v
-				total += v
-			}
-		}
+	for a, total := range totals {
+		f := feats[a*nf:][:nf]
 		if total > 0 {
 			for b := 0; b < profBins; b++ {
 				f[b] /= total
@@ -118,93 +129,87 @@ func (h *HPMSI) cluster() {
 		}
 		f[profBins] = float64(a%side) / float64(side) * 0.3
 		f[profBins+1] = float64(a/side) / float64(side) * 0.3
-		feats[a] = f
 	}
-	h.assign = kmeans(feats, h.nClusters, h.KMeansIters, h.Seed)
+	h.assign = kmeans(feats, nf, h.nClusters, h.KMeansIters, h.Seed)
 }
 
 // buildAggregates precomputes cluster-level statistics and area shares.
 func (h *HPMSI) buildAggregates() {
 	s := h.s
 	k := h.nClusters
-	h.clusterHA = make([][]float64, 7*s.Slots)
-	for i := range h.clusterHA {
-		h.clusterHA[i] = make([]float64, k)
+	// One allocation holds every aggregate.
+	slab := make([]float64, (7+1+weatherBins+s.Days)*s.Slots*k+2*s.Slots*s.Areas)
+	carve := func(n int) []float64 {
+		out := slab[:n:n]
+		slab = slab[n:]
+		return out
 	}
-	h.haCount = make([]int, 7)
-	h.clusterProfile = make([][]float64, s.Slots)
-	for i := range h.clusterProfile {
-		h.clusterProfile[i] = make([]float64, k)
-	}
-	h.weatherMean = make([][][]float64, weatherBins)
-	h.weatherCount = make([][]int, weatherBins)
-	for b := 0; b < weatherBins; b++ {
-		h.weatherMean[b] = make([][]float64, s.Slots)
-		h.weatherCount[b] = make([]int, s.Slots)
-		for i := range h.weatherMean[b] {
-			h.weatherMean[b][i] = make([]float64, k)
-		}
-	}
+	h.clusterHA = carve(7 * s.Slots * k)
+	h.haCount = [7]int{}
+	h.clusterProfile = carve(s.Slots * k)
+	h.weatherMean = carve(weatherBins * s.Slots * k)
+	h.weatherCount = make([]int, weatherBins*s.Slots)
 	// Cluster totals for every observed (day, slot), full series.
-	h.clusterCounts = make([][]float64, s.Days*s.Slots)
-	for d := 0; d < s.Days; d++ {
-		for slot := 0; slot < s.Slots; slot++ {
-			row := make([]float64, k)
-			for a := 0; a < s.Areas; a++ {
-				row[h.assign[a]] += s.At(d, slot, a)
-			}
-			h.clusterCounts[d*s.Slots+slot] = row
+	h.clusterCounts = carve(s.Days * s.Slots * k)
+	for ds := 0; ds < s.Days*s.Slots; ds++ {
+		row := h.clusterCounts[ds*k:][:k]
+		for a, v := range s.counts[ds*s.Areas:][:s.Areas] {
+			row[h.assign[a]] += v
 		}
 	}
 	// Accumulate training aggregates.
-	areaSum := make([]float64, s.Slots*s.Areas) // per (slot, area) mean numerator
+	areaSum := carve(s.Slots * s.Areas) // per (slot, area) mean numerator
 	for d := 0; d < h.trainDays; d++ {
 		dow := s.DayOfWeek(d)
 		h.haCount[dow]++
 		for slot := 0; slot < s.Slots; slot++ {
 			wbin := weatherBin(s.Weather(d, slot))
-			h.weatherCount[wbin][slot]++
-			cc := h.clusterCounts[d*s.Slots+slot]
-			for c := 0; c < k; c++ {
-				h.clusterHA[dow*s.Slots+slot][c] += cc[c]
-				h.clusterProfile[slot][c] += cc[c]
-				h.weatherMean[wbin][slot][c] += cc[c]
+			h.weatherCount[wbin*s.Slots+slot]++
+			cc := h.clusterCounts[(d*s.Slots+slot)*k:][:k]
+			ha := h.clusterHA[(dow*s.Slots+slot)*k:][:k]
+			prof := h.clusterProfile[slot*k:][:k]
+			wm := h.weatherMean[(wbin*s.Slots+slot)*k:][:k]
+			for c, v := range cc {
+				ha[c] += v
+				prof[c] += v
+				wm[c] += v
 			}
-			for a := 0; a < s.Areas; a++ {
-				areaSum[slot*s.Areas+a] += s.At(d, slot, a)
+			sum := areaSum[slot*s.Areas:][:s.Areas]
+			for a, v := range s.counts[(d*s.Slots+slot)*s.Areas:][:s.Areas] {
+				sum[a] += v
 			}
 		}
 	}
-	for dow := 0; dow < 7; dow++ {
-		if h.haCount[dow] == 0 {
+	for dow, n := range h.haCount {
+		if n == 0 {
 			continue
 		}
-		for slot := 0; slot < s.Slots; slot++ {
-			for c := 0; c < k; c++ {
-				h.clusterHA[dow*s.Slots+slot][c] /= float64(h.haCount[dow])
-			}
+		ha := h.clusterHA[dow*s.Slots*k:][:s.Slots*k]
+		for i := range ha {
+			ha[i] /= float64(n)
 		}
 	}
 	for slot := 0; slot < s.Slots; slot++ {
 		for c := 0; c < k; c++ {
-			h.clusterProfile[slot][c] /= float64(h.trainDays)
+			h.clusterProfile[slot*k+c] /= float64(h.trainDays)
 		}
 		for b := 0; b < weatherBins; b++ {
-			if n := h.weatherCount[b][slot]; n > 0 {
+			if n := h.weatherCount[b*s.Slots+slot]; n > 0 {
 				for c := 0; c < k; c++ {
-					h.weatherMean[b][slot][c] /= float64(n)
+					h.weatherMean[(b*s.Slots+slot)*k+c] /= float64(n)
 				}
 			}
 		}
 	}
 	// Area shares within cluster per slot, Laplace-smoothed.
-	h.shares = make([]float64, s.Slots*s.Areas)
+	h.shares = carve(s.Slots * s.Areas)
 	clusterSize := make([]int, k)
 	for _, c := range h.assign {
 		clusterSize[c]++
 	}
+	clusterTotal := make([]float64, k)
 	for slot := 0; slot < s.Slots; slot++ {
-		clusterTotal := make([]float64, k)
+		clear(clusterTotal)
 		for a := 0; a < s.Areas; a++ {
 			clusterTotal[h.assign[a]] += areaSum[slot*s.Areas+a]
 		}
@@ -220,11 +225,12 @@ func (h *HPMSI) buildAggregates() {
 // (day, slot, cluster).
 func (h *HPMSI) estimators(day, slot, c int) (ha, recent, weather float64) {
 	s := h.s
+	k := h.nClusters
 	dow := s.DayOfWeek(clampDay(day, s.Days))
 	if h.haCount[dow] > 0 {
-		ha = h.clusterHA[dow*s.Slots+slot][c]
+		ha = h.clusterHA[(dow*s.Slots+slot)*k+c]
 	} else {
-		ha = h.clusterProfile[slot][c]
+		ha = h.clusterProfile[slot*k+c]
 	}
 
 	// Recent-activity scaling over the last quarter-day, at cluster level.
@@ -243,19 +249,19 @@ func (h *HPMSI) estimators(day, slot, c int) (ha, recent, weather float64) {
 		if d < 0 {
 			break
 		}
-		obs += h.clusterCounts[d*s.Slots+sl][c]
-		exp += h.clusterProfile[sl][c]
+		obs += h.clusterCounts[(d*s.Slots+sl)*k+c]
+		exp += h.clusterProfile[sl*k+c]
 	}
-	recent = h.clusterProfile[slot][c]
+	recent = h.clusterProfile[slot*k+c]
 	if exp > 0 {
 		recent *= obs / exp
 	}
 
 	wbin := weatherBin(s.Weather(clampDay(day, s.Days), slot))
-	if h.weatherCount[wbin][slot] > 0 {
-		weather = h.weatherMean[wbin][slot][c]
+	if h.weatherCount[wbin*s.Slots+slot] > 0 {
+		weather = h.weatherMean[(wbin*s.Slots+slot)*k+c]
 	} else {
-		weather = h.clusterProfile[slot][c]
+		weather = h.clusterProfile[slot*k+c]
 	}
 	return ha, recent, weather
 }
@@ -276,7 +282,7 @@ func (h *HPMSI) fitWeights() {
 		for slot := 0; slot < s.Slots; slot++ {
 			for c := 0; c < h.nClusters; c++ {
 				ha, rec, wx := h.estimators(d, slot, c)
-				actual := h.clusterCounts[d*s.Slots+slot][c]
+				actual := h.clusterCounts[(d*s.Slots+slot)*h.nClusters+c]
 				row := [4]float64{1, ha, rec, wx}
 				for i := 0; i < 4; i++ {
 					for j := 0; j < 4; j++ {
@@ -302,15 +308,22 @@ func (h *HPMSI) fitWeights() {
 	copy(h.weights[:], coef)
 }
 
-// Predict implements Predictor.
+// Predict implements Predictor. The k cluster forecasts of a (day, slot)
+// are computed at its first area and kept for the next ones, so Predict,
+// like Fit, must not run concurrently with another call.
 func (h *HPMSI) Predict(day, slot, area int) float64 {
-	c := h.assign[area]
-	ha, rec, wx := h.estimators(day, slot, c)
-	clusterPred := h.weights[0] + h.weights[1]*ha + h.weights[2]*rec + h.weights[3]*wx
-	if clusterPred < 0 {
-		clusterPred = 0
+	if day != h.predDay || slot != h.predSlot {
+		for c := range h.pred {
+			ha, rec, wx := h.estimators(day, slot, c)
+			p := h.weights[0] + h.weights[1]*ha + h.weights[2]*rec + h.weights[3]*wx
+			if p < 0 {
+				p = 0
+			}
+			h.pred[c] = p
+		}
+		h.predDay, h.predSlot = day, slot
 	}
-	return clusterPred * h.shares[slot*h.s.Areas+area]
+	return h.pred[h.assign[area]] * h.shares[slot*h.s.Areas+area]
 }
 
 // weatherBin discretises weather intensity into weatherBins levels.
@@ -325,10 +338,25 @@ func weatherBin(w float64) int {
 	return b
 }
 
-// kmeans clusters rows into k groups with Lloyd's algorithm and
-// deterministic seeding (k-means++ style: farthest-point heuristic).
-func kmeans(rows [][]float64, k, iters int, seed uint64) []int {
-	n := len(rows)
+// kmeans clusters the n rows of rows (row i is rows[i*dim:(i+1)*dim])
+// into k groups with Lloyd's algorithm and deterministic seeding (k-means++
+// style: farthest-point heuristic), and returns each row's group.
+//
+// Elkan's bounds let most rows skip the comparison with every centre:
+// upper[i] bounds the distance from row i to its centre and lower[i*k+c]
+// the distance to centre c, and both follow the centres' drift between
+// iterations. A row keeps its centre without a scan only when the bounds
+// prove that centre strictly nearest by more than margin, which is far
+// above the rounding of the few dozen operations behind a bound; every
+// other row is scanned exactly as Lloyd's loop scans it — the same sqDist
+// values in centre order, ties to the lowest index — so the assignment is
+// Lloyd's, bit for bit, down to an empty cluster's centre staying at the
+// origin.
+func kmeans(rows []float64, dim, k, iters int, seed uint64) []int {
+	if dim == 0 {
+		return nil
+	}
+	n := len(rows) / dim
 	assign := make([]int, n)
 	if n == 0 || k <= 1 {
 		return assign
@@ -336,42 +364,101 @@ func kmeans(rows [][]float64, k, iters int, seed uint64) []int {
 	if k > n {
 		k = n
 	}
+	row := func(i int) []float64 { return rows[i*dim : (i+1)*dim] }
 	rng := newSmallRNG(seed)
 
-	centers := make([][]float64, k)
-	first := int(rng.next() % uint64(n))
-	centers[0] = append([]float64(nil), rows[first]...)
-	minDist := make([]float64, n)
-	for i := range minDist {
-		minDist[i] = sqDist(rows[i], centers[0])
+	// The centres and their previous positions, the bounds, and per
+	// centre its size, its drift and half the distance to the nearest
+	// other centre.
+	f := make([]float64, 2*k*dim+n+n*k+3*k)
+	carve := func(m int) []float64 {
+		out := f[:m:m]
+		f = f[m:]
+		return out
 	}
-	for c := 1; c < k; c++ {
-		// Farthest point from current centers.
-		best, bestD := 0, -1.0
-		for i, d := range minDist {
-			if d > bestD {
-				best, bestD = i, d
+	centers, old := carve(k*dim), carve(k*dim)
+	upper, lower := carve(n), carve(n*k)
+	sizes, drift, half := carve(k), carve(k), carve(k)
+	center := func(c int) []float64 { return centers[c*dim : (c+1)*dim] }
+
+	first := int(rng.next() % uint64(n))
+	copy(center(0), row(first))
+	minDist := upper // free until the first scan
+	for c := 0; c < k; c++ {
+		if c > 0 {
+			// Farthest point from current centers.
+			best, bestD := 0, -1.0
+			for i, d := range minDist {
+				if d > bestD {
+					best, bestD = i, d
+				}
 			}
+			copy(center(c), row(best))
 		}
-		centers[c] = append([]float64(nil), rows[best]...)
-		for i := range minDist {
-			if d := sqDist(rows[i], centers[c]); d < minDist[i] {
-				minDist[i] = d
+		// (x−y)² is (y−x)², so the centre may stand on either side.
+		for i0 := 0; i0 < n; i0 += 4 {
+			var d [4]float64
+			sqDists(center(c), rows[i0*dim:min(i0+4, n)*dim], &d)
+			for i := i0; i < min(i0+4, n); i++ {
+				if d := d[i-i0]; c == 0 || d < minDist[i] {
+					minDist[i] = d
+				}
 			}
 		}
 	}
 
-	counts := make([]int, k)
+	// Every bound is off by far less than 1e-9 of the longest row (no
+	// distance between a row and a centre, an average of rows or the
+	// origin, exceeds twice that), and a 1e-9 gap keeps sqDist's order.
+	longest := 0.0
+	for i := 0; i < n; i++ {
+		norm := 0.0
+		for _, v := range row(i) {
+			norm += v * v
+		}
+		longest = max(longest, norm)
+	}
+	margin := 1e-9 * math.Sqrt(longest)
+
 	for iter := 0; iter < iters; iter++ {
 		changed := false
-		for i, row := range rows {
-			best, bestD := 0, math.Inf(1)
+		if iter > 0 {
+			// A row within half the distance from its centre to the nearest
+			// other one is nearer to its centre than to any other.
+			for c := range half {
+				half[c] = math.Inf(1)
+			}
 			for c := 0; c < k; c++ {
-				if d := sqDist(row, centers[c]); d < bestD {
-					best, bestD = c, d
+				for o := c + 1; o < k; o++ {
+					d := math.Sqrt(sqDist(center(c), center(o))) / 2
+					half[c], half[o] = min(half[c], d), min(half[o], d)
 				}
 			}
-			if assign[i] != best {
+		}
+		for i := 0; i < n; i++ {
+			x, a, low := row(i), assign[i], lower[i*k:(i+1)*k]
+			if iter > 0 && nearest(upper[i]+margin, half[a], a, low) {
+				continue
+			}
+			if iter > 0 {
+				upper[i] = math.Sqrt(sqDist(x, center(a)))
+				if nearest(upper[i]+margin, half[a], a, low) {
+					continue
+				}
+			}
+			best, bestD := 0, math.Inf(1)
+			for c0 := 0; c0 < k; c0 += 4 {
+				var d [4]float64
+				sqDists(x, centers[c0*dim:min(c0+4, k)*dim], &d)
+				for c := c0; c < min(c0+4, k); c++ {
+					if d := d[c-c0]; d < bestD {
+						best, bestD = c, d
+					}
+					low[c] = math.Sqrt(d[c-c0])
+				}
+			}
+			upper[i] = math.Sqrt(bestD)
+			if a != best {
 				assign[i] = best
 				changed = true
 			}
@@ -379,29 +466,78 @@ func kmeans(rows [][]float64, k, iters int, seed uint64) []int {
 		if !changed && iter > 0 {
 			break
 		}
-		for c := range centers {
-			for j := range centers[c] {
-				centers[c][j] = 0
-			}
-			counts[c] = 0
-		}
-		for i, row := range rows {
-			c := assign[i]
-			counts[c]++
-			for j, v := range row {
-				centers[c][j] += v
+		copy(old, centers)
+		clear(centers)
+		clear(sizes)
+		for i, c := range assign {
+			sizes[c]++
+			cc := center(c)
+			for j, v := range row(i) {
+				cc[j] += v
 			}
 		}
-		for c := range centers {
-			if counts[c] == 0 {
+		for c, size := range sizes {
+			if size == 0 {
 				continue
 			}
-			for j := range centers[c] {
-				centers[c][j] /= float64(counts[c])
+			cc := center(c)
+			for j := range cc {
+				cc[j] /= size
+			}
+		}
+		// The bounds follow the centres' moves.
+		for c := range drift {
+			drift[c] = math.Sqrt(sqDist(old[c*dim:(c+1)*dim], center(c)))
+		}
+		for i, a := range assign {
+			upper[i] += drift[a]
+			low := lower[i*k : (i+1)*k]
+			for c, d := range drift {
+				low[c] -= d
 			}
 		}
 	}
 	return assign
+}
+
+// nearest reports whether a row whose distance to centre a is below
+// upper, and to each centre c above low[c], is strictly nearer to a than
+// to any other centre; half is half the distance from a to the nearest
+// other centre.
+func nearest(upper, half float64, a int, low []float64) bool {
+	if upper < half {
+		return true
+	}
+	for c, l := range low {
+		if c != a && !(upper < l) {
+			return false
+		}
+	}
+	return true
+}
+
+// sqDists sets d[j] to sqDist(x, bs[j*len(x):(j+1)*len(x)]) for the up
+// to four rows in bs. The four sums are independent chains, each summed
+// in sqDist's order, so they match sqDist bit for bit and run side by
+// side.
+func sqDists(x, bs []float64, d *[4]float64) {
+	n := len(x)
+	if len(bs) < 4*n {
+		for j := 0; j < len(bs)/n; j++ {
+			d[j] = sqDist(x, bs[j*n:(j+1)*n])
+		}
+		return
+	}
+	b0, b1, b2, b3 := bs[:n], bs[n:2*n], bs[2*n:3*n], bs[3*n:4*n]
+	var s0, s1, s2, s3 float64
+	for i, v := range x {
+		e0, e1, e2, e3 := v-b0[i], v-b1[i], v-b2[i], v-b3[i]
+		s0 += e0 * e0
+		s1 += e1 * e1
+		s2 += e2 * e2
+		s3 += e3 * e3
+	}
+	*d = [4]float64{s0, s1, s2, s3}
 }
 
 func sqDist(a, b []float64) float64 {

@@ -90,7 +90,10 @@ func kmeansLloyd(rows [][]float64, k, iters int, seed uint64) []int {
 
 // kmeansOf runs kmeans on rows given as one slice per point.
 func kmeansOf(rows [][]float64, k, iters int, seed uint64) []int {
-	return kmeans(rows, k, iters, seed)
+	if len(rows) == 0 {
+		return []int{}
+	}
+	return kmeans(slices.Concat(rows...), len(rows[0]), k, iters, seed)
 }
 
 // kmeansInstance draws one clustering problem from seed. Its kinds cover

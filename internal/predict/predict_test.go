@@ -260,7 +260,7 @@ func TestKMeansSeparatesObviousClusters(t *testing.T) {
 		{0, 0}, {0.1, 0}, {0, 0.1},
 		{10, 10}, {10.1, 10}, {10, 10.1},
 	}
-	assign := kmeans(rows, 2, 20, 1)
+	assign := kmeansOf(rows, 2, 20, 1)
 	if assign[0] != assign[1] || assign[1] != assign[2] {
 		t.Errorf("first cluster split: %v", assign)
 	}
