@@ -19,6 +19,10 @@ type forecast struct {
 	grid         *ftoa.Grid
 	slots        *ftoa.Slotting
 	wPred, tPred []int // slots.Count × grid.NumCells(), slot-major
+
+	// What the boot spent loading the history and forecasting from it
+	// (both sides' series and HP-MSI), for the boot line.
+	loadTime, forecastTime time.Duration
 }
 
 // loadForecast trains on the -guide count history when cfg needs one — a
@@ -59,10 +63,12 @@ func trainCounts(r io.Reader, cfg Config) (*forecast, error) {
 	if err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
 	days, slots, areas, wCounts, tCounts, weather, err := ftoa.LoadCountsCSV(r)
 	if err != nil {
 		return nil, err
 	}
+	loaded := time.Now()
 	if days < 3 {
 		return nil, fmt.Errorf("count history has %d day(s); need >= 3 (HP-MSI trains on all but the last, forecasts the last)", days)
 	}
@@ -98,12 +104,14 @@ func trainCounts(r io.Reader, cfg Config) (*forecast, error) {
 		return nil, err
 	}
 	fc := &forecast{
-		grid:  ftoa.NewGrid(ftoa.NewRect(cfg.Bounds[0], cfg.Bounds[1], cfg.Bounds[2], cfg.Bounds[3]), cols, rows),
-		slots: slotting,
+		grid:     ftoa.NewGrid(ftoa.NewRect(cfg.Bounds[0], cfg.Bounds[1], cfg.Bounds[2], cfg.Bounds[3]), cols, rows),
+		slots:    slotting,
+		loadTime: loaded.Sub(t0),
 	}
 	if fc.wPred, fc.tPred, err = ftoa.Forecast(wSeries, tSeries, src); err != nil {
 		return nil, err
 	}
+	fc.forecastTime = time.Since(loaded)
 	return fc, nil
 }
 
@@ -199,9 +207,10 @@ func newAlgorithm(cfg Config, fc *forecast) (func() ftoa.Algorithm, error) {
 		if err != nil {
 			return nil, fmt.Errorf("building guide from %s: %w", cfg.GuidePath, err)
 		}
-		log.Printf("ftoa-serve: guide on %dx%d areas (history %dx%d), %d slots, %d pairs, build_ms=%.1f",
+		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+		log.Printf("ftoa-serve: guide on %dx%d areas (history %dx%d), %d slots, %d pairs, load_ms=%.1f forecast_ms=%.1f build_ms=%.1f",
 			g.Cfg.Grid.Cols, g.Cfg.Grid.Rows, fc.grid.Cols, fc.grid.Rows, g.Cfg.Slots.Count, g.MatchedPairs,
-			float64(time.Since(t0).Microseconds())/1e3)
+			ms(fc.loadTime), ms(fc.forecastTime), ms(time.Since(t0)))
 		// The guide is read-only: one instance is shared by every
 		// shard's algorithm.
 		switch cfg.Algorithm {
