@@ -108,28 +108,3 @@ func HopcroftKarp(nLeft, nRight int, adj [][]int32) (matchL, matchR []int32, siz
 	var m BipartiteMatcher
 	return m.Match(nLeft, nRight, adj)
 }
-
-// GreedyMatching computes a maximal (not maximum) matching by scanning left
-// vertices in order and taking the first free neighbour. It is a fast
-// lower-bound oracle used in tests and as a warm start.
-func GreedyMatching(nLeft, nRight int, adj [][]int32) (matchL, matchR []int32, size int) {
-	matchL = make([]int32, nLeft)
-	matchR = make([]int32, nRight)
-	for i := range matchL {
-		matchL[i] = -1
-	}
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	for u := 0; u < nLeft; u++ {
-		for _, v := range adj[u] {
-			if matchR[v] == -1 {
-				matchL[u] = v
-				matchR[v] = int32(u)
-				size++
-				break
-			}
-		}
-	}
-	return matchL, matchR, size
-}

@@ -467,48 +467,6 @@ func (g *Network) lift(q *preflow, u int32) {
 	}
 }
 
-// MaxFlowFordFulkerson computes max flow using the Edmonds–Karp variant
-// (BFS augmenting paths), the algorithm the paper cites for Algorithm 1.
-// It is kept as a cross-check oracle for the other solvers; the guide uses
-// MaxFlow.
-func (g *Network) MaxFlowFordFulkerson(s, t int) int64 {
-	if s == t {
-		return 0
-	}
-	g.index()
-	parentEdge := make([]int32, g.n)
-	queue := make([]int32, 0, g.n)
-	var total int64
-	for {
-		for i := range parentEdge {
-			parentEdge[i] = -1
-		}
-		queue = queue[:0]
-		queue = append(queue, int32(s))
-		parentEdge[s] = -2
-		found := false
-	bfs:
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			for _, id := range g.out(u) {
-				v := g.to[id]
-				if parentEdge[v] == -1 && g.res[id] > 0 {
-					parentEdge[v] = id
-					if int(v) == t {
-						found = true
-						break bfs
-					}
-					queue = append(queue, v)
-				}
-			}
-		}
-		if !found {
-			return total
-		}
-		total += int64(g.augment(parentEdge, s, t))
-	}
-}
-
 // augment pushes the bottleneck residual along the s-t path recorded in
 // parentEdge and returns it.
 func (g *Network) augment(parentEdge []int32, s, t int) int32 {
@@ -524,28 +482,6 @@ func (g *Network) augment(parentEdge []int32, s, t int) int32 {
 		v = g.to[id^1]
 	}
 	return bottleneck
-}
-
-// MinCutFromSource returns the set of nodes reachable from s in the residual
-// graph after a max-flow computation — the "canonical reachability min-cut"
-// the paper's Lemma 2 uses. reachable[v] is true iff v is on the source side.
-func (g *Network) MinCutFromSource(s int) []bool {
-	g.index()
-	reachable := make([]bool, g.n)
-	reachable[s] = true
-	stack := []int32{int32(s)}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range g.out(u) {
-			v := g.to[id]
-			if !reachable[v] && g.res[id] > 0 {
-				reachable[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return reachable
 }
 
 // MinCostMaxFlow computes a maximum flow of minimum total cost from s to t
