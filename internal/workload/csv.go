@@ -366,49 +366,44 @@ func (s *csvRows) countsRow() (day, slot, area, workers, tasks int, weather []by
 		s.off = 0
 	}
 	buf := s.win[s.off:]
-	var ints [5]int
-	p, f := 0, 0
+	p := 0
 	if s.prefix > 0 && len(buf) >= 8 && binary.LittleEndian.Uint64(buf)&s.prefixMask == s.prefixWord {
-		p, f = s.prefix, 2
-		ints[0], ints[1] = s.day, s.slot
-	}
-	for ; f < len(ints); f++ {
-		v, start := 0, p
-		for ; p < len(buf); p++ {
-			c := buf[p] - '0'
-			if c > 9 {
-				break
-			}
-			v = v*10 + int(c)
-		}
-		if digits := p - start; digits == 0 || digits > 18 || f < 3 && digits > 9 ||
-			p == len(buf) || buf[p] != ',' {
+		day, slot, p = s.day, s.slot, s.prefix
+	} else {
+		var ok1, ok2 bool
+		day, p, ok1 = scanInt(buf, 0, 9)
+		slot, p, ok2 = scanInt(buf, p, 9)
+		if !ok1 || !ok2 {
 			s.unread()
-			return
+			return 0, 0, 0, 0, 0, nil, false
 		}
-		ints[f] = v
-		p++
-		if f == 1 {
-			s.prefix = 0
-			if p <= 8 && len(buf) >= 8 {
-				s.prefix, s.day, s.slot = p, ints[0], ints[1]
-				s.prefixMask = ^uint64(0) >> (64 - 8*p)
-				s.prefixWord = binary.LittleEndian.Uint64(buf) & s.prefixMask
-			}
+		s.prefix = 0
+		if p <= 8 && len(buf) >= 8 {
+			s.prefix, s.day, s.slot = p, day, slot
+			s.prefixMask = ^uint64(0) >> (64 - 8*p)
+			s.prefixWord = binary.LittleEndian.Uint64(buf) & s.prefixMask
 		}
+	}
+	var ok3, ok4, ok5 bool
+	area, p, ok3 = scanInt(buf, p, 9)
+	workers, p, ok4 = scanInt(buf, p, 18)
+	tasks, p, ok5 = scanInt(buf, p, 18)
+	if !ok3 || !ok4 || !ok5 {
+		s.unread()
+		return 0, 0, 0, 0, 0, nil, false
 	}
 	// The weather field is read as one 8-byte word: its first \n, comma,
 	// quote or \r must be a \n.
 	if p+8 > len(buf) {
 		s.unread()
-		return
+		return 0, 0, 0, 0, 0, nil, false
 	}
 	x := binary.LittleEndian.Uint64(buf[p:])
 	stop := zeroByte(x^'\n'*ones) | zeroByte(x^','*ones) | zeroByte(x^'"'*ones) | zeroByte(x^'\r'*ones)
 	n := bits.TrailingZeros64(stop) / 8
 	if n == 8 || buf[p+n] != '\n' {
 		s.unread()
-		return
+		return 0, 0, 0, 0, 0, nil, false
 	}
 	s.off += p + n + 1
 	s.line++
@@ -417,7 +412,22 @@ func (s *csvRows) countsRow() (day, slot, area, workers, tasks int, weather []by
 		s.weatherKey = key
 		weather = buf[p : p+n]
 	}
-	return ints[0], ints[1], ints[2], ints[3], ints[4], weather, true
+	return day, slot, area, workers, tasks, weather, true
+}
+
+// scanInt sums the 1 to most digits at buf[p:] and steps over the comma
+// that must end them.
+func scanInt(buf []byte, p, most int) (v, next int, ok bool) {
+	start := p
+	for ; p < len(buf); p++ {
+		c := buf[p] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + int(c)
+	}
+	ok = p > start && p-start <= most && p < len(buf) && buf[p] == ','
+	return v, p + 1, ok
 }
 
 // forgetWeather makes the next countsRow return its weather field: the
