@@ -139,18 +139,13 @@ func (h *HPMSI) buildAggregates() {
 	k := h.nClusters
 	// One allocation holds every aggregate.
 	slab := make([]float64, (7+1+weatherBins+s.Days)*s.Slots*k+2*s.Slots*s.Areas)
-	carve := func(n int) []float64 {
-		out := slab[:n:n]
-		slab = slab[n:]
-		return out
-	}
-	h.clusterHA = carve(7 * s.Slots * k)
+	h.clusterHA = carve(&slab, 7*s.Slots*k)
 	h.haCount = [7]int{}
-	h.clusterProfile = carve(s.Slots * k)
-	h.weatherMean = carve(weatherBins * s.Slots * k)
+	h.clusterProfile = carve(&slab, s.Slots*k)
+	h.weatherMean = carve(&slab, weatherBins*s.Slots*k)
 	h.weatherCount = make([]int, weatherBins*s.Slots)
 	// Cluster totals for every observed (day, slot), full series.
-	h.clusterCounts = carve(s.Days * s.Slots * k)
+	h.clusterCounts = carve(&slab, s.Days*s.Slots*k)
 	for ds := 0; ds < s.Days*s.Slots; ds++ {
 		row := h.clusterCounts[ds*k:][:k]
 		for a, v := range s.counts[ds*s.Areas:][:s.Areas] {
@@ -158,7 +153,7 @@ func (h *HPMSI) buildAggregates() {
 		}
 	}
 	// Accumulate training aggregates.
-	areaSum := carve(s.Slots * s.Areas) // per (slot, area) mean numerator
+	areaSum := carve(&slab, s.Slots*s.Areas) // per (slot, area) mean numerator
 	for d := 0; d < h.trainDays; d++ {
 		dow := s.DayOfWeek(d)
 		h.haCount[dow]++
@@ -202,7 +197,7 @@ func (h *HPMSI) buildAggregates() {
 		}
 	}
 	// Area shares within cluster per slot, Laplace-smoothed.
-	h.shares = carve(s.Slots * s.Areas)
+	h.shares = carve(&slab, s.Slots*s.Areas)
 	clusterSize := make([]int, k)
 	for _, c := range h.assign {
 		clusterSize[c]++
@@ -371,14 +366,9 @@ func kmeans(rows []float64, dim, k, iters int, seed uint64) []int {
 	// centre its size, its drift and half the distance to the nearest
 	// other centre.
 	f := make([]float64, 2*k*dim+n+n*k+3*k)
-	carve := func(m int) []float64 {
-		out := f[:m:m]
-		f = f[m:]
-		return out
-	}
-	centers, old := carve(k*dim), carve(k*dim)
-	upper, lower := carve(n), carve(n*k)
-	sizes, drift, half := carve(k), carve(k), carve(k)
+	centers, old := carve(&f, k*dim), carve(&f, k*dim)
+	upper, lower := carve(&f, n), carve(&f, n*k)
+	sizes, drift, half := carve(&f, k), carve(&f, k), carve(&f, k)
 	center := func(c int) []float64 { return centers[c*dim : (c+1)*dim] }
 
 	first := int(rng.next() % uint64(n))
@@ -514,6 +504,13 @@ func nearest(upper, half float64, a int, low []float64) bool {
 		}
 	}
 	return true
+}
+
+// carve cuts the next n values off *slab.
+func carve(slab *[]float64, n int) []float64 {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
 }
 
 // sqDists sets d[j] to sqDist(x, bs[j*len(x):(j+1)*len(x)]) for the up
