@@ -446,14 +446,11 @@ func (s *csvRows) unread() {
 	s.win, s.off = nil, 0
 }
 
-// rowsHint bounds how many history rows r has left from its size, when r
-// can tell it: a valid row takes at least 12 bytes ("0,0,0,0,0,0\n"). It
-// returns 0 when r cannot tell, and caps what it trusts a size for.
-func rowsHint(r io.Reader) int {
-	var size int64
+// remaining is how many bytes r has left to read, or 0 when r cannot tell.
+func remaining(r io.Reader) int64 {
 	switch r := r.(type) {
 	case interface{ Len() int }: // strings.Reader, bytes.Reader, bytes.Buffer
-		size = int64(r.Len())
+		return int64(r.Len())
 	case *os.File:
 		fi, err := r.Stat()
 		if err != nil || !fi.Mode().IsRegular() {
@@ -463,10 +460,29 @@ func rowsHint(r io.Reader) int {
 		if err != nil {
 			return 0
 		}
-		size = fi.Size() - off
+		return max(fi.Size()-off, 0)
 	}
-	return int(min(max(size, 0)/12+1, 1<<20))
+	return 0
 }
+
+// left is how many bytes of r the rows have not consumed yet — what r has
+// left plus what the rows hold in their buffer — or 0 when r cannot tell.
+func (s *csvRows) left(r io.Reader) int64 {
+	n := remaining(r)
+	if n == 0 {
+		return 0
+	}
+	return n + int64(s.br.Buffered()-s.off)
+}
+
+// rowsHint bounds how many history rows a file has in its last size
+// bytes: a valid row takes at least 12 bytes ("0,0,0,0,0,0\n"). It caps
+// what it trusts a size for.
+func rowsHint(size int64) int { return int(min(size/12+1, 1<<20)) }
+
+// firstSlotRows is what LoadCountsCSV reserves before the first slot ends
+// and tells it how long the file's rows are.
+const firstSlotRows = 1 << 10
 
 // cellOrder follows the order ftoa-gen writes a history in: every (day,
 // slot, area) cell once, row-major from (0, 0, 0), so that row i is the
@@ -550,7 +566,7 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 	fail := func(format string, args ...any) (int, int, int, []int, []int, []float64, error) {
 		return 0, 0, 0, nil, nil, nil, fmt.Errorf("workload: "+format, args...)
 	}
-	hint := rowsHint(r)
+	hint := rowsHint(remaining(r))
 	rows := newCSVRows(r, 6)
 	if err := rows.next(); err != nil {
 		return fail("reading CSV header: %w", err)
@@ -558,7 +574,11 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 	if string(rows.field(0)) != "day" {
 		return fail("unexpected CSV header %v", rows.strings())
 	}
-	workers, tasks = make([]int, 0, hint), make([]int, 0, hint)
+	// hint assumes the shortest rows there are; ftoa-gen writes about 16.6
+	// bytes a row. The tensors get a first slot's worth now and are sized
+	// for the rest once its rows tell their length.
+	body := rows.left(r)
+	workers, tasks = make([]int, 0, min(hint, firstSlotRows)), make([]int, 0, min(hint, firstSlotRows))
 	var (
 		order cellOrder
 		moved []movedRow // from the first row out of order on
@@ -609,10 +629,20 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 		switch {
 		case moved == nil && order.next(d, s, a):
 			// In order, a slot starts with area 0, and the first slot's
-			// rows tell how many slots the hint has room for.
+			// rows tell how many rows and slots are left.
 			if a == 0 {
 				if len(weather) == 1 {
-					weather = slices.Grow(weather, hint/(len(workers)-1))
+					want := hint
+					if rest := rows.left(r); rest > 0 && body > rest {
+						// At the rows read so far's bytes per row, plus an
+						// eighth for later rows' longer slot and day fields.
+						per := float64(body-rest) / float64(len(workers))
+						want = min(hint, len(workers)+int(float64(rest)/per*9/8)+1)
+					}
+					want = max(want, len(workers))
+					workers = slices.Grow(workers, want-len(workers))
+					tasks = slices.Grow(tasks, want-len(tasks))
+					weather = slices.Grow(weather, want/(len(workers)-1))
 				}
 				weather = append(weather, wx)
 			} else {
