@@ -10,6 +10,7 @@
 package ftoa_test
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -581,6 +582,99 @@ func BenchmarkShardRouter4x4Stream(b *testing.B) { benchRouterStream(b, 4, 4, 0)
 func BenchmarkShardRouterHalo4x4(b *testing.B) {
 	cfg := ftoa.DefaultSynthetic()
 	benchRouterStream(b, 4, 4, ftoa.HaloForWindow(cfg.Velocity, cfg.TaskExpiry)/4)
+}
+
+// BenchmarkShardRouterHaloHotspot is the halo-hotspot workload of
+// benchmark/ in process, without the wire: a 4×4 Strict greedy router with
+// Halo = Dr·v and a 5 s retirement takes 40 000 arrivals at 8 000/s of
+// simulated time, 80 % of them in the central 10 % square, where four
+// regions meet. It names the halo's layer: ns/arrival, ghosts/arrival
+// (mirrored copies per arrival), matched, B/op, and peak-live-MB — the
+// largest live heap, read after a collection every 4 000 arrivals, over
+// the heap before the router was built. The nohalo case is the floor.
+func BenchmarkShardRouterHaloHotspot(b *testing.B) {
+	const (
+		arrivals = 40000
+		rate     = 8000.0
+		side     = 100.0
+		velocity = 2.0
+		patience = 4.0
+		expiry   = 2.0
+	)
+	rng := rand.New(rand.NewSource(4141))
+	type arrival struct {
+		x, y   float64
+		worker bool
+	}
+	load := make([]arrival, arrivals)
+	for i := range load {
+		a := &load[i]
+		if rng.Float64() < 0.8 {
+			a.x, a.y = side/2+(rng.Float64()-0.5)*side*0.1, side/2+(rng.Float64()-0.5)*side*0.1
+		} else {
+			a.x, a.y = rng.Float64()*side, rng.Float64()*side
+		}
+		a.worker = rng.Intn(2) == 0
+	}
+	for _, c := range []struct {
+		name string
+		halo float64
+	}{{"halo", ftoa.HaloForWindow(velocity, expiry)}, {"nohalo", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			var ms runtime.MemStats
+			heap := func() float64 {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return float64(ms.HeapAlloc)
+			}
+			var matched, ghosts int
+			var peak float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				base := heap()
+				router, err := ftoa.NewShardRouter(ftoa.ShardConfig{
+					Matcher:        ftoa.MatcherConfig{Mode: ftoa.Strict, Velocity: velocity, Bounds: ftoa.NewRect(0, 0, side, side)},
+					Cols:           4,
+					Rows:           4,
+					Halo:           c.halo,
+					NewAlgorithm:   func() ftoa.Algorithm { return ftoa.NewSimpleGreedy() },
+					RetireInterval: 5,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for j, a := range load {
+					at, loc := float64(j)/rate, ftoa.Pt(a.x, a.y)
+					if a.worker {
+						_, _, err = router.AddWorker(ftoa.Worker{ID: j, Loc: loc, Arrive: at, Patience: patience})
+					} else {
+						_, _, err = router.AddTask(ftoa.Task{ID: j, Loc: loc, Release: at, Expiry: expiry})
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					if (j+1)%4000 == 0 {
+						b.StopTimer()
+						peak = max(peak, heap()-base)
+						b.StartTimer()
+					}
+				}
+				router.Finish()
+				b.StopTimer()
+				tot := router.Totals()
+				matched, ghosts = tot.Matches, tot.GhostWorkers+tot.GhostTasks
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/arrivals, "ns/arrival")
+			b.ReportMetric(float64(ghosts)/arrivals, "ghosts/arrival")
+			b.ReportMetric(float64(matched), "matched")
+			b.ReportMetric(peak/(1<<20), "peak-live-MB")
+		})
+	}
 }
 
 // BenchmarkAdmitterHandoff prices the layer between the wire decoder and
