@@ -42,6 +42,9 @@ func NewHybrid(g *guide.Guide) *Hybrid {
 // Name implements sim.Algorithm.
 func (a *Hybrid) Name() string { return "POLAR-OP+G" }
 
+// DispatchesWorkers implements sim.DispatchingAlgorithm.
+func (a *Hybrid) DispatchesWorkers() {}
+
 // FallbackMatches reports how many commits came from the greedy fallback
 // in the last run — the "guide miss" rate the extension recovers.
 func (a *Hybrid) FallbackMatches() int { return a.fallbackMatches }

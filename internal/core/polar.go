@@ -33,6 +33,9 @@ func NewPOLAR(g *guide.Guide) *POLAR { return &POLAR{g: g} }
 // Name implements sim.Algorithm.
 func (a *POLAR) Name() string { return "POLAR" }
 
+// DispatchesWorkers implements sim.DispatchingAlgorithm.
+func (a *POLAR) DispatchesWorkers() {}
+
 // Init implements sim.Algorithm.
 func (a *POLAR) Init(p sim.Platform) {
 	a.p = p

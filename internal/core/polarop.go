@@ -108,6 +108,9 @@ func NewPOLAROP(g *guide.Guide) *POLAROP { return &POLAROP{g: g} }
 // Name implements sim.Algorithm.
 func (a *POLAROP) Name() string { return "POLAR-OP" }
 
+// DispatchesWorkers implements sim.DispatchingAlgorithm.
+func (a *POLAROP) DispatchesWorkers() {}
+
 // Init implements sim.Algorithm.
 func (a *POLAROP) Init(p sim.Platform) {
 	a.p = p

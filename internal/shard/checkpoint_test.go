@@ -87,7 +87,7 @@ func TestTotalsSurviveMigration(t *testing.T) {
 		if after := r.Totals(); !reattemptsOnly(before, after) {
 			t.Fatalf("%s moved the lifetime totals:\n got %+v\nwant %+v", label, after, before)
 		}
-		if before.Matches == 0 || before.GhostWorkers == 0 {
+		if before.Matches == 0 || before.GhostTasks == 0 || before.GhostWorkers != 0 {
 			t.Fatalf("%s: degenerate totals %+v", label, before)
 		}
 		if w, m := sumStats(r); w >= before.Workers || m >= before.Matches {

@@ -1,29 +1,28 @@
-// Halo arbitration — the machinery that lets border objects exist in
+// Halo arbitration — the machinery that lets a border task exist in
 // several shard sessions at once without ever being matched twice.
 //
-// A border admission (see Placement) is admitted to its owner shard and
-// mirrored as a *ghost* into every reachable neighbor session. All copies
-// of one logical object share a single immutable mirror record carrying
-// an atomic claim word; whichever session wants to commit a match (or, in
-// Strict mode, report the owner copy's expiry) must win the claim first:
+// Only tasks are mirrored (side.go, reach). A border task is admitted to its
+// owner shard and, when its own arrival leaves it unmatched, mirrored as a
+// *ghost* into every neighbor session within its reach. All copies of one
+// task share a single mirror record carrying an atomic claim word; whichever
+// session wants to commit the task (or, in Strict mode, report the owner
+// copy's expiry, or withdraw it) must win the claim first:
 //
-//   - every shard session runs with a sim CommitGate: a TryMatch whose
-//     endpoints include mirrored objects only commits after
-//     claim-CASing each of their records free→matched. Losing any CAS
-//     vetoes the commit — the session never records the pair, the
-//     algorithm sees an ordinary platform refusal, and whatever copy won
-//     elsewhere stands. The protocol is owner-commits-wins in the
-//     deterministic single-writer order: claims are resolved in commit
-//     order, and an owner-side commit permanently bars every ghost.
+//   - every shard session runs with a sim CommitGate: a TryMatch whose task
+//     is mirrored only commits after one CAS of its record from free to
+//     matched. Losing the CAS vetoes the commit — the session never records
+//     the pair, the algorithm sees an ordinary platform refusal, and
+//     whatever copy won elsewhere stands. A worker is never mirrored, so a
+//     pair has at most one claim word to win and the gate holds nothing
+//     while it takes it.
 //   - the winning shard's event collection then rewrites the committed
-//     match to the endpoints' owner identities (see Event.WorkerShard /
-//     TaskShard) — so the merged stream reports each logical match
-//     exactly once, under its home addresses — and enqueues a retraction
-//     of every losing copy.
+//     match's task to its owner identity (see Event.TaskShard) — so the
+//     merged stream reports each logical match exactly once, under its home
+//     address — and enqueues a retraction of every losing copy.
 //
 // Retractions ride a per-shard pending queue (its own leaf mutex, so the
 // winner never takes another shard's session lock while holding its own)
-// and are applied under the target shard's lock via Session.Withdraw*,
+// and are applied under the target shard's lock via Session.WithdrawTask,
 // which silences the copy's expiry and hands it to the next retirement.
 // Ghost handle tables (gid → current session handle) are remapped through
 // retirement by the session's OnRetire hook, so retractions stay
@@ -31,120 +30,78 @@
 package shard
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"ftoa/internal/sim"
 )
 
-// Claim states of a mirror record. claimPending is transient: it exists
-// only for the instruction window in which a gate holds one endpoint
-// while CASing the other, and every reader spins past it (settle).
+// Claim states of a mirror record. Every transition is one CAS out of
+// claimFree, so a state other than free is final. A commit records whether
+// it came while the task's window was still open (claimMatched) or after it
+// (claimLate, AssumeGuide only): the owner's expiry is suppressed by the
+// former alone, as a single session would suppress it.
 const (
 	claimFree uint32 = iota
-	claimPending
 	claimMatched
+	claimLate
 	claimExpired
 )
 
-// mirror is the shared arbitration record of one halo-mirrored object.
-// Everything except the claim word (and commitAt, published through it)
-// is immutable after construction, which is what makes the record safe to
-// read from any shard without locks.
+// mirror is the shared arbitration record of one halo-mirrored task.
+// Everything except the claim word is immutable once the record is shared
+// (recovery fills deadline in while it replays), which is what makes it
+// safe to read from any shard without locks.
 type mirror struct {
 	state atomic.Uint32
-	// commitAt is the winning commit's session time, written before state
-	// becomes claimMatched and read only after observing that state.
-	commitAt float64
-	gid      uint64
-	side     side  // which kind the object is
-	owner    int32 // owning shard
+	owner int32 // owning shard
 	// ownerLocal is the owner session's handle at admission — the same
-	// receipt Handle.Local reports, used as the object's home identity in
+	// receipt Handle.Local reports, used as the task's home identity in
 	// merged events. Like any receipt it is only epoch-stable; with
 	// retirement on it names the admission, not a live arena slot.
 	ownerLocal int32
+	// deadline is the task's deadline as its owner session stamped it.
+	deadline float64
+	gid      uint64
 	// copies lists every shard holding a copy, owner first.
 	copies []int32
 }
 
-// tryClaim attempts to take the record for a commit in flight.
-func (m *mirror) tryClaim() bool { return m.state.CompareAndSwap(claimFree, claimPending) }
-
-// release returns a pending claim after the paired endpoint was lost.
-func (m *mirror) release() { m.state.Store(claimFree) }
-
-// commit settles a pending claim as matched at session time `at`.
-func (m *mirror) commit(at float64) {
-	m.commitAt = at
-	m.state.Store(claimMatched)
-}
-
-// settle returns the record's stable claim state, spinning past the
-// transient pending window (a handful of lock-free instructions on the
-// claiming shard's goroutine).
-func (m *mirror) settle() uint32 {
-	for {
-		s := m.state.Load()
-		if s != claimPending {
-			return s
-		}
-		runtime.Gosched()
+// commitState is the claim state a commit at session time now leaves.
+func (m *mirror) commitState(now float64) uint32 {
+	if taskSide.closedAt(m.deadline, now) {
+		return claimLate
 	}
+	return claimMatched
 }
 
-// claimExpiry resolves the owner copy's deadline against the claim word:
-// it returns claimExpired if this expiry now owns the object (no copy
-// matched it first), or claimMatched if a commit won the race.
-func (m *mirror) claimExpiry() uint32 {
-	for {
-		switch s := m.settle(); s {
-		case claimFree:
-			if m.state.CompareAndSwap(claimFree, claimExpired) {
-				return claimExpired
-			}
-		default:
-			return s
-		}
-	}
-}
-
-// pendingWithdraw is one queued retraction: the copy of the object with
-// this gid held by the queue's shard must be withdrawn.
-type pendingWithdraw struct {
-	gid  uint64
-	side side
-}
-
-// haloState is the per-shard half of the arbitration: per side, a dense
-// handle→record table for every mirrored copy this shard holds and the
+// haloState is the per-shard half of the arbitration: a dense
+// handle→record table for every mirrored task copy this shard holds and the
 // gid→handle resolution map retractions address copies by; and the pending
-// retraction queue. The tables and maps are guarded by the shard's
+// retraction queue (of gids). The table and map are guarded by the shard's
 // session lock; the queue by its own leaf mutex so other shards can feed
 // it without ordering against session locks.
 type haloState struct {
-	ref   [2][]*mirror // by side, then current handle; nil = unmirrored
-	byGid [2]map[uint64]int32
+	ref   []*mirror // by current task handle; nil = unmirrored
+	byGid map[uint64]int32
 
 	pwMu       sync.Mutex
-	pending    []pendingWithdraw
-	pendingApp []pendingWithdraw // drain scratch, swapped under pwMu
+	pending    []uint64
+	pendingApp []uint64 // drain scratch, swapped under pwMu
 	hasPending atomic.Bool
 
-	// Stats, owned by the shard lock. ghost counts, by side, the mirrored
-	// copies admitted here; suppressedExp the expiry events dropped because
-	// the object's lifecycle concluded elsewhere (they correct the session's
-	// own expiry counters); claimsLost counts commits vetoed by the
-	// arbitration; borderMatches counts commits involving >=1 mirrored
-	// endpoint.
-	ghost, suppressedExp [2]int
+	// Stats, owned by the shard lock. ghost counts the mirrored task copies
+	// admitted here; suppressedExp the task expiry events dropped because
+	// the task's lifecycle concluded elsewhere (they correct the session's
+	// own expiry counter); claimsLost counts commits vetoed by the
+	// arbitration; borderMatches counts commits of a mirrored task.
+	ghost, suppressedExp int
 	claimsLost           int
 	borderMatches        int
 }
 
-// refAt returns the mirror record behind a handle, nil when the handle is
-// unmirrored (or beyond the table, which only grows for mirrored copies).
+// refAt returns the mirror record behind a task handle, nil when the handle
+// is unmirrored (or beyond the table, which only grows for mirrored copies).
 func refAt(refs []*mirror, h int) *mirror {
 	if h >= 0 && h < len(refs) {
 		return refs[h]
@@ -152,38 +109,47 @@ func refAt(refs []*mirror, h int) *mirror {
 	return nil
 }
 
-// putRef registers a mirrored copy at handle h of its side, growing the
-// dense table. Callers hold the shard lock.
-func (si *shardInstance) putRef(sd side, h int, rec *mirror) {
-	refs := si.halo.ref[sd]
+// recOf returns the mirror record behind handle h of side sd: nil for a
+// worker, which is never mirrored.
+func (si *shardInstance) recOf(sd side, h int) *mirror {
+	if !sd.mirrored() {
+		return nil
+	}
+	return refAt(si.halo.ref, h)
+}
+
+// putRef registers a mirrored task copy at handle h, growing the dense
+// table. Callers hold the shard lock.
+func (si *shardInstance) putRef(h int, rec *mirror) {
+	refs := si.halo.ref
 	for len(refs) <= h {
 		refs = append(refs, nil)
 	}
 	refs[h] = rec
-	si.halo.ref[sd] = refs
-	si.halo.byGid[sd][rec.gid] = int32(h)
+	si.halo.ref = refs
+	si.halo.byGid[rec.gid] = int32(h)
 }
 
 // dropRef unregisters a copy (withdrawal applied, or admission rolled
 // back). Callers hold the shard lock.
-func (si *shardInstance) dropRef(sd side, h int, rec *mirror) {
-	si.halo.ref[sd][h] = nil
-	delete(si.halo.byGid[sd], rec.gid)
+func (si *shardInstance) dropRef(h int, rec *mirror) {
+	si.halo.ref[h] = nil
+	delete(si.halo.byGid, rec.gid)
 }
 
-// enqueueWithdraw queues a retraction for this shard. Safe to call from
-// any goroutine, including ones holding other shards' session locks: the
-// pending queue's mutex is a leaf.
-func (si *shardInstance) enqueueWithdraw(pw pendingWithdraw) {
+// enqueueWithdraw queues the retraction of this shard's copy of gid. Safe
+// to call from any goroutine, including ones holding other shards' session
+// locks: the pending queue's mutex is a leaf.
+func (si *shardInstance) enqueueWithdraw(gid uint64) {
 	si.halo.pwMu.Lock()
-	si.halo.pending = append(si.halo.pending, pw)
+	si.halo.pending = append(si.halo.pending, gid)
 	si.halo.hasPending.Store(true)
 	si.halo.pwMu.Unlock()
 }
 
 // drainPendingLocked applies every queued retraction to this shard's
 // session. Callers hold the shard lock. Retractions are idempotent and
-// tolerate missing copies: a gid absent from the maps was never admitted
+// tolerate missing copies: a gid absent from the map was never admitted
 // here (the claim settled before the ghost admission) or already left
 // through withdrawal or retirement.
 func (si *shardInstance) drainPendingLocked() {
@@ -194,30 +160,30 @@ func (si *shardInstance) drainPendingLocked() {
 	si.halo.pending, si.halo.pendingApp = si.halo.pendingApp[:0], si.halo.pending
 	si.halo.hasPending.Store(false)
 	si.halo.pwMu.Unlock()
-	for _, pw := range si.halo.pendingApp {
-		si.applyWithdrawLocked(pw)
+	for _, gid := range si.halo.pendingApp {
+		si.applyWithdrawLocked(gid)
 	}
 }
 
-// applyWithdrawLocked retracts one copy by gid under the shard lock. The
-// ref and gid entries are dropped only when the session accepted the
+// applyWithdrawLocked retracts one task copy by gid under the shard lock.
+// The ref and gid entries are dropped only when the session accepted the
 // withdrawal: a refusal means this copy is the one that MATCHED — the
 // claim's winner, which can receive a (redundant) retraction from
-// ghostLocked's post-admission re-check — and its ref must survive
-// so collectLocked keeps recognising the copy's later deadline as a
-// ghost/mirrored expiry. Matched copies' entries are reclaimed by
-// retirement instead.
-func (si *shardInstance) applyWithdrawLocked(pw pendingWithdraw) {
+// ghostLocked's post-admission re-check — and its ref must survive so
+// collectLocked keeps recognising the copy's later deadline as a
+// mirrored expiry. Matched copies' entries are reclaimed by retirement
+// instead.
+func (si *shardInstance) applyWithdrawLocked(gid uint64) {
 	// Recorded unconditionally (whether the copy is found and whether the
 	// session accepts are both deterministic given the shard's op stream,
 	// so replay resolves them identically) — and before the mutation, as
 	// its own single-record group.
 	if si.wal != nil {
-		si.wal.opWithdraw(pw)
+		si.wal.opWithdraw(gid)
 	}
-	if h, ok := si.halo.byGid[pw.side][pw.gid]; ok {
-		if rec := si.halo.ref[pw.side][h]; pw.side.withdraw(si.sess, int(h)) {
-			si.dropRef(pw.side, int(h), rec)
+	if h, ok := si.halo.byGid[gid]; ok {
+		if rec := si.halo.ref[h]; taskSide.withdraw(si.sess, int(h)) {
+			si.dropRef(int(h), rec)
 		}
 	}
 }
@@ -229,10 +195,9 @@ func (si *shardInstance) applyWithdrawLocked(pw pendingWithdraw) {
 // which, during a migration, may be the not-yet-published successor.
 func (r *Router) retractLosers(ts *topoState, rec *mirror, winner int) {
 	for _, cs := range rec.copies {
-		if int(cs) == winner {
-			continue
+		if int(cs) != winner {
+			ts.shards[cs].enqueueWithdraw(rec.gid)
 		}
-		ts.shards[cs].enqueueWithdraw(pendingWithdraw{gid: rec.gid, side: rec.side})
 	}
 }
 
@@ -256,57 +221,43 @@ func (r *Router) applyPending(ts *topoState) {
 }
 
 // gate is the sim CommitGate of one shard session: it arbitrates commits
-// whose endpoints are mirrored. Runs inside TryMatch under the shard's
-// session lock; it takes no locks itself, so claim resolution can never
-// deadlock with another shard's gate.
-func (si *shardInstance) gate(w, t int, now float64) bool {
-	rw := refAt(si.halo.ref[workerSide], w)
-	rt := refAt(si.halo.ref[taskSide], t)
-	if rw == nil && rt == nil {
-		return true // both endpoints purely local: nothing to arbitrate
+// whose task is mirrored with one CAS of its claim word. Runs inside
+// TryMatch under the shard's session lock; it takes no locks itself, so
+// claim resolution can never deadlock with another shard's gate. The
+// verdict — the state the commit left, or claimFree for a veto — is
+// recorded, and replay stands it in for the race.
+func (si *shardInstance) gate(_, t int, now float64) bool {
+	rec := refAt(si.halo.ref, t)
+	if rec == nil {
+		return true // a purely local task: nothing to arbitrate
 	}
+	var verdict uint32
 	if si.rep != nil {
-		return si.replayGate(rw, rt, now)
-	}
-	ok := si.gateLive(rw, rt, now)
-	if si.wal != nil {
-		si.wal.recGate(ok)
-	}
-	return ok
-}
-
-// gateLive is the runtime claim arbitration behind gate; the verdict is
-// recorded so replay can stand in for the race (replayGate).
-func (si *shardInstance) gateLive(rw, rt *mirror, now float64) bool {
-	if rw != nil && !rw.tryClaim() {
-		si.halo.claimsLost++
-		return false
-	}
-	if rt != nil && !rt.tryClaim() {
-		if rw != nil {
-			rw.release()
+		if verdict = si.rep.popGate(); verdict != claimFree {
+			rec.state.Store(verdict)
 		}
+	} else {
+		if s := rec.commitState(now); rec.state.CompareAndSwap(claimFree, s) {
+			verdict = s
+		}
+		if si.wal != nil {
+			si.wal.recGate(verdict)
+		}
+	}
+	if verdict == claimFree {
 		si.halo.claimsLost++
 		return false
-	}
-	if rw != nil {
-		rw.commit(now)
-	}
-	if rt != nil {
-		rt.commit(now)
 	}
 	return true
 }
 
 // onRetire is the session OnRetire hook of one shard: it pushes the
-// retirement's old→new handle tables through the halo's dense ref tables
-// and gid maps, dropping retired copies, so retractions and gates keep
-// resolving across arena epochs. Runs inside Session.Retire under the
+// retirement's old→new task handle table through the halo's dense ref
+// table and gid map, dropping retired copies, so retractions and gates
+// keep resolving across arena epochs. Runs inside Session.Retire under the
 // shard lock.
-func (si *shardInstance) onRetire(wmap, tmap []int32) {
-	for sd, m := range [...][]int32{workerSide: wmap, taskSide: tmap} {
-		si.halo.ref[sd], si.halo.byGid[sd] = remapRefs(si.halo.ref[sd], m, si.halo.byGid[sd])
-	}
+func (si *shardInstance) onRetire(_, tmap []int32) {
+	si.halo.ref, si.halo.byGid = remapRefs(si.halo.ref, tmap, si.halo.byGid)
 }
 
 // remapRefs rewrites a dense ref table in place through a retirement

@@ -411,22 +411,14 @@ func TestRouterHaloRetirement(t *testing.T) {
 	if epochs == 0 {
 		t.Fatal("no retirements happened; interval too long for the instance")
 	}
-	// Every halo table entry must point at a live, correctly-typed arena
-	// slot after all the compaction.
+	// Every halo table entry must point at a live task slot after all the
+	// compaction.
 	for _, si := range r.state().shards {
-		for gid, h := range si.halo.byGid[workerSide] {
-			if int(h) >= si.sess.NumWorkers() {
-				t.Fatalf("shard %d: gid %d maps to worker %d beyond live arena %d", si.id, gid, h, si.sess.NumWorkers())
-			}
-			if refAt(si.halo.ref[workerSide], int(h)) == nil {
-				t.Fatalf("shard %d: gid %d handle %d has no ref", si.id, gid, h)
-			}
-		}
-		for gid, h := range si.halo.byGid[taskSide] {
+		for gid, h := range si.halo.byGid {
 			if int(h) >= si.sess.NumTasks() {
 				t.Fatalf("shard %d: gid %d maps to task %d beyond live arena %d", si.id, gid, h, si.sess.NumTasks())
 			}
-			if refAt(si.halo.ref[taskSide], int(h)) == nil {
+			if refAt(si.halo.ref, int(h)) == nil {
 				t.Fatalf("shard %d: gid %d handle %d has no ref", si.id, gid, h)
 			}
 		}
@@ -488,14 +480,14 @@ func TestRouterHaloRetirementReleasesBurst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final = cap(retiring.state().shards[0].halo.ref[workerSide])
+		final = cap(retiring.state().shards[0].halo.ref)
 		peak = max(peak, final)
 	}
 	retiring.Finish()
 	gotEvs := allEvents(t, retiring)
 	gotStats := retiring.StatsAll(nil)
 	if peak < burst/4 || final >= peak/2 {
-		t.Fatalf("shard 0 worker ref table: capacity %d at the burst, %d at the end", peak, final)
+		t.Fatalf("shard 0 task ref table: capacity %d at the burst, %d at the end", peak, final)
 	}
 
 	// Handles are epoch-scoped receipts, so events are compared on what
@@ -522,18 +514,13 @@ func TestRouterHaloRetirementReleasesBurst(t *testing.T) {
 		}
 	}
 	for _, si := range retiring.state().shards {
-		for h, rec := range si.halo.ref[workerSide] {
-			if rec != nil && (h >= si.sess.NumWorkers() || si.halo.byGid[workerSide][rec.gid] != int32(h)) {
-				t.Fatalf("shard %d: worker ref %d (gid %d) does not resolve back through the gid map", si.id, h, rec.gid)
+		for h, rec := range si.halo.ref {
+			if rec != nil && (h >= si.sess.NumTasks() || si.halo.byGid[rec.gid] != int32(h)) {
+				t.Fatalf("shard %d: task ref %d (gid %d) does not resolve back through the gid map", si.id, h, rec.gid)
 			}
 		}
-		for gid, h := range si.halo.byGid[workerSide] {
-			if rec := refAt(si.halo.ref[workerSide], int(h)); rec == nil || rec.gid != gid {
-				t.Fatalf("shard %d: gid %d maps to worker %d, which holds %+v", si.id, gid, h, rec)
-			}
-		}
-		for gid, h := range si.halo.byGid[taskSide] {
-			if rec := refAt(si.halo.ref[taskSide], int(h)); rec == nil || rec.gid != gid {
+		for gid, h := range si.halo.byGid {
+			if rec := refAt(si.halo.ref, int(h)); rec == nil || rec.gid != gid {
 				t.Fatalf("shard %d: gid %d maps to task %d, which holds %+v", si.id, gid, h, rec)
 			}
 		}

@@ -7,9 +7,9 @@
 //     leaf region of the topology containing it, clamped at the
 //     service-area edges); and
 //   - which neighbor regions must ALSO see it: the regions whose area lies
-//     within the reach radius ("halo") of the location, i.e. the regions
-//     whose objects the location could feasibly be matched with under the
-//     workload's deadline windows.
+//     within a given reach of the location — for a task, the regions whose
+//     workers could serve it (the router's rule is admission.reach, side.go:
+//     min(2·halo, the task's window × velocity); workers are not mirrored).
 //
 // Since the rebalance subsystem the region set is no longer necessarily a
 // uniform grid: a Placement is built over a Topology — a base Cols×Rows
@@ -18,12 +18,14 @@
 // topology reproduces the historical grid placement bit for bit: same
 // region numbering, same rectangles, same mirror sets.
 //
-// The halo width is the knob: the natural setting is Velocity × the
-// deadline window (how far a worker can travel before the pair's deadline
-// cuts the match off — see HaloForWindow), but it is an explicit distance
-// so operators can trade border-matching quality against mirroring cost.
-// Zero disables mirroring entirely and reduces the placement to the
-// disjoint partitioning of the original grid router.
+// The halo width is the knob: the length of border pair the router
+// guarantees to find, mirroring tasks up to twice as far. The natural
+// setting is Velocity × the deadline window (how far a worker can travel
+// before the pair's deadline cuts the match off — see HaloForWindow), but
+// it is an explicit distance so operators can trade border-matching
+// quality against mirroring cost. Zero disables mirroring entirely and
+// reduces the placement to the disjoint partitioning of the original grid
+// router.
 package shard
 
 import (
@@ -37,9 +39,9 @@ type topoNode struct {
 	kids   int32
 }
 
-// Placement maps locations to an owner region plus the set of reachable
-// neighbor regions under a halo width. It is immutable after construction
-// and safe for concurrent use.
+// Placement maps locations to an owner region plus the set of neighbor
+// regions within a reach of at most twice its halo width. It is immutable
+// after construction and safe for concurrent use.
 type Placement struct {
 	topo *Topology
 	grid *geo.Grid // the base cell grid (first routing hop)
@@ -50,10 +52,10 @@ type Placement struct {
 	// region id; split cells hold -1 and route through cellNodes.
 	cellRegion []int32
 	cellNodes  [][]topoNode
-	// candidates[region] holds the regions whose area lies within halo of
-	// region — the superset Mirrors filters per point. For halos below a
-	// region size this is the 8-neighborhood or less, so the per-admission
-	// filter touches a handful of rectangles.
+	// candidates[region] holds the regions whose area lies within 2·halo of
+	// region — the superset Mirrors filters per point. For halos below half
+	// a region size this is the 8-neighborhood or less, so the
+	// per-admission filter touches a handful of rectangles.
 	candidates [][]int32
 }
 
@@ -97,7 +99,7 @@ func NewPlacementTopo(bounds geo.Rect, topo *Topology, halo float64) *Placement 
 				if o == c {
 					continue
 				}
-				if rectDistSq(rc, p.regions[o]) <= halo*halo {
+				if rectDistSq(rc, p.regions[o]) <= 4*halo*halo {
 					p.candidates[c] = append(p.candidates[c], int32(o))
 				}
 			}
@@ -194,46 +196,51 @@ func (p *Placement) Region(i int) geo.Rect { return p.regions[i] }
 
 // Mirrors appends to dst the regions other than owner — pt's owning
 // region, which the caller has already resolved via Owner — whose area
-// lies within the halo of pt: the regions that must receive a ghost copy
-// of an object admitted at pt. With a zero halo, or for interior
-// locations farther than the halo from every region edge, it returns dst
+// lies within reach of pt: the regions that must receive a ghost copy of
+// a task admitted at pt. reach is capped at twice the halo, the radius the
+// candidate lists were built for. With a zero reach, or for interior
+// locations farther than it from every region edge, it returns dst
 // unchanged without touching the candidate lists, so the interior
 // admission fast path stays allocation-free.
-func (p *Placement) Mirrors(pt geo.Point, owner int, dst []int) []int {
-	if p.halo == 0 {
+func (p *Placement) Mirrors(pt geo.Point, owner int, reach float64, dst []int) []int {
+	reach = min(reach, 2*p.halo)
+	if !(reach > 0) {
 		return dst
 	}
 	rect := p.regions[owner]
-	// Interior fast path: strictly farther than halo from the owner's
-	// boundary means strictly farther than halo from every other region.
-	if pt.X-rect.MinX > p.halo && rect.MaxX-pt.X > p.halo &&
-		pt.Y-rect.MinY > p.halo && rect.MaxY-pt.Y > p.halo {
+	// Interior fast path: strictly farther than reach from the owner's
+	// boundary means strictly farther than reach from every other region.
+	if pt.X-rect.MinX > reach && rect.MaxX-pt.X > reach &&
+		pt.Y-rect.MinY > reach && rect.MaxY-pt.Y > reach {
 		return dst
 	}
-	h2 := p.halo * p.halo
+	r2 := reach * reach
 	for _, c := range p.candidates[owner] {
-		if pointRectDistSq(pt, p.regions[c]) <= h2 {
+		if pointRectDistSq(pt, p.regions[c]) <= r2 {
 			dst = append(dst, int(c))
 		}
 	}
 	return dst
 }
 
-// HintShare returns the fraction of total traffic region i should size
-// for: its own area share plus the expected halo fraction — the share of
-// the full service area whose admissions are mirrored into i because they
-// fall within the halo band around its region. Geometrically this is the
-// area of region i grown by the halo on every side, clipped to the
-// service bounds, over the total area. Shares across regions sum to more
-// than 1 exactly because halo admissions are duplicated.
-func (p *Placement) HintShare(i int) float64 {
+// HintShare returns the fraction of total task traffic region i should
+// size for: its own area share plus the expected halo fraction — the share
+// of the full service area whose tasks may be mirrored into i because they
+// fall within twice the halo of its region. Shares across regions sum to
+// more than 1 exactly because mirrored tasks are duplicated. Workers are
+// never mirrored: their share is the region's area share alone.
+func (p *Placement) HintShare(i int) float64 { return p.share(i, 2*p.halo) }
+
+// share is the area of region i grown by grow on every side, clipped to
+// the service bounds, over the total area.
+func (p *Placement) share(i int, grow float64) float64 {
 	b := p.grid.Bounds
 	r := p.regions[i]
 	grown := geo.Rect{
-		MinX: max(r.MinX-p.halo, b.MinX),
-		MinY: max(r.MinY-p.halo, b.MinY),
-		MaxX: min(r.MaxX+p.halo, b.MaxX),
-		MaxY: min(r.MaxY+p.halo, b.MaxY),
+		MinX: max(r.MinX-grow, b.MinX),
+		MinY: max(r.MinY-grow, b.MinY),
+		MaxX: min(r.MaxX+grow, b.MaxX),
+		MaxY: min(r.MaxY+grow, b.MaxY),
 	}
 	return (grown.Width() * grown.Height()) / (b.Width() * b.Height())
 }

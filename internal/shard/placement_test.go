@@ -8,7 +8,8 @@ import (
 )
 
 // TestPlacementOwnerAndMirrors: owners follow the grid; mirrors are
-// exactly the neighbor regions within the halo of the point.
+// exactly the neighbor regions within the given reach of the point, a
+// reach capped at twice the halo.
 func TestPlacementOwnerAndMirrors(t *testing.T) {
 	p := NewPlacement(geo.NewRect(0, 0, 100, 100), 2, 2, 10)
 	if p.NumRegions() != 4 {
@@ -48,7 +49,7 @@ func TestPlacementOwnerAndMirrors(t *testing.T) {
 		if got := p.Owner(c.pt); got != c.owner {
 			t.Errorf("Owner(%v) = %d, want %d", c.pt, got, c.owner)
 		}
-		got := p.Mirrors(c.pt, p.Owner(c.pt), nil)
+		got := p.Mirrors(c.pt, p.Owner(c.pt), p.Halo(), nil)
 		if len(got) != len(c.mirrors) {
 			t.Errorf("Mirrors(%v) = %v, want %v", c.pt, got, c.mirrors)
 			continue
@@ -63,6 +64,14 @@ func TestPlacementOwnerAndMirrors(t *testing.T) {
 			}
 		}
 	}
+	// (58, 58) is 11.3 from region 0: inside twice the halo, and a reach
+	// beyond that is capped there — (70, 70) is 28.3 away.
+	if got := p.Mirrors(geo.Pt(58, 58), 3, 2*p.Halo(), nil); len(got) != 3 {
+		t.Errorf("Mirrors at reach 2·halo = %v, want three regions", got)
+	}
+	if got := p.Mirrors(geo.Pt(70, 70), 3, 10*p.Halo(), nil); len(got) != 2 {
+		t.Errorf("Mirrors at reach 10·halo = %v, want the two axis neighbors within 2·halo", got)
+	}
 }
 
 // TestPlacementZeroHalo: no candidates, no mirrors, shares are exact area
@@ -70,7 +79,7 @@ func TestPlacementOwnerAndMirrors(t *testing.T) {
 func TestPlacementZeroHalo(t *testing.T) {
 	p := NewPlacement(geo.NewRect(0, 0, 100, 100), 4, 4, 0)
 	for _, pt := range []geo.Point{geo.Pt(0, 0), geo.Pt(25, 25), geo.Pt(24.999, 50), geo.Pt(99, 99)} {
-		if got := p.Mirrors(pt, p.Owner(pt), nil); len(got) != 0 {
+		if got := p.Mirrors(pt, p.Owner(pt), 10, nil); len(got) != 0 {
 			t.Fatalf("Mirrors(%v) = %v with zero halo", pt, got)
 		}
 	}
@@ -81,20 +90,21 @@ func TestPlacementZeroHalo(t *testing.T) {
 	}
 }
 
-// TestPlacementHintShare: with a halo, border shards size for their halo
-// band; the corner region of a 2x2 grid over 100x100 with halo 10 grows
-// to 60x60 clipped = 0.36 of the area.
+// TestPlacementHintShare: with a halo, border shards size for the band
+// their tasks are mirrored from, twice the halo wide; the corner region of
+// a 2x2 grid over 100x100 with halo 10 grows to 70x70 clipped = 0.49 of
+// the area.
 func TestPlacementHintShare(t *testing.T) {
 	p := NewPlacement(geo.NewRect(0, 0, 100, 100), 2, 2, 10)
 	for i := 0; i < 4; i++ {
-		if got := p.HintShare(i); math.Abs(got-0.36) > 1e-12 {
-			t.Fatalf("HintShare(%d) = %v, want 0.36", i, got)
+		if got := p.HintShare(i); math.Abs(got-0.49) > 1e-12 {
+			t.Fatalf("HintShare(%d) = %v, want 0.49", i, got)
 		}
 	}
 	// An interior region of a 3x3 grid grows on all four sides.
 	p3 := NewPlacement(geo.NewRect(0, 0, 90, 90), 3, 3, 5)
 	center := 4 // row 1, col 1
-	want := (40.0 * 40.0) / (90.0 * 90.0)
+	want := (50.0 * 50.0) / (90.0 * 90.0)
 	if got := p3.HintShare(center); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("center HintShare = %v, want %v", got, want)
 	}

@@ -98,7 +98,7 @@ func (r *Router) SampleRates(now, tau float64) {
 	ts := r.state()
 	for _, si := range ts.shards {
 		si.mu.Lock()
-		count := si.sess.AdmittedWorkers() + si.sess.AdmittedTasks() - si.halo.ghost[workerSide] - si.halo.ghost[taskSide]
+		count := si.sess.AdmittedWorkers() + si.sess.AdmittedTasks() - si.halo.ghost
 		if !si.rateInit || now <= si.rateAt {
 			si.rateInit = true
 			si.rateCount, si.rateAt = count, now
@@ -243,7 +243,7 @@ func (r *Router) migrate(topo *Topology) (*RebalanceInfo, error) {
 		osi.mu.Lock()
 		for _, sd := range sides {
 			for h, n := 0, sd.count(osi.sess); h < n; h++ {
-				if rec := refAt(osi.halo.ref[sd], h); rec != nil && int(rec.owner) != osi.id {
+				if rec := osi.recOf(sd, h); rec != nil && int(rec.owner) != osi.id {
 					continue
 				}
 				if ad, live := sd.migrant(osi.sess, h); live {
@@ -270,7 +270,7 @@ func (r *Router) migrate(topo *Topology) (*RebalanceInfo, error) {
 	for i := range migs {
 		ad := &migs[i]
 		var owner int
-		owner, mbuf = ns.route(ad.loc, mbuf[:0])
+		owner, mbuf = ns.route(ad, mbuf[:0])
 		if _, _, _, err := r.admit(ns, owner, mbuf, ad); err != nil {
 			return abort(fmt.Errorf("shard: migrating object into region %d: %w", owner, err))
 		}
@@ -279,7 +279,7 @@ func (r *Router) migrate(topo *Topology) (*RebalanceInfo, error) {
 	info.MigratedWorkers, info.MigratedTasks = migrated[workerSide], migrated[taskSide]
 	r.applyPending(ns)
 	// The re-admissions counted every migrant, owner and ghost copy alike, a
-	// second time; those four counters are taken back out so Totals counts
+	// second time; those three counters are taken back out so Totals counts
 	// each arrival once. Everything else the new sessions counted happened:
 	// two live objects that now share a session match, in the event log and
 	// in Totals alike.
@@ -287,8 +287,7 @@ func (r *Router) migrate(topo *Topology) (*RebalanceInfo, error) {
 	ns.carried = old.carried
 	ns.carried.add(r.shardTotals(old), 1)
 	ns.carried.add(Totals{
-		Workers: readmitted.Workers, Tasks: readmitted.Tasks,
-		GhostWorkers: readmitted.GhostWorkers, GhostTasks: readmitted.GhostTasks,
+		Workers: readmitted.Workers, Tasks: readmitted.Tasks, GhostTasks: readmitted.GhostTasks,
 	}, -1)
 
 	// Advance the new sessions to the old topology's max clock. No expiry

@@ -245,18 +245,19 @@ func byArrival(x, y *AdmitResult) int {
 // admitBatch admits one drained, timestamp-sorted batch from a lane.
 // Each op is routed against the placement current NOW — a Rebalance may
 // have moved region boundaries since the op was enqueued to its lane, and
-// only the current owner's session may admit it. A border op takes the
+// only the current owner's session may admit it. A border task takes the
 // general path (Router.admit) on its own — mirroring locks neighbor shards
-// and must not happen under the owner's lock; a maximal same-owner interior
-// run between them is installed under one lock acquisition, each admission
-// still getting the full per-admission sequence (installLocked).
+// and must not happen under the owner's lock; a maximal same-owner run of
+// everything else (workers, wherever they are, and interior tasks) between
+// them is installed under one lock acquisition, each admission still
+// getting the full per-admission sequence (installLocked).
 func (r *Router) admitBatch(ops []*AdmitResult, mbuf *[]int) {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
 	ts := r.state()
 	for i := 0; i < len(ops); {
 		var owner int
-		owner, *mbuf = ts.route(ops[i].op.ad.loc, (*mbuf)[:0])
+		owner, *mbuf = ts.route(&ops[i].op.ad, (*mbuf)[:0])
 		if len(*mbuf) > 0 {
 			ops[i].finish(r.admit(ts, owner, *mbuf, &ops[i].op.ad))
 			i++
@@ -264,7 +265,7 @@ func (r *Router) admitBatch(ops []*AdmitResult, mbuf *[]int) {
 		}
 		j := i + 1
 		for ; j < len(ops); j++ {
-			if o, m := ts.route(ops[j].op.ad.loc, (*mbuf)[:0]); o != owner || len(m) > 0 {
+			if o, m := ts.route(&ops[j].op.ad, (*mbuf)[:0]); o != owner || len(m) > 0 {
 				break
 			}
 		}
@@ -274,12 +275,13 @@ func (r *Router) admitBatch(ops []*AdmitResult, mbuf *[]int) {
 			defer si.mu.Unlock()
 			for ; i < j; i++ {
 				si.drainPendingLocked()
-				ops[i].finish(si.installLocked(r, &ops[i].op.ad, nil, false))
+				h, admitted, epoch, _, err := si.installLocked(r, &ops[i].op.ad, nil, nil)
+				ops[i].finish(h, admitted, epoch, err)
 			}
 		}()
-		// Interior admissions can still settle mirrored counterparties (a
-		// fresh worker matching a ghost task); retractions are applied after
-		// the run, never under this shard's lock.
+		// A run can still settle mirrored tasks (a fresh worker matching a
+		// ghost task); retractions are applied after the run, never under
+		// this shard's lock.
 		r.applyPending(ts)
 	}
 }

@@ -13,10 +13,10 @@
 // sense — a worker is only matched to tasks of its own region — which
 // trades border matching quality for linear scalability. With a positive
 // Config.Halo the router recovers that quality: region geometry becomes a
-// Placement (owner region plus reachable neighbors), border admissions
-// are mirrored as ghosts into the neighbor sessions they could feasibly
-// match in, and a lock-free claim protocol guarantees each logical object
-// commits in at most one session (see halo.go).
+// Placement (owner region plus reachable neighbors), border tasks are
+// mirrored as ghosts into the neighbor sessions whose workers could serve
+// them, and a lock-free claim protocol guarantees each task commits in at
+// most one session (see halo.go). Workers are never mirrored.
 //
 // The region set is no longer fixed at construction: Rebalance swaps in a
 // new Topology — splitting a hot region into a finer sub-grid or merging
@@ -44,8 +44,9 @@ type Config struct {
 	// Matcher is the base session configuration. Bounds is the FULL
 	// service area (it is partitioned into the shard grid); Velocity and
 	// Mode apply to every shard; Hints are sized per shard by region area
-	// share plus, with a halo, the expected ghost fraction of the halo
-	// band around it (Placement.HintShare). OnEvent/OnRetire/
+	// share plus, for tasks with a halo, the expected ghost fraction of the
+	// band around it the tasks are mirrored from (Placement.HintShare).
+	// OnEvent/OnRetire/
 	// CommitGate must be nil: the router owns event consumption and the
 	// retirement and arbitration hooks.
 	Matcher sim.MatcherConfig
@@ -55,14 +56,20 @@ type Config struct {
 	// initial topology. Shard ids are 32-bit, so Cols × Rows ×
 	// 4^MaxSplitDepth must not exceed MaxInt32.
 	Cols, Rows int
-	// Halo, when positive, enables cross-shard border matching: an
-	// admission within Halo (a distance) of a neighboring region is
-	// mirrored into that region's session as a ghost, and ghost matches
-	// are arbitrated by the claim protocol of halo.go so no object ever
-	// commits twice. The natural width is Velocity × the workload's
-	// deadline window (HaloForWindow); wider halos only add mirroring
-	// cost, narrower ones recover less border quality. Zero keeps the
-	// disjoint hyperlocal behavior.
+	// Halo, when positive, enables cross-shard border matching: it is the
+	// length (a distance) of border pair the router guarantees to find. A
+	// task within min(2·Halo, Expiry·Velocity) of a neighboring region is
+	// mirrored into that region's session as a ghost — every pair shorter
+	// than 2·Halo has its task that close to the worker's region, and no
+	// worker waiting farther than Expiry·Velocity can serve it; under an
+	// algorithm that dispatches workers (sim.DispatchingAlgorithm) the
+	// reach is 2·Halo, as a moving worker gets farther — and ghost matches
+	// are arbitrated by the claim protocol of halo.go so no task ever
+	// commits twice. Workers are admitted to their own region alone. The
+	// natural width is Velocity × the workload's deadline window
+	// (HaloForWindow); wider halos only add mirroring cost, narrower ones
+	// recover less border quality. Zero keeps the disjoint hyperlocal
+	// behavior.
 	Halo float64
 	// NewAlgorithm mints one algorithm instance per shard. Instances must
 	// not share mutable state (a shared read-only Guide is fine).
@@ -118,10 +125,11 @@ type Handle struct {
 // the side an expiry does not involve). Without halo mirroring they
 // always equal Shard and the handles are the emitting session's. With
 // mirroring, a match may be committed by a session that only holds a
-// ghost copy: the event still appears exactly once, with each mirrored
-// endpoint rewritten to its home identity — the owner shard plus the
+// ghost copy of the task: the event still appears exactly once, with the
+// task rewritten to its home identity — the owner shard plus the
 // admission receipt Handle.Local reported — so consumers can correlate
-// matches with admissions regardless of which border session won.
+// matches with admissions regardless of which border session won. A
+// worker is never mirrored: WorkerShard is always Shard.
 type Event struct {
 	Seq   uint64
 	Shard int
@@ -161,8 +169,8 @@ type Stats struct {
 // expires like any Advance would — and the same again after recovering
 // the generation it sealed.
 type Totals struct {
-	// Workers/Tasks count admissions — with halo mirroring these include
-	// ghost copies, broken out in GhostWorkers/GhostTasks.
+	// Workers/Tasks count admissions — with halo mirroring Tasks includes
+	// ghost copies, broken out in GhostTasks.
 	Workers int `json:"workers"`
 	Tasks   int `json:"tasks"`
 	Matches int `json:"matches"`
@@ -173,13 +181,14 @@ type Totals struct {
 	ExpiredTasks   int `json:"expired_tasks"`
 	Attempted      int `json:"attempted"`
 	Rejected       int `json:"rejected"`
-	// Halo metrics; all zero with Halo disabled. GhostWorkers/GhostTasks
-	// count mirrored copies admitted into a shard; WithdrawnWorkers/
-	// WithdrawnTasks the copies retracted after their original matched or
-	// expired elsewhere; ClaimsLost the commits an algorithm attempted but
-	// lost to cross-shard arbitration; and BorderMatches the commits
-	// involving at least one mirrored endpoint — the matches disjoint
-	// sharding would have missed.
+	// Halo metrics; all zero with Halo disabled. GhostTasks counts mirrored
+	// task copies admitted into a shard; GhostWorkers is always zero (workers
+	// are never mirrored) and stays for the stats key set. WithdrawnWorkers/
+	// WithdrawnTasks count withdrawals: the platform's (withdraw.go) and, for
+	// tasks, the copies retracted after their original matched or expired
+	// elsewhere; ClaimsLost the commits an algorithm attempted but lost to
+	// cross-shard arbitration; and BorderMatches the commits of a mirrored
+	// task — the matches disjoint sharding would have missed.
 	GhostWorkers     int `json:"ghost_workers"`
 	GhostTasks       int `json:"ghost_tasks"`
 	WithdrawnWorkers int `json:"withdrawn_workers"`
@@ -221,7 +230,12 @@ type topoState struct {
 	version   uint64
 	topo      *Topology
 	placement *Placement
-	shards    []*shardInstance
+	// velocity is the shared worker velocity and moving whether the
+	// algorithm dispatches workers (sim.DispatchingAlgorithm): together with
+	// a task's window they bound its mirror reach (route).
+	velocity float64
+	moving   bool
+	shards   []*shardInstance
 	// carried is what Totals adds to the shards' own counters: the totals of
 	// every state this one superseded, less the admissions the migration's
 	// re-admissions counted again in these shards (so it can be negative — a
@@ -382,6 +396,7 @@ func (r *Router) buildState(topo *Topology, version uint64) (*topoState, error) 
 		version:   version,
 		topo:      topo,
 		placement: placement,
+		velocity:  cfg.Matcher.Velocity,
 		shards:    make([]*shardInstance, n),
 	}
 	for i := 0; i < n; i++ {
@@ -392,18 +407,16 @@ func (r *Router) buildState(topo *Topology, version uint64) (*topoState, error) 
 		}
 		mcfg := cfg.Matcher
 		mcfg.Bounds = placement.Region(i)
-		// Hints are sized by region area share plus the expected halo
-		// fraction: border shards absorb mirrored admissions from the halo
-		// band around their region, so with mirroring on, shares sum to
-		// more than 1 by exactly the expected ghost traffic.
-		mcfg.Hints.ExpectedWorkers = scaleHint(mcfg.Hints.ExpectedWorkers, placement.HintShare(i))
+		// Hints are sized by region area share plus, for tasks, the
+		// expected halo fraction: border shards absorb mirrored tasks from
+		// the band around their region, so with mirroring on, task shares
+		// sum to more than 1 by exactly the expected ghost traffic.
+		mcfg.Hints.ExpectedWorkers = scaleHint(mcfg.Hints.ExpectedWorkers, placement.share(i, 0))
 		mcfg.Hints.ExpectedTasks = scaleHint(mcfg.Hints.ExpectedTasks, placement.HintShare(i))
 		if r.haloOn {
 			mcfg.CommitGate = si.gate
 			mcfg.OnRetire = si.onRetire
-			for sd := range si.halo.byGid {
-				si.halo.byGid[sd] = make(map[uint64]int32)
-			}
+			si.halo.byGid = make(map[uint64]int32)
 		}
 		m, err := sim.NewMatcher(mcfg)
 		if err != nil {
@@ -413,6 +426,7 @@ func (r *Router) buildState(topo *Topology, version uint64) (*topoState, error) 
 		if _, ok := alg.(sim.RetirableAlgorithm); cfg.RetireInterval > 0 && !ok {
 			return nil, fmt.Errorf("shard: RetireInterval set but algorithm %q does not implement sim.RetirableAlgorithm", alg.Name())
 		}
+		_, ts.moving = alg.(sim.DispatchingAlgorithm)
 		si.sess = m.NewSession(alg)
 		ts.shards[i] = si
 	}
@@ -446,22 +460,23 @@ func (r *Router) ShardBounds(i int) geo.Rect { return r.state().placement.Region
 func (r *Router) Placement() *Placement { return r.state().placement }
 
 // AddWorker routes the worker to the shard owning its location and admits
-// it there; only that shard's lock is taken on the interior fast path.
-// With a halo configured, a border worker is additionally mirrored as a
-// ghost into every reachable neighbor session (each under its own lock,
-// never nested) so cross-border pairs become matchable; the returned
-// Handle always names the owner copy. admitted is the arrival time the
-// owner session stamped — w.Arrive clamped up to the shard clock — so
-// callers report deadlines consistent with the shard's view even when
-// concurrent admissions raced the clock forward. A location that is not
-// finite, or a NaN arrival or patience, is refused with
-// ErrInvalidAdmission.
+// it there, taking only that shard's lock: a worker is never mirrored —
+// with a halo configured, border tasks come to it as ghosts instead.
+// admitted is the arrival time the owner session stamped — w.Arrive
+// clamped up to the shard clock — so callers report deadlines consistent
+// with the shard's view even when concurrent admissions raced the clock
+// forward. A location that is not finite, or a NaN arrival or patience,
+// is refused with ErrInvalidAdmission.
 func (r *Router) AddWorker(w model.Worker) (h Handle, admitted float64, err error) {
 	return r.add(workerAdmission(w))
 }
 
-// AddTask routes the task to the shard owning its location; see AddWorker
-// for the locking, mirroring, admitted-time and refusal semantics.
+// AddTask routes the task to the shard owning its location and admits it
+// there. With a halo configured, a border task its own arrival leaves
+// unmatched is additionally mirrored as a ghost into every neighbor session
+// within its reach (each under its own lock, never nested) so cross-border
+// pairs become matchable; the returned Handle always names the owner copy.
+// See AddWorker for the admitted-time and refusal semantics.
 func (r *Router) AddTask(t model.Task) (h Handle, admitted float64, err error) {
 	return r.add(taskAdmission(t))
 }
@@ -470,54 +485,44 @@ func (r *Router) add(ad admission) (Handle, float64, error) {
 	r.topoMu.RLock()
 	defer r.topoMu.RUnlock()
 	ts := r.state()
-	owner, mirrors := ts.route(ad.loc, nil)
+	owner, mirrors := ts.route(&ad, nil)
 	h, admitted, _, err := r.admit(ts, owner, mirrors, &ad)
 	return h, admitted, err
 }
 
 // route is the one place an arrival's destination is resolved: the region
-// owning p under ts and, appended to buf, the neighbor regions within the
-// halo of p that must receive a ghost copy (none without a halo, or for an
-// interior p — buf is then returned untouched, so the interior fast path
+// owning its location under ts and, appended to buf, the neighbor regions
+// within its reach (admission.reach) that receive a ghost copy if its own
+// arrival leaves it unmatched (none for a worker, without a halo, or for an
+// interior task — buf is then returned untouched, so the interior fast path
 // allocates nothing).
-func (ts *topoState) route(p geo.Point, buf []int) (owner int, mirrors []int) {
-	owner = ts.placement.Owner(p)
-	return owner, ts.placement.Mirrors(p, owner, buf)
+func (ts *topoState) route(ad *admission, buf []int) (owner int, mirrors []int) {
+	owner = ts.placement.Owner(ad.loc)
+	return owner, ts.placement.Mirrors(ad.loc, owner, ad.reach(ts.placement.Halo(), ts.velocity, ts.moving), buf)
 }
 
 // admit is the one admission path: the direct calls, the ring drainer's
-// border ops and a migration's re-admissions all arrive here with their
+// border tasks and a migration's re-admissions all arrive here with their
 // route resolved (the drainer's interior runs, ring.go, skip only the
-// locking). The owner copy goes first, then one ghost per mirror region,
-// each shard under its own lock only — never nested. The returned epoch is
-// the owner session's arena epoch at admission — the receipt's validity
-// window for WithdrawWorker/WithdrawTask (withdraw.go). Callers hold topoMu.
+// locking). The owner copy goes first, then — when it created a mirror
+// record — one ghost per mirror region, each shard under its own lock only,
+// never nested. The returned epoch is the owner session's arena epoch at
+// admission — the receipt's validity window for WithdrawWorker/WithdrawTask
+// (withdraw.go). Callers hold topoMu.
 func (r *Router) admit(ts *topoState, owner int, mirrors []int, ad *admission) (h Handle, admitted float64, epoch uint64, err error) {
 	var rec *mirror
-	if len(mirrors) > 0 {
-		rec = &mirror{
-			gid:    r.gids.Add(1),
-			side:   ad.side,
-			owner:  int32(owner),
-			copies: make([]int32, 0, len(mirrors)+1),
-		}
-		rec.copies = append(rec.copies, int32(owner))
-		for _, m := range mirrors {
-			rec.copies = append(rec.copies, int32(m))
-		}
-	}
 	si := ts.shards[owner]
 	func() {
 		si.mu.Lock()
 		defer si.mu.Unlock()
 		si.drainPendingLocked()
-		h, admitted, epoch, err = si.installLocked(r, ad, rec, false)
+		h, admitted, epoch, rec, err = si.installLocked(r, ad, nil, mirrors)
 	}()
-	if err == nil && rec != nil {
-		// The owner session's clamped arrival defines the logical object's
-		// deadline; rebase the ghosts on it so every copy is pinned to the
-		// same window. Ghost copies never emit lifecycle events of their
-		// own, so migrated expiry suppression is owner-side only.
+	if rec != nil {
+		// The owner session's clamped arrival defines the task's deadline;
+		// rebase the ghosts on it so every copy is pinned to the same window.
+		// Ghost copies never emit lifecycle events of their own, so migrated
+		// expiry suppression is owner-side only.
 		ghost := *ad
 		ghost.at, ghost.expiryFired = admitted, false
 		for _, m := range mirrors {
@@ -534,40 +539,59 @@ func (r *Router) admit(ts *topoState, owner int, mirrors []int, ad *admission) (
 
 // installLocked puts one copy of an arrival into this shard's session: the
 // whole sequence, for live owner copies, live ghost copies and WAL replay
-// alike. rec is the arrival's mirror record (nil when it is not
-// halo-mirrored) and ghost says which copy this is. Callers hold si.mu and,
-// live, have drained pending withdrawals.
-func (si *shardInstance) installLocked(r *Router, ad *admission, rec *mirror, ghost bool) (Handle, float64, uint64, error) {
+// alike. rec is the task's mirror record when the copy is a ghost (rec's
+// owner is another shard) or an owner copy replayed from the log; for a live
+// owner copy it is nil, and mirrors lists the regions its ghosts go to. Such
+// a copy gets its record here, and only if its own arrival left it live: a
+// task that matches at home allocates nothing for the halo. The record the
+// copy ends up with is returned. Callers hold si.mu and, live, have drained
+// pending withdrawals.
+func (si *shardInstance) installLocked(r *Router, ad *admission, rec *mirror, mirrors []int) (Handle, float64, uint64, *mirror, error) {
 	// Every copy from every door passes here, the log included: a CRC
 	// proves a record is what was written, not that it was sane.
 	if !ad.valid() {
-		return Handle{}, 0, 0, ErrInvalidAdmission
+		return Handle{}, 0, 0, nil, ErrInvalidAdmission
 	}
-	// A mirrored copy's ref is registered BEFORE the session admission,
-	// because the algorithm may commit the object within the call itself and
-	// that commit must already pass through the claim gate (live) or resolve
-	// its recorded verdict (replay). Handles are dense, so the
-	// about-to-be-assigned handle is the session's current count.
+	// A ghost's ref is registered BEFORE the session admission, because the
+	// algorithm may commit the copy within the call itself and that commit
+	// must already pass through the claim gate (live) or resolve its
+	// recorded verdict (replay). Handles are dense, so the
+	// about-to-be-assigned handle is the session's current count. An owner
+	// copy had no sibling while it arrived, so nothing to arbitrate.
+	ghost := rec != nil && int(rec.owner) != si.id
 	var next int
-	if rec != nil {
+	if ghost {
 		next = ad.side.count(si.sess)
-		if !ghost {
-			rec.ownerLocal = int32(next)
-		}
-		si.putRef(ad.side, next, rec)
+		si.putRef(next, rec)
 	}
 	local, admitted, err := ad.side.admit(si.sess, ad)
 	if err != nil {
-		if rec != nil {
-			si.dropRef(ad.side, next, rec)
+		if ghost {
+			si.dropRef(next, rec)
 		}
 		if si.wal != nil {
 			si.wal.dropGroup()
 		}
-		return Handle{}, 0, 0, err
+		return Handle{}, 0, 0, nil, err
 	}
-	if ghost {
-		si.halo.ghost[ad.side]++
+	switch {
+	case ghost:
+		si.halo.ghost++
+	case rec != nil:
+		si.putRef(local, rec)
+	case len(mirrors) > 0 && ad.side.live(si.sess, local):
+		rec = &mirror{
+			gid:        r.gids.Add(1),
+			owner:      int32(si.id),
+			ownerLocal: int32(local),
+			deadline:   admitted + ad.window,
+			copies:     make([]int32, 0, len(mirrors)+1),
+		}
+		rec.copies = append(rec.copies, int32(si.id))
+		for _, m := range mirrors {
+			rec.copies = append(rec.copies, int32(m))
+		}
+		si.putRef(local, rec)
 	}
 	// Epoch read BEFORE afterWriteLocked: the admission may itself trigger
 	// a scheduled retirement, which remaps arena handles — the receipt is
@@ -583,26 +607,26 @@ func (si *shardInstance) installLocked(r *Router, ad *admission, rec *mirror, gh
 		// stamped arrival, which this shard's own log cannot reproduce.
 		si.wal.opAdmission(ad, rec, ghost)
 	}
-	return Handle{Shard: si.id, Local: local}, admitted, epoch, nil
+	return Handle{Shard: si.id, Local: local}, admitted, epoch, rec, nil
 }
 
-// ghostLocked admits one ghost copy of a live border arrival into a
-// neighbor session; callers hold si.mu. A ghost is skipped once the
-// object's claim settled — e.g. the owner session matched it on arrival —
-// and after the admission (which may itself commit matches and retire
-// arenas) the claim is re-checked: a claim that settled during the
-// admission was enqueued against the pre-admission gid tables and may have
-// missed the fresh copy, so the retraction is applied here. Ghosts thus
-// never outlive a decided object by more than the call that raced it.
+// ghostLocked admits one ghost copy of a live border task into a neighbor
+// session; callers hold si.mu. A ghost is skipped once the task's claim
+// settled — e.g. the owner session matched it meanwhile — and after the
+// admission (which may itself commit matches and retire arenas) the claim
+// is re-checked: a claim that settled during the admission was enqueued
+// against the pre-admission gid table and may have missed the fresh copy,
+// so the retraction is applied here. Ghosts thus never outlive a decided
+// task by more than the call that raced it.
 //
-// The copy's deadline is pinned to the logical object's: the ghost session
-// clamps the arrival up to its own clock, which would otherwise extend the
-// window past the owner-stamped deadline under shard clock skew — and let a
-// Strict-mode session commit a cross-border match after the object's true
-// window. The window is shrunk by the clamp delta instead; a copy whose
-// window has already closed on this shard's clock is not admitted at all.
+// The copy's deadline is pinned to the task's: the ghost session clamps the
+// arrival up to its own clock, which would otherwise extend the window past
+// the owner-stamped deadline under shard clock skew — and let a Strict-mode
+// session commit a cross-border match after the task's true window. The
+// window is shrunk by the clamp delta instead; a copy whose window has
+// already closed on this shard's clock is not admitted at all.
 func (si *shardInstance) ghostLocked(r *Router, ad *admission, rec *mirror) {
-	if rec.settle() != claimFree {
+	if rec.state.Load() != claimFree {
 		return
 	}
 	deadline := ad.at + ad.window
@@ -613,11 +637,11 @@ func (si *shardInstance) ghostLocked(r *Router, ad *admission, rec *mirror) {
 	}
 	pinned := *ad
 	pinned.window = deadline - start
-	if _, _, _, err := si.installLocked(r, &pinned, rec, true); err != nil {
+	if _, _, _, _, err := si.installLocked(r, &pinned, rec, nil); err != nil {
 		return
 	}
-	if rec.settle() != claimFree {
-		si.applyWithdrawLocked(pendingWithdraw{gid: rec.gid, side: ad.side})
+	if rec.state.Load() != claimFree {
+		si.applyWithdrawLocked(rec.gid)
 	}
 }
 
@@ -683,11 +707,11 @@ func (si *shardInstance) afterWriteLocked(r *Router) {
 // the shard lock. WAL replay runs through here too, with the recorded
 // sequence numbers, so recovered events enter the log exactly once.
 //
-// This is also where halo arbitration surfaces in the stream: mirrored
-// match endpoints are rewritten to their owner identities and the losing
-// copies' retractions enqueued; expiry events of ghost copies — and of
-// owners whose object matched elsewhere first — are dropped, so the
-// merged stream reports each logical object's lifecycle exactly once.
+// This is also where halo arbitration surfaces in the stream: a mirrored
+// task matched is rewritten to its owner identity and the losing copies'
+// retractions enqueued; expiry events of ghost copies — and of owners whose
+// task matched elsewhere first — are dropped, so the merged stream reports
+// each logical object's lifecycle exactly once.
 func (si *shardInstance) collectLocked(r *Router) {
 	si.scratch = si.sess.DrainEvents(si.scratch[:0])
 	if len(si.scratch) == 0 {
@@ -698,30 +722,21 @@ func (si *shardInstance) collectLocked(r *Router) {
 		sev := Event{Shard: si.id, SessionEvent: ev, WorkerShard: -1, TaskShard: -1}
 		switch ev.Kind {
 		case sim.EventMatch:
-			border := false
-			for _, sd := range sides {
-				h, home := sd.endpoint(&sev)
-				*home = si.id
-				if rec := refAt(si.halo.ref[sd], *h); rec != nil {
-					*home, *h = int(rec.owner), int(rec.ownerLocal)
-					// During replay retraction fan-out is suppressed: each
-					// shard's log already carries the withdrawals it applied,
-					// at the position it applied them.
-					if si.rep == nil {
-						r.retractLosers(si.ts, rec, si.id)
-					}
-					border = true
+			sev.WorkerShard, sev.TaskShard = si.id, si.id
+			if rec := refAt(si.halo.ref, sev.Task); rec != nil {
+				sev.TaskShard, sev.Task = int(rec.owner), int(rec.ownerLocal)
+				// During replay retraction fan-out is suppressed: each
+				// shard's log already carries the withdrawals it applied,
+				// at the position it applied them.
+				if si.rep == nil {
+					r.retractLosers(si.ts, rec, si.id)
 				}
-			}
-			if border {
 				si.halo.borderMatches++
 			}
 		case sim.EventWorkerExpired:
-			if !si.expiryLocked(r, workerSide, &sev) {
-				continue
-			}
+			sev.WorkerShard = si.id
 		case sim.EventTaskExpired:
-			if !si.expiryLocked(r, taskSide, &sev) {
+			if !si.expiryLocked(r, &sev) {
 				continue
 			}
 		}
@@ -741,26 +756,25 @@ func (si *shardInstance) collectLocked(r *Router) {
 	}
 }
 
-// expiryLocked homes one expiry event on its shard and, when the object is
-// mirrored, arbitrates it; it reports whether the event should be emitted.
-// Ghost-copy expiries never emit — the owner reports the object's real
-// lifecycle. An owner expiry is matched against the claim word: in Strict
-// mode it claims the object (permanently barring ghost commits — an expired
-// object is gone) and, on winning, retracts every ghost; losing to a commit
-// suppresses the expiry exactly when a single session would have
-// (match-time-aware, per side's deadline boundary). In AssumeGuide mode
-// expiries never bar later matches, mirroring single-session semantics, so
-// the claim is only read.
-func (si *shardInstance) expiryLocked(r *Router, sd side, sev *Event) bool {
-	h, home := sd.endpoint(sev)
-	*home = si.id
-	rec := refAt(si.halo.ref[sd], *h)
+// expiryLocked homes one task expiry event on its shard and, when the task
+// is mirrored, arbitrates it; it reports whether the event should be
+// emitted. Ghost-copy expiries never emit — the owner reports the task's
+// real lifecycle. An owner expiry is matched against the claim word: in
+// Strict mode it claims the task (permanently barring ghost commits — an
+// expired task is gone) and, on winning, retracts every ghost; losing to a
+// commit suppresses the expiry exactly when a single session would have
+// (the commit came while the window was open, claimMatched). In AssumeGuide
+// mode expiries never bar later matches, mirroring single-session
+// semantics, so the claim is only read.
+func (si *shardInstance) expiryLocked(r *Router, sev *Event) bool {
+	sev.TaskShard = si.id
+	rec := refAt(si.halo.ref, sev.Task)
 	if rec == nil {
 		return true
 	}
 	outcome := expirySuppressed // a ghost copy's deadline: the owner emits the real expiry
 	if int(rec.owner) == si.id {
-		*h = int(rec.ownerLocal)
+		sev.Task = int(rec.ownerLocal)
 		if si.rep != nil {
 			// Replay: the recorded arbitration stands in for the claim race;
 			// a winning Strict expiry reconstructs the claim word it won.
@@ -769,35 +783,26 @@ func (si *shardInstance) expiryLocked(r *Router, sd side, sev *Event) bool {
 				rec.state.Store(claimExpired)
 			}
 		} else {
-			outcome = si.ownerExpiryOutcome(r, rec, sev.Time)
+			outcome = si.ownerExpiryOutcome(r, rec)
 			if si.wal != nil {
 				si.wal.recExpiry(outcome)
 			}
 		}
 	}
 	if outcome == expirySuppressed {
-		si.halo.suppressedExp[sd]++
+		si.halo.suppressedExp++
 		return false
 	}
 	return true
 }
 
-// ownerExpiryOutcome is the live arbitration expiryLocked records. The
-// session's match-time-aware expiry suppression carries across shards: an
-// expiry is suppressed by a commit that came while the object's window was
-// still open (side.closedAt).
-func (si *shardInstance) ownerExpiryOutcome(r *Router, rec *mirror, deadline float64) byte {
-	var state uint32
-	if r.mode == sim.Strict {
-		state = rec.claimExpiry()
-		if state == claimExpired {
-			r.retractLosers(si.ts, rec, si.id)
-			return expiryClaimed
-		}
-	} else {
-		state = rec.settle()
+// ownerExpiryOutcome is the live arbitration expiryLocked records.
+func (si *shardInstance) ownerExpiryOutcome(r *Router, rec *mirror) byte {
+	if r.mode == sim.Strict && rec.state.CompareAndSwap(claimFree, claimExpired) {
+		r.retractLosers(si.ts, rec, si.id)
+		return expiryClaimed
 	}
-	if state == claimMatched && !rec.side.closedAt(deadline, rec.commitAt) {
+	if rec.state.Load() == claimMatched {
 		return expirySuppressed
 	}
 	return expiryEmitted
@@ -902,16 +907,15 @@ func (r *Router) shardStatsOf(ts *topoState, i int) Stats {
 			Workers: si.sess.AdmittedWorkers(),
 			Tasks:   si.sess.AdmittedTasks(),
 			Matches: si.sess.Matches(),
-			// The session counts every deadline it fires; deadlines of copies
-			// whose lifecycle concluded elsewhere were dropped from the stream
-			// (expiryLocked) and are subtracted here so the snapshot
+			// The session counts every deadline it fires; deadlines of task
+			// copies whose lifecycle concluded elsewhere were dropped from the
+			// stream (expiryLocked) and are subtracted here so the snapshot
 			// counts each logical expiry exactly once, on its owner shard.
-			ExpiredWorkers:   si.sess.ExpiredWorkers() - si.halo.suppressedExp[workerSide],
-			ExpiredTasks:     si.sess.ExpiredTasks() - si.halo.suppressedExp[taskSide],
+			ExpiredWorkers:   si.sess.ExpiredWorkers(),
+			ExpiredTasks:     si.sess.ExpiredTasks() - si.halo.suppressedExp,
 			Attempted:        si.sess.Attempted(),
 			Rejected:         si.sess.Rejected(),
-			GhostWorkers:     si.halo.ghost[workerSide],
-			GhostTasks:       si.halo.ghost[taskSide],
+			GhostTasks:       si.halo.ghost,
 			WithdrawnWorkers: si.sess.WithdrawnWorkers(),
 			WithdrawnTasks:   si.sess.WithdrawnTasks(),
 			ClaimsLost:       si.halo.claimsLost,

@@ -2,11 +2,12 @@
 //
 // The paper's two object kinds are structurally identical (Definitions 1–2:
 // an id, a location, a start time, a window) and the router treats them
-// identically: everything it keeps per kind — halo tables, counters, WAL
-// record types — is indexed by a side, and an arrival travels as one
-// admission value whichever kind it is. Only sim.Session has a method pair
-// per kind, and only the methods below choose between them; a richer object
-// shape is a field of admission and a line here, not a fork in every path.
+// alike: counters and WAL record types are indexed by a side, and an
+// arrival travels as one admission value whichever kind it is. They differ
+// in two places only: sim.Session has a method pair per kind, and the halo
+// mirrors tasks alone (reach). Only the methods below choose between the
+// kinds; a richer object shape is a field of admission and a line here,
+// not a fork in every path.
 package shard
 
 import (
@@ -30,6 +31,35 @@ const (
 // sides is the iteration order wherever both kinds are visited: workers
 // first, as migration enumerates and sorts them.
 var sides = [...]side{workerSide, taskSide}
+
+// mirrored reports whether objects of this side are ever halo-mirrored:
+// tasks are, workers never (see reach). Only tasks have mirror records,
+// ref-table slots and ghost copies.
+func (sd side) mirrored() bool { return sd == taskSide }
+
+// reach is how far from its location an arrival is mirrored under a halo
+// of width halo (Config.Halo): a task into every neighbor region within
+// 2·halo of it, a worker nowhere.
+//
+// A worker waits (and, under guidance, moves); it stays in its own region,
+// and the ghost tasks come to it. The guarantee carries over from mirroring
+// both kinds over halo: a border pair shorter than 2·halo has its task
+// within that length of the worker's region, so its ghost is there to be
+// found whichever arrives first. When workers wait in place (moving is
+// false), a task is fixed at its location and only a worker within
+// window·velocity of it can serve it (Definition 4), so the reach is capped
+// there: a ghost farther away is waste. A dispatched worker can serve a
+// task up to (Dw + window)·velocity from where it arrived, so with moving
+// set the cap does not hold.
+func (ad *admission) reach(halo, velocity float64, moving bool) float64 {
+	if !ad.side.mirrored() || !(halo > 0) {
+		return 0
+	}
+	if moving {
+		return 2 * halo
+	}
+	return min(2*halo, ad.window*velocity)
+}
 
 // ErrInvalidAdmission refuses an arrival no session could order: a NaN or
 // infinite coordinate, or a NaN arrival time or window — more exactly, a
@@ -108,19 +138,25 @@ func (sd side) withdraw(s *sim.Session, h int) bool {
 	return s.WithdrawWorker(h)
 }
 
+// live reports whether the object behind handle h can still affect
+// matching: not matched, withdrawn or (Strict) past its deadline.
+func (sd side) live(s *sim.Session, h int) bool {
+	if sd == taskSide {
+		return s.TaskLive(h)
+	}
+	return s.WorkerLive(h)
+}
+
 // migrant returns the object behind handle h as the admission a migration
 // re-admits, with the clamped stamps its session gave it; live is false when
 // its lifecycle can no longer affect matching and it stays behind.
 func (sd side) migrant(s *sim.Session, h int) (ad admission, live bool) {
+	if !sd.live(s, h) {
+		return ad, false
+	}
 	if sd == taskSide {
-		if !s.TaskLive(h) {
-			return ad, false
-		}
 		ad = taskAdmission(*s.Task(h))
 	} else {
-		if !s.WorkerLive(h) {
-			return ad, false
-		}
 		ad = workerAdmission(*s.Worker(h))
 	}
 	ad.expiryFired = sd.closedAt(ad.at+ad.window, s.Now())
@@ -139,23 +175,16 @@ func (sd side) closedAt(deadline, t float64) bool {
 	return deadline <= t
 }
 
-// endpoint returns the fields of ev that name this side's object: its
-// handle and its owner shard.
-func (sd side) endpoint(ev *Event) (handle, shard *int) {
-	if sd == taskSide {
-		return &ev.Task, &ev.TaskShard
-	}
-	return &ev.Worker, &ev.WorkerShard
-}
-
 // admissionOp returns the WAL record type of an owner or ghost admission
-// on this side; admissionKind is its inverse on one of those four types
-// (opWorker…opGhostTask, walcodec.go: bit 0 the side, bit 1 ghost).
+// on this side; admissionKind is its inverse (walcodec.go: bit 0 the side,
+// bit 1 ghost). Only tasks have ghosts, so a worker's ghost type, 0x12, is
+// never written and replay refuses it.
 func (sd side) admissionOp(ghost bool) byte {
+	op := opWorker + byte(sd)
 	if ghost {
-		return opGhostWorker + byte(sd)
+		op |= 2
 	}
-	return opWorker + byte(sd)
+	return op
 }
 
 func admissionKind(typ byte) (sd side, ghost bool) {

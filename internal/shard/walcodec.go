@@ -8,7 +8,7 @@
 // retirement); interim records carry the decisions made while that
 // operation ran whose outcomes depend on other shards and are therefore
 // not reproducible from this shard's inputs alone: commit-gate verdicts on
-// mirrored endpoints, owner-expiry arbitration outcomes, and the global
+// mirrored tasks, owner-expiry arbitration outcomes, and the global
 // sequence number assigned to each emitted event. Everything else a shard
 // does — algorithm behavior, expiry firing, scheduled retirement — is a
 // deterministic function of the operation stream and is deliberately not
@@ -34,16 +34,18 @@ const (
 	// durable seal is skipped by recovery — the migration never happened.
 	recSeal byte = 0x02
 
-	// The four admission types: bit 0 is the side, bit 1 ghost
-	// (side.admissionOp and admissionKind rely on it).
-	opWorker      byte = 0x10 // owner admission of a worker
-	opTask        byte = 0x11 // owner admission of a task
-	opGhostWorker byte = 0x12 // mirrored ghost-copy admission
-	opGhostTask   byte = 0x13
-	opAdvance     byte = 0x20 // clock advance
-	opFinish      byte = 0x21 // session finish
-	opRetire      byte = 0x22 // manual Router.Retire
-	opWithdraw    byte = 0x23 // cross-shard retraction applied here
+	// The three admission types: bit 0 is the side, bit 1 ghost
+	// (side.admissionOp and admissionKind rely on it). Workers are never
+	// mirrored, so 0x12 — a worker's ghost — is not a record type.
+	opWorker    byte = 0x10 // owner admission of a worker
+	opTask      byte = 0x11 // owner admission of a task
+	opGhostTask byte = 0x13 // mirrored ghost-copy admission of a task
+	opAdvance   byte = 0x20 // clock advance
+	opFinish    byte = 0x21 // session finish
+	opRetire    byte = 0x22 // manual Router.Retire
+	// opWithdraw is a cross-shard retraction applied here. Payload: u64
+	// gid of the task whose copy it withdraws.
+	opWithdraw byte = 0x23
 	// opWithdrawLocal is a platform-initiated withdrawal of an owner
 	// receipt (withdraw.go). Payload: flags (bit 0 the side, bit 1 claim word
 	// won, bit 2 session accepted), u32 local handle. Additive: logs
@@ -51,7 +53,10 @@ const (
 	// unchanged.
 	opWithdrawLocal byte = 0x24
 
-	decGate   = 0x00 | wal.InterimBit // commit-gate verdict on a mirrored pair
+	// decGate is the commit-gate verdict on a pair with a mirrored task:
+	// the claim state the commit left (claimMatched or claimLate), or
+	// claimFree when the gate vetoed it.
+	decGate   = 0x00 | wal.InterimBit
 	decExpiry = 0x01 | wal.InterimBit // owner-expiry arbitration outcome
 	decSeq    = 0x02 | wal.InterimBit // global sequence number of one event
 )
@@ -64,10 +69,12 @@ const (
 )
 
 // walMagic anchors header records; bump the version on any payload change.
-// v2 extends the header with the topology-epoch chain (kind, topology
-// version and image, epoch and sequence bases) and adds the checkpoint
-// seal record.
-const walMagic = "FTWALv2\x00"
+// v2 extended the header with the topology-epoch chain (kind, topology
+// version and image, epoch and sequence bases) and added the checkpoint
+// seal record. v3 mirrors tasks only: no worker ghost records, retractions
+// carry a gid alone, and a gate verdict is the claim state it left.
+// Recovery refuses a log of another version at its first header.
+const walMagic = "FTWALv3\x00"
 
 // Generation kinds (header payload): how a generation relates to the
 // topology-epoch chain recovery walks (walhook.go).
@@ -108,7 +115,7 @@ type sealMeta struct {
 	carried Totals
 }
 
-// mirrorInfo is the decoded halo identity of a mirrored admission.
+// mirrorInfo is the decoded halo identity of a mirrored task admission.
 type mirrorInfo struct {
 	gid        uint64
 	owner      int32
@@ -220,7 +227,7 @@ const (
 )
 
 // encodeAdmission encodes an owner or ghost admission payload into dst.
-// For owner admissions rec may be nil (unmirrored interior admission).
+// For owner admissions rec may be nil (a worker, or an unmirrored task).
 func encodeAdmission(dst []byte, ad *admission, rec *mirror, ghost bool) []byte {
 	dst = append(dst, ad.side.admissionOp(ghost))
 	var flags byte

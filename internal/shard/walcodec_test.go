@@ -2,10 +2,14 @@ package shard
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ftoa/internal/geo"
 	"ftoa/internal/model"
+	"ftoa/internal/shard/wal"
 )
 
 // unframe strips the framing off a single encoded record.
@@ -15,6 +19,65 @@ func unframe(t testing.TB, framed []byte) []byte {
 		t.Fatalf("framed record of %d bytes", len(framed))
 	}
 	return framed[8:]
+}
+
+// TestRecoverRefusesV2: testdata/walv2 is a 2×1 halo router's log as the
+// v2 format wrote it (a border worker, an interior task and a border task,
+// then an advance). v3 records mean something else — a v2 log mirrors
+// workers — so recovery refuses it at the first header, with the
+// magic-mismatch error, before replaying anything.
+func TestRecoverRefusesV2(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob("testdata/walv2/*.wal")
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("fixture segments %v, %v", segs, err)
+	}
+	for _, sg := range segs {
+		data, err := os.ReadFile(sg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), "FTWALv2") {
+			t.Fatalf("%s is not a v2 segment", sg)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(sg)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := walTestConfig(2, 1, 10, nil)
+	cfg.WAL = &wal.Options{Dir: dir}
+	r, _, err := Recover(cfg)
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("Recover over a v2 log = %v, %v; want the magic mismatch", r, err)
+	}
+}
+
+// TestReplayRefusesWorkerMirrors: workers are never mirrored, so a worker's
+// ghost record (0x12) and a worker admission carrying a mirror identity are
+// corrupt in a v3 log; replay refuses both.
+func TestReplayRefusesWorkerMirrors(t *testing.T) {
+	rec := &mirror{gid: 9, owner: 0, ownerLocal: 0, copies: []int32{0, 1}}
+	w := &admission{side: workerSide, id: 1, loc: geo.Point{X: 4, Y: 5}, at: 2, window: 3}
+	for _, p := range [][]byte{
+		encodeAdmission(nil, w, rec, false),
+		encodeAdmission(nil, w, &mirror{gid: 9, owner: 1}, true),
+	} {
+		r, err := NewRouter(walTestConfig(2, 2, 5, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		si := r.state().shards[0]
+		si.rep = &shardReplay{st: &replayState{mirrors: map[uint64]*mirror{}}}
+		if err := r.replayOp(si, p[0], p); err == nil {
+			t.Fatalf("replayed record 0x%02x %x", p[0], p)
+		}
+		if si.sess.NumWorkers() != 0 {
+			t.Fatalf("record 0x%02x admitted a worker", p[0])
+		}
+	}
 }
 
 // FuzzReplayRecord feeds arbitrary payloads to the record decoders

@@ -91,7 +91,7 @@ func walGoldenListing(t *testing.T) string {
 		t.Fatal(err)
 	}
 	tot := r.Totals()
-	if tot.Matches == 0 || tot.GhostWorkers == 0 || tot.GhostTasks == 0 || tot.ExpiredWorkers == 0 ||
+	if tot.Matches == 0 || tot.GhostWorkers != 0 || tot.GhostTasks == 0 || tot.ExpiredWorkers == 0 ||
 		tot.ExpiredTasks == 0 || tot.WithdrawnWorkers == 0 || tot.WithdrawnTasks == 0 || tot.BorderMatches == 0 {
 		t.Fatalf("degenerate history: %+v", tot)
 	}
@@ -116,7 +116,9 @@ func walGoldenListing(t *testing.T) string {
 // and copying the listing the failure prints); the two segments that hold a
 // seal were regenerated once since, when the seal's carried Attempted and
 // Rejected stopped taking back what a migration's re-admissions attempt
-// (six bytes each: the two counters and the record's CRC). Any change to what an
+// (six bytes each: the two counters and the record's CRC). The whole listing
+// was regenerated for the v3 log, which mirrors tasks only (244 153 bytes
+// over the 54 segments before, 204 988 after). Any change to what an
 // admission, withdrawal, migration or seal writes — a field, a flag bit, the
 // order of two records — moves a hash.
 func TestWALBytesGolden(t *testing.T) {

@@ -13,8 +13,8 @@
 // global sequence counter; those — and only those — are recorded as
 // interim decision records inside the operation group that produced them:
 //
-//   - commit-gate verdicts on pairs with a mirrored endpoint (the claim
-//     CAS races other shards at runtime);
+//   - commit-gate verdicts on pairs with a mirrored task (the claim CAS
+//     races other shards at runtime);
 //   - owner-expiry arbitration outcomes (ditto);
 //   - the global sequence number assigned to each emitted event (the
 //     counter interleaves across shards);
@@ -77,12 +77,8 @@ type shardWAL struct {
 	scratch []byte
 }
 
-func (sw *shardWAL) recGate(ok bool) {
-	var v byte
-	if ok {
-		v = 1
-	}
-	sw.scratch = append(sw.scratch[:0], decGate, v)
+func (sw *shardWAL) recGate(verdict uint32) {
+	sw.scratch = append(sw.scratch[:0], decGate, byte(verdict))
 	sw.group = wal.AppendFrame(sw.group, sw.scratch)
 }
 
@@ -129,9 +125,8 @@ func (sw *shardWAL) opRetire(horizon float64) {
 	sw.op(appendF64(p, horizon))
 }
 
-func (sw *shardWAL) opWithdraw(pw pendingWithdraw) {
-	p := append(sw.scratch[:0], opWithdraw, byte(pw.side))
-	sw.op(binary.LittleEndian.AppendUint64(p, pw.gid))
+func (sw *shardWAL) opWithdraw(gid uint64) {
+	sw.op(appendU64(append(sw.scratch[:0], opWithdraw), gid))
 }
 
 func (sw *shardWAL) opWithdrawLocal(local int, sd side, claimed, applied bool) {
@@ -204,9 +199,19 @@ func (rp *shardReplay) next(typ byte, what string) []byte {
 	return p
 }
 
-func (rp *shardReplay) popGate() bool {
+// popGate returns the recorded verdict: the claim state the commit left,
+// or claimFree for a veto (a corrupt verdict vetoes and fails the replay).
+func (rp *shardReplay) popGate() uint32 {
 	p := rp.next(decGate, "gate verdict")
-	return p != nil && p[1] != 0
+	if p == nil {
+		return claimFree
+	}
+	switch v := uint32(p[1]); v {
+	case claimFree, claimMatched, claimLate:
+		return v
+	}
+	rp.err = fmt.Errorf("wal: gate verdict %d is no commit state", p[1])
+	return claimFree
 }
 
 func (rp *shardReplay) popExpiry() byte {
@@ -231,27 +236,6 @@ func (rp *shardReplay) popSeq() uint64 {
 	}
 	rp.st.events++
 	return seq
-}
-
-// replayGate is the CommitGate during replay: the recorded verdict stands
-// in for the claim CAS, and a winning verdict reconstructs the mirror's
-// claim word exactly as the original commit did.
-func (si *shardInstance) replayGate(rw, rt *mirror, now float64) bool {
-	ok := si.rep.popGate()
-	if si.rep.err != nil {
-		return false
-	}
-	if !ok {
-		si.halo.claimsLost++
-		return false
-	}
-	if rw != nil {
-		rw.commit(now)
-	}
-	if rt != nil {
-		rt.commit(now)
-	}
-	return true
 }
 
 // RecoveryInfo summarises one Recover call.
@@ -363,9 +347,10 @@ func (lr *logReader) seal(gen []wal.Segment) (sm sealMeta, ok bool, err error) {
 
 // shardLoad is what the count pass learns about one shard's chain: by
 // side, how many admissions (ghost copies included) one arena epoch has to
-// hold and how many of them are halo-mirrored.
+// hold, and how many task admissions are halo-mirrored.
 type shardLoad struct {
-	n, mirrored [2]int
+	n        [2]int
+	mirrored int
 }
 
 // loadCounter folds one shard's records into a shardLoad. Arenas only hold
@@ -386,14 +371,14 @@ type loadCounter struct {
 
 func (c *loadCounter) record(p []byte) error {
 	switch typ := p[0]; typ {
-	case opWorker, opGhostWorker, opTask, opGhostTask:
+	case opWorker, opTask, opGhostTask:
 		if len(p) < admissionFixedLen {
 			return nil // replay reports the truncated record
 		}
 		sd, ghost := admissionKind(typ)
 		c.cur.n[sd]++
 		if p[1]&1 != 0 {
-			c.cur.mirrored[sd]++
+			c.cur.mirrored++
 			if !ghost {
 				c.owned++
 			}
@@ -423,8 +408,8 @@ func (c *loadCounter) advance(t float64) {
 func (c *loadCounter) closeEpoch() {
 	for sd := range c.cur.n {
 		c.peak.n[sd] = max(c.peak.n[sd], c.cur.n[sd])
-		c.peak.mirrored[sd] = max(c.peak.mirrored[sd], c.cur.mirrored[sd])
 	}
+	c.peak.mirrored = max(c.peak.mirrored, c.cur.mirrored)
 	c.cur = shardLoad{}
 }
 
@@ -432,11 +417,9 @@ func (c *loadCounter) closeEpoch() {
 // the load the count pass found, before replay fills them.
 func (si *shardInstance) reserve(l shardLoad) {
 	si.sess.Reserve(l.n[workerSide], l.n[taskSide])
-	for sd, m := range l.mirrored {
-		if m > 0 {
-			si.halo.ref[sd] = make([]*mirror, 0, l.n[sd])
-			si.halo.byGid[sd] = make(map[uint64]int32, m)
-		}
+	if l.mirrored > 0 {
+		si.halo.ref = make([]*mirror, 0, l.n[taskSide])
+		si.halo.byGid = make(map[uint64]int32, l.mirrored)
 	}
 }
 
@@ -751,21 +734,27 @@ func (r *Router) replayShard(si *shardInstance, paths []string, st *replayState)
 // mutation path it was recorded from.
 func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 	switch typ {
-	case opWorker, opTask, opGhostWorker, opGhostTask:
+	case opWorker, opTask, opGhostTask:
 		sd, ghost := admissionKind(typ)
 		ad, mi, mirrored, err := decodeAdmission(p, sd)
 		if err != nil {
 			return err
 		}
-		if ghost && !mirrored {
-			return errors.New("wal: ghost admission without mirror identity")
+		if mirrored && !sd.mirrored() {
+			return errors.New("wal: worker admission with a mirror identity")
+		}
+		if ghost != (mirrored && int(mi.owner) != si.id) {
+			return errors.New("wal: ghost flag disagrees with the mirror identity's owner shard")
 		}
 		var rec *mirror
 		if mirrored {
 			rec = si.rep.st.mirrors[mi.gid]
 			if rec == nil {
-				rec = &mirror{gid: mi.gid, side: sd, owner: mi.owner, ownerLocal: mi.ownerLocal}
+				rec = &mirror{gid: mi.gid, owner: mi.owner, ownerLocal: mi.ownerLocal}
 				si.rep.st.mirrors[mi.gid] = rec
+			}
+			if rec.owner != mi.owner {
+				return fmt.Errorf("wal: mirror %d recorded with owners %d and %d", mi.gid, rec.owner, mi.owner)
 			}
 			if len(mi.copies) > 0 {
 				rec.copies = mi.copies
@@ -774,12 +763,17 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 				si.rep.st.maxGid = mi.gid
 			}
 		}
-		h, _, _, err := si.installLocked(r, &ad, rec, ghost)
+		h, admitted, _, _, err := si.installLocked(r, &ad, rec, nil)
 		if err != nil {
 			return fmt.Errorf("wal: replaying admission: %w", err)
 		}
-		if mirrored && !ghost && int32(h.Local) != mi.ownerLocal {
-			return fmt.Errorf("wal: owner admission replayed at handle %d, recorded %d", h.Local, mi.ownerLocal)
+		if mirrored && !ghost {
+			if int32(h.Local) != mi.ownerLocal {
+				return fmt.Errorf("wal: owner admission replayed at handle %d, recorded %d", h.Local, mi.ownerLocal)
+			}
+			// The owner's stamp is the task's deadline for every copy; gate
+			// verdicts carry what replay needs, live commits after it read it.
+			rec.deadline = admitted + ad.window
 		}
 	case opAdvance:
 		d := decoder{p: p, off: 1}
@@ -803,12 +797,11 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 		si.lastRetire = si.sess.Now()
 	case opWithdraw:
 		d := decoder{p: p, off: 1}
-		flags := d.u8("withdraw flags")
 		gid := d.u64("withdraw gid")
 		if d.err != nil {
 			return d.err
 		}
-		si.applyWithdrawLocked(pendingWithdraw{gid: gid, side: side(flags & 1)})
+		si.applyWithdrawLocked(gid)
 	case opWithdrawLocal:
 		d := decoder{p: p, off: 1}
 		flags := d.u8("local withdraw flags")

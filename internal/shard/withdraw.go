@@ -1,11 +1,12 @@
 // Platform-initiated withdrawal through the Router — the primitive behind
 // the wire protocol's Withdraw request (a worker goes offline, a task is
 // cancelled). This is distinct from the halo's internal retractions
-// (halo.go), which address copies by gid after an arbitration settled: a
-// platform withdrawal addresses an admission RECEIPT — (Handle, epoch) —
-// and must itself win the object's claim word first, because a border
-// object the platform withdraws here could otherwise still be committed
-// by a neighbor session holding a ghost copy.
+// (halo.go), which address task copies by gid after an arbitration
+// settled: a platform withdrawal addresses an admission RECEIPT —
+// (Handle, epoch) — and, for a mirrored task, must itself win the task's
+// claim word first, because a neighbor session holding a ghost copy could
+// otherwise still commit it. A worker is never mirrored: withdrawing one
+// is a local affair.
 //
 // Receipt semantics: a Handle's Local is only stable within the arena
 // epoch it was issued in (retirement compacts and remaps handles), so the
@@ -30,13 +31,11 @@ var ErrStaleHandle = errors.New("shard: handle epoch predates the shard's arena 
 
 // WithdrawWorker retracts the worker admitted as (h, epoch) — the receipt
 // AddWorker (or the batched admitter) reported — from matching
-// consideration everywhere it exists: the owner copy is withdrawn from its
-// session and, when the object was halo-mirrored, every ghost copy is
-// retracted too. It reports whether the object was still live: false with
-// a nil error means its lifecycle had already concluded (matched
-// somewhere, expired under Strict arbitration, or already withdrawn) and
-// nothing changed. Errors are reserved for invalid receipts: an unknown
-// shard or handle, or a stale epoch (ErrStaleHandle).
+// consideration. It reports whether the worker was still live: false with
+// a nil error means its lifecycle had already concluded (matched, expired
+// under Strict, or already withdrawn) and nothing changed. Errors are
+// reserved for invalid receipts: an unknown shard or handle, or a stale
+// epoch (ErrStaleHandle).
 //
 // Like the session-level primitive it wraps, withdrawal is silent — no
 // lifecycle event is emitted — and makes the object retirable.
@@ -44,7 +43,10 @@ func (r *Router) WithdrawWorker(h Handle, epoch uint64) (bool, error) {
 	return r.withdraw(h, epoch, workerSide)
 }
 
-// WithdrawTask retracts a task receipt; see WithdrawWorker.
+// WithdrawTask retracts a task receipt everywhere it exists: the owner
+// copy is withdrawn from its session and, when the task was halo-mirrored,
+// every ghost copy is retracted too (a task matched or expired elsewhere
+// reports false); see WithdrawWorker for the rest.
 func (r *Router) WithdrawTask(h Handle, epoch uint64) (bool, error) {
 	return r.withdraw(h, epoch, taskSide)
 }
@@ -75,7 +77,7 @@ func (si *shardInstance) withdrawOwner(r *Router, local int, epoch uint64, sd si
 	if n := sd.count(si.sess); local < 0 || local >= n {
 		return false, fmt.Errorf("shard: withdraw handle %d out of range (shard %d holds %d)", local, si.id, n)
 	}
-	rec := refAt(si.halo.ref[sd], local)
+	rec := si.recOf(sd, local)
 	if rec != nil && int(rec.owner) != si.id {
 		// Honest receipts always name owner copies; a ghost copy's handle
 		// is internal to the halo machinery and not withdrawable here.
@@ -83,28 +85,22 @@ func (si *shardInstance) withdrawOwner(r *Router, local int, epoch uint64, sd si
 	}
 	claimed := false
 	if rec != nil {
-		// The object is mirrored: win the claim word before touching the
+		// The task is mirrored: win the claim word before touching the
 		// local copy, exactly like a Strict owner expiry — a withdrawal
-		// ends the object's availability in every mode, so a ghost session
+		// ends the task's availability in every mode, so a ghost session
 		// must never commit it afterwards. Losing means a commit (or a
 		// Strict expiry) already owns the lifecycle: the local copy is
 		// either the winner or already queued for retraction, and the
 		// withdrawal is a no-op.
-		for {
-			s := rec.settle()
-			if s != claimFree {
-				return false, nil
-			}
-			if rec.state.CompareAndSwap(claimFree, claimExpired) {
-				claimed = true
-				break
-			}
+		if !rec.state.CompareAndSwap(claimFree, claimExpired) {
+			return false, nil
 		}
+		claimed = true
 		r.retractLosers(si.ts, rec, si.id)
 	}
 	applied := sd.withdraw(si.sess, local)
 	if applied && rec != nil {
-		si.dropRef(sd, local, rec)
+		si.dropRef(local, rec)
 	}
 	if si.wal != nil && (applied || claimed) {
 		// Recorded only when something changed: a refused withdrawal
@@ -125,7 +121,7 @@ func (si *shardInstance) replayWithdrawLocal(local int, sd side, claimed, applie
 	if n := sd.count(si.sess); local < 0 || local >= n {
 		return fmt.Errorf("wal: recorded withdrawal of handle %d, the session holds %d", local, n)
 	}
-	rec := refAt(si.halo.ref[sd], local)
+	rec := si.recOf(sd, local)
 	if claimed {
 		if rec == nil {
 			return fmt.Errorf("wal: recorded claimed withdrawal of unmirrored handle %d", local)
@@ -136,7 +132,7 @@ func (si *shardInstance) replayWithdrawLocal(local int, sd side, claimed, applie
 		return fmt.Errorf("wal: withdrawal of handle %d replayed applied=%v, recorded %v", local, got, applied)
 	}
 	if applied && rec != nil {
-		si.dropRef(sd, local, rec)
+		si.dropRef(local, rec)
 	}
 	return nil
 }

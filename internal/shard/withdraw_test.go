@@ -99,9 +99,10 @@ func TestWithdrawStaleEpoch(t *testing.T) {
 	}
 }
 
-// TestWithdrawMirrored: withdrawing a border (halo-mirrored) receipt wins
-// the claim word and retracts every ghost copy, so no neighbor session can
-// match it afterwards and no expiry fires anywhere.
+// TestWithdrawMirrored: withdrawing a border (halo-mirrored) task receipt
+// wins the claim word and retracts every ghost copy, so no neighbor session
+// can match it afterwards and no expiry fires anywhere. A border worker has
+// no ghost to retract: workers are never mirrored.
 func TestWithdrawMirrored(t *testing.T) {
 	cfg := testConfig(2, 1)
 	cfg.Halo = 10
@@ -110,29 +111,36 @@ func TestWithdrawMirrored(t *testing.T) {
 		t.Fatal(err)
 	}
 	// On the 50 boundary: owner shard 0 (or 1), mirrored into the other.
-	h, _, err := r.AddWorker(model.Worker{Loc: geo.Pt(49, 50), Arrive: 0, Patience: 20})
+	h, _, err := r.AddTask(model.Task{Loc: geo.Pt(49, 50), Release: 0, Expiry: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ghostShard := 1 - h.Shard
-	if gs := r.ShardStats(ghostShard); gs.GhostWorkers != 1 {
-		t.Fatalf("setup: ghost shard stats %+v, want 1 ghost worker", gs)
+	if gs := r.ShardStats(ghostShard); gs.GhostTasks != 1 {
+		t.Fatalf("setup: ghost shard stats %+v, want 1 ghost task", gs)
+	}
+	wh, _, err := r.AddWorker(model.Worker{Loc: geo.Pt(49, 10), Arrive: 0, Patience: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs := r.ShardStats(1 - wh.Shard); gs.GhostWorkers != 0 {
+		t.Fatalf("a border worker left a ghost: %+v", gs)
 	}
 	epoch := r.state().shards[h.Shard].sess.Epoch()
-	if ok, err := r.WithdrawWorker(h, epoch); err != nil || !ok {
-		t.Fatalf("WithdrawWorker = %v, %v; want true, nil", ok, err)
+	if ok, err := r.WithdrawTask(h, epoch); err != nil || !ok {
+		t.Fatalf("WithdrawTask = %v, %v; want true, nil", ok, err)
 	}
-	if gs := r.ShardStats(ghostShard); gs.WithdrawnWorkers != 1 {
+	if gs := r.ShardStats(ghostShard); gs.WithdrawnTasks != 1 {
 		t.Fatalf("ghost copy not retracted: %+v", gs)
 	}
-	// A task in the ghost shard's reach must not match the withdrawn
-	// worker; with no other workers around it expires.
-	if _, _, err := r.AddTask(model.Task{Loc: geo.Pt(52, 50), Release: 1, Expiry: 5}); err != nil {
+	// A worker in the ghost shard must not match the withdrawn task; with
+	// no other tasks around it expires, as does the first worker.
+	if _, _, err := r.AddWorker(model.Worker{Loc: geo.Pt(52, 50), Arrive: 1, Patience: 5}); err != nil {
 		t.Fatal(err)
 	}
 	r.Advance(100)
 	evs := allEvents(t, r)
-	if len(evs) != 1 || evs[0].Kind != sim.EventTaskExpired {
-		t.Fatalf("events = %+v, want exactly the task expiry", evs)
+	if len(evs) != 2 || evs[0].Kind != sim.EventWorkerExpired || evs[1].Kind != sim.EventWorkerExpired {
+		t.Fatalf("events = %+v, want exactly the two worker expiries", evs)
 	}
 }

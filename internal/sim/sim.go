@@ -132,6 +132,17 @@ type Algorithm interface {
 	OnFinish(now float64)
 }
 
+// DispatchingAlgorithm is implemented by algorithms that move waiting
+// workers with Platform.Dispatch. Such a worker can serve a task up to
+// (Dw + Dr)·velocity from where it arrived (Definition 4); one that waits in
+// place reaches only Dr·velocity. The shard router mirrors border tasks
+// farther for them.
+type DispatchingAlgorithm interface {
+	Algorithm
+	// DispatchesWorkers marks the algorithm; it does nothing.
+	DispatchesWorkers()
+}
+
 // TimerAlgorithm is implemented by algorithms that use Platform.Schedule.
 type TimerAlgorithm interface {
 	Algorithm
