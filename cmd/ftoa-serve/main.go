@@ -48,7 +48,7 @@ func main() {
 	boundsStr := flag.String("bounds", "0,0,100,100", "service area as x0,y0,x1,y1")
 	flag.DurationVar(&cfg.Tick, "tick", cfg.Tick, "timer advance interval")
 	shards := flag.String("shards", "1x1", "shard grid as NxM (regions served independently)")
-	flag.Float64Var(&cfg.Halo, "halo", cfg.Halo, "cross-shard matching reach window in seconds: border arrivals within velocity*halo of a neighbor region are mirrored there so cross-border pairs match (typically the task expiry window; 0 keeps regions disjoint)")
+	flag.Float64Var(&cfg.Halo, "halo", cfg.Halo, "cross-shard matching reach window in seconds: border pairs shorter than velocity*halo match across regions, as a border task is mirrored into each neighbor region within 2*velocity*halo, capped at its expiry*velocity (typically the task expiry window; 0 keeps regions disjoint)")
 	flag.IntVar(&cfg.Retention, "retention", cfg.Retention, "events retained per base-grid shard: /events and /matches read the most recent retention x shards events, held at 32 bytes each (32 MiB at the default on a 4x4 grid)")
 	flag.DurationVar(&cfg.Retire, "retire", cfg.Retire, "per-shard arena retirement interval; matched and expired objects are compacted away, bounding memory by the live population (0 disables)")
 	flag.StringVar(&cfg.GuidePath, "guide", cfg.GuidePath, "per-cell count history CSV (ftoa-gen -counts format) for guided algorithms")

@@ -7,10 +7,10 @@
 //
 // The day is served twice: once with disjoint regions (a worker near a
 // border cannot serve a reachable task across it) and once with halo
-// mirroring on, where border arrivals are ghosted into reachable
-// neighbor sessions and cross-shard claims guarantee each object still
-// matches at most once — recovering the border matches the disjoint grid
-// loses.
+// mirroring on, where border tasks are ghosted into the neighbor sessions
+// whose workers could serve them and cross-shard claims guarantee each
+// task still matches at most once — recovering the border matches the
+// disjoint grid loses.
 package main
 
 import (

@@ -230,9 +230,9 @@ const (
 
 // Sharded serving (package shard): one service area as a grid of
 // independent sessions with a merged, cursor-addressed event stream.
-// With ShardConfig.Halo set, border admissions are mirrored into
-// reachable neighbor sessions and arbitrated so cross-border pairs match
-// without any object ever committing twice.
+// With ShardConfig.Halo set, border tasks are mirrored into the neighbor
+// sessions whose workers could serve them and arbitrated so cross-border
+// pairs match without any task ever committing twice.
 type (
 	// ShardRouter partitions MatcherConfig.Bounds into a grid of
 	// per-region sessions and routes admissions by location.
@@ -252,7 +252,7 @@ type (
 	// sessions are replaced.
 	ShardTotals = shard.Totals
 	// ShardPlacement maps a location to its owner region plus the
-	// neighbor regions within the halo that must receive ghost copies.
+	// neighbor regions within a task's reach that receive its ghost copies.
 	ShardPlacement = shard.Placement
 	// WALOptions parameterises the per-shard write-ahead log: set it as
 	// ShardConfig.WAL to make a router durable, and boot through
@@ -376,8 +376,8 @@ func NewShardRouter(cfg ShardConfig) (*ShardRouter, error) { return shard.NewRou
 
 // HaloForWindow derives the natural ShardConfig.Halo width from the
 // shared worker velocity and the workload's deadline window (typically
-// the task expiry Dr): objects farther apart can never form a feasible
-// pair, so a wider halo only adds mirroring cost.
+// the task expiry Dr): a worker waiting farther from a task can never
+// serve it, so a wider halo only adds mirroring cost.
 func HaloForWindow(velocity, window float64) float64 { return shard.HaloForWindow(velocity, window) }
 
 // NewMatcher validates cfg and returns a factory for open-world streaming

@@ -42,7 +42,7 @@ func NewHybrid(g *guide.Guide) *Hybrid {
 // Name implements sim.Algorithm.
 func (a *Hybrid) Name() string { return "POLAR-OP+G" }
 
-// DispatchesWorkers implements sim.DispatchingAlgorithm.
+// DispatchesWorkers marks a sim.DispatchingAlgorithm.
 func (a *Hybrid) DispatchesWorkers() {}
 
 // FallbackMatches reports how many commits came from the greedy fallback

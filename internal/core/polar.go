@@ -33,7 +33,7 @@ func NewPOLAR(g *guide.Guide) *POLAR { return &POLAR{g: g} }
 // Name implements sim.Algorithm.
 func (a *POLAR) Name() string { return "POLAR" }
 
-// DispatchesWorkers implements sim.DispatchingAlgorithm.
+// DispatchesWorkers marks a sim.DispatchingAlgorithm.
 func (a *POLAR) DispatchesWorkers() {}
 
 // Init implements sim.Algorithm.

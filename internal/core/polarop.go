@@ -108,7 +108,7 @@ func NewPOLAROP(g *guide.Guide) *POLAROP { return &POLAROP{g: g} }
 // Name implements sim.Algorithm.
 func (a *POLAROP) Name() string { return "POLAR-OP" }
 
-// DispatchesWorkers implements sim.DispatchingAlgorithm.
+// DispatchesWorkers marks a sim.DispatchingAlgorithm.
 func (a *POLAROP) DispatchesWorkers() {}
 
 // Init implements sim.Algorithm.

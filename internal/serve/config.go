@@ -20,10 +20,13 @@ type Config struct {
 	Shards    [2]int // cols, rows
 	Retention int
 	Retire    time.Duration // per-shard arena retirement interval; 0 disables
-	// Halo is the cross-shard matching reach window in seconds: border
-	// arrivals within velocity×halo of a neighboring region are mirrored
-	// into it as ghosts and arbitrated so no object matches twice. Zero
-	// keeps regions disjoint (the pre-halo hyperlocal behavior).
+	// Halo is the cross-shard matching reach window in seconds: the router
+	// finds every border pair shorter than velocity×halo. A border task is
+	// mirrored as a ghost into each neighboring region within
+	// 2×velocity×halo of it (capped at its own expiry×velocity unless the
+	// algorithm dispatches workers), and the copies are arbitrated so no
+	// task matches twice; workers are never mirrored. Zero keeps regions
+	// disjoint (the pre-halo hyperlocal behavior).
 	Halo float64
 
 	// Guide pipeline (polar/polarop/hybrid, and -rebalance-forecast).

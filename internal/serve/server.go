@@ -35,11 +35,11 @@
 // Times are seconds since the server started; arrivals are stamped on
 // admission. Each shard's session is single-writer behind its own lock,
 // so disjoint regions admit concurrently — sharding, not concurrent
-// writes to one session, is the scaling story. With Halo set, arrivals
-// near a region border are additionally mirrored into the neighboring
-// sessions they could feasibly match in (and retracted the moment their
-// original is spoken for), recovering the cross-border matches disjoint
-// regions lose; /stats breaks the ghost traffic out per shard.
+// writes to one session, is the scaling story. With Halo set, tasks near
+// a region border are additionally mirrored into the neighboring sessions
+// whose workers could serve them (and retracted the moment their original
+// is spoken for), recovering the cross-border matches disjoint regions
+// lose; /stats breaks the ghost traffic out per shard.
 //
 // Memory is bounded for arbitrarily long uptimes: besides the
 // retention-bounded event log, every shard retires its session arenas on
@@ -346,13 +346,14 @@ func (s *Server) advance() {
 }
 
 // haloBootReport renders the boot-time halo geometry summary: one line
-// per shard with its region size and effective halo fraction — the
-// ghost admissions mirrored in from the halo band around the region,
-// relative to the region's own traffic share — preceded by a warning
-// for every shard whose region the halo reach window rivals. At
-// 2*halo >= the region's smaller dimension the halo bands cover the
-// entire region: every admission there is mirrored somewhere, and
-// sharding degenerates toward replicated broadcast.
+// per shard with its region size and effective halo fraction — the task
+// ghosts mirrored in from the band within 2*halo around the region,
+// relative to the region's own task share (an upper bound: a task's reach
+// is also capped at its expiry×velocity; workers are never mirrored) —
+// preceded by a warning for every shard whose region the halo reach
+// window rivals. At 4*halo >= the region's smaller dimension the bands of
+// its two sides cover the entire region: every task there is mirrored
+// somewhere, and sharding degenerates toward replicating the tasks.
 func haloBootReport(p *ftoa.ShardPlacement) []string {
 	n := p.NumRegions()
 	halo := p.Halo()
@@ -367,9 +368,9 @@ func haloBootReport(p *ftoa.ShardPlacement) []string {
 	}
 	for i := 0; i < n; i++ {
 		r := p.Region(i)
-		if 2*halo >= min(r.Width(), r.Height()) {
+		if 4*halo >= min(r.Width(), r.Height()) {
 			lines = append(lines, fmt.Sprintf(
-				"ftoa-serve: WARNING: halo reach %g rivals shard %d region %gx%g (2*halo >= min dimension): the halo bands cover the whole region, so nearly every admission is mirrored; use fewer shards or a smaller -halo",
+				"ftoa-serve: WARNING: halo reach %g rivals shard %d region %gx%g (4*halo >= min dimension): the bands tasks are mirrored from cover the whole region, so nearly every task is mirrored; use fewer shards or a smaller -halo",
 				halo, i, r.Width(), r.Height()))
 		}
 	}
@@ -381,7 +382,7 @@ func haloBootReport(p *ftoa.ShardPlacement) []string {
 			ghost = p.HintShare(i)*total/area - 1
 		}
 		lines = append(lines, fmt.Sprintf(
-			"ftoa-serve: shard %d region %gx%g halo reach %g: effective halo fraction %.1f%% (ghost admissions over own share)",
+			"ftoa-serve: shard %d region %gx%g halo reach %g: effective halo fraction %.1f%% (task ghosts over own tasks, at most)",
 			i, r.Width(), r.Height(), halo, 100*ghost))
 	}
 	return lines

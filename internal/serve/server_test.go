@@ -1114,9 +1114,9 @@ func TestServeCrashRestartSoak(t *testing.T) {
 	}
 }
 
-// TestHaloBootReport: the boot summary warns exactly when the halo reach
-// window rivals the shard region size, and always reports the effective
-// halo fraction per shard.
+// TestHaloBootReport: the boot summary warns exactly when the band tasks
+// are mirrored from rivals the shard region size, and always reports the
+// effective halo fraction per shard.
 func TestHaloBootReport(t *testing.T) {
 	build := func(haloSecs float64) *Server {
 		cfg := defaultTestConfig()
@@ -1133,7 +1133,7 @@ func TestHaloBootReport(t *testing.T) {
 		t.Fatalf("halo 0 reported %v, want nothing", lines)
 	}
 
-	// Modest halo: 2*5 < 50, so fractions only, no warning.
+	// Modest halo: 4*5 < 50, so fractions only, no warning.
 	lines := haloBootReport(build(5).router.Placement())
 	if len(lines) != 4 {
 		t.Fatalf("halo 5: %d lines, want 4 per-shard fractions: %v", len(lines), lines)
@@ -1147,7 +1147,7 @@ func TestHaloBootReport(t *testing.T) {
 		}
 	}
 
-	// Oversized halo: 2*30 >= 50 — every shard warned, fractions still
+	// Oversized halo: 4*30 >= 50 — every shard warned, fractions still
 	// reported.
 	lines = haloBootReport(build(30).router.Placement())
 	var warns, fracs int

@@ -4,17 +4,15 @@
 // Only tasks are mirrored (side.go, reach). A border task is admitted to its
 // owner shard and, when its own arrival leaves it unmatched, mirrored as a
 // *ghost* into every neighbor session within its reach. All copies of one
-// task share a single mirror record carrying an atomic claim word; whichever
+// task share a mirror record carrying an atomic claim word; whichever
 // session wants to commit the task (or, in Strict mode, report the owner
 // copy's expiry, or withdraw it) must win the claim first:
 //
 //   - every shard session runs with a sim CommitGate: a TryMatch whose task
-//     is mirrored only commits after one CAS of its record from free to
-//     matched. Losing the CAS vetoes the commit — the session never records
-//     the pair, the algorithm sees an ordinary platform refusal, and
-//     whatever copy won elsewhere stands. A worker is never mirrored, so a
-//     pair has at most one claim word to win and the gate holds nothing
-//     while it takes it.
+//     is mirrored only commits after one CAS of its claim word out of free
+//     (a pair has at most one). Losing vetoes the commit — the session
+//     never records the pair, the algorithm sees an ordinary platform
+//     refusal, and whatever copy won elsewhere stands.
 //   - the winning shard's event collection then rewrites the committed
 //     match's task to its owner identity (see Event.TaskShard) — so the
 //     merged stream reports each logical match exactly once, under its home
@@ -48,10 +46,9 @@ const (
 	claimExpired
 )
 
-// mirror is the shared arbitration record of one halo-mirrored task.
-// Everything except the claim word is immutable once the record is shared
-// (recovery fills deadline in while it replays), which is what makes it
-// safe to read from any shard without locks.
+// mirror is the shared arbitration record of one halo-mirrored task. All
+// but the claim word is immutable once shared (recovery fills deadline in
+// as it replays), so any shard may read it without locks.
 type mirror struct {
 	state atomic.Uint32
 	owner int32 // owning shard
@@ -67,20 +64,12 @@ type mirror struct {
 	copies []int32
 }
 
-// commitState is the claim state a commit at session time now leaves.
-func (m *mirror) commitState(now float64) uint32 {
-	if taskSide.closedAt(m.deadline, now) {
-		return claimLate
-	}
-	return claimMatched
-}
-
 // haloState is the per-shard half of the arbitration: a dense
-// handle→record table for every mirrored task copy this shard holds and the
-// gid→handle resolution map retractions address copies by; and the pending
-// retraction queue (of gids). The table and map are guarded by the shard's
-// session lock; the queue by its own leaf mutex so other shards can feed
-// it without ordering against session locks.
+// handle→record table for every mirrored task copy this shard holds, the
+// gid→handle map retractions address copies by, and the pending retraction
+// queue of gids. The table and map are guarded by the shard's session
+// lock; the queue by its own leaf mutex so other shards can feed it
+// without ordering against session locks.
 type haloState struct {
 	ref   []*mirror // by current task handle; nil = unmirrored
 	byGid map[uint64]int32
@@ -109,8 +98,7 @@ func refAt(refs []*mirror, h int) *mirror {
 	return nil
 }
 
-// recOf returns the mirror record behind handle h of side sd: nil for a
-// worker, which is never mirrored.
+// recOf returns the mirror record behind handle h of side sd (nil for a worker).
 func (si *shardInstance) recOf(sd side, h int) *mirror {
 	if !sd.mirrored() {
 		return nil
@@ -237,7 +225,11 @@ func (si *shardInstance) gate(_, t int, now float64) bool {
 			rec.state.Store(verdict)
 		}
 	} else {
-		if s := rec.commitState(now); rec.state.CompareAndSwap(claimFree, s) {
+		s := claimMatched
+		if taskSide.closedAt(rec.deadline, now) {
+			s = claimLate
+		}
+		if rec.state.CompareAndSwap(claimFree, s) {
 			verdict = s
 		}
 		if si.wal != nil {

@@ -18,14 +18,11 @@
 // topology reproduces the historical grid placement bit for bit: same
 // region numbering, same rectangles, same mirror sets.
 //
-// The halo width is the knob: the length of border pair the router
-// guarantees to find, mirroring tasks up to twice as far. The natural
-// setting is Velocity × the deadline window (how far a worker can travel
-// before the pair's deadline cuts the match off — see HaloForWindow), but
-// it is an explicit distance so operators can trade border-matching
-// quality against mirroring cost. Zero disables mirroring entirely and
-// reduces the placement to the disjoint partitioning of the original grid
-// router.
+// The halo width is the knob: the length of border pair the router finds,
+// mirroring tasks up to twice as far. The natural setting is Velocity ×
+// the deadline window (see HaloForWindow), but it is an explicit distance
+// so operators can trade border-matching quality against mirroring cost.
+// Zero disables mirroring and reduces the placement to the disjoint grid.
 package shard
 
 import (

@@ -58,18 +58,14 @@ type Config struct {
 	Cols, Rows int
 	// Halo, when positive, enables cross-shard border matching: it is the
 	// length (a distance) of border pair the router guarantees to find. A
-	// task within min(2·Halo, Expiry·Velocity) of a neighboring region is
-	// mirrored into that region's session as a ghost — every pair shorter
-	// than 2·Halo has its task that close to the worker's region, and no
-	// worker waiting farther than Expiry·Velocity can serve it; under an
-	// algorithm that dispatches workers (sim.DispatchingAlgorithm) the
-	// reach is 2·Halo, as a moving worker gets farther — and ghost matches
-	// are arbitrated by the claim protocol of halo.go so no task ever
-	// commits twice. Workers are admitted to their own region alone. The
-	// natural width is Velocity × the workload's deadline window
-	// (HaloForWindow); wider halos only add mirroring cost, narrower ones
-	// recover less border quality. Zero keeps the disjoint hyperlocal
-	// behavior.
+	// task within min(2·Halo, Expiry·Velocity) of a neighboring region —
+	// 2·Halo under a sim.DispatchingAlgorithm, whose workers move — is
+	// mirrored into its session as a ghost (admission.reach), arbitrated by
+	// the claim protocol of halo.go so no task commits twice. Workers are
+	// never mirrored. The natural width is Velocity × the workload's
+	// deadline window (HaloForWindow); wider halos only add mirroring cost,
+	// narrower ones recover less border quality. Zero keeps the disjoint
+	// hyperlocal behavior.
 	Halo float64
 	// NewAlgorithm mints one algorithm instance per shard. Instances must
 	// not share mutable state (a shared read-only Guide is fine).
@@ -230,9 +226,8 @@ type topoState struct {
 	version   uint64
 	topo      *Topology
 	placement *Placement
-	// velocity is the shared worker velocity and moving whether the
-	// algorithm dispatches workers (sim.DispatchingAlgorithm): together with
-	// a task's window they bound its mirror reach (route).
+	// velocity and moving (a sim.DispatchingAlgorithm) bound a task's
+	// mirror reach with its window (route).
 	velocity float64
 	moving   bool
 	shards   []*shardInstance

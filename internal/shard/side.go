@@ -33,24 +33,15 @@ const (
 var sides = [...]side{workerSide, taskSide}
 
 // mirrored reports whether objects of this side are ever halo-mirrored:
-// tasks are, workers never (see reach). Only tasks have mirror records,
-// ref-table slots and ghost copies.
+// tasks are (they alone have mirror records and ghosts), workers never.
 func (sd side) mirrored() bool { return sd == taskSide }
 
 // reach is how far from its location an arrival is mirrored under a halo
-// of width halo (Config.Halo): a task into every neighbor region within
-// 2·halo of it, a worker nowhere.
-//
-// A worker waits (and, under guidance, moves); it stays in its own region,
-// and the ghost tasks come to it. The guarantee carries over from mirroring
-// both kinds over halo: a border pair shorter than 2·halo has its task
-// within that length of the worker's region, so its ghost is there to be
-// found whichever arrives first. When workers wait in place (moving is
-// false), a task is fixed at its location and only a worker within
-// window·velocity of it can serve it (Definition 4), so the reach is capped
-// there: a ghost farther away is waste. A dispatched worker can serve a
-// task up to (Dw + window)·velocity from where it arrived, so with moving
-// set the cap does not hold.
+// of width halo: a worker nowhere, a task up to 2·halo (a border pair
+// shorter than 2·halo has its task that close to the worker's region). A
+// worker waiting in place farther than window·velocity cannot serve the
+// task (Definition 4), so that caps the reach unless workers move, when
+// they reach up to (Dw + window)·velocity (see Config.Halo).
 func (ad *admission) reach(halo, velocity float64, moving bool) float64 {
 	if !ad.side.mirrored() || !(halo > 0) {
 		return 0

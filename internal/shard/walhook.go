@@ -203,15 +203,13 @@ func (rp *shardReplay) next(typ byte, what string) []byte {
 // or claimFree for a veto (a corrupt verdict vetoes and fails the replay).
 func (rp *shardReplay) popGate() uint32 {
 	p := rp.next(decGate, "gate verdict")
-	if p == nil {
+	if p != nil && uint32(p[1]) > claimLate {
+		rp.err = fmt.Errorf("wal: gate verdict %d is no commit state", p[1])
+	}
+	if p == nil || rp.err != nil {
 		return claimFree
 	}
-	switch v := uint32(p[1]); v {
-	case claimFree, claimMatched, claimLate:
-		return v
-	}
-	rp.err = fmt.Errorf("wal: gate verdict %d is no commit state", p[1])
-	return claimFree
+	return uint32(p[1])
 }
 
 func (rp *shardReplay) popExpiry() byte {

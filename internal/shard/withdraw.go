@@ -43,10 +43,9 @@ func (r *Router) WithdrawWorker(h Handle, epoch uint64) (bool, error) {
 	return r.withdraw(h, epoch, workerSide)
 }
 
-// WithdrawTask retracts a task receipt everywhere it exists: the owner
-// copy is withdrawn from its session and, when the task was halo-mirrored,
-// every ghost copy is retracted too (a task matched or expired elsewhere
-// reports false); see WithdrawWorker for the rest.
+// WithdrawTask retracts a task receipt everywhere it exists: the owner copy
+// and, when the task was halo-mirrored, every ghost copy (a task matched or
+// expired elsewhere reports false); see WithdrawWorker for the rest.
 func (r *Router) WithdrawTask(h Handle, epoch uint64) (bool, error) {
 	return r.withdraw(h, epoch, taskSide)
 }

@@ -57,7 +57,7 @@ type MatcherConfig struct {
 	// platform validity check has passed, immediately before the pair
 	// commits; returning false vetoes the commit (TryMatch reports false
 	// and the attempt counts as rejected). The shard router uses it to
-	// arbitrate cross-shard claims on halo-mirrored objects — a vetoed
+	// arbitrate cross-shard claims on halo-mirrored tasks — a vetoed
 	// commit means another session's copy already matched or expired. The
 	// gate runs mid-algorithm-callback and must not call back into the
 	// Session.

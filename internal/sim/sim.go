@@ -133,10 +133,9 @@ type Algorithm interface {
 }
 
 // DispatchingAlgorithm is implemented by algorithms that move waiting
-// workers with Platform.Dispatch. Such a worker can serve a task up to
-// (Dw + Dr)·velocity from where it arrived (Definition 4); one that waits in
-// place reaches only Dr·velocity. The shard router mirrors border tasks
-// farther for them.
+// workers (Platform.Dispatch): such a worker can serve a task up to
+// (Dw + Dr)·velocity from where it arrived (Definition 4), one waiting in
+// place only Dr·velocity, so the shard router mirrors tasks farther.
 type DispatchingAlgorithm interface {
 	Algorithm
 	// DispatchesWorkers marks the algorithm; it does nothing.

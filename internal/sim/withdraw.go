@@ -1,10 +1,10 @@
 package sim
 
 // Withdrawal — the retraction primitive behind cross-shard halo matching
-// (package shard). A border object mirrored into several sessions must be
-// retracted everywhere else the moment one copy is committed or the owner
-// copy expires; WithdrawWorker/WithdrawTask are that retraction. A
-// withdrawn object:
+// (package shard), and of a platform's cancellations. A border task
+// mirrored into several sessions must be retracted everywhere else the
+// moment one copy is committed or the owner copy expires; WithdrawTask is
+// that retraction. A withdrawn object:
 //
 //   - is unavailable: WorkerAvailable/TaskAvailable report false in both
 //     modes (unlike deadlines, which AssumeGuide ignores) and TryMatch

@@ -465,24 +465,9 @@ func remaining(r io.Reader) int64 {
 	return 0
 }
 
-// left is how many bytes of r the rows have not consumed yet — what r has
-// left plus what the rows hold in their buffer — or 0 when r cannot tell.
-func (s *csvRows) left(r io.Reader) int64 {
-	n := remaining(r)
-	if n == 0 {
-		return 0
-	}
-	return n + int64(s.br.Buffered()-s.off)
-}
-
-// rowsHint bounds how many history rows a file has in its last size
-// bytes: a valid row takes at least 12 bytes ("0,0,0,0,0,0\n"). It caps
-// what it trusts a size for.
-func rowsHint(size int64) int { return int(min(size/12+1, 1<<20)) }
-
-// firstSlotRows is what LoadCountsCSV reserves before the first slot ends
-// and tells it how long the file's rows are.
-const firstSlotRows = 1 << 10
+// left is how many bytes of r the rows have not consumed yet: what r has
+// left plus what the rows hold in their buffer.
+func (s *csvRows) left(r io.Reader) int64 { return remaining(r) + int64(s.br.Buffered()-s.off) }
 
 // cellOrder follows the order ftoa-gen writes a history in: every (day,
 // slot, area) cell once, row-major from (0, 0, 0), so that row i is the
@@ -566,7 +551,9 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 	fail := func(format string, args ...any) (int, int, int, []int, []int, []float64, error) {
 		return 0, 0, 0, nil, nil, nil, fmt.Errorf("workload: "+format, args...)
 	}
-	hint := rowsHint(remaining(r))
+	// A valid row takes at least 12 bytes ("0,0,0,0,0,0\n"); the bound caps
+	// what a size is trusted for.
+	hint := int(min(remaining(r)/12+1, 1<<20))
 	rows := newCSVRows(r, 6)
 	if err := rows.next(); err != nil {
 		return fail("reading CSV header: %w", err)
@@ -574,11 +561,11 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 	if string(rows.field(0)) != "day" {
 		return fail("unexpected CSV header %v", rows.strings())
 	}
-	// hint assumes the shortest rows there are; ftoa-gen writes about 16.6
-	// bytes a row. The tensors get a first slot's worth now and are sized
-	// for the rest once its rows tell their length.
+	// ftoa-gen writes about 16.6 bytes a row: the tensors get room for a
+	// first slot now and are sized for the rest once its rows tell their
+	// length.
 	body := rows.left(r)
-	workers, tasks = make([]int, 0, min(hint, firstSlotRows)), make([]int, 0, min(hint, firstSlotRows))
+	workers, tasks = make([]int, 0, min(hint, 1<<10)), make([]int, 0, min(hint, 1<<10))
 	var (
 		order cellOrder
 		moved []movedRow // from the first row out of order on
@@ -632,12 +619,11 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 			// rows tell how many rows and slots are left.
 			if a == 0 {
 				if len(weather) == 1 {
+					// At the bytes per row read so far, plus an eighth for
+					// later rows' longer slot and day fields.
 					want := hint
-					if rest := rows.left(r); rest > 0 && body > rest {
-						// At the rows read so far's bytes per row, plus an
-						// eighth for later rows' longer slot and day fields.
-						per := float64(body-rest) / float64(len(workers))
-						want = min(hint, len(workers)+int(float64(rest)/per*9/8)+1)
+					if rest := rows.left(r); body > rest {
+						want = min(hint, len(workers)+int(float64(rest)*float64(len(workers))/float64(body-rest)*9/8)+1)
 					}
 					want = max(want, len(workers))
 					workers = slices.Grow(workers, want-len(workers))
