@@ -573,13 +573,12 @@ func BenchmarkShardRouter4x4Stream(b *testing.B) { benchRouterStream(b, 4, 4, 0)
 // BenchmarkShardRouterHalo4x4 is the halo-on twin of the 4x4 stream
 // bench: the matched metric must recover the unsharded size (the quality
 // gate asserts >=90%) and ns/arrival prices the task mirroring + claim
-// arbitration (3 175 allocs/op, router construction included; 3 824 when
-// workers were mirrored too). The width is a quarter of the feasibility
-// bound (velocity x Dr), so tasks are mirrored over half of it:
-// nearest-neighbor matching commits far inside the worst-case reach, so
-// the fractional halo captures ~98% of the border matches at a fraction
-// of the mirroring cost — the full bound mirrors every task within its
-// whole reach (see the README trade-off table).
+// arbitration (3 175 allocs/op, router construction included). The width
+// is a quarter of the feasibility bound (velocity x Dr), so tasks are
+// mirrored over half of it: nearest-neighbor matching commits far inside
+// the worst-case reach, so the fractional halo captures ~98% of the border
+// matches at a fraction of the mirroring cost — the full bound mirrors
+// every task within its whole reach (see the README trade-off table).
 func BenchmarkShardRouterHalo4x4(b *testing.B) {
 	cfg := ftoa.DefaultSynthetic()
 	benchRouterStream(b, 4, 4, ftoa.HaloForWindow(cfg.Velocity, cfg.TaskExpiry)/4)
