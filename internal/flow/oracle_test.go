@@ -5,8 +5,7 @@ package flow
 
 // MaxFlowFordFulkerson computes max flow using the Edmonds–Karp variant
 // (BFS augmenting paths), the algorithm the paper cites for Algorithm 1:
-// the oracle the other solvers are checked against. The guide uses
-// MaxFlow.
+// the oracle MaxFlowDinic, the solver the guide uses, is checked against.
 func (g *Network) MaxFlowFordFulkerson(s, t int) int64 {
 	if s == t {
 		return 0

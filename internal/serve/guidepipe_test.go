@@ -422,9 +422,9 @@ func guideLayout(g *ftoa.Guide) string {
 // server builds under the benchmark, at both edge slacks: the repository's
 // slot/2 and the server's 0. Both networks need more than one Dinic phase
 // (8 at slot/2; 70 at 0, where only positive-budget edges are left and
-// the last augmenting path is 189 arcs long), so the layouts are the
-// push-relabel finish's, and a change to either solver phase or to the
-// network shows up here first. The third row is what the server serves:
+// the last augmenting path is 189 arcs long), so the layouts are Dinic's
+// run to completion, and a change to any solver phase or to the network
+// shows up here first. The third row is what the server serves:
 // fc.guide, the same forecast summed into 10x10 areas of 10 units.
 func TestServeShapeGuideGolden(t *testing.T) {
 	cfg := serveShapeConfig()
@@ -436,8 +436,8 @@ func TestServeShapeGuideGolden(t *testing.T) {
 		slack float64
 		want  string
 	}{
-		{fc.slots.Width() / 2, "79895 pairs, layout 9513e1bb61851904"},
-		{0, "79469 pairs, layout f6aaac77bd196152"},
+		{fc.slots.Width() / 2, "79895 pairs, layout cb389e2f83623644"},
+		{0, "79469 pairs, layout cf39e630af6f3364"},
 	} {
 		gc := ftoa.NewGuideConfig(fc.grid, fc.slots, cfg.Velocity, cfg.GuidePatience, cfg.GuideExpiry)
 		gc.RepSlack = tc.slack
