@@ -46,9 +46,13 @@ type Config struct {
 	// Mode apply to every shard; Hints are sized per shard by region area
 	// share plus, for tasks with a halo, the expected ghost fraction of the
 	// band around it the tasks are mirrored from (Placement.HintShare).
-	// OnEvent/OnRetire/
-	// CommitGate must be nil: the router owns event consumption and the
-	// retirement and arbitration hooks.
+	// That band is 2·Halo wide, while a task's mirrors stop at its own
+	// Expiry·Velocity when that is shorter (side.go, reach), so the share
+	// can exceed the traffic a shard sees. TGOA reads the share as its
+	// total arrival count (sim.Hints): its phase split, and with it its
+	// matching, moves with Halo even where mirroring does not.
+	// OnEvent/OnRetire/CommitGate must be nil: the router owns event
+	// consumption and the retirement and arbitration hooks.
 	Matcher sim.MatcherConfig
 	// Cols, Rows shape the base shard grid. 1×1 is a valid single-shard
 	// deployment and behaves exactly like one session behind one lock.

@@ -15,7 +15,10 @@ import (
 // unknown. Hints never change what an algorithm matches, only how it sizes
 // internal state, with one documented exception: TGOA's greedy/optimal
 // phase split needs the total arrival count, so with zero hints it stays
-// in its greedy phase forever.
+// in its greedy phase forever. Behind a shard.Router the count TGOA reads
+// is its shard's sizing share (shard.Config.Matcher), which grows with
+// the halo even where the tasks actually mirrored do not, so there TGOA's
+// matching moves with the halo alone.
 type Hints struct {
 	// ExpectedWorkers and ExpectedTasks estimate how many objects the
 	// session will admit.
