@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -170,12 +171,39 @@ func TestLoadCountsCSVMatchesOracleAtScale(t *testing.T) {
 }
 
 // TestLoadCountsCSVErrorLine: rows read straight from the buffer count
-// their lines, so an error after thousands of them names its own line.
+// their lines, so an error after thousands of them names its own line,
+// also when a row in the middle is read another way: a blank line, CRLF
+// endings, a quoted field. The numbers are encoding/csv's.
 func TestLoadCountsCSVErrorLine(t *testing.T) {
-	data := countsHistory(6, 32, 100) + "6,0,0,1,1\n"
-	_, _, _, _, _, _, err := LoadCountsCSV(strings.NewReader(data))
-	if want := fmt.Sprintf("record on line %d:", 6*32*100+2); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("error %v, want one naming %q", err, want)
+	const rows = 6 * 32 * 100
+	history := countsHistory(6, 32, 100)
+	lines := strings.SplitAfter(history, "\n")
+	blank := slices.Insert(slices.Clone(lines), 5000, "\n")
+	quoted := slices.Clone(lines)
+	quoted[5000] = strings.Replace(quoted[5000], ",0.5\n", ",\"0.5\"\n", 1)
+	for _, tc := range []struct {
+		name, data string
+		line       int
+	}{
+		{"plain", history + "6,0,0,1,1\n", rows + 2},
+		{"blank line", strings.Join(blank, "") + "6,0,0,1,1\n", rows + 3},
+		{"crlf", strings.ReplaceAll(history+"6,0,0,1,1\n", "\n", "\r\n"), rows + 2},
+		{"quoted", strings.Join(quoted, "") + "6,0,0,1,1\n", rows + 2},
+	} {
+		_, _, _, _, _, _, err := LoadCountsCSV(strings.NewReader(tc.data))
+		if want := fmt.Sprintf("record on line %d:", tc.line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, want)
+		}
+	}
+}
+
+// TestLoadCountsCSVReadError: a read error fails the load, as it fails
+// the oracle, even from a reader that would hand over more bytes after it.
+func TestLoadCountsCSVReadError(t *testing.T) {
+	history := countsHistory(6, 32, 100)
+	_, _, _, _, _, _, err := LoadCountsCSV(iotest.TimeoutReader(iotest.HalfReader(strings.NewReader(history))))
+	if !errors.Is(err, iotest.ErrTimeout) {
+		t.Errorf("error %v, want %v", err, iotest.ErrTimeout)
 	}
 }
 
@@ -206,21 +234,39 @@ func TestLoadCountsCSVAllocations(t *testing.T) {
 			}
 		})
 	}
-	small, large := load(countsHistory(2, 4, 16)), load(countsHistory(6, 32, 100))
+	crlf := func(s string) string { return strings.ReplaceAll(s, "\n", "\r\n") }
 	const rows = 6 * 32 * 100
-	t.Logf("%v allocations for 128 rows, %v for %d rows", small, large, rows)
-	if large > small+4 {
-		t.Errorf("%v allocations for %d rows vs %v for 128: parsing allocates per row", large, rows, small)
+	for _, tc := range []struct {
+		name  string
+		ended func(string) string
+	}{
+		{"lf", func(s string) string { return s }},
+		{"crlf", crlf},
+	} {
+		small, large := load(tc.ended(countsHistory(2, 4, 16))), load(tc.ended(countsHistory(6, 32, 100)))
+		t.Logf("%s: %v allocations for 128 rows, %v for %d rows", tc.name, small, large, rows)
+		if large > small+4 {
+			t.Errorf("%s: %v allocations for %d rows vs %v for 128: parsing allocates per row", tc.name, large, rows, small)
+		}
 	}
 }
 
+// BenchmarkLoadCountsCSV loads the committed benchmark's history as
+// written (lf) and with CRLF endings (crlf).
 func BenchmarkLoadCountsCSV(b *testing.B) {
-	data := countsHistory(6, 32, 400) // the committed benchmark's history
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, _, _, _, _, _, err := LoadCountsCSV(strings.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
+	history := countsHistory(6, 32, 400)
+	for _, bc := range []struct{ name, data string }{
+		{"lf", history},
+		{"crlf", strings.ReplaceAll(history, "\n", "\r\n")},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, _, _, _, _, err := LoadCountsCSV(strings.NewReader(bc.data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
