@@ -97,13 +97,14 @@ func sameFloats(a, b []float64) bool {
 	})
 }
 
-// FuzzLoadCountsCSV: the hand-written parser and the encoding/csv one
-// accept exactly the same inputs and return the same tensors. Seed corpus
-// in testdata/fuzz/FuzzLoadCountsCSV.
+// FuzzLoadCountsCSV: the loader (its one-pass row scanner, with
+// encoding/csv reading every row the scanner refuses) and the plain
+// encoding/csv oracle accept exactly the same inputs and return the same
+// tensors. Seed corpus in testdata/fuzz/FuzzLoadCountsCSV.
 func FuzzLoadCountsCSV(f *testing.F) {
 	f.Add([]byte("day,slot,area,workers,tasks,weather\n0,0,0,3,4,0.1\n0,0,1,1,0,0.1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// ReadSlice hands out the reader's own buffer and csvRows folds
+		// ReadSlice hands out the reader's own buffer and encoding/csv folds
 		// \r\n in place; the copy keeps the oracle's input pristine.
 		d1, s1, a1, w1, t1, x1, err1 := LoadCountsCSV(bytes.NewReader(bytes.Clone(data)))
 		d2, s2, a2, w2, t2, x2, err2 := loadCountsCSVOracle(bytes.NewReader(data))

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/csv"
 	"fmt"
@@ -126,23 +125,20 @@ func LoadInstanceCSV(r io.Reader, velocity float64) (*model.Instance, error) {
 	return in, nil
 }
 
-// csvRows splits a CSV stream into records exactly as encoding/csv does in
-// its default configuration — RFC 4180 quoting with "" escapes, quoted
-// fields spanning lines, \r\n endings, blank lines skipped, a fixed field
-// count — but hands the fields out as slices of one reused buffer, so
-// reading a record allocates nothing. A history has one row per (day,
-// slot, area) cell; a string and a []string per row is what made loading
-// it cost more memory than the guide built from it.
+// csvRows reads a history's rows in two ways from one 64 KiB buffer:
+// countsRow scans a plain row (LF or CRLF ended) in place in one pass, and
+// read hands any other row — the header, a quoted or signed field, a blank
+// line, a row longer than countsRow takes — to an encoding/csv reader on
+// the same buffer, which reads exactly that record. A history has one row
+// per (day, slot, area) cell; a string and a []string per row is what made
+// loading it cost more memory than the guide built from it.
 type csvRows struct {
-	br     *bufio.Reader
-	fields int    // every record must have this many
-	raw    []byte // a line longer than br's buffer
-	rec    []byte // the current record's unescaped fields, one byte apart
-	buf    []byte // rec's storage when a quote forces a copy
-	ends   []int  // field i is rec[ends[i-1]+1:ends[i]] (field 0 starts at 0)
-	line   int    // lines read so far
-	win    []byte // the reader's buffered bytes countsRow reads from
-	off    int    // how many of them it has read
+	br   *bufio.Reader
+	cr   *csv.Reader // reads from br: csv.NewReader shares a *bufio.Reader
+	line int         // lines countsRow has read
+	err  error       // a read error a refill met, for read to return
+	win  []byte      // the reader's buffered bytes countsRow reads from
+	off  int         // how many of them it has read
 
 	// The day and slot fields countsRow last scanned.
 	prefix                 int    // their length with both commas, 0 if none
@@ -152,206 +148,44 @@ type csvRows struct {
 }
 
 func newCSVRows(r io.Reader, fields int) *csvRows {
-	return &csvRows{br: bufio.NewReaderSize(r, 64<<10), fields: fields, ends: make([]int, 0, fields)}
+	br := bufio.NewReaderSize(r, 64<<10)
+	cr := csv.NewReader(br)
+	cr.FieldsPerRecord = fields
+	cr.ReuseRecord = true
+	return &csvRows{br: br, cr: cr}
 }
 
-// field returns field i of the current record; it is valid until next.
-func (s *csvRows) field(i int) []byte {
-	start := 0
-	if i > 0 {
-		start = s.ends[i-1] + 1
+// read reads the next record with encoding/csv, after the rows countsRow
+// took, and numbers its error lines in the whole file. It returns io.EOF
+// after the last record; the record is valid until the next read.
+func (s *csvRows) read() ([]string, error) {
+	s.br.Discard(s.off)
+	s.win, s.off = nil, 0
+	if s.err != nil {
+		return nil, s.err
 	}
-	return s.rec[start:s.ends[i]]
+	rec, err := s.cr.Read()
+	if e, ok := err.(*csv.ParseError); ok {
+		e.StartLine += s.line
+		e.Line += s.line
+	}
+	return rec, err
 }
 
-// strings copies the current record out, for error messages.
-func (s *csvRows) strings() []string {
-	out := make([]string, len(s.ends))
-	for i := range out {
-		out[i] = string(s.field(i))
-	}
-	return out
-}
-
-// readLine returns the next line including its \n, with \r\n folded to
-// \n and a final \r before EOF dropped.
-func (s *csvRows) readLine() ([]byte, error) {
-	line, err := s.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		s.raw = append(s.raw[:0], line...)
-		for err == bufio.ErrBufferFull {
-			line, err = s.br.ReadSlice('\n')
-			s.raw = append(s.raw, line...)
-		}
-		line = s.raw
-	}
-	if len(line) > 0 && err == io.EOF {
-		err = nil
-		if line[len(line)-1] == '\r' {
-			line = line[:len(line)-1]
-		}
-	}
-	s.line++
-	if n := len(line); n >= 2 && line[n-2] == '\r' && line[n-1] == '\n' {
-		line[n-2] = '\n'
-		line = line[:n-1]
-	}
-	return line, err
-}
-
-// isEOL reports whether b is an end of line: empty or a lone \n.
-func isEOL(b []byte) bool { return len(b) == 0 || len(b) == 1 && b[0] == '\n' }
-
-// next reads one record. It returns io.EOF after the last one, and an
-// error wrapping csv.ErrBareQuote, csv.ErrQuote or csv.ErrFieldCount for
-// the inputs encoding/csv rejects with those.
-func (s *csvRows) next() error {
-	var line []byte
-	var errRead error
-	for errRead == nil {
-		line, errRead = s.readLine()
-		if errRead == nil && isEOL(line) {
-			continue // blank line
-		}
-		break
-	}
-	if errRead == io.EOF {
-		return errRead
-	}
-	start := s.line
-	s.ends = s.ends[:0]
-	if bytes.IndexByte(line, '"') < 0 {
-		// No quotes: the fields are the line itself, split at the commas.
-		if n := len(line); n > 0 && line[n-1] == '\n' {
-			line = line[:n-1]
-		}
-		s.rec = line
-		for i, c := range line {
-			if c == ',' {
-				s.ends = append(s.ends, i)
-			}
-		}
-		s.ends = append(s.ends, len(line))
-		if errRead != nil {
-			return errRead
-		}
-		if len(s.ends) != s.fields {
-			return fmt.Errorf("record on line %d: %w", start, csv.ErrFieldCount)
-		}
-		return nil
-	}
-	s.rec = s.buf[:0] // never the line: that is the reader's buffer
-	syntax := func(err error) error {
-		if s.line != start {
-			return fmt.Errorf("record on line %d, line %d: %w", start, s.line, err)
-		}
-		return fmt.Errorf("line %d: %w", s.line, err)
-	}
-fields:
-	for {
-		if len(line) == 0 || line[0] != '"' {
-			// Unquoted field: up to the next comma or the end of the line.
-			i := bytes.IndexByte(line, ',')
-			field := line
-			if i >= 0 {
-				field = field[:i]
-			} else if n := len(field); n > 0 && field[n-1] == '\n' {
-				field = field[:n-1]
-			}
-			if bytes.IndexByte(field, '"') >= 0 {
-				return syntax(csv.ErrBareQuote)
-			}
-			s.rec = append(s.rec, field...)
-			s.ends = append(s.ends, len(s.rec))
-			s.rec = append(s.rec, ',')
-			if i < 0 {
-				break fields
-			}
-			line = line[i+1:]
-			continue
-		}
-		// Quoted field: "" is an escaped quote, and the field may run over
-		// several lines.
-		line = line[1:]
-		for {
-			i := bytes.IndexByte(line, '"')
-			switch {
-			case i >= 0:
-				s.rec = append(s.rec, line[:i]...)
-				line = line[i+1:]
-				switch {
-				case len(line) > 0 && line[0] == '"':
-					s.rec = append(s.rec, '"')
-					line = line[1:]
-				case len(line) > 0 && line[0] == ',':
-					line = line[1:]
-					s.ends = append(s.ends, len(s.rec))
-					s.rec = append(s.rec, ',')
-					continue fields
-				case isEOL(line):
-					s.ends = append(s.ends, len(s.rec))
-					s.rec = append(s.rec, ',')
-					break fields
-				default:
-					return syntax(csv.ErrQuote) // text after the closing quote
-				}
-			case len(line) > 0:
-				// The line ended inside the quotes: keep it and read on.
-				s.rec = append(s.rec, line...)
-				if errRead != nil {
-					break fields
-				}
-				line, errRead = s.readLine()
-				if errRead == io.EOF {
-					errRead = nil
-				}
-			default:
-				if errRead == nil {
-					return syntax(csv.ErrQuote) // EOF inside the quotes
-				}
-				s.ends = append(s.ends, len(s.rec))
-				s.rec = append(s.rec, ',')
-				break fields
-			}
-		}
-	}
-	s.buf = s.rec
-	if errRead != nil {
-		return errRead
-	}
-	if len(s.ends) != s.fields {
-		return fmt.Errorf("record on line %d: %w", start, csv.ErrFieldCount)
-	}
-	return nil
-}
-
-// atoi is strconv.Atoi over bytes. Up to 9 plain digits cannot overflow
-// even a 32-bit int and are summed in place; anything else (a sign, a
-// longer number, a stray byte) goes to strconv.Atoi, which accepts and
-// rejects exactly what it always did.
-func atoi(b []byte) (int, error) {
-	if len(b) == 0 || len(b) > 9 {
-		return strconv.Atoi(string(b))
-	}
-	v := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return strconv.Atoi(string(b))
-		}
-		v = v*10 + int(c-'0')
-	}
-	return v, nil
-}
+// maxRow is the most bytes a row countsRow takes can span: five fields of
+// at most 9, 9, 9, 18 and 18 digits with their commas, 7 weather bytes and
+// \r\n. Its window is refilled when it holds fewer, so no such row is ever
+// cut by the buffer's end.
+const maxRow = 80
 
 // countsRow parses the next history row straight out of the reader's
 // buffer, in one pass, when it is plain: five integers, each ended by a
 // comma, then a weather field of at most 7 bytes with no comma, quote or
-// \r, then \n, at least 8 bytes before the end of the buffer. The three
-// cell indices have 1 to 9 digits (which fit 32 bits) and the two counts
-// 1 to 18 (which fit an int64). It reports false, and reads nothing, for
-// any other row — a sign, a longer number, a stray byte, a quote, a
-// blank line, a row the buffer does not hold whole — and the caller reads
-// that one with next.
+// \r, then \n or \r\n. The three cell indices have 1 to 9 digits (which
+// fit 32 bits) and the two counts 1 to 18 (which fit an int64). It reports
+// false, and reads nothing, for any other row — a sign, a longer number, a
+// stray byte, a quote, a blank line — and the caller reads that one with
+// read.
 //
 // A row that starts with the bytes of the day and slot fields countsRow
 // last scanned takes their values without scanning them again: in
@@ -360,9 +194,18 @@ func atoi(b []byte) (int, error) {
 // and no forgetWeather came since; otherwise it is valid until the next
 // read.
 func (s *csvRows) countsRow() (day, slot, area, workers, tasks int, weather []byte, ok bool) {
-	if s.off == len(s.win) {
+	if len(s.win)-s.off < maxRow {
+		// Fill the whole buffer only when the rest of it could cut a row:
+		// each fill slides the unread bytes to its front.
 		s.br.Discard(s.off)
-		s.win, _ = s.br.Peek(s.br.Buffered())
+		n := s.br.Buffered()
+		if n < maxRow {
+			n = s.br.Size()
+		}
+		var err error
+		if s.win, err = s.br.Peek(n); err != nil && err != io.EOF {
+			s.err = err // Peek has taken it from the reader
+		}
 		s.off = 0
 	}
 	buf := s.win[s.off:]
@@ -374,7 +217,6 @@ func (s *csvRows) countsRow() (day, slot, area, workers, tasks int, weather []by
 		day, p, ok1 = scanInt(buf, 0, 9)
 		slot, p, ok2 = scanInt(buf, p, 9)
 		if !ok1 || !ok2 {
-			s.unread()
 			return 0, 0, 0, 0, 0, nil, false
 		}
 		s.prefix = 0
@@ -388,24 +230,26 @@ func (s *csvRows) countsRow() (day, slot, area, workers, tasks int, weather []by
 	area, p, ok3 = scanInt(buf, p, 9)
 	workers, p, ok4 = scanInt(buf, p, 18)
 	tasks, p, ok5 = scanInt(buf, p, 18)
-	if !ok3 || !ok4 || !ok5 {
-		s.unread()
+	if !ok3 || !ok4 || !ok5 || p+8 > len(buf) {
 		return 0, 0, 0, 0, 0, nil, false
 	}
 	// The weather field is read as one 8-byte word: its first \n, comma,
-	// quote or \r must be a \n.
-	if p+8 > len(buf) {
-		s.unread()
-		return 0, 0, 0, 0, 0, nil, false
-	}
+	// quote or \r must be a \n or the \r of \r\n.
 	x := binary.LittleEndian.Uint64(buf[p:])
 	stop := zeroByte(x^'\n'*ones) | zeroByte(x^','*ones) | zeroByte(x^'"'*ones) | zeroByte(x^'\r'*ones)
 	n := bits.TrailingZeros64(stop) / 8
-	if n == 8 || buf[p+n] != '\n' {
-		s.unread()
+	end := p + n // the row's last byte
+	switch {
+	case n == 8:
+		return 0, 0, 0, 0, 0, nil, false
+	case buf[end] == '\r':
+		if end++; end == len(buf) || buf[end] != '\n' {
+			return 0, 0, 0, 0, 0, nil, false
+		}
+	case buf[end] != '\n':
 		return 0, 0, 0, 0, 0, nil, false
 	}
-	s.off += p + n + 1
+	s.off += end + 1
 	s.line++
 	// The field's bytes and its length make a key that is never 0.
 	if key := x&(1<<(8*n)-1) | uint64(n+1)<<56; key != s.weatherKey {
@@ -439,12 +283,6 @@ const ones = 0x0101010101010101 // 1 in every byte of a word
 // zeroByte sets the high bit of the lowest zero byte of x. Bits above it
 // may be set too, so only the lowest set bit is exact.
 func zeroByte(x uint64) uint64 { return (x - ones) &^ x & (0x80 * ones) }
-
-// unread hands the rows countsRow has not taken back to next.
-func (s *csvRows) unread() {
-	s.br.Discard(s.off)
-	s.win, s.off = nil, 0
-}
 
 // remaining is how many bytes r has left to read, or 0 when r cannot tell.
 func remaining(r io.Reader) int64 {
@@ -543,10 +381,13 @@ type movedRow struct {
 // count tensors plus the per-(day, slot) weather series, ready for
 // predict.NewSeries.
 //
-// Rows in ftoa-gen's order land straight in the returned tensors, whose
-// capacity r's size bounds when r can tell it; a weather field is parsed
-// only when its bytes differ from the row before's. A history in any other
-// order is placed cell by cell once every row is read.
+// A plain row, LF or CRLF ended, is scanned once in place; encoding/csv
+// reads every other row from the same buffer, so the loader accepts what
+// encoding/csv accepts and names the same lines in its errors. Rows in
+// ftoa-gen's order land straight in the returned tensors, whose capacity
+// r's size bounds when r can tell it; a weather field is parsed only when
+// its bytes differ from the row before's. A history in any other order is
+// placed cell by cell once every row is read.
 func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, weather []float64, err error) {
 	fail := func(format string, args ...any) (int, int, int, []int, []int, []float64, error) {
 		return 0, 0, 0, nil, nil, nil, fmt.Errorf("workload: "+format, args...)
@@ -555,11 +396,12 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 	// what a size is trusted for.
 	hint := int(min(remaining(r)/12+1, 1<<20))
 	rows := newCSVRows(r, 6)
-	if err := rows.next(); err != nil {
+	header, err := rows.read()
+	if err != nil {
 		return fail("reading CSV header: %w", err)
 	}
-	if string(rows.field(0)) != "day" {
-		return fail("unexpected CSV header %v", rows.strings())
+	if header[0] != "day" {
+		return fail("unexpected CSV header %v", header)
 	}
 	// ftoa-gen writes about 16.6 bytes a row: the tensors get room for a
 	// first slot now and are sized for the rest once its rows tell their
@@ -573,8 +415,15 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 	)
 	for {
 		d, s, a, w, t, wxField, plain := rows.countsRow()
-		if !plain {
-			err := rows.next()
+		if plain {
+			// wxField is nil when countsRow saw the last row's weather again.
+			if wxField != nil {
+				if wx, err = strconv.ParseFloat(string(wxField), 64); err != nil {
+					return fail("bad weather %q", wxField)
+				}
+			}
+		} else {
+			rec, err := rows.read()
 			if err == io.EOF {
 				break
 			}
@@ -583,32 +432,22 @@ func LoadCountsCSV(r io.Reader) (days, slots, areas int, workers, tasks []int, w
 			}
 			var ints [5]int // day, slot, area, workers, tasks
 			for i := range ints {
-				v, err := atoi(rows.field(i))
-				if err != nil {
-					return fail("bad integer %q", rows.field(i))
+				if ints[i], err = strconv.Atoi(rec[i]); err != nil {
+					return fail("bad integer %q", rec[i])
 				}
-				ints[i] = v
 			}
 			d, s, a, w, t = ints[0], ints[1], ints[2], ints[3], ints[4]
-			wxField = rows.field(5)
-			rows.forgetWeather()
-		}
-		// wxField is nil when countsRow saw the last row's weather again.
-		if wxField != nil {
-			var err error
-			if wx, err = strconv.ParseFloat(string(wxField), 64); err != nil {
-				return fail("bad weather %q", wxField)
+			if wx, err = strconv.ParseFloat(rec[5], 64); err != nil {
+				return fail("bad weather %q", rec[5])
 			}
-		}
-		// A plain row has no sign and indices of at most 9 digits.
-		if !plain {
+			rows.forgetWeather()
 			if d < 0 || s < 0 || a < 0 || w < 0 || t < 0 {
-				return fail("negative field in %v", rows.strings())
+				return fail("negative field in %v", rec)
 			}
 			// A valid file has as many rows as cells, so an index that does
 			// not fit 32 bits could only belong to a file of billions of rows.
 			if d > math.MaxInt32 || s > math.MaxInt32 || a > math.MaxInt32 {
-				return fail("cell index out of range in %v", rows.strings())
+				return fail("cell index out of range in %v", rec)
 			}
 		}
 		days, slots, areas = max(days, d+1), max(slots, s+1), max(areas, a+1)
