@@ -294,17 +294,3 @@ func (g *Grid) RingInnerDist(p Point, ring int) float64 {
 	}
 	return edge
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

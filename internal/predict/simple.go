@@ -402,10 +402,3 @@ func solveCopy(a [][]float64, b []float64) ([]float64, bool) {
 	bc := append([]float64(nil), b...)
 	return mathx.SolveLinear(ac, bc)
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
