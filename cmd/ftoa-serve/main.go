@@ -59,22 +59,17 @@ func main() {
 	flag.Float64Var(&cfg.GuideExpiry, "guide-expiry", cfg.GuideExpiry, "task expiry Dr assumed by the guide (seconds)")
 	flag.StringVar(&cfg.GuideAnchor, "guide-anchor", cfg.GuideAnchor, "guide slot anchoring: wallclock (7-day week guide keyed to wall-clock day-of-week and time-of-day) or uptime (legacy: the first -horizon seconds of uptime are the served day)")
 	flag.StringVar(&cfg.WALDir, "wal", cfg.WALDir, "write-ahead log directory; arrivals and match outcomes are made durable per shard and replayed at boot, so a killed server restarts with its state intact (empty disables durability)")
-	flag.StringVar(&cfg.WALSync, "wal-sync", cfg.WALSync, "WAL fsync policy: always (fsync per operation), interval (group commit on -wal-sync-interval) or none (OS page cache only)")
-	flag.DurationVar(&cfg.WALSyncInterval, "wal-sync-interval", cfg.WALSyncInterval, "group-commit window for -wal-sync interval (0 = 50ms default)")
+	flag.StringVar(&cfg.WALSync, "wal-sync", cfg.WALSync, "WAL fsync policy: always (fsync per operation), interval (group commit every 50ms) or none (OS page cache only)")
 	listenWire := flag.String("listen-wire", "", "binary wire-protocol listen address for batched admission over TCP (empty disables); see docs/wire.md")
 	flag.IntVar(&cfg.WireMaxConns, "wire-max-conns", cfg.WireMaxConns, "max concurrent wire connections; excess dials are closed at the door (the resilient client retries with backoff)")
 	flag.DurationVar(&cfg.WireIdle, "wire-idle", cfg.WireIdle, "wire per-connection idle (read) deadline; a silent peer is dropped after this long")
 	flag.DurationVar(&cfg.WireWriteTimeout, "wire-write-timeout", cfg.WireWriteTimeout, "wire per-frame write deadline; a subscriber that cannot drain its event stream this fast is evicted")
 	flag.IntVar(&cfg.WireDedupWindow, "wire-dedup-window", cfg.WireDedupWindow, "idempotency seqs remembered per wire client, 40 bytes each once the window is full (320 KiB per client at the default); a batch re-sent within the window replays its original receipts")
-	flag.IntVar(&cfg.WireDedupClients, "wire-dedup-clients", cfg.WireDedupClients, "wire client idempotency windows retained (LRU-evicted beyond this)")
-	flag.IntVar(&cfg.Ring, "admit-ring", cfg.Ring, "per-shard admission lane capacity shared by HTTP and wire arrivals; a full lane answers 503/BUSY (backpressure bound)")
 	flag.BoolVar(&cfg.Rebalance, "rebalance", cfg.Rebalance, "adapt the shard topology online: split regions whose arrival rate exceeds -rebalance-split into a finer sub-grid and merge cold sibling quads back, migrating live state (see docs/rebalance.md)")
 	flag.Float64Var(&cfg.RebalSplit, "rebalance-split", cfg.RebalSplit, "per-region arrival rate (admissions/sec) above which the region is split")
 	flag.Float64Var(&cfg.RebalMerge, "rebalance-merge", cfg.RebalMerge, "combined arrival rate below which four sibling sub-regions merge back (0 disables merging; must be <= split/4)")
-	flag.IntVar(&cfg.RebalDepth, "rebalance-depth", cfg.RebalDepth, "max quarterings per base grid cell (clamped to 6)")
 	flag.DurationVar(&cfg.RebalCooldown, "rebalance-cooldown", cfg.RebalCooldown, "minimum interval between topology changes")
 	flag.DurationVar(&cfg.RebalTau, "rebalance-tau", cfg.RebalTau, "arrival-rate EWMA time constant (larger = smoother, slower to react)")
-	flag.BoolVar(&cfg.RebalForecast, "rebalance-forecast", cfg.RebalForecast, "also forecast per-region demand with HP-MSI trained on the -guide count history, splitting ahead of predicted rushes")
 	flag.Parse()
 
 	parts := strings.Split(*boundsStr, ",")
@@ -132,10 +127,6 @@ func main() {
 	gate.Ready(srv.Handler())
 	log.Printf("ftoa-serve: %s matching on %s (mode=%s velocity=%g bounds=%s shards=%s halo=%gs retire=%s wal=%q rebalance=%v)",
 		cfg.Algorithm, ln.Addr(), cfg.Mode, cfg.Velocity, *boundsStr, *shards, cfg.Halo, cfg.Retire, cfg.WALDir, cfg.Rebalance)
-	if cfg.Rebalance {
-		log.Printf("ftoa-serve: adaptive topology: split > %g/s, merge < %g/s, depth <= %d, cooldown %s, tau %s, forecast=%v",
-			cfg.RebalSplit, cfg.RebalMerge, cfg.RebalDepth, cfg.RebalCooldown, cfg.RebalTau, cfg.RebalForecast)
-	}
 
 	// Graceful shutdown; see serve.Server.Shutdown for the order.
 	sig := make(chan os.Signal, 1)

@@ -293,8 +293,7 @@ type (
 	// regions / merges cold sibling quads via ShardRouter.Rebalance.
 	RebalanceSupervisor = rebalance.Supervisor
 	// RebalanceConfig holds the supervisor's policy knobs (split and
-	// merge thresholds, depth cap, cooldown, EWMA time constant, and an
-	// optional demand forecaster).
+	// merge thresholds, depth cap, cooldown and EWMA time constant).
 	RebalanceConfig = rebalance.Config
 	// ShardEventSub is one subscriber's cursor into the router's event
 	// log (ShardRouter.Subscribe): Next copies one page of retained

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,5 +68,42 @@ func TestHaloWithdrawStreamGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("event streams differ from testdata/halo_withdraw_golden.txt; this run wrote:\n%s", got)
+	}
+}
+
+// TestTGOAMatchingIgnoresHaloWidth: TGOA's phase split reads its shard's
+// population hints, so those must not grow with the halo. On this
+// instance a task's mirrors stop at its Expiry·Velocity = 10, so Halo 10
+// and Halo 20 mirror exactly the same tasks, and a 4×4 router must commit
+// exactly the same event stream at both widths.
+func TestTGOAMatchingIgnoresHaloWidth(t *testing.T) {
+	cfg, in := parityInstance(t, 400)
+	if reach := cfg.TaskExpiry * cfg.Velocity; reach != 10 {
+		t.Fatalf("task reach %v, want 10 (mirroring identical at both halos)", reach)
+	}
+	run := func(halo float64) []shard.Event {
+		return routerRun(t, shard.Config{
+			Matcher: sim.MatcherConfig{
+				Mode: sim.Strict, Velocity: in.Velocity, Bounds: in.Bounds,
+				Hints: sim.Hints{ExpectedWorkers: len(in.Workers), ExpectedTasks: len(in.Tasks), Horizon: in.Horizon},
+			},
+			NewAlgorithm: func() sim.Algorithm { return NewTGOA() },
+			Cols:         4,
+			Rows:         4,
+			Halo:         halo,
+		}, in, nil)
+	}
+	matches := func(evs []shard.Event) (n int) {
+		for _, ev := range evs {
+			if ev.Kind == sim.EventMatch {
+				n++
+			}
+		}
+		return n
+	}
+	narrow, wide := run(10), run(20)
+	if !reflect.DeepEqual(narrow, wide) {
+		t.Fatalf("TGOA's stream moved with the halo alone: %d events (%d matches) at Halo 10, %d (%d) at Halo 20",
+			len(narrow), matches(narrow), len(wide), matches(wide))
 	}
 }

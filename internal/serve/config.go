@@ -29,7 +29,7 @@ type Config struct {
 	// disjoint (the pre-halo hyperlocal behavior).
 	Halo float64
 
-	// Guide pipeline (polar/polarop/hybrid, and -rebalance-forecast).
+	// Guide pipeline (polar, polarop and hybrid).
 	GuidePath     string // counts CSV; "" = no guide
 	GuideGrid     [2]int // cols, rows; 0,0 = infer a square grid
 	GuideDow0     int    // weekday of the history's first day, 0 = Sunday as time.Weekday
@@ -53,15 +53,8 @@ type Config struct {
 	// admissions, withdrawals and match outcomes in an append-only log
 	// under WALDir and replays it at boot, so a crashed or killed server
 	// restarts with its matched set, event stream and deadlines intact.
-	WALDir          string
-	WALSync         string        // always, interval or none
-	WALSyncInterval time.Duration // group-commit window for WALSync=interval; 0 = default
-
-	// Ring sizes the shared per-shard admission lanes every arrival —
-	// HTTP POST or wire batch — goes through (shard.Admitter). A full lane
-	// is the server's one overload signal: 503 + Retry-After over HTTP, a
-	// BUSY result on the wire. Zero picks the admitter default (1024).
-	Ring int
+	WALDir  string
+	WALSync string // always, interval (group commit every 50ms) or none
 
 	// Adaptive topology: when Rebalance is set a supervisor watches
 	// per-region arrival-rate EWMAs and splits hot regions into a finer
@@ -70,21 +63,15 @@ type Config struct {
 	Rebalance     bool
 	RebalSplit    float64       // split threshold, arrivals/sec per region
 	RebalMerge    float64       // merge floor, combined arrivals/sec per sibling quad
-	RebalDepth    int           // max quarterings per base cell
 	RebalCooldown time.Duration // min time between topology changes
 	RebalTau      time.Duration // arrival-rate EWMA time constant
-	// RebalForecast feeds the supervisor an HP-MSI demand forecast built
-	// from the GuidePath count history, so it can split ahead of a
-	// predicted rush instead of trailing the measured EWMA.
-	RebalForecast bool
 
 	// Wire listener hardening (StartWire); zero disables the bound, or for
-	// the dedup pair picks the wire package's default.
+	// the dedup window picks the wire package's default.
 	WireMaxConns     int           // concurrent connections
 	WireIdle         time.Duration // per-read deadline after the handshake
 	WireWriteTimeout time.Duration // per-frame write deadline
 	WireDedupWindow  int           // idempotency seqs remembered per client
-	WireDedupClients int           // client windows retained
 }
 
 // DefaultConfig is ftoa-serve with every flag at its default: the flags
@@ -107,16 +94,13 @@ func DefaultConfig() Config {
 		GuideExpiry:      60,
 		GuideAnchor:      "wallclock",
 		WALSync:          "interval",
-		Ring:             1024,
 		RebalSplit:       200,
-		RebalDepth:       2,
 		RebalCooldown:    10 * time.Second,
 		RebalTau:         5 * time.Second,
 		WireMaxConns:     256,
 		WireIdle:         5 * time.Minute,
 		WireWriteTimeout: 10 * time.Second,
 		WireDedupWindow:  wire.DefaultDedupWindow,
-		WireDedupClients: wire.DefaultDedupCap,
 	}
 }
 
@@ -176,10 +160,6 @@ func (c *Config) validate() (mode ftoa.Mode, policy ftoa.WALSyncPolicy, err erro
 		err = fmt.Errorf("retire interval must be non-negative, got %v", c.Retire)
 	case !(c.Halo >= 0):
 		err = fmt.Errorf("halo window must be non-negative, got %v", c.Halo)
-	case c.RebalForecast && !c.Rebalance:
-		err = fmt.Errorf("-rebalance-forecast needs -rebalance")
-	case c.RebalForecast && c.GuidePath == "":
-		err = fmt.Errorf("-rebalance-forecast needs -guide counts.csv to train the demand predictor")
 	}
 	return mode, policy, err
 }

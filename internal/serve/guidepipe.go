@@ -13,8 +13,7 @@ import (
 
 // forecast is the output of the paper's offline prediction step over a
 // recorded count history: HP-MSI's per-(slot, area) worker and task counts
-// along the guide timeline. The guide (Algorithm 1) and the rebalance
-// supervisor's demand forecaster are both built from it.
+// along the guide timeline, which the guide (Algorithm 1) is built from.
 type forecast struct {
 	grid         *ftoa.Grid
 	slots        *ftoa.Slotting
@@ -25,16 +24,14 @@ type forecast struct {
 	loadTime, forecastTime time.Duration
 }
 
-// loadForecast trains on the -guide count history when cfg needs one — a
-// guided algorithm, a forecasting rebalance supervisor, or both — and
-// returns nil otherwise.
+// loadForecast trains on the -guide count history when cfg's algorithm is
+// guided and returns nil otherwise.
 func loadForecast(cfg Config) (*forecast, error) {
-	guided := cfg.Algorithm == "polar" || cfg.Algorithm == "polarop" || cfg.Algorithm == "hybrid"
-	if guided && cfg.GuidePath == "" {
-		return nil, fmt.Errorf("algorithm %q needs -guide counts.csv", cfg.Algorithm)
-	}
-	if !guided && !cfg.RebalForecast {
+	if cfg.Algorithm != "polar" && cfg.Algorithm != "polarop" && cfg.Algorithm != "hybrid" {
 		return nil, nil
+	}
+	if cfg.GuidePath == "" {
+		return nil, fmt.Errorf("algorithm %q needs -guide counts.csv", cfg.Algorithm)
 	}
 	f, err := os.Open(cfg.GuidePath)
 	if err != nil {
@@ -164,30 +161,6 @@ func blockSide(n int, length, reach float64) int {
 		}
 	}
 	return n
-}
-
-// demand is the rebalance supervisor's forecaster: the predicted arrival
-// rate — workers and tasks combined, per second, the unit of the router's
-// EWMA — inside region at the slot the instant now falls into (the
-// guide's own slotting, so the same -guide-anchor rules), each forecast
-// cell contributing in proportion to its overlap with the region. The
-// supervisor takes max(measured EWMA, forecast), so a predicted rush can
-// trigger a split before the measured rate catches up.
-func (fc *forecast) demand(region ftoa.Rect, now float64) float64 {
-	areas := fc.grid.NumCells()
-	base := fc.slots.SlotOf(now) * areas
-	var sum float64
-	for c := 0; c < areas; c++ {
-		cr := fc.grid.CellRect(c)
-		w := min(region.MaxX, cr.MaxX) - max(region.MinX, cr.MinX)
-		h := min(region.MaxY, cr.MaxY) - max(region.MinY, cr.MinY)
-		if w <= 0 || h <= 0 {
-			continue
-		}
-		rate := float64(fc.wPred[base+c]+fc.tPred[base+c]) / fc.slots.Width()
-		sum += rate * (w * h) / (cr.Width() * cr.Height())
-	}
-	return sum
 }
 
 // newAlgorithm resolves -alg into a per-shard factory; fc is the forecast

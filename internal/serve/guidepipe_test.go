@@ -25,90 +25,28 @@ func trained(t *testing.T, cfg Config) *forecast {
 	return fc
 }
 
-func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
-
-// TestDemandForecast: the rebalance supervisor's demand query reads the
-// same forecast the guide is built from — the whole area's demand is the
-// slot's predicted arrivals over the slot width, and a region's share of
-// a cell is its share of the cell's area.
-func TestDemandForecast(t *testing.T) {
+// TestDemandForecastAnchoring: the forecast resolves an instant to a slot
+// by the guide's rules — uptime anchoring clamps to the last slot past
+// the horizon, wallclock anchoring wraps weekly from the boot offset.
+func TestDemandForecastAnchoring(t *testing.T) {
 	cfg := defaultTestConfig()
 	cfg.Horizon = 100 // 2 slots of 50
-	fc := trained(t, cfg)
-	areas := fc.grid.NumCells()
-	if areas != 4 || fc.slots.Count != 2 || fc.slots.Width() != 50 {
-		t.Fatalf("forecast geometry: %d areas, %d slots of %v", areas, fc.slots.Count, fc.slots.Width())
-	}
-	everywhere := ftoa.NewRect(0, 0, 100, 100)
-	for slot := 0; slot < fc.slots.Count; slot++ {
-		total := 0
-		for c := 0; c < areas; c++ {
-			total += fc.wPred[slot*areas+c] + fc.tPred[slot*areas+c]
-		}
-		if total == 0 {
-			t.Fatalf("slot %d: nothing predicted", slot)
-		}
-		want := float64(total) / fc.slots.Width()
-		if got := fc.demand(everywhere, fc.slots.Mid(slot)); !near(got, want) {
-			t.Errorf("whole-area demand in slot %d = %v, want sum(wPred+tPred)/width = %v", slot, got, want)
-		}
-	}
-	// Cell 3 is the top-right quadrant; its left half gets half its rate,
-	// and a region outside the forecast grid gets none.
-	cell := float64(fc.wPred[3]+fc.tPred[3]) / fc.slots.Width()
-	if got := fc.demand(ftoa.NewRect(50, 50, 100, 100), 0); !near(got, cell) {
-		t.Errorf("demand over cell 3 = %v, want its rate %v", got, cell)
-	}
-	if got := fc.demand(ftoa.NewRect(50, 50, 75, 100), 0); !near(got, cell/2) {
-		t.Errorf("demand over half of cell 3 = %v, want %v", got, cell/2)
-	}
-	if got := fc.demand(ftoa.NewRect(200, 200, 300, 300), 0); got != 0 {
-		t.Errorf("demand outside the grid = %v, want 0", got)
-	}
-}
-
-// TestDemandForecastAnchoring: the forecaster resolves an instant to a
-// slot by the guide's own rules — uptime anchoring clamps to the last
-// slot past the horizon, wallclock anchoring wraps weekly from the boot
-// offset.
-func TestDemandForecastAnchoring(t *testing.T) {
-	everywhere := ftoa.NewRect(0, 0, 100, 100)
-	rate := func(fc *forecast, slot int) float64 {
-		areas, total := fc.grid.NumCells(), 0
-		for c := 0; c < areas; c++ {
-			total += fc.wPred[slot*areas+c] + fc.tPred[slot*areas+c]
-		}
-		return float64(total) / fc.slots.Width()
-	}
-
-	// The test history is flat, which would make every slot read alike:
-	// skew it so each (day, slot) predicts a distinct total.
-	skewed := func(cfg Config) *forecast {
-		fc := trained(t, cfg)
-		for i := range fc.wPred {
-			fc.wPred[i] += i / fc.grid.NumCells() * 10
-		}
-		return fc
-	}
-
-	cfg := defaultTestConfig()
-	cfg.Horizon = 100
-	up := skewed(cfg)
-	if rate(up, 0) == rate(up, 1) {
-		t.Fatal("skew left the two slots indistinguishable")
+	up := trained(t, cfg)
+	if up.slots.Count != 2 || up.slots.Width() != 50 {
+		t.Fatalf("uptime forecast has %d slots of %v, want 2 of 50", up.slots.Count, up.slots.Width())
 	}
 	for _, tc := range []struct {
 		now  float64
 		slot int
 	}{{0, 0}, {49, 0}, {50, 1}, {99, 1}, {100, 1}, {1e6, 1}, {-5, 0}} {
-		if got, want := up.demand(everywhere, tc.now), rate(up, tc.slot); !near(got, want) {
-			t.Errorf("uptime anchor: demand at t=%v = %v, want slot %d's %v", tc.now, got, tc.slot, want)
+		if got := up.slots.SlotOf(tc.now); got != tc.slot {
+			t.Errorf("uptime anchor: t=%v falls in slot %d, want %d", tc.now, got, tc.slot)
 		}
 	}
 
 	cfg.GuideAnchor = "wallclock"
 	cfg.anchorOffset = (3 + 0.6) * cfg.Horizon // boot mid-Wednesday, second half of the day
-	wk := skewed(cfg)
+	wk := trained(t, cfg)
 	if wk.slots.Count != 14 {
 		t.Fatalf("week forecast has %d slots, want 14", wk.slots.Count)
 	}
@@ -123,16 +61,16 @@ func TestDemandForecastAnchoring(t *testing.T) {
 		{3.4 * cfg.Horizon, 0},  // the end of Saturday: the week starts over
 		{-20, 6},                // before boot: Wednesday morning
 	} {
-		if got, want := wk.demand(everywhere, tc.now), rate(wk, tc.slot); !near(got, want) {
-			t.Errorf("wallclock anchor: demand at t=%v = %v, want slot %d's %v", tc.now, got, tc.slot, want)
+		if got := wk.slots.SlotOf(tc.now); got != tc.slot {
+			t.Errorf("wallclock anchor: t=%v falls in slot %d, want %d", tc.now, got, tc.slot)
 		}
 	}
 }
 
-// TestOneTrainingPass: a guided algorithm plus -rebalance-forecast trains
-// once — the count history is loaded by one call and HP-MSI constructed
-// by one call in the whole package — and both consumers are wired to
-// that one forecast.
+// TestOneTrainingPass: the count history is loaded by one call and HP-MSI
+// constructed by one call in the whole package, and only a guided
+// algorithm trains at all: the other algorithms boot without opening
+// -guide even when it names no file.
 func TestOneTrainingPass(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -157,34 +95,19 @@ func TestOneTrainingPass(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join(t.TempDir(), "counts.csv")
-	if err := os.WriteFile(path, []byte(countsCSV()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := defaultTestConfig()
-	cfg.Algorithm = "polarop"
-	cfg.Mode = "assume-guide"
-	cfg.GuidePath = path
-	cfg.Horizon = 1000
-	cfg.Shards = [2]int{2, 2}
-	cfg.Rebalance, cfg.RebalForecast = true, true
-	cfg.RebalSplit, cfg.RebalDepth, cfg.RebalTau, cfg.RebalCooldown = 200, 2, 5*time.Second, 10*time.Second
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.admitter.Close()
-	if srv.rebal == nil {
-		t.Fatal("no rebalance supervisor")
-	}
-	// The forecaster is optional to everything but its flag's own rules.
-	cfg.Rebalance = false
-	if _, err := New(cfg); err == nil {
-		t.Error("-rebalance-forecast without -rebalance accepted")
-	}
-	cfg.Rebalance, cfg.Algorithm, cfg.GuidePath = true, "greedy", ""
-	if _, err := New(cfg); err == nil {
-		t.Error("-rebalance-forecast without -guide accepted")
+	for _, alg := range []string{"greedy", "gr"} {
+		cfg := defaultTestConfig()
+		cfg.Algorithm = alg
+		cfg.GuidePath = filepath.Join(t.TempDir(), "missing.csv")
+		fc, err := loadForecast(cfg)
+		if fc != nil || err != nil {
+			t.Errorf("%s: loadForecast = %v, %v; want nothing trained", alg, fc, err)
+		}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		srv.admitter.Close()
 	}
 }
 

@@ -129,8 +129,8 @@ type checkpointOutcome struct {
 }
 
 // New builds the server cfg describes: it trains the guide pipeline when
-// the algorithm (or the rebalance forecaster) needs one and, with a WAL,
-// replays the log — which can take a while; see BootGate.
+// the algorithm needs one and, with a WAL, replays the log — which can
+// take a while; see BootGate.
 func New(cfg Config) (*Server, error) {
 	mode, walPolicy, err := cfg.validate()
 	if err != nil {
@@ -171,7 +171,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	} else {
-		shardCfg.WAL = &ftoa.WALOptions{Dir: cfg.WALDir, Policy: walPolicy, Interval: cfg.WALSyncInterval}
+		shardCfg.WAL = &ftoa.WALOptions{Dir: cfg.WALDir, Policy: walPolicy}
 		// Replay appends every recovered event to the router's event log,
 		// so /events and /matches come back along with the router.
 		s.router, s.recovery, err = ftoa.RecoverShardRouter(shardCfg)
@@ -194,24 +194,27 @@ func New(cfg Config) (*Server, error) {
 	for _, line := range haloBootReport(s.router.Placement()) {
 		log.Print(line)
 	}
-	s.admitter = ftoa.NewShardAdmitter(s.router, ftoa.ShardAdmitterConfig{Ring: cfg.Ring})
+	s.admitter = ftoa.NewShardAdmitter(s.router, ftoa.ShardAdmitterConfig{})
 	if cfg.Rebalance {
 		rcfg := ftoa.RebalanceConfig{
 			SplitRate: cfg.RebalSplit,
 			MergeRate: cfg.RebalMerge,
-			MaxDepth:  cfg.RebalDepth,
+			MaxDepth:  rebalanceDepth,
 			Cooldown:  cfg.RebalCooldown.Seconds(),
 			Tau:       cfg.RebalTau.Seconds(),
-		}
-		if cfg.RebalForecast {
-			rcfg.Forecast = fc.demand
 		}
 		if s.rebal, err = ftoa.NewRebalanceSupervisor(s.router, rcfg); err != nil {
 			return nil, err
 		}
+		log.Printf("ftoa-serve: adaptive topology: split > %g/s, merge < %g/s, depth <= %d, cooldown %s, tau %s",
+			rcfg.SplitRate, rcfg.MergeRate, rcfg.MaxDepth, cfg.RebalCooldown, cfg.RebalTau)
 	}
 	return s, nil
 }
+
+// rebalanceDepth caps how many times the supervisor may quarter one base
+// grid cell: a hot cell becomes at most 16 regions.
+const rebalanceDepth = 2
 
 // recoverUsPerEvent is the recovery's wall time per recovered event, in
 // microseconds (0 when nothing was recovered).
@@ -281,8 +284,8 @@ func (s *Server) checkpoint() {
 // the field write.
 func (s *Server) StartWire(ln net.Listener) {
 	s.wire = newWireServer(s, ln)
-	log.Printf("ftoa-serve: wire protocol v%d on %s (ring=%d max-conns=%d dedup=%d/%d)",
-		wire.Version, ln.Addr(), s.cfg.Ring, s.cfg.WireMaxConns, s.cfg.WireDedupWindow, s.cfg.WireDedupClients)
+	log.Printf("ftoa-serve: wire protocol v%d on %s (max-conns=%d dedup=%d)",
+		wire.Version, ln.Addr(), s.cfg.WireMaxConns, s.cfg.WireDedupWindow)
 }
 
 // StartTick runs the tick loop every Config.Tick until Shutdown. The loop

@@ -71,7 +71,7 @@ func newWireServer(s *Server, ln net.Listener) *wireServer {
 	ws := &wireServer{
 		s:     s,
 		ln:    ln,
-		dedup: wire.NewDedupTable(s.cfg.WireDedupWindow, s.cfg.WireDedupClients),
+		dedup: wire.NewDedupTable(s.cfg.WireDedupWindow, 0),
 		conns: make(map[net.Conn]struct{}),
 	}
 	ws.wg.Add(1)

@@ -220,12 +220,12 @@ func (p *Placement) Mirrors(pt geo.Point, owner int, reach float64, dst []int) [
 	return dst
 }
 
-// HintShare returns the fraction of total task traffic region i should
-// size for: its own area share plus the expected halo fraction — the share
-// of the full service area whose tasks may be mirrored into i because they
-// fall within twice the halo of its region. Shares across regions sum to
-// more than 1 exactly because mirrored tasks are duplicated. Workers are
-// never mirrored: their share is the region's area share alone.
+// HintShare returns the fraction of total task traffic region i may hold:
+// its own area share plus the expected halo fraction — the share of the
+// full service area whose tasks may be mirrored into i because they fall
+// within twice the halo of its region. Shares across regions sum to more
+// than 1 exactly because mirrored tasks are duplicated. Workers are never
+// mirrored: their share is the region's area share alone.
 func (p *Placement) HintShare(i int) float64 { return p.share(i, 2*p.halo) }
 
 // share is the area of region i grown by grow on every side, clipped to

@@ -1,11 +1,10 @@
 // Package rebalance is the policy layer over shard.Router's online
 // topology changes: a supervisor that watches per-region demand — the
-// router's arrival-rate EWMAs, optionally maxed with a caller-supplied
-// forecast — and decides when to split a hot region into a finer
-// sub-grid or merge cold sibling quads back. The mechanism (quiescing,
-// migrating live state, the WAL topology-epoch chain) lives in the
-// shard package; this package only picks the next topology and calls
-// Router.Rebalance.
+// router's arrival-rate EWMAs — and decides when to split a hot region
+// into a finer sub-grid or merge cold sibling quads back. The mechanism
+// (quiescing, migrating live state, the WAL topology-epoch chain) lives
+// in the shard package; this package only picks the next topology and
+// calls Router.Rebalance.
 //
 // The policy is deliberately conservative and deterministic given a
 // demand trace:
@@ -26,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ftoa/internal/geo"
 	"ftoa/internal/shard"
 )
 
@@ -52,12 +50,6 @@ type Config struct {
 	// Router.SampleRates. Larger values smooth harder and react slower;
 	// non-positive makes every sample instantaneous (no smoothing).
 	Tau float64
-	// Forecast, when non-nil, predicts the near-term arrival rate for a
-	// region; per-region demand is max(measured EWMA, forecast), so a
-	// predictor (e.g. predict.HPMSI fed by the matched-rate history) can
-	// split ahead of a rush the EWMA has not caught up with yet. It is
-	// called once per region per Tick and must be side-effect free.
-	Forecast func(region geo.Rect, now float64) float64
 }
 
 // Supervisor drives one Router's topology from its demand signal. It is
@@ -70,8 +62,7 @@ type Supervisor struct {
 	changed    bool    // at least one topology change so far
 	lastChange float64 // workload time of the last change
 
-	stats  []shard.Stats // reused across ticks
-	demand []float64
+	stats []shard.Stats // reused across ticks
 }
 
 // New validates cfg and returns a supervisor over r.
@@ -123,21 +114,11 @@ func (s *Supervisor) Tick(now float64) (*shard.RebalanceInfo, error) {
 		// Rebalance; skip the tick rather than mis-index.
 		return nil, nil
 	}
-	rects := topo.Regions(s.r.Placement().Bounds())
-
-	s.demand = s.demand[:0]
-	for i := range s.stats {
-		d := s.stats[i].ArrivalRate
-		if s.cfg.Forecast != nil {
-			d = max(d, s.cfg.Forecast(rects[i], now))
-		}
-		s.demand = append(s.demand, d)
-	}
 
 	// Split the hottest eligible region, if any is over threshold.
 	hot, hotDemand := -1, s.cfg.SplitRate
-	for i, d := range s.demand {
-		if d > hotDemand && topo.Depth(i) < s.cfg.MaxDepth {
+	for i := range s.stats {
+		if d := s.stats[i].ArrivalRate; d > hotDemand && topo.Depth(i) < s.cfg.MaxDepth {
 			hot, hotDemand = i, d
 		}
 	}
@@ -155,7 +136,8 @@ func (s *Supervisor) Tick(now float64) (*shard.RebalanceInfo, error) {
 	}
 	cold, coldDemand := -1, s.cfg.MergeRate
 	for _, quad := range topo.MergeableQuads() {
-		sum := s.demand[quad[0]] + s.demand[quad[1]] + s.demand[quad[2]] + s.demand[quad[3]]
+		sum := s.stats[quad[0]].ArrivalRate + s.stats[quad[1]].ArrivalRate +
+			s.stats[quad[2]].ArrivalRate + s.stats[quad[3]].ArrivalRate
 		if sum < coldDemand {
 			cold, coldDemand = quad[0], sum
 		}

@@ -203,28 +203,3 @@ func TestMergesColdQuad(t *testing.T) {
 		t.Fatalf("merged below the base grid: %+v", info)
 	}
 }
-
-// TestForecastDrivesSplit: a forecast above SplitRate splits a region the
-// measured EWMA still sees as idle — the split-ahead-of-the-rush path.
-func TestForecastDrivesSplit(t *testing.T) {
-	r := testRouter(t)
-	forecast := func(region geo.Rect, now float64) float64 {
-		if region.MinX <= 80 && 80 < region.MaxX && region.MinY <= 80 && 80 < region.MaxY {
-			return 50 // a rush is coming to (80,80): base cell 3
-		}
-		return 0
-	}
-	s, err := New(r, Config{SplitRate: 5, Tau: 0, Cooldown: 0, Forecast: forecast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := mustTick(t, s, 0)
-	if info == nil || info.To != "2x2+3" {
-		t.Fatalf("forecast did not trigger a split: %+v", info)
-	}
-	// Cell 3's children are regions 3..6; the untouched cells stay flat.
-	topo := r.Topology()
-	if topo.Depth(0) != 0 || topo.Depth(3) != 1 || topo.Depth(6) != 1 {
-		t.Fatalf("forecast split the wrong region: %s", topo)
-	}
-}

@@ -43,14 +43,10 @@ import (
 type Config struct {
 	// Matcher is the base session configuration. Bounds is the FULL
 	// service area (it is partitioned into the shard grid); Velocity and
-	// Mode apply to every shard; Hints are sized per shard by region area
-	// share plus, for tasks with a halo, the expected ghost fraction of the
-	// band around it the tasks are mirrored from (Placement.HintShare).
-	// That band is 2·Halo wide, while a task's mirrors stop at its own
-	// Expiry·Velocity when that is shorter (side.go, reach), so the share
-	// can exceed the traffic a shard sees. TGOA reads the share as its
-	// total arrival count (sim.Hints): its phase split, and with it its
-	// matching, moves with Halo even where mirroring does not.
+	// Mode apply to every shard; Hints are sized per shard by its region's
+	// area share, without the ghosts a halo mirrors in, so no algorithm's
+	// matching moves with Halo alone (TGOA reads the hints as its total
+	// arrival count).
 	// OnEvent/OnRetire/CommitGate must be nil: the router owns event
 	// consumption and the retirement and arbitration hooks.
 	Matcher sim.MatcherConfig
@@ -406,12 +402,13 @@ func (r *Router) buildState(topo *Topology, version uint64) (*topoState, error) 
 		}
 		mcfg := cfg.Matcher
 		mcfg.Bounds = placement.Region(i)
-		// Hints are sized by region area share plus, for tasks, the
-		// expected halo fraction: border shards absorb mirrored tasks from
-		// the band around their region, so with mirroring on, task shares
-		// sum to more than 1 by exactly the expected ghost traffic.
-		mcfg.Hints.ExpectedWorkers = scaleHint(mcfg.Hints.ExpectedWorkers, placement.share(i, 0))
-		mcfg.Hints.ExpectedTasks = scaleHint(mcfg.Hints.ExpectedTasks, placement.HintShare(i))
+		// Hints are sized by the region's area share alone: the ghosts a
+		// halo mirrors in are not counted, so TGOA's phase split (which
+		// reads the hints as its total arrival count) does not move with
+		// the halo's width.
+		share := placement.share(i, 0)
+		mcfg.Hints.ExpectedWorkers = scaleHint(mcfg.Hints.ExpectedWorkers, share)
+		mcfg.Hints.ExpectedTasks = scaleHint(mcfg.Hints.ExpectedTasks, share)
 		if r.haloOn {
 			mcfg.CommitGate = si.gate
 			mcfg.OnRetire = si.onRetire

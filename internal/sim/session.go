@@ -16,9 +16,7 @@ import (
 // internal state, with one documented exception: TGOA's greedy/optimal
 // phase split needs the total arrival count, so with zero hints it stays
 // in its greedy phase forever. Behind a shard.Router the count TGOA reads
-// is its shard's sizing share (shard.Config.Matcher), which grows with
-// the halo even where the tasks actually mirrored do not, so there TGOA's
-// matching moves with the halo alone.
+// is its shard's area share of the hints (shard.Config.Matcher).
 type Hints struct {
 	// ExpectedWorkers and ExpectedTasks estimate how many objects the
 	// session will admit.
