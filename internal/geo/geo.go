@@ -41,15 +41,6 @@ func (p Point) SqDist(q Point) float64 {
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p minus q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
-
 // Lerp returns the point a fraction t of the way from p to q. t is clamped
 // to [0, 1], so Lerp never extrapolates past either endpoint.
 func (p Point) Lerp(q Point, t float64) Point {

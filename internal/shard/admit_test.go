@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ftoa/internal/codec"
 	"ftoa/internal/faultfs"
 	"ftoa/internal/geo"
 	"ftoa/internal/model"
@@ -175,7 +176,7 @@ func TestAdmissionDoorsRefuseNonFinite(t *testing.T) {
 			ad := bad[i]
 			ad.side = sd
 			fs := faultfs.New()
-			fs.SetFile("wal/s000-g000001.wal", wal.AppendFrame(append([]byte(nil), clean...), encodeAdmission(nil, &ad, nil, false)))
+			fs.SetFile("wal/s000-g000001.wal", codec.AppendFrame(append([]byte(nil), clean...), encodeAdmission(nil, &ad, nil, false)))
 			cfg.WAL = &wal.Options{Dir: "wal", Policy: wal.SyncAlways, FS: fs}
 			_, _, err := Recover(cfg)
 			if !errors.Is(err, ErrInvalidAdmission) || !strings.Contains(err.Error(), "wal:") {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ftoa/internal/codec"
 	"ftoa/internal/faultfs"
 	"ftoa/internal/geo"
 	"ftoa/internal/model"
@@ -318,7 +319,7 @@ func TestReplayRejectsForeignWithdrawHandle(t *testing.T) {
 			if _, err := si.sess.AddTask(model.Task{Loc: geo.Pt(45, 45), Expiry: 9}); err != nil {
 				t.Fatal(err)
 			}
-			p := appendU32([]byte{opWithdrawLocal, flags}, local)
+			p := codec.AppendU32([]byte{opWithdrawLocal, flags}, local)
 			if err := r.replayOp(si, p[0], p); err == nil || !strings.HasPrefix(err.Error(), "wal:") {
 				t.Fatalf("handle %d flags %d: err = %v, want a wal: error", int32(local), flags, err)
 			}

@@ -5,12 +5,10 @@
 //
 // # Framing
 //
-// A record on disk is
-//
-//	[u32 payload length][u32 CRC-32C of payload][payload]
-//
-// little-endian, with the payload's first byte naming the record type. The
-// package does not interpret payloads beyond one framing convention: types
+// A record on disk is one frame of package internal/codec (length, CRC-32C,
+// payload), the frame the wire protocol sends too; codec.AppendFrame frames
+// a record, and the payload's first byte names its type. The package does
+// not interpret payloads beyond one convention: types
 // with InterimBit set are *interim* records — they belong to the next
 // terminal record (the shard package uses them for arbitration decisions
 // and sequence assignments gathered while an operation runs, closed by the
@@ -46,13 +44,13 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"ftoa/internal/codec"
 )
 
 // InterimBit marks record types that are non-terminal: an interim record
@@ -60,25 +58,9 @@ import (
 // run of interim records with no terminal close is dropped at read time.
 const InterimBit byte = 0x80
 
-// frameHeader is the per-record framing overhead: u32 length + u32 CRC.
-const frameHeader = 8
-
 // maxRecordLen bounds a single payload; a length field beyond it is
 // treated as tail corruption. Real records are tens of bytes.
 const maxRecordLen = 1 << 20
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// AppendFrame appends one framed record to dst and returns the extended
-// slice. The payload must be non-empty and its first byte is the record
-// type.
-func AppendFrame(dst, payload []byte) []byte {
-	var h [frameHeader]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, h[:]...)
-	return append(dst, payload...)
-}
 
 // FS abstracts the filesystem the log lives on. Implementations must allow
 // concurrent calls on distinct files; the OS implementation is the default
@@ -267,28 +249,27 @@ func (s *Scanner) Scan(r io.Reader, fn func(payload []byte) error) (ScanInfo, er
 	s.lo, s.hi, s.eof = 0, 0, false
 	var info ScanInfo
 	for {
-		if err := s.fill(r, frameHeader, &info); err != nil {
+		if err := s.fill(r, codec.HeaderLen, &info); err != nil {
 			return info, err
 		}
-		if s.hi-s.lo < frameHeader {
+		if s.hi-s.lo < codec.HeaderLen {
 			break
 		}
-		n := int(binary.LittleEndian.Uint32(s.buf[s.lo:]))
-		if n == 0 || n > maxRecordLen {
+		n, sum, ok := codec.Header(s.buf[s.lo:], maxRecordLen)
+		if !ok {
 			break
 		}
-		if err := s.fill(r, frameHeader+n, &info); err != nil {
+		if err := s.fill(r, codec.HeaderLen+n, &info); err != nil {
 			return info, err
 		}
-		if s.hi-s.lo < frameHeader+n {
+		if s.hi-s.lo < codec.HeaderLen+n {
 			break
 		}
-		sum := binary.LittleEndian.Uint32(s.buf[s.lo+4:])
-		payload := s.buf[s.lo+frameHeader : s.lo+frameHeader+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
+		payload := s.buf[s.lo+codec.HeaderLen : s.lo+codec.HeaderLen+n]
+		if !codec.Valid(payload, sum) {
 			break
 		}
-		s.lo += frameHeader + n
+		s.lo += codec.HeaderLen + n
 		if payload[0]&InterimBit != 0 {
 			info.DanglingRecords++
 		} else {

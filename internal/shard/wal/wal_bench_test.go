@@ -2,10 +2,10 @@ package wal_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"testing"
 
+	"ftoa/internal/codec"
 	"ftoa/internal/faultfs"
 	"ftoa/internal/shard/wal"
 )
@@ -19,9 +19,9 @@ func benchGroup() []byte {
 		body[i] = byte(i)
 	}
 	var g []byte
-	g = wal.AppendFrame(g, []byte{0x82, 1})
-	g = wal.AppendFrame(g, append([]byte{0x80}, 1, 2, 3, 4, 5, 6, 7, 8))
-	g = wal.AppendFrame(g, append([]byte{0x10}, body...))
+	g = codec.AppendFrame(g, []byte{0x82, 1})
+	g = codec.AppendFrame(g, append([]byte{0x80}, 1, 2, 3, 4, 5, 6, 7, 8))
+	g = codec.AppendFrame(g, append([]byte{0x10}, body...))
 	return g
 }
 
@@ -31,7 +31,7 @@ func benchGroup() []byte {
 func BenchmarkAppendBuffered(b *testing.B) {
 	fs := faultfs.New()
 	s, err := wal.Open(wal.Options{Dir: "wal", Policy: wal.SyncNone, FS: fs}, 1, 1, func(int) []byte {
-		return wal.AppendFrame(nil, []byte{0x01})
+		return codec.AppendFrame(nil, []byte{0x01})
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -52,7 +52,7 @@ func BenchmarkAppendBuffered(b *testing.B) {
 func BenchmarkAppendSyncAlways(b *testing.B) {
 	fs := faultfs.New()
 	s, err := wal.Open(wal.Options{Dir: "wal", Policy: wal.SyncAlways, FS: fs}, 1, 1, func(int) []byte {
-		return wal.AppendFrame(nil, []byte{0x01})
+		return codec.AppendFrame(nil, []byte{0x01})
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -75,7 +75,7 @@ func BenchmarkAppendSyncAlways(b *testing.B) {
 func BenchmarkScan(b *testing.B) {
 	fs := faultfs.New()
 	s, err := wal.Open(wal.Options{Dir: "wal", Policy: wal.SyncNone, FS: fs}, 1, 1, func(int) []byte {
-		return wal.AppendFrame(nil, []byte{0x01})
+		return codec.AppendFrame(nil, []byte{0x01})
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -113,10 +113,4 @@ func BenchmarkScan(b *testing.B) {
 			b.Fatalf("records = %d", info.Records)
 		}
 	}
-}
-
-func ExampleAppendFrame() {
-	g := wal.AppendFrame(nil, []byte{0x10, 0xff})
-	fmt.Println(len(g))
-	// Output: 10
 }

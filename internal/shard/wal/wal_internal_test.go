@@ -7,7 +7,15 @@ import (
 	"io"
 	"testing"
 	"testing/iotest"
+
+	"ftoa/internal/codec"
 )
+
+// frameHeader and castagnoli are the reference parser's own reading of a
+// frame, [u32 length][u32 CRC-32C][payload], kept apart from package codec.
+const frameHeader = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // parseFrames is the whole-file parser the streaming Scanner replaced,
 // kept here as the naive reference the scanner is checked against: it
@@ -103,7 +111,7 @@ func (c chunkReader) Read(p []byte) (int, error) {
 func frames(payloads ...[]byte) []byte {
 	var data []byte
 	for _, p := range payloads {
-		data = AppendFrame(data, p)
+		data = codec.AppendFrame(data, p)
 	}
 	return data
 }
@@ -189,15 +197,15 @@ func TestScanStraddlesBuffer(t *testing.T) {
 	for start := scanBufSize - len(probe) - 2*frameHeader; start <= scanBufSize+frameHeader; start++ {
 		var data []byte
 		for len(data)+frameHeader+len(pad) <= start {
-			data = AppendFrame(data, pad)
+			data = codec.AppendFrame(data, pad)
 		}
 		// One odd-sized frame lands the probe on the exact offset.
 		if gap := start - len(data); gap > frameHeader {
-			data = AppendFrame(data, append([]byte{0x21}, make([]byte, gap-frameHeader-1)...))
+			data = codec.AppendFrame(data, append([]byte{0x21}, make([]byte, gap-frameHeader-1)...))
 		} else if gap != 0 {
 			continue
 		}
-		whole := AppendFrame(AppendFrame(data, probe), []byte{0x22, 9})
+		whole := codec.AppendFrame(codec.AppendFrame(data, probe), []byte{0x22, 9})
 		for cut := len(data); cut <= len(whole); cut += 7 {
 			torn := whole[:cut]
 			checkAgainstNaive(t, sc, torn, bytes.NewReader(torn), "whole reads")

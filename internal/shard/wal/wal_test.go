@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ftoa/internal/codec"
 	"ftoa/internal/faultfs"
 	"ftoa/internal/shard/wal"
 )
@@ -17,7 +18,7 @@ func payload(typ byte, body ...byte) []byte { return append([]byte{typ}, body...
 func group(payloads ...[]byte) []byte {
 	var g []byte
 	for _, p := range payloads {
-		g = wal.AppendFrame(g, p)
+		g = codec.AppendFrame(g, p)
 	}
 	return g
 }
@@ -380,7 +381,7 @@ func TestLargeBufferInlineFlush(t *testing.T) {
 func ExampleSegments() {
 	fs := faultfs.New()
 	s, _ := wal.Open(wal.Options{Dir: "d", Policy: wal.SyncAlways, FS: fs}, 2, 1, func(i int) []byte {
-		return wal.AppendFrame(nil, []byte{0x01, byte(i)})
+		return codec.AppendFrame(nil, []byte{0x01, byte(i)})
 	})
 	s.Close()
 	segs, maxGen, _ := wal.Segments(fs, "d")

@@ -84,7 +84,7 @@ type Log struct {
 }
 
 // Append hands the log one operation group (one or more frames built with
-// AppendFrame). The bytes are copied; durability follows the sync policy.
+// codec.AppendFrame). The bytes are copied; durability follows the sync policy.
 // Errors are sticky: after a write or sync failure every later Append
 // reports it and writes stop.
 func (l *Log) Append(group []byte) error {

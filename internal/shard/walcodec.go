@@ -1,6 +1,7 @@
 // WAL record payloads — the binary vocabulary of the per-shard write-ahead
-// log (see wal.go in package wal for framing and walhook.go for when each
-// record is written and how it replays).
+// log (package codec frames records and reads their fields, package wal
+// owns the files, walhook.go says when each record is written and how it
+// replays).
 //
 // A shard's log is a sequence of operation groups. The terminal record of
 // a group is the *operation* that mutated the shard's session (an
@@ -18,8 +19,8 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
+	"ftoa/internal/codec"
 	"ftoa/internal/shard/wal"
 )
 
@@ -48,9 +49,7 @@ const (
 	opWithdraw byte = 0x23
 	// opWithdrawLocal is a platform-initiated withdrawal of an owner
 	// receipt (withdraw.go). Payload: flags (bit 0 the side, bit 1 claim word
-	// won, bit 2 session accepted), u32 local handle. Additive: logs
-	// written before this type existed never contain it and replay
-	// unchanged.
+	// won, bit 2 session accepted), u32 local handle.
 	opWithdrawLocal byte = 0x24
 
 	// decGate is the commit-gate verdict on a pair with a mirrored task:
@@ -125,22 +124,6 @@ type mirrorInfo struct {
 
 // --- encoding ---------------------------------------------------------
 
-func appendU16(dst []byte, v uint16) []byte {
-	return binary.LittleEndian.AppendUint16(dst, v)
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(dst, v)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, v)
-}
-
-func appendF64(dst []byte, v float64) []byte {
-	return appendU64(dst, math.Float64bits(v))
-}
-
 // encodeFingerprint canonically encodes every Config field that replay
 // determinism depends on. Recovery refuses a log whose fingerprint differs
 // from the booting config: replaying admissions into a differently shaped
@@ -150,20 +133,20 @@ func appendF64(dst []byte, v float64) []byte {
 func encodeFingerprint(cfg *Config) []byte {
 	fp := make([]byte, 0, 96)
 	fp = append(fp, byte(cfg.Matcher.Mode))
-	fp = appendU32(fp, uint32(cfg.Cols))
-	fp = appendU32(fp, uint32(cfg.Rows))
-	fp = appendF64(fp, cfg.Halo)
-	fp = appendF64(fp, cfg.Matcher.Velocity)
+	fp = codec.AppendU32(fp, uint32(cfg.Cols))
+	fp = codec.AppendU32(fp, uint32(cfg.Rows))
+	fp = codec.AppendF64(fp, cfg.Halo)
+	fp = codec.AppendF64(fp, cfg.Matcher.Velocity)
 	b := cfg.Matcher.Bounds
-	fp = appendF64(fp, b.MinX)
-	fp = appendF64(fp, b.MinY)
-	fp = appendF64(fp, b.MaxX)
-	fp = appendF64(fp, b.MaxY)
-	fp = appendU64(fp, uint64(cfg.Retention))
-	fp = appendF64(fp, cfg.RetireInterval)
-	fp = appendU64(fp, uint64(cfg.Matcher.Hints.ExpectedWorkers))
-	fp = appendU64(fp, uint64(cfg.Matcher.Hints.ExpectedTasks))
-	fp = appendF64(fp, cfg.Matcher.Hints.Horizon)
+	fp = codec.AppendF64(fp, b.MinX)
+	fp = codec.AppendF64(fp, b.MinY)
+	fp = codec.AppendF64(fp, b.MaxX)
+	fp = codec.AppendF64(fp, b.MaxY)
+	fp = codec.AppendU64(fp, uint64(cfg.Retention))
+	fp = codec.AppendF64(fp, cfg.RetireInterval)
+	fp = codec.AppendU64(fp, uint64(cfg.Matcher.Hints.ExpectedWorkers))
+	fp = codec.AppendU64(fp, uint64(cfg.Matcher.Hints.ExpectedTasks))
+	fp = codec.AppendF64(fp, cfg.Matcher.Hints.Horizon)
 	return fp
 }
 
@@ -172,17 +155,17 @@ func encodeHeader(shard int, fp []byte, hm headerMeta) []byte {
 	p := make([]byte, 0, 1+len(walMagic)+4+8+2+len(fp)+1+8+8+8+4+len(hm.topo))
 	p = append(p, recHeader)
 	p = append(p, walMagic...)
-	p = appendU32(p, uint32(shard))
-	p = appendU64(p, hm.gen)
-	p = appendU16(p, uint16(len(fp)))
+	p = codec.AppendU32(p, uint32(shard))
+	p = codec.AppendU64(p, hm.gen)
+	p = codec.AppendU16(p, uint16(len(fp)))
 	p = append(p, fp...)
 	p = append(p, hm.kind)
-	p = appendU64(p, hm.topoVer)
-	p = appendU64(p, hm.epochBase)
-	p = appendU64(p, hm.seqBase)
-	p = appendU32(p, uint32(len(hm.topo)))
+	p = codec.AppendU64(p, hm.topoVer)
+	p = codec.AppendU64(p, hm.epochBase)
+	p = codec.AppendU64(p, hm.seqBase)
+	p = codec.AppendU32(p, uint32(len(hm.topo)))
 	p = append(p, hm.topo...)
-	return wal.AppendFrame(nil, p)
+	return codec.AppendFrame(nil, p)
 }
 
 // encodeSeal builds the framed checkpoint seal record (shard 0 only). The
@@ -192,27 +175,27 @@ func encodeSeal(sm sealMeta) []byte {
 	fields := sm.carried.fields()
 	p := make([]byte, 0, 1+8+8+8*len(fields))
 	p = append(p, recSeal)
-	p = appendU64(p, sm.topoVer)
-	p = appendU64(p, sm.matchBase)
+	p = codec.AppendU64(p, sm.topoVer)
+	p = codec.AppendU64(p, sm.matchBase)
 	for _, v := range fields {
-		p = appendU64(p, uint64(int64(*v)))
+		p = codec.AppendU64(p, uint64(int64(*v)))
 	}
-	return wal.AppendFrame(nil, p)
+	return codec.AppendFrame(nil, p)
 }
 
 // appendMirrorInfo encodes a mirrored admission's halo identity. withCopies
 // is set on owner records (the authoritative copy list) and clear on ghost
 // records (the ghost's shard never drives retractions of its siblings).
 func appendMirrorInfo(dst []byte, rec *mirror, withCopies bool) []byte {
-	dst = appendU64(dst, rec.gid)
-	dst = appendU32(dst, uint32(rec.owner))
-	dst = appendU32(dst, uint32(rec.ownerLocal))
+	dst = codec.AppendU64(dst, rec.gid)
+	dst = codec.AppendU32(dst, uint32(rec.owner))
+	dst = codec.AppendU32(dst, uint32(rec.ownerLocal))
 	if !withCopies {
-		return appendU16(dst, 0)
+		return codec.AppendU16(dst, 0)
 	}
-	dst = appendU16(dst, uint16(len(rec.copies)))
+	dst = codec.AppendU16(dst, uint16(len(rec.copies)))
 	for _, c := range rec.copies {
-		dst = appendU32(dst, uint32(c))
+		dst = codec.AppendU32(dst, uint32(c))
 	}
 	return dst
 }
@@ -240,11 +223,11 @@ func encodeAdmission(dst []byte, ad *admission, rec *mirror, ghost bool) []byte 
 		flags |= 2
 	}
 	dst = append(dst, flags)
-	dst = appendU64(dst, uint64(ad.id))
-	dst = appendF64(dst, ad.loc.X)
-	dst = appendF64(dst, ad.loc.Y)
-	dst = appendF64(dst, ad.at)
-	dst = appendF64(dst, ad.window)
+	dst = codec.AppendU64(dst, uint64(ad.id))
+	dst = codec.AppendF64(dst, ad.loc.X)
+	dst = codec.AppendF64(dst, ad.loc.Y)
+	dst = codec.AppendF64(dst, ad.at)
+	dst = codec.AppendF64(dst, ad.window)
 	if rec != nil {
 		dst = appendMirrorInfo(dst, rec, !ghost)
 	}
@@ -253,91 +236,26 @@ func encodeAdmission(dst []byte, ad *admission, rec *mirror, ghost bool) []byte 
 
 // --- decoding ---------------------------------------------------------
 
-// decoder is a little-endian payload cursor with a sticky error.
-type decoder struct {
-	p   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("wal: truncated %s at offset %d", what, d.off)
-	}
-}
-
-func (d *decoder) u8(what string) byte {
-	if d.err != nil || d.off+1 > len(d.p) {
-		d.fail(what)
-		return 0
-	}
-	v := d.p[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u16(what string) uint16 {
-	if d.err != nil || d.off+2 > len(d.p) {
-		d.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.p[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *decoder) u32(what string) uint32 {
-	if d.err != nil || d.off+4 > len(d.p) {
-		d.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.p[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64(what string) uint64 {
-	if d.err != nil || d.off+8 > len(d.p) {
-		d.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.p[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) f64(what string) float64 { return math.Float64frombits(d.u64(what)) }
-
-func (d *decoder) bytes(n int, what string) []byte {
-	if d.err != nil || d.off+n > len(d.p) {
-		d.fail(what)
-		return nil
-	}
-	v := d.p[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
 // decodeHeader validates one shard's header record against the booting
 // config's fingerprint and returns the generation's chain metadata.
 func decodeHeader(payload []byte, shard int, fp []byte) (hm headerMeta, err error) {
-	d := decoder{p: payload, off: 1} // type byte already dispatched
-	magic := d.bytes(len(walMagic), "magic")
-	if d.err == nil && string(magic) != walMagic {
+	d := codec.NewReader("wal", payload, 1) // type byte already dispatched
+	magic := d.Bytes(len(walMagic), "magic")
+	if d.Err() == nil && string(magic) != walMagic {
 		return hm, fmt.Errorf("wal: bad magic (version mismatch or foreign file)")
 	}
-	gotShard := int(int32(d.u32("shard")))
-	hm.gen = d.u64("generation")
-	fpLen := int(d.u16("fingerprint length"))
-	gotFP := d.bytes(fpLen, "fingerprint")
-	hm.kind = d.u8("generation kind")
-	hm.topoVer = d.u64("topology version")
-	hm.epochBase = d.u64("epoch base")
-	hm.seqBase = d.u64("sequence base")
-	topoLen := int(d.u32("topology length"))
-	hm.topo = d.bytes(topoLen, "topology image")
-	if d.err != nil {
-		return hm, d.err
+	gotShard := int(int32(d.U32("shard")))
+	hm.gen = d.U64("generation")
+	fpLen := int(d.U16("fingerprint length"))
+	gotFP := d.Bytes(fpLen, "fingerprint")
+	hm.kind = d.U8("generation kind")
+	hm.topoVer = d.U64("topology version")
+	hm.epochBase = d.U64("epoch base")
+	hm.seqBase = d.U64("sequence base")
+	topoLen := int(d.U32("topology length"))
+	hm.topo = d.Bytes(topoLen, "topology image")
+	if err := d.Err(); err != nil {
+		return hm, err
 	}
 	if gotShard != shard {
 		return hm, fmt.Errorf("wal: segment header names shard %d, expected %d", gotShard, shard)
@@ -351,43 +269,38 @@ func decodeHeader(payload []byte, shard int, fp []byte) (hm headerMeta, err erro
 	return hm, nil
 }
 
-// decodeSeal decodes a seal record. A seal that ends after the topology
-// version was written before seals carried anything (lifetime totals then
-// restarted at every checkpoint) and decodes as carrying nothing.
+// decodeSeal decodes a seal record.
 func decodeSeal(payload []byte) (sm sealMeta, err error) {
-	d := decoder{p: payload, off: 1}
-	sm.topoVer = d.u64("seal topology version")
-	if d.err == nil && d.off == len(payload) {
-		return sm, nil
-	}
-	sm.matchBase = d.u64("seal match base")
+	d := codec.NewReader("wal", payload, 1)
+	sm.topoVer = d.U64("seal topology version")
+	sm.matchBase = d.U64("seal match base")
 	for _, v := range sm.carried.fields() {
-		*v = int(int64(d.u64("seal carried total")))
+		*v = int(int64(d.U64("seal carried total")))
 	}
-	return sm, d.err
+	return sm, d.Err()
 }
 
 // decodeAdmission decodes an owner or ghost admission payload of the given
 // side (type byte already dispatched by the caller).
 func decodeAdmission(payload []byte, sd side) (ad admission, mi mirrorInfo, mirrored bool, err error) {
-	d := decoder{p: payload, off: 1}
-	flags := d.u8("flags")
+	d := codec.NewReader("wal", payload, 1)
+	flags := d.U8("flags")
 	ad.side = sd
-	ad.id = int(int64(d.u64("admission id")))
-	ad.loc.X = d.f64("admission x")
-	ad.loc.Y = d.f64("admission y")
-	ad.at = d.f64("admission time")
-	ad.window = d.f64("admission window")
+	ad.id = int(int64(d.U64("admission id")))
+	ad.loc.X = d.F64("admission x")
+	ad.loc.Y = d.F64("admission y")
+	ad.at = d.F64("admission time")
+	ad.window = d.F64("admission window")
 	ad.expiryFired = flags&2 != 0
 	if flags&1 != 0 {
 		mirrored = true
-		mi.gid = d.u64("gid")
-		mi.owner = int32(d.u32("owner"))
-		mi.ownerLocal = int32(d.u32("owner local"))
+		mi.gid = d.U64("gid")
+		mi.owner = int32(d.U32("owner"))
+		mi.ownerLocal = int32(d.U32("owner local"))
 		// The count is checked against the bytes that back it before it
 		// sizes anything.
-		if n := int(d.u16("copy count")); n > 0 {
-			if raw := d.bytes(4*n, "copies"); raw != nil {
+		if n := int(d.U16("copy count")); n > 0 {
+			if raw := d.Bytes(4*n, "copies"); raw != nil {
 				mi.copies = make([]int32, n)
 				for i := range mi.copies {
 					mi.copies[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
@@ -395,5 +308,5 @@ func decodeAdmission(payload []byte, sd side) (ad admission, mi mirrorInfo, mirr
 			}
 		}
 	}
-	return ad, mi, mirrored, d.err
+	return ad, mi, mirrored, d.Err()
 }

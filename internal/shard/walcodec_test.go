@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ftoa/internal/codec"
 	"ftoa/internal/geo"
 	"ftoa/internal/model"
 	"ftoa/internal/shard/wal"
@@ -110,13 +111,13 @@ func FuzzReplayRecord(f *testing.F) {
 	f.Add(encodeAdmission(nil, &admission{side: taskSide, id: 5, loc: geo.Point{X: 5, Y: math.Inf(-1)}, window: 3}, rec, false))
 	f.Add(encodeAdmission(nil, &admission{side: workerSide, id: 6, loc: geo.Point{X: 5, Y: 5}, at: 1, window: math.NaN()}, rec, true))
 	f.Add(encodeAdmission(nil, &admission{side: taskSide, id: 7, at: math.Inf(-1), window: math.Inf(1)}, nil, false))
-	f.Add(appendF64([]byte{opAdvance}, 12.5))
-	f.Add(appendF64([]byte{opRetire}, 3))
-	f.Add(appendU64([]byte{opWithdraw, 1}, 9))
-	f.Add(appendU32([]byte{opWithdrawLocal, 7}, 2))
-	f.Add(appendU32([]byte{opWithdrawLocal, 4}, 0))          // the worker the shard holds
-	f.Add(appendU32([]byte{opWithdrawLocal, 0}, 0xFFFFFFFF)) // handle -1
-	f.Add(appendU32([]byte{opWithdrawLocal, 1}, 1<<20))      // past the task arena
+	f.Add(codec.AppendF64([]byte{opAdvance}, 12.5))
+	f.Add(codec.AppendF64([]byte{opRetire}, 3))
+	f.Add(codec.AppendU64([]byte{opWithdraw, 1}, 9))
+	f.Add(codec.AppendU32([]byte{opWithdrawLocal, 7}, 2))
+	f.Add(codec.AppendU32([]byte{opWithdrawLocal, 4}, 0))          // the worker the shard holds
+	f.Add(codec.AppendU32([]byte{opWithdrawLocal, 0}, 0xFFFFFFFF)) // handle -1
+	f.Add(codec.AppendU32([]byte{opWithdrawLocal, 1}, 1<<20))      // past the task arena
 	f.Add([]byte{opFinish})
 	seal := unframe(f, encodeSeal(sealMeta{topoVer: 2, matchBase: 7, carried: Totals{Workers: 5, GhostTasks: -3}}))
 	f.Add(seal)
@@ -170,13 +171,13 @@ func FuzzReplayRecord(f *testing.F) {
 			t.Fatalf("one record counted as %+v", c.peak)
 		}
 		// The fixed-width operation decoders share one bounds-checked cursor.
-		d := decoder{p: p, off: 1}
-		d.u8("flags")
-		d.u64("gid")
-		d.u32("handle")
-		d.f64("clock")
-		if d.err == nil && d.off > len(p) {
-			t.Fatalf("cursor at %d past a %d-byte payload", d.off, len(p))
+		d := codec.NewReader("wal", p, 1)
+		d.U8("flags")
+		d.U64("gid")
+		d.U32("handle")
+		d.F64("clock")
+		if d.Err() == nil && d.Len() < 0 {
+			t.Fatalf("cursor %d bytes past a %d-byte payload", -d.Len(), len(p))
 		}
 	})
 }

@@ -1,6 +1,6 @@
 // WAL recording and recovery for the Router — the durability layer of the
-// serving stack (walcodec.go defines the records, package wal the framing
-// and files).
+// serving stack (walcodec.go defines the records, package codec the
+// framing, package wal the files).
 //
 // # What is recorded, and why it is enough
 //
@@ -64,6 +64,7 @@ import (
 	"slices"
 	"time"
 
+	"ftoa/internal/codec"
 	"ftoa/internal/shard/wal"
 )
 
@@ -79,25 +80,25 @@ type shardWAL struct {
 
 func (sw *shardWAL) recGate(verdict uint32) {
 	sw.scratch = append(sw.scratch[:0], decGate, byte(verdict))
-	sw.group = wal.AppendFrame(sw.group, sw.scratch)
+	sw.group = codec.AppendFrame(sw.group, sw.scratch)
 }
 
 func (sw *shardWAL) recExpiry(outcome byte) {
 	sw.scratch = append(sw.scratch[:0], decExpiry, outcome)
-	sw.group = wal.AppendFrame(sw.group, sw.scratch)
+	sw.group = codec.AppendFrame(sw.group, sw.scratch)
 }
 
 func (sw *shardWAL) recSeq(seq uint64) {
 	sw.scratch = append(sw.scratch[:0], decSeq)
-	sw.scratch = binary.LittleEndian.AppendUint64(sw.scratch, seq)
-	sw.group = wal.AppendFrame(sw.group, sw.scratch)
+	sw.scratch = codec.AppendU64(sw.scratch, seq)
+	sw.group = codec.AppendFrame(sw.group, sw.scratch)
 }
 
 // op closes the current group with payload and hands it to the log. Append
 // errors are sticky in the log and surfaced via Router.WALErr — the
 // serving path stays available when the disk does not.
 func (sw *shardWAL) op(payload []byte) {
-	sw.group = wal.AppendFrame(sw.group, payload)
+	sw.group = codec.AppendFrame(sw.group, payload)
 	sw.log.Append(sw.group)
 	sw.group = sw.group[:0]
 	sw.scratch = payload[:0]
@@ -113,7 +114,7 @@ func (sw *shardWAL) opAdmission(ad *admission, rec *mirror, ghost bool) {
 
 func (sw *shardWAL) opAdvance(now float64) {
 	p := append(sw.scratch[:0], opAdvance)
-	sw.op(appendF64(p, now))
+	sw.op(codec.AppendF64(p, now))
 }
 
 func (sw *shardWAL) opFinish() {
@@ -122,11 +123,11 @@ func (sw *shardWAL) opFinish() {
 
 func (sw *shardWAL) opRetire(horizon float64) {
 	p := append(sw.scratch[:0], opRetire)
-	sw.op(appendF64(p, horizon))
+	sw.op(codec.AppendF64(p, horizon))
 }
 
 func (sw *shardWAL) opWithdraw(gid uint64) {
-	sw.op(appendU64(append(sw.scratch[:0], opWithdraw), gid))
+	sw.op(codec.AppendU64(append(sw.scratch[:0], opWithdraw), gid))
 }
 
 func (sw *shardWAL) opWithdrawLocal(local int, sd side, claimed, applied bool) {
@@ -138,7 +139,7 @@ func (sw *shardWAL) opWithdrawLocal(local int, sd side, claimed, applied bool) {
 		flags |= 4
 	}
 	p := append(sw.scratch[:0], opWithdrawLocal, flags)
-	sw.op(appendU32(p, uint32(local)))
+	sw.op(codec.AppendU32(p, uint32(local)))
 }
 
 // replayState is the cross-shard recovery context: the shared mirror
@@ -774,10 +775,10 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 			rec.deadline = admitted + ad.window
 		}
 	case opAdvance:
-		d := decoder{p: p, off: 1}
-		now := d.f64("advance clock")
-		if d.err != nil {
-			return d.err
+		d := codec.NewReader("wal", p, 1)
+		now := d.F64("advance clock")
+		if err := d.Err(); err != nil {
+			return err
 		}
 		si.sess.Advance(now)
 		si.afterWriteLocked(r)
@@ -785,27 +786,27 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 		si.sess.Finish()
 		si.collectLocked(r)
 	case opRetire:
-		d := decoder{p: p, off: 1}
-		horizon := d.f64("retire horizon")
-		if d.err != nil {
-			return d.err
+		d := codec.NewReader("wal", p, 1)
+		horizon := d.F64("retire horizon")
+		if err := d.Err(); err != nil {
+			return err
 		}
 		si.collectLocked(r)
 		si.sess.Retire(horizon)
 		si.lastRetire = si.sess.Now()
 	case opWithdraw:
-		d := decoder{p: p, off: 1}
-		gid := d.u64("withdraw gid")
-		if d.err != nil {
-			return d.err
+		d := codec.NewReader("wal", p, 1)
+		gid := d.U64("withdraw gid")
+		if err := d.Err(); err != nil {
+			return err
 		}
 		si.applyWithdrawLocked(gid)
 	case opWithdrawLocal:
-		d := decoder{p: p, off: 1}
-		flags := d.u8("local withdraw flags")
-		local := int(int32(d.u32("local withdraw handle")))
-		if d.err != nil {
-			return d.err
+		d := codec.NewReader("wal", p, 1)
+		flags := d.U8("local withdraw flags")
+		local := int(int32(d.U32("local withdraw handle")))
+		if err := d.Err(); err != nil {
+			return err
 		}
 		return si.replayWithdrawLocal(local, side(flags&1), flags&2 != 0, flags&4 != 0)
 	default:

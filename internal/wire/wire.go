@@ -5,8 +5,8 @@
 //
 // # Framing
 //
-// Every message travels as one frame using the WAL codec's convention
-// (package internal/shard/wal):
+// Every message travels as one frame of package internal/codec, the frame
+// the WAL writes too:
 //
 //	[u32 payload length][u32 CRC-32C of payload][payload]
 //
@@ -62,15 +62,14 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
+
+	"ftoa/internal/codec"
 )
 
 // Magic opens every Hello; Version is the protocol version this package
@@ -204,30 +203,21 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return "wire: remote error: " + e.Msg }
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // --- encoding ---------------------------------------------------------
-
-func appendU16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
-func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
-func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-func appendF64(dst []byte, v float64) []byte {
-	return appendU64(dst, math.Float64bits(v))
-}
 
 // AppendHello encodes a Hello payload carrying the client's stable id.
 func AppendHello(dst []byte, clientID uint64) []byte {
 	dst = append(dst, MsgHello)
 	dst = append(dst, Magic...)
 	dst = append(dst, Version)
-	return appendU64(dst, clientID)
+	return codec.AppendU64(dst, clientID)
 }
 
 // AppendHelloAck encodes a HelloAck payload.
 func AppendHelloAck(dst []byte, shards uint32, now float64) []byte {
 	dst = append(dst, MsgHelloAck, Version)
-	dst = appendU32(dst, shards)
-	return appendF64(dst, now)
+	dst = codec.AppendU32(dst, shards)
+	return codec.AppendF64(dst, now)
 }
 
 // AppendError encodes an Error payload.
@@ -236,7 +226,7 @@ func AppendError(dst []byte, msg string) []byte {
 		msg = msg[:maxMsg]
 	}
 	dst = append(dst, MsgError)
-	dst = appendU16(dst, uint16(len(msg)))
+	dst = codec.AppendU16(dst, uint16(len(msg)))
 	return append(dst, msg...)
 }
 
@@ -246,24 +236,24 @@ func AppendBatch(dst []byte, id uint64, reqs []Request) ([]byte, error) {
 		return dst, fmt.Errorf("wire: batch of %d requests (want 1..%d)", len(reqs), MaxBatch)
 	}
 	dst = append(dst, MsgBatch)
-	dst = appendU64(dst, id)
-	dst = appendU16(dst, uint16(len(reqs)))
+	dst = codec.AppendU64(dst, id)
+	dst = codec.AppendU16(dst, uint16(len(reqs)))
 	for i := range reqs {
 		r := &reqs[i]
 		dst = append(dst, r.Kind)
 		switch r.Kind {
 		case ReqAddWorker, ReqAddTask:
-			dst = appendU64(dst, r.Seq)
-			dst = appendF64(dst, r.X)
-			dst = appendF64(dst, r.Y)
-			dst = appendF64(dst, r.At)
-			dst = appendF64(dst, r.Window)
+			dst = codec.AppendU64(dst, r.Seq)
+			dst = codec.AppendF64(dst, r.X)
+			dst = codec.AppendF64(dst, r.Y)
+			dst = codec.AppendF64(dst, r.At)
+			dst = codec.AppendF64(dst, r.Window)
 		case ReqAdvance:
 		case ReqWithdrawWorker, ReqWithdrawTask:
-			dst = appendU64(dst, r.Seq)
-			dst = appendU32(dst, r.Shard)
-			dst = appendU32(dst, r.Local)
-			dst = appendU64(dst, r.Epoch)
+			dst = codec.AppendU64(dst, r.Seq)
+			dst = codec.AppendU32(dst, r.Shard)
+			dst = codec.AppendU32(dst, r.Local)
+			dst = codec.AppendU64(dst, r.Epoch)
 		default:
 			return dst, fmt.Errorf("wire: unknown request kind 0x%02x", r.Kind)
 		}
@@ -274,8 +264,8 @@ func AppendBatch(dst []byte, id uint64, reqs []Request) ([]byte, error) {
 // AppendBatchReply encodes a BatchReply payload for results.
 func AppendBatchReply(dst []byte, id uint64, results []Result) []byte {
 	dst = append(dst, MsgBatchReply)
-	dst = appendU64(dst, id)
-	dst = appendU16(dst, uint16(len(results)))
+	dst = codec.AppendU64(dst, id)
+	dst = codec.AppendU16(dst, uint16(len(results)))
 	for i := range results {
 		r := &results[i]
 		dst = append(dst, r.Kind, r.Status)
@@ -283,12 +273,12 @@ func AppendBatchReply(dst []byte, id uint64, results []Result) []byte {
 		case StatusOK:
 			switch r.Kind {
 			case ReqAddWorker, ReqAddTask:
-				dst = appendU32(dst, r.Shard)
-				dst = appendU32(dst, r.Local)
-				dst = appendU64(dst, r.Epoch)
-				dst = appendF64(dst, r.Time)
+				dst = codec.AppendU32(dst, r.Shard)
+				dst = codec.AppendU32(dst, r.Local)
+				dst = codec.AppendU64(dst, r.Epoch)
+				dst = codec.AppendF64(dst, r.Time)
 			case ReqAdvance:
-				dst = appendF64(dst, r.Time)
+				dst = codec.AppendF64(dst, r.Time)
 			case ReqWithdrawWorker, ReqWithdrawTask:
 				if r.Applied {
 					dst = append(dst, 1)
@@ -297,13 +287,13 @@ func AppendBatchReply(dst []byte, id uint64, results []Result) []byte {
 				}
 			}
 		case StatusBusy:
-			dst = appendF64(dst, r.RetryAfter)
+			dst = codec.AppendF64(dst, r.RetryAfter)
 		default:
 			msg := r.Msg
 			if len(msg) > maxMsg {
 				msg = msg[:maxMsg]
 			}
-			dst = appendU16(dst, uint16(len(msg)))
+			dst = codec.AppendU16(dst, uint16(len(msg)))
 			dst = append(dst, msg...)
 		}
 	}
@@ -313,7 +303,7 @@ func AppendBatchReply(dst []byte, id uint64, results []Result) []byte {
 // AppendSubscribe encodes a Subscribe payload.
 func AppendSubscribe(dst []byte, since uint64) []byte {
 	dst = append(dst, MsgSubscribe)
-	return appendU64(dst, since)
+	return codec.AppendU64(dst, since)
 }
 
 // eventWireSize is one Event's encoded size: every field is fixed-width,
@@ -325,18 +315,18 @@ const eventWireSize = 8 + 4 + 1 + 4 + 4 + 8 + 4 + 4
 // the batch. len(evs) must fit a u16.
 func AppendEvents(dst []byte, next uint64, evs []Event) []byte {
 	dst = append(dst, MsgEvents)
-	dst = appendU64(dst, next)
-	dst = appendU16(dst, uint16(len(evs)))
+	dst = codec.AppendU64(dst, next)
+	dst = codec.AppendU16(dst, uint16(len(evs)))
 	for i := range evs {
 		e := &evs[i]
-		dst = appendU64(dst, e.Seq)
-		dst = appendU32(dst, uint32(e.Shard))
+		dst = codec.AppendU64(dst, e.Seq)
+		dst = codec.AppendU32(dst, uint32(e.Shard))
 		dst = append(dst, e.Kind)
-		dst = appendU32(dst, uint32(e.Worker))
-		dst = appendU32(dst, uint32(e.Task))
-		dst = appendF64(dst, e.Time)
-		dst = appendU32(dst, uint32(e.WorkerShard))
-		dst = appendU32(dst, uint32(e.TaskShard))
+		dst = codec.AppendU32(dst, uint32(e.Worker))
+		dst = codec.AppendU32(dst, uint32(e.Task))
+		dst = codec.AppendF64(dst, e.Time)
+		dst = codec.AppendU32(dst, uint32(e.WorkerShard))
+		dst = codec.AppendU32(dst, uint32(e.TaskShard))
 	}
 	return dst
 }
@@ -344,105 +334,30 @@ func AppendEvents(dst []byte, next uint64, evs []Event) []byte {
 // AppendEventsGone encodes an EventsGone payload.
 func AppendEventsGone(dst []byte, oldest uint64) []byte {
 	dst = append(dst, MsgEventsGone)
-	return appendU64(dst, oldest)
+	return codec.AppendU64(dst, oldest)
 }
 
 // --- decoding ---------------------------------------------------------
-
-// cursor is a little-endian payload reader with a sticky error.
-type cursor struct {
-	p   []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail(what string) {
-	if c.err == nil {
-		c.err = fmt.Errorf("wire: truncated %s at offset %d", what, c.off)
-	}
-}
-
-func (c *cursor) u8(what string) byte {
-	if c.err != nil || c.off+1 > len(c.p) {
-		c.fail(what)
-		return 0
-	}
-	v := c.p[c.off]
-	c.off++
-	return v
-}
-
-func (c *cursor) u16(what string) uint16 {
-	if c.err != nil || c.off+2 > len(c.p) {
-		c.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.p[c.off:])
-	c.off += 2
-	return v
-}
-
-func (c *cursor) u32(what string) uint32 {
-	if c.err != nil || c.off+4 > len(c.p) {
-		c.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.p[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *cursor) u64(what string) uint64 {
-	if c.err != nil || c.off+8 > len(c.p) {
-		c.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.p[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *cursor) f64(what string) float64 { return math.Float64frombits(c.u64(what)) }
-
-func (c *cursor) str(n int, what string) string {
-	if c.err != nil || c.off+n > len(c.p) {
-		c.fail(what)
-		return ""
-	}
-	v := string(c.p[c.off : c.off+n])
-	c.off += n
-	return v
-}
-
-func (c *cursor) done(msg string) error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.off != len(c.p) {
-		return fmt.Errorf("wire: %d trailing bytes after %s", len(c.p)-c.off, msg)
-	}
-	return nil
-}
 
 // DecodeHello validates a Hello payload (type byte included). For a
 // foreign version the magic and version are still parsed — the remainder
 // of the payload is version-specific and ignored — so the caller can
 // refuse with an accurate version-mismatch message.
 func DecodeHello(p []byte) (version byte, clientID uint64, err error) {
-	c := cursor{p: p, off: 1}
-	magic := c.str(len(Magic), "magic")
-	version = c.u8("version")
-	if c.err != nil {
-		return 0, 0, c.err
+	c := codec.NewReader("wire", p, 1)
+	magic := c.Bytes(len(Magic), "magic")
+	version = c.U8("version")
+	if err := c.Err(); err != nil {
+		return 0, 0, err
 	}
-	if magic != Magic {
+	if string(magic) != Magic {
 		return 0, 0, errors.New("wire: bad magic (not an ftoa wire client)")
 	}
 	if version != Version {
 		return version, 0, nil
 	}
-	clientID = c.u64("client id")
-	if err := c.done("hello"); err != nil {
+	clientID = c.U64("client id")
+	if err := c.Done("hello"); err != nil {
 		return 0, 0, err
 	}
 	return version, clientID, nil
@@ -450,21 +365,21 @@ func DecodeHello(p []byte) (version byte, clientID uint64, err error) {
 
 // DecodeHelloAck decodes a HelloAck payload.
 func DecodeHelloAck(p []byte) (HelloAck, error) {
-	c := cursor{p: p, off: 1}
+	c := codec.NewReader("wire", p, 1)
 	ack := HelloAck{
-		Version: c.u8("version"),
-		Shards:  c.u32("shards"),
-		Now:     c.f64("now"),
+		Version: c.U8("version"),
+		Shards:  c.U32("shards"),
+		Now:     c.F64("now"),
 	}
-	return ack, c.done("helloack")
+	return ack, c.Done("helloack")
 }
 
 // DecodeError decodes an Error payload into a RemoteError.
 func DecodeError(p []byte) error {
-	c := cursor{p: p, off: 1}
-	n := int(c.u16("error length"))
-	msg := c.str(n, "error message")
-	if err := c.done("error"); err != nil {
+	c := codec.NewReader("wire", p, 1)
+	n := int(c.U16("error length"))
+	msg := string(c.Bytes(n, "error message"))
+	if err := c.Done("error"); err != nil {
 		return err
 	}
 	return &RemoteError{Msg: msg}
@@ -472,35 +387,35 @@ func DecodeError(p []byte) error {
 
 // DecodeBatch decodes a Batch payload, appending requests to dst.
 func DecodeBatch(p []byte, dst []Request) (id uint64, reqs []Request, err error) {
-	c := cursor{p: p, off: 1}
-	id = c.u64("batch id")
-	n := int(c.u16("batch count"))
+	c := codec.NewReader("wire", p, 1)
+	id = c.U64("batch id")
+	n := int(c.U16("batch count"))
 	if n == 0 || n > MaxBatch {
 		return 0, dst, fmt.Errorf("wire: batch count %d out of bounds", n)
 	}
 	reqs = dst
-	for i := 0; i < n && c.err == nil; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		var r Request
-		r.Kind = c.u8("request kind")
+		r.Kind = c.U8("request kind")
 		switch r.Kind {
 		case ReqAddWorker, ReqAddTask:
-			r.Seq = c.u64("seq")
-			r.X = c.f64("x")
-			r.Y = c.f64("y")
-			r.At = c.f64("at")
-			r.Window = c.f64("window")
+			r.Seq = c.U64("seq")
+			r.X = c.F64("x")
+			r.Y = c.F64("y")
+			r.At = c.F64("at")
+			r.Window = c.F64("window")
 		case ReqAdvance:
 		case ReqWithdrawWorker, ReqWithdrawTask:
-			r.Seq = c.u64("seq")
-			r.Shard = c.u32("shard")
-			r.Local = c.u32("local")
-			r.Epoch = c.u64("epoch")
+			r.Seq = c.U64("seq")
+			r.Shard = c.U32("shard")
+			r.Local = c.U32("local")
+			r.Epoch = c.U64("epoch")
 		default:
 			return 0, reqs, fmt.Errorf("wire: unknown request kind 0x%02x at entry %d", r.Kind, i)
 		}
 		reqs = append(reqs, r)
 	}
-	return id, reqs, c.done("batch")
+	return id, reqs, c.Done("batch")
 }
 
 // minResultWireSize is the smallest encoded Result (kind, status, the
@@ -510,80 +425,80 @@ const minResultWireSize = 3
 
 // DecodeBatchReply decodes a BatchReply payload.
 func DecodeBatchReply(p []byte) (id uint64, results []Result, err error) {
-	c := cursor{p: p, off: 1}
-	id = c.u64("reply id")
-	n := int(c.u16("reply count"))
-	if c.err == nil && n*minResultWireSize > len(p)-c.off {
-		return 0, nil, fmt.Errorf("wire: %d results declared, %d payload bytes follow", n, len(p)-c.off)
+	c := codec.NewReader("wire", p, 1)
+	id = c.U64("reply id")
+	n := int(c.U16("reply count"))
+	if c.Err() == nil && n*minResultWireSize > c.Len() {
+		return 0, nil, fmt.Errorf("wire: %d results declared, %d payload bytes follow", n, c.Len())
 	}
 	results = make([]Result, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		var r Result
-		r.Kind = c.u8("result kind")
-		r.Status = c.u8("result status")
+		r.Kind = c.U8("result kind")
+		r.Status = c.U8("result status")
 		switch r.Status {
 		case StatusOK:
 			switch r.Kind {
 			case ReqAddWorker, ReqAddTask:
-				r.Shard = c.u32("shard")
-				r.Local = c.u32("local")
-				r.Epoch = c.u64("epoch")
-				r.Time = c.f64("time")
+				r.Shard = c.U32("shard")
+				r.Local = c.U32("local")
+				r.Epoch = c.U64("epoch")
+				r.Time = c.F64("time")
 			case ReqAdvance:
-				r.Time = c.f64("now")
+				r.Time = c.F64("now")
 			case ReqWithdrawWorker, ReqWithdrawTask:
-				r.Applied = c.u8("applied") != 0
+				r.Applied = c.U8("applied") != 0
 			default:
 				return 0, results, fmt.Errorf("wire: unknown result kind 0x%02x", r.Kind)
 			}
 		case StatusBusy:
-			r.RetryAfter = c.f64("retry after")
+			r.RetryAfter = c.F64("retry after")
 		case StatusErr:
-			r.Msg = c.str(int(c.u16("message length")), "message")
+			r.Msg = string(c.Bytes(int(c.U16("message length")), "message"))
 		default:
 			return 0, results, fmt.Errorf("wire: unknown status 0x%02x", r.Status)
 		}
 		results = append(results, r)
 	}
-	return id, results, c.done("batch reply")
+	return id, results, c.Done("batch reply")
 }
 
 // DecodeSubscribe decodes a Subscribe payload.
 func DecodeSubscribe(p []byte) (since uint64, err error) {
-	c := cursor{p: p, off: 1}
-	since = c.u64("since")
-	return since, c.done("subscribe")
+	c := codec.NewReader("wire", p, 1)
+	since = c.U64("since")
+	return since, c.Done("subscribe")
 }
 
 // DecodeEvents decodes an Events payload.
 func DecodeEvents(p []byte) (next uint64, evs []Event, err error) {
-	c := cursor{p: p, off: 1}
-	next = c.u64("next cursor")
-	n := int(c.u16("event count"))
-	if c.err == nil && n*eventWireSize != len(p)-c.off {
-		return 0, nil, fmt.Errorf("wire: %d events declared, %d payload bytes follow", n, len(p)-c.off)
+	c := codec.NewReader("wire", p, 1)
+	next = c.U64("next cursor")
+	n := int(c.U16("event count"))
+	if c.Err() == nil && n*eventWireSize != c.Len() {
+		return 0, nil, fmt.Errorf("wire: %d events declared, %d payload bytes follow", n, c.Len())
 	}
 	evs = make([]Event, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		evs = append(evs, Event{
-			Seq:         c.u64("seq"),
-			Shard:       int32(c.u32("shard")),
-			Kind:        c.u8("kind"),
-			Worker:      int32(c.u32("worker")),
-			Task:        int32(c.u32("task")),
-			Time:        c.f64("time"),
-			WorkerShard: int32(c.u32("worker shard")),
-			TaskShard:   int32(c.u32("task shard")),
+			Seq:         c.U64("seq"),
+			Shard:       int32(c.U32("shard")),
+			Kind:        c.U8("kind"),
+			Worker:      int32(c.U32("worker")),
+			Task:        int32(c.U32("task")),
+			Time:        c.F64("time"),
+			WorkerShard: int32(c.U32("worker shard")),
+			TaskShard:   int32(c.U32("task shard")),
 		})
 	}
-	return next, evs, c.done("events")
+	return next, evs, c.Done("events")
 }
 
 // DecodeEventsGone decodes an EventsGone payload.
 func DecodeEventsGone(p []byte) (oldest uint64, err error) {
-	c := cursor{p: p, off: 1}
-	oldest = c.u64("oldest")
-	return oldest, c.done("events gone")
+	c := codec.NewReader("wire", p, 1)
+	oldest = c.U64("oldest")
+	return oldest, c.Done("events gone")
 }
 
 // --- framed connection ------------------------------------------------
@@ -602,7 +517,7 @@ type Conn struct {
 	c            net.Conn
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
-	rhdr         [8]byte
+	rhdr         [codec.HeaderLen]byte
 	rbuf         []byte
 	wmu          sync.Mutex
 	wbuf         []byte
@@ -621,19 +536,18 @@ func (cn *Conn) ReadFrame() ([]byte, error) {
 	if _, err := io.ReadFull(cn.c, cn.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(cn.rhdr[0:4])
-	sum := binary.LittleEndian.Uint32(cn.rhdr[4:8])
-	if n == 0 || n > MaxPayload {
+	n, sum, ok := codec.Header(cn.rhdr[:], MaxPayload)
+	if !ok {
 		return nil, ErrTooLarge
 	}
-	if cap(cn.rbuf) < int(n) {
+	if cap(cn.rbuf) < n {
 		cn.rbuf = make([]byte, n)
 	}
 	cn.rbuf = cn.rbuf[:n]
 	if _, err := io.ReadFull(cn.c, cn.rbuf); err != nil {
 		return nil, err
 	}
-	if crc32.Checksum(cn.rbuf, castagnoli) != sum {
+	if !codec.Valid(cn.rbuf, sum) {
 		return nil, ErrCRC
 	}
 	return cn.rbuf, nil
@@ -646,11 +560,7 @@ func (cn *Conn) WriteFrame(payload []byte) error {
 	if cn.WriteTimeout > 0 {
 		cn.c.SetWriteDeadline(time.Now().Add(cn.WriteTimeout))
 	}
-	var h [8]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:8], crc32.Checksum(payload, castagnoli))
-	cn.wbuf = append(cn.wbuf[:0], h[:]...)
-	cn.wbuf = append(cn.wbuf, payload...)
+	cn.wbuf = codec.AppendFrame(cn.wbuf[:0], payload)
 	_, err := cn.c.Write(cn.wbuf)
 	return err
 }
