@@ -70,15 +70,15 @@ func (c *runCursor) reset() { c.runIdx, c.runPos = 0, 0 }
 // behaviour-neutral for list-scanning algorithms: the dropped handles are
 // exactly the ones the algorithm's own availability filtering would have
 // compacted away, in the same order, at its next pass.
-func remapHandles(hs []int32, m []int32) []int32 {
+func remapHandles(hs *sim.Pages[int32], m []int32) {
 	k := 0
-	for _, h := range hs {
-		if n := m[h]; n >= 0 {
-			hs[k] = n
+	for i := range hs.Len() {
+		if n := m[*hs.At(i)]; n >= 0 {
+			*hs.At(k) = n
 			k++
 		}
 	}
-	return hs[:k]
+	hs.Truncate(k)
 }
 
 // All six online algorithms support arena retirement.
@@ -89,10 +89,4 @@ var (
 	_ sim.RetirableAlgorithm = (*GR)(nil)
 	_ sim.RetirableAlgorithm = (*Hybrid)(nil)
 	_ sim.RetirableAlgorithm = (*TGOA)(nil)
-
-	// The algorithms with per-handle state size it ahead of a recovery;
-	// POLAR, POLAR-OP and GR keep theirs per guide cell or per batch.
-	_ sim.Reserver = (*SimpleGreedy)(nil)
-	_ sim.Reserver = (*Hybrid)(nil)
-	_ sim.Reserver = (*TGOA)(nil)
 )

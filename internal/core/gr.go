@@ -17,8 +17,10 @@ type GR struct {
 	p      sim.Platform
 	window float64
 
-	waitingWorkers []int32
-	waitingTasks   []int32
+	// waitingWorkers and waitingTasks list the handles that arrived since
+	// they were last matched or dropped, in arrival order.
+	waitingWorkers sim.Pages[int32]
+	waitingTasks   sim.Pages[int32]
 
 	// ix is the per-session candidate index, created at the first flush
 	// and Reset between windows so steady-state flushes allocate nothing
@@ -51,20 +53,20 @@ func (a *GR) Name() string { return "GR" }
 // Init implements sim.Algorithm.
 func (a *GR) Init(p sim.Platform) {
 	a.p = p
-	a.waitingWorkers = a.waitingWorkers[:0]
-	a.waitingTasks = a.waitingTasks[:0]
+	a.waitingWorkers.Truncate(0)
+	a.waitingTasks.Truncate(0)
 	a.ix = nil // the service area (and bounds) may differ between sessions
 	p.Schedule(a.window)
 }
 
 // OnWorkerArrival implements sim.Algorithm.
 func (a *GR) OnWorkerArrival(w int, now float64) {
-	a.waitingWorkers = append(a.waitingWorkers, int32(w))
+	a.waitingWorkers.Push(int32(w))
 }
 
 // OnTaskArrival implements sim.Algorithm.
 func (a *GR) OnTaskArrival(t int, now float64) {
-	a.waitingTasks = append(a.waitingTasks, int32(t))
+	a.waitingTasks.Push(int32(t))
 }
 
 // OnTimer implements sim.TimerAlgorithm: a window boundary.
@@ -87,8 +89,10 @@ func (a *GR) OnFinish(now float64) {
 // ids every flush and needs no remapping. The lists hold each handle at
 // most once, so they follow the session's refit rule on its own terms.
 func (a *GR) Remap(workers, tasks []int32) {
-	a.waitingWorkers = sim.Refit(remapHandles(a.waitingWorkers, workers), len(workers))
-	a.waitingTasks = sim.Refit(remapHandles(a.waitingTasks, tasks), len(tasks))
+	remapHandles(&a.waitingWorkers, workers)
+	remapHandles(&a.waitingTasks, tasks)
+	a.waitingWorkers.Refit(len(workers))
+	a.waitingTasks.Refit(len(tasks))
 }
 
 // flush runs a maximum matching over the currently available waiting
@@ -97,21 +101,24 @@ func (a *GR) flush(now float64) {
 	velocity := a.p.Velocity()
 
 	// Compact away objects that are matched or expired.
-	liveW := a.waitingWorkers[:0]
-	for _, w := range a.waitingWorkers {
-		if a.p.WorkerAvailable(int(w), now) {
-			liveW = append(liveW, w)
+	liveW, liveT := &a.waitingWorkers, &a.waitingTasks
+	nW := 0
+	for i := range liveW.Len() {
+		if w := *liveW.At(i); a.p.WorkerAvailable(int(w), now) {
+			*liveW.At(nW) = w
+			nW++
 		}
 	}
-	a.waitingWorkers = liveW
-	liveT := a.waitingTasks[:0]
-	for _, t := range a.waitingTasks {
-		if a.p.TaskAvailable(int(t), now) {
-			liveT = append(liveT, t)
+	liveW.Truncate(nW)
+	nT := 0
+	for i := range liveT.Len() {
+		if t := *liveT.At(i); a.p.TaskAvailable(int(t), now) {
+			*liveT.At(nT) = t
+			nT++
 		}
 	}
-	a.waitingTasks = liveT
-	if len(liveW) == 0 || len(liveT) == 0 {
+	liveT.Truncate(nT)
+	if nW == 0 || nT == 0 {
 		return
 	}
 
@@ -121,8 +128,8 @@ func (a *GR) flush(now float64) {
 	// that outgrows the sizing estimate 4× (bursty arrivals) re-grids at
 	// the observed population rather than scanning over-full buckets for
 	// the rest of the session.
-	if a.ix == nil || len(liveW) > 4*a.ixSizedFor {
-		expected := len(liveW)
+	if a.ix == nil || nW > 4*a.ixSizedFor {
+		expected := nW
 		h := a.p.Hints()
 		if h.Horizon > 0 && h.ExpectedWorkers > 0 {
 			if e := int(float64(h.ExpectedWorkers) * a.window / h.Horizon); e > expected {
@@ -134,40 +141,39 @@ func (a *GR) flush(now float64) {
 	} else {
 		a.ix.Reset()
 	}
-	for li, w := range liveW {
-		a.ix.Insert(li, a.p.Worker(int(w)).Loc) // ids are local batch indices
+	for li := range nW {
+		a.ix.Insert(li, a.p.Worker(int(*liveW.At(li))).Loc) // ids are local batch indices
 	}
-	if cap(a.adj) >= len(liveT) {
-		a.adj = a.adj[:len(liveT)]
+	if cap(a.adj) >= nT {
+		a.adj = a.adj[:nT]
 		for i := range a.adj {
 			a.adj[i] = a.adj[i][:0]
 		}
 	} else {
-		a.adj = make([][]int32, len(liveT))
+		a.adj = make([][]int32, nT)
 	}
 	adj := a.adj
-	for ti, t := range liveT {
-		task := a.p.Task(int(t))
+	for ti := range nT {
+		task := a.p.Task(int(*liveT.At(ti)))
 		budget := task.Deadline() - now
 		if budget < 0 {
 			continue
 		}
 		a.cands = a.ix.Within(task.Loc, budget*velocity, a.cands[:0])
 		for _, li := range a.cands {
-			w := liveW[li]
-			worker := a.p.Worker(int(w))
+			worker := a.p.Worker(int(*liveW.At(li)))
 			if model.FeasibleAt(worker, task, worker.Loc, now, velocity) {
 				adj[ti] = append(adj[ti], int32(li))
 			}
 		}
 	}
 
-	matchT, _, _ := a.hk.Match(len(liveT), len(liveW), adj)
+	matchT, _, _ := a.hk.Match(nT, nW, adj)
 	for ti, li := range matchT {
 		if li < 0 {
 			continue
 		}
-		a.p.TryMatch(int(liveW[li]), int(liveT[ti]), now)
+		a.p.TryMatch(int(*liveW.At(int(li))), int(*liveT.At(ti)), now)
 	}
 	// Matched objects are filtered out at the next flush via availability.
 }

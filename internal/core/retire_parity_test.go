@@ -3,10 +3,10 @@ package core
 import (
 	"os"
 	"reflect"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"ftoa/internal/model"
@@ -373,18 +373,58 @@ func burstInstance(t *testing.T, cfg workload.Synthetic, burstW, burstT, trickle
 	return in
 }
 
-// arenaCap reads the capacity of one of the session's private arenas.
-func arenaCap(s *sim.Session, field string) int {
-	return reflect.ValueOf(s).Elem().FieldByName(field).Cap()
+// pageCounts names every handle table (sim.Pages) reachable from the
+// session — its arenas and deadline queues, and through its algorithm the
+// algorithm's waiting lists and spatial indexes — with its page count.
+func pageCounts(s *sim.Session) map[string]int {
+	isPages := func(t reflect.Type) bool {
+		return t.PkgPath() == "ftoa/internal/sim" && strings.HasPrefix(t.Name(), "Pages[")
+	}
+	out := map[string]int{}
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			// A pointer to a table reads one its owner lists.
+			if v.IsNil() || seen[v.Pointer()] || isPages(v.Type().Elem()) {
+				return
+			}
+			seen[v.Pointer()] = true
+			walk(v.Elem(), path)
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem(), path)
+			}
+		case reflect.Slice:
+			if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Interface {
+				for i := range v.Len() {
+					walk(v.Index(i), path+"["+strconv.Itoa(i)+"]")
+				}
+			}
+		case reflect.Struct:
+			if isPages(v.Type()) {
+				out[path] = v.FieldByName("dir").Len()
+				return
+			}
+			for i := range v.NumField() {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.ValueOf(s), "session")
+	return out
 }
 
 // TestRetireReleasesBurstCapacity: for every algorithm, a Strict session
-// that lived through a burst gives the burst's capacity back at a later
-// retirement, that retirement is the only one that allocates, and none of
-// it shows in behaviour — the run commits the bit-identical matching and
-// emits the bit-identical lifecycle stream as a run that never retires
-// (and so never reallocates anything), which also pins the remap tables:
-// the comparison is in instance indexes, translated through every table.
+// that lived through a burst gives the burst's pages back at a later
+// retirement, and none of it shows in behaviour — the run commits the
+// bit-identical matching and emits the bit-identical lifecycle stream as a
+// run that never retires (and so never frees anything), which also pins
+// the remap tables: the comparison is in instance indexes, translated
+// through every table. Every handle table's page count is read before and
+// after each retirement, so a table that frees pages twice, grows at a
+// retirement or grows again after the burst was given back is named.
 func TestRetireReleasesBurstCapacity(t *testing.T) {
 	cfg := workload.DefaultSynthetic()
 	const burst, trickle = 6000, 600
@@ -404,29 +444,33 @@ func TestRetireReleasesBurstCapacity(t *testing.T) {
 				t.Fatalf("retired run emitted %d events, plain %d, or different events", len(gotE), len(wantE))
 			}
 
-			// The same schedule again, watching capacity and the heap.
+			// The same schedule again, watching every table's pages.
 			sess := sessionMatcher(t, in, sim.Strict).NewSession(a.mk())
-			var ms runtime.MemStats
-			var peak, final, refits, allocatedSince int
-			lastRetire := 0.0
+			freedAt := map[string]int{} // table -> the retirement that freed its pages
+			var prev map[string]int     // page counts after the last retirement
+			lastFree, retirements, peak := -1, 0, 0
 			retire := func() {
-				// Mallocs counts the whole process: collect first, so no
-				// cycle is in flight whose workers allocate in the window.
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				before := ms.Mallocs
+				before := pageCounts(sess)
+				peak = max(peak, before["session.workers"])
 				sess.Retire(sess.Now())
-				runtime.ReadMemStats(&ms)
-				if ms.Mallocs != before {
-					allocatedSince++
+				after := pageCounts(sess)
+				for name, n := range after {
+					switch b := before[name]; {
+					case n > b:
+						t.Fatalf("retirement %d: %s grew from %d pages to %d", retirements, name, b, n)
+					case n < b:
+						if i, ok := freedAt[name]; ok {
+							t.Fatalf("retirement %d: %s freed pages again (%d -> %d), first at retirement %d", retirements, name, b, n, i)
+						}
+						freedAt[name], lastFree = retirements, retirements
+					case lastFree >= 0 && b != prev[name]:
+						t.Fatalf("%s grew from %d pages to %d after retirement %d gave the burst back", name, prev[name], b, lastFree)
+					}
 				}
-				if c := arenaCap(sess, "workers"); c < final {
-					refits++
-					allocatedSince = 0
-				}
-				final = arenaCap(sess, "workers")
-				peak = max(peak, final)
+				prev = after
+				retirements++
 			}
+			lastRetire := 0.0
 			for _, ev := range in.Events() {
 				if ev.Time >= lastRetire+every {
 					retire()
@@ -443,13 +487,9 @@ func TestRetireReleasesBurstCapacity(t *testing.T) {
 				}
 			}
 			retire()
-			if peak < burst || final >= peak/4*3 || final < sess.NumWorkers() {
-				t.Fatalf("worker arena capacity %d at the burst, %d at the end (%d live)", peak, final, sess.NumWorkers())
-			}
-			// One retirement gives the burst back; the trickle's
-			// retirements after it work in place again.
-			if refits != 1 || allocatedSince != 0 {
-				t.Fatalf("%d refits, %d allocating retirements after the last; want 1 and 0", refits, allocatedSince)
+			// The worker arena held the burst and gives most of it back.
+			if _, ok := freedAt["session.workers"]; !ok || prev["session.workers"] >= peak/4*3 {
+				t.Fatalf("worker arena: %d pages at the burst, %d at the end", peak, prev["session.workers"])
 			}
 		})
 	}

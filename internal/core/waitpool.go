@@ -15,8 +15,8 @@ import (
 // and parks its second half's waiters in it; Hybrid falls back to it when
 // the guide misses.
 //
-// Its exported methods implement sim.RetirableAlgorithm's Remap and
-// sim.Reserver for the algorithms that embed it. A waiting object that
+// Its exported method implements sim.RetirableAlgorithm's Remap for the
+// algorithms that embed it. A waiting object that
 // leaves — matched elsewhere, expired or withdrawn — is unavailable
 // through the platform, which is the searches' dead filter: the first
 // search that passes over it removes it, and the next Remap drops it at
@@ -159,11 +159,4 @@ func (q *waitPool) offerTask(t int, now float64) bool {
 func (q *waitPool) Remap(workers, tasks []int32) {
 	q.workers.Remap(workers)
 	q.tasks.Remap(tasks)
-}
-
-// Reserve implements sim.Reserver: the waiting indexes' id tables are
-// keyed by handle.
-func (q *waitPool) Reserve(workers, tasks int) {
-	q.workers.Reserve(workers)
-	q.tasks.Reserve(tasks)
 }

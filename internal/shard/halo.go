@@ -71,7 +71,7 @@ type mirror struct {
 // lock; the queue by its own leaf mutex so other shards can feed it
 // without ordering against session locks.
 type haloState struct {
-	ref   []*mirror // by current task handle; nil = unmirrored
+	ref   sim.Pages[*mirror] // by current task handle; nil = unmirrored
 	byGid map[uint64]int32
 
 	pwMu       sync.Mutex
@@ -91,9 +91,9 @@ type haloState struct {
 
 // refAt returns the mirror record behind a task handle, nil when the handle
 // is unmirrored (or beyond the table, which only grows for mirrored copies).
-func refAt(refs []*mirror, h int) *mirror {
-	if h >= 0 && h < len(refs) {
-		return refs[h]
+func refAt(refs *sim.Pages[*mirror], h int) *mirror {
+	if h >= 0 && h < refs.Len() {
+		return *refs.At(h)
 	}
 	return nil
 }
@@ -103,25 +103,23 @@ func (si *shardInstance) recOf(sd side, h int) *mirror {
 	if !sd.mirrored() {
 		return nil
 	}
-	return refAt(si.halo.ref, h)
+	return refAt(&si.halo.ref, h)
 }
 
-// putRef registers a mirrored task copy at handle h, growing the dense
+// putRef registers a mirrored task copy at handle h, extending the dense
 // table. Callers hold the shard lock.
 func (si *shardInstance) putRef(h int, rec *mirror) {
-	refs := si.halo.ref
-	for len(refs) <= h {
-		refs = append(refs, nil)
+	for si.halo.ref.Len() <= h {
+		si.halo.ref.Push(nil)
 	}
-	refs[h] = rec
-	si.halo.ref = refs
+	*si.halo.ref.At(h) = rec
 	si.halo.byGid[rec.gid] = int32(h)
 }
 
 // dropRef unregisters a copy (withdrawal applied, or admission rolled
 // back). Callers hold the shard lock.
 func (si *shardInstance) dropRef(h int, rec *mirror) {
-	si.halo.ref[h] = nil
+	*si.halo.ref.At(h) = nil
 	delete(si.halo.byGid, rec.gid)
 }
 
@@ -170,7 +168,7 @@ func (si *shardInstance) applyWithdrawLocked(gid uint64) {
 		si.wal.opWithdraw(gid)
 	}
 	if h, ok := si.halo.byGid[gid]; ok {
-		if rec := si.halo.ref[h]; taskSide.withdraw(si.sess, int(h)) {
+		if rec := *si.halo.ref.At(int(h)); taskSide.withdraw(si.sess, int(h)) {
 			si.dropRef(int(h), rec)
 		}
 	}
@@ -215,7 +213,7 @@ func (r *Router) applyPending(ts *topoState) {
 // verdict — the state the commit left, or claimFree for a veto — is
 // recorded, and replay stands it in for the race.
 func (si *shardInstance) gate(_, t int, now float64) bool {
-	rec := refAt(si.halo.ref, t)
+	rec := refAt(&si.halo.ref, t)
 	if rec == nil {
 		return true // a purely local task: nothing to arbitrate
 	}
@@ -249,37 +247,39 @@ func (si *shardInstance) gate(_, t int, now float64) bool {
 // keep resolving across arena epochs. Runs inside Session.Retire under the
 // shard lock.
 func (si *shardInstance) onRetire(_, tmap []int32) {
-	si.halo.ref, si.halo.byGid = remapRefs(si.halo.ref, tmap, si.halo.byGid)
+	si.halo.byGid = remapRefs(&si.halo.ref, tmap, si.halo.byGid)
 }
 
 // remapRefs rewrites a dense ref table in place through a retirement
 // table. Survivor handles only move left (retirement left-compacts), so
 // the ascending pass never overwrites an unprocessed slot. The table
-// follows the session's refit rule (sim.Refit); when it is reallocated
-// down, the gid map — whose buckets the same burst sized, and which
+// follows the session's refit rule (sim.Pages.Refit); when it gives pages
+// back, the gid map — whose buckets the same burst sized, and which
 // deletes never shrink — is rebuilt at its live size with it.
-func remapRefs(refs []*mirror, m []int32, byGid map[uint64]int32) ([]*mirror, map[uint64]int32) {
-	for old, rec := range refs {
+func remapRefs(refs *sim.Pages[*mirror], m []int32, byGid map[uint64]int32) map[uint64]int32 {
+	for old := range refs.Len() {
+		p := refs.At(old)
+		rec := *p
 		if rec == nil {
 			continue
 		}
-		refs[old] = nil
+		*p = nil
 		n := m[old]
 		if n < 0 {
 			delete(byGid, rec.gid)
 			continue
 		}
-		refs[n] = rec
+		*refs.At(int(n)) = rec
 		byGid[rec.gid] = n
 	}
 	// Survivors sit below len(m); the table's tail is all nil and can go.
-	refs = refs[:min(len(refs), len(m))]
-	if fit := sim.Refit(refs, len(m)); cap(fit) != cap(refs) {
-		live := make(map[uint64]int32, len(byGid))
-		for gid, h := range byGid {
-			live[gid] = h
-		}
-		return fit, live
+	refs.Truncate(min(refs.Len(), len(m)))
+	if !refs.Refit(len(m)) {
+		return byGid
 	}
-	return refs, byGid
+	live := make(map[uint64]int32, len(byGid))
+	for gid, h := range byGid {
+		live[gid] = h
+	}
+	return live
 }

@@ -418,7 +418,7 @@ func TestRouterHaloRetirement(t *testing.T) {
 			if int(h) >= si.sess.NumTasks() {
 				t.Fatalf("shard %d: gid %d maps to task %d beyond live arena %d", si.id, gid, h, si.sess.NumTasks())
 			}
-			if refAt(si.halo.ref, int(h)) == nil {
+			if refAt(&si.halo.ref, int(h)) == nil {
 				t.Fatalf("shard %d: gid %d handle %d has no ref", si.id, gid, h)
 			}
 		}
@@ -426,11 +426,11 @@ func TestRouterHaloRetirement(t *testing.T) {
 }
 
 // TestRouterHaloRetirementReleasesBurst: a burst of border admissions
-// sizes every shard's halo tables, and once it has died the tables (and
-// the gid maps beside them) are reallocated down with the session arenas —
-// resolving exactly the copies they resolved before, so the router's
-// stream and counters are those of a router that never retires, and so
-// never reallocates anything.
+// fills pages in every shard's halo table, and once it has died one
+// retirement gives them back (and rebuilds the gid map beside it) with the
+// session arenas' pages — resolving exactly the copies they resolved
+// before, so the router's stream and counters are those of a router that
+// never retires, and so never frees anything.
 func TestRouterHaloRetirementReleasesBurst(t *testing.T) {
 	const burst, trickle = 24000, 1200
 	cfg := workload.DefaultSynthetic()
@@ -468,9 +468,13 @@ func TestRouterHaloRetirementReleasesBurst(t *testing.T) {
 	}
 	plain, retiring := mk(0), mk(cfg.Horizon/24)
 	wantEvs, wantStats := routerReplay(t, plain, in)
-	// The retiring router is fed by hand so the tables can be watched.
-	var peak, final int
+	// The retiring router is fed by hand so the table can be watched: its
+	// page count is read before and after every admission, so each
+	// retirement (which runs inside one) is seen on both sides.
+	si := retiring.state().shards[0]
+	var peakLen, peakPages, refits int
 	for _, ev := range in.Events() {
+		before, epoch := si.halo.ref.PageCount(), si.sess.Epoch()
 		var err error
 		if ev.Kind == model.WorkerArrival {
 			_, _, err = retiring.AddWorker(in.Workers[ev.Index])
@@ -480,14 +484,24 @@ func TestRouterHaloRetirementReleasesBurst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final = cap(retiring.state().shards[0].halo.ref)
-		peak = max(peak, final)
+		after := si.halo.ref.PageCount()
+		switch {
+		case after < before && si.sess.Epoch() == epoch:
+			t.Fatalf("shard 0 task ref table freed pages (%d -> %d) outside a retirement", before, after)
+		case after < before:
+			if refits++; refits > 1 {
+				t.Fatalf("shard 0 task ref table freed pages at a second retirement (%d -> %d)", before, after)
+			}
+		case after > before && refits > 0:
+			t.Fatalf("shard 0 task ref table grew from %d pages to %d after giving the burst back", before, after)
+		}
+		peakLen, peakPages = max(peakLen, si.halo.ref.Len()), max(peakPages, after)
 	}
 	retiring.Finish()
 	gotEvs := allEvents(t, retiring)
 	gotStats := retiring.StatsAll(nil)
-	if peak < burst/4 || final >= peak/2 {
-		t.Fatalf("shard 0 task ref table: capacity %d at the burst, %d at the end", peak, final)
+	if final := si.halo.ref.PageCount(); peakLen < burst/4 || refits != 1 || final >= peakPages/2 {
+		t.Fatalf("shard 0 task ref table: %d entries in %d pages at the burst, %d pages after %d refits", peakLen, peakPages, final, refits)
 	}
 
 	// Handles are epoch-scoped receipts, so events are compared on what
@@ -514,13 +528,13 @@ func TestRouterHaloRetirementReleasesBurst(t *testing.T) {
 		}
 	}
 	for _, si := range retiring.state().shards {
-		for h, rec := range si.halo.ref {
-			if rec != nil && (h >= si.sess.NumTasks() || si.halo.byGid[rec.gid] != int32(h)) {
+		for h := range si.halo.ref.Len() {
+			if rec := *si.halo.ref.At(h); rec != nil && (h >= si.sess.NumTasks() || si.halo.byGid[rec.gid] != int32(h)) {
 				t.Fatalf("shard %d: task ref %d (gid %d) does not resolve back through the gid map", si.id, h, rec.gid)
 			}
 		}
 		for gid, h := range si.halo.byGid {
-			if rec := refAt(si.halo.ref, int(h)); rec == nil || rec.gid != gid {
+			if rec := refAt(&si.halo.ref, int(h)); rec == nil || rec.gid != gid {
 				t.Fatalf("shard %d: gid %d maps to task %d, which holds %+v", si.id, gid, h, rec)
 			}
 		}

@@ -405,10 +405,10 @@ func TestRecoverSkipsSupersededGenerations(t *testing.T) {
 	for _, path := range chain {
 		onChain += int64(len(fs.Durable(path)))
 	}
-	// One header read, a count pass and a replay pass over the chain, plus
-	// the seal scan of the checkpoint's shard 0: under three chain lengths,
-	// and nothing of generation 1.
-	if info.BytesRead < 2*onChain || info.BytesRead > 3*onChain {
+	// One header read and one replay pass over the chain, plus the seal
+	// scan of the checkpoint's shard 0: under two chain lengths, and
+	// nothing of generation 1.
+	if info.BytesRead < onChain || info.BytesRead > 2*onChain {
 		t.Fatalf("read %d bytes for a %d-byte chain", info.BytesRead, onChain)
 	}
 	expectTailParity(t, rec, r, "intact directory")

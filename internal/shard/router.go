@@ -719,7 +719,7 @@ func (si *shardInstance) collectLocked(r *Router) {
 		switch ev.Kind {
 		case sim.EventMatch:
 			sev.WorkerShard, sev.TaskShard = si.id, si.id
-			if rec := refAt(si.halo.ref, sev.Task); rec != nil {
+			if rec := refAt(&si.halo.ref, sev.Task); rec != nil {
 				sev.TaskShard, sev.Task = int(rec.owner), int(rec.ownerLocal)
 				// During replay retraction fan-out is suppressed: each
 				// shard's log already carries the withdrawals it applied,
@@ -764,7 +764,7 @@ func (si *shardInstance) collectLocked(r *Router) {
 // semantics, so the claim is only read.
 func (si *shardInstance) expiryLocked(r *Router, sev *Event) bool {
 	sev.TaskShard = si.id
-	rec := refAt(si.halo.ref, sev.Task)
+	rec := refAt(&si.halo.ref, sev.Task)
 	if rec == nil {
 		return true
 	}

@@ -17,7 +17,6 @@
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ftoa/internal/codec"
@@ -200,15 +199,6 @@ func appendMirrorInfo(dst []byte, rec *mirror, withCopies bool) []byte {
 	return dst
 }
 
-// Every admission payload starts type, flags, then the object body: id,
-// x, y, arrival time, window — admissionTimeOff is where the arrival time
-// sits and admissionFixedLen where the body ends (the count pass of
-// recovery reads just these without decoding the record).
-const (
-	admissionTimeOff  = 2 + 8 + 8 + 8
-	admissionFixedLen = admissionTimeOff + 8 + 8
-)
-
 // encodeAdmission encodes an owner or ghost admission payload into dst.
 // For owner admissions rec may be nil (a worker, or an unmirrored task).
 func encodeAdmission(dst []byte, ad *admission, rec *mirror, ghost bool) []byte {
@@ -277,7 +267,7 @@ func decodeSeal(payload []byte) (sm sealMeta, err error) {
 	for _, v := range sm.carried.fields() {
 		*v = int(int64(d.U64("seal carried total")))
 	}
-	return sm, d.Err()
+	return sm, d.Done("seal")
 }
 
 // decodeAdmission decodes an owner or ghost admission payload of the given
@@ -299,14 +289,13 @@ func decodeAdmission(payload []byte, sd side) (ad admission, mi mirrorInfo, mirr
 		mi.ownerLocal = int32(d.U32("owner local"))
 		// The count is checked against the bytes that back it before it
 		// sizes anything.
-		if n := int(d.U16("copy count")); n > 0 {
-			if raw := d.Bytes(4*n, "copies"); raw != nil {
-				mi.copies = make([]int32, n)
-				for i := range mi.copies {
-					mi.copies[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-				}
+		if raw := d.Bytes(4*int(d.U16("copy count")), "copies"); len(raw) > 0 {
+			c := codec.NewReader("wal", raw, 0)
+			mi.copies = make([]int32, len(raw)/4)
+			for i := range mi.copies {
+				mi.copies[i] = int32(c.U32("copy"))
 			}
 		}
 	}
-	return ad, mi, mirrored, d.Err()
+	return ad, mi, mirrored, d.Done("admission")
 }

@@ -47,17 +47,15 @@
 // migration that sealed it deleted them, so they are only there at all
 // when it died in between. After a Checkpoint (a clean shutdown takes one)
 // the chain is that one generation: the live population, whatever the
-// history behind it. Then come
-// two sequential passes over that chain. The count pass learns how many
-// admissions one arena epoch has to hold, and every session, halo table
-// and algorithm index is allocated at that size. The replay pass applies
-// the records straight from the stream. A scanned payload is only valid
-// inside the scanner's callback, so the one thing replay copies is the
-// handful of interim records of the group still open.
+// history behind it. Then one pass over that chain applies the records
+// straight from the stream: every session arena, halo table and algorithm
+// index grows by whole pages (sim.Pages), never by copying, so nothing is
+// sized ahead of it and each segment is read once. A scanned payload is
+// only valid inside the scanner's callback, so the one thing replay copies
+// is the handful of interim records of the group still open.
 package shard
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -223,13 +221,14 @@ func (rp *shardReplay) popExpiry() byte {
 
 func (rp *shardReplay) popSeq() uint64 {
 	p := rp.next(decSeq, "event sequence number")
-	if p == nil || len(p) < 9 {
-		if rp.err == nil {
-			rp.err = errors.New("wal: short sequence record")
-		}
+	if p == nil {
 		return rp.st.nextSeq
 	}
-	seq := binary.LittleEndian.Uint64(p[1:9])
+	d := codec.NewReader("wal", p, 1)
+	seq := d.U64("event sequence number")
+	if rp.err = d.Done("event sequence number"); rp.err != nil {
+		return rp.st.nextSeq
+	}
 	if seq+1 > rp.st.nextSeq {
 		rp.st.nextSeq = seq + 1
 	}
@@ -276,7 +275,7 @@ type RecoveryInfo struct {
 	FromCheckpoint bool
 	// Duration is how long Recover took, generation listing to the new
 	// generation's headers durable; BytesRead how many log bytes it read
-	// over its index, count and replay passes.
+	// over its index and replay passes.
 	Duration  time.Duration
 	BytesRead int64
 }
@@ -342,84 +341,6 @@ func (lr *logReader) seal(gen []wal.Segment) (sm sealMeta, ok bool, err error) {
 		return sm, true, nil
 	}
 	return sm, false, err
-}
-
-// shardLoad is what the count pass learns about one shard's chain: by
-// side, how many admissions (ghost copies included) one arena epoch has to
-// hold, and how many task admissions are halo-mirrored.
-type shardLoad struct {
-	n        [2]int
-	mirrored int
-}
-
-// loadCounter folds one shard's records into a shardLoad. Arenas only hold
-// what was admitted since the last retirement (plus survivors, which the
-// log cannot tell), so it follows the shard clock the way
-// maybeRetireLocked will during replay and keeps the fullest epoch rather
-// than the total: a log that spans many retire intervals reserves one
-// interval's worth, not its history. The result sizes allocations and
-// nothing else — an arena that turns out too small grows as it always has.
-// owned counts the mirror groups the shard owns over the whole chain (the
-// replay-wide mirrors map holds every one of them).
-type loadCounter struct {
-	every             float64
-	clock, lastRetire float64
-	cur, peak         shardLoad
-	owned             int
-}
-
-func (c *loadCounter) record(p []byte) error {
-	switch typ := p[0]; typ {
-	case opWorker, opTask, opGhostTask:
-		if len(p) < admissionFixedLen {
-			return nil // replay reports the truncated record
-		}
-		sd, ghost := admissionKind(typ)
-		c.cur.n[sd]++
-		if p[1]&1 != 0 {
-			c.cur.mirrored++
-			if !ghost {
-				c.owned++
-			}
-		}
-		c.advance(math.Float64frombits(binary.LittleEndian.Uint64(p[admissionTimeOff:])))
-	case opAdvance:
-		if len(p) >= 9 {
-			c.advance(math.Float64frombits(binary.LittleEndian.Uint64(p[1:])))
-		}
-	case opRetire:
-		c.lastRetire = c.clock
-		c.closeEpoch()
-	}
-	return nil
-}
-
-func (c *loadCounter) advance(t float64) {
-	if t > c.clock {
-		c.clock = t
-	}
-	if c.every > 0 && c.clock >= c.lastRetire+c.every {
-		c.lastRetire = c.clock
-		c.closeEpoch()
-	}
-}
-
-func (c *loadCounter) closeEpoch() {
-	for sd := range c.cur.n {
-		c.peak.n[sd] = max(c.peak.n[sd], c.cur.n[sd])
-	}
-	c.peak.mirrored = max(c.peak.mirrored, c.cur.mirrored)
-	c.cur = shardLoad{}
-}
-
-// reserve allocates the shard's session, algorithm and halo tables for
-// the load the count pass found, before replay fills them.
-func (si *shardInstance) reserve(l shardLoad) {
-	si.sess.Reserve(l.n[workerSide], l.n[taskSide])
-	if l.mirrored > 0 {
-		si.halo.ref = make([]*mirror, 0, l.n[taskSide])
-		si.halo.byGid = make(map[uint64]int32, l.mirrored)
-	}
 }
 
 // openWALSet opens one generation's log set for the given topology state
@@ -617,21 +538,9 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 			paths[sg.Shard] = append(paths[sg.Shard], sg.Path)
 		}
 	}
-	// Count pass: size every shard for what its chain will put into it.
-	owned := 0
-	for i, si := range ts.shards {
-		c := loadCounter{every: cfg.RetireInterval, clock: math.Inf(-1)}
-		for _, path := range paths[i] {
-			if _, err := lr.scan(path, c.record); err != nil {
-				return nil, nil, err
-			}
-		}
-		c.closeEpoch()
-		si.reserve(c.peak)
-		owned += c.owned
-	}
-	// Replay pass.
-	st := &replayState{mirrors: make(map[uint64]*mirror, owned), lr: lr, fp: fp, info: info}
+	// Replay: one pass over each shard's chain. The arenas and tables it
+	// fills grow by whole pages, so nothing needs sizing ahead of it.
+	st := &replayState{mirrors: make(map[uint64]*mirror), lr: lr, fp: fp, info: info}
 	for i, si := range ts.shards {
 		if err := r.replayShard(si, paths[i], st); err != nil {
 			return nil, nil, fmt.Errorf("shard %d: %w", i, err)
@@ -777,18 +686,22 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 	case opAdvance:
 		d := codec.NewReader("wal", p, 1)
 		now := d.F64("advance clock")
-		if err := d.Err(); err != nil {
+		if err := d.Done("advance"); err != nil {
 			return err
 		}
 		si.sess.Advance(now)
 		si.afterWriteLocked(r)
 	case opFinish:
+		d := codec.NewReader("wal", p, 1)
+		if err := d.Done("finish"); err != nil {
+			return err
+		}
 		si.sess.Finish()
 		si.collectLocked(r)
 	case opRetire:
 		d := codec.NewReader("wal", p, 1)
 		horizon := d.F64("retire horizon")
-		if err := d.Err(); err != nil {
+		if err := d.Done("retire"); err != nil {
 			return err
 		}
 		si.collectLocked(r)
@@ -797,7 +710,7 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 	case opWithdraw:
 		d := codec.NewReader("wal", p, 1)
 		gid := d.U64("withdraw gid")
-		if err := d.Err(); err != nil {
+		if err := d.Done("withdraw"); err != nil {
 			return err
 		}
 		si.applyWithdrawLocked(gid)
@@ -805,7 +718,7 @@ func (r *Router) replayOp(si *shardInstance, typ byte, p []byte) error {
 		d := codec.NewReader("wal", p, 1)
 		flags := d.U8("local withdraw flags")
 		local := int(int32(d.U32("local withdraw handle")))
-		if err := d.Err(); err != nil {
+		if err := d.Done("local withdraw"); err != nil {
 			return err
 		}
 		return si.replayWithdrawLocal(local, side(flags&1), flags&2 != 0, flags&4 != 0)

@@ -74,16 +74,16 @@ type expiryQueue struct {
 	head int
 	heap []int32 // out-of-order overflow, sift-managed
 
-	workers *[]model.Worker
-	tasks   *[]model.Task
+	workers *Pages[model.Worker]
+	tasks   *Pages[model.Task]
 }
 
 // at returns the deadline of handle h.
 func (q *expiryQueue) at(h int32) float64 {
 	if q.workers != nil {
-		return (*q.workers)[h].Deadline()
+		return q.workers.At(int(h)).Deadline()
 	}
-	return (*q.tasks)[h].Deadline()
+	return q.tasks.At(int(h)).Deadline()
 }
 
 // less orders handles by deadline, then by handle for determinism.

@@ -13,20 +13,20 @@ import (
 // next retirement. A worker is its model.Worker, a 16-byte workerState and
 // a 4-byte deadline entry; the 48-byte motion entry comes only with its
 // first Dispatch. A task is its model.Task, three flags and a commit time,
-// and a 4-byte deadline entry. Reserve sizes every array exactly, so the
-// heap measured is what the records cost, with no growth slack.
+// and a 4-byte deadline entry. The arenas grow in whole pages and the
+// count fills its last one, so the heap measured is what the records cost
+// plus the deadline queue's append slack (under half a byte an entry).
 func TestSessionFootprint(t *testing.T) {
 	var q expiryQueue
 	if ws, me, de := unsafe.Sizeof(workerState{}), unsafe.Sizeof(motionEntry{}), unsafe.Sizeof(q.fifo[0]); ws != 16 || me != 48 || de != 4 {
 		t.Fatalf("worker record %d B, motion entry %d B, deadline entry %d B; want 16, 48 and 4", ws, me, de)
 	}
 	const n = 1 << 16
-	perAdmission := func(workers, tasks int, admit func(s *Session, i int)) float64 {
+	perAdmission := func(admit func(s *Session, i int)) float64 {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		s := retireSession(t, Strict, &retirableScript{scriptAlg: scriptAlg{name: "noop"}})
-		s.Reserve(workers, tasks)
 		for i := 0; i < n; i++ {
 			admit(s, i)
 		}
@@ -37,10 +37,10 @@ func TestSessionFootprint(t *testing.T) {
 	}
 	loc := func(i int) geo.Point { return geo.Pt(float64(i%100), float64(i/100%100)) }
 
-	worker := perAdmission(n, 0, func(s *Session, i int) {
+	worker := perAdmission(func(s *Session, i int) {
 		mustAddWorker(t, s, model.Worker{ID: i, Loc: loc(i), Arrive: float64(i), Patience: 1e9})
 	})
-	task := perAdmission(0, n, func(s *Session, i int) {
+	task := perAdmission(func(s *Session, i int) {
 		mustAddTask(t, s, model.Task{ID: i, Loc: loc(i), Release: float64(i), Expiry: 1e9})
 	})
 	t.Logf("%.2f B of HeapInuse per waiting worker, %.2f B per task", worker, task)
@@ -70,20 +70,21 @@ func TestRetireCompactsMotionTable(t *testing.T) {
 			}
 		}
 	}
-	if len(s.motion) != 12 {
-		t.Fatalf("%d motion entries for 12 dispatched workers", len(s.motion))
+	if s.motion.Len() != 12 {
+		t.Fatalf("%d motion entries for 12 dispatched workers", s.motion.Len())
 	}
 	s.Advance(5)
 	if w, _ := s.Retire(5); w != 8 {
 		t.Fatalf("retired %d workers, want the 8 expired", w)
 	}
-	if len(s.motion) != len(wantLoc) {
-		t.Fatalf("%d motion entries after the retirement, want %d", len(s.motion), len(wantLoc))
+	if s.motion.Len() != len(wantLoc) {
+		t.Fatalf("%d motion entries after the retirement, want %d", s.motion.Len(), len(wantLoc))
 	}
-	for i, m := range s.motion {
-		if s.wstate[m.worker].motion != int32(i) || s.workers[m.worker].Loc != wantLoc[i] {
+	for i := range s.motion.Len() {
+		m := s.motion.At(i)
+		if ws := s.wstate.At(int(m.worker)); ws.motion != int32(i) || s.Worker(int(m.worker)).Loc != wantLoc[i] {
 			t.Fatalf("entry %d names worker %d (motion %d, arrived at %v), want the worker that arrived at %v",
-				i, m.worker, s.wstate[m.worker].motion, s.workers[m.worker].Loc, wantLoc[i])
+				i, m.worker, ws.motion, s.Worker(int(m.worker)).Loc, wantLoc[i])
 		}
 		if got := s.WorkerPos(int(m.worker), 5); got != geo.Pt(wantLoc[i].X, 5) {
 			t.Fatalf("worker %d at %v after the retirement, want %v", m.worker, got, geo.Pt(wantLoc[i].X, 5))

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"slices"
-
-	"ftoa/internal/model"
-)
+import "ftoa/internal/model"
 
 // Retirement — the generational compaction that makes truly long-lived
 // sessions possible. The session arenas are append-only between epochs
@@ -61,74 +57,6 @@ type RetirableAlgorithm interface {
 // RetiredHandle marks a dropped object in a Remap table.
 const RetiredHandle int32 = -1
 
-// Reserver is implemented by algorithms that keep per-handle state and can
-// size it ahead of a known number of admissions. Session.Reserve forwards
-// its counts; sizing never changes what the algorithm matches.
-type Reserver interface {
-	// Reserve prepares for handles below workers (resp. tasks) on each
-	// side.
-	Reserve(workers, tasks int)
-}
-
-// Reserve sizes the arenas, the deadline queues and the matching for a
-// session that will hold up to workers and tasks objects at once, each in
-// one exact-size allocation, and forwards the counts to an algorithm that
-// implements Reserver. WAL recovery calls it with the admission counts it
-// read off the log, so replay fills arrays of the final size instead of
-// growing — and discarding — them by doubling. The counts are capacity,
-// not a limit: admissions beyond them grow the arenas as usual.
-func (s *Session) Reserve(workers, tasks int) {
-	s.workers = growTo(s.workers, workers)
-	s.wstate = growTo(s.wstate, workers)
-	s.wExpiry.fifo = growTo(s.wExpiry.fifo, workers)
-	s.tasks = growTo(s.tasks, tasks)
-	s.tMatch = growTo(s.tMatch, tasks)
-	s.tMatchAt = growTo(s.tMatchAt, tasks)
-	s.tWithdrawn = growTo(s.tWithdrawn, tasks)
-	s.tExpiry.fifo = growTo(s.tExpiry.fifo, tasks)
-	pairs := min(workers, tasks)
-	s.matching.Pairs = growTo(s.matching.Pairs, pairs)
-	if r, ok := s.alg.(Reserver); ok {
-		r.Reserve(workers, tasks)
-	}
-}
-
-// growTo returns s with room for n entries in all.
-func growTo[T any](s []T, n int) []T { return slices.Grow(s, max(0, n-len(s))) }
-
-// Refit rule of a retirement: an array whose capacity is more than
-// refitSlack times what the ending epoch used is carrying a burst (or a
-// recovered history) that is over, and is reallocated at refitHeadroom
-// times that use. The gap between the two factors is the hysteresis that
-// keeps steady state allocation-free: append growth leaves capacity at most
-// 2x the largest epoch so far, so epochs would have to shrink more than
-// refitSlack/2-fold before anything is reallocated, and the refitted array
-// then absorbs refitHeadroom-fold growth without reallocating again.
-// Arrays at or under refitFloor entries are left alone: freeing them buys
-// nothing and a quiet epoch would only make the next one grow them back.
-const (
-	refitSlack    = 4
-	refitHeadroom = 2
-	refitFloor    = 4096
-)
-
-// Refit returns s unchanged, or — when its capacity exceeds both
-// refitFloor and refitSlack x used, used being how many entries the
-// ending epoch filled (never taken below len(s)) — a copy with capacity
-// refitHeadroom x used. Exported for the structures that follow a
-// session's handles across epochs (spatial indexes, the shard router's
-// halo tables) so every one of them releases burst capacity by the same
-// rule.
-func Refit[T any](s []T, used int) []T {
-	used = max(used, len(s))
-	if cap(s) <= refitFloor || cap(s) <= refitSlack*used {
-		return s
-	}
-	out := make([]T, len(s), max(refitHeadroom*used, refitFloor))
-	copy(out, s)
-	return out
-}
-
 // Retire ends the current arena epoch: every object that is provably dead
 // at or before horizon (see the package comment above — matched, or past
 // its deadline in Strict mode) is dropped, surviving handles are
@@ -152,11 +80,12 @@ func Refit[T any](s []T, used int) []T {
 // and Matches() keeps counting commits across epochs.
 //
 // Retire never allocates at steady state: the remap tables and every
-// compaction are in place, reusing arena capacity. The one exception is
-// deliberate and self-limiting: an array left with more than 4x the
-// capacity the ending epoch used (a burst that passed, a recovered history
-// that has since died) is reallocated at 2x that use, so a session's
-// footprint follows its live population down as well as up (see Refit).
+// compaction are in place, reusing arena pages. The one exception is
+// deliberate and self-limiting: a table left with more than 4x the
+// entries the ending epoch used (a burst that passed, a recovered history
+// that has since died) gives back its pages beyond 2x that use, so a
+// session's footprint follows its live population down as well as up (see
+// Pages.Refit).
 func (s *Session) Retire(horizon float64) (workers, tasks int) {
 	if s.retAlg == nil {
 		return 0, 0
@@ -165,46 +94,46 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 		horizon = s.now
 	}
 
-	usedW, usedT, usedM := len(s.workers), len(s.tasks), len(s.motion)
+	usedW, usedT, usedM := s.workers.Len(), s.tasks.Len(), s.motion.Len()
 	wmap := growMap(&s.wRemap, usedW)
 	keep := 0
-	for h := range s.workers {
+	for h := range usedW {
 		if s.workerDead(h, horizon) {
 			wmap[h] = RetiredHandle
 			continue
 		}
 		wmap[h] = int32(keep)
 		if keep != h {
-			s.workers[keep] = s.workers[h]
-			s.wstate[keep] = s.wstate[h]
+			*s.workers.At(keep) = *s.workers.At(h)
+			*s.wstate.At(keep) = *s.wstate.At(h)
 		}
 		keep++
 	}
-	workers = len(s.workers) - keep
-	s.workers = s.workers[:keep]
-	s.wstate = s.wstate[:keep]
+	workers = usedW - keep
+	s.workers.Truncate(keep)
+	s.wstate.Truncate(keep)
 
 	tmap := growMap(&s.tRemap, usedT)
 	keep = 0
-	for h := range s.tasks {
+	for h := range usedT {
 		if s.taskDead(h, horizon) {
 			tmap[h] = RetiredHandle
 			continue
 		}
 		tmap[h] = int32(keep)
 		if keep != h {
-			s.tasks[keep] = s.tasks[h]
-			s.tMatch[keep] = s.tMatch[h]
-			s.tMatchAt[keep] = s.tMatchAt[h]
-			s.tWithdrawn[keep] = s.tWithdrawn[h]
+			*s.tasks.At(keep) = *s.tasks.At(h)
+			*s.tMatch.At(keep) = *s.tMatch.At(h)
+			*s.tMatchAt.At(keep) = *s.tMatchAt.At(h)
+			*s.tWithdrawn.At(keep) = *s.tWithdrawn.At(h)
 		}
 		keep++
 	}
-	tasks = len(s.tasks) - keep
-	s.tasks = s.tasks[:keep]
-	s.tMatch = s.tMatch[:keep]
-	s.tMatchAt = s.tMatchAt[:keep]
-	s.tWithdrawn = s.tWithdrawn[:keep]
+	tasks = usedT - keep
+	s.tasks.Truncate(keep)
+	s.tMatch.Truncate(keep)
+	s.tMatchAt.Truncate(keep)
+	s.tWithdrawn.Truncate(keep)
 
 	if workers == 0 && tasks == 0 {
 		return 0, 0
@@ -214,17 +143,18 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 	// so the survivor's workerState (already at its new handle) is pointed
 	// at the entry's new slot directly.
 	keep = 0
-	for _, m := range s.motion {
+	for i := range usedM {
+		m := *s.motion.At(i)
 		nw := wmap[m.worker]
 		if nw < 0 {
 			continue
 		}
 		m.worker = nw
-		s.motion[keep] = m
-		s.wstate[nw].motion = int32(keep)
+		*s.motion.At(keep) = m
+		s.wstate.At(int(nw)).motion = int32(keep)
 		keep++
 	}
-	s.motion = s.motion[:keep]
+	s.motion.Truncate(keep)
 
 	// Deadline queues: drop the entries of retired objects (their expiry
 	// would have been suppressed — a retired object is matched or already
@@ -265,21 +195,24 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 		s.onRetire(wmap, tmap)
 	}
 
-	// Give back capacity the ending epoch came nowhere near using.
-	s.workers = Refit(s.workers, usedW)
-	s.wstate = Refit(s.wstate, usedW)
-	s.motion = Refit(s.motion, usedM)
-	s.wExpiry.fifo = Refit(s.wExpiry.fifo, usedW)
-	s.wExpiry.heap = Refit(s.wExpiry.heap, usedW)
-	s.wRemap = Refit(s.wRemap[:0], usedW)
-	s.tasks = Refit(s.tasks, usedT)
-	s.tMatch = Refit(s.tMatch, usedT)
-	s.tMatchAt = Refit(s.tMatchAt, usedT)
-	s.tWithdrawn = Refit(s.tWithdrawn, usedT)
-	s.tExpiry.fifo = Refit(s.tExpiry.fifo, usedT)
-	s.tExpiry.heap = Refit(s.tExpiry.heap, usedT)
-	s.tRemap = Refit(s.tRemap[:0], usedT)
-	s.matching.Pairs = Refit(s.matching.Pairs, min(usedW, usedT))
+	// Give back pages the ending epoch came nowhere near using. The
+	// deadline queues (ordered by deadline, not by handle), the remap
+	// tables and the matching (both handed out as slices) stay slices and
+	// follow the same rule.
+	s.workers.Refit(usedW)
+	s.wstate.Refit(usedW)
+	s.motion.Refit(usedM)
+	s.tasks.Refit(usedT)
+	s.tMatch.Refit(usedT)
+	s.tMatchAt.Refit(usedT)
+	s.tWithdrawn.Refit(usedT)
+	s.wExpiry.fifo = refitSlice(s.wExpiry.fifo, usedW)
+	s.wExpiry.heap = refitSlice(s.wExpiry.heap, usedW)
+	s.wRemap = refitSlice(s.wRemap[:0], usedW)
+	s.tExpiry.fifo = refitSlice(s.tExpiry.fifo, usedT)
+	s.tExpiry.heap = refitSlice(s.tExpiry.heap, usedT)
+	s.tRemap = refitSlice(s.tRemap[:0], usedT)
+	s.matching.Pairs = refitSlice(s.matching.Pairs, min(usedW, usedT))
 	return workers, tasks
 }
 
@@ -288,7 +221,7 @@ func (s *Session) Retire(horizon float64) (workers, tasks int) {
 // availability deadline (now < deadline required to be assignable). Both
 // death instants must fall at or before horizon.
 func (s *Session) workerDead(h int, horizon float64) bool {
-	ws := &s.wstate[h]
+	ws := s.wstate.At(h)
 	if ws.withdrawn {
 		// Withdrawn in either mode: TryMatch refuses it forever and its
 		// expiry is suppressed, so no grace window is needed — the arbiter
@@ -298,20 +231,20 @@ func (s *Session) workerDead(h int, horizon float64) bool {
 	if ws.matched {
 		return ws.matchedAt <= horizon
 	}
-	return s.mode == Strict && s.workers[h].Deadline() <= horizon
+	return s.mode == Strict && s.workers.At(h).Deadline() <= horizon
 }
 
 // taskDead mirrors workerDead on the task side, with the task boundary:
 // a task is assignable AT its deadline (now <= deadline), so an unmatched
 // one is only dead once the horizon strictly passes it.
 func (s *Session) taskDead(h int, horizon float64) bool {
-	if s.tWithdrawn[h] {
+	if *s.tWithdrawn.At(h) {
 		return true
 	}
-	if s.tMatch[h] {
-		return s.tMatchAt[h] <= horizon
+	if *s.tMatch.At(h) {
+		return *s.tMatchAt.At(h) <= horizon
 	}
-	return s.mode == Strict && s.tasks[h].Deadline() < horizon
+	return s.mode == Strict && s.tasks.At(h).Deadline() < horizon
 }
 
 // growMap resizes a reusable remap table to n entries without clearing.
@@ -338,10 +271,10 @@ func (s *Session) RetiredTasks() int { return s.retiredT }
 // AdmittedWorkers returns how many workers have ever been admitted —
 // the live arena plus everything retired. Equal to NumWorkers until the
 // first retirement.
-func (s *Session) AdmittedWorkers() int { return len(s.workers) + s.retiredW }
+func (s *Session) AdmittedWorkers() int { return s.workers.Len() + s.retiredW }
 
 // AdmittedTasks is AdmittedWorkers for the task side.
-func (s *Session) AdmittedTasks() int { return len(s.tasks) + s.retiredT }
+func (s *Session) AdmittedTasks() int { return s.tasks.Len() + s.retiredT }
 
 // Matches returns the total number of committed pairs over the session's
 // lifetime. Unlike Matching(), whose pairs are compacted away once both

@@ -337,12 +337,33 @@ func TestRetireSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestRetireReleasesBurstCapacity: a burst sizes every arena, and once it
-// has died and an ordinary epoch has gone by, the next retirement
-// reallocates them near that epoch's size — without touching what
-// survives: the remap tables and the survivors' ground truth are exactly
-// what the dead-predicate alone says they should be, and the rounds after
-// the refit allocate nothing again.
+// capacities names every table of s that follows its handles with the
+// entries it has room for: page count times page length for the paged
+// arenas, capacity for the deadline queues.
+func capacities(s *Session) map[string]int {
+	return map[string]int{
+		"workers":      s.workers.PageCount() * pageLen,
+		"wstate":       s.wstate.PageCount() * pageLen,
+		"motion":       s.motion.PageCount() * pageLen,
+		"tasks":        s.tasks.PageCount() * pageLen,
+		"tMatch":       s.tMatch.PageCount() * pageLen,
+		"tMatchAt":     s.tMatchAt.PageCount() * pageLen,
+		"tWithdrawn":   s.tWithdrawn.PageCount() * pageLen,
+		"wExpiry.fifo": cap(s.wExpiry.fifo),
+		"wExpiry.heap": cap(s.wExpiry.heap),
+		"tExpiry.fifo": cap(s.tExpiry.fifo),
+		"tExpiry.heap": cap(s.tExpiry.heap),
+	}
+}
+
+// TestRetireReleasesBurstCapacity: a burst fills pages in every arena
+// (and grows the deadline queues), and once it has died and an ordinary
+// epoch has gone by, the next retirement frees what lies beyond twice that
+// epoch's use — without touching what survives: the remap tables and the
+// survivors' ground truth are exactly what the dead-predicate alone says
+// they should be. Every table's page count (a queue's capacity) is read
+// before and after each retirement, so a table that frees at the wrong
+// retirement, or grows again afterwards, is named.
 func TestRetireReleasesBurstCapacity(t *testing.T) {
 	alg := &retirableScript{scriptAlg: scriptAlg{name: "noop"}}
 	var gotW, gotT []int32
@@ -353,15 +374,14 @@ func TestRetireReleasesBurstCapacity(t *testing.T) {
 	s := retireSession(t, Strict, alg)
 	clock := 0.0
 	var evbuf []SessionEvent
-	// The expectation buffers are reused so that at steady state the round
-	// itself allocates nothing.
 	var wantW, wantT []int32
 	var liveW []model.Worker
 	var liveT []model.Task
 	// Every round leaves a few long-lived survivors behind, so each
 	// retirement has something to carry across (and, their deadlines being
-	// out of order, the deadline queues run on their overflow heaps).
-	round := func(n int) {
+	// out of order, the deadline queues run on their overflow heaps). It
+	// returns every table's capacity before and after its retirement.
+	round := func(n int) (before, after map[string]int) {
 		for i := 0; i < n; i++ {
 			patience := 1.0
 			if i%64 == 0 {
@@ -376,61 +396,77 @@ func TestRetireReleasesBurstCapacity(t *testing.T) {
 		s.CompactEvents()
 		// What the retirement must do, from the dead-predicate alone.
 		wantW, wantT, liveW, liveT = wantW[:0], wantT[:0], liveW[:0], liveT[:0]
-		for h := range s.workers {
+		for h := range s.NumWorkers() {
 			if s.workerDead(h, clock) {
 				wantW = append(wantW, RetiredHandle)
 				continue
 			}
 			wantW = append(wantW, int32(len(liveW)))
-			liveW = append(liveW, s.workers[h])
+			liveW = append(liveW, *s.Worker(h))
 		}
-		for h := range s.tasks {
+		for h := range s.NumTasks() {
 			if s.taskDead(h, clock) {
 				wantT = append(wantT, RetiredHandle)
 				continue
 			}
 			wantT = append(wantT, int32(len(liveT)))
-			liveT = append(liveT, s.tasks[h])
+			liveT = append(liveT, *s.Task(h))
 		}
+		before = capacities(s)
 		s.Retire(clock)
+		after = capacities(s)
 		if !slices.Equal(gotW, wantW) || !slices.Equal(gotT, wantT) {
 			t.Fatalf("round of %d: remap tables differ from the dead-predicate's", n)
 		}
-		if !slices.Equal(s.workers, liveW) || !slices.Equal(s.tasks, liveT) {
-			t.Fatalf("round of %d: survivors differ from the dead-predicate's", n)
+		if s.NumWorkers() != len(liveW) || s.NumTasks() != len(liveT) {
+			t.Fatalf("round of %d: %d workers and %d tasks survive, want %d and %d", n, s.NumWorkers(), s.NumTasks(), len(liveW), len(liveT))
 		}
-		if len(s.wstate) != len(liveW) || len(s.tMatch) != len(liveT) || len(s.tMatchAt) != len(liveT) || len(s.tWithdrawn) != len(liveT) {
-			t.Fatalf("round of %d: side arrays out of step with the arenas", n)
+		for h, w := range liveW {
+			if *s.Worker(h) != w {
+				t.Fatalf("round of %d: surviving worker %d differs from the dead-predicate's", n, h)
+			}
 		}
+		for h, task := range liveT {
+			if *s.Task(h) != task {
+				t.Fatalf("round of %d: surviving task %d differs from the dead-predicate's", n, h)
+			}
+		}
+		if s.wstate.Len() != len(liveW) || s.tMatch.Len() != len(liveT) || s.tMatchAt.Len() != len(liveT) || s.tWithdrawn.Len() != len(liveT) {
+			t.Fatalf("round of %d: side tables out of step with the arenas", n)
+		}
+		return before, after
 	}
-	caps := func() [4]int {
-		return [4]int{cap(s.workers), cap(s.wstate), cap(s.tasks), cap(s.wExpiry.heap)}
-	}
+	burstTables := []string{"workers", "wstate", "tasks", "tMatch", "tMatchAt", "tWithdrawn", "wExpiry.heap", "tExpiry.heap"}
 	const burst, steady = 40000, 300
-	round(burst)
-	atBurst := caps()
-	for _, c := range atBurst {
-		if c < burst-1 {
-			t.Fatalf("capacities %v after a burst of %d", atBurst, burst)
+	// The retirement that ended the burst epoch saw the burst in use: it
+	// frees nothing.
+	before, atBurst := round(burst)
+	for _, name := range burstTables {
+		if atBurst[name] < burst-burst/64 {
+			t.Fatalf("%s: room for %d entries after a burst of %d", name, atBurst[name], burst)
 		}
 	}
-	// The retirement that ended the burst epoch saw the burst in use: no
-	// refit yet. The next one sees an ordinary epoch under burst capacity.
-	round(steady)
-	after := caps()
-	for i, c := range after {
-		if c >= atBurst[i]/4 || c < steady {
-			t.Fatalf("capacities %v after the burst died, were %v at the burst", after, atBurst)
+	for name, n := range atBurst {
+		if n != before[name] {
+			t.Fatalf("%s: room for %d entries before the burst's retirement, %d after", name, before[name], n)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		round(steady) // warm the refitted capacities
+	// The next one sees an ordinary epoch under burst capacity and frees it.
+	_, after := round(steady)
+	for _, name := range burstTables {
+		if n := after[name]; n >= atBurst[name]/4 || n < steady {
+			t.Fatalf("%s: room for %d entries after the burst died, %d at the burst", name, n, atBurst[name])
+		}
 	}
-	settled := caps()
-	if avg := testing.AllocsPerRun(8, func() { round(steady) }); avg > 0 {
-		t.Fatalf("round allocates %.1f times after the refit, want 0", avg)
-	}
-	if caps() != settled {
-		t.Fatalf("capacities moved at steady state: %v -> %v", settled, caps())
+	// From here on no retirement frees anything and no round grows a table.
+	for i := 0; i < 8; i++ {
+		prev := after
+		var before map[string]int
+		before, after = round(steady)
+		for name, n := range after {
+			if before[name] != prev[name] || n != prev[name] {
+				t.Fatalf("round %d after the refit: %s went from room for %d entries to %d before its retirement and %d after", i, name, prev[name], before[name], n)
+			}
+		}
 	}
 }

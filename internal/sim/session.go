@@ -119,11 +119,11 @@ func newSession(cfg MatcherConfig, alg Algorithm) *Session {
 
 // workerState is the platform-owned ground truth for one admitted worker
 // beside its model.Worker: 16 bytes. A worker stands where it arrived,
-// workers[h].Loc, until a Dispatch first moves it; only then does it get
-// an entry in the session's motion table.
+// workers.At(h).Loc, until a Dispatch first moves it; only then does it
+// get an entry in the session's motion table.
 type workerState struct {
 	matchedAt float64 // commit time, valid when matched
-	motion    int32   // index into Session.motion, or -1: at workers[h].Loc
+	motion    int32   // index into Session.motion, or -1: where it arrived
 	matched   bool
 	withdrawn bool // retracted via WithdrawWorker; see withdraw.go
 }
@@ -146,9 +146,9 @@ var ErrFinished = errors.New("sim: session finished")
 // Session is one live open-world matching session: workers and tasks are
 // admitted at arrival time and handed to the algorithm immediately, with no
 // pre-materialised instance. Handles returned by AddWorker/AddTask are
-// stable dense indexes into growable arenas (0, 1, 2, …, in admission
-// order per side), so algorithm state and the platform's ground truth stay
-// flat slices with zero steady-state allocations on the hot path. The
+// stable dense indexes into paged arenas (0, 1, 2, …, in admission order
+// per side; see Pages), so algorithm state and the platform's ground truth
+// stay flat tables with zero steady-state allocations on the hot path. The
 // arenas are append-only within an epoch; long-lived sessions bound their
 // memory by calling Retire (see retire.go), which compacts away provably
 // dead objects and remaps the surviving handles.
@@ -184,13 +184,13 @@ type Session struct {
 
 	// Arenas; handles index into them. Append-only within an epoch;
 	// Retire compacts them across epoch boundaries (see retire.go).
-	workers    []model.Worker
-	tasks      []model.Task
-	wstate     []workerState
-	motion     []motionEntry // dispatched workers only, see workerState
-	tMatch     []bool
-	tMatchAt   []float64 // commit time per task, valid when tMatch
-	tWithdrawn []bool    // retracted via WithdrawTask; see withdraw.go
+	workers    Pages[model.Worker]
+	tasks      Pages[model.Task]
+	wstate     Pages[workerState]
+	motion     Pages[motionEntry] // dispatched workers only, see workerState
+	tMatch     Pages[bool]
+	tMatchAt   Pages[float64] // commit time per task, valid when tMatch
+	tWithdrawn Pages[bool]    // retracted via WithdrawTask; see withdraw.go
 
 	// Epoch bookkeeping (retire.go): wRemap/tRemap are the reusable
 	// old→new handle tables, retired* the cumulative drop counts.
@@ -237,13 +237,13 @@ var _ Platform = (*Session)(nil)
 // allocations; live deployments normally create a session once and never
 // reset it.
 func (s *Session) Reset(alg Algorithm) {
-	s.workers = s.workers[:0]
-	s.tasks = s.tasks[:0]
-	s.wstate = s.wstate[:0]
-	s.motion = s.motion[:0]
-	s.tMatch = s.tMatch[:0]
-	s.tMatchAt = s.tMatchAt[:0]
-	s.tWithdrawn = s.tWithdrawn[:0]
+	s.workers.Truncate(0)
+	s.tasks.Truncate(0)
+	s.wstate.Truncate(0)
+	s.motion.Truncate(0)
+	s.tMatch.Truncate(0)
+	s.tMatchAt.Truncate(0)
+	s.tWithdrawn.Truncate(0)
 	// The matching escapes to callers via Matching, so it is the one piece
 	// of per-session state that cannot be reused.
 	s.matching = model.Matching{}
@@ -292,9 +292,8 @@ func (s *Session) addWorker(w model.Worker, pushExpiry bool) (int, error) {
 		w.Arrive = s.now
 	}
 	s.advanceTo(w.Arrive)
-	h := len(s.workers)
-	s.workers = append(s.workers, w)
-	s.wstate = append(s.wstate, workerState{motion: -1})
+	h := s.workers.Push(w)
+	s.wstate.Push(workerState{motion: -1})
 	if pushExpiry {
 		s.wExpiry.push(int32(h))
 	}
@@ -316,11 +315,10 @@ func (s *Session) addTask(t model.Task, pushExpiry bool) (int, error) {
 		t.Release = s.now
 	}
 	s.advanceTo(t.Release)
-	h := len(s.tasks)
-	s.tasks = append(s.tasks, t)
-	s.tMatch = append(s.tMatch, false)
-	s.tMatchAt = append(s.tMatchAt, 0)
-	s.tWithdrawn = append(s.tWithdrawn, false)
+	h := s.tasks.Push(t)
+	s.tMatch.Push(false)
+	s.tMatchAt.Push(0)
+	s.tWithdrawn.Push(false)
 	if pushExpiry {
 		s.tExpiry.push(int32(h))
 	}
@@ -396,7 +394,7 @@ func (s *Session) fireWorkerExpiry(w int, at float64) {
 	if at > s.now {
 		s.now = at
 	}
-	ws := &s.wstate[w]
+	ws := s.wstate.At(w)
 	if ws.withdrawn {
 		// Retracted copies have no lifecycle here: whichever session
 		// committed or expired the original reports it.
@@ -416,10 +414,10 @@ func (s *Session) fireTaskExpiry(t int, at float64) {
 	if at > s.now {
 		s.now = at
 	}
-	if s.tWithdrawn[t] {
+	if *s.tWithdrawn.At(t) {
 		return
 	}
-	if s.tMatch[t] && s.tMatchAt[t] <= at {
+	if *s.tMatch.At(t) && *s.tMatchAt.At(t) <= at {
 		return
 	}
 	s.expiredT++
@@ -523,17 +521,17 @@ func (s *Session) Mode() Mode { return s.mode }
 
 // Worker implements Platform. The returned pointer stays valid and
 // immutable for the current arena epoch (for the whole session if Retire
-// is never called).
-func (s *Session) Worker(w int) *model.Worker { return &s.workers[w] }
+// is never called): admissions add pages, they never move the arena.
+func (s *Session) Worker(w int) *model.Worker { return s.workers.At(w) }
 
 // Task implements Platform.
-func (s *Session) Task(t int) *model.Task { return &s.tasks[t] }
+func (s *Session) Task(t int) *model.Task { return s.tasks.At(t) }
 
 // NumWorkers implements Platform.
-func (s *Session) NumWorkers() int { return len(s.workers) }
+func (s *Session) NumWorkers() int { return s.workers.Len() }
 
 // NumTasks implements Platform.
-func (s *Session) NumTasks() int { return len(s.tasks) }
+func (s *Session) NumTasks() int { return s.tasks.Len() }
 
 // Velocity implements Platform.
 func (s *Session) Velocity() float64 { return s.velocity }
@@ -546,11 +544,11 @@ func (s *Session) Hints() Hints { return s.hints }
 
 // WorkerPos implements Platform.
 func (s *Session) WorkerPos(w int, now float64) geo.Point {
-	i := s.wstate[w].motion
+	i := s.wstate.At(w).motion
 	if i < 0 {
-		return s.workers[w].Loc
+		return s.workers.At(w).Loc
 	}
-	m := &s.motion[i]
+	m := s.motion.At(int(i))
 	if !m.moving {
 		return m.anchor
 	}
@@ -575,39 +573,40 @@ func (s *Session) WorkerPos(w int, now float64) geo.Point {
 // an unmatched worker stays assignable; in Strict mode a task released at
 // `now` must satisfy Sr < Sw + Dw.
 func (s *Session) WorkerAvailable(w int, now float64) bool {
-	ws := &s.wstate[w]
+	ws := s.wstate.At(w)
 	if ws.matched || ws.withdrawn {
 		return false
 	}
 	if s.mode == AssumeGuide {
 		return true
 	}
-	return now < s.workers[w].Deadline()
+	return now < s.workers.At(w).Deadline()
 }
 
 // TaskAvailable implements Platform. See WorkerAvailable for the mode
 // semantics; in Strict mode a worker departing at `now` needs non-negative
 // travel budget.
 func (s *Session) TaskAvailable(t int, now float64) bool {
-	if s.tMatch[t] || s.tWithdrawn[t] {
+	if *s.tMatch.At(t) || *s.tWithdrawn.At(t) {
 		return false
 	}
 	if s.mode == AssumeGuide {
 		return true
 	}
-	return now <= s.tasks[t].Deadline()
+	return now <= s.tasks.At(t).Deadline()
 }
 
 // TryMatch implements Platform.
 func (s *Session) TryMatch(w, t int, now float64) bool {
 	s.attempted++
-	ws := &s.wstate[w]
-	if ws.matched || ws.withdrawn || s.tMatch[t] || s.tWithdrawn[t] {
+	ws := s.wstate.At(w)
+	worker, task := s.workers.At(w), s.tasks.At(t)
+	if ws.matched || ws.withdrawn || *s.tMatch.At(t) || *s.tWithdrawn.At(t) {
 		s.rejected++
 		return false
 	}
 	if s.mode == Strict {
-		if !model.FeasibleAt(&s.workers[w], &s.tasks[t], s.WorkerPos(w, now), now, s.velocity) {
+		if !model.FeasibleAt(worker, task, s.WorkerPos(w, now), now, s.velocity) {
 			s.rejected++
 			return false
 		}
@@ -622,16 +621,16 @@ func (s *Session) TryMatch(w, t int, now float64) bool {
 	pos := s.WorkerPos(w, now)
 	ws.matched = true
 	ws.matchedAt = now
-	s.tMatch[t] = true
-	s.tMatchAt[t] = now
+	*s.tMatch.At(t) = true
+	*s.tMatchAt.At(t) = now
 	s.matching.Add(w, t)
 	s.matchCount++
-	s.stats.TotalPickupDistance += pos.Dist(s.tasks[t].Loc)
-	s.stats.TotalGuidedDistance += s.workers[w].Loc.Dist(pos)
-	if wait := now - s.tasks[t].Release; wait > 0 {
+	s.stats.TotalPickupDistance += pos.Dist(task.Loc)
+	s.stats.TotalGuidedDistance += worker.Loc.Dist(pos)
+	if wait := now - task.Release; wait > 0 {
 		s.stats.TotalTaskWait += wait
 	}
-	if idle := now - s.workers[w].Arrive; idle > 0 {
+	if idle := now - worker.Arrive; idle > 0 {
 		s.stats.TotalWorkerIdle += idle
 	}
 	s.emit(SessionEvent{Kind: EventMatch, Worker: w, Task: t, Time: now})
@@ -642,7 +641,7 @@ func (s *Session) TryMatch(w, t int, now float64) bool {
 // in the motion table; a dispatch that leaves an undispatched worker where
 // it arrived changes nothing.
 func (s *Session) Dispatch(w int, target geo.Point, now float64) {
-	ws := &s.wstate[w]
+	ws := s.wstate.At(w)
 	if ws.matched {
 		return
 	}
@@ -651,10 +650,9 @@ func (s *Session) Dispatch(w int, target geo.Point, now float64) {
 		if pos == target {
 			return
 		}
-		ws.motion = int32(len(s.motion))
-		s.motion = append(s.motion, motionEntry{worker: int32(w)})
+		ws.motion = int32(s.motion.Push(motionEntry{worker: int32(w)}))
 	}
-	m := &s.motion[ws.motion]
+	m := s.motion.At(int(ws.motion))
 	m.anchor = pos
 	m.anchorTime = now
 	if pos == target {

@@ -212,7 +212,7 @@ func TestDispatchIgnoredForMatched(t *testing.T) {
 		t.Fatal("setup match failed")
 	}
 	s.Dispatch(0, geo.Pt(9, 9), 2)
-	if s.wstate[0].motion >= 0 {
+	if s.wstate.At(0).motion >= 0 {
 		t.Error("matched worker should not start moving")
 	}
 }

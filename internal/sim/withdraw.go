@@ -31,7 +31,7 @@ package sim
 // lose) harmless. Withdrawing after Finish is likewise a silent no-op in
 // effect: every deadline has already fired.
 func (s *Session) WithdrawWorker(h int) bool {
-	ws := &s.wstate[h]
+	ws := s.wstate.At(h)
 	if ws.matched || ws.withdrawn {
 		return false
 	}
@@ -42,10 +42,10 @@ func (s *Session) WithdrawWorker(h int) bool {
 
 // WithdrawTask retracts task h; see WithdrawWorker.
 func (s *Session) WithdrawTask(h int) bool {
-	if s.tMatch[h] || s.tWithdrawn[h] {
+	if *s.tMatch.At(h) || *s.tWithdrawn.At(h) {
 		return false
 	}
-	s.tWithdrawn[h] = true
+	*s.tWithdrawn.At(h) = true
 	s.withdrawnT++
 	return true
 }

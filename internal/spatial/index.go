@@ -11,14 +11,13 @@
 // Storage is dense: each bucket holds (id, point) entries inline, so the
 // innermost ring scan of Nearest/Within walks contiguous memory with no map
 // lookups, and queries allocate nothing at steady state (the cell scratch
-// buffer is reused across calls). An id→(bucket, slot) table makes Remove
-// O(1), and Reset clears the index without releasing any capacity so one
-// index can serve many replay runs.
+// buffer is reused across calls). An id→(bucket, slot) page table makes
+// Remove O(1), and Reset clears the index without releasing any capacity so
+// one index can serve many replay runs.
 package spatial
 
 import (
 	"math"
-	"slices"
 
 	"ftoa/internal/geo"
 	"ftoa/internal/sim"
@@ -30,16 +29,20 @@ type entry struct {
 	p  geo.Point
 }
 
+// place locates an id: the bucket holding it, or -1 when it is absent, and
+// its position within that bucket.
+type place struct {
+	cell, slot int32
+}
+
 // Index is a dynamic point index. IDs are caller-chosen non-negative ints,
 // unique among the currently inserted entries.
 type Index struct {
 	grid    *geo.Grid
 	buckets [][]entry
-	// cell[id] is the bucket holding id, or -1 when id is absent; slot[id]
-	// is its position within that bucket. Both grow with the largest id
-	// ever inserted.
-	cell    []int32
-	slot    []int32
+	// ids places every id below its length, which grows with the largest
+	// id inserted since the last Remap.
+	ids     sim.Pages[place]
 	n       int
 	scratch []int
 	dead    []int // ids Nearest found dead, removed once its scan ends
@@ -61,35 +64,18 @@ func NewIndex(bounds geo.Rect, expectedN int) *Index {
 		side = 1024
 	}
 	g := geo.NewGrid(bounds, side, side)
-	ix := &Index{
-		grid:    g,
-		buckets: make([][]entry, g.NumCells()),
-		cell:    make([]int32, expectedN),
-		slot:    make([]int32, expectedN),
-	}
-	for i := range ix.cell {
-		ix.cell[i] = -1
-	}
-	return ix
+	return &Index{grid: g, buckets: make([][]entry, g.NumCells())}
 }
 
 // Len returns the number of entries currently in the index.
 func (ix *Index) Len() int { return ix.n }
 
-// grow extends the id tables to cover ids below n.
-func (ix *Index) grow(n int) {
-	for len(ix.cell) < n {
-		ix.cell = append(ix.cell, -1)
-		ix.slot = append(ix.slot, 0)
+// at returns the place of id, extending the table to cover it.
+func (ix *Index) at(id int) *place {
+	for ix.ids.Len() <= id {
+		ix.ids.Push(place{cell: -1})
 	}
-}
-
-// Reserve sizes the id tables for ids below n in one exact-size
-// allocation each, for a caller that knows how many ids are coming (WAL
-// recovery does); without it they grow by doubling as ids arrive.
-func (ix *Index) Reserve(n int) {
-	ix.cell = slices.Grow(ix.cell, max(0, n-len(ix.cell)))
-	ix.slot = slices.Grow(ix.slot, max(0, n-len(ix.slot)))
+	return ix.ids.At(id)
 }
 
 // Insert adds id at point p. Inserting an id that is already present is a
@@ -98,16 +84,13 @@ func (ix *Index) Insert(id int, p geo.Point) {
 	if id < 0 {
 		panic("spatial: negative id")
 	}
-	if id >= len(ix.cell) {
-		ix.grow(id + 1)
-	}
-	if ix.cell[id] >= 0 {
+	pl := ix.at(id)
+	if pl.cell >= 0 {
 		panic("spatial: duplicate insert")
 	}
 	c := ix.grid.CellOf(p)
 	b := ix.buckets[c]
-	ix.cell[id] = int32(c)
-	ix.slot[id] = int32(len(b))
+	*pl = place{cell: int32(c), slot: int32(len(b))}
 	ix.buckets[c] = append(b, entry{id: int32(id), p: p})
 	ix.n++
 }
@@ -116,19 +99,23 @@ func (ix *Index) Insert(id int, p geo.Point) {
 // no-op so callers can remove lazily-invalidated entries without tracking
 // state.
 func (ix *Index) Remove(id int) {
-	if id < 0 || id >= len(ix.cell) || ix.cell[id] < 0 {
+	if id < 0 || id >= ix.ids.Len() {
 		return
 	}
-	c, s := ix.cell[id], ix.slot[id]
+	pl := ix.ids.At(id)
+	if pl.cell < 0 {
+		return
+	}
+	c, s := pl.cell, pl.slot
 	b := ix.buckets[c]
 	last := len(b) - 1
 	if int(s) != last {
 		moved := b[last]
 		b[s] = moved
-		ix.slot[moved.id] = s
+		ix.ids.At(int(moved.id)).slot = s
 	}
 	ix.buckets[c] = b[:last]
-	ix.cell[id] = -1
+	pl.cell = -1
 	ix.n--
 }
 
@@ -137,9 +124,9 @@ func (ix *Index) Remove(id int) {
 // retired-handle convention of sim.Session.Retire). Points are untouched —
 // a remap renames objects, it does not move them — so buckets only
 // compact, never rehash. Ids at or beyond len(m) panic: the caller's
-// table must cover every inserted id. The id tables follow the session's
-// refit rule (sim.Refit): when they cover far more ids than the len(m) the
-// ending epoch used, they are reallocated down.
+// table must cover every inserted id. The id table follows the session's
+// refit rule (sim.Pages.Refit): when it holds pages for far more ids than
+// the len(m) the ending epoch used, it gives them back.
 func (ix *Index) Remap(m []int32) {
 	// Pass 1: clear the id tables for every present entry and compact each
 	// bucket to its survivors. The tables are rebuilt in a second pass
@@ -147,7 +134,7 @@ func (ix *Index) Remap(m []int32) {
 	for c, b := range ix.buckets {
 		k := 0
 		for _, e := range b {
-			ix.cell[e.id] = -1
+			ix.ids.At(int(e.id)).cell = -1
 			nid := m[e.id]
 			if nid < 0 {
 				ix.n--
@@ -161,19 +148,15 @@ func (ix *Index) Remap(m []int32) {
 	}
 	for c, b := range ix.buckets {
 		for s, e := range b {
-			if int(e.id) >= len(ix.cell) {
-				ix.grow(int(e.id) + 1)
-			}
-			ix.cell[e.id] = int32(c)
-			ix.slot[e.id] = int32(s)
+			*ix.at(int(e.id)) = place{cell: int32(c), slot: int32(s)}
 		}
 	}
-	// Every surviving id is below len(m): the tables end there (ids beyond
-	// it re-extend them on insert) and give back what that leaves unused.
-	if n := len(m); n < len(ix.cell) {
-		ix.cell = sim.Refit(ix.cell[:n], n)
-		ix.slot = sim.Refit(ix.slot[:n], n)
+	// Every surviving id is below len(m): the table ends there (ids beyond
+	// it re-extend it on insert) and gives back what that leaves unused.
+	if n := len(m); n < ix.ids.Len() {
+		ix.ids.Truncate(n)
 	}
+	ix.ids.Refit(len(m))
 }
 
 // Reset removes every entry while keeping all allocated capacity (buckets,
@@ -188,7 +171,7 @@ func (ix *Index) Reset() {
 			continue
 		}
 		for _, e := range b {
-			ix.cell[e.id] = -1
+			ix.ids.At(int(e.id)).cell = -1
 		}
 		ix.buckets[c] = b[:0]
 	}
