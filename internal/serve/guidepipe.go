@@ -184,6 +184,9 @@ func newAlgorithm(cfg Config, fc *forecast) (func() ftoa.Algorithm, error) {
 		log.Printf("ftoa-serve: guide on %dx%d areas (history %dx%d), %d slots, %d pairs, load_ms=%.1f forecast_ms=%.1f build_ms=%.1f",
 			g.Cfg.Grid.Cols, g.Cfg.Grid.Rows, fc.grid.Cols, fc.grid.Rows, g.Cfg.Slots.Count, g.MatchedPairs,
 			ms(fc.loadTime), ms(fc.forecastTime), ms(time.Since(t0)))
+		if w := guideBootWarning(fc.grid, g.Cfg.Grid, 2*cfg.GuideExpiry*cfg.Velocity); w != "" {
+			log.Print(w)
+		}
 		// The guide is read-only: one instance is shared by every
 		// shard's algorithm.
 		switch cfg.Algorithm {

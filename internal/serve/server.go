@@ -391,6 +391,21 @@ func haloBootReport(p *ftoa.ShardPlacement) []string {
 	return lines
 }
 
+// guideBootWarning renders the boot warning for a served guide that
+// collapsed to one area although its history has several: no whole block
+// of history areas short of the bounds is reach (2·Dr·v) long, so every
+// object falls in the same area and POLAR, POLAR-OP and Hybrid plan by
+// time slot alone. It returns "" when there is nothing to warn about.
+func guideBootWarning(history, served *ftoa.Grid, reach float64) string {
+	if history.NumCells() == 1 || served.NumCells() > 1 {
+		return ""
+	}
+	b := history.Bounds
+	return fmt.Sprintf(
+		"ftoa-serve: WARNING: guide on 1x1 areas (history %dx%d): 2 x -guide-expiry x -velocity = %g exceeds the %gx%g bounds (no smaller whole block of history areas is that long), so POLAR, POLAR-OP and Hybrid run with no spatial plan; lower -guide-expiry",
+		history.Cols, history.Rows, reach, b.Width(), b.Height())
+}
+
 // BootGate is what the listener serves while New is still replaying the
 // WAL: the port is bound (and /healthz answering) the moment the process
 // starts, but every request gets 503 until Ready swaps in the real

@@ -1164,6 +1164,40 @@ func TestHaloBootReport(t *testing.T) {
 	}
 }
 
+// TestGuideBootWarning: the boot warns exactly when a history of several
+// areas yields a one-area served guide — at the defaults (reach 120 over
+// 100x100 bounds), not at CI's guided smoke shape (10x10 areas) and not
+// for a one-area history.
+func TestGuideBootWarning(t *testing.T) {
+	defaults := defaultTestConfig()
+	defaults.GuidePatience, defaults.GuideExpiry = 300, 60
+	for _, tc := range []struct {
+		name    string
+		history string
+		cfg     Config
+		warn    bool
+	}{
+		{"defaults", countsCSV(), defaults, true},
+		{"smoke shape", serveShapeCSV(1), serveShapeConfig(), false},
+		{"one-area history", randomCountsCSV(1, 3), defaults, false},
+	} {
+		fc, err := trainCounts(strings.NewReader(tc.history), tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		reach := 2 * tc.cfg.GuideExpiry * tc.cfg.Velocity
+		grid, _, _ := fc.blocks(reach)
+		w := guideBootWarning(fc.grid, grid, reach)
+		want := ""
+		if tc.warn {
+			want = "ftoa-serve: WARNING: guide on 1x1 areas (history 2x2): 2 x -guide-expiry x -velocity = 120 exceeds the 100x100 bounds"
+		}
+		if !strings.HasPrefix(w, want) || (w == "") == tc.warn {
+			t.Errorf("%s: guide on %dx%d areas (history %dx%d) warned %q", tc.name, grid.Cols, grid.Rows, fc.grid.Cols, fc.grid.Rows, w)
+		}
+	}
+}
+
 // TestServeEventsLongPoll: GET /events?wait=D parks on the broadcast
 // subscription — an idle stream holds the request for the window and
 // returns empty; a concurrent admission releases it immediately with the

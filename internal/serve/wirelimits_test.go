@@ -147,7 +147,11 @@ func TestWireWriteTimeout(t *testing.T) {
 	if _, err := wire.ClientHandshake(stalled, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := stalled.WriteFrame(wire.AppendSubscribe(nil, wire.SinceNow)); err != nil {
+	// Subscribe from the log's start, not SinceNow: the other connection's
+	// batch may be admitted before the server reads the head for this
+	// frame, and a subscriber starting after the only match event would
+	// never be sent anything to stall on.
+	if err := stalled.WriteFrame(wire.AppendSubscribe(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	cl, err := wire.NewClient(ln.dial())

@@ -14,7 +14,8 @@
 // Since the rebalance subsystem the region set is no longer necessarily a
 // uniform grid: a Placement is built over a Topology — a base Cols×Rows
 // grid whose cells may be recursively quartered — and owner lookup is a
-// base-grid cell lookup followed by a short quadtree descent. A uniform
+// base-grid cell lookup followed, in a split cell, by a binary search of
+// the topology's leaves. A uniform
 // topology reproduces the historical grid placement bit for bit: same
 // region numbering, same rectangles, same mirror sets.
 //
@@ -26,15 +27,10 @@
 package shard
 
 import (
+	"sort"
+
 	"ftoa/internal/geo"
 )
-
-// topoNode is one node of a parsed per-cell quadtree: region names the
-// leaf, or is -1 for internal nodes whose four children sit at kids..kids+3.
-type topoNode struct {
-	region int32
-	kids   int32
-}
 
 // Placement maps locations to an owner region plus the set of neighbor
 // regions within a reach of at most twice its halo width. It is immutable
@@ -46,9 +42,8 @@ type Placement struct {
 	// regions[i] is region i's rectangle, in canonical topology order.
 	regions []geo.Rect
 	// cellRegion[cell] short-circuits unsplit base cells straight to their
-	// region id; split cells hold -1 and route through cellNodes.
+	// region id; split cells hold -1 and search the topology's leaves.
 	cellRegion []int32
-	cellNodes  [][]topoNode
 	// candidates[region] holds the regions whose area lies within 2·halo of
 	// region — the superset Mirrors filters per point. For halos below half
 	// a region size this is the 8-neighborhood or less, so the
@@ -74,18 +69,12 @@ func NewPlacementTopo(bounds geo.Rect, topo *Topology, halo float64) *Placement 
 		halo:       halo,
 		regions:    topo.Regions(bounds),
 		cellRegion: make([]int32, topo.BaseCols()*topo.BaseRows()),
-		cellNodes:  make([][]topoNode, topo.BaseCols()*topo.BaseRows()),
 	}
-	region := int32(0)
-	for c := range p.cellRegion {
-		s := topo.cellSpec(c)
-		if len(s) == 1 {
-			p.cellRegion[c] = region
-			region++
-			continue
+	for i, lf := range topo.leaves {
+		p.cellRegion[lf.cell] = -1
+		if lf.depth == 0 {
+			p.cellRegion[lf.cell] = int32(i)
 		}
-		p.cellRegion[c] = -1
-		p.cellNodes[c] = buildNodes(s, &region)
 	}
 	if halo > 0 {
 		n := len(p.regions)
@@ -103,32 +92,6 @@ func NewPlacementTopo(bounds geo.Rect, topo *Topology, halo float64) *Placement 
 		}
 	}
 	return p
-}
-
-// buildNodes parses a pre-order spec into a walkable node slice (node 0
-// is the cell root) where every internal node's four children occupy
-// contiguous slots, assigning leaf region ids from *next.
-func buildNodes(s []byte, next *int32) []topoNode {
-	var nodes []topoNode
-	var parse func(pos, self int) int
-	parse = func(pos, self int) int {
-		if s[pos] == 0 {
-			nodes[self] = topoNode{region: *next, kids: -1}
-			*next++
-			return pos + 1
-		}
-		kids := len(nodes)
-		nodes = append(nodes, make([]topoNode, 4)...)
-		nodes[self] = topoNode{region: -1, kids: int32(kids)}
-		pos++
-		for q := 0; q < 4; q++ {
-			pos = parse(pos, kids+q)
-		}
-		return pos
-	}
-	nodes = append(nodes, topoNode{})
-	parse(0, 0)
-	return nodes
 }
 
 // HaloForWindow derives the natural halo width from the shared worker
@@ -161,31 +124,25 @@ func (p *Placement) Owner(pt geo.Point) int {
 	if rg := p.cellRegion[c]; rg >= 0 {
 		return int(rg)
 	}
-	nodes := p.cellNodes[c]
+	// The point's quadrant path down to MaxSplitDepth; its owner is the
+	// last leaf at or before it. >= keeps the descent consistent with the
+	// half-open region rectangles; out-of-cell points (edge clamping)
+	// descend toward the nearest quadrant just like CellOf clamps to edge
+	// cells.
+	at := leaf{cell: int32(c)}
 	rect := p.grid.CellRect(c)
-	n := int32(0)
-	for nodes[n].region < 0 {
-		mx := (rect.MinX + rect.MaxX) / 2
-		my := (rect.MinY + rect.MaxY) / 2
-		q := int32(0)
-		// >= keeps the descent consistent with the half-open region
-		// rectangles; out-of-cell points (edge clamping) descend toward
-		// the nearest quadrant just like CellOf clamps to edge cells.
-		if pt.X >= mx {
+	for at.depth < MaxSplitDepth {
+		q := 0
+		if pt.X >= (rect.MinX+rect.MaxX)/2 {
 			q |= 1
-			rect.MinX = mx
-		} else {
-			rect.MaxX = mx
 		}
-		if pt.Y >= my {
+		if pt.Y >= (rect.MinY+rect.MaxY)/2 {
 			q |= 2
-			rect.MinY = my
-		} else {
-			rect.MaxY = my
 		}
-		n = nodes[n].kids + q
+		at, rect = at.child(q), quadrant(rect, q)
 	}
-	return int(nodes[n].region)
+	leaves := p.topo.leaves
+	return sort.Search(len(leaves), func(i int) bool { return at.before(leaves[i]) }) - 1
 }
 
 // Region returns the rectangle of region i.

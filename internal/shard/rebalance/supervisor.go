@@ -13,8 +13,9 @@
 //     system observes the effect of each change before the next;
 //   - a region splits only when its demand strictly exceeds SplitRate,
 //     so a workload that never crosses the threshold provably never
-//     triggers a change — the property the uniform-load parity gate in
-//     CI leans on (adaptive == static, bit-identical);
+//     triggers a change (TestUniformLoadNeverChanges) — the property
+//     cmd/ftoa-loadgen's TestServeRebalanceUniformParity leans on when it
+//     holds a static and an adaptive server's matched counts within 5 %;
 //   - sibling quads merge only when their combined demand is strictly
 //     below MergeRate, which must sit well under SplitRate: the gap is
 //     the hysteresis band that keeps a region from flapping between

@@ -1,31 +1,38 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"ftoa/internal/geo"
 )
 
 // Topology describes how the service area is carved into shard regions:
 // a base Cols×Rows grid (the static -shards layout) in which any cell may
-// be recursively quartered into a finer sub-grid. Each base cell carries a
-// pre-order bitmap over its quadtree — byte 1 is an internal node whose
-// four children follow (SW, SE, NW, NE), byte 0 a leaf — and the leaves,
-// visited base-cell-major in pre-order, are the regions, numbered densely
-// from 0. A uniform topology (no splits) numbers regions exactly like the
-// base grid's cells, so static routers keep their historical shard ids.
+// be recursively quartered into a finer sub-grid. A topology is its list
+// of leaf regions, base-cell-major and, within a cell, in quadtree
+// pre-order (children SW, SE, NW, NE); a region id is an index into it. A
+// uniform topology (no splits) numbers regions exactly like the base
+// grid's cells, so static routers keep their historical shard ids.
 //
 // Topologies are immutable: Split and Merge return new values, and the
 // router swaps whole topologies atomically (see Router.Rebalance).
 type Topology struct {
 	cols, rows int
-	// spec[cell] is the cell's pre-order split bitmap; nil means the cell
-	// is a single leaf (the normalized form of []byte{0}).
-	spec    [][]byte
-	regions int
+	leaves     []leaf
+}
+
+// leaf is one region: its base cell, its depth below it and the quadrants
+// (bit 0: east, bit 1: north) taken from the cell down, two bits per level
+// with the first level highest and unused levels zero. Sorting leaves by
+// (cell, path) is pre-order, and a leaf's path is the finest-depth path of
+// its region's SW corner.
+type leaf struct {
+	cell  int32
+	depth uint8
+	path  uint16
 }
 
 // MaxSplitDepth bounds how many times one base cell can be quartered; at
@@ -38,18 +45,38 @@ const MaxSplitDepth = 6
 // the wire and in the event log.
 const maxBaseCells = math.MaxInt32 >> (2 * MaxSplitDepth)
 
-// maxSplitDepth is the internal alias predating the export.
-const maxSplitDepth = MaxSplitDepth
+// levelShift is the bit offset of the quadrant chosen at level l (1 for
+// the cell's own quarters) in a leaf path.
+func levelShift(l int) int { return 2 * (MaxSplitDepth - l) }
 
-// specLeaf is the canonical single-leaf cell spec.
-var specLeaf = []byte{0}
+// quadrantAt returns the quadrant the leaf took at level l.
+func (lf leaf) quadrantAt(l int) int { return int(lf.path>>levelShift(l)) & 3 }
+
+// child returns the leaf's quadrant q one level down.
+func (lf leaf) child(q int) leaf {
+	return leaf{cell: lf.cell, depth: lf.depth + 1, path: lf.path | uint16(q)<<levelShift(int(lf.depth)+1)}
+}
+
+// parent returns the quad the leaf is a quadrant of (depth must be > 0).
+func (lf leaf) parent() leaf {
+	return leaf{cell: lf.cell, depth: lf.depth - 1, path: lf.path &^ (3 << levelShift(int(lf.depth)))}
+}
+
+// before reports whether lf precedes o in region order.
+func (lf leaf) before(o leaf) bool {
+	return lf.cell < o.cell || lf.cell == o.cell && lf.path < o.path
+}
 
 // NewUniformTopology returns the unsplit base grid topology.
 func NewUniformTopology(cols, rows int) *Topology {
 	if cols <= 0 || rows <= 0 {
 		panic(fmt.Sprintf("shard: invalid topology base %dx%d", cols, rows))
 	}
-	return &Topology{cols: cols, rows: rows, spec: make([][]byte, cols*rows), regions: cols * rows}
+	t := &Topology{cols: cols, rows: rows, leaves: make([]leaf, cols*rows)}
+	for c := range t.leaves {
+		t.leaves[c].cell = int32(c)
+	}
+	return t
 }
 
 // BaseCols and BaseRows return the static grid the topology refines.
@@ -57,58 +84,11 @@ func (t *Topology) BaseCols() int { return t.cols }
 func (t *Topology) BaseRows() int { return t.rows }
 
 // NumRegions returns the number of leaf regions.
-func (t *Topology) NumRegions() int { return t.regions }
+func (t *Topology) NumRegions() int { return len(t.leaves) }
 
 // Uniform reports whether no cell is split (the topology is exactly the
 // base grid).
-func (t *Topology) Uniform() bool { return t.regions == t.cols*t.rows }
-
-func (t *Topology) cellSpec(cell int) []byte {
-	if s := t.spec[cell]; s != nil {
-		return s
-	}
-	return specLeaf
-}
-
-// walkSpec visits the leaves of one cell spec in pre-order, calling fn
-// with each leaf's byte offset and depth, and returns the bytes consumed.
-func walkSpec(s []byte, fn func(off, depth int)) (int, error) {
-	pos := 0
-	var stack []int // children remaining per open internal node
-	for {
-		if pos >= len(s) {
-			return 0, fmt.Errorf("shard: truncated topology spec")
-		}
-		switch s[pos] {
-		case 1:
-			if len(stack) >= maxSplitDepth {
-				return 0, fmt.Errorf("shard: topology deeper than %d", maxSplitDepth)
-			}
-			stack = append(stack, 4)
-			pos++
-			continue
-		case 0:
-			if fn != nil {
-				fn(pos, len(stack))
-			}
-			pos++
-		default:
-			return 0, fmt.Errorf("shard: bad topology spec byte %d", s[pos])
-		}
-		// A completed subtree consumes one child slot of its parent;
-		// fully consumed parents complete in turn.
-		for len(stack) > 0 {
-			stack[len(stack)-1]--
-			if stack[len(stack)-1] > 0 {
-				break
-			}
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 {
-			return pos, nil
-		}
-	}
-}
+func (t *Topology) Uniform() bool { return len(t.leaves) == t.cols*t.rows }
 
 // quadrant returns child q (bit 0: east, bit 1: north) of r.
 func quadrant(r geo.Rect, q int) geo.Rect {
@@ -127,162 +107,78 @@ func quadrant(r geo.Rect, q int) geo.Rect {
 	return r
 }
 
-// walkSpecRects visits the leaves of one cell spec in pre-order with their
-// rectangles, cell being the base cell's rect.
-func walkSpecRects(s []byte, pos int, r geo.Rect, depth int, fn func(geo.Rect, int)) (int, error) {
-	if pos >= len(s) {
-		return 0, fmt.Errorf("shard: truncated topology spec")
-	}
-	switch s[pos] {
-	case 0:
-		fn(r, depth)
-		return pos + 1, nil
-	case 1:
-		pos++
-		for q := 0; q < 4; q++ {
-			var err error
-			pos, err = walkSpecRects(s, pos, quadrant(r, q), depth+1, fn)
-			if err != nil {
-				return 0, err
-			}
-		}
-		return pos, nil
-	default:
-		return 0, fmt.Errorf("shard: bad topology spec byte %d", s[pos])
-	}
-}
-
 // Regions returns the rectangle of every region over the given service
 // bounds, in canonical (region id) order.
 func (t *Topology) Regions(bounds geo.Rect) []geo.Rect {
 	g := geo.NewGrid(bounds, t.cols, t.rows)
-	out := make([]geo.Rect, 0, t.regions)
-	for c := 0; c < t.cols*t.rows; c++ {
-		_, err := walkSpecRects(t.cellSpec(c), 0, g.CellRect(c), 0, func(r geo.Rect, _ int) {
-			out = append(out, r)
-		})
-		if err != nil {
-			panic(err) // internal invariant: stored specs always validate
+	out := make([]geo.Rect, len(t.leaves))
+	for i, lf := range t.leaves {
+		r := g.CellRect(int(lf.cell))
+		for l := 1; l <= int(lf.depth); l++ {
+			r = quadrant(r, lf.quadrantAt(l))
 		}
+		out[i] = r
 	}
 	return out
 }
 
-// locate returns the base cell, spec byte offset and depth of a region.
-func (t *Topology) locate(region int) (cell, off, depth int, err error) {
-	if region < 0 || region >= t.regions {
-		return 0, 0, 0, fmt.Errorf("shard: region %d out of range [0,%d)", region, t.regions)
-	}
-	seen := 0
-	for c := 0; c < t.cols*t.rows; c++ {
-		s := t.cellSpec(c)
-		found := false
-		if _, werr := walkSpec(s, func(o, d int) {
-			if seen == region {
-				cell, off, depth, found = c, o, d, true
-			}
-			seen++
-		}); werr != nil {
-			return 0, 0, 0, werr
-		}
-		if found {
-			return cell, off, depth, nil
-		}
-	}
-	return 0, 0, 0, fmt.Errorf("shard: region %d not found", region)
-}
-
 // Depth returns how many quarterings separate the region from its base
 // cell (0 for an unsplit cell).
-func (t *Topology) Depth(region int) int {
-	_, _, d, err := t.locate(region)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-func (t *Topology) clone() *Topology {
-	nt := &Topology{cols: t.cols, rows: t.rows, spec: make([][]byte, len(t.spec)), regions: t.regions}
-	copy(nt.spec, t.spec)
-	return nt
-}
+func (t *Topology) Depth(region int) int { return int(t.leaves[region].depth) }
 
 // Split returns a topology with the region quartered into four children.
 func (t *Topology) Split(region int) (*Topology, error) {
-	cell, off, depth, err := t.locate(region)
-	if err != nil {
-		return nil, err
+	if region < 0 || region >= len(t.leaves) {
+		return nil, fmt.Errorf("shard: region %d out of range [0,%d)", region, len(t.leaves))
 	}
-	if depth >= maxSplitDepth {
-		return nil, fmt.Errorf("shard: region %d already at max split depth %d", region, maxSplitDepth)
+	lf := t.leaves[region]
+	if lf.depth >= MaxSplitDepth {
+		return nil, fmt.Errorf("shard: region %d already at max split depth %d", region, MaxSplitDepth)
 	}
-	s := t.cellSpec(cell)
-	ns := make([]byte, 0, len(s)+4)
-	ns = append(ns, s[:off]...)
-	ns = append(ns, 1, 0, 0, 0, 0)
-	ns = append(ns, s[off+1:]...)
-	nt := t.clone()
-	nt.spec[cell] = ns
-	nt.regions += 3
-	return nt, nil
+	leaves := make([]leaf, 0, len(t.leaves)+3)
+	leaves = append(leaves, t.leaves[:region]...)
+	for q := 0; q < 4; q++ {
+		leaves = append(leaves, lf.child(q))
+	}
+	leaves = append(leaves, t.leaves[region+1:]...)
+	return &Topology{cols: t.cols, rows: t.rows, leaves: leaves}, nil
+}
+
+// quadAt reports whether leaves i..i+3 are the four children of one
+// parent, in order.
+func (t *Topology) quadAt(i int) bool {
+	if i < 0 || i+3 >= len(t.leaves) || t.leaves[i].depth == 0 {
+		return false
+	}
+	parent := t.leaves[i].parent()
+	for q := 0; q < 4; q++ {
+		if t.leaves[i+q] != parent.child(q) {
+			return false
+		}
+	}
+	return true
 }
 
 // Merge returns a topology with the quad containing the region collapsed
 // back into its parent. The region must sit below the base grid and its
 // three siblings must all be leaves.
 func (t *Topology) Merge(region int) (*Topology, error) {
-	cell, off, depth, err := t.locate(region)
-	if err != nil {
-		return nil, err
+	if region < 0 || region >= len(t.leaves) {
+		return nil, fmt.Errorf("shard: region %d out of range [0,%d)", region, len(t.leaves))
 	}
-	if depth == 0 {
+	lf := t.leaves[region]
+	if lf.depth == 0 {
 		return nil, fmt.Errorf("shard: region %d is a base cell, nothing to merge", region)
 	}
-	s := t.cellSpec(cell)
-	// Find the region's parent: the innermost internal node whose subtree
-	// is still open when the walk reaches off.
-	parent := -1
-	var open, kids []int // offsets of open internal nodes, children left
-	for pos := 0; pos < len(s); {
-		if s[pos] == 1 {
-			open = append(open, pos)
-			kids = append(kids, 4)
-			pos++
-			continue
-		}
-		if pos == off {
-			parent = open[len(open)-1]
-			break
-		}
-		pos++
-		for len(open) > 0 {
-			kids[len(kids)-1]--
-			if kids[len(kids)-1] > 0 {
-				break
-			}
-			open = open[:len(open)-1]
-			kids = kids[:len(kids)-1]
-		}
-	}
-	if parent < 0 {
-		return nil, fmt.Errorf("shard: region %d has no parent", region)
-	}
-	if parent+4 >= len(s) || s[parent+1]|s[parent+2]|s[parent+3]|s[parent+4] != 0 {
+	first := region - lf.quadrantAt(int(lf.depth))
+	if !t.quadAt(first) {
 		return nil, fmt.Errorf("shard: region %d's siblings are not all leaves", region)
 	}
-	ns := make([]byte, 0, len(s)-4)
-	ns = append(ns, s[:parent]...)
-	ns = append(ns, 0)
-	ns = append(ns, s[parent+5:]...)
-	nt := t.clone()
-	if bytes.Equal(ns, specLeaf) {
-		nt.spec[cell] = nil
-	} else {
-		nt.spec[cell] = ns
-	}
-	nt.regions -= 3
-	return nt, nil
+	leaves := make([]leaf, 0, len(t.leaves)-3)
+	leaves = append(leaves, t.leaves[:first]...)
+	leaves = append(leaves, lf.parent())
+	leaves = append(leaves, t.leaves[first+4:]...)
+	return &Topology{cols: t.cols, rows: t.rows, leaves: leaves}, nil
 }
 
 // MergeableQuads returns, for every internal node whose four children are
@@ -290,20 +186,9 @@ func (t *Topology) Merge(region int) (*Topology, error) {
 // region order).
 func (t *Topology) MergeableQuads() [][4]int {
 	var out [][4]int
-	region := 0
-	for c := 0; c < t.cols*t.rows; c++ {
-		s := t.spec[c]
-		if s == nil {
-			region++
-			continue
-		}
-		for i := 0; i < len(s); i++ {
-			if s[i] == 1 && i+4 < len(s) && s[i+1]|s[i+2]|s[i+3]|s[i+4] == 0 {
-				out = append(out, [4]int{region, region + 1, region + 2, region + 3})
-			}
-			if s[i] == 0 {
-				region++
-			}
+	for i := range t.leaves {
+		if t.quadAt(i) {
+			out = append(out, [4]int{i, i + 1, i + 2, i + 3})
 		}
 	}
 	return out
@@ -311,25 +196,26 @@ func (t *Topology) MergeableQuads() [][4]int {
 
 // Equal reports whether the two topologies describe the same region tree.
 func (t *Topology) Equal(o *Topology) bool {
-	if t.cols != o.cols || t.rows != o.rows || t.regions != o.regions {
-		return false
-	}
-	for i := range t.spec {
-		if !bytes.Equal(t.cellSpec(i), o.cellSpec(i)) {
-			return false
-		}
-	}
-	return true
+	return t.cols == o.cols && t.rows == o.rows && slices.Equal(t.leaves, o.leaves)
 }
 
 // Encode appends a self-contained encoding of the topology to dst: base
-// dimensions as u16s, then every cell's pre-order bitmap back to back
-// (pre-order trees are self-delimiting).
+// dimensions as u16s, then every cell's quadtree as a pre-order bitmap —
+// byte 1 an internal node whose four children follow, byte 0 a leaf —
+// back to back (pre-order trees are self-delimiting). A leaf opens every
+// ancestor it is the first leaf of: those below its last non-SW level.
 func (t *Topology) Encode(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(t.cols))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(t.rows))
-	for c := range t.spec {
-		dst = append(dst, t.cellSpec(c)...)
+	for _, lf := range t.leaves {
+		l := int(lf.depth)
+		for l > 0 && lf.quadrantAt(l) == 0 {
+			l--
+		}
+		for ; l < int(lf.depth); l++ {
+			dst = append(dst, 1)
+		}
+		dst = append(dst, 0)
 	}
 	return dst
 }
@@ -349,19 +235,38 @@ func DecodeTopology(p []byte) (*Topology, error) {
 	if cols*rows > len(p)-4 {
 		return nil, fmt.Errorf("shard: topology base %dx%d declared, %d spec bytes follow", cols, rows, len(p)-4)
 	}
-	t := &Topology{cols: cols, rows: rows, spec: make([][]byte, cols*rows)}
+	t := &Topology{cols: cols, rows: rows, leaves: make([]leaf, 0, cols*rows)}
 	pos := 4
 	for c := 0; c < cols*rows; c++ {
-		leaves := 0
-		used, err := walkSpec(p[pos:], func(int, int) { leaves++ })
-		if err != nil {
-			return nil, err
+		// next is the node the next byte describes.
+		next := leaf{cell: int32(c)}
+		for {
+			if pos >= len(p) {
+				return nil, fmt.Errorf("shard: truncated topology spec")
+			}
+			b := p[pos]
+			pos++
+			if b == 1 {
+				if next.depth >= MaxSplitDepth {
+					return nil, fmt.Errorf("shard: topology deeper than %d", MaxSplitDepth)
+				}
+				next = next.child(0)
+				continue
+			}
+			if b != 0 {
+				return nil, fmt.Errorf("shard: bad topology spec byte %d", b)
+			}
+			t.leaves = append(t.leaves, next)
+			// Step to the next sibling, climbing out of every quad this
+			// leaf completes.
+			for next.depth > 0 && next.quadrantAt(int(next.depth)) == 3 {
+				next = next.parent()
+			}
+			if next.depth == 0 {
+				break
+			}
+			next.path += 1 << levelShift(int(next.depth))
 		}
-		if used > 1 {
-			t.spec[c] = append([]byte(nil), p[pos:pos+used]...)
-		}
-		t.regions += leaves
-		pos += used
 	}
 	if pos != len(p) {
 		return nil, fmt.Errorf("shard: %d trailing topology bytes", len(p)-pos)
@@ -375,5 +280,5 @@ func (t *Topology) String() string {
 	if t.Uniform() {
 		return fmt.Sprintf("%dx%d", t.cols, t.rows)
 	}
-	return fmt.Sprintf("%dx%d+%d", t.cols, t.rows, t.regions-t.cols*t.rows)
+	return fmt.Sprintf("%dx%d+%d", t.cols, t.rows, len(t.leaves)-t.cols*t.rows)
 }
