@@ -15,9 +15,9 @@
 // uniform grid: a Placement is built over a Topology — a base Cols×Rows
 // grid whose cells may be recursively quartered — and owner lookup is a
 // base-grid cell lookup followed, in a split cell, by a binary search of
-// the topology's leaves. A uniform
-// topology reproduces the historical grid placement bit for bit: same
-// region numbering, same rectangles, same mirror sets.
+// the topology's leaves. A uniform topology reproduces the historical
+// grid placement bit for bit: same region numbering, same rectangles,
+// same mirror sets.
 //
 // The halo width is the knob: the length of border pair the router finds,
 // mirroring tasks up to twice as far. The natural setting is Velocity ×
