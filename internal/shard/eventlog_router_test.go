@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"ftoa/internal/faultfs"
 	"ftoa/internal/geo"
 	"ftoa/internal/model"
 	"ftoa/internal/sim"
@@ -433,4 +435,105 @@ func TestRouterMatchesConcurrent(t *testing.T) {
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("paged matches = %d events, want the %d commits of the full stream", len(got), len(want))
 	}
+}
+
+// TestRouterMatchesFollowEvents: a /matches poller that keeps only the
+// cursor Matches hands back sees exactly the match events an /events
+// poller sees over the same run — through retention eviction and across a
+// checkpoint recovered mid-stream, with both cursors carried over.
+func TestRouterMatchesFollowEvents(t *testing.T) {
+	fs := faultfs.New()
+	cfg := walTestConfig(2, 2, 12, fs)
+	cfg.Retention = 16
+	r, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		matches, events  []Event
+		mnext, enext     uint64
+		started          bool
+		polls, emptyRuns int
+	)
+	// poll drains both pollers: each loops until a call returns nothing
+	// and leaves its cursor where it was.
+	poll := func(label string) {
+		t.Helper()
+		for {
+			var got []Event
+			var next uint64
+			var err error
+			if started {
+				got, next, err = r.Matches(mnext, 3, nil)
+			} else {
+				got, next = r.MatchesFromOldest(3, nil)
+				started = true
+			}
+			if err != nil {
+				t.Fatalf("%s: Matches(%d): %v", label, mnext, err)
+			}
+			for _, ev := range got {
+				if ev.Kind != sim.EventMatch {
+					t.Fatalf("%s: Matches returned a %v event", label, ev.Kind)
+				}
+			}
+			polls++
+			if len(got) == 0 && next != mnext {
+				emptyRuns++
+			}
+			matches = append(matches, got...)
+			if len(got) == 0 && next == mnext {
+				break
+			}
+			mnext = next
+		}
+		for {
+			got, next, err := r.EventsLimit(enext, 5, nil)
+			if err != nil {
+				t.Fatalf("%s: EventsLimit(%d): %v", label, enext, err)
+			}
+			events = append(events, got...)
+			if len(got) == 0 && next == enext {
+				break
+			}
+			enext = next
+		}
+	}
+	ops := genWalOps(600, 7)
+	for i := range ops {
+		if i == 300 {
+			if info, err := r.Checkpoint(); err != nil || !info.Sealed {
+				t.Fatalf("Checkpoint: %+v, %v", info, err)
+			}
+			if err := r.WALClose(); err != nil {
+				t.Fatal(err)
+			}
+			fs.PersistRemoves()
+			fs.Crash()
+			rec, info, err := Recover(cfg)
+			if err != nil || !info.FromCheckpoint {
+				t.Fatalf("Recover: %+v, %v", info, err)
+			}
+			r = rec
+			poll("after recovery")
+		}
+		applyWalOps(t, r, ops[i:i+1])
+		poll(fmt.Sprintf("op %d", i))
+	}
+	r.Finish()
+	poll("after Finish")
+	defer r.WALClose()
+	if st := r.EventLogStats(); st.Oldest == 0 {
+		t.Fatalf("the window never moved (%+v): retention too large to evict", st)
+	}
+	var want []Event
+	for _, ev := range events {
+		if ev.Kind == sim.EventMatch {
+			want = append(want, ev)
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(matches, want) {
+		t.Fatalf("the matches poller collected %d matches, the events poller %d match events", len(matches), len(want))
+	}
+	t.Logf("%d events, %d matches, %d Matches calls (%d empty with the cursor moving)", len(events), len(matches), polls, emptyRuns)
 }
