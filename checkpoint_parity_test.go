@@ -11,7 +11,7 @@ import (
 
 // expectTail asserts two routers agree on everything a consumer can still
 // read — the merged stream from the later of the two retention boundaries,
-// the cursor, per-shard stats, lifetime totals, the match ordinals — which
+// the cursor, per-shard stats, lifetime totals, the /matches page — which
 // is how a router recovered from a checkpoint (nothing below its sequence
 // base) compares with the one that wrote it.
 func expectTail(t *testing.T, got, want *ftoa.ShardRouter, label string) {
@@ -37,9 +37,23 @@ func expectTail(t *testing.T, got, want *ftoa.ShardRouter, label string) {
 	if gt, wt := got.Totals(), want.Totals(); gt != wt {
 		t.Fatalf("%s: lifetime totals diverge:\n got %+v\nwant %+v", label, gt, wt)
 	}
-	if got.MatchCount() != want.MatchCount() {
-		t.Fatalf("%s: match count %d, want %d", label, got.MatchCount(), want.MatchCount())
+	wm := matchEvents(we)
+	for _, r := range []*ftoa.ShardRouter{got, want} {
+		if gm, _, err := r.Matches(since, 0, nil); err != nil || !reflect.DeepEqual(gm, wm) {
+			t.Fatalf("%s: Matches from cursor %d = %d matches (%v), want the %d match events", label, since, len(gm), err, len(wm))
+		}
 	}
+}
+
+// matchEvents is evs filtered to commits.
+func matchEvents(evs []ftoa.ShardEvent) []ftoa.ShardEvent {
+	var out []ftoa.ShardEvent
+	for _, ev := range evs {
+		if ev.Kind == ftoa.EventMatch {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // TestCheckpointRecoveryParity is the clean-restart acceptance gate: for
@@ -47,7 +61,7 @@ func expectTail(t *testing.T, got, want *ftoa.ShardRouter, label string) {
 // and a 4×4 halo router, a router that checkpoints mid-stream and the
 // router recovered from what that checkpoint left on disk — one sealed
 // generation, nothing older — are the same router: same readable stream,
-// stats, totals and ordinals at the checkpoint, and the same again after
+// stats, totals and match pages at the checkpoint, and the same again after
 // both are driven through the rest of the stream and Finish. (A checkpoint
 // is not transparent to the matching itself — algorithm state restarts
 // from the live population — so the comparison is with the router that
@@ -114,7 +128,7 @@ func TestCheckpointRecoveryParity(t *testing.T) {
 						t.Fatal(err)
 					}
 					driveArrivals(t, live, in, 0, cut)
-					before, matchesBefore := live.Totals(), live.MatchCount()
+					before, cursorBefore := live.Totals(), live.Cursor()
 					info, err := live.Checkpoint()
 					if err != nil {
 						t.Fatal(err)
@@ -134,7 +148,11 @@ func TestCheckpointRecoveryParity(t *testing.T) {
 					// the deadlines that passes expire (and retract from their
 					// ghost sessions) as they would have at the next Advance.
 					after := live.Totals()
-					committed := int(live.MatchCount() - matchesBefore)
+					migrated, _, err := live.Events(cursorBefore, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					committed := len(matchEvents(migrated))
 					rejected, border := after.Rejected-before.Rejected, after.BorderMatches-before.BorderMatches
 					if after.Matches-before.Matches != committed || after.Attempted-before.Attempted != rejected+committed ||
 						rejected < 0 || border < 0 || border > committed {

@@ -532,7 +532,6 @@ func TestServeRebalanceMovingHotspot(t *testing.T) {
 			if adaptive {
 				cfg.Rebalance = true
 				cfg.RebalSplit, cfg.RebalMerge = 500, 100
-				cfg.RebalCooldown, cfg.RebalTau = 2*time.Second, time.Second
 			}
 			addr, stats := bootServe(t, cfg)
 			rep := load(t, addr, "-conns", "8", "-batch", "128", "-pattern", "hotspot",

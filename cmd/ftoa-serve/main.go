@@ -68,8 +68,6 @@ func main() {
 	flag.BoolVar(&cfg.Rebalance, "rebalance", cfg.Rebalance, "adapt the shard topology online: split regions whose arrival rate exceeds -rebalance-split into a finer sub-grid and merge cold sibling quads back, migrating live state (see docs/rebalance.md)")
 	flag.Float64Var(&cfg.RebalSplit, "rebalance-split", cfg.RebalSplit, "per-region arrival rate (admissions/sec) above which the region is split")
 	flag.Float64Var(&cfg.RebalMerge, "rebalance-merge", cfg.RebalMerge, "combined arrival rate below which four sibling sub-regions merge back (0 disables merging; must be <= split/4)")
-	flag.DurationVar(&cfg.RebalCooldown, "rebalance-cooldown", cfg.RebalCooldown, "minimum interval between topology changes")
-	flag.DurationVar(&cfg.RebalTau, "rebalance-tau", cfg.RebalTau, "arrival-rate EWMA time constant (larger = smoother, slower to react)")
 	flag.Parse()
 
 	parts := strings.Split(*boundsStr, ",")

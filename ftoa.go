@@ -300,8 +300,8 @@ type (
 	// events under the log's mutex — the same read ShardRouter.Events
 	// does — and Wait blocks until an append moves the head past the
 	// cursor: the push primitive behind the wire event pusher and GET
-	// /events long-polling. ShardRouter.Matches is the same log filtered
-	// to commits and addressed by match ordinal.
+	// /events long-polling. ShardRouter.Matches is the same page read
+	// with only its commits copied out, addressed by the same Seq cursor.
 	ShardEventSub = shard.EventSub
 	// ShardEventLogStats snapshots the event log
 	// (ShardRouter.EventLogStats): subscriber count, the readable window
@@ -341,8 +341,8 @@ const (
 // the boot; a config that does not fingerprint-match the log does. A
 // directory left by a ShardRouter.Checkpoint (ShardRecoveryInfo.
 // FromCheckpoint) replays only the live population it sealed: lifetime
-// totals and match ordinals carry on, receipts and event cursors from
-// before it are stale.
+// totals and the sequence counter carry on, receipts and event cursors
+// from before it are stale.
 func RecoverShardRouter(cfg ShardConfig) (*ShardRouter, *ShardRecoveryInfo, error) {
 	return shard.Recover(cfg)
 }

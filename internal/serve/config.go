@@ -60,11 +60,9 @@ type Config struct {
 	// per-region arrival-rate EWMAs and splits hot regions into a finer
 	// sub-grid / merges cold sibling quads back, migrating live state and
 	// WAL-logging each change as a topology epoch (docs/rebalance.md).
-	Rebalance     bool
-	RebalSplit    float64       // split threshold, arrivals/sec per region
-	RebalMerge    float64       // merge floor, combined arrivals/sec per sibling quad
-	RebalCooldown time.Duration // min time between topology changes
-	RebalTau      time.Duration // arrival-rate EWMA time constant
+	Rebalance  bool
+	RebalSplit float64 // split threshold, arrivals/sec per region
+	RebalMerge float64 // merge floor, combined arrivals/sec per sibling quad
 
 	// Wire listener hardening (StartWire); zero disables the bound, or for
 	// the dedup window picks the wire package's default.
@@ -95,8 +93,6 @@ func DefaultConfig() Config {
 		GuideAnchor:      "wallclock",
 		WALSync:          "interval",
 		RebalSplit:       200,
-		RebalCooldown:    10 * time.Second,
-		RebalTau:         5 * time.Second,
 		WireMaxConns:     256,
 		WireIdle:         5 * time.Minute,
 		WireWriteTimeout: 10 * time.Second,

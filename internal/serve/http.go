@@ -180,32 +180,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		wait = min(d, maxEventsWait)
 	}
 	s.advance()
-	var evs []ftoa.ShardEvent
-	var next uint64
-	var err error
-	if present {
-		if wait > 0 && since >= s.router.Cursor() {
-			// At the head with nothing to deliver: park on the log until
-			// an emission (or the client giving up) wakes us, then
-			// serve the page below exactly as an immediate poll would.
-			sub := s.router.Subscribe(since)
-			sub.Wait(wait, r.Context().Done())
-			sub.Close()
-		}
-		evs, next, err = s.router.EventsLimit(since, limit, nil)
-	} else {
-		// The bare form serves "whatever is retained" atomically — it
-		// can never race retention into a 410.
-		evs, next = s.router.EventsFromOldest(limit, nil)
+	if present && wait > 0 && since >= s.router.Cursor() {
+		// At the head with nothing to deliver: park on the log until an
+		// emission (or the client giving up) wakes us, then serve the
+		// page below exactly as an immediate poll would.
+		sub := s.router.Subscribe(since)
+		sub.Wait(wait, r.Context().Done())
+		sub.Close()
 	}
-	if err != nil {
-		// The cursor points below the retention window: the client
-		// restarts from the oldest still-readable cursor, losing only
-		// the genuinely evicted events.
-		writeJSON(w, http.StatusGone, map[string]any{
-			"error": err.Error(),
-			"next":  s.router.OldestCursor(),
-		})
+	evs, next, ok := s.readPage(w, since, present, limit, false)
+	if !ok {
 		return
 	}
 	out := make([]eventJSON, len(evs))
@@ -230,26 +214,8 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.advance()
-	var (
-		entries []ftoa.ShardEvent
-		next    uint64
-		err     error
-	)
-	if present {
-		entries, next, err = s.router.Matches(since, limit, nil)
-	} else {
-		// The bare snapshot form returns the retained window, never 410.
-		entries, next = s.router.MatchesFromOldest(limit, nil)
-	}
-	if err != nil {
-		// Like /events, hand back the oldest still-readable cursor so
-		// the client loses only the genuinely evicted matches.
-		oldest := s.router.OldestMatch()
-		writeJSON(w, http.StatusGone, map[string]any{
-			"error": fmt.Sprintf("matches before %d evicted (retention window)", oldest),
-			"count": s.router.MatchCount(),
-			"next":  oldest,
-		})
+	entries, next, ok := s.readPage(w, since, present, limit, true)
+	if !ok {
 		return
 	}
 	out := make([]matchJSON, len(entries)) // [] (not null) when empty
@@ -263,8 +229,36 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 			Time:        e.Time,
 		}
 	}
-	// "count" is the lifetime total; "next" is the gap-free poll cursor
-	// (use it rather than count: a match committing concurrently with
-	// this read may land between the two).
-	writeJSON(w, http.StatusOK, map[string]any{"matches": out, "count": s.router.MatchCount(), "next": next})
+	// "count" is the lifetime total; "next" is the gap-free poll cursor, a
+	// Seq like /events' (a page may hold no match while it advances).
+	writeJSON(w, http.StatusOK, map[string]any{"matches": out, "count": s.router.Totals().Matches, "next": next})
+}
+
+// readPage reads the page /events serves — or, matchesOnly, the match
+// events of that same page — with the same cursor. Without a since cursor
+// it reads from the oldest retained event atomically, so it can never
+// race retention into a 410. ok is false after the 410 has been written.
+func (s *Server) readPage(w http.ResponseWriter, since uint64, present bool, limit int, matchesOnly bool) (evs []ftoa.ShardEvent, next uint64, ok bool) {
+	var err error
+	switch {
+	case !present && matchesOnly:
+		evs, next = s.router.MatchesFromOldest(limit, nil)
+	case !present:
+		evs, next = s.router.EventsFromOldest(limit, nil)
+	case matchesOnly:
+		evs, next, err = s.router.Matches(since, limit, nil)
+	default:
+		evs, next, err = s.router.EventsLimit(since, limit, nil)
+	}
+	if err != nil {
+		// The cursor points below the retention window: the client
+		// restarts from the oldest still-readable cursor, losing only
+		// the genuinely evicted events.
+		writeJSON(w, http.StatusGone, map[string]any{
+			"error": err.Error(),
+			"next":  s.router.OldestCursor(),
+		})
+		return nil, 0, false
+	}
+	return evs, next, true
 }

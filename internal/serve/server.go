@@ -9,17 +9,18 @@
 //	POST /workers          {"x":10,"y":10,"patience":300} -> {"worker":0,"shard":0,"time":1.5}
 //	POST /tasks            {"x":11,"y":10,"expiry":60}    -> {"task":0,"shard":0,"time":2.1}
 //	GET  /events?since=N   -> {"events":[{"seq":0,"shard":0,"kind":"match","worker":0,"task":0,"time":2.1}],"next":1}
-//	GET  /matches          -> {"matches":[{"worker":0,"task":0,"shard":0,"time":2.1}],"count":1}
-//	GET  /matches?since=N  -> matches committed after the first N (poll cursor)
+//	GET  /matches          -> {"matches":[{"worker":0,"task":0,"shard":0,"time":2.1}],"count":1,"next":1}
+//	GET  /matches?since=N  -> the match events of the page /events?since=N returns, same "next"
 //	GET  /stats            -> global aggregates plus a per-shard breakdown
 //	GET  /healthz          -> ok
 //
 // Event kinds are "match", "worker-expired" and "task-expired"; expiries
 // carry -1 on the uninvolved side. /events and /matches read one log that
 // keeps the most recent Retention events per base-grid shard; /matches
-// is that log filtered to commits, its cursor counting matches. A cursor
-// pointing below the window gets 410 Gone and restarts from the "next"
-// the 410 carries.
+// is the /events page filtered to commits, with the same Seq cursor, so
+// a page may hold no match while "next" advances; its "count" is the
+// lifetime match total. A cursor pointing below the window gets 410 Gone
+// and restarts from the "next" the 410 carries.
 //
 // Guided algorithms are servable: Algorithm polar|polarop|hybrid with
 // GuidePath pointing at a per-cell count history CSV (the format ftoa-gen
@@ -200,21 +201,28 @@ func New(cfg Config) (*Server, error) {
 			SplitRate: cfg.RebalSplit,
 			MergeRate: cfg.RebalMerge,
 			MaxDepth:  rebalanceDepth,
-			Cooldown:  cfg.RebalCooldown.Seconds(),
-			Tau:       cfg.RebalTau.Seconds(),
+			Cooldown:  rebalanceCooldown.Seconds(),
+			Tau:       rebalanceTau.Seconds(),
 		}
 		if s.rebal, err = ftoa.NewRebalanceSupervisor(s.router, rcfg); err != nil {
 			return nil, err
 		}
 		log.Printf("ftoa-serve: adaptive topology: split > %g/s, merge < %g/s, depth <= %d, cooldown %s, tau %s",
-			rcfg.SplitRate, rcfg.MergeRate, rcfg.MaxDepth, cfg.RebalCooldown, cfg.RebalTau)
+			rcfg.SplitRate, rcfg.MergeRate, rcfg.MaxDepth, rebalanceCooldown, rebalanceTau)
 	}
 	return s, nil
 }
 
-// rebalanceDepth caps how many times the supervisor may quarter one base
-// grid cell: a hot cell becomes at most 16 regions.
-const rebalanceDepth = 2
+// The supervisor's fixed policy beside the two rates: rebalanceDepth caps
+// how many times it may quarter one base grid cell (a hot cell becomes at
+// most 16 regions), rebalanceCooldown is the minimum interval between two
+// topology changes and rebalanceTau the arrival-rate EWMA time constant
+// (larger is smoother and slower to react).
+const (
+	rebalanceDepth    = 2
+	rebalanceCooldown = 10 * time.Second
+	rebalanceTau      = 5 * time.Second
+)
 
 // recoverUsPerEvent is the recovery's wall time per recovered event, in
 // microseconds (0 when nothing was recovered).

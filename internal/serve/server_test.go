@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -362,8 +363,9 @@ func TestNewServerRefusesNaN(t *testing.T) {
 	}
 }
 
-// TestServeMatchesSinceCursor: ?since=N returns only matches committed
-// after the first N, while count always reports the full history size.
+// TestServeMatchesSinceCursor: ?since=N returns only the matches with
+// Seq >= N (here the two matches are events 0 and 1), while count always
+// reports the full history size.
 func TestServeMatchesSinceCursor(t *testing.T) {
 	srv, err := New(defaultTestConfig())
 	if err != nil {
@@ -396,8 +398,10 @@ func TestServeMatchesSinceCursor(t *testing.T) {
 
 // TestServeMatchRetention: /matches reads the matches inside the event
 // retention window — exactly the last -retention x shards events, expiries
-// included — old cursors get 410 Gone with the oldest readable ordinal,
-// and count still reports the lifetime total.
+// included — by Seq: a page holds the match events of the same page of
+// /events, which may be none while next advances. Old cursors get 410 Gone
+// with the oldest readable cursor, and count still reports the lifetime
+// total.
 func TestServeMatchRetention(t *testing.T) {
 	cfg := defaultTestConfig()
 	cfg.Retention = 3
@@ -422,14 +426,19 @@ func TestServeMatchRetention(t *testing.T) {
 	if all := getJSON(t, ts.URL+"/matches?since=0"); all["count"].(float64) != 2 || len(all["matches"].([]any)) != 2 {
 		t.Fatalf("since=0 with a full window = %v, want both matches", all)
 	}
-	pair(2) // seq 3, match 2: the window is now events [1,4) = matches [1,3)
+	pair(2) // seq 3, match 2: the window is now events [1,4)
 
 	recent := getJSON(t, ts.URL+"/matches?since=1")
-	if recent["count"].(float64) != 3 || len(recent["matches"].([]any)) != 2 || recent["next"].(float64) != 3 {
-		t.Fatalf("since=1 = %v, want count 3 with matches 1 and 2", recent)
+	if recent["count"].(float64) != 3 || len(recent["matches"].([]any)) != 2 || recent["next"].(float64) != 4 {
+		t.Fatalf("since=1 = %v, want count 3 with matches 1 and 2 and next 4", recent)
 	}
 	if m := recent["matches"].([]any)[0].(map[string]any); m["task"].(float64) != 1 {
 		t.Fatalf("window start = %v, want task 1", m)
+	}
+	// One event per page: the expiry at seq 2 makes an empty page whose
+	// next still advances.
+	if p := getJSON(t, ts.URL+"/matches?since=2&limit=1"); len(p["matches"].([]any)) != 0 || p["next"].(float64) != 3 {
+		t.Fatalf("since=2&limit=1 = %v, want no match and next 3", p)
 	}
 	// The bare snapshot form keeps working after eviction: it returns the
 	// retained window, never 410.
@@ -441,15 +450,78 @@ func TestServeMatchRetention(t *testing.T) {
 	if status != http.StatusGone {
 		t.Fatalf("since=0 after eviction: status %d (%v), want 410", status, out)
 	}
-	if out["count"].(float64) != 3 {
-		t.Fatalf("410 body = %v, want lifetime count 3", out)
-	}
-	if out["next"].(float64) != 1 {
-		t.Fatalf("410 recovery cursor = %v, want the window base 1", out["next"])
+	if evs, _ := getJSONStatus(t, ts.URL+"/events?since=0"); !reflect.DeepEqual(out, evs) || out["next"].(float64) != 1 {
+		t.Fatalf("410 body = %v, want /events' %v with the window base 1 as next", out, evs)
 	}
 	// A cursor past the head is clamped to it.
-	if past := getJSON(t, ts.URL+"/matches?since=99"); past["next"].(float64) != 3 || len(past["matches"].([]any)) != 0 {
-		t.Fatalf("since=99 = %v, want empty with next clamped to 3", past)
+	if past := getJSON(t, ts.URL+"/matches?since=99"); past["next"].(float64) != 4 || len(past["matches"].([]any)) != 0 {
+		t.Fatalf("since=99 = %v, want empty with next clamped to 4", past)
+	}
+}
+
+// TestServeMatchesFollowEvents: a /matches page is exactly the /events page
+// with the same since and limit filtered to "match", with the same next:
+// for a cursor below the retention window (the same 410), at every cursor
+// inside it, at the head and past it, for limit 1, 3 and the default.
+func TestServeMatchesFollowEvents(t *testing.T) {
+	cfg := defaultTestConfig()
+	cfg.Retention = 6
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setNow := manualClock(srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i := 0; i < 7; i++ {
+		setNow(float64(10 * i)) // the next request expires the last lone worker
+		postJSON(t, ts.URL+"/workers", fmt.Sprintf(`{"x":%d,"y":10,"patience":300}`, 10+10*i))
+		postJSON(t, ts.URL+"/tasks", fmt.Sprintf(`{"x":%d,"y":11,"expiry":60}`, 10+10*i))
+		if i%2 == 0 {
+			postJSON(t, ts.URL+"/workers", `{"x":90,"y":90,"patience":1}`)
+		}
+	}
+	setNow(100)
+	st := getJSON(t, ts.URL+"/stats")["events"].(map[string]any)
+	oldest, head := uint64(st["oldest"].(float64)), uint64(st["head"].(float64))
+	if oldest == 0 || head != 11 {
+		t.Fatalf("event window [%d,%d), want 11 events with the oldest evicted", oldest, head)
+	}
+	var gone, empty, full int
+	for _, limit := range []string{"&limit=1", "&limit=3", ""} {
+		for since := oldest - 1; since <= head+2; since++ {
+			q := fmt.Sprintf("?since=%d%s", since, limit)
+			evs, estatus := getJSONStatus(t, ts.URL+"/events"+q)
+			ms, mstatus := getJSONStatus(t, ts.URL+"/matches"+q)
+			if mstatus != estatus {
+				t.Fatalf("%s: /matches status %d, /events %d", q, mstatus, estatus)
+			}
+			if estatus == http.StatusGone {
+				if since >= oldest || !reflect.DeepEqual(ms, evs) {
+					t.Fatalf("%s: /matches 410 %v, /events 410 %v", q, ms, evs)
+				}
+				gone++
+				continue
+			}
+			want := []any{}
+			for _, e := range evs["events"].([]any) {
+				if e := e.(map[string]any); e["kind"] == "match" {
+					want = append(want, map[string]any{"worker": e["worker"], "task": e["task"], "shard": e["shard"],
+						"worker_shard": e["worker_shard"], "task_shard": e["task_shard"], "time": e["time"]})
+				}
+			}
+			if ms["next"] != evs["next"] || !reflect.DeepEqual(ms["matches"], want) {
+				t.Fatalf("%s: /matches %v, want the match events of /events %v", q, ms, evs)
+			}
+			if len(want) == 0 && since < head {
+				empty++
+			} else if len(want) > 0 {
+				full++
+			}
+		}
+	}
+	if gone != 3 || empty == 0 || full == 0 {
+		t.Fatalf("%d 410s, %d empty pages inside the window, %d with matches: the stream does not exercise every case", gone, empty, full)
 	}
 }
 
@@ -640,10 +712,21 @@ func TestServeRetirement(t *testing.T) {
 	if m["count"].(float64) != 8 || len(m["matches"].([]any)) != 8 {
 		t.Fatalf("matches = %v, want all 8 retained", m)
 	}
-	// And the next cursor pages cleanly.
-	tail := getJSON(t, ts.URL+"/matches?since=6")
-	if len(tail["matches"].([]any)) != 2 || tail["next"].(float64) != 8 {
-		t.Fatalf("matches?since=6 = %v, want the last 2 and next=8", tail)
+	// And a Seq cursor pages cleanly: from the seventh match's event on,
+	// the last 2 matches, with /events' next.
+	evs := getJSON(t, ts.URL+"/events")
+	var seqs []float64
+	for _, e := range evs["events"].([]any) {
+		if e := e.(map[string]any); e["kind"] == "match" {
+			seqs = append(seqs, e["seq"].(float64))
+		}
+	}
+	if len(seqs) != 8 {
+		t.Fatalf("/events = %v, want 8 match events", evs)
+	}
+	tail := getJSON(t, ts.URL+fmt.Sprintf("/matches?since=%v", seqs[6]))
+	if len(tail["matches"].([]any)) != 2 || tail["next"] != evs["next"] {
+		t.Fatalf("matches?since=%v = %v, want the last 2 and next=%v", seqs[6], tail, evs["next"])
 	}
 }
 
@@ -870,9 +953,9 @@ func walFiles(t *testing.T, dir string) []string {
 // TestServeWALCleanRestart: the SIGTERM sequence (Server.Shutdown) seals a
 // checkpoint of the live population and deletes the generations before it,
 // and the server booted over that directory replays the checkpoint alone —
-// lifetime totals equal, match ordinals carried on, cursors from before
-// the restart answered 410 with the restart cursor — however many clean
-// restarts came before.
+// lifetime totals equal, cursors from before the restart answered 410 with
+// the restart cursor by /events and /matches alike, the restart cursor
+// valid — however many clean restarts came before.
 func TestServeWALCleanRestart(t *testing.T) {
 	cfg := defaultTestConfig()
 	cfg.Shards = [2]int{2, 1}
@@ -944,16 +1027,17 @@ func TestServeWALCleanRestart(t *testing.T) {
 	if evs := getJSON(t, ts2.URL+fmt.Sprintf("/events?since=%v", head)); evs["next"].(float64) != head {
 		t.Fatalf("/events at the restart cursor = %v", evs)
 	}
-	// Match ordinals carry on: the one match before the restart is ordinal 0
-	// and gone, the next one is ordinal 1.
-	gone, status = getJSONStatus(t, ts2.URL+"/matches?since=0")
-	if status != http.StatusGone || gone["next"].(float64) != 1 || gone["count"].(float64) != 1 {
-		t.Fatalf("/matches?since=0 after the restart: %d %v", status, gone)
+	// /matches answers the same: the match before the restart is gone, and
+	// the restart cursor reads the next one.
+	mgone, status := getJSONStatus(t, ts2.URL+"/matches?since=0")
+	if status != http.StatusGone || !reflect.DeepEqual(mgone, gone) {
+		t.Fatalf("/matches?since=0 after the restart: %d %v, want /events' 410 %v", status, mgone, gone)
 	}
 	postJSON(t, ts2.URL+"/tasks", `{"x":89,"y":10,"expiry":60}`) // the surviving worker serves it
-	m := getJSON(t, ts2.URL+"/matches?since=1")
-	if m["count"].(float64) != 2 || m["next"].(float64) != 2 || len(m["matches"].([]any)) != 1 {
-		t.Fatalf("/matches?since=1 = %v, want the one post-restart match as ordinal 1", m)
+	m := getJSON(t, ts2.URL+fmt.Sprintf("/matches?since=%v", head))
+	evs := getJSON(t, ts2.URL+fmt.Sprintf("/events?since=%v", head))
+	if m["count"].(float64) != 2 || m["next"] != evs["next"] || len(m["matches"].([]any)) != 1 {
+		t.Fatalf("/matches?since=%v = %v, want the one post-restart match and /events' next %v", head, m, evs["next"])
 	}
 	if st := getJSON(t, ts2.URL+"/stats"); st["matches"].(float64) != 2 || st["workers"].(float64) != 2 || st["tasks"].(float64) != 3 {
 		t.Fatalf("post-restart stats = %v", st)

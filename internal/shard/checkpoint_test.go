@@ -13,7 +13,6 @@ import (
 	"ftoa/internal/geo"
 	"ftoa/internal/model"
 	"ftoa/internal/shard/wal"
-	"ftoa/internal/sim"
 )
 
 // admissions counts the admission ops of a script — what a client would
@@ -130,8 +129,8 @@ func TestTotalsSurviveMigration(t *testing.T) {
 // TestMigrationMatchesCounted: a match committed while a migration re-admits
 // is a match like any other. A worker and a task a split kept apart (no
 // halo) share a session again after the merge and pair on re-admission: the
-// event log, MatchCount and Totals all say one, and so does a router booted
-// from the checkpoint sealed after it.
+// event log, Matches and Totals all say one, and a router booted from the
+// checkpoint sealed after it carries the total and the cursor on.
 func TestMigrationMatchesCounted(t *testing.T) {
 	fs := faultfs.New()
 	cfg := walTestConfig(1, 1, 0, fs)
@@ -148,20 +147,16 @@ func TestMigrationMatchesCounted(t *testing.T) {
 	if _, _, err := r.AddTask(model.Task{Loc: geo.Pt(51, 10), Expiry: 50}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Totals().Matches; got != 0 || r.MatchCount() != 0 {
-		t.Fatalf("%d match(es) across a border with no halo", got)
+	if ms, _ := r.MatchesFromOldest(0, nil); r.Totals().Matches != 0 || len(ms) != 0 {
+		t.Fatalf("%d match(es) across a border with no halo (%d read)", r.Totals().Matches, len(ms))
 	}
 	if _, err := r.Rebalance(mustMerge(t, r.Topology(), 0)); err != nil {
 		t.Fatal(err)
 	}
-	logged := 0
-	for _, ev := range allEvents(t, r) {
-		if ev.Kind == sim.EventMatch {
-			logged++
-		}
-	}
-	if got := r.Totals().Matches; logged != 1 || r.MatchCount() != 1 || got != 1 {
-		t.Fatalf("after the merge: %d match event(s), MatchCount %d, Totals().Matches %d; want 1 each", logged, r.MatchCount(), got)
+	logged := len(matchEvents(allEvents(t, r)))
+	ms, _ := r.MatchesFromOldest(0, nil)
+	if got := r.Totals().Matches; logged != 1 || len(ms) != 1 || got != 1 {
+		t.Fatalf("after the merge: %d match event(s), Matches read %d, Totals().Matches %d; want 1 each", logged, len(ms), got)
 	}
 	if info, err := r.Checkpoint(); err != nil || !info.Sealed {
 		t.Fatalf("Checkpoint: %+v, %v", info, err)
@@ -176,8 +171,11 @@ func TestMigrationMatchesCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.WALClose()
-	if got := rec.Totals(); !info.FromCheckpoint || got.Matches != 1 || rec.MatchCount() != 1 || got != r.Totals() {
-		t.Fatalf("recovered totals %+v with MatchCount %d (info %+v), want the live router's %+v", got, rec.MatchCount(), info, r.Totals())
+	if got := rec.Totals(); !info.FromCheckpoint || got.Matches != 1 || got != r.Totals() {
+		t.Fatalf("recovered totals %+v (info %+v), want the live router's %+v", got, info, r.Totals())
+	}
+	if ms, next, err := rec.Matches(r.Cursor(), 0, nil); err != nil || len(ms) != 0 || next != r.Cursor() || rec.OldestCursor() != r.Cursor() {
+		t.Fatalf("recovered Matches(%d) = %d, next %d, %v (oldest %d); want the live router's cursor to carry on", r.Cursor(), len(ms), next, err, rec.OldestCursor())
 	}
 }
 
@@ -202,7 +200,7 @@ func TestCheckpointWithoutWAL(t *testing.T) {
 
 // TestCheckpointOfNothingAlive: with every object matched there is nothing
 // to re-admit; the generation is headers and a seal, and the seal alone
-// brings the totals, the cursor and the match ordinals back.
+// brings the totals and the cursor back.
 func TestCheckpointOfNothingAlive(t *testing.T) {
 	fs := faultfs.New()
 	cfg := walTestConfig(2, 2, 12, fs)
@@ -234,71 +232,11 @@ func TestCheckpointOfNothingAlive(t *testing.T) {
 	if got := rec.Totals(); !rinfo.FromCheckpoint || got != want {
 		t.Fatalf("recovered totals %+v (info %+v), want %+v", got, rinfo, want)
 	}
-	if rec.Cursor() != r.Cursor() || rec.OldestCursor() != r.Cursor() || rec.MatchCount() != 1 || rec.OldestMatch() != 1 {
-		t.Fatalf("recovered cursor %d (oldest %d), matches %d (oldest %d); want everything at the checkpoint's bases %d and 1",
-			rec.Cursor(), rec.OldestCursor(), rec.MatchCount(), rec.OldestMatch(), r.Cursor())
+	ms, next := rec.MatchesFromOldest(0, nil)
+	if rec.Cursor() != r.Cursor() || rec.OldestCursor() != r.Cursor() || len(ms) != 0 || next != r.Cursor() {
+		t.Fatalf("recovered cursor %d (oldest %d), %d matches read up to %d; want nothing readable and every cursor at the checkpoint's base %d",
+			rec.Cursor(), rec.OldestCursor(), len(ms), next, r.Cursor())
 	}
-}
-
-// TestMatchOrdinalsContinueAcrossRecoveredCheckpoint: a match's ordinal is
-// its rank among every match the router ever committed, and recovering a
-// checkpoint chain — which cannot replay the matches below its sequence
-// base — must not renumber from zero.
-func TestMatchOrdinalsContinueAcrossRecoveredCheckpoint(t *testing.T) {
-	fs := faultfs.New()
-	cfg := walTestConfig(2, 2, 12, fs)
-	r, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := genWalOps(320, 42)
-	applyWalOps(t, r, ops[:150])
-	below := r.MatchCount()
-	if below == 0 {
-		t.Fatal("no match before the rebalance")
-	}
-	if _, err := r.Rebalance(mustSplit(t, r.Topology(), 0)); err != nil {
-		t.Fatal(err)
-	}
-	applyWalOps(t, r, ops[150:220])
-	if err := r.WALClose(); err != nil {
-		t.Fatal(err)
-	}
-	fs.Crash()
-	rec, _, err := Recover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.WALClose()
-
-	check := func(label string) {
-		t.Helper()
-		if got, want := rec.MatchCount(), r.MatchCount(); got != want || got <= below {
-			t.Fatalf("%s: MatchCount = %d, the uninterrupted router has %d (%d before the checkpoint)", label, got, want, below)
-		}
-		if got := rec.OldestMatch(); got != below {
-			t.Fatalf("%s: OldestMatch = %d, want the %d matches the checkpoint superseded", label, got, below)
-		}
-		if _, _, err := rec.Matches(below-1, 0, nil); err != ErrEvicted {
-			t.Fatalf("%s: ordinal %d: err = %v, want ErrEvicted", label, below-1, err)
-		}
-		// One at a time, so every ordinal is exercised as a cursor: dense,
-		// monotone, and naming the event the uninterrupted router names.
-		for ord := below; ord < rec.MatchCount(); ord++ {
-			got, next, err := rec.Matches(ord, 1, nil)
-			if err != nil || len(got) != 1 || next != ord+1 {
-				t.Fatalf("%s: Matches(%d, 1) = %d events, next %d, err %v", label, ord, len(got), next, err)
-			}
-			want, _, err := r.Matches(ord, 1, nil)
-			if err != nil || len(want) != 1 || got[0] != want[0] {
-				t.Fatalf("%s: ordinal %d names %+v, uninterrupted %+v (%v)", label, ord, got, want, err)
-			}
-		}
-	}
-	check("at recovery")
-	applyWalOps(t, rec, ops[220:])
-	applyWalOps(t, r, ops[220:])
-	check("after continuation")
 }
 
 // TestReplayRejectsForeignWithdrawHandle: a CRC-valid opWithdrawLocal whose
@@ -401,8 +339,8 @@ func TestCheckpointCrashSweep(t *testing.T) {
 			if got, want := rec.Totals(), want.Totals(); got != want {
 				t.Fatalf("%s: recovered totals %+v, want %+v", label, got, want)
 			}
-			if got, want := rec.MatchCount(), want.MatchCount(); got != want {
-				t.Fatalf("%s: recovered match count %d, want %d", label, got, want)
+			if got, _ := rec.MatchesFromOldest(0, nil); !reflect.DeepEqual(got, matchEvents(eventsFrom(t, want, rec.OldestCursor()))) {
+				t.Fatalf("%s: recovered Matches = %d events, want the reference's match events from cursor %d", label, len(got), rec.OldestCursor())
 			}
 			if _, _, err := rec.AddWorker(model.Worker{Loc: geo.Pt(50, 50), Arrive: 1e3, Patience: 5}); err != nil {
 				t.Fatalf("%s: post-recovery admission: %v", label, err)

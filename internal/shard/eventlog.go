@@ -8,7 +8,7 @@
 // s/segSize as a 32-byte record, and segments are allocated on first
 // write. collectLocked appends each sequenced batch exactly once (WAL
 // replay goes through the same call); Events, Subscribe and Matches are
-// all reads of this table.
+// all reads of this table, addressed by Seq.
 //
 // Batches from different shards race, so they can arrive out of Seq
 // order. frontier is one past the highest CONTIGUOUSLY appended seq and
@@ -25,13 +25,9 @@
 // segment is still live and counted if not; either way it is outside
 // the window, exactly as if it had arrived in order and been evicted.
 //
-// Matches are a filtered read. A match's ordinal is the number of match
-// events with a lower Seq; each segment counts the matches it holds and
-// matchesFreed those of freed segments, so the ordinal of any retained
-// match is a sum over at most window/segSize counters plus a scan inside
-// one segment. (The counts are per segment, summed on read, rather than
-// stored cumulatively: an out-of-order append would have to rewrite the
-// cumulative count of every later segment.)
+// Matches are a filtered read: the page of events Events would return,
+// with only the match events copied out. Its cursor is the same Seq, so a
+// page may be short or empty while the cursor advances.
 package shard
 
 import (
@@ -84,28 +80,16 @@ func (r *record) unpack(seq uint64) Event {
 }
 
 // segment holds the events of one aligned run of segSize sequence
-// numbers. set marks the slots written; matches counts the match events
-// among them. The records are their own allocation, so the header's
-// bitmap and count do not push the array past its size class; a recycled
-// segment clears only the header, and slots left over from its previous
-// run stay unset until written.
+// numbers. set marks the slots written. The records are their own
+// allocation, so the header's bitmap does not push the array past its
+// size class; a recycled segment clears only the bitmap, and slots left
+// over from its previous run stay unset until written.
 type segment struct {
-	ev      *[segSize]record
-	set     [segSize / 64]uint64
-	matches uint64
+	ev  *[segSize]record
+	set [segSize / 64]uint64
 }
 
 func (s *segment) has(j uint64) bool { return s != nil && s.set[j>>6]>>(j&63)&1 != 0 }
-
-func (s *segment) isMatch(j uint64) bool { return s.has(j) && s.ev[j].kind == sim.EventMatch }
-
-// matchCount is matches, zero for a segment that was never written.
-func (s *segment) matchCount() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.matches
-}
 
 // eventLog is the router-wide store. mu guards everything; oldest and
 // frontier are atomics only so EventSub.Wait and the cursor accessors can
@@ -124,8 +108,7 @@ type eventLog struct {
 	// spare is the most recently freed segment. At steady state under a
 	// bounded capacity every new segment follows a free, so appends stop
 	// allocating.
-	spare        *segment
-	matchesFreed uint64 // match events in freed segments
+	spare *segment
 
 	subs      map[*EventSub]struct{}
 	published uint64 // events appended
@@ -150,9 +133,6 @@ func (l *eventLog) append(evs []Event) {
 		ev := &evs[i]
 		idx := ev.Seq >> segShift
 		if idx < l.first {
-			if ev.Kind == sim.EventMatch {
-				l.matchesFreed++
-			}
 			continue
 		}
 		for uint64(len(l.segs)) <= idx-l.first {
@@ -170,9 +150,6 @@ func (l *eventLog) append(evs []Event) {
 		j := ev.Seq & segMask
 		s.ev[j].pack(ev)
 		s.set[j>>6] |= 1 << (j & 63)
-		if ev.Kind == sim.EventMatch {
-			s.matches++
-		}
 	}
 	l.published += uint64(len(evs))
 	f := l.frontier.Load()
@@ -220,8 +197,7 @@ func (l *eventLog) evictLocked() {
 	drop := min(oldest>>segShift-l.first, uint64(len(l.segs)))
 	for _, s := range l.segs[:drop] {
 		if s != nil {
-			l.matchesFreed += s.matches
-			s.set, s.matches = [segSize / 64]uint64{}, 0
+			s.set = [segSize / 64]uint64{}
 			l.spare = s
 		}
 	}
@@ -233,17 +209,14 @@ func (l *eventLog) evictLocked() {
 
 // resume positions the log after WAL recovery: base is the sequence base
 // of the recovered generation chain (events below it were superseded by
-// the checkpoint the chain starts at and are not replayable), matchBase
-// the number of matches among them — they count as freed, so ordinals
-// carry on from where the checkpoint's writer had them — and head the next
-// sequence number the router will assign. Sequence numbers lost with a
-// torn log tail are holes that will never fill, so the frontier jumps to
+// the checkpoint the chain starts at and are not replayable) and head the
+// next sequence number the router will assign. Sequence numbers lost with
+// a torn log tail are holes that will never fill, so the frontier jumps to
 // the head and readers skip the unset slots.
-func (l *eventLog) resume(base, head, matchBase uint64) {
+func (l *eventLog) resume(base, head uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.base = base
-	l.matchesFreed += matchBase
 	l.head = max(l.head, head)
 	l.evictLocked()
 	l.frontier.Store(l.head)
@@ -251,10 +224,12 @@ func (l *eventLog) resume(base, head, matchBase uint64) {
 
 // read appends to dst the events of [since, frontier), at most limit of
 // them (zero or negative: all), and returns the cursor to resume from.
+// matchesOnly copies out only the match events of that same page, so the
+// cursor and the lock hold are the page's whatever the match density.
 // fromOldest reads from whatever the window's low end is at the time the
 // lock is taken, so it cannot fail; otherwise a cursor below the window
 // gets ErrEvicted. The lock is held for one page copy.
-func (l *eventLog) read(since uint64, fromOldest bool, limit int, dst []Event) ([]Event, uint64, error) {
+func (l *eventLog) read(since uint64, fromOldest, matchesOnly bool, limit int, dst []Event) ([]Event, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	oldest, end := l.oldest.Load(), l.frontier.Load()
@@ -271,94 +246,24 @@ func (l *eventLog) read(since uint64, fromOldest bool, limit int, dst []Event) (
 	if limit > 0 && uint64(limit) < n {
 		n = uint64(limit)
 	}
-	dst = slices.Grow(dst, int(n))
-	full := len(dst) + int(n)
+	if !matchesOnly {
+		dst = slices.Grow(dst, int(n))
+	}
 	for c := since; c < end; {
 		s := l.seg(c)
 		for stop := min(end, (c|segMask)+1); c < stop; c++ {
 			if !s.has(c & segMask) {
 				continue
 			}
-			dst = append(dst, s.ev[c&segMask].unpack(c))
-			if len(dst) == full {
+			if r := &s.ev[c&segMask]; !matchesOnly || r.kind == sim.EventMatch {
+				dst = append(dst, r.unpack(c))
+			}
+			if n--; n == 0 {
 				return dst, c + 1, nil
 			}
 		}
 	}
 	return dst, end, nil
-}
-
-// matchesBelow returns the number of match events with Seq < seq — the
-// ordinal of the first match at or above seq. seq must be in
-// [oldest, frontier]. Callers hold mu.
-func (l *eventLog) matchesBelow(seq uint64) uint64 {
-	n := l.matchesFreed
-	for _, s := range l.segs[:min(seq>>segShift-l.first, uint64(len(l.segs)))] {
-		n += s.matchCount()
-	}
-	s := l.seg(seq)
-	for j := uint64(0); j < seq&segMask; j++ {
-		if s.isMatch(j) {
-			n++
-		}
-	}
-	return n
-}
-
-// oldestMatch returns the ordinal of the first match inside the window;
-// matchCount the ordinal the next match to become visible will get.
-func (l *eventLog) oldestMatch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.matchesBelow(l.oldest.Load())
-}
-
-func (l *eventLog) matchCount() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.matchesBelow(l.frontier.Load())
-}
-
-// matches is read filtered to match events and addressed by ordinal: it
-// appends the matches with ordinal >= since, at most limit of them, and
-// returns the ordinal to resume from. Whole segments below since are
-// skipped by their count, so the scan touches at most one segment more
-// than the page it copies.
-func (l *eventLog) matches(since uint64, fromOldest bool, limit int, dst []Event) ([]Event, uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c, end := l.oldest.Load(), l.frontier.Load()
-	ord := l.matchesBelow(c)
-	if fromOldest {
-		since = ord
-	}
-	if since < ord {
-		return dst, since, ErrEvicted
-	}
-	full := len(dst) + limit
-	for c < end {
-		s := l.seg(c)
-		stop := (c | segMask) + 1
-		if c&segMask == 0 && stop <= end && ord+s.matchCount() <= since {
-			ord += s.matchCount()
-			c = stop
-			continue
-		}
-		for stop = min(stop, end); c < stop; c++ {
-			if !s.isMatch(c & segMask) {
-				continue
-			}
-			if ord >= since {
-				dst = append(dst, s.ev[c&segMask].unpack(c))
-				if limit > 0 && len(dst) == full {
-					return dst, ord + 1, nil
-				}
-			}
-			ord++
-		}
-	}
-	// ord is now the visible match count; a cursor beyond it is clamped.
-	return dst, ord, nil
 }
 
 // EventLogStats is a point-in-time snapshot of the event log. Oldest and
@@ -455,7 +360,7 @@ func (s *EventSub) Next(limit int, dst []Event) ([]Event, uint64, error) {
 	if s.closed.Load() {
 		return dst, s.cursor, nil
 	}
-	dst, next, err := s.l.read(s.cursor, false, limit, dst)
+	dst, next, err := s.l.read(s.cursor, false, false, limit, dst)
 	s.cursor = next
 	return dst, next, err
 }

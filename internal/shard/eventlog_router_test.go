@@ -381,11 +381,12 @@ func TestRouterBroadcastWaitWake(t *testing.T) {
 	}
 }
 
-// TestRouterMatchesConcurrent: a /matches-style reader paging by match
-// ordinal while four producers emit (the -race gate of the filtered
-// read). Every page holds only commits, in Seq order, the cursor advances
-// by exactly the page length, and the pages add up to the match events of
-// the full stream — none skipped while a lower Seq was still in flight.
+// TestRouterMatchesConcurrent: a /matches-style reader paging by Seq while
+// four producers emit (the -race gate of the filtered read). Every page
+// holds only commits, in Seq order and inside the run of cursors it
+// advanced over (at most the limit), and the pages add up to the match
+// events of the full stream — none skipped while a lower Seq was still in
+// flight.
 func TestRouterMatchesConcurrent(t *testing.T) {
 	r, in := syntheticRouter(t)
 	stop := make(chan struct{})
@@ -397,18 +398,26 @@ func TestRouterMatchesConcurrent(t *testing.T) {
 		var cursor uint64
 		for {
 			before := len(got)
+			var next uint64
 			var err error
-			got, cursor, err = r.Matches(cursor, 7, got)
-			if err != nil || cursor != uint64(len(got)) {
-				t.Errorf("Matches: cursor %d after %d matches, err %v", cursor, len(got), err)
+			got, next, err = r.Matches(cursor, 7, got)
+			if err != nil || next < cursor || next-cursor > 7 {
+				t.Errorf("Matches(%d, 7): next %d, err %v", cursor, next, err)
 				return
 			}
-			if len(got) > before {
+			for _, ev := range got[before:] {
+				if ev.Kind != sim.EventMatch || ev.Seq < cursor || ev.Seq >= next {
+					t.Errorf("Matches(%d, 7) up to %d returned %+v", cursor, next, ev)
+					return
+				}
+			}
+			if next != cursor {
+				cursor = next
 				continue
 			}
 			select {
 			case <-stop:
-				if cursor == r.MatchCount() {
+				if cursor == r.Cursor() {
 					return
 				}
 			default:

@@ -20,17 +20,13 @@ type refLog struct {
 	capacity uint64
 	base     uint64
 	resumed  uint64 // head at the last resume: the frontier never waits below it
-	// matchBase counts the matches below base a checkpoint superseded: they
-	// were never appended here, yet every ordinal starts after them.
-	matchBase uint64
-	all       []Event
+	all      []Event
 }
 
 func (m *refLog) append(evs []Event) { m.all = append(m.all, evs...) }
 
-func (m *refLog) resume(base, head, matchBase uint64) {
+func (m *refLog) resume(base, head uint64) {
 	m.base = base
-	m.matchBase += matchBase
 	m.resumed = head
 	for _, ev := range m.all {
 		m.resumed = max(m.resumed, ev.Seq+1)
@@ -65,34 +61,22 @@ func (m *refLog) window() (oldest, frontier uint64, evs []Event) {
 	return oldest, frontier, evs
 }
 
-// matches returns the ordinal window [oldest, count) of the matches and
-// the readable matches themselves: a match's ordinal is its rank among
-// every match ever appended, by Seq.
-func (m *refLog) matches() (oldest, count uint64, ms []Event) {
-	lo, hi, _ := m.window()
-	oldest, count = m.matchBase, m.matchBase
-	for _, ev := range m.all {
-		if ev.Kind != sim.EventMatch {
-			continue
-		}
-		if ev.Seq < lo {
-			oldest++
-		}
-		if ev.Seq < hi {
-			count++
-			if ev.Seq >= lo {
-				ms = append(ms, ev)
-			}
-		}
+// page returns the events of want (a window's events, Seq ascending) that
+// a read from since with limit serves, and the cursor it hands back: the
+// first limit events at or above since, else all of them and the frontier.
+func page(want []Event, since uint64, limit int, frontier uint64) ([]Event, uint64) {
+	i := sort.Search(len(want), func(i int) bool { return want[i].Seq >= since })
+	if limit > 0 && len(want)-i > limit {
+		return want[i : i+limit], want[i+limit-1].Seq + 1
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Seq < ms[j].Seq })
-	return oldest, count, ms
+	return want[i:], max(since, frontier)
 }
 
-// checkLog compares every read the log serves with the reference: the
-// window, one unlimited read, a paged read, the fromOldest read, the
-// eviction errors just below both windows, and the same for matches.
-func checkLog(t *testing.T, l *eventLog, m *refLog, page int) {
+// checkLog compares every read the log serves with the reference, once
+// for whole pages and once for their match events alone: the window, one
+// unlimited read, a paged read, the fromOldest read, the eviction error
+// just below the window and a cursor past the frontier.
+func checkLog(t *testing.T, l *eventLog, m *refLog, limit int) {
 	t.Helper()
 	oldest, frontier, want := m.window()
 	if got := l.oldest.Load(); got != oldest {
@@ -101,76 +85,44 @@ func checkLog(t *testing.T, l *eventLog, m *refLog, page int) {
 	if got := l.frontier.Load(); got != frontier {
 		t.Fatalf("frontier = %d, want %d", got, frontier)
 	}
-	got, next, err := l.read(oldest, false, 0, nil)
-	if err != nil || next != frontier || !sameEvents(got, want) {
-		t.Fatalf("read(%d) = %d events next %d err %v, want %d events next %d", oldest, len(got), next, err, len(want), frontier)
-	}
-	if got, next, _ := l.read(0, true, 0, nil); next != frontier || !sameEvents(got, want) {
-		t.Fatalf("read from oldest = %d events next %d, want %d next %d", len(got), next, len(want), frontier)
-	}
-	var paged []Event
-	for c := oldest; ; {
-		before := len(paged)
-		paged, c, err = l.read(c, false, page, paged)
-		if err != nil {
-			t.Fatalf("paged read: %v", err)
-		}
-		if n := len(paged) - before; n > page {
-			t.Fatalf("page of %d events exceeds limit %d", n, page)
-		} else if n == 0 {
-			if c != frontier {
-				t.Fatalf("paged read stopped at %d, want the frontier %d", c, frontier)
+	for _, matchesOnly := range []bool{false, true} {
+		only := func(evs []Event) []Event {
+			if matchesOnly {
+				return matchEvents(evs)
 			}
-			break
+			return evs
 		}
-	}
-	if !sameEvents(paged, want) {
-		t.Fatalf("paged read = %d events, want %d", len(paged), len(want))
-	}
-	if oldest > 0 {
-		if _, c, err := l.read(oldest-1, false, 0, nil); err != ErrEvicted || c != oldest-1 {
-			t.Fatalf("read(%d) = cursor %d err %v, want ErrEvicted and an unmoved cursor", oldest-1, c, err)
+		got, next, err := l.read(oldest, false, matchesOnly, 0, nil)
+		if err != nil || next != frontier || !sameEvents(got, only(want)) {
+			t.Fatalf("matchesOnly=%v: read(%d) = %d events next %d err %v, want %d events next %d", matchesOnly, oldest, len(got), next, err, len(only(want)), frontier)
 		}
-	}
-
-	mlo, mhi, mwant := m.matches()
-	if glo, ghi := l.oldestMatch(), l.matchCount(); glo != mlo || ghi != mhi {
-		t.Fatalf("match window = [%d,%d), want [%d,%d)", glo, ghi, mlo, mhi)
-	}
-	if got, next, _ := l.matches(0, true, 0, nil); next != mhi || !sameEvents(got, mwant) {
-		t.Fatalf("matches from oldest = %d next %d, want %d next %d", len(got), next, len(mwant), mhi)
-	}
-	// Start mid-window so whole-segment skipping and the scan inside the
-	// first copied segment are both exercised.
-	mid := mlo + uint64(len(mwant))/2
-	var mpaged []Event
-	for c := mid; ; {
-		before := len(mpaged)
-		mpaged, c, err = l.matches(c, false, page, mpaged)
-		if err != nil {
-			t.Fatalf("paged matches: %v", err)
+		if got, next, _ := l.read(0, true, matchesOnly, 0, nil); next != frontier || !sameEvents(got, only(want)) {
+			t.Fatalf("matchesOnly=%v: read from oldest = %d events next %d, want %d next %d", matchesOnly, len(got), next, len(only(want)), frontier)
 		}
-		if n := len(mpaged) - before; n > page {
-			t.Fatalf("match page of %d exceeds limit %d", n, page)
-		} else if n == 0 {
-			if c != mhi {
-				t.Fatalf("paged matches stopped at ordinal %d, want %d", c, mhi)
+		var paged []Event
+		for c := oldest; ; c = next {
+			wpage, wnext := page(want, c, limit, frontier)
+			before := len(paged)
+			paged, next, err = l.read(c, false, matchesOnly, limit, paged)
+			if err != nil || next != wnext || !sameEvents(paged[before:], only(wpage)) {
+				t.Fatalf("matchesOnly=%v: read(%d, limit %d) = %d events next %d err %v, want %d next %d",
+					matchesOnly, c, limit, len(paged)-before, next, err, len(only(wpage)), wnext)
 			}
-			break
-		} else if c != mid+uint64(len(mpaged)) {
-			t.Fatalf("match cursor %d after %d matches from %d", c, len(mpaged), mid)
+			if next == c {
+				break
+			}
 		}
-	}
-	if !sameEvents(mpaged, mwant[mid-mlo:]) {
-		t.Fatalf("paged matches from %d = %d, want %d", mid, len(mpaged), len(mwant[mid-mlo:]))
-	}
-	if mlo > 0 {
-		if _, _, err := l.matches(mlo-1, false, 0, nil); err != ErrEvicted {
-			t.Fatalf("matches(%d) err = %v, want ErrEvicted", mlo-1, err)
+		if next != frontier || !sameEvents(paged, only(want)) {
+			t.Fatalf("matchesOnly=%v: paged read = %d events up to %d, want %d up to the frontier %d", matchesOnly, len(paged), next, len(only(want)), frontier)
 		}
-	}
-	if _, c, _ := l.matches(mhi+7, false, 0, nil); c != mhi {
-		t.Fatalf("matches past the head resumed at %d, want it clamped to %d", c, mhi)
+		if oldest > 0 {
+			if _, c, err := l.read(oldest-1, false, matchesOnly, 0, nil); err != ErrEvicted || c != oldest-1 {
+				t.Fatalf("matchesOnly=%v: read(%d) = cursor %d err %v, want ErrEvicted and an unmoved cursor", matchesOnly, oldest-1, c, err)
+			}
+		}
+		if got, c, err := l.read(frontier+7, false, matchesOnly, 0, nil); err != nil || len(got) != 0 || c != frontier+7 {
+			t.Fatalf("matchesOnly=%v: read past the frontier = %d events cursor %d err %v, want nothing and an unmoved cursor", matchesOnly, len(got), c, err)
+		}
 	}
 }
 
@@ -260,17 +212,17 @@ func TestEventLogEvictionAcrossHole(t *testing.T) {
 	if f := l.frontier.Load(); f != 7 {
 		t.Fatalf("frontier = %d, want 7 once the hole left the window", f)
 	}
-	l.append(one(2)) // the straggler: counted as a match, never readable
+	l.append(one(2)) // the straggler: a match that is never readable
 	m.append(one(2))
 	checkLog(t, l, m, 2)
-	if lo, hi := l.oldestMatch(), l.matchCount(); lo != 3 || hi != 7 {
-		t.Fatalf("match window = [%d,%d), want [3,7) with the straggler counted below it", lo, hi)
+	if ms, next, _ := l.read(0, true, true, 0, nil); len(ms) != 4 || ms[0].Seq != 3 || next != 7 {
+		t.Fatalf("matches from oldest = %d up to %d, want the 4 of [3,7) without the straggler", len(ms), next)
 	}
 }
 
 // TestEventLogRecoverOrder: WAL replay appends one shard's whole history,
 // then the next shard's — far out of order — and then resumes. The log
-// must end up with the same window, events and match ordinals as the
+// must end up with the same window, events and matches as the
 // uninterrupted run, whatever eviction did on the way.
 func TestEventLogRecoverOrder(t *testing.T) {
 	for _, capacity := range []uint64{0, 100, segSize + 17} {
@@ -301,23 +253,20 @@ func TestEventLogRecoverOrder(t *testing.T) {
 			}
 		}
 		head := uint64(len(stream))
-		rec.resume(0, head, 0)
-		m.resume(0, head, 0)
+		rec.resume(0, head)
+		m.resume(0, head)
 		checkLog(t, rec, m, 100)
 
 		if rec.oldest.Load() != live.oldest.Load() || rec.frontier.Load() != head || live.frontier.Load() != head {
 			t.Fatalf("capacity %d: recovered window [%d,%d), uninterrupted [%d,%d)", capacity,
 				rec.oldest.Load(), rec.frontier.Load(), live.oldest.Load(), live.frontier.Load())
 		}
-		got, _, _ := rec.read(0, true, 0, nil)
-		want, _, _ := live.read(0, true, 0, nil)
-		if !sameEvents(got, want) {
-			t.Fatalf("capacity %d: recovered log serves %d events, uninterrupted %d", capacity, len(got), len(want))
-		}
-		glo, ghi := rec.oldestMatch(), rec.matchCount()
-		wlo, whi := live.oldestMatch(), live.matchCount()
-		if glo != wlo || ghi != whi {
-			t.Fatalf("capacity %d: recovered match window [%d,%d), uninterrupted [%d,%d)", capacity, glo, ghi, wlo, whi)
+		for _, matchesOnly := range []bool{false, true} {
+			got, _, _ := rec.read(0, true, matchesOnly, 0, nil)
+			want, _, _ := live.read(0, true, matchesOnly, 0, nil)
+			if !sameEvents(got, want) {
+				t.Fatalf("capacity %d, matchesOnly=%v: recovered log serves %d events, uninterrupted %d", capacity, matchesOnly, len(got), len(want))
+			}
 		}
 	}
 }
@@ -341,16 +290,11 @@ func TestEventLogResumeTornTail(t *testing.T) {
 	l.append(kept)
 	m.append(kept)
 	head := uint64(len(stream))
-	// The checkpoint superseded 17 matches below its base: ordinals carry on
-	// after them.
-	l.resume(base, head, 17)
-	m.resume(base, head, 17)
+	l.resume(base, head)
+	m.resume(base, head)
 	checkLog(t, l, m, 50)
 	if l.oldest.Load() != base || l.frontier.Load() != head {
 		t.Fatalf("resumed window [%d,%d), want [%d,%d)", l.oldest.Load(), l.frontier.Load(), base, head)
-	}
-	if om := l.oldestMatch(); om != 17 {
-		t.Fatalf("oldest match ordinal %d after resuming behind 17 superseded matches", om)
 	}
 	next := []Event{{Seq: head, SessionEvent: sim.SessionEvent{Kind: sim.EventMatch}}}
 	l.append(next)

@@ -175,9 +175,9 @@ func (r *Router) migrate(topo *Topology) (*RebalanceInfo, error) {
 		si.mu.Unlock()
 	}
 	r.applyPending(old)
-	// The old state is now fully sequenced: everything below seqBase — and
-	// matchBase matches among it — belongs to what the checkpoint supersedes.
-	seqBase, matchBase := r.seq.Load(), r.log.matchCount()
+	// The old state is now fully sequenced: everything below seqBase
+	// belongs to what the checkpoint supersedes.
+	seqBase := r.seq.Load()
 
 	// The new sessions' epoch floor: above every receipt the old topology
 	// ever issued. The old max clock is what the new sessions advance to.
@@ -339,7 +339,7 @@ func (r *Router) migrate(topo *Topology) (*RebalanceInfo, error) {
 	// recovery starts at this one and opens nothing before it.
 	if newSet != nil && newSet != r.walSet {
 		if err := newSet.Flush(); err == nil {
-			newSet.Log(0).Append(encodeSeal(sealMeta{topoVer: ns.version, matchBase: matchBase, carried: ns.carried}))
+			newSet.Log(0).Append(encodeSeal(sealMeta{topoVer: ns.version, carried: ns.carried}))
 			info.Sealed = newSet.Log(0).Flush() == nil
 		}
 		r.walSet.Close()

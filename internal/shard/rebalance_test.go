@@ -25,6 +25,17 @@ func eventsFrom(t *testing.T, r *Router, since uint64) []Event {
 	return evs
 }
 
+// matchEvents is evs filtered to commits.
+func matchEvents(evs []Event) []Event {
+	var out []Event
+	for _, ev := range evs {
+		if ev.Kind == sim.EventMatch {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 // expectTailParity is expectParity for routers whose retained windows may
 // start at different cursors (a checkpoint recovery evicts everything
 // below its sequence base): the comparison starts at the later boundary.

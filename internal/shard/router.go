@@ -213,8 +213,7 @@ func (t *Totals) add(d Totals, sign int) {
 
 // ErrEvicted is returned by Events, Matches and EventSub.Next when the
 // cursor points below the retention window: events at or above it have
-// been dropped. The caller restarts from OldestCursor (OldestMatch),
-// accepting the gap.
+// been dropped. The caller restarts from OldestCursor, accepting the gap.
 var ErrEvicted = errors.New("shard: cursor below retention boundary")
 
 // topoState is one topology epoch's complete routing state: the region
@@ -845,43 +844,32 @@ func (r *Router) Events(since uint64, dst []Event) ([]Event, uint64, error) {
 // through a large backlog in bounded batches; the returned cursor resumes
 // right after the last returned event.
 func (r *Router) EventsLimit(since uint64, limit int, dst []Event) ([]Event, uint64, error) {
-	return r.log.read(min(since, r.seq.Load()), false, limit, dst)
+	return r.log.read(min(since, r.seq.Load()), false, false, limit, dst)
 }
 
 // EventsFromOldest is EventsLimit anchored at the oldest retained cursor,
 // atomically, so a concurrent eviction can never produce ErrEvicted —
 // the primitive behind cursor-less polling ("give me what is retained").
 func (r *Router) EventsFromOldest(limit int, dst []Event) ([]Event, uint64) {
-	dst, next, _ := r.log.read(0, true, limit, dst)
+	dst, next, _ := r.log.read(0, true, false, limit, dst)
 	return dst, next
 }
 
-// Matches is Events filtered to commits and addressed by match ordinal:
-// the match with ordinal k is the k-th committed pair in Seq order (from
-// 0), so ordinals double as cursors exactly like Seq does for Events. It
-// appends the retained matches with ordinal >= since, at most limit of
-// them (zero or negative means unlimited), and returns the ordinal to
-// pass next time. A cursor above MatchCount is clamped to it; one below
-// OldestMatch gets ErrEvicted. The window is the event retention window:
-// a match is readable exactly as long as its event is.
+// Matches is EventsLimit filtered to commits: it reads exactly the page
+// EventsLimit(since, limit) would and appends only its match events, so it
+// returns the same cursor and the same ErrEvicted. A page may hold no
+// match while the cursor still advances; a caller is at the head when a
+// call returns nothing and leaves the cursor where it was.
 func (r *Router) Matches(since uint64, limit int, dst []Event) ([]Event, uint64, error) {
-	return r.log.matches(since, false, limit, dst)
+	return r.log.read(min(since, r.seq.Load()), false, true, limit, dst)
 }
 
-// MatchesFromOldest is Matches anchored at OldestMatch, atomically (see
+// MatchesFromOldest is Matches anchored at OldestCursor, atomically (see
 // EventsFromOldest).
 func (r *Router) MatchesFromOldest(limit int, dst []Event) ([]Event, uint64) {
-	dst, next, _ := r.log.matches(0, true, limit, dst)
+	dst, next, _ := r.log.read(0, true, true, limit, dst)
 	return dst, next
 }
-
-// MatchCount returns the number of matches readable or already evicted —
-// the ordinal the next visible match will get.
-func (r *Router) MatchCount() uint64 { return r.log.matchCount() }
-
-// OldestMatch returns the lowest ordinal Matches still accepts: the
-// number of matches that have left the retention window.
-func (r *Router) OldestMatch() uint64 { return r.log.oldestMatch() }
 
 // ShardStats snapshots shard i of the current topology.
 func (r *Router) ShardStats(i int) Stats {

@@ -70,9 +70,11 @@ const (
 // v2 extended the header with the topology-epoch chain (kind, topology
 // version and image, epoch and sequence bases) and added the checkpoint
 // seal record. v3 mirrors tasks only: no worker ghost records, retractions
-// carry a gid alone, and a gate verdict is the claim state it left.
-// Recovery refuses a log of another version at its first header.
-const walMagic = "FTWALv3\x00"
+// carry a gid alone, and a gate verdict is the claim state it left. v4's
+// seal no longer carries a match ordinal base: match events are addressed
+// by Seq alone. Recovery refuses a log of another version at its first
+// header.
+const walMagic = "FTWALv4\x00"
 
 // Generation kinds (header payload): how a generation relates to the
 // topology-epoch chain recovery walks (walhook.go).
@@ -106,9 +108,6 @@ type headerMeta struct {
 // checkpoint supersedes that recovery cannot replay any more.
 type sealMeta struct {
 	topoVer uint64
-	// matchBase is the number of match events sequenced below the
-	// generation's seqBase — the ordinal the chain's first match gets.
-	matchBase uint64
 	// carried is topoState.carried of the state the checkpoint installed.
 	carried Totals
 }
@@ -172,10 +171,9 @@ func encodeHeader(shard int, fp []byte, hm headerMeta) []byte {
 // u64s.
 func encodeSeal(sm sealMeta) []byte {
 	fields := sm.carried.fields()
-	p := make([]byte, 0, 1+8+8+8*len(fields))
+	p := make([]byte, 0, 1+8+8*len(fields))
 	p = append(p, recSeal)
 	p = codec.AppendU64(p, sm.topoVer)
-	p = codec.AppendU64(p, sm.matchBase)
 	for _, v := range fields {
 		p = codec.AppendU64(p, uint64(int64(*v)))
 	}
@@ -263,7 +261,6 @@ func decodeHeader(payload []byte, shard int, fp []byte) (hm headerMeta, err erro
 func decodeSeal(payload []byte) (sm sealMeta, err error) {
 	d := codec.NewReader("wal", payload, 1)
 	sm.topoVer = d.U64("seal topology version")
-	sm.matchBase = d.U64("seal match base")
 	for _, v := range sm.carried.fields() {
 		*v = int(int64(d.U64("seal carried total")))
 	}

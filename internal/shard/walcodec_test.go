@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,12 +28,24 @@ func unframe(t testing.TB, framed []byte) []byte {
 // then an advance). v3 records mean something else — a v2 log mirrors
 // workers — so recovery refuses it at the first header, with the
 // magic-mismatch error, before replaying anything.
-func TestRecoverRefusesV2(t *testing.T) {
+func TestRecoverRefusesV2(t *testing.T) { recoverOldLog(t, "walv2", "FTWALv2") }
+
+// TestRecoverRefusesV3: testdata/walv3 is a 2×1 halo router's log as the
+// v3 format wrote it: a checkpoint generation whose seal carries a match
+// ordinal base (a matched pair before it), then a border worker, a border
+// task and an advance. A v4 seal has no such field, so recovery refuses
+// the log at its first header with the magic-mismatch error.
+func TestRecoverRefusesV3(t *testing.T) { recoverOldLog(t, "walv3", "FTWALv3") }
+
+// recoverOldLog copies the two segments of testdata/<fixture> into a fresh
+// directory and expects Recover to refuse them with the magic mismatch.
+func recoverOldLog(t *testing.T, fixture, magic string) {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "wal")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob("testdata/walv2/*.wal")
+	segs, err := filepath.Glob(filepath.Join("testdata", fixture, "*.wal"))
 	if err != nil || len(segs) != 2 {
 		t.Fatalf("fixture segments %v, %v", segs, err)
 	}
@@ -41,8 +54,8 @@ func TestRecoverRefusesV2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(string(data), "FTWALv2") {
-			t.Fatalf("%s is not a v2 segment", sg)
+		if !strings.Contains(string(data), magic) {
+			t.Fatalf("%s is not a %s segment", sg, magic)
 		}
 		if err := os.WriteFile(filepath.Join(dir, filepath.Base(sg)), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -52,7 +65,7 @@ func TestRecoverRefusesV2(t *testing.T) {
 	cfg.WAL = &wal.Options{Dir: dir}
 	r, _, err := Recover(cfg)
 	if err == nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("Recover over a v2 log = %v, %v; want the magic mismatch", r, err)
+		t.Fatalf("Recover over a %s log = %v, %v; want the magic mismatch", magic, r, err)
 	}
 }
 
@@ -111,7 +124,7 @@ func TestWALDecodersRefuseTrailingBytes(t *testing.T) {
 		p      []byte
 		decode func([]byte) error
 	}{
-		{"seal", unframe(t, encodeSeal(sealMeta{topoVer: 2, matchBase: 7, carried: Totals{Workers: 5}})), func(p []byte) error {
+		{"seal", unframe(t, encodeSeal(sealMeta{topoVer: 2, carried: Totals{Workers: 5}})), func(p []byte) error {
 			_, err := decodeSeal(p)
 			return err
 		}},
@@ -172,10 +185,12 @@ func FuzzReplayRecord(f *testing.F) {
 	f.Add(codec.AppendU32([]byte{opWithdrawLocal, 0}, 0xFFFFFFFF)) // handle -1
 	f.Add(codec.AppendU32([]byte{opWithdrawLocal, 1}, 1<<20))      // past the task arena
 	f.Add([]byte{opFinish})
-	seal := unframe(f, encodeSeal(sealMeta{topoVer: 2, matchBase: 7, carried: Totals{Workers: 5, GhostTasks: -3}}))
+	seal := unframe(f, encodeSeal(sealMeta{topoVer: 2, carried: Totals{Workers: 5, GhostTasks: -3}}))
 	f.Add(seal)
 	f.Add(seal[:9])  // a seal from before seals carried totals
 	f.Add(seal[:40]) // carried block cut short
+	// A v3 seal: a match ordinal base between the version and the totals.
+	f.Add(slices.Concat(seal[:9], codec.AppendU64(nil, 7), seal[9:]))
 	f.Add([]byte{decSeq, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if len(p) == 0 {

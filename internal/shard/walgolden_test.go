@@ -118,7 +118,10 @@ func walGoldenListing(t *testing.T) string {
 // Rejected stopped taking back what a migration's re-admissions attempt
 // (six bytes each: the two counters and the record's CRC). The whole listing
 // was regenerated for the v3 log, which mirrors tasks only (244 153 bytes
-// over the 54 segments before, 204 988 after). Any change to what an
+// over the 54 segments before, 204 988 after), and again for the v4 log,
+// whose seal no longer carries a match ordinal base (every header's magic
+// moved; 204 972 bytes after, 8 fewer in each segment holding a seal).
+// Any change to what an
 // admission, withdrawal, migration or seal writes — a field, a flag bit, the
 // order of two records — moves a hash.
 func TestWALBytesGolden(t *testing.T) {

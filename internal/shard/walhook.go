@@ -419,8 +419,8 @@ func (r *Router) attachFreshWAL(cfg *Config) error {
 // bit-identical to the pre-crash router's. When the chain starts at a
 // sealed checkpoint (RecoveryInfo.FromCheckpoint) what is replayed is the
 // checkpoint's re-admission of the then-live population and everything
-// after it: the seal supplies the lifetime totals and the match ordinal of
-// what it superseded, and events below its sequence base are gone.
+// after it: the seal supplies the lifetime totals of what it superseded,
+// and events below its sequence base are gone.
 func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	if cfg.WAL == nil {
 		return nil, nil, errors.New("shard: Recover requires Config.WAL")
@@ -553,9 +553,8 @@ func Recover(cfg Config) (*Router, *RecoveryInfo, error) {
 	r.gids.Store(st.maxGid)
 	// Events below the chain's sequence base belong to earlier topologies
 	// and are not replayable from the chain: the log's window starts there
-	// so stale cursors fail ErrEvicted instead of silently skipping, and
-	// match ordinals continue after the matches among them.
-	r.log.resume(base.seqBase, st.nextSeq, sealed.matchBase)
+	// so stale cursors fail ErrEvicted instead of silently skipping.
+	r.log.resume(base.seqBase, st.nextSeq)
 	info.Events = st.events
 	for _, si := range ts.shards {
 		if now := si.sess.Now(); !math.IsInf(now, -1) && now > info.MaxClock {
