@@ -22,7 +22,7 @@
 // the recovery floor (resume). Segments wholly below oldest are freed.
 // An event appended below oldest (a shard that stalled for more than
 // capacity events, or shard-by-shard WAL replay) is stored if its
-// segment is still live and counted if not; either way it is outside
+// segment is still live and dropped if not; either way it is outside
 // the window, exactly as if it had arrived in order and been evicted.
 //
 // Matches are a filtered read: the page of events Events would return,
